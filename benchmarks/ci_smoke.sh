@@ -258,10 +258,11 @@ print(f"ci_smoke: deadline-tripped anytime solve checkpointed "
 EOF
 
 # --- kernel-backend gate (see docs/ARCHITECTURE.md, KERNELS registry) ---
-# 1. backend agreement: every registered KERNELS backend (numba included
-#    — degraded to scalar when the compiled extra is absent) must reach
-#    the reference cascade's bit-identical fixpoint on the smoke suite
-#    and agree on whole-search optima and node counts.
+# 1. backend agreement: every registered KERNELS backend must reach the
+#    reference cascade's bit-identical fixpoint on the smoke suite and
+#    agree on whole-search optima and node counts.  The compiled
+#    ``native`` backend must actually be compiled here (gcc is part of
+#    the CI image), not degraded to scalar, and ``auto`` must pick it.
 # 2. calibration artifact: a fresh quick calibration must satisfy the
 #    documented CALIBRATION v2 schema (validate_calibration), and the
 #    loader must refuse schema-v1 artifacts loudly.
@@ -276,7 +277,8 @@ from repro.analysis.microbench import (
     validate_calibration,
 )
 from repro.core.formulation import BestBound, MVCFormulation
-from repro.core.kernel_backends import KERNELS, make_kernels, numba_available
+from repro.core import native
+from repro.core.kernel_backends import KERNELS, make_kernels
 from repro.core.reductions import apply_reductions_reference
 from repro.core.sequential import branch_and_reduce
 from repro.core.stats import ReductionCounters
@@ -304,8 +306,10 @@ def fixpoint(graph, run):
 
 
 with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)  # degraded-numba notice
+    warnings.simplefilter("error")  # a degraded native would warn here
     backends = {name: make_kernels(name) for name in KERNELS}
+assert not backends["native"].degraded, native.load_error()
+assert backends["auto"].resolved_name(48, 100) == "auto:native"
 checked = 0
 for name, graph in instances:
     ref = fixpoint(graph, lambda g, s, f, w, c:
@@ -322,10 +326,9 @@ for name, graph in instances:
         assert best.size == expected_best.size, (name, bname, best.size)
         assert stats.nodes_visited == expected.nodes_visited, (name, bname)
         checked += 1
-numba_note = "compiled" if numba_available() else "degraded->scalar"
 print(f"ci_smoke: kernel-backend agreement OK ({checked} backend runs, "
       f"{len(instances)} instances, {len(KERNELS)} backends, "
-      f"numba {numba_note})")
+      f"native compiled at {native.load().__file__})")
 
 payload = calibrate_kernels(repeats=1, n_ladder=(24, 48), m_ladder=(96,),
                             apply=False, quick=True)

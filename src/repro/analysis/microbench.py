@@ -433,26 +433,26 @@ def calibrate_branch_batch_cutoff(
     return {"branch_batch_min_live": min_live, "samples": samples}
 
 
-#: Timing-sample keys in calibration samples, by backend registry name
-#: (``vectorized_s`` predates the registry; kept for render/diff
-#: stability).
-_BACKEND_SAMPLE_KEYS = {"scalar": "scalar_s", "numpy": "vectorized_s",
-                        "numba": "numba_s"}
+def _sample_key(name: str) -> str:
+    """Timing-sample key of a backend in calibration samples
+    (``vectorized_s`` for numpy predates the registry; kept for
+    render/diff stability)."""
+    return "vectorized_s" if name == "numpy" else f"{name}_s"
 
 
 def _measurable_backends() -> List[str]:
-    """Registry backends worth timing on this host.
+    """Concrete ``KERNELS`` backends worth timing on this host.
 
-    ``numba`` joins only when the compiled extra actually imports — a
-    degraded (fallback) NumbaBackend would just re-measure ``scalar``
-    and could win its band, silently double-booking the scalar cascade.
+    Every registry name except the ``auto`` dispatcher, minus a
+    ``native`` backend whose extension did not load — a degraded
+    (fallback) backend would just re-measure ``scalar`` and could win its
+    band, silently double-booking the scalar cascade.
     """
-    from ..core.kernel_backends import numba_available
+    from ..core import native
+    from ..core.kernel_backends import KERNELS
 
-    names = ["scalar", "numpy"]
-    if numba_available():
-        names.append("numba")
-    return names
+    return [name for name in KERNELS
+            if name != "auto" and (name != "native" or native.load() is not None)]
 
 
 def calibrate_kernels(
@@ -463,7 +463,7 @@ def calibrate_kernels(
     apply: bool = True,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """Measure every installed ``KERNELS`` backend and band the winners.
+    """Measure every concrete ``KERNELS`` backend and band the winners.
 
     For each n-ladder point every measurable backend's cascade runs to
     fixpoint on the same graph (all backends are proven bit-identical, so
@@ -506,7 +506,7 @@ def calibrate_kernels(
                 lambda st, b=backend: b.reduce(graph, st, form, ws, None, None),
                 repeats,
             )
-            sample[_BACKEND_SAMPLE_KEYS[name]] = seconds
+            sample[_sample_key(name)] = seconds
             if seconds < best_s:
                 best_name, best_s = name, seconds
         sample["winner"] = best_name
@@ -770,9 +770,10 @@ def render_calibration(payload: Dict[str, object]) -> str:
             sc, ve = float(s["scalar_s"]) * 1e6, float(s["vectorized_s"]) * 1e6
             tag = f"n={s['n']} m={s['m']}"
             winner = s.get("winner") or ("scalar" if sc <= ve else "vectorized")
-            extra = ""
-            if "numba_s" in s:
-                extra = f" (numba {float(s['numba_s']) * 1e6:.1f}us)"
+            extra = "".join(
+                f" ({name} {float(s[_sample_key(name)]) * 1e6:.1f}us)"
+                for name in payload.get("backends_measured", ())
+                if name not in ("scalar", "numpy") and _sample_key(name) in s)
             lines.append(f"{tag:>18s} {sc:10.1f}us {ve:10.1f}us  "
                          f"{winner}{extra}")
     for s in samples.get("branch_live_ladder", ()):  # type: ignore[union-attr]

@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="micro-benchmark the substrate hot paths")
     p.add_argument("action", nargs="?", default="run", choices=("run", "calibrate"),
                    help="'run' times the hot-path cases; 'calibrate' measures every "
-                        "installed KERNELS backend per size band plus the branch-batch "
+                        "concrete KERNELS backend per size band plus the branch-batch "
                         "crossover and persists the winners (set REPRO_CALIBRATION=1 "
                         "to auto-load them at import in later runs; --quick artifacts "
                         "are refused)")

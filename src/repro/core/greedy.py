@@ -209,8 +209,8 @@ def greedy_cover(graph: CSRGraph, ws: Optional[Workspace] = None,
     Returns a valid vertex cover; its size initialises ``best`` and bounds
     the stack depth for the GPU launch configuration.  The pass is
     dispatched through the ``KERNELS`` backend registry (``kernels``:
-    name, instance, or ``None`` for the process default, whose
-    uncalibrated behaviour is the legacy size cutoff) — all backends
+    name, instance, or ``None`` for the process default, which runs the
+    compiled ``native`` kernels when they load) — all backends
     produce identical covers (property-tested).
     """
     return kernel_backends.resolve_kernels(kernels).greedy_cover(graph, ws)

@@ -12,11 +12,13 @@ orthogonal registries (ENGINES × FRONTIERS × BOUNDS):
 * ``numpy``  — the vectorized dirty-worklist kernels, unconditionally;
 * ``scalar`` — the pure-Python cascade, promoted from a cutoff-gated
   special case to a first-class backend (always scalar, any size);
-* ``numba``  — a compiled scalar cascade (optional dependency: the
-  ``compiled`` extra).  Without numba it degrades *loudly* — one
-  structured :class:`RuntimeWarning` — to the ``scalar`` cascade;
-* ``auto``   — per-size-band dispatch.  Uncalibrated it reproduces the
-  legacy cutoff behaviour exactly (reading the live
+* ``native`` — the scalar kernels compiled from ``core/_native.c`` as a
+  CPython extension, built with the system C compiler on first use and
+  cached (:mod:`repro.core.native`).  Without a compiler it degrades
+  *loudly* — one structured :class:`RuntimeWarning` — to ``scalar``;
+* ``auto``   — per-size-band dispatch.  Uncalibrated it picks ``native``
+  whenever the extension loads, and otherwise reproduces the legacy
+  cutoff behaviour exactly (reading the live
   ``kernels.SCALAR_KERNEL_MAX_N/M`` globals, so ``set_scalar_cutoffs``
   and tests monkeypatching the globals keep working); calibrated
   (CALIBRATION.json v2, ``repro bench calibrate``) it consults a
@@ -58,13 +60,14 @@ from ..graph.degree_array import VCState, Workspace
 from .formulation import Formulation
 from .stats import ChargeFn, ReductionCounters, null_charge
 from . import kernels as _kernels
+from . import native
 from .kernels import _apply_reductions_scalar, _apply_reductions_vectorized
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "ScalarBackend",
-    "NumbaBackend",
+    "NativeBackend",
     "AutoBackend",
     "KERNELS",
     "DEFAULT_KERNELS",
@@ -72,7 +75,6 @@ __all__ = [
     "resolve_kernels",
     "get_default_kernels",
     "set_default_kernels",
-    "numba_available",
 ]
 
 
@@ -218,269 +220,43 @@ class ScalarBackend(KernelBackend):
 
 
 # --------------------------------------------------------------------- #
-# numba: compiled scalar cascade (optional dependency)
+# native: the scalar kernels compiled as a CPython extension
 # --------------------------------------------------------------------- #
 
-def _import_numba():
-    """Import probe, split out so tests can simulate a missing install."""
-    try:
-        import numba  # type: ignore
-    except Exception:
-        return None
-    return numba
+class NativeBackend(KernelBackend):
+    """The scalar backend's three kernels, compiled (``core/_native.c``).
 
-
-def numba_available() -> bool:
-    """True when the ``compiled`` extra's numba import succeeds."""
-    return _import_numba() is not None
-
-
-#: Compiled kernel namespace, built once per process on first use.
-_NUMBA_IMPL: Optional[dict] = None
-
-
-def _build_numba_impl(numba) -> dict:  # pragma: no cover - needs numba
-    """Compile the scalar cascade's three exhausts over raw CSR arrays.
-
-    Mirrors the pure-Python exhausts in :mod:`repro.core.kernels` loop
-    for loop — ascending-sorted per-sweep drains with per-candidate
-    revalidation, binary-search triangle test, snapshot-first high-degree
-    sweeps — so the fixpoint, counters and sweep counts stay
-    bit-identical.  The budget callback cannot cross into nopython code
-    (formulation budgets may read shared ``mp.Value`` state), so the
-    high-degree rule compiles one *sweep* and the Python driver
-    re-evaluates the budget between sweeps, exactly like
-    ``scalar_high_degree_exhaust``.
-    """
-    njit = numba.njit
-    REMOVED = np.int64(_kernels.REMOVED)
-
-    @njit(cache=True)
-    def nb_remove(indptr, indices, deg, u, p1, p2, counts):
-        deg[u] = REMOVED
-        deleted = 0
-        for i in range(indptr[u], indptr[u + 1]):
-            x = indices[i]
-            dx = deg[x]
-            if dx >= 0:
-                deleted += 1
-                dx -= 1
-                deg[x] = dx
-                if dx == 1:
-                    p1[counts[0]] = x
-                    counts[0] += 1
-                elif dx == 2:
-                    p2[counts[1]] = x
-                    counts[1] += 1
-        return deleted
-
-    @njit(cache=True)
-    def nb_degree_one_exhaust(indptr, indices, deg, p1, p2, counts):
-        fires = 0
-        deleted = 0
-        while counts[0] > 0:
-            m = counts[0]
-            cand = np.sort(p1[:m].copy())
-            counts[0] = 0
-            for j in range(m):
-                v = cand[j]
-                if deg[v] != 1:
-                    continue
-                u = np.int64(-1)
-                for i in range(indptr[v], indptr[v + 1]):
-                    x = indices[i]
-                    if deg[x] >= 0:
-                        u = x
-                        break
-                deleted += nb_remove(indptr, indices, deg, u, p1, p2, counts)
-                fires += 1
-        return fires, deleted
-
-    @njit(cache=True)
-    def nb_degree_two_exhaust(indptr, indices, deg, p1, p2, counts):
-        fires = 0
-        deleted = 0
-        while counts[1] > 0:
-            m = counts[1]
-            cand = np.sort(p2[:m].copy())
-            counts[1] = 0
-            for j in range(m):
-                v = cand[j]
-                if deg[v] != 2:
-                    continue
-                u = np.int64(-1)
-                w = np.int64(-1)
-                for i in range(indptr[v], indptr[v + 1]):
-                    x = indices[i]
-                    if deg[x] >= 0:
-                        if u < 0:
-                            u = x
-                        else:
-                            w = x
-                            break
-                # triangle test: binary search w in u's (sorted) CSR row
-                lo = indptr[u]
-                hi = indptr[u + 1]
-                found = False
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    xv = indices[mid]
-                    if xv < w:
-                        lo = mid + 1
-                    elif xv > w:
-                        hi = mid
-                    else:
-                        found = True
-                        break
-                if not found:
-                    continue
-                deleted += nb_remove(indptr, indices, deg, u, p1, p2, counts)
-                deleted += nb_remove(indptr, indices, deg, w, p1, p2, counts)
-                fires += 1
-        return fires, deleted
-
-    @njit(cache=True)
-    def nb_high_degree_sweep(indptr, indices, deg, p1, p2, counts, budget, scratch):
-        # Snapshot-first: collect every over-budget vertex before any
-        # removal (a removal may decrement a later target below budget;
-        # the serial rule still removes it).
-        tcount = 0
-        for v in range(deg.size):
-            if deg[v] > budget:
-                scratch[tcount] = v
-                tcount += 1
-        if tcount == 0:
-            mx = deg[0]
-            for v in range(1, deg.size):
-                if deg[v] > mx:
-                    mx = deg[v]
-            return 0, 0, mx
-        deleted = 0
-        for j in range(tcount):
-            deleted += nb_remove(indptr, indices, deg, scratch[j], p1, p2, counts)
-        return tcount, deleted, np.int64(-1)
-
-    return {
-        "degree_one": nb_degree_one_exhaust,
-        "degree_two": nb_degree_two_exhaust,
-        "high_degree_sweep": nb_high_degree_sweep,
-    }
-
-
-class NumbaBackend(KernelBackend):
-    """Compiled scalar cascade; degrades loudly to ``scalar`` sans numba.
-
-    The branch step and the greedy pass delegate to the scalar backend
-    either way — only the cascade (the dominant cost) is compiled.
+    The extension is built on first use by :mod:`repro.core.native` and
+    cached per source/ABI; arrays cross as buffers, results come back as
+    int tuples, and the dirty hints as exact-size int64 arrays.  Without
+    a compiler (or on any build failure) an explicitly requested
+    ``native`` degrades loudly — one :class:`RuntimeWarning` per process,
+    since registry instances are cached — to the ``scalar`` kernels.
     """
 
-    name = "numba"
+    name = "native"
 
     def __init__(self) -> None:
-        self._numba = _import_numba()
-        #: True when numba is missing and every call runs the scalar path.
-        self.degraded = self._numba is None
+        self._ext = native.load()
+        #: True when the extension is unavailable and every call runs scalar.
+        self.degraded = self._ext is None
         if self.degraded:
             warnings.warn(
-                "kernels backend 'numba' requested but numba is not "
-                "importable; degrading to the pure-python 'scalar' cascade. "
-                "Install the compiled extra (pip install 'repro[compiled]') "
-                "to enable the compiled backend.",
+                "kernels backend 'native' requested but the compiled "
+                f"extension is unavailable ({native.load_error()}); "
+                "degrading to the pure-python 'scalar' kernels.",
                 RuntimeWarning,
                 stacklevel=2,
             )
 
-    def _impl(self):  # pragma: no cover - needs numba
-        global _NUMBA_IMPL
-        if _NUMBA_IMPL is None:
-            _NUMBA_IMPL = _build_numba_impl(self._numba)
-        return _NUMBA_IMPL
-
     def reduce(self, graph, state, formulation, ws, counters, hint):
-        if self.degraded:
+        if self._ext is None:
             _apply_reductions_scalar(graph, state, formulation, counters, hint)
             return
-        self._reduce_compiled(graph, state, formulation, counters, hint)
-
-    def _reduce_compiled(self, graph, state, formulation, counters, hint):  # pragma: no cover - needs numba
-        """Python driver around the compiled exhausts.
-
-        Mirrors ``_apply_reductions_scalar`` — same seeding, same
-        early-exit shortcut, same per-sweep budget re-evaluation — on an
-        int64 working copy of the degree array.
-        """
-        impl = self._impl()
-        deg = state.deg
-        n = deg.size
-        deg64 = deg.astype(np.int64)
-        p1 = np.empty(n, dtype=np.int64)
-        p2 = np.empty(n, dtype=np.int64)
-        scratch = np.empty(max(n, 1), dtype=np.int64)
-        counts = np.zeros(2, dtype=np.int64)
-        if hint is None:
-            ones = np.flatnonzero(deg64 == 1)
-            twos = np.flatnonzero(deg64 == 2)
-            p1[: ones.size] = ones
-            counts[0] = ones.size
-            p2[: twos.size] = twos
-            counts[1] = twos.size
-            max_deg = int(deg64.max()) if n else 0
-        else:
-            hint_arr = np.asarray(hint, dtype=np.int64)
-            if hint_arr.size:
-                hd = deg64[hint_arr]
-                ones = hint_arr[hd == 1]
-                twos = hint_arr[hd == 2]
-                p1[: ones.size] = ones
-                counts[0] = ones.size
-                p2[: twos.size] = twos
-                counts[1] = twos.size
-            max_deg = state.max_deg_hint
-            if max_deg < 0:
-                max_deg = int(deg64.max()) if n else 0
-        cover = state.cover_size
-        edges = state.edge_count
-        budget_of = formulation.budget
-        if counts[0] == 0 and counts[1] == 0:
-            budget = budget_of(cover)
-            if budget < 0 or max_deg <= budget:
-                state.max_deg_hint = max_deg
-                if counters is not None:
-                    counters.sweeps += 1
-                return
-        indptr = graph.indptr
-        indices = graph.indices
-        c1 = c2 = ch = sweeps = 0
-        while True:
-            f1, e1 = impl["degree_one"](indptr, indices, deg64, p1, p2, counts)
-            f2, e2 = impl["degree_two"](indptr, indices, deg64, p1, p2, counts)
-            cover += f1 + 2 * f2
-            fh = eh = 0
-            while n:
-                budget = budget_of(cover + fh)
-                if budget < 0 or max_deg <= budget:
-                    break
-                tf, td, mx = impl["high_degree_sweep"](
-                    indptr, indices, deg64, p1, p2, counts, budget, scratch
-                )
-                if tf == 0:
-                    max_deg = int(mx)  # exact again; scan came up empty
-                    break
-                fh += int(tf)
-                eh += int(td)
-            cover += fh
-            edges -= int(e1) + int(e2) + eh
-            c1 += int(f1)
-            c2 += 2 * int(f2)
-            ch += fh
-            sweeps += 1
-            if not (f1 or f2 or fh):
-                break
-        if c1 or c2 or ch:
-            deg[:] = deg64
-            state.cover_size = cover
-            state.edge_count = edges
-        state.max_deg_hint = max_deg
+        (state.cover_size, state.edge_count, state.max_deg_hint,
+         c1, c2, ch, sweeps) = self._ext.reduce(
+            graph.indptr, graph.indices, state.deg, hint, state.max_deg_hint,
+            state.cover_size, state.edge_count, formulation.budget)
         if counters is not None:
             counters.degree_one += c1
             counters.degree_two_triangle += c2
@@ -488,32 +264,59 @@ class NumbaBackend(KernelBackend):
             counters.sweeps += sweeps
 
     def expand_children(self, graph, state, vmax, ws):
-        from .branching import _expand_children_scalar
+        if self._ext is None:
+            from .branching import _expand_children_scalar
 
-        return _expand_children_scalar(graph, state, vmax, ws)
+            return _expand_children_scalar(graph, state, vmax, ws)
+        buf = ws.borrow_deg()
+        deleted, n_live, hint_def, hint_cont = self._ext.expand_children(
+            graph.indptr, graph.indices, state.deg, buf, vmax)
+        deferred = VCState(buf, state.cover_size + n_live,
+                           state.edge_count - deleted, hint_def,
+                           state.max_deg_hint)
+        state.edge_count -= n_live
+        state.cover_size += 1
+        state.dirty = hint_cont
+        return deferred, state
 
     def greedy_cover(self, graph, ws=None):
-        from .greedy import _greedy_cover_scalar
+        from .greedy import GreedyResult, _greedy_cover_scalar
 
-        return _greedy_cover_scalar(graph)
+        if self._ext is None:
+            return _greedy_cover_scalar(graph)
+        deg = graph.degrees.astype(np.int32)
+        size, picks, c1, c2, ch = self._ext.greedy_cover(
+            graph.indptr, graph.indices, deg, graph.m)
+        return GreedyResult(
+            size=size,
+            cover=np.flatnonzero(deg == _kernels.REMOVED).astype(np.int32),
+            max_degree_picks=picks,
+            reductions=ReductionCounters(degree_one=c1, degree_two_triangle=c2,
+                                         high_degree=ch),
+        )
 
     def uses_adjacency(self, graph):
-        # The branch step and greedy pass are the scalar ones either way.
-        return True
+        # The compiled kernels walk the CSR arrays directly.
+        return self._ext is None
 
 
 class AutoBackend(KernelBackend):
     """Per-size-band dispatch between the concrete backends.
 
-    Uncalibrated, :meth:`pick` reproduces the legacy cutoff rule by
-    reading the live ``kernels.SCALAR_KERNEL_MAX_N/M`` globals at call
-    time — ``set_scalar_cutoffs`` (and tests monkeypatching the globals)
-    therefore still steer every consumer, now through one dispatcher.
+    Uncalibrated, :meth:`pick` chooses ``native`` at every size whenever
+    the compiled extension loads (it beats both interpreted backends at
+    every measured size).  Otherwise it falls back, silently, to the
+    legacy cutoff rule, reading the live ``kernels.SCALAR_KERNEL_MAX_N/M``
+    globals at call time — ``set_scalar_cutoffs`` (and tests
+    monkeypatching the globals) therefore still steer every consumer,
+    now through one dispatcher.
     A CALIBRATION.json v2 artifact installs a measured band table via
     :meth:`install_calibration`: ascending ``(max_n, backend)`` pairs, an
     edge cap above which the interpreter-family backends are never picked
     (their loops walk full adjacency rows), and a default for graphs
-    beyond the last band.
+    beyond the last band.  A ``native`` band ignores the edge cap and, on
+    a host where the extension did not load, silently takes the legacy
+    cutoff rule instead.
     """
 
     name = "auto"
@@ -556,22 +359,25 @@ class AutoBackend(KernelBackend):
     # -- dispatch -------------------------------------------------------- #
     def pick(self, n: int, m: int) -> str:
         """The concrete backend name for a size-(n, m) graph."""
+        have_native = native.load() is not None
         if self._bands is None:
-            if (
-                n <= _kernels.SCALAR_KERNEL_MAX_N
-                and m <= _kernels.SCALAR_KERNEL_MAX_M
-            ):
-                return "scalar"
-            return "numpy"
-        if m > self._max_m:
-            return "numpy"
-        for max_n, backend in self._bands:
-            if n <= max_n:
-                return backend
-        return self._default
+            return "native" if have_native else self._legacy(n, m)
+        picked = next((b for max_n, b in self._bands if n <= max_n), self._default)
+        if picked == "native":
+            # The compiled kernels walk CSR rows, so the edge cap does not
+            # apply; a host without the extension keeps the legacy rule.
+            return "native" if have_native else self._legacy(n, m)
+        return "numpy" if m > self._max_m else picked
+
+    @staticmethod
+    def _legacy(n: int, m: int) -> str:
+        if n <= _kernels.SCALAR_KERNEL_MAX_N and m <= _kernels.SCALAR_KERNEL_MAX_M:
+            return "scalar"
+        return "numpy"
 
     def _picked(self, n: int, m: int) -> KernelBackend:
-        return make_kernels(self.pick(n, m))
+        name = self.pick(n, m)
+        return _INSTANCES.get(name) or make_kernels(name)
 
     def resolved_name(self, n: int, m: int) -> str:
         return f"auto:{self.pick(n, m)}"
@@ -599,7 +405,7 @@ class AutoBackend(KernelBackend):
 KERNELS: Dict[str, Callable[[], KernelBackend]] = {
     "numpy": NumpyBackend,
     "scalar": ScalarBackend,
-    "numba": NumbaBackend,
+    "native": NativeBackend,
     "auto": AutoBackend,
 }
 

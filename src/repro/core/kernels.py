@@ -702,8 +702,9 @@ def apply_reductions_fast(
     counters included) of :func:`repro.core.reductions.apply_reductions_reference`
     for **every** registered backend.  ``kernels`` selects one — a
     registry name, a :class:`~repro.core.kernel_backends.KernelBackend`
-    instance, or ``None`` for the process default (``auto``, which
-    reproduces the legacy scalar-cutoff behaviour).  Charged runs always
+    instance, or ``None`` for the process default (``auto``, which picks
+    the compiled ``native`` backend when it loads and the legacy
+    scalar-cutoff rule otherwise).  Charged runs always
     take the vectorized path so work accounting stays array-shaped,
     whatever backend was selected.
 

@@ -183,7 +183,9 @@ def _worker_session(stream: MessageStream, salt: int) -> None:
             raise ProtocolError(f"expected graph, got {msg[0]!r}")
         indptr = np.frombuffer(msg[1], dtype=np.int64).copy()
         indices = np.frombuffer(msg[2], dtype=np.int32).copy()
-        graph = CSRGraph(indptr, indices, validate=False)
+        # The one graph that arrives from outside the process: validate
+        # it once, since the compiled kernels trust a well-formed CSR.
+        graph = CSRGraph(indptr, indices, validate=True)
         root_deg = np.asarray(graph.degrees, dtype=np.int32)
     msg = stream.recv(timeout=30.0)
     if msg[0] != "init":

@@ -4,18 +4,28 @@ Admission gate for kernel backends: every registered backend must reach
 the **bit-identical fixpoint** of ``apply_reductions_reference`` — same
 degree array, cover size, edge count and reduction counters — across the
 random / p_hat / structured suites, seeded dirty-hint cascades and
-budget-limited early exits.  Plus: the loud missing-numba degradation,
-the calibrated ``auto`` band dispatch, CALIBRATION v2 artifact hygiene,
-the stale-binding regression (cutoff/backend switches after import must
-steer branching), and the one-line registry errors surfaced by the CLI
-and the experiment spec.
+budget-limited early exits.  Plus: the compiled ``native`` backend's
+typed boundary errors, build-on-first-use loader and fallbacks (silent
+for ``auto``, loud for an explicit ``native``), an independent networkx
+oracle, the calibrated ``auto`` band dispatch, CALIBRATION v2 artifact
+hygiene, the stale-binding regression (cutoff/backend switches after
+import must steer branching), and the one-line registry errors surfaced
+by the CLI and the experiment spec.
 """
 
 import json
+import os
+import stat
+import subprocess
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.kernel_backends as kb
 import repro.core.kernels as kernels_mod
@@ -23,18 +33,20 @@ from repro.core import branching
 from repro.core.branching import expand_children, max_degree_pivot
 from repro.core.formulation import BestBound, FoundFlag, MVCFormulation, PVCFormulation
 from repro.core.greedy import greedy_cover
+from repro.core import native
 from repro.core.kernel_backends import (
     KERNELS,
     AutoBackend,
-    NumbaBackend,
+    NativeBackend,
     make_kernels,
-    numba_available,
     resolve_kernels,
     set_default_kernels,
 )
 from repro.core.reductions import apply_reductions_reference
+from repro.core.outcome import Checkpoint
 from repro.core.sequential import branch_and_reduce, solve_mvc_sequential
 from repro.core.stats import ReductionCounters
+from repro.graph.csr import CSRGraph
 from repro.graph.degree_array import VCState, Workspace, fresh_state
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
@@ -46,14 +58,16 @@ from repro.graph.generators.structured import (
     star_graph,
 )
 
-#: Concrete backends every equivalence test must admit.  ``numba`` is
-#: included deliberately: without the compiled extra it degrades to the
-#: scalar cascade, and the degraded path must satisfy the same contract.
-CONCRETE = ("numpy", "scalar", "numba")
+#: Concrete backends every equivalence test must admit.  On a host
+#: without a C compiler ``native`` degrades to the scalar kernels, and the
+#: degraded path must satisfy the same contract.
+CONCRETE = ("numpy", "scalar", "native")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _backend(name):
-    """Registry instance, with the degraded-numba warning silenced."""
+    """Registry instance, with a degraded-native warning silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return make_kernels(name)
@@ -237,41 +251,391 @@ class TestEquivalenceMatrix:
 
 
 # --------------------------------------------------------------------- #
-# numba: degraded loudly without the compiled extra
+# native: the compiled extension, its boundary and its loader
 # --------------------------------------------------------------------- #
-class TestNumbaBackend:
-    def test_missing_numba_degrades_with_runtime_warning(self, monkeypatch):
-        monkeypatch.setattr(kb, "_import_numba", lambda: None)
-        with pytest.warns(RuntimeWarning, match="degrading to the pure-python"):
-            backend = NumbaBackend()
-        assert backend.degraded
-        g = gnp(40, 0.1, seed=1)
-        ref = _cascade_tuple(g, _reference)
-        assert _cascade_tuple(g, _via(backend)) == ref
+def _ext():
+    """The loaded extension; this host is expected to have a compiler."""
+    module = native.load()
+    assert module is not None, native.load_error()
+    return module
 
-    def test_registry_instance_matches_environment(self):
-        backend = _backend("numba")
-        assert backend.degraded == (not numba_available())
 
-    @pytest.mark.skipif(not numba_available(), reason="compiled extra not installed")
-    def test_compiled_cascade_equivalent(self):  # pragma: no cover - needs numba
-        backend = _backend("numba")
-        assert not backend.degraded
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A fresh process on a host with no C compiler and an empty cache."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(native, "find_compiler", lambda: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(native, "_module", native._UNSET)
+    monkeypatch.setattr(kb, "_INSTANCES", {})
+
+
+class TestNativeBackend:
+    def test_compiled_on_this_host(self):
+        backend = _backend("native")
+        assert not backend.degraded, native.load_error()
+        assert isinstance(backend, NativeBackend)
+        assert not backend.uses_adjacency(gnp(10, 0.3, seed=1))
+
+    def test_uncalibrated_auto_picks_native_at_every_size(self):
+        auto = _backend("auto")
+        assert not auto.calibrated
+        for n, m in ((1, 0), (10, 10), (5000, 10 ** 6)):
+            assert auto.pick(n, m) == "native"
+        assert auto.resolved_name(10, 20) == "auto:native"
+
+    def test_expand_children_matches_scalar(self):
+        """Both children equal the scalar step's (deg, cover, edges, bound
+        hint) down a few tree levels; hints are exact-size int64 arrays
+        naming the same vertices."""
+        scalar, nat = _backend("scalar"), _backend("native")
         for g in _suite():
+            ws = Workspace.for_graph(g)
+            form = MVCFormulation(BestBound(size=g.n + 1))
+            a_state, b_state = fresh_state(g), fresh_state(g)
+            for _ in range(6):
+                scalar.cascade(g, a_state, form, ws)
+                nat.cascade(g, b_state, form, ws)
+                assert a_state.deg.tobytes() == b_state.deg.tobytes()
+                if a_state.edge_count == 0:
+                    break
+                vmax = max_degree_pivot(a_state)
+                n_live = int(np.count_nonzero(a_state.deg[g.neighbors(vmax)] >= 0))
+                a_kids = scalar.expand_children(g, a_state, vmax, ws)
+                b_kids = nat.expand_children(g, b_state, vmax, ws)
+                for i, (a, b) in enumerate(zip(a_kids, b_kids)):
+                    assert a.deg.tobytes() == b.deg.tobytes()
+                    assert (a.cover_size, a.edge_count, a.max_deg_hint) == \
+                        (b.cover_size, b.edge_count, b.max_deg_hint)
+                    assert isinstance(b.dirty, np.ndarray)
+                    assert b.dirty.dtype == np.int64
+                    assert b.dirty.size == np.unique(b.dirty).size
+                    if i == 1 or n_live < kernels_mod.BRANCH_BATCH_MIN_LIVE:
+                        assert set(b.dirty.tolist()) == set(np.asarray(a.dirty).tolist())
+                a_state, b_state = a_kids[1], b_kids[1]
+
+    @pytest.mark.parametrize("offset", (0, 1))
+    def test_pvc_search_node_counts_match_scalar(self, offset):
+        """PVC at k=OPT (feasible, early exit) and k=OPT-1 (refuted)."""
+        for g in (phat_complement(44, 3, seed=9), gnp(40, 0.15, seed=5)):
+            best = BestBound(size=g.n + 1)
+            branch_and_reduce(g, MVCFormulation(best), kernels="scalar")
+            k = best.size - offset
+            runs = []
+            for name in ("scalar", "native"):
+                flag = FoundFlag()
+                res = branch_and_reduce(g, PVCFormulation(k=k, flag=flag),
+                                        kernels=name)
+                runs.append((flag.found, flag.size, res.nodes_visited))
+            assert runs[0] == runs[1]
+            assert runs[0][0] is (offset == 0)
+
+    def test_threads_sharing_the_module_scratch(self):
+        """The budget callback lets other threads into the module mid-call
+        (here it yields the GIL on every call); with a tiny switch interval
+        and more threads than cores every thread's search must still match
+        its single-threaded run."""
+        import threading
+        import time
+
+        class YieldingMVC(MVCFormulation):
+            def budget(self, cover_size):
+                time.sleep(0)  # hand the GIL to another thread mid-cascade
+                return super().budget(cover_size)
+
+        graphs = [phat_complement(50, 3, seed=s) for s in range(4)]
+
+        def solve(g):
+            best = BestBound(size=g.n + 1)
+            res = branch_and_reduce(g, YieldingMVC(best), kernels="native")
+            return best.size, res.nodes_visited
+
+        expected = [solve(g) for g in graphs]
+        got = [None] * len(graphs)
+
+        def worker(i):
+            got[i] = solve(graphs[i])
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(graphs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_scalar_hint_lists_are_accepted(self):
+        """A list hint (the scalar branch step's) seeds the same cascade."""
+        g = gnp(60, 0.08, seed=13)
+        ws = Workspace.for_graph(g)
+        parent = fresh_state(g)
+        form = MVCFormulation(BestBound(size=g.n + 1))
+        _backend("scalar").cascade(g, parent, form, ws)
+        child, _ = _backend("scalar").expand_children(
+            g, parent.copy(), max_degree_pivot(parent), ws)
+        assert isinstance(child.dirty, list)
+        clone = VCState(child.deg.copy(), child.cover_size, child.edge_count,
+                        list(child.dirty) + list(child.dirty), child.max_deg_hint)
+        ref = _cascade_tuple(g, _reference, state=VCState(
+            child.deg.copy(), child.cover_size, child.edge_count, None,
+            child.max_deg_hint))
+        assert _cascade_tuple(g, _via(_backend("native")), state=clone)[:-1] == ref[:-1]
+
+
+class TestNativeBoundary:
+    """Typed errors, raised before any array is touched."""
+
+    def _args(self, g=None):
+        g = g or gnp(30, 0.2, seed=2)
+        return g, g.indptr, g.indices, g.degrees.astype(np.int32)
+
+    def _reduce(self, indptr, indices, deg, hint=None):
+        return _ext().reduce(indptr, indices, deg, hint, -1, 0, 0,
+                             lambda c: 100 - c)
+
+    def test_wrong_dtypes_raise_type_error(self):
+        _, indptr, indices, deg = self._args()
+        cases = [
+            (indptr.astype(np.int32), indices, deg),
+            (indptr, indices.astype(np.int64), deg),
+            (indptr, indices, deg.astype(np.int64)),
+            (indptr, indices, deg.astype(np.float32)),
+            (indptr, indices, deg.tolist()),
+            (indptr, indices, None),
+        ]
+        for args in cases:
+            with pytest.raises(TypeError):
+                self._reduce(*args)
+
+    def test_short_and_malformed_arrays_raise_value_error(self):
+        g, indptr, indices, deg = self._args()
+        wide = np.zeros(2 * g.n, dtype=np.int32)
+        cases = [
+            (indptr, indices, deg[:-1].copy()),       # short deg
+            (indptr[:-1].copy(), indices, deg),       # short indptr
+            (indptr, indices[:-3].copy(), deg),       # indices short of indptr[n]
+            (indptr, indices, wide[::2]),             # non-contiguous
+            (indptr, indices, np.zeros((g.n, 1), dtype=np.int32)),  # 2-d
+        ]
+        readonly = deg.copy()
+        readonly.flags.writeable = False
+        cases.append((indptr, indices, readonly))
+        for args in cases:
+            with pytest.raises(ValueError):
+                self._reduce(*args)
+
+    @pytest.mark.parametrize("bad", (-1, 30, 10 ** 9))
+    def test_out_of_range_hint_raises_value_error(self, bad):
+        _, indptr, indices, deg = self._args()
+        before = deg.copy()
+        for hint in (np.array([0, bad], dtype=np.int64), [1, bad]):
+            with pytest.raises(ValueError, match="dirty hint entry"):
+                self._reduce(indptr, indices, deg, hint)
+            assert np.array_equal(deg, before)
+
+    def test_malformed_hint_raises_type_error(self):
+        _, indptr, indices, deg = self._args()
+        for hint in (np.zeros(3, dtype=np.float64), ["a"], 7):
+            with pytest.raises(TypeError):
+                self._reduce(indptr, indices, deg, hint)
+
+    def test_expand_children_checks(self):
+        g, indptr, indices, deg = self._args()
+        ext = _ext()
+        out = np.empty(g.n, dtype=np.int32)
+        for vmax in (-1, g.n):
+            with pytest.raises(ValueError, match="pivot"):
+                ext.expand_children(indptr, indices, deg, out, vmax)
+        with pytest.raises(ValueError):
+            ext.expand_children(indptr, indices, deg, out[:-1], 0)
+        with pytest.raises(ValueError, match="alias"):
+            ext.expand_children(indptr, indices, deg, deg, 0)
+        with pytest.raises(TypeError):
+            ext.expand_children(indptr, indices, deg, out.astype(np.int64), 0)
+
+    def test_greedy_checks(self):
+        g, indptr, indices, deg = self._args()
+        with pytest.raises(TypeError):
+            _ext().greedy_cover(indptr, indices, deg.astype(np.int64), g.m)
+        with pytest.raises(ValueError):
+            _ext().greedy_cover(indptr, indices, deg[:5].copy(), g.m)
+
+    def test_corrupted_checkpoint_hint_is_a_typed_error(self):
+        from repro.core.anytime import resume_from, solve_anytime
+
+        g = phat_complement(44, 3, seed=9)
+        outcome = solve_anytime(g, node_budget=20, kernels="native")
+        cp = outcome.checkpoint
+        assert cp is not None and cp.items
+        for bad in (g.n, -5):
+            payload, depth = cp.items[0]
+            payload = list(payload)
+            payload[3] = np.array([0, bad], dtype=np.int64).tobytes()
+            corrupt = Checkpoint.from_bytes(cp.to_bytes())
+            corrupt.items = [(tuple(payload), depth)] + list(cp.items[1:])
+            corrupt = Checkpoint.from_bytes(corrupt.to_bytes())
+            with pytest.raises(ValueError, match="dirty hint entry"):
+                resume_from(corrupt, g, kernels="native")
+
+
+class TestNativeLoader:
+    def test_no_compiler_auto_falls_back_silently(self, no_compiler):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            auto = make_kernels("auto")
+            assert auto.pick(10, 10) == "scalar"
+            assert auto.pick(10 ** 5, 10 ** 6) == "numpy"
+            g = gnp(40, 0.1, seed=1)
+            assert _cascade_tuple(g, _via(auto)) == _cascade_tuple(g, _reference)
+        assert native.load() is None
+        assert "no C compiler" in native.load_error()
+
+    def test_no_compiler_native_warns_once_and_degrades(self, no_compiler):
+        with pytest.warns(RuntimeWarning, match="degrading to the pure-python 'scalar'"):
+            backend = make_kernels("native")
+        assert backend.degraded and backend.uses_adjacency(gnp(5, 0.5, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_kernels("native") is backend  # cached: no second warning
+            g = gnp(40, 0.1, seed=1)
             assert _cascade_tuple(g, _via(backend)) == _cascade_tuple(g, _reference)
+            assert greedy_cover(g, kernels=backend).cover.tolist() == \
+                greedy_cover(g, kernels="scalar").cover.tolist()
+
+    def test_source_change_changes_cache_key(self):
+        src = native.SOURCE.read_bytes()
+        key = native.cache_key(src)
+        assert native.cache_key(src) == key and len(key) == 64
+        assert native.cache_key(src + b"\n/* edited */\n") != key
+        dirs = list(native.cache_dirs(key))
+        assert all(d.name == key for d in dirs)
+
+    def test_unwritable_cache_root_falls_back_to_tempdir(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setattr(native, "_module", native._UNSET)
+        module = native.load()
+        assert module is not None, native.load_error()
+        where = Path(module.__file__)
+        assert where.parent.parent == tmp / f"repro-native-{os.getuid()}"
+        assert [p.name for p in where.parent.iterdir()] == [where.name]
+        for level in (where.parent, where.parent.parent):
+            assert stat.S_IMODE(level.stat().st_mode) & 0o077 == 0
+
+    @pytest.mark.parametrize("tamper", (
+        None, "foreign owner", "group-writable key dir",
+        "other-writable parent", "symlinked object"))
+    def test_only_private_cached_objects_are_imported(
+            self, monkeypatch, tmp_path, tamper):
+        """The tempdir key is computable by anyone: an object planted
+        there is imported only when this user owns the whole path."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        uid = os.getuid() + (1 if tamper == "foreign owner" else 0)
+        keydir = (tmp / f"repro-native-{uid}"
+                  / native.cache_key(native.SOURCE.read_bytes()))
+        keydir.mkdir(parents=True)
+        keydir.chmod(0o700)
+        keydir.parent.chmod(0o700)
+        planted = keydir / ("_native" + native._ext_suffix())
+        if tamper == "symlinked object":
+            elsewhere = tmp_path / "elsewhere.so"
+            elsewhere.write_bytes(b"planted")
+            planted.symlink_to(elsewhere)
+        else:
+            planted.write_bytes(b"planted")
+        if tamper == "group-writable key dir":
+            keydir.chmod(0o770)
+        if tamper == "other-writable parent":
+            keydir.parent.chmod(0o703)
+        imported = []
+
+        def spy(path):
+            imported.append(path)
+            raise ImportError("spy")
+
+        monkeypatch.setattr(os, "getuid", lambda: uid)
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.setattr(native, "_import", spy)
+        monkeypatch.setattr(native, "_module", native._UNSET)
+        assert native.load() is None
+        if tamper is None:  # control: a private object is imported
+            assert imported == [planted]
+        else:
+            assert imported == []
+            assert "no C compiler" in native.load_error()
+
+    def test_concurrent_first_builds_both_load(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+                   PYTHONPATH=str(SRC))
+        code = ("from repro.core import native; "
+                "print(native.load() is not None, native.load_error())")
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for _ in range(2)]
+        outs = [p.communicate(timeout=300) for p in procs]
+        for p, (out, err) in zip(procs, outs):
+            assert p.returncode == 0, err
+            assert out.strip() == "True None"
+        built = [p for p in (tmp_path / "cache" / "repro-native").rglob("*") if p.is_file()]
+        assert len(built) == 1  # one object in place, no temporaries left
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=150))))
+def test_native_mvc_matches_networkx_oracle(case):
+    """An oracle this repo did not write: MVC = n - omega(complement)."""
+    import networkx as nx
+
+    from repro import solve_mvc
+
+    n, pairs = case
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    g = CSRGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    result = solve_mvc(g, kernels="native", cache=False)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(edges)
+    _, omega = nx.algorithms.clique.max_weight_clique(nx.complement(nxg), weight=None)
+    assert result.optimum == n - omega
+    cover = np.zeros(n, dtype=bool)
+    cover[np.asarray(result.cover, dtype=np.int64)] = True
+    assert int(cover.sum()) == result.optimum
+    assert all(cover[u] or cover[v] for u, v in edges)
 
 
 # --------------------------------------------------------------------- #
 # auto: uncalibrated legacy cutoffs, calibrated band tables
 # --------------------------------------------------------------------- #
 class TestAutoDispatch:
+    @pytest.mark.usefixtures("without_native")
     def test_uncalibrated_reads_live_globals(self, monkeypatch):
         auto = _backend("auto")
         assert not auto.calibrated
         assert auto.pick(10, 10) == "scalar"
+        saved = kernels_mod.SCALAR_KERNEL_MAX_N
         monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
         assert auto.pick(10, 10) == "numpy"
-        monkeypatch.undo()
+        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", saved)
         monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 5)
         assert auto.pick(10, 10) == "numpy"
 
@@ -297,6 +661,31 @@ class TestAutoDispatch:
             auto.clear_calibration()
         assert not auto.calibrated
 
+    def test_calibrated_native_band_ignores_the_edge_cap(self):
+        auto = _backend("auto")
+        try:
+            auto.install_calibration([(64, "scalar"), (8192, "native")],
+                                     max_m=1000, default="native")
+            assert auto.pick(32, 2000) == "numpy"   # cap still binds scalar
+            assert auto.pick(128, 2000) == "native"
+            assert auto.pick(10 ** 5, 10 ** 7) == "native"
+        finally:
+            auto.clear_calibration()
+
+    @pytest.mark.usefixtures("without_native")
+    def test_calibrated_native_band_without_extension_is_silent(self):
+        """A committed artifact naming ``native`` applied on a host that
+        cannot build it keeps the legacy rule, with no warning."""
+        auto = AutoBackend()
+        auto.install_calibration([(8192, "native")], max_m=1000, default="native")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert auto.pick(32, 10) == "scalar"
+            assert auto.pick(32, 2000) == "scalar"
+            assert auto.pick(10 ** 5, 10 ** 6) == "numpy"
+            g = gnp(40, 0.1, seed=1)
+            assert _cascade_tuple(g, _via(auto)) == _cascade_tuple(g, _reference)
+
     def test_install_rejects_bad_names(self):
         auto = AutoBackend()
         with pytest.raises(ValueError, match="unknown kernels"):
@@ -310,6 +699,7 @@ class TestAutoDispatch:
 # --------------------------------------------------------------------- #
 # stale-binding regression: switches after import steer branching
 # --------------------------------------------------------------------- #
+@pytest.mark.usefixtures("without_native")
 class TestStaleBindingRegression:
     def _spy_paths(self, monkeypatch):
         calls = []

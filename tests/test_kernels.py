@@ -40,6 +40,11 @@ from repro.graph.generators.structured import (
 )
 from repro.graph.generators.suites import paper_suite
 
+#: These tests pin the two interpreted paths (scalar and vectorized),
+#: steered through the cutoff globals; the compiled ``native`` backend
+#: has its own matrix in tests/test_kernel_backends.py.
+pytestmark = pytest.mark.usefixtures("without_native")
+
 
 def hint_candidates(state):
     """The rule-candidate set a state's dirty hint actually seeds."""
