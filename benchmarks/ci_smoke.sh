@@ -22,10 +22,11 @@
 # over the socket — must still yield the optimum; a
 # deadline-tripped anytime solve must checkpoint and resume to it), or
 # the kernel-backend gate fails (every KERNELS backend must agree bit
-# for bit on the smoke suite, and a freshly calibrated CALIBRATION
-# artifact must satisfy the documented v2 schema), or the observability
-# gate fails (a traced two-process distributed solve must produce
-# schema-valid Chrome trace JSON with spans from >= 2 pids and a
+# for bit on the smoke suite, a sequential solve must take the compiled
+# search loop with the scalar run's counters, and a freshly calibrated
+# CALIBRATION artifact must satisfy the documented v2 schema), or the
+# observability gate fails (a traced two-process distributed solve must
+# produce schema-valid Chrome trace JSON with spans from >= 2 pids and a
 # metrics snapshot whose Prometheus exposition parses, and a disarmed
 # solve must never touch a telemetry mutator — spied with raising
 # monkeypatches on the span/counter entry points).
@@ -263,7 +264,12 @@ EOF
 #    agree on whole-search optima and node counts.  The compiled
 #    ``native`` backend must actually be compiled here (gcc is part of
 #    the CI image), not degraded to scalar, and ``auto`` must pick it.
-# 2. calibration artifact: a fresh quick calibration must satisfy the
+# 2. compiled search: a sequential MVC solve of each smoke instance must
+#    record that it ran the compiled loop (stats.extra["native_search"]),
+#    with every traversal and reduction counter equal to the
+#    kernels="scalar" run's; a deadline-armed solve must still take the
+#    per-node interpreted loop.
+# 3. calibration artifact: a fresh quick calibration must satisfy the
 #    documented CALIBRATION v2 schema (validate_calibration), and the
 #    loader must refuse schema-v1 artifacts loudly.
 python - <<'EOF'
@@ -280,7 +286,7 @@ from repro.core.formulation import BestBound, MVCFormulation
 from repro.core import native
 from repro.core.kernel_backends import KERNELS, make_kernels
 from repro.core.reductions import apply_reductions_reference
-from repro.core.sequential import branch_and_reduce
+from repro.core.sequential import branch_and_reduce, solve_mvc_sequential
 from repro.core.stats import ReductionCounters
 from repro.graph.degree_array import Workspace, fresh_state
 from repro.graph.generators.phat import phat_complement
@@ -329,6 +335,31 @@ for name, graph in instances:
 print(f"ci_smoke: kernel-backend agreement OK ({checked} backend runs, "
       f"{len(instances)} instances, {len(KERNELS)} backends, "
       f"native compiled at {native.load().__file__})")
+
+
+def traversal(stats):
+    r = stats.reductions
+    return (stats.nodes_visited, stats.branches, stats.prunes,
+            stats.solutions_found, stats.max_depth_reached,
+            stats.max_stack_depth, r.degree_one, r.degree_two_triangle,
+            r.high_degree, r.sweeps)
+
+
+for name, graph in instances:
+    compiled = solve_mvc_sequential(graph)
+    scalar = solve_mvc_sequential(graph, kernels="scalar")
+    assert compiled.stats.extra.get("native_search") == 1.0, (name, "not compiled")
+    assert "native_search" not in scalar.stats.extra, name
+    assert traversal(compiled.stats) == traversal(scalar.stats), (
+        name, traversal(compiled.stats), traversal(scalar.stats))
+    assert compiled.optimum == scalar.optimum, name
+    best = BestBound(size=graph.n + 1)
+    timed = branch_and_reduce(graph, MVCFormulation(best), deadline=600.0)
+    assert "native_search" not in timed.extra, (name, "deadline run compiled")
+    assert best.size == compiled.optimum, name
+print(f"ci_smoke: compiled search OK ({len(instances)} instances: "
+      f"native_search recorded, counters equal to scalar, deadline runs "
+      f"interpreted)")
 
 payload = calibrate_kernels(repeats=1, n_ladder=(24, 48), m_ladder=(96,),
                             apply=False, quick=True)

@@ -1,13 +1,18 @@
 /*
  * Native kernel backend: the scalar reduction cascade, the two-child
- * branch step and the greedy pass, compiled as one CPython extension.
+ * branch step and the greedy pass, compiled as one CPython extension,
+ * plus ``search``, the whole depth-first branch-and-reduce loop of
+ * repro.core.sequential.branch_and_reduce run to exhaustion on a private
+ * stack.
  *
  * Every function mirrors its pure-Python twin in repro.core.kernels /
- * branching / greedy loop for loop -- ascending-sorted per-sweep drains
- * with per-candidate revalidation, a binary-search triangle test over the
- * sorted CSR rows, snapshot-first high-degree sweeps with the budget
- * re-evaluated per sweep -- so fixpoints, counters and sweep counts are
- * bit-identical to the ``scalar`` backend (tests/test_kernel_backends.py).
+ * branching / greedy / sequential loop for loop -- ascending-sorted
+ * per-sweep drains with per-candidate revalidation, a binary-search
+ * triangle test over the sorted CSR rows, snapshot-first high-degree
+ * sweeps with the budget re-evaluated per sweep, the interpreted loop's
+ * node order -- so fixpoints, counters and sweep counts are bit-identical
+ * to the ``scalar`` backend (tests/test_kernel_backends.py,
+ * tests/test_native_search.py).
  *
  * Arrays cross the boundary through the buffer protocol and are checked
  * there: ``indptr`` int64 of length n + 1, ``indices`` int32 covering
@@ -27,10 +32,12 @@
  *
  * Every entry point holds the GIL for the whole call, so the
  * module-static scratch space below needs no lock.  The only Python code
- * that can run mid-call is the formulation's budget callback (and, in
- * principle, a garbage collection triggered by an allocation); a thread
- * switch there could re-enter this module, so scratch is taken with a
- * busy flag and a re-entrant call gets a private heap copy instead.
+ * that can run mid-call is reduce()'s budget callback, search()'s signal
+ * check (a Ctrl-C handler, every 4096 nodes) and, in principle, a garbage
+ * collection triggered by an allocation; a thread switch there could
+ * re-enter this module, so scratch is taken with a busy flag and a
+ * re-entrant call gets a private heap copy instead.  search() computes
+ * its budget in C and keeps its stack in memory private to the call.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -217,9 +224,9 @@ typedef struct {
     Py_ssize_t n;
 } Views;
 
+/* The CSR graph alone (search() takes its degree arrays from items). */
 static int
-views_get(Views *v, PyObject *indptr, PyObject *indices, PyObject *deg,
-          int deg_writable)
+graph_get(Views *v, PyObject *indptr, PyObject *indices)
 {
     Py_ssize_t nnz;
     if (get_int_array(indptr, &v->ip, "indptr", 8, 0, -1) < 0) {
@@ -247,9 +254,25 @@ views_get(Views *v, PyObject *indptr, PyObject *indices, PyObject *deg,
         return -1;
     }
     v->indices = (const int32_t *)v->ix.buf;
+    return 0;
+}
+
+static void
+graph_release(Views *v)
+{
+    PyBuffer_Release(&v->ix);
+    PyBuffer_Release(&v->ip);
+}
+
+static int
+views_get(Views *v, PyObject *indptr, PyObject *indices, PyObject *deg,
+          int deg_writable)
+{
+    if (graph_get(v, indptr, indices) < 0) {
+        return -1;
+    }
     if (get_int_array(deg, &v->dg, "deg", 4, deg_writable, v->n) < 0) {
-        PyBuffer_Release(&v->ix);
-        PyBuffer_Release(&v->ip);
+        graph_release(v);
         return -1;
     }
     v->deg = (int32_t *)v->dg.buf;
@@ -260,8 +283,7 @@ static void
 views_release(Views *v)
 {
     PyBuffer_Release(&v->dg);
-    PyBuffer_Release(&v->ix);
-    PyBuffer_Release(&v->ip);
+    graph_release(v);
 }
 
 static int
@@ -459,22 +481,29 @@ max_degree(const K *k)
     return mx;
 }
 
-/* budget_of(cover): the formulation's callback, or -- budget_of == NULL --
- * the greedy pass's trivial bound n - cover. */
+/* The budget ``budget(cover)`` the high-degree rule and the prune test
+ * read: the formulation's callback when ``call`` is set (reduce()), else
+ * ``base - cover`` -- the greedy pass's trivial bound (base = n) and the
+ * compiled search's (base = best - 1 for MVC, k for PVC). */
+typedef struct {
+    PyObject *call;
+    long long base;
+} Budget;
+
 static int
-budget_at(K *k, PyObject *budget_of, long long cover, long long *out)
+budget_at(const Budget *b, long long cover, long long *out)
 {
     PyObject *arg, *res;
     int rc;
-    if (budget_of == NULL) {
-        *out = (long long)k->n - cover;
+    if (b->call == NULL) {
+        *out = b->base - cover;
         return 0;
     }
     arg = PyLong_FromLongLong(cover);
     if (arg == NULL) {
         return -1;
     }
-    res = PyObject_CallOneArg(budget_of, arg);
+    res = PyObject_CallOneArg(b->call, arg);
     Py_DECREF(arg);
     if (res == NULL) {
         return -1;
@@ -489,7 +518,7 @@ budget_at(K *k, PyObject *budget_of, long long cover, long long *out)
  * the budget; the serial rule still removes it).  `max_deg` is the
  * stale-high bound that skips the O(n) scan while the budget is slack. */
 static int
-high_degree_exhaust(K *k, PyObject *budget_of, long long cover,
+high_degree_exhaust(K *k, const Budget *b, long long cover,
                     long long *max_deg, long long *fires, long long *deleted)
 {
     Scratch *s = k->s;
@@ -497,7 +526,7 @@ high_degree_exhaust(K *k, PyObject *budget_of, long long cover,
     for (;;) {
         long long budget;
         Py_ssize_t v, t = 0, j;
-        if (budget_at(k, budget_of, cover + *fires, &budget) < 0) {
+        if (budget_at(b, cover + *fires, &budget) < 0) {
             return -2;
         }
         if (budget < 0 || *max_deg <= budget) {
@@ -522,7 +551,7 @@ high_degree_exhaust(K *k, PyObject *budget_of, long long cover,
 /* One round of the three exhausts in the reference order.  Returns -1 on
  * an inconsistent degree array, -2 with a Python error set. */
 static int
-cascade_round(K *k, PyObject *budget_of, long long *cover, long long *edges,
+cascade_round(K *k, const Budget *b, long long *cover, long long *edges,
               long long *max_deg, long long *f1, long long *f2, long long *fh)
 {
     long long e1, e2, eh;
@@ -531,7 +560,7 @@ cascade_round(K *k, PyObject *budget_of, long long *cover, long long *edges,
         return -1;
     }
     *cover += *f1 + 2 * *f2;
-    rc = high_degree_exhaust(k, budget_of, *cover, max_deg, fh, &eh);
+    rc = high_degree_exhaust(k, b, *cover, max_deg, fh, &eh);
     if (rc < 0) {
         return rc;
     }
@@ -540,40 +569,55 @@ cascade_round(K *k, PyObject *budget_of, long long *cover, long long *edges,
     return 0;
 }
 
-/* ------------------------------------------------------------------ */
-/* dirty-hint seeding                                                  */
-/* ------------------------------------------------------------------ */
+/* Reduction counters, in ReductionCounters field order. */
+typedef struct {
+    long long degree_one, degree_two_triangle, high_degree, sweeps;
+} Counters;
 
-static inline int
-seed_one(K *k, long long v, uint32_t epoch)
+/* The cascade from seeded pending lists to its fixpoint; the pending
+ * lists are empty again on a normal return.  Returns 0, -1 on an
+ * inconsistent degree array, -2 with a Python error set. */
+static int
+reduce_fixpoint(K *k, const Budget *b, long long *cover, long long *edges,
+                long long *max_deg, Counters *c)
 {
-    Scratch *s = k->s;
-    int32_t dv;
-    if (v < 0 || v >= k->n) {
-        PyErr_Format(PyExc_ValueError,
-                     "dirty hint entry %lld out of range for n=%zd", v, k->n);
-        return -1;
+    if (k->s->n1 == 0 && k->s->n2 == 0) {
+        long long budget;
+        if (budget_at(b, *cover, &budget) < 0) {
+            return -2;
+        }
+        if (budget < 0 || *max_deg <= budget) {
+            c->sweeps++;  /* no rule can fire: one empty round, as the reference does */
+            return 0;
+        }
     }
-    if (s->stamp[v] == epoch) {
-        return 0;  /* duplicates are allowed in hints; seed each vertex once */
+    for (;;) {
+        long long f1, f2, fh;
+        int rc = cascade_round(k, b, cover, edges, max_deg, &f1, &f2, &fh);
+        if (rc < 0) {
+            return rc;
+        }
+        c->degree_one += f1;
+        c->degree_two_triangle += 2 * f2;
+        c->high_degree += fh;
+        c->sweeps++;
+        if (!(f1 || f2 || fh)) {
+            return 0;
+        }
     }
-    s->stamp[v] = epoch;
-    dv = k->deg[v];
-    if (dv == 2) {
-        s->p2[s->n2++] = (int32_t)v;
-    }
-    else if (dv == 1) {
-        s->p1[s->n1++] = (int32_t)v;
-    }
-    return 0;
 }
 
-/* Seed the pending lists from a hint: an int32/int64 buffer, or any
- * sequence of ints.  Every entry is range-checked. */
+/* ------------------------------------------------------------------ */
+/* dirty hints                                                         */
+/* ------------------------------------------------------------------ */
+
+typedef int (*hint_visit)(void *ctx, int32_t v);
+
+/* Visit every entry of a dirty hint -- an int32/int64 buffer or any
+ * sequence of ints -- after range-checking it against [0, n). */
 static int
-seed_from_hint(K *k, PyObject *hint)
+hint_for_each(PyObject *hint, Py_ssize_t n, hint_visit visit, void *ctx)
 {
-    uint32_t epoch = scratch_epoch(k->s);
     Py_buffer view;
     Py_ssize_t i, m;
     if (PyObject_CheckBuffer(hint)
@@ -592,7 +636,13 @@ seed_from_hint(K *k, PyObject *hint)
         for (i = 0; i < m; i++) {
             long long v = wide ? (long long)((const int64_t *)view.buf)[i]
                                : (long long)((const int32_t *)view.buf)[i];
-            if (seed_one(k, v, epoch) < 0) {
+            if (v < 0 || v >= n) {
+                PyErr_Format(PyExc_ValueError,
+                             "dirty hint entry %lld out of range for n=%zd", v, n);
+                PyBuffer_Release(&view);
+                return -1;
+            }
+            if (visit(ctx, (int32_t)v) < 0) {
                 PyBuffer_Release(&view);
                 return -1;
             }
@@ -614,8 +664,17 @@ seed_from_hint(K *k, PyObject *hint)
         items = PySequence_Fast_ITEMS(seq);
         for (i = 0; i < m; i++) {
             long long v;
-            if (arg_ll(items[i], "dirty hint entry", &v) < 0
-                    || seed_one(k, v, epoch) < 0) {
+            if (arg_ll(items[i], "dirty hint entry", &v) < 0) {
+                Py_DECREF(seq);
+                return -1;
+            }
+            if (v < 0 || v >= n) {
+                PyErr_Format(PyExc_ValueError,
+                             "dirty hint entry %lld out of range for n=%zd", v, n);
+                Py_DECREF(seq);
+                return -1;
+            }
+            if (visit(ctx, (int32_t)v) < 0) {
                 Py_DECREF(seq);
                 return -1;
             }
@@ -623,6 +682,53 @@ seed_from_hint(K *k, PyObject *hint)
         Py_DECREF(seq);
     }
     return 0;
+}
+
+/* Seed v once per epoch (hints may repeat entries) into the pending list
+ * of its current degree. */
+static inline void
+seed_one(K *k, int32_t v, uint32_t epoch)
+{
+    Scratch *s = k->s;
+    int32_t dv;
+    if (s->stamp[v] == epoch) {
+        return;
+    }
+    s->stamp[v] = epoch;
+    dv = k->deg[v];
+    if (dv == 2) {
+        s->p2[s->n2++] = v;
+    }
+    else if (dv == 1) {
+        s->p1[s->n1++] = v;
+    }
+}
+
+static int
+seed_visit(void *ctx, int32_t v)
+{
+    K *k = (K *)ctx;
+    seed_one(k, v, k->s->epoch);
+    return 0;
+}
+
+/* Seed the pending lists from an untrusted hint object. */
+static int
+seed_from_hint(K *k, PyObject *hint)
+{
+    scratch_epoch(k->s);
+    return hint_for_each(hint, k->n, seed_visit, k);
+}
+
+/* Seed the pending lists from a hint already range-checked into C. */
+static void
+seed_from_ids(K *k, const int32_t *ids, Py_ssize_t m)
+{
+    uint32_t epoch = scratch_epoch(k->s);
+    Py_ssize_t i;
+    for (i = 0; i < m; i++) {
+        seed_one(k, ids[i], epoch);
+    }
 }
 
 static void
@@ -660,18 +766,20 @@ native_reduce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Views v;
     K k;
     Scratch *s;
-    long long max_deg, cover, edges, budget;
-    long long c1 = 0, c2 = 0, ch = 0, sweeps = 0;
-    PyObject *hint, *budget_of, *result = NULL;
-    int rc = 0;
+    Budget b;
+    Counters c = {0, 0, 0, 0};
+    long long max_deg, cover, edges;
+    PyObject *hint, *result = NULL;
+    int rc;
 
     if (nargs != 8) {
         PyErr_Format(PyExc_TypeError, "reduce() takes 8 arguments (%zd given)", nargs);
         return NULL;
     }
     hint = args[3];
-    budget_of = args[7];
-    if (!PyCallable_Check(budget_of)) {
+    b.call = args[7];
+    b.base = 0;
+    if (!PyCallable_Check(b.call)) {
         PyErr_SetString(PyExc_TypeError, "budget_of must be callable");
         return NULL;
     }
@@ -706,36 +814,13 @@ native_reduce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             max_deg = max_degree(&k);
         }
     }
-    if (s->n1 == 0 && s->n2 == 0) {
-        if (budget_at(&k, budget_of, cover, &budget) < 0) {
-            goto done;
-        }
-        if (budget < 0 || max_deg <= budget) {
-            /* no rule can fire: one empty round, as the reference does */
-            result = Py_BuildValue("(LLLLLLL)", cover, edges, max_deg,
-                                   0LL, 0LL, 0LL, 1LL);
-            goto done;
-        }
-    }
-    for (;;) {
-        long long f1, f2, fh;
-        rc = cascade_round(&k, budget_of, &cover, &edges, &max_deg, &f1, &f2, &fh);
-        if (rc < 0) {
-            break;
-        }
-        c1 += f1;
-        c2 += 2 * f2;
-        ch += fh;
-        sweeps++;
-        if (!(f1 || f2 || fh)) {
-            break;
-        }
-    }
+    rc = reduce_fixpoint(&k, &b, &cover, &edges, &max_deg, &c);
     if (rc == -1) {
         inconsistent();
     }
     else if (rc == 0) {
-        result = Py_BuildValue("(LLLLLLL)", cover, edges, max_deg, c1, c2, ch, sweeps);
+        result = Py_BuildValue("(LLLLLLL)", cover, edges, max_deg, c.degree_one,
+                               c.degree_two_triangle, c.high_degree, c.sweeps);
     }
 done:
     scratch_release(s);
@@ -746,6 +831,78 @@ done:
 /* ------------------------------------------------------------------ */
 /* expand_children                                                     */
 /* ------------------------------------------------------------------ */
+
+/* N_alive(vmax) into s->cand (both children need it; computed once from
+ * the parent).  Returns its size. */
+static Py_ssize_t
+live_neighbours(const K *k, int32_t vmax)
+{
+    Py_ssize_t nl = 0;
+    int64_t i;
+    for (i = k->indptr[vmax]; i < k->indptr[vmax + 1]; i++) {
+        int32_t u = k->indices[i];
+        if (k->deg[u] >= 0) {
+            k->s->cand[nl++] = u;
+        }
+    }
+    return nl;
+}
+
+/* The deferred child: ``out`` becomes the parent ``k->deg`` with every
+ * vertex of N_alive(vmax) (s->cand[0..nl)) removed into the cover; its
+ * hint -- the vertices brought to degree <= 2, once each -- goes to
+ * s->tgt[0..*nhint).  Sequential removal of the fixed set equals the
+ * batch removal (a member stays alive -- merely decremented -- until its
+ * own turn).  Returns the edges deleted. */
+static long long
+expand_deferred(K *k, Py_ssize_t nl, int32_t *out, Py_ssize_t *nhint)
+{
+    Scratch *s = k->s;
+    const int32_t *live = s->cand;
+    uint32_t epoch = scratch_epoch(s);
+    long long deleted = 0;
+    Py_ssize_t j, td = 0;
+    int64_t i;
+    memcpy(out, k->deg, (size_t)k->n * sizeof(int32_t));
+    for (j = 0; j < nl; j++) {
+        int32_t u = live[j];
+        out[u] = REMOVED;
+        for (i = k->indptr[u]; i < k->indptr[u + 1]; i++) {
+            int32_t x = k->indices[i];
+            int32_t dx = out[x];
+            if (dx >= 0) {
+                deleted++;
+                dx--;
+                out[x] = dx;
+                if (dx <= 2 && s->stamp[x] != epoch) {
+                    s->stamp[x] = epoch;
+                    s->tgt[td++] = x;
+                }
+            }
+        }
+    }
+    *nhint = td;
+    return deleted;
+}
+
+/* The continued child: ``vmax`` removed from ``k->deg`` in place; its hint
+ * goes to s->tgt.  Returns the hint's length. */
+static Py_ssize_t
+expand_continued(K *k, Py_ssize_t nl, int32_t vmax)
+{
+    Scratch *s = k->s;
+    Py_ssize_t j, tc = 0;
+    for (j = 0; j < nl; j++) {
+        int32_t x = s->cand[j];
+        int32_t dx = k->deg[x] - 1;
+        k->deg[x] = dx;
+        if (dx <= 2) {
+            s->tgt[tc++] = x;
+        }
+    }
+    k->deg[vmax] = REMOVED;
+    return tc;
+}
 
 static PyObject *
 ids_to_array(const int32_t *ids, Py_ssize_t m)
@@ -781,12 +938,10 @@ native_expand_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Views v;
     Py_buffer ob;
+    K k;
     Scratch *s;
-    int32_t *deg, *out, *live;
-    long long vmax, deleted = 0;
-    Py_ssize_t nl = 0, td = 0, tc = 0, j;
-    uint32_t epoch;
-    int64_t i;
+    long long vmax, deleted;
+    Py_ssize_t nl, nhint;
     PyObject *hint_def = NULL, *hint_cont = NULL, *result = NULL;
 
     if (nargs != 5) {
@@ -818,53 +973,19 @@ native_expand_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (s == NULL) {
         goto release_views;
     }
-    deg = v.deg;
-    out = (int32_t *)ob.buf;
-    live = s->cand;
-    /* both children need N_alive(vmax); compute it once from the parent */
-    for (i = v.indptr[vmax]; i < v.indptr[vmax + 1]; i++) {
-        int32_t u = v.indices[i];
-        if (deg[u] >= 0) {
-            live[nl++] = u;
-        }
-    }
-    /* deferred child: sequential removal of the fixed set N_alive(vmax)
-     * equals the batch removal (a member stays alive -- merely
-     * decremented -- until its own turn) */
-    memcpy(out, deg, (size_t)v.n * sizeof(int32_t));
-    epoch = scratch_epoch(s);
-    for (j = 0; j < nl; j++) {
-        int32_t u = live[j];
-        out[u] = REMOVED;
-        for (i = v.indptr[u]; i < v.indptr[u + 1]; i++) {
-            int32_t x = v.indices[i];
-            int32_t dx = out[x];
-            if (dx >= 0) {
-                deleted++;
-                dx--;
-                out[x] = dx;
-                if (dx <= 2 && s->stamp[x] != epoch) {
-                    s->stamp[x] = epoch;
-                    s->tgt[td++] = x;
-                }
-            }
-        }
-    }
-    hint_def = ids_to_array(s->tgt, td);
+    k.indptr = v.indptr;
+    k.indices = v.indices;
+    k.deg = v.deg;
+    k.n = v.n;
+    k.s = s;
+    nl = live_neighbours(&k, (int32_t)vmax);
+    deleted = expand_deferred(&k, nl, (int32_t *)ob.buf, &nhint);
+    hint_def = ids_to_array(s->tgt, nhint);
     if (hint_def == NULL) {
         goto release_all;
     }
-    /* continued child: remove vmax alone, in place */
-    for (j = 0; j < nl; j++) {
-        int32_t x = live[j];
-        int32_t dx = deg[x] - 1;
-        deg[x] = dx;
-        if (dx <= 2) {
-            s->tgt[tc++] = x;
-        }
-    }
-    deg[vmax] = REMOVED;
-    hint_cont = ids_to_array(s->tgt, tc);
+    nhint = expand_continued(&k, nl, (int32_t)vmax);
+    hint_cont = ids_to_array(s->tgt, nhint);
     if (hint_cont == NULL) {
         goto release_all;
     }
@@ -883,6 +1004,19 @@ release_views:
 /* greedy_cover                                                        */
 /* ------------------------------------------------------------------ */
 
+/* The pivot: lowest-id maximum-degree vertex (np.argmax semantics). */
+static int32_t
+argmax_degree(const K *k)
+{
+    Py_ssize_t u, vmax = 0;
+    for (u = 1; u < k->n; u++) {
+        if (k->deg[u] > k->deg[vmax]) {
+            vmax = u;
+        }
+    }
+    return (int32_t)vmax;
+}
+
 PyDoc_STRVAR(greedy_doc,
 "greedy_cover(indptr, indices, deg, edges)\n"
 "--\n\n"
@@ -898,6 +1032,7 @@ native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Views v;
     K k;
     Scratch *s;
+    Budget b;
     long long edges, cover = 0, picks = 0, c1 = 0, c2 = 0, ch = 0, max_deg;
     PyObject *result = NULL;
     int rc = 0;
@@ -923,12 +1058,14 @@ native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     k.deg = v.deg;
     k.n = v.n;
     k.s = s;
+    b.call = NULL;
+    b.base = (long long)v.n;
     seed_full_scan(&k);
     max_deg = max_degree(&k);
     while (edges > 0) {
         long long f1, f2, fh;
-        Py_ssize_t u, vmax;
-        rc = cascade_round(&k, NULL, &cover, &edges, &max_deg, &f1, &f2, &fh);
+        int32_t vmax;
+        rc = cascade_round(&k, &b, &cover, &edges, &max_deg, &f1, &f2, &fh);
         if (rc < 0) {
             break;
         }
@@ -938,18 +1075,12 @@ native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (edges == 0) {
             break;
         }
-        /* pick: lowest-id maximum-degree vertex (argmax semantics) */
-        vmax = 0;
-        for (u = 1; u < v.n; u++) {
-            if (v.deg[u] > v.deg[vmax]) {
-                vmax = u;
-            }
-        }
+        vmax = argmax_degree(&k);
         if (v.n == 0 || v.deg[vmax] <= 0) {
             rc = -1;  /* edges left but no alive vertex carries one */
             break;
         }
-        edges -= k_remove(&k, (int32_t)vmax);
+        edges -= k_remove(&k, vmax);
         cover++;
         picks++;
     }
@@ -965,6 +1096,518 @@ native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
+/* search: the depth-first loop on a private stack                     */
+/* ------------------------------------------------------------------ */
+
+/* Every buffer the search owns goes through these three, which count the
+ * blocks outstanding (``_search_blocks()``) and can be told to fail the
+ * k-th next allocation (``_fail_search_alloc(k)``) -- the test hooks that
+ * prove an allocation failure raises MemoryError and leaks nothing. */
+static Py_ssize_t g_search_blocks;
+static long long g_fail_alloc = -1;
+
+static void *
+search_realloc(void *p, size_t bytes)
+{
+    void *q;
+    if (g_fail_alloc >= 0 && g_fail_alloc-- == 0) {
+        return NULL;
+    }
+    q = realloc(p, bytes ? bytes : 1);
+    if (q != NULL && p == NULL) {
+        g_search_blocks++;
+    }
+    return q;
+}
+
+static void
+search_free(void *p)
+{
+    if (p != NULL) {
+        g_search_blocks--;
+        free(p);
+    }
+}
+
+/* One tree node: a degree array, its dirty hint (``nhint < 0``: none, a
+ * full rescan) and the VCState counters, plus its ancestry depth. */
+typedef struct {
+    int32_t *deg;
+    int32_t *hint;
+    Py_ssize_t nhint, hcap;
+    long long cover, edges, max_deg, depth;
+} Node;
+
+/* The private stack.  Slots above ``top`` keep their buffers for reuse;
+ * a pop swaps the slot with the current node instead of copying. */
+typedef struct {
+    Node *slot;
+    Py_ssize_t top, cap, n;
+} Stack;
+
+static void
+node_free(Node *nd)
+{
+    search_free(nd->deg);
+    search_free(nd->hint);
+    nd->deg = nd->hint = NULL;
+    nd->hcap = 0;
+}
+
+static void
+stack_free(Stack *st)
+{
+    Py_ssize_t i;
+    for (i = 0; i < st->cap; i++) {
+        node_free(&st->slot[i]);
+    }
+    search_free(st->slot);
+    st->slot = NULL;
+    st->top = st->cap = 0;
+}
+
+static int
+node_reserve(Node *nd, Py_ssize_t n, Py_ssize_t hint_len)
+{
+    if (nd->deg == NULL) {
+        nd->deg = search_realloc(NULL, (size_t)n * sizeof(int32_t));
+        if (nd->deg == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+    }
+    if (hint_len > nd->hcap) {
+        Py_ssize_t cap = hint_len > 2 * nd->hcap ? hint_len : 2 * nd->hcap;
+        int32_t *h = search_realloc(nd->hint, (size_t)cap * sizeof(int32_t));
+        if (h == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        nd->hint = h;
+        nd->hcap = cap;
+    }
+    return 0;
+}
+
+/* Room for a slot at ``top``. */
+static int
+stack_grow(Stack *st)
+{
+    if (st->top == st->cap) {
+        Py_ssize_t cap = st->cap ? 2 * st->cap : 16;
+        Node *slot = search_realloc(st->slot, (size_t)cap * sizeof(Node));
+        if (slot == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        memset(slot + st->cap, 0, (size_t)(cap - st->cap) * sizeof(Node));
+        st->slot = slot;
+        st->cap = cap;
+    }
+    return 0;
+}
+
+/* The slot at ``top`` (not yet counted), with a degree array. */
+static Node *
+stack_next(Stack *st)
+{
+    if (stack_grow(st) < 0 || node_reserve(&st->slot[st->top], st->n, 0) < 0) {
+        return NULL;
+    }
+    return &st->slot[st->top];
+}
+
+static void
+node_swap(Node *a, Node *b)
+{
+    Node t = *a;
+    *a = *b;
+    *b = t;
+}
+
+static int
+hint_append(void *ctx, int32_t v)
+{
+    Node *nd = (Node *)ctx;
+    if (nd->nhint == nd->hcap) {
+        Py_ssize_t cap = nd->hcap ? 2 * nd->hcap : 16;
+        int32_t *h = search_realloc(nd->hint, (size_t)cap * sizeof(int32_t));
+        if (h == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        nd->hint = h;
+        nd->hcap = cap;
+    }
+    nd->hint[nd->nhint++] = v;
+    return 0;
+}
+
+/* Push one ``(deg, cover, edges, dirty, max_deg_hint, depth)`` item.  The
+ * degree array is copied, never written; the hint is range-checked. */
+static int
+stack_push_item(Stack *st, PyObject *item)
+{
+    Py_buffer view;
+    Node *nd;
+    PyObject *const *f;
+    if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "search items must be (deg, cover, edges, dirty, "
+                        "max_deg_hint, depth) tuples");
+        return -1;
+    }
+    f = &PyTuple_GET_ITEM(item, 0);
+    if (get_int_array(f[0], &view, "item deg", 4, 0, st->n) < 0) {
+        return -1;
+    }
+    nd = stack_next(st);
+    if (nd == NULL) {
+        PyBuffer_Release(&view);
+        return -1;
+    }
+    memcpy(nd->deg, view.buf, (size_t)st->n * sizeof(int32_t));
+    PyBuffer_Release(&view);
+    if (arg_ll(f[1], "item cover", &nd->cover) < 0
+            || arg_ll(f[2], "item edges", &nd->edges) < 0
+            || arg_ll(f[4], "item max_deg_hint", &nd->max_deg) < 0
+            || arg_ll(f[5], "item depth", &nd->depth) < 0) {
+        return -1;
+    }
+    nd->nhint = 0;
+    if (f[3] == Py_None) {
+        nd->nhint = -1;
+    }
+    else if (hint_for_each(f[3], st->n, hint_append, nd) < 0) {
+        return -1;
+    }
+    st->top++;
+    return 0;
+}
+
+static PyObject *
+degrees_to_array(const int32_t *deg, Py_ssize_t n)
+{
+    npy_intp dims[1];
+    PyObject *arr;
+    dims[0] = (npy_intp)n;
+    arr = PyArray_SimpleNew(1, dims, NPY_INT32);
+    if (arr != NULL) {
+        memcpy(PyArray_DATA((PyArrayObject *)arr), deg, (size_t)n * sizeof(int32_t));
+    }
+    return arr;
+}
+
+/* The stack, bottom to top, as ``(deg, cover, edges, dirty, max_deg_hint,
+ * depth)`` tuples with fresh int32 degree and int64 hint arrays. */
+static PyObject *
+stack_to_list(const Stack *st)
+{
+    PyObject *out = PyList_New(st->top);
+    Py_ssize_t i;
+    if (out == NULL) {
+        return NULL;
+    }
+    for (i = 0; i < st->top; i++) {
+        const Node *nd = &st->slot[i];
+        PyObject *deg = degrees_to_array(nd->deg, st->n), *hint, *item;
+        if (deg == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        if (nd->nhint < 0) {
+            hint = Py_NewRef(Py_None);
+        }
+        else if ((hint = ids_to_array(nd->hint, nd->nhint)) == NULL) {
+            Py_DECREF(deg);
+            Py_DECREF(out);
+            return NULL;
+        }
+        item = Py_BuildValue("(NLLNLL)", deg, nd->cover, nd->edges, hint,
+                             nd->max_deg, nd->depth);
+        if (item == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, item);
+    }
+    return out;
+}
+
+enum { SEARCH_EXHAUSTED = 0, SEARCH_FOUND = 1, SEARCH_BUDGET = 2 };
+
+PyDoc_STRVAR(search_doc,
+"search(indptr, indices, items, kind, bound, node_budget)\n"
+"--\n\n"
+"The sequential depth-first branch-and-reduce loop, run to exhaustion\n"
+"in C: pop, reduce, greedy prune test, leaf, lowest-id max-degree pivot,\n"
+"branch (deferred child pushed, continued child processed next).\n"
+"``items`` is the stack bottom to top, its top the node to process\n"
+"first: ``(deg, cover, edges, dirty, max_deg_hint, depth)`` tuples,\n"
+"copied in and never written.  ``kind`` is 'mvc' (``bound`` = the\n"
+"incumbent size, budget ``best - |S| - 1``) or 'pvc' (``bound`` = k,\n"
+"budget ``k - |S|``, stop at the first cover).  ``node_budget`` is None\n"
+"or the nodes that may still be processed.  Returns ``(status, best,\n"
+"updates, incumbent, nodes, branches, prunes, solutions, max_stack,\n"
+"max_depth, degree_one, degree_two_triangle, high_degree, sweeps,\n"
+"remainder)``: status 0 exhausted, 1 a PVC cover found, 2 the node budget\n"
+"tripped; ``incumbent`` is the degree array of the last accepted leaf (or\n"
+"None) and ``remainder`` the stack left, bottom to top -- on a budget\n"
+"trip with the in-flight node on top.");
+
+static PyObject *
+native_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Views v;
+    K k;
+    Scratch *s;
+    Stack st = {NULL, 0, 0, 0};
+    Node cur = {NULL, NULL, -1, 0, 0, 0, 0, 0};
+    Budget b = {NULL, 0};
+    Counters c = {0, 0, 0, 0};
+    PyObject *items, *seq = NULL, *incumbent = Py_None, *remainder = NULL;
+    PyObject *result = NULL;
+    int32_t *best_deg = NULL;
+    long long bound, node_budget = -1, best, updates = 0;
+    long long nodes = 0, branches = 0, prunes = 0, solutions = 0;
+    long long max_stack = 0, max_depth = 0;
+    int pvc, status = SEARCH_EXHAUSTED, have_cur = 0, rc = 0;
+    Py_ssize_t i, m;
+
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "search() takes 6 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    items = args[2];
+    if (!PyUnicode_Check(args[3])) {
+        PyErr_SetString(PyExc_TypeError, "kind must be 'mvc' or 'pvc'");
+        return NULL;
+    }
+    if (PyUnicode_CompareWithASCIIString(args[3], "mvc") == 0) {
+        pvc = 0;
+    }
+    else if (PyUnicode_CompareWithASCIIString(args[3], "pvc") == 0) {
+        pvc = 1;
+    }
+    else {
+        PyErr_SetString(PyExc_ValueError, "kind must be 'mvc' or 'pvc'");
+        return NULL;
+    }
+    if (arg_ll(args[4], "bound", &bound) < 0) {
+        return NULL;
+    }
+    if (args[5] != Py_None) {
+        if (arg_ll(args[5], "node_budget", &node_budget) < 0) {
+            return NULL;
+        }
+        if (node_budget < 0) {
+            node_budget = 0;
+        }
+    }
+    best = pvc ? -1 : bound;
+    b.base = pvc ? bound : bound - 1;
+    seq = PySequence_Fast(items, "items must be a sequence");
+    if (seq == NULL) {
+        return NULL;
+    }
+    if (graph_get(&v, args[0], args[1]) < 0) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    st.n = v.n;
+    m = PySequence_Fast_GET_SIZE(seq);
+    for (i = 0; i < m; i++) {
+        if (stack_push_item(&st, PySequence_Fast_GET_ITEM(seq, i)) < 0) {
+            goto cleanup;
+        }
+    }
+    s = scratch_acquire(v.n);
+    if (s == NULL) {
+        goto cleanup;
+    }
+    k.indptr = v.indptr;
+    k.indices = v.indices;
+    k.n = v.n;
+    k.s = s;
+
+    for (;;) {
+        long long budget;
+        int32_t vmax;
+        Py_ssize_t nl, nhint;
+        Node *def;
+        if (!have_cur) {
+            if (st.top == 0) {
+                break;  /* exhausted */
+            }
+            node_swap(&cur, &st.slot[--st.top]);
+            have_cur = 1;
+        }
+        if (node_budget >= 0 && nodes >= node_budget) {
+            /* keep the remainder checkpoint-complete: in-flight node on top */
+            if (stack_grow(&st) < 0) {
+                rc = -2;
+                break;
+            }
+            node_swap(&cur, &st.slot[st.top++]);
+            status = SEARCH_BUDGET;
+            break;
+        }
+        if ((++nodes & 4095) == 0 && PyErr_CheckSignals() < 0) {
+            rc = -2;
+            break;
+        }
+        /* reduce, consuming the node's hint */
+        k.deg = cur.deg;
+        s->n1 = s->n2 = 0;
+        if (cur.nhint < 0) {
+            seed_full_scan(&k);
+            cur.max_deg = max_degree(&k);
+        }
+        else {
+            seed_from_ids(&k, cur.hint, cur.nhint);
+            cur.nhint = -1;
+            if (cur.max_deg < 0) {
+                cur.max_deg = max_degree(&k);
+            }
+        }
+        rc = reduce_fixpoint(&k, &b, &cur.cover, &cur.edges, &cur.max_deg, &c);
+        if (rc < 0) {
+            break;
+        }
+        /* the greedy bound's prune test */
+        budget = b.base - cur.cover;
+        if (budget < 0 || cur.edges > budget * budget) {
+            prunes++;
+            have_cur = 0;
+            continue;
+        }
+        if (cur.edges == 0) {  /* a leaf: the node is a cover */
+            solutions++;
+            have_cur = 0;
+            if (pvc ? cur.cover > bound : cur.cover >= best) {
+                continue;
+            }
+            if (best_deg == NULL) {
+                best_deg = search_realloc(NULL, (size_t)v.n * sizeof(int32_t));
+                if (best_deg == NULL) {
+                    PyErr_NoMemory();
+                    rc = -2;
+                    break;
+                }
+            }
+            memcpy(best_deg, cur.deg, (size_t)v.n * sizeof(int32_t));
+            best = cur.cover;
+            updates++;
+            if (pvc) {
+                status = SEARCH_FOUND;
+                break;
+            }
+            b.base = best - 1;
+            continue;
+        }
+        /* branch on the pivot: the deferred child is pushed, the
+         * continued child (this node, mutated) is processed next */
+        vmax = argmax_degree(&k);
+        if (cur.deg[vmax] <= 0) {
+            rc = -1;  /* edges left but no alive vertex carries one */
+            break;
+        }
+        nl = live_neighbours(&k, vmax);
+        def = stack_next(&st);
+        if (def == NULL) {
+            rc = -2;
+            break;
+        }
+        def->edges = cur.edges - expand_deferred(&k, nl, def->deg, &nhint);
+        if (node_reserve(def, v.n, nhint) < 0) {
+            rc = -2;
+            break;
+        }
+        memcpy(def->hint, s->tgt, (size_t)nhint * sizeof(int32_t));
+        def->nhint = nhint;
+        def->cover = cur.cover + nl;
+        def->max_deg = cur.max_deg;
+        nhint = expand_continued(&k, nl, vmax);
+        if (node_reserve(&cur, v.n, nhint) < 0) {
+            rc = -2;
+            break;
+        }
+        memcpy(cur.hint, s->tgt, (size_t)nhint * sizeof(int32_t));
+        cur.nhint = nhint;
+        cur.edges -= nl;
+        cur.cover += 1;
+        cur.depth += 1;  /* both children live one level below the parent */
+        def->depth = cur.depth;
+        st.top++;
+        branches++;
+        if (st.top > max_stack) {
+            max_stack = st.top;
+        }
+        if (cur.depth > max_depth) {
+            max_depth = cur.depth;
+        }
+    }
+    scratch_release(s);
+    if (rc == -1) {
+        inconsistent();
+    }
+    if (rc < 0) {
+        goto cleanup;
+    }
+    remainder = status == SEARCH_EXHAUSTED ? PyList_New(0) : stack_to_list(&st);
+    if (remainder == NULL) {
+        goto cleanup;
+    }
+    if (best_deg != NULL) {
+        incumbent = degrees_to_array(best_deg, v.n);
+        if (incumbent == NULL) {
+            goto cleanup;
+        }
+    }
+    else {
+        Py_INCREF(incumbent);
+    }
+    result = Py_BuildValue("(iLLNLLLLLLLLLLN)", status, best, updates, incumbent,
+                           nodes, branches, prunes, solutions, max_stack,
+                           max_depth, c.degree_one, c.degree_two_triangle,
+                           c.high_degree, c.sweeps, remainder);
+    remainder = NULL;  /* stolen by "N", also when the build fails */
+cleanup:
+    Py_XDECREF(remainder);
+    search_free(best_deg);
+    node_free(&cur);
+    stack_free(&st);
+    graph_release(&v);
+    Py_DECREF(seq);
+    return result;
+}
+
+PyDoc_STRVAR(search_blocks_doc,
+"_search_blocks()\n--\n\n"
+"Buffers search() holds right now (0 between calls: nothing leaks).");
+
+static PyObject *
+native_search_blocks(PyObject *self, PyObject *unused)
+{
+    return PyLong_FromSsize_t(g_search_blocks);
+}
+
+PyDoc_STRVAR(fail_alloc_doc,
+"_fail_search_alloc(k)\n--\n\n"
+"Test hook: make search()'s k-th next allocation fail (-1 disarms).");
+
+static PyObject *
+native_fail_search_alloc(PyObject *self, PyObject *arg)
+{
+    long long k;
+    if (arg_ll(arg, "k", &k) < 0) {
+        return NULL;
+    }
+    g_fail_alloc = k;
+    Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -975,6 +1618,10 @@ static PyMethodDef native_methods[] = {
      METH_FASTCALL, expand_doc},
     {"greedy_cover", (PyCFunction)(void (*)(void))native_greedy_cover,
      METH_FASTCALL, greedy_doc},
+    {"search", (PyCFunction)(void (*)(void))native_search,
+     METH_FASTCALL, search_doc},
+    {"_search_blocks", native_search_blocks, METH_NOARGS, search_blocks_doc},
+    {"_fail_search_alloc", native_fail_search_alloc, METH_O, fail_alloc_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,7 +14,8 @@ orthogonal registries (ENGINES × FRONTIERS × BOUNDS):
   special case to a first-class backend (always scalar, any size);
 * ``native`` — the scalar kernels compiled from ``core/_native.c`` as a
   CPython extension, built with the system C compiler on first use and
-  cached (:mod:`repro.core.native`).  Without a compiler it degrades
+  cached (:mod:`repro.core.native`), plus :meth:`KernelBackend.search`,
+  the whole sequential depth-first loop in C.  Without a compiler it degrades
   *loudly* — one structured :class:`RuntimeWarning` — to ``scalar``;
 * ``auto``   — per-size-band dispatch.  Uncalibrated it picks ``native``
   whenever the extension loads, and otherwise reproduces the legacy
@@ -41,7 +42,8 @@ Adding a backend (mirroring the frontier/bound how-tos):
 
 1. subclass :class:`KernelBackend`, implement ``reduce`` /
    ``expand_children`` / ``greedy_cover`` (and ``uses_adjacency`` if the
-   implementation walks cached adjacency tuples);
+   implementation walks cached adjacency tuples; ``search`` only if it
+   can run the whole depth-first loop itself);
 2. register a zero-argument factory in :data:`KERNELS`;
 3. add the backend to the equivalence matrix in
    ``tests/test_kernel_backends.py`` — the property tests are the
@@ -147,6 +149,24 @@ class KernelBackend:
     def greedy_cover(self, graph: CSRGraph, ws: Optional[Workspace] = None):
         """The greedy upper-bound pass (paper Section II-B)."""
         raise NotImplementedError
+
+    def search(self, graph: CSRGraph, items, kind: str, bound: int,
+               node_budget: Optional[int]):
+        """The whole depth-first loop in compiled code, or ``None``.
+
+        Only ``native`` implements it (``_native.c``'s ``search``; see
+        :func:`repro.core.sequential.branch_and_reduce` for when it is
+        used).  ``None`` tells the caller to run the interpreted loop.
+        """
+        return None
+
+    def bind(self, n: int, m: int) -> "KernelBackend":
+        """The concrete backend that runs a size-(n, m) graph's kernels.
+
+        Identity for concrete backends; ``auto`` resolves its band pick
+        once, so a per-graph hot loop does not dispatch per call.
+        """
+        return self
 
     def uses_adjacency(self, graph: CSRGraph) -> bool:
         """Whether this backend walks cached adjacency tuples on ``graph``.
@@ -295,6 +315,12 @@ class NativeBackend(KernelBackend):
                                          high_degree=ch),
         )
 
+    def search(self, graph, items, kind, bound, node_budget):
+        if self._ext is None:
+            return None
+        return self._ext.search(graph.indptr, graph.indices, items, kind,
+                                bound, node_budget)
+
     def uses_adjacency(self, graph):
         # The compiled kernels walk the CSR arrays directly.
         return self._ext is None
@@ -379,6 +405,9 @@ class AutoBackend(KernelBackend):
         name = self.pick(n, m)
         return _INSTANCES.get(name) or make_kernels(name)
 
+    def bind(self, n: int, m: int) -> KernelBackend:
+        return self._picked(n, m)
+
     def resolved_name(self, n: int, m: int) -> str:
         return f"auto:{self.pick(n, m)}"
 
@@ -392,6 +421,10 @@ class AutoBackend(KernelBackend):
 
     def greedy_cover(self, graph, ws=None):
         return self._picked(graph.n, graph.m).greedy_cover(graph, ws)
+
+    def search(self, graph, items, kind, bound, node_budget):
+        return self._picked(graph.n, graph.m).search(graph, items, kind, bound,
+                                                     node_budget)
 
     def uses_adjacency(self, graph):
         return self._picked(graph.n, graph.m).uses_adjacency(graph)

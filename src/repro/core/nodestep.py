@@ -39,7 +39,7 @@ both children across steps copies the two references out first.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -158,10 +158,11 @@ class NodeStep:
         faultable: bool = True,
     ) -> None:
         # The kernel backend (KERNELS registry: name, instance, or None
-        # for the process default) is resolved once per traversal and
-        # bound into both hot-path calls below — reduce and branch share
-        # one dispatch decision per node, not scattered cutoff reads.
-        kernels = resolve_kernels(kernels)
+        # for the process default) is resolved once per traversal — for
+        # ``auto``, to the concrete backend its band table picks for this
+        # graph's size — and bound into both hot-path calls below, so no
+        # node pays the dispatch.
+        kernels = resolve_kernels(kernels).bind(graph.n, graph.m)
         if reducer is None:
             reducer = default_reducer(charge, kernels)
         if bound is None or isinstance(bound, str):
@@ -223,6 +224,12 @@ class NodeStep:
             prune = telemetry.wrap_prune(prune)
 
         release_deg = ws.release_deg
+        if charge is null_charge and ws.n == graph.n:
+            expand = kernels.expand_children
+        else:
+            def expand(g: CSRGraph, state: VCState, vmax: int,
+                       w: Workspace) -> Tuple[VCState, VCState]:
+                return expand_children(g, state, vmax, w, charge=charge)
 
         def run(state: VCState,
                 _reducer: Reducer = reducer,
@@ -236,7 +243,7 @@ class NodeStep:
                 _pivot: PivotFn = pivot,
                 _rng: Optional[np.random.Generator] = rng,
                 _children: Children = children,
-                _kernels: KernelBackend = kernels,
+                _expand: Callable[..., Tuple[VCState, VCState]] = expand,
                 _n: float = n_units) -> StepOutcome:
             _reducer(_graph, state, _formulation, _ws, charge=_charge,
                      counters=_counters)
@@ -247,9 +254,7 @@ class NodeStep:
             if state.edge_count == 0:
                 return LEAF
             vmax = _pivot(state, _rng)
-            deferred, continued = expand_children(_graph, state, vmax, _ws,
-                                                  charge=_charge,
-                                                  kernels=_kernels)
+            deferred, continued = _expand(_graph, state, vmax, _ws)
             _children.deferred = deferred
             _children.continued = continued
             return _children

@@ -24,14 +24,15 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .. import faults
+from .. import faults, obs
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import VCState, Workspace, fresh_state
-from .bounds import BoundPolicy, make_bound
+from ..graph.degree_array import VCState, Workspace, cover_vertices, fresh_state
+from .bounds import BoundPolicy, GreedyBound, make_bound
 from .branching import PivotFn, max_degree_pivot
 from .formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
 from .frontier import Frontier, LifoFrontier, make_frontier
 from .greedy import greedy_cover
+from .kernel_backends import resolve_kernels
 from .nodestep import LEAF, PRUNED, NodeStep, Reducer
 from .stats import ChargeFn, SearchStats, null_charge
 
@@ -120,6 +121,15 @@ def branch_and_reduce(
     :class:`~repro.faults.FaultInjected` fires — the traversal recovers
     to the same optimum; ``stats.extra['faults_recovered']`` counts the
     hits.
+
+    The plain configuration — no ``reducer``, ``null_charge``, the
+    max-degree pivot, the greedy bound, a depth-first
+    :class:`~repro.core.frontier.LifoFrontier`, an exact MVC/PVC
+    formulation, no ``deadline`` or ``should_stop``, no armed fault plan
+    or step telemetry — runs the whole loop in compiled code when the
+    kernel backend offers it (:meth:`KernelBackend.search`: ``native``),
+    with the same node order, counters and frontier remainder;
+    ``stats.extra['native_search']`` records that it did.
     """
     if ws is None:
         ws = Workspace.for_graph(graph)
@@ -131,6 +141,12 @@ def branch_and_reduce(
         frontier = LifoFrontier()
     elif isinstance(frontier, str):
         frontier = make_frontier(frontier, bound=bound)
+    if (reducer is None and charge is null_charge and pivot is max_degree_pivot
+            and deadline is None and should_stop is None
+            and type(bound) is GreedyBound and type(frontier) is LifoFrontier
+            and _search_compiled(graph, formulation, root, frontier, kernels,
+                                 node_budget, stats)):
+        return stats
     step = NodeStep(
         graph, formulation, ws,
         reducer=reducer, pivot=pivot, rng=rng, charge=charge,
@@ -227,6 +243,75 @@ def branch_and_reduce(
         if recovered:
             stats.extra["faults_recovered"] = float(recovered)
     return stats
+
+
+def _search_compiled(graph: CSRGraph, formulation: Formulation,
+                     root: Optional[VCState], frontier: LifoFrontier, kernels,
+                     node_budget: Optional[int], stats: SearchStats) -> bool:
+    """Run the loop in the backend's compiled ``search``; False if it cannot.
+
+    Besides the configuration ``branch_and_reduce`` checks, this needs an
+    exact MVC/PVC formulation over exact holders (a subclass may change
+    acceptance), no stop already signalled, and no armed fault plan or
+    step telemetry (both wrap the per-node step).  The frontier is handed
+    over bottom to top with ``root`` on top, and refilled with the
+    remainder; it is left as it was when the backend has no compiled loop
+    or the call raises.
+    """
+    ftype = type(formulation)
+    if ftype is MVCFormulation and type(formulation.best) is BestBound:
+        kind, bound = "mvc", formulation.best.size
+    elif (ftype is PVCFormulation and type(formulation.flag) is FoundFlag
+          and not formulation.flag.found):
+        kind, bound = "pvc", formulation.k
+    else:
+        return False
+    if faults.step_guard_active() or obs.step_telemetry() is not None:
+        return False
+    if root is None:
+        root = fresh_state(graph)
+    pending = frontier.drain()[::-1]
+    items = [(s.deg, s.cover_size, s.edge_count, s.dirty, s.max_deg_hint, depth)
+             for s, depth in pending]
+    items.append((root.deg, root.cover_size, root.edge_count, root.dirty,
+                  root.max_deg_hint, 0))
+    out = None
+    try:
+        out = resolve_kernels(kernels).bind(graph.n, graph.m).search(
+            graph, items, kind, bound,
+            None if node_budget is None else node_budget - stats.nodes_visited)
+    finally:
+        if out is None:
+            for item in pending:
+                frontier.push(item)
+    if out is None:
+        return False
+    (status, best, updates, incumbent, nodes, branches, prunes, solutions,
+     max_stack, max_depth, c1, c2, ch, sweeps, remainder) = out
+    for deg, cover, edges, dirty, max_deg_hint, depth in remainder:
+        frontier.push((VCState(deg, cover, edges, dirty, max_deg_hint), depth))
+    if incumbent is not None:
+        if kind == "mvc":
+            formulation.best.size = best
+            formulation.best.cover = cover_vertices(incumbent)
+            formulation.best.updates += updates
+        else:
+            formulation.flag.set(VCState(incumbent, best, 0))
+    stats.nodes_visited += nodes
+    stats.branches += branches
+    stats.prunes += prunes
+    stats.solutions_found += solutions
+    stats.max_stack_depth = max(stats.max_stack_depth, max_stack)
+    stats.max_depth_reached = max(stats.max_depth_reached, max_depth)
+    counters = stats.reductions
+    counters.degree_one += c1
+    counters.degree_two_triangle += c2
+    counters.high_degree += ch
+    counters.sweeps += sweeps
+    if status == 2:  # the node budget tripped
+        stats.extra["timed_out"] = 1.0
+    stats.extra["native_search"] = 1.0
+    return True
 
 
 def solve_mvc_sequential(
