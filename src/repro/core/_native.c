@@ -1481,12 +1481,11 @@ native_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             have_cur = 0;
             continue;
         }
-        if (cur.edges == 0) {  /* a leaf: the node is a cover */
+        if (cur.edges == 0) {
+            /* a leaf: the node is a cover, and the prune test above
+             * (budget >= 0) makes it improve on best / fit within k */
             solutions++;
             have_cur = 0;
-            if (pvc ? cur.cover > bound : cur.cover >= best) {
-                continue;
-            }
             if (best_deg == NULL) {
                 best_deg = search_realloc(NULL, (size_t)v.n * sizeof(int32_t));
                 if (best_deg == NULL) {

@@ -156,7 +156,8 @@ class KernelBackend:
 
         Only ``native`` implements it (``_native.c``'s ``search``; see
         :func:`repro.core.sequential.branch_and_reduce` for when it is
-        used).  ``None`` tells the caller to run the interpreted loop.
+        used); call it on the backend :meth:`bind` returns.  ``None``
+        tells the caller to run the interpreted loop.
         """
         return None
 
@@ -421,10 +422,6 @@ class AutoBackend(KernelBackend):
 
     def greedy_cover(self, graph, ws=None):
         return self._picked(graph.n, graph.m).greedy_cover(graph, ws)
-
-    def search(self, graph, items, kind, bound, node_budget):
-        return self._picked(graph.n, graph.m).search(graph, items, kind, bound,
-                                                     node_budget)
 
     def uses_adjacency(self, graph):
         return self._picked(graph.n, graph.m).uses_adjacency(graph)
