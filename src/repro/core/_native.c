@@ -652,19 +652,18 @@ hint_for_each(PyObject *hint, Py_ssize_t n, hint_visit visit, void *ctx)
     }
     PyErr_Clear();
     {
-        PyObject *seq = PySequence_Fast(hint, "dirty hint must be a sequence of ints");
-        PyObject **items;
+        /* a tuple copy: an entry's __index__ cannot resize what we walk */
+        PyObject *seq = PySequence_Tuple(hint);
         if (seq == NULL) {
             PyErr_SetString(PyExc_TypeError,
                             "dirty hint must be None, an int array or a "
                             "sequence of ints");
             return -1;
         }
-        m = PySequence_Fast_GET_SIZE(seq);
-        items = PySequence_Fast_ITEMS(seq);
+        m = PyTuple_GET_SIZE(seq);
         for (i = 0; i < m; i++) {
             long long v;
-            if (arg_ll(items[i], "dirty hint entry", &v) < 0) {
+            if (arg_ll(PyTuple_GET_ITEM(seq, i), "dirty hint entry", &v) < 0) {
                 Py_DECREF(seq);
                 return -1;
             }
@@ -1406,7 +1405,7 @@ native_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     best = pvc ? -1 : bound;
     b.base = pvc ? bound : bound - 1;
-    seq = PySequence_Fast(items, "items must be a sequence");
+    seq = PySequence_Tuple(items);  /* a copy no item's __index__ can resize */
     if (seq == NULL) {
         return NULL;
     }
@@ -1415,9 +1414,9 @@ native_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     st.n = v.n;
-    m = PySequence_Fast_GET_SIZE(seq);
+    m = PyTuple_GET_SIZE(seq);
     for (i = 0; i < m; i++) {
-        if (stack_push_item(&st, PySequence_Fast_GET_ITEM(seq, i)) < 0) {
+        if (stack_push_item(&st, PyTuple_GET_ITEM(seq, i)) < 0) {
             goto cleanup;
         }
     }
