@@ -1227,16 +1227,9 @@ node_swap(Node *a, Node *b)
 static int
 hint_append(void *ctx, int32_t v)
 {
-    Node *nd = (Node *)ctx;
-    if (nd->nhint == nd->hcap) {
-        Py_ssize_t cap = nd->hcap ? 2 * nd->hcap : 16;
-        int32_t *h = search_realloc(nd->hint, (size_t)cap * sizeof(int32_t));
-        if (h == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        nd->hint = h;
-        nd->hcap = cap;
+    Node *nd = (Node *)ctx;  /* its degree array is already allocated */
+    if (node_reserve(nd, 0, nd->nhint + 1) < 0) {
+        return -1;
     }
     nd->hint[nd->nhint++] = v;
     return 0;
