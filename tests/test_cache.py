@@ -545,3 +545,25 @@ class TestExperimentKnob:
         assert warm.optimum == cold.optimum
         assert warm.nodes == 0
         assert cfg.quick().cache == cfg.cache
+
+
+def test_facade_reads_the_cache_env_through_any_mapping(monkeypatch, tmp_path):
+    """The facade's exception-free ``REPRO_CACHE`` probe sees values set
+    through ``os.environ`` (including non-ASCII paths) and falls back to
+    ``.get`` when ``os.environ`` has been replaced by a plain mapping."""
+    import os
+
+    from repro.core import solver
+
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    assert solver._cache_env() is None
+    path = str(tmp_path / "cé")
+    monkeypatch.setenv("REPRO_CACHE", path)
+    assert solver._cache_env() == path
+    g = gnp(14, 0.3, seed=6)
+    assert solve_mvc(g).optimum == solve_mvc(g).optimum
+    assert solve_mvc(g).nodes_visited == 0  # armed by the env: a hit
+    monkeypatch.setattr(os, "environ", {"REPRO_CACHE": str(tmp_path / "d")})
+    assert solver._cache_env() == str(tmp_path / "d")
+    monkeypatch.setattr(os, "environ", {})
+    assert solver._cache_env() is None
