@@ -291,9 +291,8 @@ FALLBACKS = {
 def test_excluded_configurations_stay_interpreted(case):
     graph = SUITE["phat36"]()
     opt = _mvc(graph, "native")[0].size
-    best, stats = _mvc(graph, "native" if "kernels" not in FALLBACKS[case]
-                       else FALLBACKS[case]["kernels"],
-                       **{k: v for k, v in FALLBACKS[case].items() if k != "kernels"})
+    kw = dict(FALLBACKS[case])
+    best, stats = _mvc(graph, kw.pop("kernels", "native"), **kw)
     assert "native_search" not in stats.extra
     assert best.size == opt
 
