@@ -1,27 +1,47 @@
-"""Interleaved A/B pair for the compiled search loop.
+"""Interleaved A/B pairs for the compiled search loop.
 
-A = the per-node ``NodeStep`` loop with the compiled kernels
-(``auto:native``), forced by a ``LifoFrontier`` subclass, which the
-compiled loop does not take; B = the compiled loop (``_native.c``'s
-``search``).  Each side is a full sequential MVC solve (greedy incumbent
-plus search) of p_hat_500_3 at small scale.  The order alternates every
-pair, and every pair asserts the optimum and all traversal and reduction
-counters equal.  Prints one JSON record in the ``pre_pr_baseline`` shape
-of ``BENCH_micro.json``.
+Sequential (the default): A = the per-node ``NodeStep`` loop with the
+compiled kernels (``auto:native``), forced by a ``LifoFrontier``
+subclass, which the compiled loop does not take; B = the compiled loop
+(``_native.c``'s ``search``).  Each side is a full sequential MVC solve
+(greedy incumbent plus search) of p_hat_500_3 at small scale.  The order
+alternates every pair, and every pair asserts the optimum and all
+traversal and reduction counters equal.
+
+Distributed (``--dist-baseline SRC``): A = the 2-worker socket engine of
+another checkout's ``src`` directory (for example the parent commit,
+exported with ``git archive``), B = this checkout's, whose workers walk
+their leases in compiled chunks.  Each side of a pair is a fresh
+interpreter that solves ``REQUESTS`` relabellings of p_hat_500_3
+(small) after one untimed warm-up and reports the median; every answer
+is checked against the sequential optimum.  The first side alternates
+every pair, and both sides of a pair solve the same relabellings.
+
+Either mode prints one JSON record in the ``pre_pr_baseline`` shape of
+``BENCH_micro.json``.
 
     PYTHONPATH=src python benchmarks/ab_native_search.py --pairs 10
+    PYTHONPATH=src python benchmarks/ab_native_search.py --pairs 4 \
+        --dist-baseline /tmp/parent/src
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from repro.core.frontier import LifoFrontier
 from repro.core.sequential import solve_mvc_sequential
 from repro.graph.generators.suites import suite_instance
+
+#: Timed distributed solves per side of a pair.
+REQUESTS = 12
 
 
 class PerNodeLifo(LifoFrontier):
@@ -37,10 +57,77 @@ def counters(outcome):
             r.degree_one, r.degree_two_triangle, r.high_degree, r.sweeps)
 
 
+def dist_side(seed: int) -> None:
+    """One side of a distributed pair, in the interpreter it runs in."""
+    import numpy as np
+
+    from repro.graph.csr import CSRGraph
+    from repro.net.distributed import solve_mvc_distributed
+
+    base = suite_instance("p_hat_500_3", "small").graph()
+    edges = base.edge_array()
+    want = solve_mvc_sequential(base).optimum
+    rng = np.random.default_rng(seed)
+    times, chunks = [], 0
+    for i in range(REQUESTS + 1):
+        graph = CSRGraph.from_edges(base.n, rng.permutation(base.n)[edges])
+        t0 = time.perf_counter()
+        out = solve_mvc_distributed(graph, n_workers=2)
+        elapsed = time.perf_counter() - t0
+        assert out.optimum == want and len(out.cover) == want, out.optimum
+        if i:  # the first request warms imports and the extension
+            times.append(elapsed)
+            chunks += out.comms["totals"].get("native_search", 0)
+    print(json.dumps({"median_s": statistics.median(times),
+                      "native_search": chunks / REQUESTS}))
+
+
+def dist_pairs(baseline: str, pairs: int) -> None:
+    own = str(Path(__file__).resolve().parent.parent / "src")
+    sides = {"a": str(Path(baseline).resolve()), "b": own}
+    medians = {"a": [], "b": []}
+    chunks = {"a": [], "b": []}
+    for pair in range(pairs):
+        for side in ("ab" if pair % 2 == 0 else "ba"):
+            env = dict(os.environ, PYTHONPATH=sides[side])
+            done = subprocess.run(
+                [sys.executable, __file__, "--dist-side",
+                 "--seed", str(1000 + pair)],
+                env=env, capture_output=True, text=True, check=True)
+            record = json.loads(done.stdout.strip().splitlines()[-1])
+            medians[side].append(record["median_s"])
+            chunks[side].append(record["native_search"])
+    a, b = statistics.median(medians["a"]), statistics.median(medians["b"])
+    print(json.dumps({
+        "best_s": round(min(medians["a"]), 5),
+        "median_s": round(a, 5),
+        "with_change_median_s": round(b, 5),
+        "speedup": round(a / b, 3),
+        "pair_medians_s": {side: [round(t, 5) for t in medians[side]]
+                           for side in "ab"},
+        "native_search_per_solve": {side: statistics.median(chunks[side])
+                                    for side in "ab"},
+        "pairs": pairs,
+        "requests_per_side": REQUESTS,
+        "wins": sum(tb < ta for ta, tb in zip(medians["a"], medians["b"])),
+    }))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--dist-baseline", metavar="SRC",
+                        help="compare the distributed engine against this src")
+    parser.add_argument("--dist-side", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.dist_side:
+        dist_side(args.seed)
+        return
+    if args.dist_baseline:
+        dist_pairs(args.dist_baseline, args.pairs)
+        return
     graph = suite_instance("p_hat_500_3", "small").graph()
     sides = {
         "a": lambda: solve_mvc_sequential(graph, frontier=PerNodeLifo()),

@@ -16,7 +16,8 @@
 # schema / zero-recompute resume / bit-identical verification gate
 # (see docs/EXPERIMENTS.md), or the distributed-engine gate fails
 # (2-worker localhost-socket runs and a serve-worker second-process run
-# must match the sequential covers, and a workers x hosts spec must
+# must match the sequential covers, the 2-worker runs must walk their
+# sub-trees in compiled chunks, and a workers x hosts spec must
 # resume with zero recomputed cells), or the fault-tolerance gate fails
 # (injected cpu-process worker kills — and remote serve-worker kills
 # over the socket — must still yield the optimum; a
@@ -141,7 +142,9 @@ python -m repro experiment run --smoke --store "$exp_store"
 # --- distributed-engine gate (see docs/ARCHITECTURE.md, net/) ---
 # 1. two-worker localhost-socket runs must match the sequential engine's
 #    covers on the smoke suite (valid cover, identical size), with both
-#    socket workers actually contributing sub-trees on the larger one.
+#    socket workers actually contributing sub-trees on the larger one,
+#    and the workers must walk their sub-trees in compiled chunks
+#    (comms totals report native_search > 0).
 # 2. the second-host path: one worker joins via a cold
 #    `repro serve-worker` subprocess — the exact code path a second
 #    machine uses — and the answer is unchanged.
@@ -171,12 +174,15 @@ for name, graph in instances:
     got = solve_mvc_distributed(graph, n_workers=2)
     assert got.optimum == expected, (name, got.optimum, expected)
     assert_valid_cover(graph, got.cover, got.optimum)
+    assert got.comms["totals"].get("native_search", 0) > 0, \
+        f"{name}: no worker ran a compiled chunk"
 per_worker = got.comms["per_worker"]
 assert len(per_worker) == 2 and all(
     c["subtrees"] > 0 for c in per_worker.values()), \
     "work did not distribute across both socket workers"
 print(f"ci_smoke: distributed engine matches sequential covers on "
-      f"{len(instances)} instances (both workers contributed on gnp60)")
+      f"{len(instances)} instances, walked in compiled chunks (both "
+      f"workers contributed on gnp60)")
 
 graph = gnp(60, 0.12, seed=3)
 expected = solve_mvc_sequential(graph).optimum

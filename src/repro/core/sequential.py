@@ -241,7 +241,9 @@ def branch_and_reduce(
         if deadline_tripped:
             stats.extra["deadline_tripped"] = 1.0
         if recovered:
-            stats.extra["faults_recovered"] = float(recovered)
+            # Accumulate: a resumed traversal passes the same stats again.
+            stats.extra["faults_recovered"] = (
+                stats.extra.get("faults_recovered", 0.0) + recovered)
     return stats
 
 

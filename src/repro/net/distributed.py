@@ -15,9 +15,16 @@ Workers never receive the graph through process arguments.  The
 handshake offers the shared-memory graph plane (:mod:`repro.graph.plane`)
 by name; a same-host worker attaches it zero-copy, a remote one answers
 ``need_graph`` and receives the CSR arrays inline, once.  After that,
-only codec frames, incumbent sizes and counters cross the wire — the
+only codec frames, incumbents and counters cross the wire — the
 incumbent broadcast is the only shared mutable state, exactly as in the
 paper's GPU formulation.
+
+A worker walks its lease with the sequential solver's
+``branch_and_reduce`` in node-budget chunks (the compiled loop when the
+configuration allows it) on its own depth-first stack, and talks to the
+coordinator only between chunks; while the coordinator's queue runs low
+it donates from the bottom of that stack.  The coordinator checks every
+incumbent a worker reports before adopting it.
 
 Protocol (all messages are pickled tuples; see ``net/transport.py``):
 
@@ -30,7 +37,7 @@ worker -> coordinator  coordinator -> worker
 ``("ready",)``         ``("work", [payload, ...], depth)``
 ``("lease_done",)``
 ``("donate", [payload, ...])``
-``("best", size, payload)``   ``("best", size, depth)``
+``("best", size, cover)``     ``("best", size, depth)``
 ``("nodes", delta)``   ``("done",)``
 ``("result", nodes, leftovers, recovered, comms)``
 ====================  =============================================
@@ -51,16 +58,18 @@ import subprocess
 import sys
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults
-from ..core.formulation import Formulation
+from ..core.bounds import make_bound
+from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
 from ..core.frontier import LifoFrontier
 from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
-from ..core.nodestep import LEAF, PRUNED, NodeStep
+from ..core.sequential import branch_and_reduce
+from ..core.stats import SearchStats
 from ..engines.cpu_process import (
     LEASE_BATCH,
     MAX_RESPAWNS,
@@ -80,14 +89,20 @@ from .transport import MessageStream, ProtocolError, TransportClosed
 __all__ = ["solve_mvc_distributed", "solve_pvc_distributed", "run_worker_client"]
 
 #: How long the coordinator waits for the first worker to finish its
-#: handshake before concluding nobody is coming and draining inline.
+#: handshake before concluding nobody is coming and draining inline, and
+#: the longest the start-up barrier holds the first leases back.
 _CONNECT_GRACE_S = 10.0
 
 #: Wind-down budget: how long to wait for ``result`` frames after ``done``.
 _WINDDOWN_S = 10.0
 
-#: Worker-side cadence: node-count deltas flushed every this many nodes.
-_NODES_FLUSH = 64
+#: Worker chunk lengths, in search nodes.  A worker touches its socket
+#: only between chunks: a long chunk while the coordinator's queue is
+#: well stocked, a short one (then a donation) while it runs low.  Each
+#: chunk hands the local stack to compiled code and back, which costs
+#: about 4% of a 1024-node chunk and about half of a 64-node one.
+_CHUNK_LONG = 1024
+_CHUNK_SHORT = 64
 
 _STOP_NONE, _STOP_BUDGET, _STOP_DEADLINE = 0, 1, 2
 
@@ -95,53 +110,6 @@ _STOP_NONE, _STOP_BUDGET, _STOP_DEADLINE = 0, 1, 2
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
-class _RemoteMVC(Formulation):
-    """MVC against a locally cached incumbent, refreshed by broadcast."""
-
-    name = "mvc"
-
-    def __init__(self, initial_best: int):
-        self.best_size = initial_best
-        self.local_best: Optional[VCState] = None
-        self.improved = False
-
-    def budget(self, cover_size: int) -> int:
-        return self.best_size - cover_size - 1
-
-    def accept(self, state: VCState) -> bool:
-        if state.cover_size < self.best_size:
-            self.best_size = state.cover_size
-            self.local_best = state.copy()
-            self.improved = True
-        return False
-
-
-class _RemotePVC(Formulation):
-    """PVC: first worker to find a k-cover reports it; coordinator stops all."""
-
-    name = "pvc"
-
-    def __init__(self, k: int):
-        self.k = k
-        self.found = False
-        self.local_best: Optional[VCState] = None
-        self.improved = False
-
-    def budget(self, cover_size: int) -> int:
-        return self.k - cover_size
-
-    def accept(self, state: VCState) -> bool:
-        if state.cover_size <= self.k:
-            self.local_best = state.copy()
-            self.improved = True
-            self.found = True
-            return True
-        return False
-
-    def stop_requested(self) -> bool:
-        return self.found
-
-
 def run_worker_client(host: str, port: int, *, salt: int = 0,
                       connect_timeout: float = 10.0) -> None:
     """Join a coordinator's pool as one worker (``repro serve-worker``).
@@ -214,32 +182,44 @@ def _worker_session(stream: MessageStream, salt: int) -> None:
 
 def _worker_loop(stream: MessageStream, graph: CSRGraph,
                  root_deg: np.ndarray, params: Dict[str, object]) -> None:
-    mode = params["mode"]
+    """Walk leased sub-trees in node-budget chunks of ``branch_and_reduce``.
+
+    The chunk is the worker's unit of contact with the coordinator:
+    between two chunks it reads broadcasts, reports its node delta and
+    any improved incumbent, checks the deadline and, while the
+    coordinator's queue is short, donates the bottom of its stack.
+    """
+    best: Optional[BestBound] = None
+    flag: Optional[FoundFlag] = None
     formulation: Formulation
-    if mode == "mvc":
-        formulation = _RemoteMVC(int(params["initial_best"]))
+    if params["mode"] == "mvc":
+        best = BestBound(size=int(params["initial_best"]))
+        formulation = MVCFormulation(best)
     else:
-        formulation = _RemotePVC(int(params["k"]))
+        flag = FoundFlag()
+        formulation = PVCFormulation(k=int(params["k"]), flag=flag)
     enc, dec = _codec_fns(str(params["codec"]), root_deg)
     threshold = int(params["threshold"])
     lease_batch = int(params["lease_batch"])
     deadline_s = params.get("deadline_s")
     deadline_at = None if deadline_s is None else time.monotonic() + float(deadline_s)
+    node_cap = params.get("node_budget")
     plan = faults.current_plan()
     kill_active = plan is not None and "worker_kill" in plan.sites()
     delay_active = plan is not None and "queue_delay" in plan.sites()
-    fault_guard = faults.step_guard_active()
+    # Under a fault plan every node is a chunk of its own, so kills and
+    # delays fire per node.
+    long_chunk, short_chunk = (1, 1) if plan is not None else (_CHUNK_LONG, _CHUNK_SHORT)
     ws = Workspace.for_graph(graph)
-    step = NodeStep(graph, formulation, ws, bound=str(params["bound"]),
-                    kernels=str(params["kernels"])).run
+    bound = make_bound(str(params["bound"]), graph, ws)
+    kernels = resolve_kernels(str(params["kernels"]))
+    stats = SearchStats()
     local = LifoFrontier()
     comms = CommStats()
-    donation_buf: List[object] = []
+    native_chunks = 0
     depth_hint = 0  # coordinator queue depth, in batches (advisory)
-    current: Optional[VCState] = None
-    unflushed_nodes = 0
-    total_nodes = 0
-    recovered = 0
+    nodes_sent = 0
+    updates_sent = 0
     has_lease = False
     done = False
 
@@ -248,23 +228,41 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         kind = msg[0]
         if kind == "best":
             depth_hint = msg[2]
-            if mode == "mvc" and msg[1] < formulation.best_size:
-                formulation.best_size = msg[1]
+            if best is not None and msg[1] < best.size:
+                # Only the size: the cover behind it stays with the
+                # coordinator, and updates does not move, so no stale
+                # cover is ever reported under the new size.
+                best.size = msg[1]
+                best.cover = None
         elif kind == "done":
             done = True
 
     def flush_nodes() -> None:
-        nonlocal unflushed_nodes
-        if unflushed_nodes:
-            stream.send(("nodes", unflushed_nodes))
+        nonlocal nodes_sent
+        if stats.nodes_visited > nodes_sent:
+            stream.send(("nodes", stats.nodes_visited - nodes_sent))
             comms.messages += 1
-            unflushed_nodes = 0
+            nodes_sent = stats.nodes_visited
 
-    def flush_donations() -> None:
+    def send_best(size: int, cover: np.ndarray) -> None:
+        payload = np.asarray(cover, dtype=np.int32).tobytes()
+        stream.send(("best", size, payload))
+        comms.messages += 1
+        comms.bytes_sent += len(payload)
+
+    def donate_bottom() -> None:
+        # The bottom of a depth-first stack holds the shallowest, largest
+        # sub-trees; the top item stays so this worker keeps walking.
+        # Donations go out at once, one lease batch per frame.
         nonlocal depth_hint
-        if donation_buf:
-            payloads = list(donation_buf)
-            donation_buf.clear()
+        give = min(threshold - depth_hint * lease_batch, len(local) - 1)
+        if give <= 0:
+            return
+        items = local.drain()[::-1]  # bottom to top
+        for item in items[give:]:
+            local.push(item)
+        for i in range(0, give, lease_batch):
+            payloads = [enc(state) for state, _ in items[i:min(give, i + lease_batch)]]
             if delay_active:
                 faults.fire("queue_delay")
             with obs_trace.span("frame"):
@@ -277,13 +275,12 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     def finish_lease() -> None:
         nonlocal has_lease
         if has_lease:
-            flush_donations()
             flush_nodes()
             stream.send(("lease_done",))
             comms.messages += 1
             has_lease = False
 
-    def get_work() -> Optional[VCState]:
+    def get_work() -> bool:
         nonlocal has_lease, depth_hint
         finish_lease()
         stream.send(("ready",))
@@ -293,87 +290,72 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         with obs_trace.span("idle"):
             while True:
                 if done or formulation.stop_requested():
-                    return None
+                    return False
                 if deadline_at is not None and time.monotonic() >= deadline_at:
-                    return None
+                    return False
                 if delay_active:
                     faults.fire("queue_delay")
                 for msg in stream.poll(wait):
-                    if msg[0] == "work":
-                        comms.idle_s += time.monotonic() - idle_from
-                        batch, depth_hint = msg[1], msg[2]
-                        has_lease = True
-                        comms.leases += 1
-                        comms.subtrees += len(batch)
-                        comms.bytes_received += sum(wire_nbytes(p) for p in batch)
-                        with obs_trace.span("lease"):
-                            states = [dec(p) for p in batch]
-                        for extra in states[1:]:
-                            local.push(extra)
-                        return states[0]
-                    handle(msg)
+                    if msg[0] != "work":
+                        handle(msg)
+                        continue
+                    # Keep reading the batch: a ``done`` right behind the
+                    # lease must not be lost.
+                    comms.idle_s += time.monotonic() - idle_from
+                    batch, depth_hint = msg[1], msg[2]
+                    has_lease = True
+                    comms.leases += 1
+                    comms.subtrees += len(batch)
+                    comms.bytes_received += sum(wire_nbytes(p) for p in batch)
+                    with obs_trace.span("lease"):
+                        for payload in reversed(batch):
+                            local.push((dec(payload), 0))
+                if has_lease:
+                    return True
                 wait = min(wait * 2.0, 0.05)
 
     while True:
+        for msg in stream.poll(0.0):
+            handle(msg)
         if done or formulation.stop_requested():
             break
         if deadline_at is not None and time.monotonic() >= deadline_at:
             break
-        if current is None:
-            current = local.pop()
-            if current is None:
-                current = get_work()
-                if current is None:
-                    break
+        if node_cap is not None and stats.nodes_visited >= node_cap:
+            break  # this worker alone has spent the solve's node budget
+        if not local and not get_work():
+            break
         if kill_active:
             faults.fire("worker_kill")  # may os._exit right here
-        for msg in stream.poll(0.0):
-            handle(msg)
-        total_nodes += 1
-        unflushed_nodes += 1
-        if unflushed_nodes >= _NODES_FLUSH:
-            flush_nodes()
-        if fault_guard:
-            backup = current.copy()
-            try:
-                outcome = step(current)
-            except faults.FaultInjected:
-                recovered += 1
-                local.push(backup)
-                current = None
-                continue
-        else:
-            outcome = step(current)
-        if outcome is PRUNED:
-            current = None
-            continue
-        if outcome is LEAF:
-            formulation.accept(current)
-            if formulation.improved:
-                formulation.improved = False
-                best = formulation.local_best
-                payload = enc(best)
-                stream.send(("best", best.cover_size, payload))
-                comms.messages += 1
-                comms.bytes_sent += wire_nbytes(payload)
-            ws.release_deg(current.deg)
-            current = None
-            continue
-        deferred = outcome.deferred
-        current = outcome.continued
-        if depth_hint * lease_batch + len(donation_buf) < threshold:
-            donation_buf.append(enc(deferred))
-            if len(donation_buf) >= lease_batch:
-                flush_donations()
-        else:
-            local.push(deferred)
+        short = depth_hint * lease_batch < threshold
+        chunk = short_chunk if short else long_chunk
+        if node_cap is not None:
+            # Under a node budget every chunk is short: a worker runs on
+            # until a ``done`` reaches it, so the chunk bounds how far the
+            # solve overshoots the budget.
+            chunk = min(short_chunk, node_cap - stats.nodes_visited)
+        root, _ = local.pop()
+        branch_and_reduce(graph, formulation, ws=ws, root=root, frontier=local,
+                          stats=stats, bound=bound, kernels=kernels,
+                          node_budget=stats.nodes_visited + chunk)
+        stats.extra.pop("timed_out", None)
+        if stats.extra.pop("native_search", None):
+            native_chunks += 1
+        if best is not None and best.updates != updates_sent:
+            updates_sent = best.updates
+            send_best(best.size, best.cover)
+        elif flag is not None and flag.found:
+            send_best(flag.size, flag.cover)
+        flush_nodes()
+        if node_cap is not None:
+            # Let the coordinator run on a busy host: it sums the deltas
+            # and answers a spent budget with ``done``.
+            os.sched_yield()
+        if short:
+            donate_bottom()
 
     # Wind-down: everything still in hand goes home with the result.
-    leftovers: List[object] = list(donation_buf)
-    donation_buf.clear()
-    if current is not None:
-        leftovers.append(enc(current))
-    leftovers.extend(enc(state) for state in local.drain())
+    leftovers = [enc(state) for state, _ in local.drain()]
     flush_nodes()
     if has_lease:
         stream.send(("lease_done",))
@@ -389,6 +371,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     comms_dict = comms.as_dict()
     comms_dict["wire_sent"] = stream.bytes_sent
     comms_dict["wire_received"] = stream.decoder.bytes_fed
+    comms_dict["native_search"] = native_chunks
     # Telemetry rides the existing result frame: wall-time attribution as
     # extra ``obs_<kind>_s`` comms keys (CommStats.totals sums every key it
     # sees) and the drained span rows appended as a fifth element that old
@@ -396,11 +379,16 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     comms_dict.update(obs_breakdown.wall_obs_keys())
     tracer = obs_trace.get()
     spans = tracer.drain() if tracer is not None else []
-    stream.send(("result", total_nodes, leftovers, recovered, comms_dict, spans))
+    stream.send(("result", stats.nodes_visited, leftovers,
+                 int(stats.extra.get("faults_recovered", 0)), comms_dict, spans))
 
 
-def _local_worker_main(host: str, port: int, salt: int) -> None:
+def _local_worker_main(host: str, port: int, salt: int,
+                       listener: socket.socket) -> None:
     """Entry point of the engine's own (forked) socket workers."""
+    # Drop the fork's copy of the coordinator's listening socket, so that
+    # closing it there refuses a worker that has not connected yet.
+    listener.close()
     try:
         run_worker_client(host, port, salt=salt)
     except (TransportClosed, ConnectionError, EOFError, TimeoutError):
@@ -413,15 +401,16 @@ def _local_worker_main(host: str, port: int, salt: int) -> None:
 class _Peer:
     """One connected worker, local or remote — the protocol can't tell."""
 
-    __slots__ = ("stream", "wid", "stage", "lease", "waiting", "finished",
-                 "result", "nodes_flushed")
+    __slots__ = ("stream", "wid", "stage", "lease", "waiting", "joined",
+                 "finished", "result", "nodes_flushed")
 
     def __init__(self, stream: MessageStream, wid: int):
         self.stream = stream
         self.wid = wid
         self.stage = "hello"  # hello -> plane -> live
         self.lease: Optional[List[object]] = None
-        self.waiting = False  # sent ready and has not been fed yet
+        self.waiting = 0  # order of its pending ready, 0 once fed
+        self.joined = False  # has asked for its first lease
         self.finished = False
         self.result: Optional[Tuple[int, List, int, Dict[str, float]]] = None
         self.nodes_flushed = 0
@@ -471,6 +460,37 @@ def _spawn_host_process(port: int) -> "subprocess.Popen":
     )
 
 
+def _checked_cover(graph: CSRGraph, rows: np.ndarray, size: int,
+                   k: Optional[int], payload: object) -> np.ndarray:
+    """Decode a worker's ``best`` cover, or raise ``ProtocolError``.
+
+    The size must be an int (at most ``k`` for PVC), and the cover must
+    have exactly that many vertices, distinct and in ``[0, n)``, and
+    cover every edge; ``rows`` is the row index of each CSR entry, so
+    the edge test is one vectorized pass over ``indices``.
+    """
+    if type(size) is not int:
+        raise ProtocolError(f"best frame: size {size!r} is not an int")
+    try:
+        cover = np.frombuffer(payload, dtype=np.int32)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"best frame: undecodable cover ({exc})") from None
+    if cover.size != size:
+        raise ProtocolError(f"best frame claims size {size} but carries "
+                            f"{cover.size} vertices")
+    if k is not None and size > k:
+        raise ProtocolError(f"best frame: cover of size {size} exceeds k={k}")
+    if cover.size and (int(cover.min()) < 0 or int(cover.max()) >= graph.n):
+        raise ProtocolError("best frame: cover vertex out of range")
+    member = np.zeros(graph.n, dtype=bool)
+    member[cover] = True
+    if int(np.count_nonzero(member)) != size:
+        raise ProtocolError("best frame: repeated cover vertices")
+    if not np.all(member[rows] | member[graph.indices]):
+        raise ProtocolError("best frame: cover leaves an edge uncovered")
+    return cover.copy()
+
+
 def _run_distributed(
     graph: CSRGraph,
     mode: str,
@@ -510,10 +530,12 @@ def _run_distributed(
     run.best_cover = initial_cover
 
     queue: "deque[List[object]]" = deque()
-    root_payloads = [enc(state)
-                     for state in ([fresh_state(graph)] if roots is None else roots)]
-    for i in range(0, len(root_payloads), lease_batch):
-        queue.append(root_payloads[i:i + lease_batch])
+    # The start-up pool: held back from the queue until the local workers
+    # have asked for work (see the supervisor loop), then split evenly
+    # over every expected worker.
+    pool = [enc(state) for state in ([fresh_state(graph)] if roots is None else roots)]
+    released = [False]
+    edge_rows = np.repeat(np.arange(graph.n, dtype=np.int32), np.diff(graph.indptr))
 
     init_params = {
         "mode": mode, "k": k, "bound": bound, "kernels": kernels_name,
@@ -535,7 +557,8 @@ def _run_distributed(
     def spawn_local() -> "mp.Process":
         salt_seq[0] += 1
         p = ctx.Process(target=_local_worker_main,
-                        args=(listen_host, port, salt_seq[0]), daemon=True)
+                        args=(listen_host, port, salt_seq[0], lsock),
+                        daemon=True)
         p.start()
         return p
 
@@ -545,6 +568,9 @@ def _run_distributed(
 
     peers: Dict[int, _Peer] = {}
     wid_seq = [0]
+    joined = [0]          # peers that asked for their first lease
+    ready_seq = [0]       # ready frames received, numbering waiting peers
+    exited = [0]          # local worker processes reaped
     stop_reason = [_STOP_NONE]
     done_sent = [False]
     respawns_used = [0]
@@ -576,14 +602,23 @@ def _run_distributed(
             broadcast(("done",))
 
     def offer_best(size: int, payload) -> None:
+        cover = _checked_cover(graph, edge_rows, size,
+                               k if mode == "pvc" else None, payload)
         if run.best_size is None or size < run.best_size:
             run.best_size = size
-            run.best_cover = decode_wire(payload, root_deg).cover()
+            run.best_cover = cover
             if mode == "mvc":
                 broadcast(("best", size, len(queue)))
             else:
                 run.found = True
                 request_done(_STOP_NONE)
+
+    def release_pool() -> None:
+        """Queue the pool, split evenly over the expected workers."""
+        released[0] = True
+        per = max(1, min(lease_batch, -(-len(pool) // (n_workers + hosts))))
+        for i in range(0, len(pool), per):
+            queue.append(pool[i:i + per])
 
     lost_nodes = [0]  # flushed deltas of peers that died without a result
 
@@ -631,6 +666,8 @@ def _run_distributed(
             salt_seq[0] += 1
             params = dict(init_params)
             params["salt"] = salt_seq[0]
+            if node_budget is not None:
+                params["node_budget"] = max(0, node_budget - nodes_total[0])
             if deadline_at is not None:
                 params["deadline_s"] = max(0.0, deadline_at - time.monotonic())
             if parent_tracer is not None or obs_metrics.armed():
@@ -646,7 +683,11 @@ def _run_distributed(
             return
         # live protocol
         if kind == "ready":
-            peer.waiting = True
+            ready_seq[0] += 1
+            peer.waiting = ready_seq[0]
+            if not peer.joined:
+                peer.joined = True
+                joined[0] += 1
         elif kind == "lease_done":
             peer.lease = None
         elif kind == "donate":
@@ -664,7 +705,7 @@ def _run_distributed(
             if len(msg) > 5 and msg[5] and parent_tracer is not None:
                 parent_tracer.absorb(msg[5])
             peer.finished = True
-            peer.waiting = False
+            peer.waiting = 0
             if peer.lease is not None:
                 # fed in the same instant the worker wound down on its
                 # own (deadline race): put the untouched batch back
@@ -707,7 +748,10 @@ def _run_distributed(
     def feed_ready_peers() -> None:
         if done_sent[0]:
             return
-        for peer in live_peers():
+        # Longest-waiting peer first: a worker that donates and then asks
+        # for work again does not take its own donation back from a peer
+        # that has been idle all along.
+        for peer in sorted(live_peers(), key=lambda p: p.waiting):
             if not queue:
                 break
             if peer.waiting and peer.lease is None:
@@ -715,7 +759,7 @@ def _run_distributed(
                 # Charged at send time: a peer that dies before its
                 # lease_done gets this batch re-enqueued by drop_peer.
                 peer.lease = batch
-                peer.waiting = False
+                peer.waiting = 0
                 try:
                     peer.stream.send(("work", batch, len(queue)))
                 except TransportClosed:
@@ -726,6 +770,18 @@ def _run_distributed(
         # ------------------------- supervisor loop ------------------------ #
         while True:
             progressed = pump_all(0.01)
+            # Start-up barrier: no lease goes out until as many peers as
+            # there are local workers have asked for one (or died, or the
+            # grace ran out), so a small tree cannot be finished by the
+            # first worker to join.  Cold serve-worker hosts are not
+            # waited for; they join through the queue and donations.
+            if not released[0] and not done_sent[0] and (
+                    not pool
+                    or joined[0] + exited[0] + sum(
+                        h.poll() is not None for h in host_procs)
+                    >= (n_workers or hosts)
+                    or time.monotonic() - started > _CONNECT_GRACE_S):
+                release_pool()
             feed_ready_peers()
 
             if deadline_at is not None and time.monotonic() >= deadline_at:
@@ -733,7 +789,7 @@ def _run_distributed(
 
             # Ledger termination test: nothing queued, nothing leased — no
             # node anywhere can create more work, so the search is done.
-            if (not done_sent[0] and not queue
+            if (not done_sent[0] and released[0] and not queue
                     and all(p.lease is None for p in peers.values())
                     and any(p.stage == "live" for p in peers.values())):
                 request_done(_STOP_NONE)
@@ -743,6 +799,7 @@ def _run_distributed(
                 if not p.is_alive():
                     p.join()
                     procs.remove(p)
+                    exited[0] += 1
 
             alive_conns = [p for p in peers.values() if not p.finished]
             if done_sent[0] and not alive_conns:
@@ -763,6 +820,8 @@ def _run_distributed(
                 time.sleep(0.002)
 
         # ------------------------- wind-down ----------------------------- #
+        if not released[0]:
+            release_pool()
         request_done(_STOP_NONE)
         windup_until = time.monotonic() + _WINDDOWN_S
         while (any(not p.finished for p in peers.values())

@@ -142,6 +142,30 @@ class TestStepFaultRecovery:
         out = solve_mvc_sequential(gnp(20, 0.3, seed=1))
         assert "faults_recovered" not in out.stats.extra
 
+    def test_resumed_legs_accumulate_recoveries(self):
+        """Two budgeted legs over one ``SearchStats`` report the sum of
+        both legs' recoveries, not the last leg's.  Every node faults
+        until the cap of 3: two in the first 2-node leg, one more in the
+        second."""
+        from repro.core.formulation import BestBound, MVCFormulation
+        from repro.core.frontier import LifoFrontier
+        from repro.core.sequential import branch_and_reduce
+        from repro.core.stats import SearchStats
+
+        graph = gnp(26, 0.3, seed=2)
+        formulation = MVCFormulation(BestBound(size=graph.n))
+        frontier = LifoFrontier()
+        stats = SearchStats()
+        with faults.injected("reduce_raise:1.0:3", seed=1):
+            branch_and_reduce(graph, formulation, frontier=frontier,
+                              stats=stats, node_budget=2)
+            assert stats.extra["faults_recovered"] == 2
+            root, _ = frontier.pop()
+            branch_and_reduce(graph, formulation, root=root, frontier=frontier,
+                              stats=stats, node_budget=4)
+        assert stats.extra["faults_recovered"] == 3
+        assert stats.nodes_visited == 4
+
 
 class TestProcessWorkerChaos:
     @pytest.mark.parametrize("name,graph", CHAOS_GRAPHS)

@@ -20,8 +20,9 @@ from repro.graph.degree_array import (
     fresh_state,
     wire_nbytes,
 )
+from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
-from repro.graph.generators.structured import petersen
+from repro.graph.generators.structured import grid_graph, petersen
 from repro.graph.plane import GraphPlane
 from repro.net.distributed import solve_mvc_distributed, solve_pvc_distributed
 from repro.net.transport import (
@@ -393,6 +394,227 @@ class TestDistributed:
         out = solve_anytime(g, engine="distributed", n_workers=2)
         assert out.extra.get("comms_messages", 0) > 0
         assert out.extra.get("comms_bytes_sent", 0) > 0
+
+
+# --------------------------------------------------------------------- #
+# the workers' compiled sub-tree walk
+# --------------------------------------------------------------------- #
+#: The distributed section of benchmarks/ci_smoke.sh.
+SMOKE = {
+    "gnp20": lambda: gnp(20, 0.2, seed=12),
+    "phat16": lambda: phat_complement(16, 2, seed=4),
+    "grid4x4": lambda: grid_graph(4, 4),
+    "gnp60": lambda: gnp(60, 0.12, seed=3),
+}
+
+
+def _native_chunks(res) -> int:
+    # Absent only when no worker sent a result frame.
+    return res.comms["totals"].get("native_search", 0)
+
+
+def _check_engine_against_sequential(g) -> None:
+    """MVC, and PVC at k = OPT and OPT - 1, on 2 workers vs sequential,
+    each walked in at least one compiled worker chunk."""
+    from repro.core.verify import assert_valid_cover
+
+    seq = solve_mvc_sequential(g)
+    opt = seq.optimum
+    res = solve_mvc_distributed(g, n_workers=2)
+    assert res.optimum == opt
+    assert_valid_cover(g, res.cover, opt)
+    assert res.workers_lost == 0  # no worker sent a frame that failed checks
+    assert _native_chunks(res) > 0
+    for k, feasible in ((opt, True), (opt - 1, False)):
+        if k < 0:
+            continue
+        pvc = solve_pvc_distributed(g, k, n_workers=2)
+        assert pvc.feasible is feasible, k
+        if feasible:
+            assert len(pvc.cover) <= k
+            assert_valid_cover(g, pvc.cover, len(pvc.cover))
+        assert _native_chunks(pvc) > 0, k
+
+
+class TestCompiledWorkerWalk:
+    @pytest.mark.parametrize("name", sorted(SMOKE))
+    def test_smoke_instances_match_sequential(self, name):
+        _check_engine_against_sequential(SMOKE[name]())
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(2, 40), p=st.floats(0.05, 0.4),
+           seed=st.integers(0, 10_000))
+    def test_random_graphs_match_sequential(self, n, p, seed):
+        g = gnp(n, p, seed=seed)
+        if g.m:
+            _check_engine_against_sequential(g)
+
+    def test_scalar_kernels_stay_interpreted(self):
+        g = SMOKE["gnp60"]()
+        res = solve_mvc_distributed(g, n_workers=2, kernels="scalar")
+        assert res.optimum == solve_mvc_sequential(g).optimum
+        assert _native_chunks(res) == 0
+
+    def test_armed_step_faults_stay_interpreted(self):
+        g = SMOKE["gnp60"]()
+        want = solve_mvc_sequential(g).optimum
+        with faults.injected("reduce_raise:0.2:5", seed=3):
+            res = solve_mvc_distributed(g, n_workers=2)
+        assert res.optimum == want
+        assert _native_chunks(res) == 0
+        assert res.faults_recovered > 0
+
+    def test_armed_telemetry_stays_interpreted(self):
+        from repro import obs
+
+        g = SMOKE["gnp60"]()
+        want = solve_mvc_sequential(g).optimum
+        obs.arm()
+        try:
+            res = solve_mvc_distributed(g, n_workers=2)
+        finally:
+            obs.disarm()
+        assert res.optimum == want
+        assert _native_chunks(res) == 0
+
+    def test_node_budget_legs_resume_to_optimum(self):
+        from repro.core.anytime import solve_to_completion
+
+        g = gnp(60, 0.2, seed=9)
+        want = solve_mvc_sequential(g).optimum
+        out = solve_to_completion(g, engine="distributed", node_budget=100,
+                                  n_workers=2)
+        assert out.optimum == want
+
+    def test_deadline_zero_resumes_to_optimum(self):
+        from repro.core.anytime import resume_from, solve_anytime
+
+        g = gnp(60, 0.2, seed=9)
+        want = solve_mvc_sequential(g).optimum
+        out = solve_anytime(g, engine="distributed", deadline=0.0, n_workers=2)
+        assert not out.complete and out.resumable
+        legs = 0
+        while not out.complete:
+            out = resume_from(out.checkpoint, g, engine="distributed",
+                              n_workers=2)
+            legs += 1
+            assert legs < 20
+        assert out.optimum == want
+
+    def test_node_budget_overshoot_stays_small(self):
+        """Under a node budget every worker chunk is short, so the solve
+        stops a few short chunks per worker past the budget, on a tree
+        several times larger than it (about 6.5k sequential nodes)."""
+        from repro.net.distributed import _CHUNK_SHORT
+
+        g = gnp(80, 0.2, seed=1)
+        budget = 1000
+        res = solve_mvc_distributed(g, n_workers=2, node_budget=budget)
+        assert res.timed_out
+        assert budget <= res.nodes_visited <= budget + 2 * 8 * _CHUNK_SHORT
+        assert _native_chunks(res) * _CHUNK_SHORT >= res.nodes_visited
+
+
+# --------------------------------------------------------------------- #
+# best-frame validation at the coordinator
+# --------------------------------------------------------------------- #
+def _edge_rows(g):
+    return np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.indptr))
+
+
+class TestBestFrameValidation:
+    def test_checked_cover_accepts_a_true_cover(self):
+        from repro.net.distributed import _checked_cover
+
+        g = petersen()
+        cover = solve_mvc_sequential(g).cover
+        got = _checked_cover(g, _edge_rows(g), len(cover), None,
+                             np.asarray(cover, dtype=np.int32).tobytes())
+        assert sorted(got.tolist()) == sorted(np.asarray(cover).tolist())
+
+    @pytest.mark.parametrize("size, vertices, k, why", [
+        (3, [0, 1, 2, 3, 4, 5], None, "claims size"),
+        (6, [0, 1, 2, 3, 4, 99], None, "out of range"),
+        (6, [0, 1, 2, 3, 4, -1], None, "out of range"),
+        (6, [0, 0, 1, 2, 3, 4], None, "repeated"),
+        (1, [0], None, "uncovered"),
+        (6, None, 5, "exceeds k"),
+        ("6", None, None, "not an int"),
+    ])
+    def test_checked_cover_rejects_lies(self, size, vertices, k, why):
+        from repro.net.distributed import _checked_cover
+
+        g = petersen()
+        if vertices is None:
+            vertices = solve_mvc_sequential(g).cover
+        payload = np.asarray(vertices, dtype=np.int32).tobytes()
+        with pytest.raises(ProtocolError, match=why):
+            _checked_cover(g, _edge_rows(g), size, k, payload)
+
+    def test_checked_cover_rejects_undecodable_payload(self):
+        from repro.net.distributed import _checked_cover
+
+        g = petersen()
+        with pytest.raises(ProtocolError, match="undecodable"):
+            _checked_cover(g, _edge_rows(g), 1, None, b"\x00\x01\x02")
+        with pytest.raises(ProtocolError, match="undecodable"):
+            _checked_cover(g, _edge_rows(g), 1, None, 12345)
+
+    def test_lying_peer_is_dropped_and_the_optimum_holds(self, monkeypatch):
+        """A hand-rolled client completes the handshake, then sends a
+        well-framed ``best`` whose size is a lie.  The coordinator must
+        drop it and still return the sequential optimum."""
+        import threading
+
+        from repro.net import distributed
+
+        g = gnp(40, 0.2, seed=6)
+        want = solve_mvc_sequential(g).optimum
+        sent = []
+
+        def liar(port: int) -> None:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            stream = MessageStream(sock)
+            try:
+                stream.send(("hello", 0))
+                stream.recv(timeout=10)           # plane offer
+                stream.send(("need_graph",))
+                stream.recv(timeout=10)           # graph
+                stream.recv(timeout=10)           # init
+                stream.send(("best", 1, np.arange(5, dtype=np.int32).tobytes()))
+                sent.append(True)
+                while True:
+                    stream.recv(timeout=10)       # until the coordinator hangs up
+            except (TransportClosed, OSError, EOFError):
+                pass
+            finally:
+                stream.close()
+
+        class _Host:
+            """Stands in for the serve-worker subprocess handle."""
+
+            def __init__(self, port):
+                self.thread = threading.Thread(target=liar, args=(port,),
+                                               daemon=True)
+                self.thread.start()
+
+            def poll(self):
+                return None if self.thread.is_alive() else 0
+
+            def terminate(self):
+                pass
+
+            def wait(self, timeout=None):
+                self.thread.join(timeout)
+
+            kill = terminate
+
+        monkeypatch.setattr(distributed, "_spawn_host_process", _Host)
+        res = solve_mvc_distributed(g, n_workers=1, hosts=1)
+        assert sent, "the lying client never got to send its frame"
+        assert res.optimum == want
+        assert len(res.cover) == want
+        assert res.workers_lost >= 1
 
 
 # --------------------------------------------------------------------- #
