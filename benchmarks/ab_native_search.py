@@ -10,15 +10,18 @@ traversal and reduction counters equal.
 
 Distributed (``--dist-baseline SRC``): A = the 2-worker socket engine of
 another checkout's ``src`` directory (for example the parent commit,
-exported with ``git archive``), B = this checkout's, whose workers walk
-their leases in compiled chunks.  Each side of a pair is a fresh
-interpreter that solves ``REQUESTS`` relabellings of p_hat_500_3
-(small) after one untimed warm-up and reports the median; every answer
-is checked against the sequential optimum.  The first side alternates
-every pair, and both sides of a pair solve the same relabellings.
+exported with ``git archive``), B = this checkout's.  Each side of a
+pair is a fresh interpreter that solves ``REQUESTS`` relabellings of
+p_hat_500_3 (small) after one untimed warm-up and reports the median;
+every answer is checked against the sequential optimum.  The same
+interpreter then times the engine's fixed cost: the median of
+``REQUESTS`` solves of a 4-vertex path (after one untimed warm-up),
+whose search is a single node.  The first side alternates every pair,
+and both sides of a pair solve the same relabellings.
 
-Either mode prints one JSON record in the ``pre_pr_baseline`` shape of
-``BENCH_micro.json``.
+The sequential mode prints one JSON record in the ``pre_pr_baseline``
+shape of ``BENCH_micro.json``; the distributed mode prints one object
+with two such records, ``p_hat_500_3`` and ``fixed_cost_path4``.
 
     PYTHONPATH=src python benchmarks/ab_native_search.py --pairs 10
     PYTHONPATH=src python benchmarks/ab_native_search.py --pairs 4 \
@@ -62,6 +65,7 @@ def dist_side(seed: int) -> None:
     import numpy as np
 
     from repro.graph.csr import CSRGraph
+    from repro.graph.generators.structured import path_graph
     from repro.net.distributed import solve_mvc_distributed
 
     base = suite_instance("p_hat_500_3", "small").graph()
@@ -78,14 +82,40 @@ def dist_side(seed: int) -> None:
         if i:  # the first request warms imports and the extension
             times.append(elapsed)
             chunks += out.comms["totals"].get("native_search", 0)
+    path = path_graph(4)
+    fixed = []
+    for i in range(REQUESTS + 1):
+        t0 = time.perf_counter()
+        out = solve_mvc_distributed(path, n_workers=2)
+        elapsed = time.perf_counter() - t0
+        assert out.optimum == 2, out.optimum
+        if i:
+            fixed.append(elapsed)
     print(json.dumps({"median_s": statistics.median(times),
-                      "native_search": chunks / REQUESTS}))
+                      "native_search": chunks / REQUESTS,
+                      "fixed_median_s": statistics.median(fixed)}))
+
+
+def pair_record(a_runs, b_runs, pairs):
+    a, b = statistics.median(a_runs), statistics.median(b_runs)
+    return {
+        "best_s": round(min(a_runs), 5),
+        "median_s": round(a, 5),
+        "with_change_median_s": round(b, 5),
+        "speedup": round(a / b, 3),
+        "pair_medians_s": {"a": [round(t, 5) for t in a_runs],
+                           "b": [round(t, 5) for t in b_runs]},
+        "pairs": pairs,
+        "requests_per_side": REQUESTS,
+        "wins": sum(tb < ta for ta, tb in zip(a_runs, b_runs)),
+    }
 
 
 def dist_pairs(baseline: str, pairs: int) -> None:
     own = str(Path(__file__).resolve().parent.parent / "src")
     sides = {"a": str(Path(baseline).resolve()), "b": own}
     medians = {"a": [], "b": []}
+    fixed = {"a": [], "b": []}
     chunks = {"a": [], "b": []}
     for pair in range(pairs):
         for side in ("ab" if pair % 2 == 0 else "ba"):
@@ -96,21 +126,13 @@ def dist_pairs(baseline: str, pairs: int) -> None:
                 env=env, capture_output=True, text=True, check=True)
             record = json.loads(done.stdout.strip().splitlines()[-1])
             medians[side].append(record["median_s"])
+            fixed[side].append(record["fixed_median_s"])
             chunks[side].append(record["native_search"])
-    a, b = statistics.median(medians["a"]), statistics.median(medians["b"])
-    print(json.dumps({
-        "best_s": round(min(medians["a"]), 5),
-        "median_s": round(a, 5),
-        "with_change_median_s": round(b, 5),
-        "speedup": round(a / b, 3),
-        "pair_medians_s": {side: [round(t, 5) for t in medians[side]]
-                           for side in "ab"},
-        "native_search_per_solve": {side: statistics.median(chunks[side])
-                                    for side in "ab"},
-        "pairs": pairs,
-        "requests_per_side": REQUESTS,
-        "wins": sum(tb < ta for ta, tb in zip(medians["a"], medians["b"])),
-    }))
+    solve = pair_record(medians["a"], medians["b"], pairs)
+    solve["native_search_per_solve"] = {side: statistics.median(chunks[side])
+                                        for side in "ab"}
+    print(json.dumps({"p_hat_500_3": solve,
+                      "fixed_cost_path4": pair_record(fixed["a"], fixed["b"], pairs)}))
 
 
 def main() -> None:

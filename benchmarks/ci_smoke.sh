@@ -144,13 +144,17 @@ python -m repro experiment run --smoke --store "$exp_store"
 #    covers on the smoke suite (valid cover, identical size), with both
 #    socket workers actually contributing sub-trees on the larger one,
 #    and the workers must walk their sub-trees in compiled chunks
-#    (comms totals report native_search > 0).
+#    (comms totals report native_search > 0).  The runs must leave no
+#    child process behind and no new /dev/shm entry (forked workers
+#    inherit the graph; only TCP peers get the shared-memory plane).
 # 2. the second-host path: one worker joins via a cold
 #    `repro serve-worker` subprocess — the exact code path a second
 #    machine uses — and the answer is unchanged.
 # 3. a distributed workers x hosts experiment spec runs through the
 #    store and resumes with zero recomputed cells.
 python - <<'EOF'
+import multiprocessing
+import os
 import tempfile
 
 from repro.core.sequential import solve_mvc_sequential
@@ -169,6 +173,7 @@ instances = [
     ("grid4x4", grid_graph(4, 4)),
     ("gnp60", gnp(60, 0.12, seed=3)),
 ]
+shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 for name, graph in instances:
     expected = solve_mvc_sequential(graph).optimum
     got = solve_mvc_distributed(graph, n_workers=2)
@@ -180,9 +185,14 @@ per_worker = got.comms["per_worker"]
 assert len(per_worker) == 2 and all(
     c["subtrees"] > 0 for c in per_worker.values()), \
     "work did not distribute across both socket workers"
+assert multiprocessing.active_children() == [], \
+    f"distributed solves left {multiprocessing.active_children()} running"
+shm_after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+assert not shm_after - shm_before, \
+    f"distributed solves left /dev/shm entries {sorted(shm_after - shm_before)}"
 print(f"ci_smoke: distributed engine matches sequential covers on "
       f"{len(instances)} instances, walked in compiled chunks (both "
-      f"workers contributed on gnp60)")
+      f"workers contributed on gnp60), no child process or shm entry left")
 
 graph = gnp(60, 0.12, seed=3)
 expected = solve_mvc_sequential(graph).optimum

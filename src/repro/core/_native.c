@@ -1,9 +1,9 @@
 /*
  * Native kernel backend: the scalar reduction cascade, the two-child
  * branch step and the greedy pass, compiled as one CPython extension,
- * plus ``search``, the whole depth-first branch-and-reduce loop of
- * repro.core.sequential.branch_and_reduce run to exhaustion on a private
- * stack.
+ * plus ``Walker``, the whole depth-first branch-and-reduce loop of
+ * repro.core.sequential.branch_and_reduce on a stack it keeps between
+ * calls, and ``search``, one Walker run to exhaustion or a node budget.
  *
  * Every function mirrors its pure-Python twin in repro.core.kernels /
  * branching / greedy / sequential loop for loop -- ascending-sorted
@@ -36,14 +36,15 @@
  * check (a Ctrl-C handler, every 4096 nodes) and, in principle, a garbage
  * collection triggered by an allocation; a thread switch there could
  * re-enter this module, so scratch is taken with a busy flag and a
- * re-entrant call gets a private heap copy instead.  search() computes
- * its budget in C and keeps its stack in memory private to the call.
+ * re-entrant call gets a private heap copy instead.  A Walker computes
+ * its budget in C and keeps its stack in memory private to the object.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
+#include <structmember.h>
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -1095,10 +1096,10 @@ native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* search: the depth-first loop on a private stack                     */
+/* the search stack                                                    */
 /* ------------------------------------------------------------------ */
 
-/* Every buffer the search owns goes through these three, which count the
+/* Every buffer a Walker owns goes through these two, which count the
  * blocks outstanding (``_search_blocks()``) and can be told to fail the
  * k-th next allocation (``_fail_search_alloc(k)``) -- the test hooks that
  * prove an allocation failure raises MemoryError and leaks nothing. */
@@ -1290,17 +1291,18 @@ degrees_to_array(const int32_t *deg, Py_ssize_t n)
     return arr;
 }
 
-/* The stack, bottom to top, as ``(deg, cover, edges, dirty, max_deg_hint,
- * depth)`` tuples with fresh int32 degree and int64 hint arrays. */
+/* The bottom ``count`` slots, bottom first, as ``(deg, cover, edges,
+ * dirty, max_deg_hint, depth)`` tuples with fresh int32 degree and int64
+ * hint arrays. */
 static PyObject *
-stack_to_list(const Stack *st)
+stack_to_list(const Stack *st, Py_ssize_t count)
 {
-    PyObject *out = PyList_New(st->top);
+    PyObject *out = PyList_New(count);
     Py_ssize_t i;
     if (out == NULL) {
         return NULL;
     }
-    for (i = 0; i < st->top; i++) {
+    for (i = 0; i < count; i++) {
         const Node *nd = &st->slot[i];
         PyObject *deg = degrees_to_array(nd->deg, st->n), *hint, *item;
         if (deg == NULL) {
@@ -1326,256 +1328,526 @@ stack_to_list(const Stack *st)
     return out;
 }
 
+static void
+slots_reverse(Node *a, Py_ssize_t m)
+{
+    Py_ssize_t i;
+    for (i = 0; i < m / 2; i++) {
+        node_swap(&a[i], &a[m - 1 - i]);
+    }
+}
+
+/* Drop the bottom ``count`` items: the slots rotate down, so the dropped
+ * items' buffers land above ``top`` for reuse. */
+static void
+stack_drop_bottom(Stack *st, Py_ssize_t count)
+{
+    slots_reverse(st->slot, count);
+    slots_reverse(st->slot + count, st->top - count);
+    slots_reverse(st->slot, st->top);
+    st->top -= count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Walker: the depth-first loop on a stack kept across calls            */
+/* ------------------------------------------------------------------ */
+
 enum { SEARCH_EXHAUSTED = 0, SEARCH_FOUND = 1, SEARCH_BUDGET = 2 };
 
-PyDoc_STRVAR(search_doc,
-"search(indptr, indices, items, kind, bound, node_budget)\n"
-"--\n\n"
-"The sequential depth-first branch-and-reduce loop, run to exhaustion\n"
-"in C: pop, reduce, greedy prune test, leaf, lowest-id max-degree pivot,\n"
-"branch (deferred child pushed, continued child processed next).\n"
-"``items`` is the stack bottom to top, its top the node to process\n"
-"first: ``(deg, cover, edges, dirty, max_deg_hint, depth)`` tuples,\n"
-"copied in and never written.  ``kind`` is 'mvc' (``bound`` = the\n"
-"incumbent size, budget ``best - |S| - 1``) or 'pvc' (``bound`` = k,\n"
-"budget ``k - |S|``, stop at the first cover).  ``node_budget`` is None\n"
-"or the nodes that may still be processed.  Returns ``(status, best,\n"
-"updates, incumbent, nodes, branches, prunes, solutions, max_stack,\n"
-"max_depth, degree_one, degree_two_triangle, high_degree, sweeps,\n"
-"remainder)``: status 0 exhausted, 1 a PVC cover found, 2 the node budget\n"
-"tripped; ``incumbent`` is the degree array of the last accepted leaf (or\n"
-"None) and ``remainder`` the stack left, bottom to top -- on a budget\n"
-"trip with the in-flight node on top.");
+typedef struct {
+    PyObject_HEAD
+    Views v;             /* the CSR graph, held for the walker's life */
+    int have_graph, pvc, broken;
+    Stack st;
+    Node cur;            /* the in-flight node's buffers, kept for reuse */
+    int32_t *best_deg;   /* the last accepted leaf of the current run */
+    long long runs, items_in, items_out;
+} Walker;
 
-static PyObject *
-native_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* One run's results, in the order run() returns them. */
+typedef struct {
+    int status;
+    long long best, updates, nodes, branches, prunes, solutions;
+    long long max_stack, max_depth;
+    Counters c;
+} Run;
+
+/* The loop: pop, reduce, greedy prune test, leaf, pivot, branch.  Stops
+ * on an empty stack, a PVC cover, or ``node_budget`` (< 0: none) nodes,
+ * the in-flight node then back on top.  Returns 0, -1 on an inconsistent
+ * degree array, -2 with a Python error set. */
+static int
+walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
 {
-    Views v;
-    K k;
-    Scratch *s;
-    Stack st = {NULL, 0, 0, 0};
-    Node cur = {NULL, NULL, -1, 0, 0, 0, 0, 0};
-    Budget b = {NULL, 0};
-    Counters c = {0, 0, 0, 0};
-    PyObject *items, *seq = NULL, *incumbent = Py_None, *remainder = NULL;
-    PyObject *result = NULL;
-    int32_t *best_deg = NULL;
-    long long bound, node_budget = -1, best, updates = 0;
-    long long nodes = 0, branches = 0, prunes = 0, solutions = 0;
-    long long max_stack = 0, max_depth = 0;
-    int pvc, status = SEARCH_EXHAUSTED, have_cur = 0, rc = 0;
-    Py_ssize_t i, m;
-
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "search() takes 6 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    items = args[2];
-    if (!PyUnicode_Check(args[3])) {
-        PyErr_SetString(PyExc_TypeError, "kind must be 'mvc' or 'pvc'");
-        return NULL;
-    }
-    if (PyUnicode_CompareWithASCIIString(args[3], "mvc") == 0) {
-        pvc = 0;
-    }
-    else if (PyUnicode_CompareWithASCIIString(args[3], "pvc") == 0) {
-        pvc = 1;
-    }
-    else {
-        PyErr_SetString(PyExc_ValueError, "kind must be 'mvc' or 'pvc'");
-        return NULL;
-    }
-    if (arg_ll(args[4], "bound", &bound) < 0) {
-        return NULL;
-    }
-    if (args[5] != Py_None) {
-        if (arg_ll(args[5], "node_budget", &node_budget) < 0) {
-            return NULL;
-        }
-        if (node_budget < 0) {
-            node_budget = 0;
-        }
-    }
-    best = pvc ? -1 : bound;
-    b.base = pvc ? bound : bound - 1;
-    seq = PySequence_Tuple(items);  /* a copy no item's __index__ can resize */
-    if (seq == NULL) {
-        return NULL;
-    }
-    if (graph_get(&v, args[0], args[1]) < 0) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    st.n = v.n;
-    m = PyTuple_GET_SIZE(seq);
-    for (i = 0; i < m; i++) {
-        if (stack_push_item(&st, PyTuple_GET_ITEM(seq, i)) < 0) {
-            goto cleanup;
-        }
-    }
-    s = scratch_acquire(v.n);
-    if (s == NULL) {
-        goto cleanup;
-    }
-    k.indptr = v.indptr;
-    k.indices = v.indices;
-    k.n = v.n;
-    k.s = s;
-
+    Stack *st = &w->st;
+    Node *cur = &w->cur;
+    Scratch *s = k->s;
+    Py_ssize_t n = k->n;
+    int have_cur = 0;
     for (;;) {
         long long budget;
         int32_t vmax;
         Py_ssize_t nl, nhint;
         Node *def;
+        int rc;
         if (!have_cur) {
-            if (st.top == 0) {
-                break;  /* exhausted */
+            if (st->top == 0) {
+                return 0;  /* exhausted */
             }
-            node_swap(&cur, &st.slot[--st.top]);
+            node_swap(cur, &st->slot[--st->top]);
             have_cur = 1;
         }
-        if (node_budget >= 0 && nodes >= node_budget) {
-            /* keep the remainder checkpoint-complete: in-flight node on top */
-            if (stack_grow(&st) < 0) {
-                rc = -2;
-                break;
+        if (node_budget >= 0 && r->nodes >= node_budget) {
+            /* keep the stack checkpoint-complete: in-flight node on top */
+            if (stack_grow(st) < 0) {
+                return -2;
             }
-            node_swap(&cur, &st.slot[st.top++]);
-            status = SEARCH_BUDGET;
-            break;
+            node_swap(cur, &st->slot[st->top++]);
+            r->status = SEARCH_BUDGET;
+            return 0;
         }
-        if ((++nodes & 4095) == 0 && PyErr_CheckSignals() < 0) {
-            rc = -2;
-            break;
+        if ((++r->nodes & 4095) == 0 && PyErr_CheckSignals() < 0) {
+            return -2;
         }
         /* reduce, consuming the node's hint */
-        k.deg = cur.deg;
+        k->deg = cur->deg;
         s->n1 = s->n2 = 0;
-        if (cur.nhint < 0) {
-            seed_full_scan(&k);
-            cur.max_deg = max_degree(&k);
+        if (cur->nhint < 0) {
+            seed_full_scan(k);
+            cur->max_deg = max_degree(k);
         }
         else {
-            seed_from_ids(&k, cur.hint, cur.nhint);
-            cur.nhint = -1;
-            if (cur.max_deg < 0) {
-                cur.max_deg = max_degree(&k);
+            seed_from_ids(k, cur->hint, cur->nhint);
+            cur->nhint = -1;
+            if (cur->max_deg < 0) {
+                cur->max_deg = max_degree(k);
             }
         }
-        rc = reduce_fixpoint(&k, &b, &cur.cover, &cur.edges, &cur.max_deg, &c);
+        rc = reduce_fixpoint(k, b, &cur->cover, &cur->edges, &cur->max_deg, &r->c);
         if (rc < 0) {
-            break;
+            return rc;
         }
         /* the greedy bound's prune test */
-        budget = b.base - cur.cover;
-        if (budget < 0 || cur.edges > budget * budget) {
-            prunes++;
+        budget = b->base - cur->cover;
+        if (budget < 0 || cur->edges > budget * budget) {
+            r->prunes++;
             have_cur = 0;
             continue;
         }
-        if (cur.edges == 0) {
+        if (cur->edges == 0) {
             /* a leaf: the node is a cover, and the prune test above
              * (budget >= 0) makes it improve on best / fit within k */
-            solutions++;
+            r->solutions++;
             have_cur = 0;
-            if (best_deg == NULL) {
-                best_deg = search_realloc(NULL, (size_t)v.n * sizeof(int32_t));
-                if (best_deg == NULL) {
+            if (w->best_deg == NULL) {
+                w->best_deg = search_realloc(NULL, (size_t)n * sizeof(int32_t));
+                if (w->best_deg == NULL) {
                     PyErr_NoMemory();
-                    rc = -2;
-                    break;
+                    return -2;
                 }
             }
-            memcpy(best_deg, cur.deg, (size_t)v.n * sizeof(int32_t));
-            best = cur.cover;
-            updates++;
-            if (pvc) {
-                status = SEARCH_FOUND;
-                break;
+            memcpy(w->best_deg, cur->deg, (size_t)n * sizeof(int32_t));
+            r->best = cur->cover;
+            r->updates++;
+            if (w->pvc) {
+                r->status = SEARCH_FOUND;
+                return 0;
             }
-            b.base = best - 1;
+            b->base = r->best - 1;
             continue;
         }
         /* branch on the pivot: the deferred child is pushed, the
          * continued child (this node, mutated) is processed next */
-        vmax = argmax_degree(&k);
-        if (cur.deg[vmax] <= 0) {
-            rc = -1;  /* edges left but no alive vertex carries one */
-            break;
+        vmax = argmax_degree(k);
+        if (cur->deg[vmax] <= 0) {
+            return -1;  /* edges left but no alive vertex carries one */
         }
-        nl = live_neighbours(&k, vmax);
-        def = stack_next(&st);
+        nl = live_neighbours(k, vmax);
+        def = stack_next(st);
         if (def == NULL) {
-            rc = -2;
-            break;
+            return -2;
         }
-        def->edges = cur.edges - expand_deferred(&k, nl, def->deg, &nhint);
-        if (node_reserve(def, v.n, nhint) < 0) {
-            rc = -2;
-            break;
+        def->edges = cur->edges - expand_deferred(k, nl, def->deg, &nhint);
+        if (node_reserve(def, n, nhint) < 0) {
+            return -2;
         }
         memcpy(def->hint, s->tgt, (size_t)nhint * sizeof(int32_t));
         def->nhint = nhint;
-        def->cover = cur.cover + nl;
-        def->max_deg = cur.max_deg;
-        nhint = expand_continued(&k, nl, vmax);
-        if (node_reserve(&cur, v.n, nhint) < 0) {
-            rc = -2;
-            break;
+        def->cover = cur->cover + nl;
+        def->max_deg = cur->max_deg;
+        nhint = expand_continued(k, nl, vmax);
+        if (node_reserve(cur, n, nhint) < 0) {
+            return -2;
         }
-        memcpy(cur.hint, s->tgt, (size_t)nhint * sizeof(int32_t));
-        cur.nhint = nhint;
-        cur.edges -= nl;
-        cur.cover += 1;
-        cur.depth += 1;  /* both children live one level below the parent */
-        def->depth = cur.depth;
-        st.top++;
-        branches++;
-        if (st.top > max_stack) {
-            max_stack = st.top;
+        memcpy(cur->hint, s->tgt, (size_t)nhint * sizeof(int32_t));
+        cur->nhint = nhint;
+        cur->edges -= nl;
+        cur->cover += 1;
+        cur->depth += 1;  /* both children live one level below the parent */
+        def->depth = cur->depth;
+        st->top++;
+        r->branches++;
+        if (st->top > r->max_stack) {
+            r->max_stack = st->top;
         }
-        if (cur.depth > max_depth) {
-            max_depth = cur.depth;
+        if (cur->depth > r->max_depth) {
+            r->max_depth = cur->depth;
         }
     }
+}
+
+static int
+walker_usable(Walker *w)
+{
+    if (!w->have_graph) {
+        PyErr_SetString(PyExc_RuntimeError, "Walker is not initialised");
+        return -1;
+    }
+    if (w->broken) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "Walker is unusable after a failed run()");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+parse_kind(PyObject *kind, int *pvc)
+{
+    if (!PyUnicode_Check(kind)) {
+        PyErr_SetString(PyExc_TypeError, "kind must be 'mvc' or 'pvc'");
+        return -1;
+    }
+    if (PyUnicode_CompareWithASCIIString(kind, "mvc") == 0) {
+        *pvc = 0;
+    }
+    else if (PyUnicode_CompareWithASCIIString(kind, "pvc") == 0) {
+        *pvc = 1;
+    }
+    else {
+        PyErr_SetString(PyExc_ValueError, "kind must be 'mvc' or 'pvc'");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+Walker_init(Walker *w, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"indptr", "indices", "kind", NULL};
+    PyObject *indptr, *indices, *kind;
+    int pvc;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO:Walker", kwlist,
+                                     &indptr, &indices, &kind)) {
+        return -1;
+    }
+    if (w->have_graph) {
+        PyErr_SetString(PyExc_RuntimeError, "Walker is already initialised");
+        return -1;
+    }
+    if (parse_kind(kind, &pvc) < 0 || graph_get(&w->v, indptr, indices) < 0) {
+        return -1;
+    }
+    w->have_graph = 1;
+    w->pvc = pvc;
+    w->st.n = w->v.n;
+    return 0;
+}
+
+static void
+Walker_dealloc(Walker *w)
+{
+    stack_free(&w->st);
+    node_free(&w->cur);
+    search_free(w->best_deg);
+    w->best_deg = NULL;
+    if (w->have_graph) {
+        graph_release(&w->v);
+        w->have_graph = 0;
+    }
+    Py_TYPE(w)->tp_free((PyObject *)w);
+}
+
+/* Push every item of ``items`` (last on top), or none of them. */
+static int
+walker_push(Walker *w, PyObject *items)
+{
+    PyObject *seq;
+    Py_ssize_t i, m, top = w->st.top;
+    seq = PySequence_Tuple(items);  /* a copy no item's __index__ can resize */
+    if (seq == NULL) {
+        return -1;
+    }
+    m = PyTuple_GET_SIZE(seq);
+    for (i = 0; i < m; i++) {
+        if (stack_push_item(&w->st, PyTuple_GET_ITEM(seq, i)) < 0) {
+            w->st.top = top;
+            Py_DECREF(seq);
+            return -1;
+        }
+    }
+    w->items_in += m;
+    Py_DECREF(seq);
+    return 0;
+}
+
+/* One run(bound, node_budget), results in ``r``. */
+static int
+walker_run(Walker *w, PyObject *bound_obj, PyObject *budget_obj, Run *r)
+{
+    K k;
+    Budget b = {NULL, 0};
+    Scratch *s;
+    long long bound, node_budget = -1;
+    int rc;
+    if (walker_usable(w) < 0 || arg_ll(bound_obj, "bound", &bound) < 0) {
+        return -1;
+    }
+    if (budget_obj != Py_None) {
+        if (arg_ll(budget_obj, "node_budget", &node_budget) < 0) {
+            return -1;
+        }
+        if (node_budget < 0) {
+            node_budget = 0;
+        }
+    }
+    memset(r, 0, sizeof(*r));
+    r->status = SEARCH_EXHAUSTED;
+    r->best = w->pvc ? -1 : bound;
+    b.base = w->pvc ? bound : bound - 1;
+    s = scratch_acquire(w->v.n);
+    if (s == NULL) {
+        return -1;
+    }
+    k.indptr = w->v.indptr;
+    k.indices = w->v.indices;
+    k.n = w->v.n;
+    k.s = s;
+    rc = walk(w, &k, &b, node_budget, r);
     scratch_release(s);
     if (rc == -1) {
         inconsistent();
     }
     if (rc < 0) {
-        goto cleanup;
+        w->broken = 1;  /* the in-flight node may be half expanded */
+        return -1;
     }
-    remainder = status == SEARCH_EXHAUSTED ? PyList_New(0) : stack_to_list(&st);
-    if (remainder == NULL) {
-        goto cleanup;
-    }
-    if (best_deg != NULL) {
-        incumbent = degrees_to_array(best_deg, v.n);
+    w->runs++;
+    return 0;
+}
+
+/* ``(status, best, updates, incumbent, nodes, ..., sweeps)`` of a run. */
+static PyObject *
+run_to_tuple(Walker *w, const Run *r)
+{
+    PyObject *incumbent = Py_None;
+    if (r->updates) {
+        incumbent = degrees_to_array(w->best_deg, w->v.n);
         if (incumbent == NULL) {
-            goto cleanup;
+            return NULL;
         }
     }
     else {
         Py_INCREF(incumbent);
     }
-    result = Py_BuildValue("(iLLNLLLLLLLLLLN)", status, best, updates, incumbent,
-                           nodes, branches, prunes, solutions, max_stack,
-                           max_depth, c.degree_one, c.degree_two_triangle,
-                           c.high_degree, c.sweeps, remainder);
-    remainder = NULL;  /* stolen by "N", also when the build fails */
-cleanup:
+    return Py_BuildValue("(iLLNLLLLLLLLLL)", r->status, r->best, r->updates,
+                         incumbent, r->nodes, r->branches, r->prunes,
+                         r->solutions, r->max_stack, r->max_depth,
+                         r->c.degree_one, r->c.degree_two_triangle,
+                         r->c.high_degree, r->c.sweeps);
+}
+
+/* The bottom ``count`` items out as tuples, dropped from the stack. */
+static PyObject *
+walker_take_bottom(Walker *w, Py_ssize_t count)
+{
+    PyObject *out = stack_to_list(&w->st, count);
+    if (out != NULL) {
+        stack_drop_bottom(&w->st, count);
+        w->items_out += count;
+    }
+    return out;
+}
+
+PyDoc_STRVAR(walker_push_doc,
+"push(items)\n--\n\n"
+"Push ``(deg, cover, edges, dirty, max_deg_hint, depth)`` items, the\n"
+"last on top; their arrays are copied in and never written.  A bad item\n"
+"raises TypeError/ValueError and pushes none of them.");
+
+static PyObject *
+Walker_push(Walker *w, PyObject *items)
+{
+    if (walker_usable(w) < 0 || walker_push(w, items) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+PyDoc_STRVAR(walker_run_doc,
+"run(bound, node_budget)\n--\n\n"
+"Walk the stack depth first: pop, reduce, greedy prune test, leaf,\n"
+"lowest-id max-degree pivot, branch (deferred child pushed, continued\n"
+"child processed next).  For 'mvc' ``bound`` is the incumbent size\n"
+"(budget ``best - |S| - 1``), for 'pvc' it is k (budget ``k - |S|``,\n"
+"stop at the first cover).  ``node_budget`` is None or the nodes this\n"
+"call may process; on a trip the in-flight node goes back on top.\n"
+"Returns ``(status, best, updates, incumbent, nodes, branches, prunes,\n"
+"solutions, max_stack, max_depth, degree_one, degree_two_triangle,\n"
+"high_degree, sweeps)``: status 0 exhausted, 1 a PVC cover found, 2 the\n"
+"node budget tripped; ``incumbent`` is the degree array of the last\n"
+"leaf accepted in this call, or None.  A call that raises leaves the\n"
+"walker unusable (RuntimeError) but safe to free.");
+
+static PyObject *
+Walker_run(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Run r;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "run() takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (walker_run(w, args[0], args[1], &r) < 0) {
+        return NULL;
+    }
+    return run_to_tuple(w, &r);
+}
+
+PyDoc_STRVAR(walker_donate_doc,
+"donate_bottom(k)\n--\n\n"
+"Remove and return up to ``k`` items from the bottom of the stack (the\n"
+"shallowest, largest sub-trees), bottom first; the top item always\n"
+"stays.");
+
+static PyObject *
+Walker_donate_bottom(Walker *w, PyObject *arg)
+{
+    long long k;
+    Py_ssize_t give;
+    if (walker_usable(w) < 0 || arg_ll(arg, "k", &k) < 0) {
+        return NULL;
+    }
+    give = w->st.top - 1;
+    if (k < give) {
+        give = (Py_ssize_t)k;
+    }
+    return walker_take_bottom(w, give > 0 ? give : 0);
+}
+
+PyDoc_STRVAR(walker_drain_doc,
+"drain()\n--\n\n"
+"Remove and return every item, bottom first.");
+
+static PyObject *
+Walker_drain(Walker *w, PyObject *unused)
+{
+    if (walker_usable(w) < 0) {
+        return NULL;
+    }
+    return walker_take_bottom(w, w->st.top);
+}
+
+static Py_ssize_t
+Walker_len(Walker *w)
+{
+    return w->st.top;
+}
+
+static PyMethodDef walker_methods[] = {
+    {"push", (PyCFunction)Walker_push, METH_O, walker_push_doc},
+    {"run", (PyCFunction)(void (*)(void))Walker_run, METH_FASTCALL, walker_run_doc},
+    {"donate_bottom", (PyCFunction)Walker_donate_bottom, METH_O, walker_donate_doc},
+    {"drain", (PyCFunction)Walker_drain, METH_NOARGS, walker_drain_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef walker_members[] = {
+    {"runs", T_LONGLONG, offsetof(Walker, runs), READONLY,
+     "run() calls that returned"},
+    {"items_in", T_LONGLONG, offsetof(Walker, items_in), READONLY,
+     "items taken in by push()"},
+    {"items_out", T_LONGLONG, offsetof(Walker, items_out), READONLY,
+     "items handed out by donate_bottom() and drain()"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PySequenceMethods walker_as_sequence = {
+    .sq_length = (lenfunc)Walker_len,
+};
+
+PyDoc_STRVAR(walker_doc,
+"Walker(indptr, indices, kind)\n--\n\n"
+"The compiled depth-first loop on a stack that persists across calls, so\n"
+"a caller walking in node-budget chunks hands items across the boundary\n"
+"only when it pushes, donates or drains.  ``kind`` is 'mvc' or 'pvc'.");
+
+static PyTypeObject WalkerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_native.Walker",
+    .tp_basicsize = sizeof(Walker),
+    .tp_dealloc = (destructor)Walker_dealloc,
+    .tp_as_sequence = &walker_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = walker_doc,
+    .tp_methods = walker_methods,
+    .tp_members = walker_members,
+    .tp_init = (initproc)Walker_init,
+    .tp_new = PyType_GenericNew,
+};
+
+PyDoc_STRVAR(search_doc,
+"search(indptr, indices, items, kind, bound, node_budget)\n"
+"--\n\n"
+"One-shot Walker: push ``items`` (bottom to top, the top processed\n"
+"first), run(bound, node_budget), drain.  Returns run()'s tuple plus\n"
+"``remainder``, the stack left bottom to top -- on a budget trip with\n"
+"the in-flight node on top.");
+
+static PyObject *
+native_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Walker *w;
+    Run r;
+    PyObject *run = NULL, *remainder = NULL, *result = NULL;
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "search() takes 6 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    w = (Walker *)PyObject_CallFunctionObjArgs((PyObject *)&WalkerType, args[0],
+                                               args[1], args[3], NULL);
+    if (w == NULL) {
+        return NULL;
+    }
+    if (walker_push(w, args[2]) < 0 || walker_run(w, args[4], args[5], &r) < 0) {
+        goto done;
+    }
+    run = run_to_tuple(w, &r);
+    if (run == NULL) {
+        goto done;
+    }
+    remainder = walker_take_bottom(w, w->st.top);
+    if (remainder == NULL) {
+        goto done;
+    }
+    result = PyTuple_New(PyTuple_GET_SIZE(run) + 1);
+    if (result != NULL) {
+        Py_ssize_t i;
+        for (i = 0; i < PyTuple_GET_SIZE(run); i++) {
+            PyTuple_SET_ITEM(result, i, Py_NewRef(PyTuple_GET_ITEM(run, i)));
+        }
+        PyTuple_SET_ITEM(result, i, Py_NewRef(remainder));
+    }
+done:
     Py_XDECREF(remainder);
-    search_free(best_deg);
-    node_free(&cur);
-    stack_free(&st);
-    graph_release(&v);
-    Py_DECREF(seq);
+    Py_XDECREF(run);
+    Py_DECREF(w);
     return result;
 }
 
 PyDoc_STRVAR(search_blocks_doc,
 "_search_blocks()\n--\n\n"
-"Buffers search() holds right now (0 between calls: nothing leaks).");
+"Buffers the live Walkers (search() included) hold right now: 0 once\n"
+"every Walker is freed, so nothing leaks.");
 
 static PyObject *
 native_search_blocks(PyObject *self, PyObject *unused)
@@ -1585,7 +1857,7 @@ native_search_blocks(PyObject *self, PyObject *unused)
 
 PyDoc_STRVAR(fail_alloc_doc,
 "_fail_search_alloc(k)\n--\n\n"
-"Test hook: make search()'s k-th next allocation fail (-1 disarms).");
+"Test hook: make the k-th next Walker allocation fail (-1 disarms).");
 
 static PyObject *
 native_fail_search_alloc(PyObject *self, PyObject *arg)
@@ -1632,6 +1904,14 @@ static struct PyModuleDef native_module = {
 PyMODINIT_FUNC
 PyInit__native(void)
 {
+    PyObject *m;
     import_array();
-    return PyModule_Create(&native_module);
+    if (PyType_Ready(&WalkerType) < 0) {
+        return NULL;
+    }
+    m = PyModule_Create(&native_module);
+    if (m != NULL && PyModule_AddObjectRef(m, "Walker", (PyObject *)&WalkerType) < 0) {
+        Py_CLEAR(m);
+    }
+    return m;
 }

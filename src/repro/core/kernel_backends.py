@@ -14,8 +14,9 @@ orthogonal registries (ENGINES × FRONTIERS × BOUNDS):
   special case to a first-class backend (always scalar, any size);
 * ``native`` — the scalar kernels compiled from ``core/_native.c`` as a
   CPython extension, built with the system C compiler on first use and
-  cached (:mod:`repro.core.native`), plus :meth:`KernelBackend.search`,
-  the whole sequential depth-first loop in C.  Without a compiler it degrades
+  cached (:mod:`repro.core.native`), plus :meth:`KernelBackend.search`
+  and :meth:`KernelBackend.walker`, the whole sequential depth-first
+  loop in C (run once, or resumed in chunks).  Without a compiler it degrades
   *loudly* — one structured :class:`RuntimeWarning` — to ``scalar``;
 * ``auto``   — per-size-band dispatch.  Uncalibrated it picks ``native``
   whenever the extension loads, and otherwise reproduces the legacy
@@ -42,8 +43,8 @@ Adding a backend (mirroring the frontier/bound how-tos):
 
 1. subclass :class:`KernelBackend`, implement ``reduce`` /
    ``expand_children`` / ``greedy_cover`` (and ``uses_adjacency`` if the
-   implementation walks cached adjacency tuples; ``search`` only if it
-   can run the whole depth-first loop itself);
+   implementation walks cached adjacency tuples; ``search`` and
+   ``walker`` only if it can run the whole depth-first loop itself);
 2. register a zero-argument factory in :data:`KERNELS`;
 3. add the backend to the equivalence matrix in
    ``tests/test_kernel_backends.py`` — the property tests are the
@@ -158,6 +159,16 @@ class KernelBackend:
         :func:`repro.core.sequential.branch_and_reduce` for when it is
         used); call it on the backend :meth:`bind` returns.  ``None``
         tells the caller to run the interpreted loop.
+        """
+        return None
+
+    def walker(self, graph: CSRGraph, kind: str):
+        """A compiled depth-first ``Walker`` on ``graph``, or ``None``.
+
+        The loop :meth:`search` runs once, on a stack that persists
+        across calls (``_native.c``'s ``Walker``; see
+        :class:`repro.core.sequential.ChunkWalk`).  Only ``native``
+        implements it; call it on the backend :meth:`bind` returns.
         """
         return None
 
@@ -321,6 +332,11 @@ class NativeBackend(KernelBackend):
             return None
         return self._ext.search(graph.indptr, graph.indices, items, kind,
                                 bound, node_budget)
+
+    def walker(self, graph, kind):
+        if self._ext is None:
+            return None
+        return self._ext.Walker(graph.indptr, graph.indices, kind)
 
     def uses_adjacency(self, graph):
         # The compiled kernels walk the CSR arrays directly.

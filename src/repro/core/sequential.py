@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .kernel_backends import resolve_kernels
 from .nodestep import LEAF, PRUNED, NodeStep, Reducer
 from .stats import ChargeFn, SearchStats, null_charge
 
-__all__ = ["SearchOutcome", "branch_and_reduce", "solve_mvc_sequential", "solve_pvc_sequential"]
+__all__ = ["ChunkWalk", "SearchOutcome", "branch_and_reduce", "compiled_kind",
+           "solve_mvc_sequential", "solve_pvc_sequential"]
 
 
 @dataclass
@@ -143,9 +144,9 @@ def branch_and_reduce(
         frontier = make_frontier(frontier, bound=bound)
     if (reducer is None and charge is null_charge and pivot is max_degree_pivot
             and deadline is None and should_stop is None
-            and type(bound) is GreedyBound and type(frontier) is LifoFrontier
-            and _search_compiled(graph, formulation, root, frontier, kernels,
-                                 node_budget, stats)):
+            and type(frontier) is LifoFrontier
+            and _search_compiled(graph, formulation, root, frontier, bound,
+                                 kernels, node_budget, stats)):
         return stats
     step = NodeStep(
         graph, formulation, ws,
@@ -247,51 +248,41 @@ def branch_and_reduce(
     return stats
 
 
-def _search_compiled(graph: CSRGraph, formulation: Formulation,
-                     root: Optional[VCState], frontier: LifoFrontier, kernels,
-                     node_budget: Optional[int], stats: SearchStats) -> bool:
-    """Run the loop in the backend's compiled ``search``; False if it cannot.
+def compiled_kind(formulation: Formulation, bound: BoundPolicy) -> Optional[str]:
+    """``'mvc'``/``'pvc'`` when the compiled loop can walk ``formulation``.
 
-    Besides the configuration ``branch_and_reduce`` checks, this needs an
-    exact MVC/PVC formulation over exact holders (a subclass may change
-    acceptance), no stop already signalled, and no armed fault plan or
-    step telemetry (both wrap the per-node step).  The frontier is handed
-    over bottom to top with ``root`` on top, and refilled with the
-    remainder; it is left as it was when the backend has no compiled loop
-    or the call raises.
+    The one eligibility predicate of the compiled walks: an exact
+    MVC/PVC formulation over exact holders (a subclass may change
+    acceptance), no stop already signalled, the greedy bound, and no
+    armed fault plan or step telemetry (both wrap the per-node step).
+    ``None`` means the interpreted loop.  The kernel backend must offer
+    the loop too (:meth:`KernelBackend.walker`).
     """
+    if type(bound) is not GreedyBound:
+        return None
     ftype = type(formulation)
     if ftype is MVCFormulation and type(formulation.best) is BestBound:
-        kind, bound = "mvc", formulation.best.size
+        kind = "mvc"
     elif (ftype is PVCFormulation and type(formulation.flag) is FoundFlag
           and not formulation.flag.found):
-        kind, bound = "pvc", formulation.k
+        kind = "pvc"
     else:
-        return False
+        return None
     if faults.step_guard_active() or obs.step_telemetry() is not None:
-        return False
-    if root is None:
-        root = fresh_state(graph)
-    pending = frontier.drain()[::-1]
-    items = [(s.deg, s.cover_size, s.edge_count, s.dirty, s.max_deg_hint, depth)
-             for s, depth in pending]
-    items.append((root.deg, root.cover_size, root.edge_count, root.dirty,
-                  root.max_deg_hint, 0))
-    out = None
-    try:
-        out = resolve_kernels(kernels).bind(graph.n, graph.m).search(
-            graph, items, kind, bound,
-            None if node_budget is None else node_budget - stats.nodes_visited)
-    finally:
-        if out is None:
-            for item in pending:
-                frontier.push(item)
-    if out is None:
-        return False
+        return None
+    return kind
+
+
+def _walk_bound(formulation: Formulation, kind: str) -> int:
+    """The compiled loop's ``bound``: the incumbent size, or k."""
+    return formulation.best.size if kind == "mvc" else formulation.k
+
+
+def _absorb_run(out, kind: str, formulation: Formulation, stats: SearchStats) -> int:
+    """Fold one compiled run's results into the holders and ``stats``;
+    returns its status (0 exhausted, 1 PVC cover found, 2 budget)."""
     (status, best, updates, incumbent, nodes, branches, prunes, solutions,
-     max_stack, max_depth, c1, c2, ch, sweeps, remainder) = out
-    for deg, cover, edges, dirty, max_deg_hint, depth in remainder:
-        frontier.push((VCState(deg, cover, edges, dirty, max_deg_hint), depth))
+     max_stack, max_depth, c1, c2, ch, sweeps) = out[:14]
     if incumbent is not None:
         if kind == "mvc":
             formulation.best.size = best
@@ -310,10 +301,131 @@ def _search_compiled(graph: CSRGraph, formulation: Formulation,
     counters.degree_two_triangle += c2
     counters.high_degree += ch
     counters.sweeps += sweeps
-    if status == 2:  # the node budget tripped
+    return status
+
+
+def _item(state: VCState, depth: int):
+    """A stack item in the compiled loop's tuple form."""
+    return (state.deg, state.cover_size, state.edge_count, state.dirty,
+            state.max_deg_hint, depth)
+
+
+def _search_compiled(graph: CSRGraph, formulation: Formulation,
+                     root: Optional[VCState], frontier: LifoFrontier,
+                     bound: BoundPolicy, kernels,
+                     node_budget: Optional[int], stats: SearchStats) -> bool:
+    """Run the loop in the backend's compiled ``search``; False if it cannot.
+
+    Besides the configuration ``branch_and_reduce`` checks, this needs
+    :func:`compiled_kind` to accept the formulation and bound.  The
+    frontier is handed over bottom to top with ``root`` on top, and
+    refilled with the remainder; it is left as it was when the backend
+    has no compiled loop or the call raises.
+    """
+    kind = compiled_kind(formulation, bound)
+    if kind is None:
+        return False
+    if root is None:
+        root = fresh_state(graph)
+    pending = frontier.drain()[::-1]
+    items = [_item(s, depth) for s, depth in pending]
+    items.append(_item(root, 0))
+    out = None
+    try:
+        out = resolve_kernels(kernels).bind(graph.n, graph.m).search(
+            graph, items, kind, _walk_bound(formulation, kind),
+            None if node_budget is None else node_budget - stats.nodes_visited)
+    finally:
+        if out is None:
+            for item in pending:
+                frontier.push(item)
+    if out is None:
+        return False
+    for deg, cover, edges, dirty, max_deg_hint, depth in out[14]:
+        frontier.push((VCState(deg, cover, edges, dirty, max_deg_hint), depth))
+    if _absorb_run(out, kind, formulation, stats) == 2:  # the budget tripped
         stats.extra["timed_out"] = 1.0
     stats.extra["native_search"] = 1.0
     return True
+
+
+class ChunkWalk:
+    """A depth-first walk resumed in node-budget chunks on one stack.
+
+    The unit a caller that talks to others between chunks (a distributed
+    worker) walks with: :meth:`push` sub-trees, :meth:`run` a chunk,
+    :meth:`donate_bottom` or :meth:`drain` what is left.  When
+    :func:`compiled_kind` accepts the configuration and the kernel
+    backend offers a compiled :meth:`~KernelBackend.walker`, one native
+    ``Walker`` holds the stack for the walk's whole life, so stack items
+    cross into Python only when they are pushed, donated or drained.
+    Otherwise each chunk is a ``branch_and_reduce`` call on a
+    :class:`LifoFrontier` (the interpreted loop, with its fault guard and
+    step spans).  Results accumulate into the formulation's holders and
+    ``stats``, as ``branch_and_reduce`` leaves them.
+    """
+
+    def __init__(self, graph: CSRGraph, formulation: Formulation, *,
+                 bound: Union[BoundPolicy, str] = "greedy", kernels=None,
+                 stats: Optional[SearchStats] = None) -> None:
+        self.graph = graph
+        self.formulation = formulation
+        self.stats = SearchStats() if stats is None else stats
+        self._ws = Workspace.for_graph(graph)
+        self._bound = make_bound(bound, graph, self._ws) if isinstance(bound, str) else bound
+        self._kernels = resolve_kernels(kernels)
+        self._kind = compiled_kind(formulation, self._bound)
+        self._walker = None
+        if self._kind is not None:
+            self._walker = self._kernels.bind(graph.n, graph.m).walker(graph, self._kind)
+        self._frontier = LifoFrontier()
+
+    @property
+    def walker(self):
+        """The native ``Walker`` holding the stack, or ``None``."""
+        return self._walker
+
+    def __len__(self) -> int:
+        return len(self._frontier if self._walker is None else self._walker)
+
+    def push(self, states) -> None:
+        """Push sub-tree roots at depth 0, the last on top."""
+        if self._walker is None:
+            for state in states:
+                self._frontier.push((state, 0))
+        else:
+            self._walker.push([_item(state, 0) for state in states])
+
+    def run(self, chunk: int) -> None:
+        """Walk at most ``chunk`` nodes (the stack must not be empty)."""
+        stats = self.stats
+        if self._walker is not None:
+            out = self._walker.run(_walk_bound(self.formulation, self._kind), chunk)
+            _absorb_run(out, self._kind, self.formulation, stats)
+            return
+        root, _ = self._frontier.pop()
+        branch_and_reduce(self.graph, self.formulation, ws=self._ws, root=root,
+                          frontier=self._frontier, stats=stats, bound=self._bound,
+                          kernels=self._kernels,
+                          node_budget=stats.nodes_visited + chunk)
+        stats.extra.pop("timed_out", None)
+
+    def donate_bottom(self, k: int) -> List[VCState]:
+        """Up to ``k`` sub-trees off the bottom, shallowest first; the top
+        one always stays."""
+        if self._walker is not None:
+            return [VCState(*item[:5]) for item in self._walker.donate_bottom(k)]
+        items = self._frontier.drain()[::-1]  # bottom to top
+        give = max(0, min(k, len(items) - 1))
+        for item in items[give:]:
+            self._frontier.push(item)
+        return [state for state, _ in items[:give]]
+
+    def drain(self) -> List[VCState]:
+        """Every sub-tree left, bottom first; the stack is empty after."""
+        if self._walker is not None:
+            return [VCState(*item[:5]) for item in self._walker.drain()]
+        return [state for state, _ in self._frontier.drain()[::-1]]
 
 
 def solve_mvc_sequential(

@@ -3,30 +3,36 @@
 A coordinator runs the PR 6 supervision state machine — single work
 ledger, leases charged until ``lease_done``, dead peers re-enqueued —
 over :class:`~repro.net.transport.MessageStream` connections instead of
-``multiprocessing`` queues.  Workers are plain socket clients: the
-engine spawns ``n_workers`` of them as local processes that connect to
-the coordinator's loopback port (so every run, including CI, exercises
-the real socket path), spawns ``hosts`` additional ``repro serve-worker``
-*subprocesses* (cold Python interpreters simulating extra hosts on
-localhost), and accepts any externally launched
+``multiprocessing`` queues.  The engine forks ``n_workers`` local
+workers, each joined to the coordinator by a ``socketpair`` (so every
+run, including CI, exercises the real socket path), spawns ``hosts``
+additional ``repro serve-worker`` *subprocesses* (cold Python
+interpreters simulating extra hosts on localhost) that connect to the
+coordinator's loopback port, and accepts any externally launched
 ``repro serve-worker --connect HOST:PORT`` into the same pool.
 
-Workers never receive the graph through process arguments.  The
-handshake offers the shared-memory graph plane (:mod:`repro.graph.plane`)
-by name; a same-host worker attaches it zero-copy, a remote one answers
-``need_graph`` and receives the CSR arrays inline, once.  After that,
-only codec frames, incumbents and counters cross the wire — the
+A forked worker inherits the graph, its root degrees and its ``init``
+parameters from the coordinator's memory, so it starts live: no TCP
+connect, no handshake.  A TCP peer (a ``hosts`` subprocess or an
+external ``serve-worker``) gets them through the handshake: the
+coordinator publishes the shared-memory graph plane
+(:mod:`repro.graph.plane`) when the first one says ``hello`` and offers
+it by name; a same-host worker attaches it zero-copy, a remote one
+answers ``need_graph`` and receives the CSR arrays inline, once.  After
+that, only codec frames, incumbents and counters cross the wire — the
 incumbent broadcast is the only shared mutable state, exactly as in the
 paper's GPU formulation.
 
-A worker walks its lease with the sequential solver's
-``branch_and_reduce`` in node-budget chunks (the compiled loop when the
-configuration allows it) on its own depth-first stack, and talks to the
+A worker walks its leases as node-budget chunks of one
+:class:`~repro.core.sequential.ChunkWalk` (a compiled ``Walker`` that
+keeps the stack in C when the configuration allows it) and talks to the
 coordinator only between chunks; while the coordinator's queue runs low
-it donates from the bottom of that stack.  The coordinator checks every
-incumbent a worker reports before adopting it.
+it donates from the bottom of that stack.  The coordinator checks the
+shape of every frame a live worker sends, and every incumbent it
+reports, before acting on it; a frame that fails drops the peer.
 
-Protocol (all messages are pickled tuples; see ``net/transport.py``):
+Protocol (all messages are pickled tuples; see ``net/transport.py``).
+The first three rows are the TCP handshake; forked workers skip them:
 
 ====================  =============================================
 worker -> coordinator  coordinator -> worker
@@ -39,19 +45,21 @@ worker -> coordinator  coordinator -> worker
 ``("donate", [payload, ...])``
 ``("best", size, cover)``     ``("best", size, depth)``
 ``("nodes", delta)``   ``("done",)``
-``("result", nodes, leftovers, recovered, comms)``
+``("result", nodes, leftovers, recovered, comms[, spans])``
 ====================  =============================================
 
 A lease is charged to a connection the moment the ``work`` frame is
-written; a connection that dies — EOF, reset, torn frame — before its
-``lease_done`` gets its batch re-enqueued, exactly like a dead local
-worker, and the slot is respawned with the same bounded-retry policy.
-If every peer is gone with work outstanding, the coordinator drains the
-remainder inline through the sequential solver.
+written; a connection that dies — EOF, reset, torn or malformed frame —
+before its ``lease_done`` gets its batch re-enqueued, exactly like a
+dead local worker, and the slot is respawned (as a forked worker) with
+the same bounded-retry policy.  If every peer is gone with work
+outstanding, the coordinator drains the remainder inline through the
+sequential solver.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import socket
 import subprocess
@@ -63,12 +71,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults
-from ..core.bounds import make_bound
 from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
-from ..core.frontier import LifoFrontier
 from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
-from ..core.sequential import branch_and_reduce
+from ..core.sequential import ChunkWalk
 from ..core.stats import SearchStats
 from ..engines.cpu_process import (
     LEASE_BATCH,
@@ -79,7 +85,7 @@ from ..engines.cpu_process import (
 )
 from ..engines.cpu_threads import CpuParallelResult
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import VCState, Workspace, decode_wire, fresh_state, wire_nbytes
+from ..graph.degree_array import VCState, decode_wire, fresh_state, wire_nbytes
 from ..graph.plane import GraphPlane, publish_plane
 from ..obs import breakdown as obs_breakdown
 from ..obs import metrics as obs_metrics
@@ -98,9 +104,10 @@ _WINDDOWN_S = 10.0
 
 #: Worker chunk lengths, in search nodes.  A worker touches its socket
 #: only between chunks: a long chunk while the coordinator's queue is
-#: well stocked, a short one (then a donation) while it runs low.  Each
-#: chunk hands the local stack to compiled code and back, which costs
-#: about 4% of a 1024-node chunk and about half of a 64-node one.
+#: well stocked, a short one (then a donation) while it runs low.  The
+#: compiled walk keeps its stack in C between chunks, so a chunk boundary
+#: costs one call, not a copy of the stack; the lengths bound how stale a
+#: worker's view of the incumbent and of the queue can get.
 _CHUNK_LONG = 1024
 _CHUNK_SHORT = 64
 
@@ -128,6 +135,7 @@ def run_worker_client(host: str, port: int, *, salt: int = 0,
 
 
 def _worker_session(stream: MessageStream, salt: int) -> None:
+    """The TCP handshake (graph plane or inline graph, then ``init``)."""
     stream.send(("hello", os.getpid()))
     msg = stream.recv(timeout=30.0)
     if msg[0] != "plane":
@@ -159,17 +167,26 @@ def _worker_session(stream: MessageStream, salt: int) -> None:
     if msg[0] != "init":
         raise ProtocolError(f"expected init, got {msg[0]!r}")
     params = msg[1]
+    _arm_worker(params, salt, time.monotonic())
+    _worker_loop(stream, graph, root_deg, params)
+
+
+def _arm_worker(params: Dict[str, object], salt: int, received_at: float) -> None:
+    """Seed the fault plan and arm telemetry as ``params`` say.
+
+    Telemetry arming travels in the ``init`` parameters, so every worker
+    — forked or a cold remote interpreter — joins the coordinator's
+    trace.  The epoch is recovered from the coordinator's elapsed-seconds
+    stamp (``now_rel``) taken at ``received_at``: exact on the same host
+    (CLOCK_MONOTONIC is system-wide), one network hop of skew on a real
+    remote.  Forked workers drop any inherited tracer here too, so every
+    lane is armed the same one way.
+    """
     faults.reseed(params.get("salt", salt))
-    # Telemetry arming travels in the init frame, so remote cold
-    # interpreters join the coordinator's trace.  The epoch is recovered
-    # from the coordinator's elapsed-seconds stamp (`now_rel`) — exact on
-    # the same host (CLOCK_MONOTONIC is system-wide), one network hop of
-    # skew on a real remote.  Local fork workers drop any inherited
-    # tracer here too, so every lane is armed the same one way.
     tele = params.get("telemetry")
     if tele and tele.get("trace_id"):
-        epoch = time.monotonic() - float(tele.get("now_rel", 0.0))
-        obs_trace.arm(str(tele["trace_id"]), epoch)
+        obs_trace.arm(str(tele["trace_id"]),
+                      received_at - float(tele.get("now_rel", 0.0)))
     else:
         obs_trace.disarm()
     if tele and tele.get("metrics"):
@@ -177,18 +194,22 @@ def _worker_session(stream: MessageStream, salt: int) -> None:
         obs_metrics.REGISTRY.reset()
     else:
         obs_metrics.disarm()
-    _worker_loop(stream, graph, root_deg, params)
 
 
 def _worker_loop(stream: MessageStream, graph: CSRGraph,
                  root_deg: np.ndarray, params: Dict[str, object]) -> None:
-    """Walk leased sub-trees in node-budget chunks of ``branch_and_reduce``.
+    """Walk leased sub-trees in node-budget chunks of one ``ChunkWalk``.
 
     The chunk is the worker's unit of contact with the coordinator:
     between two chunks it reads broadcasts, reports its node delta and
     any improved incumbent, checks the deadline and, while the
     coordinator's queue is short, donates the bottom of its stack.
     """
+    # Ask for the first lease before building anything: the coordinator's
+    # start-up barrier waits for every local worker's ready, and this
+    # worker's set-up overlaps that wait.
+    stream.send(("ready",))
+    ready_sent = True
     best: Optional[BestBound] = None
     flag: Optional[FoundFlag] = None
     formulation: Formulation
@@ -210,23 +231,44 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     # Under a fault plan every node is a chunk of its own, so kills and
     # delays fire per node.
     long_chunk, short_chunk = (1, 1) if plan is not None else (_CHUNK_LONG, _CHUNK_SHORT)
-    ws = Workspace.for_graph(graph)
-    bound = make_bound(str(params["bound"]), graph, ws)
-    kernels = resolve_kernels(str(params["kernels"]))
     stats = SearchStats()
-    local = LifoFrontier()
+    walk = ChunkWalk(graph, formulation, bound=str(params["bound"]),
+                     kernels=str(params["kernels"]), stats=stats)
     comms = CommStats()
-    native_chunks = 0
+    comms.messages = 1  # the first ready
+    chunks = 0
     depth_hint = 0  # coordinator queue depth, in batches (advisory)
     nodes_sent = 0
     updates_sent = 0
     has_lease = False
     done = False
+    # Frames posted between two chunks leave in one write, so the
+    # coordinator wakes once per chunk boundary, not once per frame.
+    outbox: List[Tuple] = []
+
+    def post(msg: Tuple) -> None:
+        outbox.append(msg)
+        comms.messages += 1
+
+    def flush() -> None:
+        if outbox:
+            stream.send_all(outbox)
+            outbox.clear()
 
     def handle(msg) -> None:
-        nonlocal depth_hint, done
+        nonlocal depth_hint, done, has_lease
         kind = msg[0]
-        if kind == "best":
+        if kind == "work":
+            # A lease can land whenever a ready is outstanding, also
+            # before this worker starts waiting for it.
+            batch, depth_hint = msg[1], msg[2]
+            has_lease = True
+            comms.leases += 1
+            comms.subtrees += len(batch)
+            comms.bytes_received += sum(wire_nbytes(p) for p in batch)
+            with obs_trace.span("lease"):
+                walk.push([dec(payload) for payload in reversed(batch)])
+        elif kind == "best":
             depth_hint = msg[2]
             if best is not None and msg[1] < best.size:
                 # Only the size: the cover behind it stays with the
@@ -237,54 +279,50 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         elif kind == "done":
             done = True
 
-    def flush_nodes() -> None:
+    def post_nodes() -> None:
         nonlocal nodes_sent
         if stats.nodes_visited > nodes_sent:
-            stream.send(("nodes", stats.nodes_visited - nodes_sent))
-            comms.messages += 1
+            post(("nodes", stats.nodes_visited - nodes_sent))
             nodes_sent = stats.nodes_visited
 
-    def send_best(size: int, cover: np.ndarray) -> None:
+    def post_best(size: int, cover: np.ndarray) -> None:
         payload = np.asarray(cover, dtype=np.int32).tobytes()
-        stream.send(("best", size, payload))
-        comms.messages += 1
+        post(("best", size, payload))
         comms.bytes_sent += len(payload)
 
     def donate_bottom() -> None:
         # The bottom of a depth-first stack holds the shallowest, largest
         # sub-trees; the top item stays so this worker keeps walking.
-        # Donations go out at once, one lease batch per frame.
+        # Donations leave with this chunk boundary's write, one lease
+        # batch per frame.
         nonlocal depth_hint
-        give = min(threshold - depth_hint * lease_batch, len(local) - 1)
+        give = threshold - depth_hint * lease_batch
         if give <= 0:
             return
-        items = local.drain()[::-1]  # bottom to top
-        for item in items[give:]:
-            local.push(item)
-        for i in range(0, give, lease_batch):
-            payloads = [enc(state) for state, _ in items[i:min(give, i + lease_batch)]]
+        states = walk.donate_bottom(give)
+        for i in range(0, len(states), lease_batch):
+            payloads = [enc(state) for state in states[i:i + lease_batch]]
             if delay_active:
                 faults.fire("queue_delay")
-            with obs_trace.span("frame"):
-                stream.send(("donate", payloads))
-            comms.messages += 1
+            post(("donate", payloads))
             comms.donations += len(payloads)
             comms.bytes_sent += sum(wire_nbytes(p) for p in payloads)
             depth_hint += 1
 
-    def finish_lease() -> None:
+    def post_lease_done() -> None:
         nonlocal has_lease
         if has_lease:
-            flush_nodes()
-            stream.send(("lease_done",))
-            comms.messages += 1
+            post_nodes()
+            post(("lease_done",))
             has_lease = False
 
     def get_work() -> bool:
-        nonlocal has_lease, depth_hint
-        finish_lease()
-        stream.send(("ready",))
-        comms.messages += 1
+        nonlocal ready_sent
+        if not ready_sent:
+            post_lease_done()
+            post(("ready",))
+            flush()
+        ready_sent = False
         idle_from = time.monotonic()
         wait = 0.001
         with obs_trace.span("idle"):
@@ -295,22 +333,12 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
                     return False
                 if delay_active:
                     faults.fire("queue_delay")
+                # Read the whole batch: a ``done`` right behind the lease
+                # must not be lost.
                 for msg in stream.poll(wait):
-                    if msg[0] != "work":
-                        handle(msg)
-                        continue
-                    # Keep reading the batch: a ``done`` right behind the
-                    # lease must not be lost.
-                    comms.idle_s += time.monotonic() - idle_from
-                    batch, depth_hint = msg[1], msg[2]
-                    has_lease = True
-                    comms.leases += 1
-                    comms.subtrees += len(batch)
-                    comms.bytes_received += sum(wire_nbytes(p) for p in batch)
-                    with obs_trace.span("lease"):
-                        for payload in reversed(batch):
-                            local.push((dec(payload), 0))
+                    handle(msg)
                 if has_lease:
+                    comms.idle_s += time.monotonic() - idle_from
                     return True
                 wait = min(wait * 2.0, 0.05)
 
@@ -323,7 +351,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             break
         if node_cap is not None and stats.nodes_visited >= node_cap:
             break  # this worker alone has spent the solve's node budget
-        if not local and not get_work():
+        if not walk and not get_work():
             break
         if kill_active:
             faults.fire("worker_kill")  # may os._exit right here
@@ -334,32 +362,33 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             # until a ``done`` reaches it, so the chunk bounds how far the
             # solve overshoots the budget.
             chunk = min(short_chunk, node_cap - stats.nodes_visited)
-        root, _ = local.pop()
-        branch_and_reduce(graph, formulation, ws=ws, root=root, frontier=local,
-                          stats=stats, bound=bound, kernels=kernels,
-                          node_budget=stats.nodes_visited + chunk)
-        stats.extra.pop("timed_out", None)
-        if stats.extra.pop("native_search", None):
-            native_chunks += 1
+        walk.run(chunk)
+        chunks += 1
         if best is not None and best.updates != updates_sent:
             updates_sent = best.updates
-            send_best(best.size, best.cover)
+            post_best(best.size, best.cover)
         elif flag is not None and flag.found:
-            send_best(flag.size, flag.cover)
-        flush_nodes()
+            post_best(flag.size, flag.cover)
+        if short:
+            donate_bottom()
+        if outbox or node_cap is not None or plan is not None:
+            # The node delta rides along with other frames; alone it is
+            # worth a wake-up only where the coordinator counts against a
+            # node budget, or under chaos, where it prices a lost peer.
+            post_nodes()
+        if outbox:
+            with obs_trace.span("frame"):
+                flush()
         if node_cap is not None:
             # Let the coordinator run on a busy host: it sums the deltas
             # and answers a spent budget with ``done``.
             os.sched_yield()
-        if short:
-            donate_bottom()
 
     # Wind-down: everything still in hand goes home with the result.
-    leftovers = [enc(state) for state, _ in local.drain()]
-    flush_nodes()
-    if has_lease:
-        stream.send(("lease_done",))
-        comms.messages += 1
+    leftovers = [enc(state) for state in walk.drain()]
+    post_lease_done()
+    post_nodes()
+    flush()
     comms.messages += 1
     comms.bytes_sent += sum(wire_nbytes(p) for p in leftovers)
     # Exact socket byte counts from the transport, alongside the
@@ -371,11 +400,17 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     comms_dict = comms.as_dict()
     comms_dict["wire_sent"] = stream.bytes_sent
     comms_dict["wire_received"] = stream.decoder.bytes_fed
-    comms_dict["native_search"] = native_chunks
+    # Chunks walked, and how many of them ran on the compiled Walker; its
+    # item counters show what crossed into Python (donations, leftovers).
+    walker = walk.walker
+    comms_dict["chunks"] = chunks
+    comms_dict["native_search"] = 0 if walker is None else walker.runs
+    if walker is not None:
+        comms_dict["walker_items_in"] = walker.items_in
+        comms_dict["walker_items_out"] = walker.items_out
     # Telemetry rides the existing result frame: wall-time attribution as
     # extra ``obs_<kind>_s`` comms keys (CommStats.totals sums every key it
-    # sees) and the drained span rows appended as a fifth element that old
-    # coordinators simply never index.
+    # sees) and the drained span rows appended as a sixth element.
     comms_dict.update(obs_breakdown.wall_obs_keys())
     tracer = obs_trace.get()
     spans = tracer.drain() if tracer is not None else []
@@ -383,31 +418,43 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
                  int(stats.extra.get("faults_recovered", 0)), comms_dict, spans))
 
 
-def _local_worker_main(host: str, port: int, salt: int,
-                       listener: socket.socket) -> None:
-    """Entry point of the engine's own (forked) socket workers."""
-    # Drop the fork's copy of the coordinator's listening socket, so that
-    # closing it there refuses a worker that has not connected yet.
-    listener.close()
+def _local_worker_main(sock: socket.socket, graph: CSRGraph, root_deg: np.ndarray,
+                       params: Dict[str, object], received_at: float,
+                       inherited: Sequence[socket.socket]) -> None:
+    """Entry point of the engine's own forked workers.
+
+    Everything the handshake would send — the graph, its root degrees,
+    the ``init`` parameters — is already in this process's memory.  The
+    fork's copies of the coordinator's sockets (the listener, every
+    peer's coordinator end, this worker's own) are closed first, so that
+    a peer the coordinator drops sees EOF, and a listener closed there
+    refuses new connections.
+    """
+    for other in inherited:
+        other.close()
+    stream = MessageStream(sock)
     try:
-        run_worker_client(host, port, salt=salt)
+        _arm_worker(params, 0, received_at)
+        _worker_loop(stream, graph, root_deg, params)
     except (TransportClosed, ConnectionError, EOFError, TimeoutError):
         pass  # coordinator gone: nothing useful left to do
+    finally:
+        stream.close()
 
 
 # --------------------------------------------------------------------- #
 # coordinator side
 # --------------------------------------------------------------------- #
 class _Peer:
-    """One connected worker, local or remote — the protocol can't tell."""
+    """One connected worker: forked (live at once) or TCP (handshake first)."""
 
     __slots__ = ("stream", "wid", "stage", "lease", "waiting", "joined",
                  "finished", "result", "nodes_flushed")
 
-    def __init__(self, stream: MessageStream, wid: int):
+    def __init__(self, stream: MessageStream, wid: int, stage: str):
         self.stream = stream
         self.wid = wid
-        self.stage = "hello"  # hello -> plane -> live
+        self.stage = stage  # hello -> plane -> live, or live from the fork
         self.lease: Optional[List[object]] = None
         self.waiting = 0  # order of its pending ready, 0 once fed
         self.joined = False  # has asked for its first lease
@@ -491,6 +538,51 @@ def _checked_cover(graph: CSRGraph, rows: np.ndarray, size: int,
     return cover.copy()
 
 
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_payloads(payloads: object, codec: str, what: str) -> list:
+    """A list of wire payloads of ``codec``'s type, or ``ProtocolError``."""
+    kind = tuple if codec == "v1" else bytes
+    if type(payloads) is not list or any(type(p) is not kind for p in payloads):
+        raise ProtocolError(f"{what}: not a list of {codec} payloads")
+    return payloads
+
+
+#: Frame kinds a live worker may send, with their lengths.
+_LIVE_ARITY = {"ready": (1,), "lease_done": (1,), "nodes": (2,),
+               "donate": (2,), "best": (3,), "result": (5, 6)}
+
+
+def _check_live_frame(msg: object, codec: str) -> str:
+    """Check a live worker frame's kind, arity and field types; return the
+    kind or raise ``ProtocolError`` (``best`` payloads are checked by
+    :func:`_checked_cover`)."""
+    if type(msg) is not tuple or not msg or msg[0] not in _LIVE_ARITY:
+        kind = msg[0] if type(msg) is tuple and msg else msg
+        raise ProtocolError(f"unexpected frame {kind!r} from a live worker")
+    kind = msg[0]
+    if len(msg) not in _LIVE_ARITY[kind]:
+        raise ProtocolError(f"{kind} frame has {len(msg)} fields")
+    if kind == "nodes" and not _is_count(msg[1]):
+        raise ProtocolError(f"nodes frame: delta {msg[1]!r} is not a count")
+    elif kind == "donate" and not _check_payloads(msg[1], codec, "donate frame"):
+        raise ProtocolError("donate frame: no payloads")
+    elif kind == "result":
+        _, nodes, leftovers, recovered, comms = msg[:5]
+        if not (_is_count(nodes) and _is_count(recovered)):
+            raise ProtocolError("result frame: counts are not counts")
+        _check_payloads(leftovers, codec, "result frame")
+        if type(comms) is not dict or any(
+                type(key) is not str or not isinstance(value, numbers.Real)
+                for key, value in comms.items()):
+            raise ProtocolError("result frame: comms is not a counter dict")
+        if len(msg) > 5 and type(msg[5]) is not list:
+            raise ProtocolError("result frame: spans are not a list")
+    return kind
+
+
 def _run_distributed(
     graph: CSRGraph,
     mode: str,
@@ -523,7 +615,9 @@ def _run_distributed(
     graph.prewarm(adjacency=backend.uses_adjacency(graph))
     root_deg = np.asarray(graph.degrees, dtype=np.int32)
     enc, _ = _codec_fns(codec, root_deg)
-    plane = publish_plane(graph) if codec == "v2" else None
+    # Published when the first TCP peer says hello: forked workers
+    # inherit the graph, so a solve without one never touches shm.
+    plane: Optional[GraphPlane] = None
 
     run = _DistRun()
     run.best_size = initial_best if mode == "mvc" else None
@@ -553,19 +647,6 @@ def _run_distributed(
 
     ctx = mp.get_context("fork")
     salt_seq = [0]
-
-    def spawn_local() -> "mp.Process":
-        salt_seq[0] += 1
-        p = ctx.Process(target=_local_worker_main,
-                        args=(listen_host, port, salt_seq[0], lsock),
-                        daemon=True)
-        p.start()
-        return p
-
-    procs: List["mp.Process"] = [spawn_local() for _ in range(n_workers)]
-    host_procs: List["subprocess.Popen"] = [
-        _spawn_host_process(port) for _ in range(hosts)]
-
     peers: Dict[int, _Peer] = {}
     wid_seq = [0]
     joined = [0]          # peers that asked for their first lease
@@ -577,12 +658,58 @@ def _run_distributed(
     retired_slots = [0]   # peers lost after the respawn budget ran dry
     inline_drains = [0]   # wind-down paths that fell back to _drain_inline
     nodes_total = [0]
-    # An armed coordinator ships its trace identity in the init frame so a
-    # cold remote interpreter can place its spans on the same timeline.
+    # An armed coordinator ships its trace identity in the init parameters
+    # so every worker, forked or remote, places its spans on its timeline.
     parent_tracer = obs_trace.get()
     started = time.monotonic()
     deadline_at = None if deadline is None else started + deadline
     start = time.perf_counter()
+
+    def worker_params() -> Dict[str, object]:
+        """The ``init`` parameters as of now: budget and deadline left."""
+        salt_seq[0] += 1
+        params = dict(init_params)
+        params["salt"] = salt_seq[0]
+        if node_budget is not None:
+            params["node_budget"] = max(0, node_budget - nodes_total[0])
+        if deadline_at is not None:
+            params["deadline_s"] = max(0.0, deadline_at - time.monotonic())
+        if parent_tracer is not None or obs_metrics.armed():
+            params["telemetry"] = {
+                "trace_id": parent_tracer.trace_id if parent_tracer else "",
+                "now_rel": parent_tracer.now() if parent_tracer else 0.0,
+                "metrics": obs_metrics.armed(),
+            }
+        return params
+
+    def add_peer(stream: MessageStream, stage: str) -> _Peer:
+        wid_seq[0] += 1
+        peer = peers[wid_seq[0]] = _Peer(stream, wid_seq[0], stage)
+        return peer
+
+    def go_live(peer: _Peer) -> None:
+        peer.stage = "live"
+        if done_sent[0]:
+            peer.stream.send(("done",))
+
+    def spawn_local() -> "mp.Process":
+        """Fork one worker on a socketpair; it is live from the start."""
+        ours, theirs = socket.socketpair()
+        inherited = [lsock, ours] + [p.stream.sock for p in peers.values()]
+        params = worker_params()
+        p = ctx.Process(target=_local_worker_main,
+                        args=(theirs, graph, root_deg, params, time.monotonic(),
+                              inherited),
+                        daemon=True)
+        try:
+            p.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        go_live(add_peer(MessageStream(ours), "live"))
+        return p
 
     def live_peers() -> List[_Peer]:
         return [p for p in peers.values() if p.stage == "live" and not p.finished]
@@ -622,7 +749,18 @@ def _run_distributed(
 
     lost_nodes = [0]  # flushed deltas of peers that died without a result
 
+    reap_due = [False]    # a peer dropped: its process may have exited
+    accepted = [0]        # TCP connections accepted
+
+    def hosts_joining() -> bool:
+        """A spawned host is still starting and has not connected yet: a
+        solve that ends first still lets it join and hear ``done``."""
+        return (accepted[0] < hosts
+                and time.monotonic() - started < _CONNECT_GRACE_S
+                and any(h.poll() is None for h in host_procs))
+
     def drop_peer(peer: _Peer, *, died: bool) -> None:
+        reap_due[0] = True
         peer.stream.close()
         peers.pop(peer.wid, None)
         if peer.lease is not None:
@@ -648,40 +786,27 @@ def _run_distributed(
                 )
 
     def handle_message(peer: _Peer, msg) -> None:
-        kind = msg[0]
+        nonlocal plane
         if peer.stage == "hello":
-            if kind != "hello":
-                raise ProtocolError(f"expected hello, got {kind!r}")
+            if type(msg) is not tuple or msg[:1] != ("hello",):
+                raise ProtocolError(f"expected hello, got {msg!r:.60}")
+            if plane is None and codec == "v2":
+                plane = publish_plane(graph)
             peer.stream.send(("plane",
                               None if plane is None else plane.name,
                               graph.n, int(graph.indices.size)))
             peer.stage = "plane"
             return
         if peer.stage == "plane":
-            if kind == "need_graph":
+            if msg == ("need_graph",):
                 peer.stream.send(("graph", graph.indptr.tobytes(),
                                   graph.indices.tobytes()))
-            elif kind != "attached":
-                raise ProtocolError(f"expected attached/need_graph, got {kind!r}")
-            salt_seq[0] += 1
-            params = dict(init_params)
-            params["salt"] = salt_seq[0]
-            if node_budget is not None:
-                params["node_budget"] = max(0, node_budget - nodes_total[0])
-            if deadline_at is not None:
-                params["deadline_s"] = max(0.0, deadline_at - time.monotonic())
-            if parent_tracer is not None or obs_metrics.armed():
-                params["telemetry"] = {
-                    "trace_id": parent_tracer.trace_id if parent_tracer else "",
-                    "now_rel": parent_tracer.now() if parent_tracer else 0.0,
-                    "metrics": obs_metrics.armed(),
-                }
-            peer.stream.send(("init", params))
-            peer.stage = "live"
-            if done_sent[0]:
-                peer.stream.send(("done",))
+            elif msg != ("attached",):
+                raise ProtocolError(f"expected attached/need_graph, got {msg!r:.60}")
+            peer.stream.send(("init", worker_params()))
+            go_live(peer)
             return
-        # live protocol
+        kind = _check_live_frame(msg, codec)
         if kind == "ready":
             ready_seq[0] += 1
             peer.waiting = ready_seq[0]
@@ -730,14 +855,14 @@ def _run_distributed(
                 except (BlockingIOError, OSError):
                     break
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                wid_seq[0] += 1
-                peers[wid_seq[0]] = _Peer(MessageStream(conn), wid_seq[0])
+                add_peer(MessageStream(conn), "hello")
+                accepted[0] += 1
                 progressed = True
         for peer in list(peers.values()):
             if peer.stream.sock not in readable_set:
                 continue
             try:
-                for msg in peer.stream.poll(0.0):
+                for msg in peer.stream.read():
                     handle_message(peer, msg)
                     progressed = True
             except (TransportClosed, ProtocolError, EOFError):
@@ -766,7 +891,12 @@ def _run_distributed(
                     drop_peer(peer, died=True)
 
     results: Dict[int, Tuple[int, List, int, Dict[str, float]]] = {}
+    procs: List["mp.Process"] = []
+    host_procs: List["subprocess.Popen"] = []
     try:
+        for _ in range(n_workers):
+            procs.append(spawn_local())
+        host_procs.extend(_spawn_host_process(port) for _ in range(hosts))
         # ------------------------- supervisor loop ------------------------ #
         while True:
             progressed = pump_all(0.01)
@@ -794,15 +924,18 @@ def _run_distributed(
                     and any(p.stage == "live" for p in peers.values())):
                 request_done(_STOP_NONE)
 
-            # reap exited local processes (their conn death re-enqueues)
-            for p in list(procs):
-                if not p.is_alive():
-                    p.join()
-                    procs.remove(p)
-                    exited[0] += 1
+            # Reap exited local processes (their conn death re-enqueues)
+            # after a drop, or while nothing else is happening.
+            if reap_due[0] or not progressed:
+                reap_due[0] = False
+                for p in list(procs):
+                    if not p.is_alive():
+                        p.join()
+                        procs.remove(p)
+                        exited[0] += 1
 
             alive_conns = [p for p in peers.values() if not p.finished]
-            if done_sent[0] and not alive_conns:
+            if done_sent[0] and not alive_conns and not hosts_joining():
                 break
             if done_sent[0]:
                 continue

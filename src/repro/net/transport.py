@@ -25,7 +25,7 @@ import select
 import socket
 import struct
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "FrameDecoder",
@@ -97,7 +97,10 @@ class FrameDecoder:
         payload = bytes(self._buf[_LEN.size:end])
         del self._buf[:end]
         self.frames_out += 1
-        return pickle.loads(payload)
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            raise ProtocolError(f"undecodable frame ({exc!r:.80})") from None
 
     def drain(self) -> List[object]:
         """Every complete message currently buffered."""
@@ -131,14 +134,18 @@ class MessageStream:
         return self.sock.fileno()
 
     def send(self, message: object) -> int:
-        frame = encode_frame(message)
+        return self.send_all((message,))
+
+    def send_all(self, messages: Sequence[object]) -> int:
+        """Send ``messages`` in order, as one write (one wake-up for the peer)."""
+        frames = b"".join(encode_frame(m) for m in messages)
         try:
-            self.sock.sendall(frame)
+            self.sock.sendall(frames)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise TransportClosed(f"peer gone during send: {exc}") from exc
-        self.bytes_sent += len(frame)
-        self.messages_sent += 1
-        return len(frame)
+        self.bytes_sent += len(frames)
+        self.messages_sent += len(messages)
+        return len(frames)
 
     def poll(self, timeout: float = 0.0) -> List[object]:
         """Complete messages available within ``timeout`` (may be none)."""
@@ -151,6 +158,11 @@ class MessageStream:
             raise TransportClosed(f"socket gone: {exc}") from exc
         if not readable:
             return []
+        return self.read()
+
+    def read(self) -> List[object]:
+        """One read from a socket known to be readable (say, by a
+        ``select`` over many streams); the complete messages it yields."""
         try:
             data = self.sock.recv(_RECV_CHUNK)
         except (ConnectionResetError, OSError) as exc:

@@ -498,3 +498,230 @@ def test_bound_policy_instance_of_greedy_is_eligible():
     graph = SUITE["phat36"]()
     best, stats = _mvc(graph, "native", bound=make_bound("greedy", graph))
     assert stats.extra.get("native_search") == 1.0
+
+
+# --------------------------------------------------------------------- #
+# the persistent Walker
+# --------------------------------------------------------------------- #
+#: The distributed section of benchmarks/ci_smoke.sh.
+CI_SMOKE = {
+    "gnp20": lambda: gnp(20, 0.2, seed=12),
+    "phat16": lambda: phat_complement(16, 2, seed=4),
+    "grid4x4": lambda: grid_graph(4, 4),
+    "gnp60": lambda: gnp(60, 0.12, seed=3),
+}
+
+#: search()'s counters that do not depend on the order the stack is
+#: walked in (nodes, branches, prunes, solutions, reduction counters),
+#: by position in its result tuple.
+_SUMMED = (4, 5, 6, 7, 10, 11, 12, 13)
+
+
+def _root_item(graph):
+    root = fresh_state(graph)
+    return (root.deg, root.cover_size, root.edge_count, None, -1, 0)
+
+
+def _chunked(graph, kind, bound, budgets, reorder):
+    """Walk ``graph`` on one Walker in chunks of ``budgets`` nodes, the
+    bound tightened between chunks as a worker does; with ``reorder``,
+    donate the bottom half and push it back on top between chunks.
+    Returns (status, best, per-counter sums, max_stack, max_depth)."""
+    walker = _ext().Walker(graph.indptr, graph.indices, kind)
+    walker.push([_root_item(graph)])
+    sums = [0] * len(_SUMMED)
+    best, status, max_stack, max_depth = bound, 0, 0, 0
+    for budget in budgets:
+        out = walker.run(best if kind == "mvc" else bound, budget)
+        assert len(out) == 14
+        sums = [s + out[i] for s, i in zip(sums, _SUMMED)]
+        max_stack, max_depth = max(max_stack, out[8]), max(max_depth, out[9])
+        status = out[0]
+        if out[3] is not None:
+            best = out[1]
+            assert int(np.count_nonzero(out[3] == -1)) == best
+        if status != 2:
+            break
+        if reorder:
+            moved = walker.donate_bottom(len(walker) // 2)
+            walker.push(moved)
+    assert status != 2, "budgets ran out before the walk finished"
+    return status, best if kind == "mvc" else out[1], sums, max_stack, max_depth
+
+
+def _one_shot(graph, kind, bound):
+    out = _ext().search(graph.indptr, graph.indices, [_root_item(graph)],
+                        kind, bound, None)
+    return out[0], out[1], [out[i] for i in _SUMMED], out[8], out[9]
+
+
+def _budgets(rng=None):
+    if rng is None:
+        return [64, 1024] * 10_000
+    return [int(b) for b in rng.integers(1, 300, size=100_000)]
+
+
+@pytest.mark.parametrize("budgets", ("64/1024", "random"))
+@pytest.mark.parametrize("name", sorted(CI_SMOKE))
+def test_chunked_walker_matches_one_shot_search(name, budgets):
+    """Chunked runs on one Walker equal one search() call, counter for
+    counter; with donate_bottom + push between chunks (the order changes)
+    the optimum and every order-free counter still agree where the bound
+    cannot move: PVC at k = OPT - 1 and MVC from bound OPT."""
+    graph = CI_SMOKE[name]()
+    plan = _budgets(None if budgets == "64/1024" else np.random.default_rng(7))
+    greedy = greedy_cover(graph, kernels="scalar").size
+    opt = _one_shot(graph, "mvc", greedy)[1]
+    assert _chunked(graph, "mvc", greedy, plan, reorder=False) == \
+        _one_shot(graph, "mvc", greedy)
+    assert _chunked(graph, "mvc", greedy, plan, reorder=True)[1] == opt
+    for kind, bound in (("pvc", opt - 1), ("mvc", opt)):
+        if bound < 0:
+            continue
+        want = _one_shot(graph, kind, bound)
+        got = _chunked(graph, kind, bound, plan, reorder=True)
+        assert got[:3] == want[:3]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=160))),
+    st.integers(0, 2 ** 31 - 1))
+def test_hypothesis_chunked_walker_matches_one_shot_search(case, seed):
+    n, pairs = case
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    graph = CSRGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    if graph.m == 0:
+        return
+    plan = _budgets(np.random.default_rng(seed))
+    greedy = greedy_cover(graph, kernels="scalar").size
+    want = _one_shot(graph, "mvc", greedy)
+    assert _chunked(graph, "mvc", greedy, plan, reorder=False) == want
+    assert _chunked(graph, "mvc", greedy, plan, reorder=True)[1] == want[1]
+    for kind, bound in (("pvc", want[1] - 1), ("mvc", want[1])):
+        if bound >= 0:
+            assert _chunked(graph, kind, bound, plan, reorder=True)[:3] == \
+                _one_shot(graph, kind, bound)[:3]
+
+
+class TestWalker:
+    def _walker(self, name="phat60", kind="mvc"):
+        graph = SUITE[name]()
+        walker = _ext().Walker(graph.indptr, graph.indices, kind)
+        return graph, walker
+
+    def test_stack_moves_and_counters(self):
+        graph, walker = self._walker()
+        assert len(walker) == 0
+        assert walker.donate_bottom(5) == [] and walker.drain() == []
+        walker.push([_root_item(graph)])
+        assert walker.donate_bottom(5) == []  # the top item always stays
+        out = walker.run(graph.n + 1, 30)
+        assert out[0] == 2 and out[4] == 30
+        depth = len(walker)
+        assert depth > 3
+        given = walker.donate_bottom(2)
+        assert len(given) == 2 and len(walker) == depth - 2
+        assert all(item[5] >= 1 for item in given)  # shallowest first
+        assert given[0][5] <= given[1][5]
+        walker.push(given)
+        assert len(walker) == depth
+        rest = walker.drain()
+        assert len(rest) == depth and len(walker) == 0
+        assert (walker.runs, walker.items_in, walker.items_out) == (1, 3, depth + 2)
+
+    def test_donation_keeps_the_top_and_order(self):
+        graph, walker = self._walker()
+        walker.push([_root_item(graph)])
+        walker.run(graph.n + 1, 40)
+        before = [(i[0].tobytes(), i[1:3], i[5]) for i in walker.drain()]
+        walker.push([(np.frombuffer(d, dtype=np.int32), c, e, None, -1, depth)
+                     for d, (c, e), depth in before])
+        given = walker.donate_bottom(len(before) + 10)
+        assert len(given) == len(before) - 1
+        assert [(i[0].tobytes(), i[1:3], i[5]) for i in given] == before[:-1]
+        (top,) = walker.drain()
+        assert (top[0].tobytes(), top[1:3], top[5]) == before[-1]
+
+    def test_bad_push_pushes_nothing(self):
+        graph, walker = self._walker()
+        item = _root_item(graph)
+        with pytest.raises(ValueError, match="dirty hint entry"):
+            walker.push([item, item[:3] + ([graph.n], -1, 0)])
+        with pytest.raises(TypeError):
+            walker.push([item, item[:5]])
+        assert len(walker) == 0 and walker.items_in == 0
+
+    def test_bad_arguments(self):
+        graph = SUITE["phat36"]()
+        ext = _ext()
+        with pytest.raises(TypeError):
+            ext.Walker(graph.indptr, graph.indices, 0)
+        with pytest.raises(ValueError):
+            ext.Walker(graph.indptr, graph.indices, "mis")
+        with pytest.raises(TypeError):
+            ext.Walker(graph.indptr.astype(np.int32), graph.indices, "mvc")
+        walker = ext.Walker(graph.indptr, graph.indices, "pvc")
+        with pytest.raises(TypeError):
+            walker.run("3", None)
+        with pytest.raises(TypeError):
+            walker.run(3)
+        with pytest.raises(TypeError):
+            walker.donate_bottom(None)
+        assert walker.run(3, None)[0] == 0  # an empty stack is exhausted
+
+    def test_pvc_found_leaves_the_rest_of_the_stack(self):
+        graph, walker = self._walker(kind="pvc")
+        opt = _mvc(graph, "native")[0].size
+        walker.push([_root_item(graph)])
+        out = walker.run(opt, None)
+        assert out[0] == 1 and out[1] == opt and out[3] is not None
+        assert int(np.count_nonzero(out[3] == -1)) == opt
+        leftover = walker.drain()
+        want = _ext().search(graph.indptr, graph.indices, [_root_item(graph)],
+                             "pvc", opt, None)
+        assert [i[0].tobytes() for i in leftover] == \
+            [i[0].tobytes() for i in want[14]]
+
+    def test_freed_walker_releases_every_block(self):
+        ext = _ext()
+        assert ext._search_blocks() == 0
+        graph, walker = self._walker("phat60")
+        walker.push([_root_item(graph)])
+        walker.run(graph.n + 1, 200)
+        assert ext._search_blocks() > 0
+        del walker
+        assert ext._search_blocks() == 0
+
+    def test_allocation_failure_breaks_the_walker_and_leaks_nothing(self):
+        ext = _ext()
+        graph = SUITE["phat60"]()
+        failures = 0
+        try:
+            for k in range(400):
+                walker = ext.Walker(graph.indptr, graph.indices, "mvc")
+                ext._fail_search_alloc(k)
+                stage = "push"
+                try:
+                    walker.push([_root_item(graph)])
+                    stage = "run"
+                    walker.run(graph.n + 1, 150)
+                except MemoryError:
+                    failures += 1
+                    if stage == "push":  # pushes nothing, stays usable
+                        assert len(walker) == 0 and walker.items_in == 0
+                    else:
+                        with pytest.raises(RuntimeError, match="unusable"):
+                            walker.run(graph.n + 1, 10)
+                else:
+                    break
+                finally:
+                    ext._fail_search_alloc(-1)
+                    del walker
+                assert ext._search_blocks() == 0
+        finally:
+            ext._fail_search_alloc(-1)
+        assert failures >= 3
+        assert ext._search_blocks() == 0

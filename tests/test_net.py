@@ -321,9 +321,11 @@ class TestDistributed:
 
     def test_exact_wire_counters_reported(self):
         """Socket workers report exact transport bytes next to the
-        wire_nbytes() estimates, and the graph-inline v1 path shows the
-        shipment the shared plane avoids.  A reduction-dominated instance
-        keeps the comparison structural (graph frame vs plane attach)
+        wire_nbytes() estimates.  Forked local workers inherit the graph
+        under either codec, so the gap below is the codecs' own: a v1
+        payload ships the full degree array, a v2 frame near the root
+        only the entries that differ from the root degrees.  A
+        reduction-dominated instance keeps the comparison structural
         rather than at the mercy of lease-count scheduling noise."""
         from repro.graph.generators.suites import paper_suite
 
@@ -334,8 +336,8 @@ class TestDistributed:
         for totals in (v1, v2):
             assert totals["wire_sent"] > 0
             assert totals["wire_received"] > 0
-        # v1 workers each receive the n=300 CSR arrays inline; v2 workers
-        # attach the shm plane instead — a multi-KB structural gap.
+        # v1 leases carry dense n=300 degree arrays; v2 leases near the
+        # root carry a handful of changed entries.
         assert v1["wire_received"] > 4 * v2["wire_received"]
 
     def test_invalid_workers(self):
