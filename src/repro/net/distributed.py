@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -839,14 +840,13 @@ def _run_distributed(
 
     def pump_all(timeout: float) -> bool:
         """Accept + read every connection; True if anything happened."""
-        import select as select_mod
-
         progressed = False
         socks = [lsock] + [p.stream.sock for p in peers.values()]
         try:
-            readable, _, _ = select_mod.select(socks, [], [], timeout)
+            readable, _, _ = select.select(socks, [], [], timeout)
         except (OSError, ValueError):
-            readable = []
+            time.sleep(0.002)  # a socket closed under us: let the loop catch up
+            return False
         readable_set = set(readable)
         if lsock in readable_set:
             while True:
@@ -871,7 +871,7 @@ def _run_distributed(
         return progressed
 
     def feed_ready_peers() -> None:
-        if done_sent[0]:
+        if done_sent[0] or not queue:
             return
         # Longest-waiting peer first: a worker that donates and then asks
         # for work again does not take its own donation back from a peer
@@ -949,8 +949,6 @@ def _run_distributed(
                 warnings.warn("distributed: no worker ever connected; "
                               "draining inline", RuntimeWarning)
                 break
-            if not progressed:
-                time.sleep(0.002)
 
         # ------------------------- wind-down ----------------------------- #
         if not released[0]:
