@@ -1844,6 +1844,243 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* wire codec v2 (twins of VCState.to_wire_v2 / from_wire_v2)          */
+/* ------------------------------------------------------------------ */
+
+/* The frame: header "<BB6xqqqq" (version 2, mode, 6 pad bytes, cover,
+ * edges, max_deg_hint, dirty_count), the dirty hint as int64 entries
+ * (dirty_count >= 0), then either mode 1 -- an int64 count and the
+ * int32 ids and values of the entries that differ from the root
+ * degrees -- or mode 0, the dense int32 degree array.  Sparse iff
+ * 8 * changed < 4 * n.  Little-endian host byte order, as above. */
+#define WIRE_V2 2
+#define WIRE_HEADER 40
+
+typedef struct {
+    int64_t *v;
+    Py_ssize_t m, cap;
+} I64s;
+
+static int
+i64s_append(void *ctx, int32_t x)
+{
+    I64s *a = (I64s *)ctx;
+    if (a->m == a->cap) {
+        Py_ssize_t cap = a->cap ? 2 * a->cap : 16;
+        int64_t *v = PyMem_Realloc(a->v, (size_t)cap * sizeof(int64_t));
+        if (v == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        a->v = v;
+        a->cap = cap;
+    }
+    a->v[a->m++] = x;
+    return 0;
+}
+
+static void
+put_i64(char *p, long long x)
+{
+    int64_t v = (int64_t)x;
+    memcpy(p, &v, 8);
+}
+
+static long long
+get_i64(const char *p)
+{
+    int64_t v;
+    memcpy(&v, p, 8);
+    return (long long)v;
+}
+
+PyDoc_STRVAR(wire_encode_doc,
+"wire_encode(deg, cover, edges, dirty, max_deg_hint, root_deg)\n"
+"--\n\n"
+"The codec-v2 frame of a search-tree node, byte for byte what\n"
+"``VCState.to_wire_v2(root_deg)`` writes.  ``dirty`` is None or a\n"
+"hint of vertex ids in [0, n).");
+
+static PyObject *
+native_wire_encode(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer dv, rv;
+    I64s hint = {NULL, 0, 0};
+    long long cover, edges, max_deg;
+    const int32_t *deg, *root;
+    Py_ssize_t n, i, changed = 0, size;
+    PyObject *out = NULL;
+    char *p;
+    int sparse;
+
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "wire_encode() takes 6 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    if (arg_ll(args[1], "cover", &cover) < 0 || arg_ll(args[2], "edges", &edges) < 0
+            || arg_ll(args[4], "max_deg_hint", &max_deg) < 0) {
+        return NULL;
+    }
+    if (get_int_array(args[0], &dv, "deg", 4, 0, -1) < 0) {
+        return NULL;
+    }
+    n = dv.len / 4;
+    if (get_int_array(args[5], &rv, "root_deg", 4, 0, n) < 0) {
+        PyBuffer_Release(&dv);
+        return NULL;
+    }
+    if (args[3] != Py_None && hint_for_each(args[3], n, i64s_append, &hint) < 0) {
+        goto done;
+    }
+    deg = (const int32_t *)dv.buf;
+    root = (const int32_t *)rv.buf;
+    for (i = 0; i < n; i++) {
+        changed += deg[i] != root[i];
+    }
+    sparse = changed * 8 < n * 4;
+    size = WIRE_HEADER + (args[3] == Py_None ? 0 : 8 * hint.m)
+        + (sparse ? 8 + 8 * changed : 4 * n);
+    out = PyBytes_FromStringAndSize(NULL, size);
+    if (out == NULL) {
+        goto done;
+    }
+    p = PyBytes_AS_STRING(out);
+    memset(p, 0, WIRE_HEADER);
+    p[0] = WIRE_V2;
+    p[1] = (char)sparse;
+    put_i64(p + 8, cover);
+    put_i64(p + 16, edges);
+    put_i64(p + 24, max_deg);
+    put_i64(p + 32, args[3] == Py_None ? -1 : (long long)hint.m);
+    p += WIRE_HEADER;
+    if (args[3] != Py_None) {
+        memcpy(p, hint.v, (size_t)hint.m * 8);
+        p += 8 * hint.m;
+    }
+    if (sparse) {
+        char *ids = p + 8, *vals = ids + 4 * changed;
+        put_i64(p, changed);
+        for (i = 0; i < n; i++) {
+            if (deg[i] != root[i]) {
+                int32_t v = (int32_t)i;
+                memcpy(ids, &v, 4);
+                memcpy(vals, &deg[i], 4);
+                ids += 4;
+                vals += 4;
+            }
+        }
+    }
+    else {
+        memcpy(p, deg, (size_t)n * 4);
+    }
+done:
+    PyMem_Free(hint.v);
+    PyBuffer_Release(&rv);
+    PyBuffer_Release(&dv);
+    return out;
+}
+
+PyDoc_STRVAR(wire_decode_doc,
+"wire_decode(frame, root_deg)\n"
+"--\n\n"
+"Rebuild ``(deg, cover, edges, dirty, max_deg_hint)`` from a codec-v2\n"
+"frame against the root degrees, as ``VCState.from_wire_v2`` does, with\n"
+"fresh int32 degree and int64 hint arrays.  A frame that is not a\n"
+"well-formed v2 frame for this n raises ValueError.");
+
+static PyObject *
+native_wire_decode(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer fv, rv;
+    const char *f;
+    long long cover, edges, max_deg, nd, nnz;
+    Py_ssize_t n, len, off = WIRE_HEADER, i;
+    PyObject *deg = NULL, *dirty = NULL, *out = NULL;
+    npy_intp dims[1];
+    int32_t *d;
+
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "wire_decode() takes 2 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    if (PyObject_GetBuffer(args[0], &fv, PyBUF_SIMPLE) < 0) {
+        return NULL;
+    }
+    if (get_int_array(args[1], &rv, "root_deg", 4, 0, -1) < 0) {
+        PyBuffer_Release(&fv);
+        return NULL;
+    }
+    f = (const char *)fv.buf;
+    len = fv.len;
+    n = rv.len / 4;
+    if (len < WIRE_HEADER || f[0] != WIRE_V2 || (f[1] != 0 && f[1] != 1)) {
+        PyErr_SetString(PyExc_ValueError, "not a codec-v2 frame");
+        goto done;
+    }
+    cover = get_i64(f + 8);
+    edges = get_i64(f + 16);
+    max_deg = get_i64(f + 24);
+    nd = get_i64(f + 32);
+    if (nd < -1 || nd > (len - off) / 8) {
+        PyErr_SetString(PyExc_ValueError, "codec-v2 frame: bad dirty count");
+        goto done;
+    }
+    if (nd >= 0) {
+        dims[0] = (npy_intp)nd;
+        dirty = PyArray_SimpleNew(1, dims, NPY_INT64);
+        if (dirty == NULL) {
+            goto done;
+        }
+        memcpy(PyArray_DATA((PyArrayObject *)dirty), f + off, (size_t)nd * 8);
+        off += 8 * nd;
+    }
+    dims[0] = (npy_intp)n;
+    deg = PyArray_SimpleNew(1, dims, NPY_INT32);
+    if (deg == NULL) {
+        goto done;
+    }
+    d = (int32_t *)PyArray_DATA((PyArrayObject *)deg);
+    if (f[1] == 1) {
+        const char *ids, *vals;
+        if (len - off < 8 || (nnz = get_i64(f + off)) < 0
+                || nnz > (len - off - 8) / 8) {
+            PyErr_SetString(PyExc_ValueError, "codec-v2 frame: bad entry count");
+            goto done;
+        }
+        ids = f + off + 8;
+        vals = ids + 4 * nnz;
+        memcpy(d, rv.buf, (size_t)n * 4);
+        for (i = 0; i < nnz; i++) {
+            int32_t v, x;
+            memcpy(&v, ids + 4 * i, 4);
+            memcpy(&x, vals + 4 * i, 4);
+            if (v < 0 || v >= n) {
+                PyErr_Format(PyExc_ValueError,
+                             "codec-v2 frame: entry %d out of range for n=%zd", v, n);
+                goto done;
+            }
+            d[v] = x;
+        }
+    }
+    else {
+        if (len - off < 4 * n) {
+            PyErr_SetString(PyExc_ValueError, "codec-v2 frame: short degree array");
+            goto done;
+        }
+        memcpy(d, f + off, (size_t)n * 4);
+    }
+    out = Py_BuildValue("(OLLOL)", deg, cover, edges, dirty ? dirty : Py_None, max_deg);
+done:
+    Py_XDECREF(deg);
+    Py_XDECREF(dirty);
+    PyBuffer_Release(&rv);
+    PyBuffer_Release(&fv);
+    return out;
+}
+
 PyDoc_STRVAR(search_blocks_doc,
 "_search_blocks()\n--\n\n"
 "Buffers the live Walkers (search() included) hold right now: 0 once\n"
@@ -1883,6 +2120,10 @@ static PyMethodDef native_methods[] = {
      METH_FASTCALL, greedy_doc},
     {"search", (PyCFunction)(void (*)(void))native_search,
      METH_FASTCALL, search_doc},
+    {"wire_encode", (PyCFunction)(void (*)(void))native_wire_encode,
+     METH_FASTCALL, wire_encode_doc},
+    {"wire_decode", (PyCFunction)(void (*)(void))native_wire_decode,
+     METH_FASTCALL, wire_decode_doc},
     {"_search_blocks", native_search_blocks, METH_NOARGS, search_blocks_doc},
     {"_fail_search_alloc", native_fail_search_alloc, METH_O, fail_alloc_doc},
     {NULL, NULL, 0, NULL},

@@ -70,6 +70,7 @@ from .. import faults
 from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
 from ..core.frontier import LifoFrontier, hybrid_should_donate
 from ..core.greedy import greedy_cover
+from ..core import native
 from ..core.kernel_backends import resolve_kernels
 from ..core.nodestep import LEAF, PRUNED, NodeStep
 from ..core.sequential import branch_and_reduce
@@ -168,12 +169,23 @@ def _attach_root_plane(
 def _codec_fns(
     codec: str, root_deg: np.ndarray,
 ) -> Tuple[Callable[[VCState], object], Callable[[object], VCState]]:
-    """(encode, decode) pair for the selected wire codec."""
+    """(encode, decode) pair for the selected wire codec.
+
+    Codec v2 runs on the compiled twins of ``VCState.to_wire_v2`` and
+    ``from_wire_v2`` (byte-identical frames) when the native extension
+    is available.
+    """
     if codec == "v1":
         return (lambda s: s.to_wire()), VCState.from_wire
     if codec == "v2":
-        return (lambda s: s.to_wire_v2(root_deg)), \
-               (lambda p: VCState.from_wire_v2(p, root_deg))
+        ext = native.load()
+        if ext is None:
+            return (lambda s: s.to_wire_v2(root_deg)), \
+                   (lambda p: VCState.from_wire_v2(p, root_deg))
+        encode, decode = ext.wire_encode, ext.wire_decode
+        return (lambda s: encode(s.deg, s.cover_size, s.edge_count, s.dirty,
+                                 s.max_deg_hint, root_deg)), \
+               (lambda p: VCState(*decode(p, root_deg)))
     raise ValueError(f"unknown wire codec {codec!r}; pick one of: v1, v2")
 
 

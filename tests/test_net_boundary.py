@@ -17,7 +17,10 @@ import socket
 import threading
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sequential import solve_mvc_sequential
 from repro.graph.generators.random_graphs import gnp
@@ -194,3 +197,68 @@ def test_interpreted_workers_report_no_walker():
         assert "walker_items_in" not in comms
     assert res.comms["totals"]["chunks"] > 0
 
+
+
+# --------------------------------------------------------------------- #
+# the compiled codec-v2 twins
+# --------------------------------------------------------------------- #
+def _native():
+    from repro.core import native
+
+    module = native.load()
+    assert module is not None, native.load_error()
+    return module
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 10_000),
+       touched=st.floats(0.0, 1.0), hint=st.sampled_from([None, "list", "array"]),
+       cover=st.integers(0, 10 ** 6), max_deg=st.integers(-1, 60))
+def test_compiled_wire_codec_is_byte_identical(n, seed, touched, hint, cover,
+                                               max_deg):
+    """wire_encode writes the bytes VCState.to_wire_v2 writes, sparse and
+    dense, and wire_decode reads back what from_wire_v2 reads."""
+    from repro.graph.degree_array import VCState
+
+    ext = _native()
+    rng = np.random.default_rng(seed)
+    root = rng.integers(0, n, size=n).astype(np.int32)
+    deg = root.copy()
+    mask = rng.random(n) < touched
+    deg[mask] = rng.integers(-1, n, size=int(mask.sum()))
+    dirty = None
+    if hint is not None:
+        dirty = rng.integers(0, n, size=int(rng.integers(0, 6))).tolist()
+        if hint == "array":
+            dirty = np.asarray(dirty, dtype=np.int64)
+    state = VCState(deg, cover, int(rng.integers(0, 10 ** 6)), dirty, max_deg)
+    frame = state.to_wire_v2(root)
+    assert ext.wire_encode(deg, state.cover_size, state.edge_count, dirty,
+                           max_deg, root) == frame
+    got = ext.wire_decode(frame, root)
+    ref = VCState.from_wire_v2(frame, root)
+    assert np.array_equal(got[0], ref.deg) and got[0].dtype == np.int32
+    assert got[1:3] + got[4:] == (ref.cover_size, ref.edge_count, ref.max_deg_hint)
+    assert (got[3] is None) == (ref.dirty is None)
+    if ref.dirty is not None:
+        assert got[3].tolist() == np.asarray(ref.dirty).tolist()
+
+
+def test_compiled_wire_decode_rejects_malformed_frames():
+    from repro.graph.degree_array import VCState
+
+    ext = _native()
+    root = np.arange(10, dtype=np.int32)
+    deg = root.copy()
+    deg[3] = -1
+    sparse = VCState(deg, 1, 5, [3], 2).to_wire_v2(root)
+    dense = VCState(-np.ones(10, dtype=np.int32), 10, 0, None, -1).to_wire_v2(root)
+    bad = [b"", b"\x02" * 10, b"\x09" + sparse[1:], sparse[:1] + b"\x07" + sparse[2:],
+           sparse[:-1], dense[:-4], sparse[:-8] + np.array([99, 0], np.int32).tobytes()]
+    for frame in bad:
+        with pytest.raises(ValueError):
+            ext.wire_decode(frame, root)
+    with pytest.raises(ValueError):
+        ext.wire_encode(deg, 1, 5, [10], 2, root)  # hint out of range
+    with pytest.raises(ValueError):
+        ext.wire_encode(deg, 1, 5, None, 2, root[:-1])
