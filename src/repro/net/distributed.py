@@ -210,7 +210,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     # start-up barrier waits for every local worker's ready, and this
     # worker's set-up overlaps that wait.
     stream.send(("ready",))
-    ready_sent = True
+    asked = True  # a ready is out that no lease has answered yet
     best: Optional[BestBound] = None
     flag: Optional[FoundFlag] = None
     formulation: Formulation
@@ -257,13 +257,14 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             outbox.clear()
 
     def handle(msg) -> None:
-        nonlocal depth_hint, done, has_lease
+        nonlocal depth_hint, done, has_lease, asked
         kind = msg[0]
         if kind == "work":
-            # A lease can land whenever a ready is outstanding, also
-            # before this worker starts waiting for it.
+            # A lease can land whenever a ready is out, also before this
+            # worker starts waiting for it.
             batch, depth_hint = msg[1], msg[2]
             has_lease = True
+            asked = False
             comms.leases += 1
             comms.subtrees += len(batch)
             comms.bytes_received += sum(wire_nbytes(p) for p in batch)
@@ -318,12 +319,12 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             has_lease = False
 
     def get_work() -> bool:
-        nonlocal ready_sent
-        if not ready_sent:
+        nonlocal asked
+        if not asked:
             post_lease_done()
             post(("ready",))
             flush()
-        ready_sent = False
+            asked = True
         idle_from = time.monotonic()
         wait = 0.001
         with obs_trace.span("idle"):
@@ -372,10 +373,11 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             post_best(flag.size, flag.cover)
         if short:
             donate_bottom()
-        if outbox or node_cap is not None or plan is not None:
-            # The node delta rides along with other frames; alone it is
-            # worth a wake-up only where the coordinator counts against a
-            # node budget, or under chaos, where it prices a lost peer.
+        if node_cap is not None or plan is not None:
+            # Per chunk, the node delta is worth a frame only where the
+            # coordinator counts against a node budget, or under chaos,
+            # where it prices a lost peer; otherwise it goes with each
+            # lease_done.
             post_nodes()
         if outbox:
             with obs_trace.span("frame"):

@@ -725,3 +725,27 @@ class TestWalker:
             ext._fail_search_alloc(-1)
         assert failures >= 3
         assert ext._search_blocks() == 0
+
+
+@pytest.mark.parametrize("kernels", ("native", "scalar"))
+def test_chunk_walk_with_donations_reaches_the_optimum(kernels):
+    """ChunkWalk on either loop: chunks, bottom donations parked in a pool
+    and walked later still end at the optimum with a valid cover."""
+    from repro.core.sequential import ChunkWalk
+
+    graph = SUITE["phat70"]()
+    opt = _mvc(graph, "native")[0].size
+    greedy = greedy_cover(graph, kernels="scalar")
+    best = BestBound(size=greedy.size, cover=greedy.cover)
+    walk = ChunkWalk(graph, MVCFormulation(best), kernels=kernels)
+    assert (walk.walker is not None) == (kernels == "native")
+    walk.push([fresh_state(graph)])
+    pool = []
+    while len(walk) or pool:
+        if not len(walk):
+            walk.push([pool.pop()])
+        walk.run(50)
+        pool.extend(walk.donate_bottom(3))
+    assert best.size == opt
+    _assert_cover(graph, best.cover, best.size)
+    assert walk.stats.nodes_visited > 0 and walk.drain() == []

@@ -262,3 +262,26 @@ def test_compiled_wire_decode_rejects_malformed_frames():
         ext.wire_encode(deg, 1, 5, [10], 2, root)  # hint out of range
     with pytest.raises(ValueError):
         ext.wire_encode(deg, 1, 5, None, 2, root[:-1])
+
+
+@pytest.mark.parametrize("kernels", ("native", "scalar"))
+def test_lease_landing_during_worker_setup_is_walked(kernels, monkeypatch):
+    """A worker asks for its first lease before it builds its walk.  A
+    lease that lands while it builds (here: a slow build, so it always
+    does) is walked like any other, on both loops, and no worker dies."""
+    import time
+
+    from repro.core import sequential
+
+    init = sequential.ChunkWalk.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.05)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sequential.ChunkWalk, "__init__", slow_init)
+    g = gnp(60, 0.12, seed=3)
+    res = solve_mvc_distributed(g, n_workers=2, kernels=kernels)
+    assert res.optimum == solve_mvc_sequential(g).optimum
+    assert res.workers_lost == 0
+    assert res.comms["totals"]["leases"] >= 2
