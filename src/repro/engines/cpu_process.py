@@ -67,10 +67,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import faults
+from ..core import native
 from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
 from ..core.frontier import LifoFrontier, hybrid_should_donate
 from ..core.greedy import greedy_cover
-from ..core import native
 from ..core.kernel_backends import resolve_kernels
 from ..core.nodestep import LEAF, PRUNED, NodeStep
 from ..core.sequential import branch_and_reduce

@@ -95,9 +95,10 @@ from .transport import MessageStream, ProtocolError, TransportClosed
 
 __all__ = ["solve_mvc_distributed", "solve_pvc_distributed", "run_worker_client"]
 
-#: How long the coordinator waits for the first worker to finish its
-#: handshake before concluding nobody is coming and draining inline, and
-#: the longest the start-up barrier holds the first leases back.
+#: How long the coordinator waits for the first worker to join before
+#: concluding nobody is coming and draining inline, the longest the
+#: start-up barrier holds the first leases back, and the longest a
+#: finished solve waits for a spawned host to connect.
 _CONNECT_GRACE_S = 10.0
 
 #: Wind-down budget: how long to wait for ``result`` frames after ``done``.
