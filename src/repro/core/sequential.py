@@ -397,14 +397,16 @@ class ChunkWalk:
             self._walker.push([_item(state, 0) for state in states])
 
     def run(self, chunk: int) -> None:
-        """Walk at most ``chunk`` nodes (the stack must not be empty)."""
+        """Walk at most ``chunk`` nodes (none on an empty stack)."""
         stats = self.stats
         if self._walker is not None:
             out = self._walker.run(_walk_bound(self.formulation, self._kind), chunk)
             _absorb_run(out, self._kind, self.formulation, stats)
             return
-        root, _ = self._frontier.pop()
-        branch_and_reduce(self.graph, self.formulation, ws=self._ws, root=root,
+        item = self._frontier.pop()
+        if item is None:
+            return
+        branch_and_reduce(self.graph, self.formulation, ws=self._ws, root=item[0],
                           frontier=self._frontier, stats=stats, bound=self._bound,
                           kernels=self._kernels,
                           node_budget=stats.nodes_visited + chunk)

@@ -748,4 +748,6 @@ def test_chunk_walk_with_donations_reaches_the_optimum(kernels):
         pool.extend(walk.donate_bottom(3))
     assert best.size == opt
     _assert_cover(graph, best.cover, best.size)
-    assert walk.stats.nodes_visited > 0 and walk.drain() == []
+    nodes = walk.stats.nodes_visited
+    walk.run(5)  # an empty stack walks nothing
+    assert nodes == walk.stats.nodes_visited > 0 and walk.drain() == []
