@@ -758,8 +758,9 @@ def _run_distributed(
 
     def hosts_joining() -> bool:
         """A spawned host is still starting and has not connected yet: a
-        solve that ends first still lets it join and hear ``done``."""
-        return (accepted[0] < hosts
+        search that completes first still lets it join and hear ``done``
+        (a tripped deadline or node budget does not wait)."""
+        return (accepted[0] < hosts and stop_reason[0] == _STOP_NONE
                 and time.monotonic() - started < _CONNECT_GRACE_S
                 and any(h.poll() is None for h in host_procs))
 
