@@ -217,8 +217,10 @@ print("ci_smoke: distributed workers x hosts experiment ran and "
 EOF
 
 # --- fault-tolerance gate (see docs/ARCHITECTURE.md, fault tolerance) ---
-# 1. kill cpu-process workers mid-solve: the supervisor must re-enqueue
-#    the dead workers' leased sub-trees and still return the optimum.
+# 1. kill cpu-process workers mid-solve (through the facade: the socket
+#    coordinator with forked local workers): the supervisor must
+#    re-enqueue the dead workers' leased sub-trees and still return the
+#    optimum.
 # 2. trip a wall-clock deadline at t=0: the anytime solve must surface a
 #    checkpoint whose resume reaches the clean-run optimum exactly.
 python - <<'EOF'
@@ -227,7 +229,7 @@ import warnings
 from repro import faults
 from repro.core.anytime import resume_from, solve_anytime, solve_to_completion
 from repro.core.sequential import solve_mvc_sequential
-from repro.engines.cpu_process import solve_mvc_processes
+from repro.core.solver import solve_mvc
 from repro.graph.generators.random_graphs import gnp
 
 graph = gnp(30, 0.15, seed=7)
@@ -236,7 +238,7 @@ expected = solve_mvc_sequential(graph).optimum
 with faults.injected("worker_kill:0.5:3", seed=11):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+        out = solve_mvc(graph, engine="cpu-process", n_workers=2, threshold=4)
 assert out.optimum == expected, (out.optimum, expected)
 assert out.workers_lost > 0, "fault plan fired no kills; gate is vacuous"
 print(f"ci_smoke: cpu-process survived {out.workers_lost} worker kills, "

@@ -52,8 +52,8 @@ def main() -> None:
     assert cover_complement_is_independent(graph, exact.cover)
 
     # -- 3. exact, real CPU parallelism -----------------------------------
-    cpu = solve_mvc(graph, engine="cpu-process", n_workers=4)
-    print(f"cpu-process x4:  {cpu.optimum} "
+    cpu = solve_mvc(graph, engine="distributed", n_workers=4)
+    print(f"distributed x4:  {cpu.optimum} "
           f"(wall {cpu.wall_seconds:.2f}s, {cpu.nodes_visited} nodes)")
     assert cpu.optimum == exact.optimum
 

@@ -15,8 +15,8 @@ suite::
     python -m repro solve --graph user_item --engine hybrid --bound konig
     python -m repro solve --graph p_hat_300_3 --deadline 2 --checkpoint cp.bin
     python -m repro solve --graph p_hat_300_3 --resume-from cp.bin
-    python -m repro solve --graph p_hat_300_3 --engine cpu-process --inject worker_kill:0.1
-    python -m repro solve --graph p_hat_300_3 --engine cpu-process --stats \
+    python -m repro solve --graph p_hat_300_3 --engine distributed --inject worker_kill:0.1
+    python -m repro solve --graph p_hat_300_3 --engine distributed --stats \
         --trace trace.json --metrics-out metrics.json
     python -m repro obs view trace.json          # ASCII Gantt + attribution
     python -m repro obs export --metrics metrics.json   # Prometheus text
@@ -785,7 +785,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         if args.hosts is not None and engine != "distributed":
             print(f"error: --hosts applies to --engine distributed only "
-                  f"(engine {engine!r} has no socket transport)")
+                  f"(engine {engine!r} takes no extra hosts)")
             return 2
         par_opt = {}
         if args.workers is not None:

@@ -7,11 +7,13 @@
   simulated device;
 * ``"hybrid"`` — the paper's contribution, on the simulated device;
 * ``"globalonly"`` — the Section IV-A pure-worklist ablation;
-* ``"cpu-threads"`` / ``"cpu-process"`` — real shared-memory parallel
-  engines mirroring the hybrid protocol;
+* ``"cpu-threads"`` — a real shared-memory parallel engine mirroring
+  the hybrid protocol;
 * ``"distributed"`` — the supervised lease protocol over a socket
   transport: a coordinator plus local and remote worker processes
-  (``repro serve-worker`` joins extra hosts into the pool).
+  (``repro serve-worker`` joins extra hosts into the pool);
+* ``"cpu-process"`` — an alias of ``"distributed"`` with ``hosts=0``:
+  forked local workers only.
 """
 
 from __future__ import annotations
@@ -162,20 +164,17 @@ def _dispatch_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any
 
         _forward_bound_opt(_split_engine_opts(options), options)
         return solve_mvc_threads(graph, **options)
-    if engine == "cpu-process":
-        from ..engines.cpu_process import solve_mvc_processes
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_mvc_processes(graph, **options)
     if engine == "cpu-worksteal":
         from ..engines.cpu_worksteal import solve_mvc_worksteal
 
         _forward_bound_opt(_split_engine_opts(options), options)
         return solve_mvc_worksteal(graph, **options)
-    if engine == "distributed":
+    if engine in ("distributed", "cpu-process"):
         from ..net.distributed import solve_mvc_distributed
 
         _forward_bound_opt(_split_engine_opts(options), options)
+        if engine == "cpu-process":  # forked local workers, no extra hosts
+            options["hosts"] = 0
         return solve_mvc_distributed(graph, **options)
     raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
@@ -216,20 +215,17 @@ def _dispatch_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential",
 
         _forward_bound_opt(_split_engine_opts(options), options)
         return solve_pvc_threads(graph, k, **options)
-    if engine == "cpu-process":
-        from ..engines.cpu_process import solve_pvc_processes
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_pvc_processes(graph, k, **options)
     if engine == "cpu-worksteal":
         from ..engines.cpu_worksteal import solve_pvc_worksteal
 
         _forward_bound_opt(_split_engine_opts(options), options)
         return solve_pvc_worksteal(graph, k, **options)
-    if engine == "distributed":
+    if engine in ("distributed", "cpu-process"):
         from ..net.distributed import solve_pvc_distributed
 
         _forward_bound_opt(_split_engine_opts(options), options)
+        if engine == "cpu-process":  # forked local workers, no extra hosts
+            options["hosts"] = 0
         return solve_pvc_distributed(graph, k, **options)
     raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 

@@ -13,16 +13,18 @@ Sites
 -----
 
 ``worker_kill``
-    ``os._exit`` the calling process (``cpu-process`` workers consult it
-    at the top of their node loop).  The supervisor must detect the
-    death, re-enqueue the in-flight subtree, and respawn.
+    ``os._exit`` the calling process (``distributed``/``cpu-process``
+    workers consult it before each chunk, and an armed plan makes every
+    node a chunk).  The coordinator must detect the death, re-enqueue
+    the dead worker's lease, and respawn.
 ``reduce_raise`` / ``branch_raise``
     Raise :class:`FaultInjected` at the reduction-cascade entry / the
     branch boundary of :class:`~repro.core.nodestep.NodeStep`.  Engines
     recover by re-enqueueing a pristine pre-step copy of the node.
 ``queue_delay``
-    Sleep a few milliseconds around queue operations (``cpu-process``
-    puts/gets), widening coordination races.
+    Sleep a few milliseconds around work-queue traffic (a socket
+    worker's idle polls for a lease and its ``donate`` frames), widening
+    coordination races.
 
 Configuration
 -------------

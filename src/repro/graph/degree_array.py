@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "VCState",
     "WirePayload",
     "WIRE_VERSION_V2",
-    "decode_wire",
     "wire_nbytes",
     "fresh_state",
     "alive_vertices",
@@ -62,15 +61,13 @@ __all__ = [
 #: Sentinel degree value marking "removed from the graph, added to S".
 REMOVED: int = -1
 
-#: The self-contained serialized form of one :class:`VCState` (see
-#: :meth:`VCState.to_wire`): ``(deg bytes, |S|, |E|, dirty bytes | None,
-#: max_deg_hint)``.  Codec v2 (:meth:`VCState.to_wire_v2`) replaces the
-#: tuple with a single version-tagged ``bytes`` frame; either form is a
-#: valid wire payload and :func:`decode_wire` dispatches on the type.
-WirePayload = Union[Tuple[bytes, int, int, Optional[bytes], int], bytes]
+#: The self-contained tuple form of one :class:`VCState` that anytime
+#: checkpoints store (see :meth:`VCState.to_wire`): ``(deg bytes, |S|,
+#: |E|, dirty bytes | None, max_deg_hint)``.  States crossing a process
+#: boundary travel as codec-v2 frames instead (:meth:`VCState.to_wire_v2`).
+WirePayload = Tuple[bytes, int, int, Optional[bytes], int]
 
-#: Leading version byte of a codec-v2 frame.  v1 payloads are tuples and
-#: carry no version byte — the *type* of the payload is the discriminant.
+#: Leading version byte of a codec-v2 frame.
 WIRE_VERSION_V2 = 2
 
 #: v2 frame header: version (B), mode (B: 0 dense / 1 sparse), pad (6x),
@@ -268,10 +265,10 @@ class VCState:
         — the same self-containedness that lets the GPU implementation
         move tree nodes between thread blocks, extended with both
         cross-node hints so a donated child reduces on the receiving
-        worker exactly as it would have on the producer.  This codec is
-        the *one* place a state crosses a process boundary; a new
-        ``VCState`` field is added here (and in :meth:`from_wire`) or it
-        does not travel.
+        worker exactly as it would have on the producer.  Anytime
+        checkpoints store this tuple; a state crossing a process boundary
+        travels as a codec-v2 frame (:meth:`to_wire_v2`).  A new
+        ``VCState`` field is added to both codecs or it does not travel.
         """
         dirty = self.dirty
         dirty_bytes = (
@@ -296,7 +293,7 @@ class VCState:
         every entry still matches it, so the frame ships sparse
         ``(idx, val)`` pairs instead of the full ``deg`` array; when the
         delta stops paying (``8·nnz >= 4·n``) the frame degrades to the
-        dense array, never worse than v1 plus the fixed header.  Byte 0 is
+        dense array, never worse than :meth:`to_wire` plus the fixed header.  Byte 0 is
         the codec version, so a receiver can refuse frames it does not
         speak instead of misdecoding them.
         """
@@ -372,30 +369,8 @@ def fresh_state(graph: CSRGraph) -> VCState:
     return VCState(graph.degrees.astype(np.int32).copy(), 0, graph.m)
 
 
-def decode_wire(payload: "WirePayload",
-                root_deg: Optional[np.ndarray] = None) -> VCState:
-    """Decode either wire codec: v1 tuples or v2 version-tagged frames.
-
-    The payload *type* discriminates: a tuple is the frozen v1 codec, a
-    ``bytes``/``memoryview`` frame carries its codec version in byte 0
-    and needs the ``root_deg`` plane to expand sparse deltas.
-    """
-    if isinstance(payload, tuple):
-        return VCState.from_wire(payload)
-    if root_deg is None:
-        raise ValueError("codec-v2 frame needs the root degree plane")
-    return VCState.from_wire_v2(payload, root_deg)
-
-
-def wire_nbytes(payload: "WirePayload") -> int:
-    """Approximate on-the-wire size of one payload, for comms accounting.
-
-    v2 frames are exact; v1 tuples are the sum of their buffer parts
-    plus the fixed header the three scalars cost when pickled.
-    """
-    if isinstance(payload, tuple):
-        dirty = payload[3]
-        return len(payload[0]) + (0 if dirty is None else len(dirty)) + 24
+def wire_nbytes(payload: bytes) -> int:
+    """On-the-wire size of one codec-v2 frame, for comms accounting."""
     return len(payload)
 
 

@@ -7,8 +7,9 @@ thing across OS processes: :class:`GraphPlane` publishes the CSR arrays
 shared-memory segment, and workers *attach* by name — mapping the same
 physical pages instead of re-pickling and re-validating the graph per
 spawn.  The root degree vector doubles as the delta base for the v2 wire
-codec (:func:`repro.graph.degree_array.decode_wire`): every worker that
-attaches the plane can decode sparse ``(idx, val)`` frames against it.
+codec (:meth:`repro.graph.degree_array.VCState.from_wire_v2`): every
+worker that attaches the plane can decode sparse ``(idx, val)`` frames
+against it.
 
 Lifecycle
 ---------

@@ -1,11 +1,14 @@
-"""The eighth engine: the supervised lease protocol over sockets.
+"""The supervised lease protocol over sockets: the process engines.
 
-A coordinator runs the PR 6 supervision state machine — single work
-ledger, leases charged until ``lease_done``, dead peers re-enqueued —
-over :class:`~repro.net.transport.MessageStream` connections instead of
-``multiprocessing`` queues.  The engine forks ``n_workers`` local
-workers, each joined to the coordinator by a ``socketpair`` (so every
-run, including CI, exercises the real socket path), spawns ``hosts``
+A coordinator runs the supervision state machine — single work ledger,
+leases charged until ``lease_done``, dead peers re-enqueued — over
+:class:`~repro.net.transport.MessageStream` connections.  It backs two
+facade engine names: ``distributed``, and ``cpu-process``, which is the
+same solve with ``hosts=0`` (a team of forked local workers, kept as a
+name for committed specs and checkpoints).  The engine forks
+``n_workers`` local workers, each joined to the coordinator by a
+``socketpair`` (so every run, including CI, exercises the real socket
+path), spawns ``hosts``
 additional ``repro serve-worker`` *subprocesses* (cold Python
 interpreters simulating extra hosts on localhost) that connect to the
 coordinator's loopback port, and accepts any externally launched
@@ -67,26 +70,21 @@ import subprocess
 import sys
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults
+from ..core import native
 from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
+from ..core.frontier import LifoFrontier
 from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
-from ..core.sequential import ChunkWalk
+from ..core.sequential import ChunkWalk, branch_and_reduce
 from ..core.stats import SearchStats
-from ..engines.cpu_process import (
-    LEASE_BATCH,
-    MAX_RESPAWNS,
-    CommStats,
-    _codec_fns,
-    _drain_inline,
-)
-from ..engines.cpu_threads import CpuParallelResult
+from ..engines.cpu_threads import CommStats, CpuParallelResult
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import VCState, decode_wire, fresh_state, wire_nbytes
+from ..graph.degree_array import VCState, fresh_state, wire_nbytes
 from ..graph.plane import GraphPlane, publish_plane
 from ..obs import breakdown as obs_breakdown
 from ..obs import metrics as obs_metrics
@@ -114,6 +112,39 @@ _CHUNK_LONG = 1024
 _CHUNK_SHORT = 64
 
 _STOP_NONE, _STOP_BUDGET, _STOP_DEADLINE = 0, 1, 2
+
+#: Respawn policy: a dead peer's slot is refilled by a fresh fork until
+#: ``MAX_RESPAWNS * n_workers`` respawns are spent; then the pool
+#: degrades to fewer workers (loud warning).
+MAX_RESPAWNS = 2
+
+#: Sub-trees handed out per ``work`` frame (and shipped per ``donate``
+#: frame).
+LEASE_BATCH = 8
+
+
+def _codec_fns(
+    root_deg: np.ndarray,
+) -> Tuple[Callable[[VCState], bytes], Callable[[bytes], VCState]]:
+    """(encode, decode) pair of the codec-v2 wire frames against ``root_deg``.
+
+    Runs on the compiled twins of ``VCState.to_wire_v2`` and
+    ``from_wire_v2`` (byte-identical frames) when the native extension
+    is available.
+    """
+    ext = native.load()
+    if ext is None:
+        return (lambda s: s.to_wire_v2(root_deg)), \
+               (lambda p: VCState.from_wire_v2(p, root_deg))
+    encode, decode = ext.wire_encode, ext.wire_decode
+    return (lambda s: encode(s.deg, s.cover_size, s.edge_count, s.dirty,
+                             s.max_deg_hint, root_deg)), \
+           (lambda p: VCState(*decode(p, root_deg)))
+
+
+def _check_pool(n_workers: int, hosts: int) -> None:
+    if n_workers < 0 or hosts < 0 or n_workers + hosts < 1:
+        raise ValueError("need at least one worker (n_workers + hosts >= 1)")
 
 
 # --------------------------------------------------------------------- #
@@ -221,9 +252,8 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     else:
         flag = FoundFlag()
         formulation = PVCFormulation(k=int(params["k"]), flag=flag)
-    enc, dec = _codec_fns(str(params["codec"]), root_deg)
+    enc, dec = _codec_fns(root_deg)
     threshold = int(params["threshold"])
-    lease_batch = int(params["lease_batch"])
     deadline_s = params.get("deadline_s")
     deadline_at = None if deadline_s is None else time.monotonic() + float(deadline_s)
     node_cap = params.get("node_budget")
@@ -299,12 +329,12 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         # Donations leave with this chunk boundary's write, one lease
         # batch per frame.
         nonlocal depth_hint
-        give = threshold - depth_hint * lease_batch
+        give = threshold - depth_hint * LEASE_BATCH
         if give <= 0:
             return
         states = walk.donate_bottom(give)
-        for i in range(0, len(states), lease_batch):
-            payloads = [enc(state) for state in states[i:i + lease_batch]]
+        for i in range(0, len(states), LEASE_BATCH):
+            payloads = [enc(state) for state in states[i:i + LEASE_BATCH]]
             if delay_active:
                 faults.fire("queue_delay")
             post(("donate", payloads))
@@ -358,7 +388,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             break
         if kill_active:
             faults.fire("worker_kill")  # may os._exit right here
-        short = depth_hint * lease_batch < threshold
+        short = depth_hint * LEASE_BATCH < threshold
         chunk = short_chunk if short else long_chunk
         if node_cap is not None:
             # Under a node budget every chunk is short: a worker runs on
@@ -395,11 +425,11 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     flush()
     comms.messages += 1
     comms.bytes_sent += sum(wire_nbytes(p) for p in leftovers)
-    # Exact socket byte counts from the transport, alongside the
-    # wire_nbytes() estimates shared with the queue engines.  wire_received
-    # includes the inline graph frame on the need_graph path, which is the
-    # cost the shared-memory plane exists to avoid; wire_sent excludes only
-    # the final result frame (its size would have to contain itself).
+    # Exact socket byte counts from the transport, alongside the payload
+    # bytes counted above.  wire_received includes the inline graph frame
+    # on the need_graph path, which is the cost the shared-memory plane
+    # exists to avoid; wire_sent excludes only the final result frame (its
+    # size would have to contain itself).
     obs_breakdown.add_wall("idle", comms.idle_s)
     comms_dict = comms.as_dict()
     comms_dict["wire_sent"] = stream.bytes_sent
@@ -546,11 +576,10 @@ def _is_count(value: object) -> bool:
     return type(value) is int and value >= 0
 
 
-def _check_payloads(payloads: object, codec: str, what: str) -> list:
-    """A list of wire payloads of ``codec``'s type, or ``ProtocolError``."""
-    kind = tuple if codec == "v1" else bytes
-    if type(payloads) is not list or any(type(p) is not kind for p in payloads):
-        raise ProtocolError(f"{what}: not a list of {codec} payloads")
+def _check_payloads(payloads: object, what: str) -> list:
+    """A list of codec-v2 frames, or ``ProtocolError``."""
+    if type(payloads) is not list or any(type(p) is not bytes for p in payloads):
+        raise ProtocolError(f"{what}: not a list of wire frames")
     return payloads
 
 
@@ -559,7 +588,7 @@ _LIVE_ARITY = {"ready": (1,), "lease_done": (1,), "nodes": (2,),
                "donate": (2,), "best": (3,), "result": (5, 6)}
 
 
-def _check_live_frame(msg: object, codec: str) -> str:
+def _check_live_frame(msg: object) -> str:
     """Check a live worker frame's kind, arity and field types; return the
     kind or raise ``ProtocolError`` (``best`` payloads are checked by
     :func:`_checked_cover`)."""
@@ -571,13 +600,13 @@ def _check_live_frame(msg: object, codec: str) -> str:
         raise ProtocolError(f"{kind} frame has {len(msg)} fields")
     if kind == "nodes" and not _is_count(msg[1]):
         raise ProtocolError(f"nodes frame: delta {msg[1]!r} is not a count")
-    elif kind == "donate" and not _check_payloads(msg[1], codec, "donate frame"):
+    elif kind == "donate" and not _check_payloads(msg[1], "donate frame"):
         raise ProtocolError("donate frame: no payloads")
     elif kind == "result":
         _, nodes, leftovers, recovered, comms = msg[:5]
         if not (_is_count(nodes) and _is_count(recovered)):
             raise ProtocolError("result frame: counts are not counts")
-        _check_payloads(leftovers, codec, "result frame")
+        _check_payloads(leftovers, "result frame")
         if type(comms) is not dict or any(
                 type(key) is not str or not isinstance(value, numbers.Real)
                 for key, value in comms.items()):
@@ -585,6 +614,40 @@ def _check_live_frame(msg: object, codec: str) -> str:
         if len(msg) > 5 and type(msg[5]) is not list:
             raise ProtocolError("result frame: spans are not a list")
     return kind
+
+
+def _drain_inline(
+    graph: CSRGraph,
+    mode: str,
+    k: int,
+    states: List[VCState],
+    initial_best: int,
+    initial_cover: Optional[np.ndarray],
+    bound: str,
+    kernels: Optional[str] = None,
+) -> Tuple[Optional[int], Optional[np.ndarray]]:
+    """Last-resort fallback: every peer is gone — the coordinator finishes.
+
+    Solves the remaining sub-trees sequentially against the best incumbent
+    the coordinator holds; returns the (possibly improved) incumbent.
+    """
+    formulation: Formulation
+    if mode == "mvc":
+        best = BestBound(size=initial_best, cover=initial_cover)
+        formulation = MVCFormulation(best)
+    else:
+        flag = FoundFlag()
+        formulation = PVCFormulation(k=k, flag=flag)
+    frontier = LifoFrontier()
+    for state in states[1:]:
+        frontier.push((state, 0))
+    branch_and_reduce(graph, formulation, root=states[0], frontier=frontier,
+                      bound=bound, kernels=kernels)
+    if mode == "mvc":
+        return best.size, best.cover
+    if flag.found:
+        return flag.size, flag.cover
+    return None, None
 
 
 def _run_distributed(
@@ -602,23 +665,16 @@ def _run_distributed(
     kernels: Optional[str] = None,
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
-    lease_batch: int = LEASE_BATCH,
-    codec: str = "v2",
-    max_respawns: int = MAX_RESPAWNS,
     listen_host: str = "127.0.0.1",
 ) -> _DistRun:
     import multiprocessing as mp
     from collections import deque
 
-    if n_workers < 0 or hosts < 0 or n_workers + hosts < 1:
-        raise ValueError("need at least one worker (n_workers + hosts >= 1)")
-    if lease_batch < 1:
-        raise ValueError("lease_batch must be >= 1")
     backend = resolve_kernels(kernels)
     kernels_name = backend.name
     graph.prewarm(adjacency=backend.uses_adjacency(graph))
     root_deg = np.asarray(graph.degrees, dtype=np.int32)
-    enc, _ = _codec_fns(codec, root_deg)
+    enc, dec = _codec_fns(root_deg)
     # Published when the first TCP peer says hello: forked workers
     # inherit the graph, so a solve without one never touches shm.
     plane: Optional[GraphPlane] = None
@@ -637,8 +693,7 @@ def _run_distributed(
 
     init_params = {
         "mode": mode, "k": k, "bound": bound, "kernels": kernels_name,
-        "threshold": threshold, "codec": codec, "lease_batch": lease_batch,
-        "initial_best": initial_best,
+        "threshold": threshold, "initial_best": initial_best,
         "deadline_s": deadline,
     }
 
@@ -747,7 +802,7 @@ def _run_distributed(
     def release_pool() -> None:
         """Queue the pool, split evenly over the expected workers."""
         released[0] = True
-        per = max(1, min(lease_batch, -(-len(pool) // (n_workers + hosts))))
+        per = max(1, min(LEASE_BATCH, -(-len(pool) // (n_workers + hosts))))
         for i in range(0, len(pool), per):
             queue.append(pool[i:i + per])
 
@@ -779,7 +834,7 @@ def _run_distributed(
             run.lost += 1
             lost_nodes[0] += peer.nodes_flushed
         if died and not done_sent[0]:
-            if respawns_used[0] < max_respawns * max(1, n_workers):
+            if respawns_used[0] < MAX_RESPAWNS * max(1, n_workers):
                 respawns_used[0] += 1
                 procs.append(spawn_local())
             else:
@@ -795,7 +850,7 @@ def _run_distributed(
         if peer.stage == "hello":
             if type(msg) is not tuple or msg[:1] != ("hello",):
                 raise ProtocolError(f"expected hello, got {msg!r:.60}")
-            if plane is None and codec == "v2":
+            if plane is None:
                 plane = publish_plane(graph)
             peer.stream.send(("plane",
                               None if plane is None else plane.name,
@@ -811,7 +866,7 @@ def _run_distributed(
             peer.stream.send(("init", worker_params()))
             go_live(peer)
             return
-        kind = _check_live_frame(msg, codec)
+        kind = _check_live_frame(msg)
         if kind == "ready":
             ready_seq[0] += 1
             peer.waiting = ready_seq[0]
@@ -986,7 +1041,7 @@ def _run_distributed(
         if run.timed_out:
             for _, leftovers, _, _ in results.values():
                 remaining.extend(leftovers)
-            run.pending = [decode_wire(w, root_deg) for w in remaining]
+            run.pending = [dec(w) for w in remaining]
         elif remaining and not run.found:
             inline_drains[0] += 1
             warnings.warn(
@@ -994,7 +1049,7 @@ def _run_distributed(
                 RuntimeWarning,
             )
             size, cover = _drain_inline(
-                graph, mode, k, [decode_wire(w, root_deg) for w in remaining],
+                graph, mode, k, [dec(w) for w in remaining],
                 run.best_size if mode == "mvc" and run.best_size is not None
                 else (initial_best if mode == "mvc" else k),
                 run.best_cover, bound, kernels_name,
@@ -1047,11 +1102,10 @@ def solve_mvc_distributed(
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
     initial_best: Optional[Tuple[int, np.ndarray]] = None,
-    lease_batch: int = LEASE_BATCH,
-    codec: str = "v2",
     **_: object,
 ) -> CpuParallelResult:
     """Minimum vertex cover with a coordinator + socket-worker pool."""
+    _check_pool(n_workers, hosts)
     greedy = greedy_cover(graph, kernels=kernels)
     best0, cover0 = greedy.size, greedy.cover
     if initial_best is not None and initial_best[0] < best0:
@@ -1064,7 +1118,6 @@ def solve_mvc_distributed(
         graph, "mvc", 0, n_workers=n_workers, hosts=hosts, threshold=threshold,
         node_budget=node_budget, initial_best=best0, initial_cover=cover0,
         bound=bound, kernels=kernels, deadline=deadline, roots=roots,
-        lease_batch=lease_batch, codec=codec,
     )
     return CpuParallelResult(
         engine="distributed",
@@ -1099,13 +1152,12 @@ def solve_pvc_distributed(
     kernels: Optional[str] = None,
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
-    lease_batch: int = LEASE_BATCH,
-    codec: str = "v2",
     **_: object,
 ) -> CpuParallelResult:
     """Parameterized vertex cover with a coordinator + socket-worker pool."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    _check_pool(n_workers, hosts)
     greedy = greedy_cover(graph, kernels=kernels)
     if graph.m == 0:
         return CpuParallelResult("distributed", "pvc", 0, np.empty(0, dtype=np.int32),
@@ -1114,7 +1166,6 @@ def solve_pvc_distributed(
         graph, "pvc", k, n_workers=n_workers, hosts=hosts, threshold=threshold,
         node_budget=node_budget, initial_best=graph.n + 1, initial_cover=None,
         bound=bound, kernels=kernels, deadline=deadline, roots=roots,
-        lease_batch=lease_batch, codec=codec,
     )
     feasible: Optional[bool]
     if run.found and run.best_cover is not None:

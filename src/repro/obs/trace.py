@@ -4,9 +4,9 @@ The sim recorder (:mod:`repro.sim.trace`) attributes *virtual cycles* to
 simulated blocks; this module does the same for *wall time* across real
 workers.  A :class:`WallTracer` is armed process-wide (:func:`arm`),
 records :class:`WallSpan` intervals on a shared monotonic epoch, and the
-coordinator merges spans drained home from forked workers (over the
-``cpu_process`` event protocol) and remote workers (over the ``net/``
-socket frames) into one timeline keyed by real ``(pid, tid)`` lanes.
+coordinator merges spans drained home from forked and remote workers
+(on their ``result`` frames over the ``net/`` sockets) into one timeline
+keyed by real ``(pid, tid)`` lanes.
 
 Identity model:
 

@@ -1,10 +1,14 @@
-"""Tests for the real-parallel CPU engines (threads and processes)."""
+"""Tests for the real-parallel CPU engines (threads and processes).
+
+``cpu-process`` is the facade's name for the socket engine with forked
+local workers only, so its tests go through ``solve_mvc``/``solve_pvc``.
+"""
 
 import pytest
 
 from repro.core.brute import brute_force_mvc
+from repro.core.solver import solve_mvc, solve_pvc
 from repro.core.verify import assert_valid_cover
-from repro.engines.cpu_process import solve_mvc_processes, solve_pvc_processes
 from repro.engines.cpu_threads import solve_mvc_threads, solve_pvc_threads
 from repro.graph.csr import CSRGraph
 from repro.graph.generators.random_graphs import gnp
@@ -70,27 +74,27 @@ class TestThreads:
 class TestProcesses:
     def test_matches_brute_force(self, random_graph_family):
         for g in random_graph_family[:2]:
-            res = solve_mvc_processes(g, n_workers=2)
+            res = solve_mvc(g, engine="cpu-process", n_workers=2)
             opt, _ = brute_force_mvc(g)
             assert res.optimum == opt
             assert_valid_cover(g, res.cover, res.optimum)
 
     def test_pvc_boundary(self):
         g = petersen()
-        assert solve_pvc_processes(g, 6, n_workers=2).feasible is True
-        assert solve_pvc_processes(g, 5, n_workers=2).feasible is False
+        assert solve_pvc(g, 6, engine="cpu-process", n_workers=2).feasible is True
+        assert solve_pvc(g, 5, engine="cpu-process", n_workers=2).feasible is False
 
     def test_empty_graph(self):
-        res = solve_mvc_processes(CSRGraph.empty(3), n_workers=2)
+        res = solve_mvc(CSRGraph.empty(3), engine="cpu-process", n_workers=2)
         assert res.optimum == 0
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            solve_mvc_processes(petersen(), n_workers=0)
+            solve_mvc(petersen(), engine="cpu-process", n_workers=0)
 
     def test_moderate_graph(self):
         g = gnp(35, 0.25, seed=9)
-        res = solve_mvc_processes(g, n_workers=3)
+        res = solve_mvc(g, engine="cpu-process", n_workers=3)
         from repro.core.sequential import solve_mvc_sequential
 
         assert res.optimum == solve_mvc_sequential(g).optimum

@@ -4,9 +4,10 @@ The recovery claims under test:
 
 * engines that arm the step guard re-enqueue a pristine pre-step copy on
   an injected reduce/branch raise and still return the clean optimum;
-* the ``cpu-process`` supervisor survives ``worker_kill`` (re-enqueueing
-  leased sub-trees, respawning with backoff, degrading to an inline
-  drain when every slot dies) and still returns the clean optimum;
+* the ``cpu-process`` supervisor (the socket coordinator with forked
+  local workers) survives ``worker_kill`` (re-enqueueing leased
+  sub-trees, respawning, degrading to an inline drain when every slot
+  dies) and still returns the clean optimum;
 * ``queue_delay`` only widens races, never changes answers.
 """
 
@@ -16,8 +17,7 @@ import pytest
 
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
-from repro.core.solver import solve_mvc
-from repro.engines.cpu_process import solve_mvc_processes, solve_pvc_processes
+from repro.core.solver import solve_mvc, solve_pvc
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph
@@ -174,7 +174,8 @@ class TestProcessWorkerChaos:
         with faults.injected("worker_kill:0.5:3", seed=11):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+                out = solve_mvc(graph, engine="cpu-process", n_workers=2,
+                                threshold=4)
         assert out.optimum == expected, name
         assert out.workers_lost > 0, f"{name}: no kills fired; test is vacuous"
 
@@ -184,30 +185,32 @@ class TestProcessWorkerChaos:
         with faults.injected("worker_kill:0.5:3", seed=11):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                out = solve_pvc_processes(graph, expected, n_workers=2,
-                                          threshold=4)
+                out = solve_pvc(graph, expected, engine="cpu-process",
+                                n_workers=2, threshold=4)
         assert out.feasible is True and out.optimum <= expected
 
     def test_queue_delay_preserves_answers(self):
         graph = gnp(24, 0.2, seed=5)
         expected = _expected(graph)
         with faults.injected("queue_delay:0.5", seed=2):
-            out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+            out = solve_mvc(graph, engine="cpu-process", n_workers=2,
+                            threshold=4)
         assert out.optimum == expected and out.workers_lost == 0
 
     def test_step_raise_inside_workers_recovers(self):
         graph = gnp(26, 0.3, seed=2)
         expected = _expected(graph)
         with faults.injected("reduce_raise:0.3:4", seed=3):
-            out = solve_mvc_processes(graph, n_workers=2, threshold=4)
+            out = solve_mvc(graph, engine="cpu-process", n_workers=2,
+                            threshold=4)
         assert out.optimum == expected
 
     def test_degradation_warns_loudly(self):
         graph = gnp(30, 0.15, seed=7)
         with faults.injected("worker_kill:0.95:8", seed=1):
             with pytest.warns(RuntimeWarning) as caught:
-                out = solve_mvc_processes(graph, n_workers=2, threshold=4,
-                                          max_respawns=1)
+                out = solve_mvc(graph, engine="cpu-process", n_workers=2,
+                                threshold=4)
         assert any("died" in str(w.message) for w in caught)
         assert out.optimum == _expected(graph)
 

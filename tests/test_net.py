@@ -9,17 +9,8 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
-from repro.engines.cpu_process import (
-    CommStats,
-    _next_batch,
-    solve_mvc_processes,
-)
-from repro.graph.degree_array import (
-    VCState,
-    decode_wire,
-    fresh_state,
-    wire_nbytes,
-)
+from repro.engines.cpu_threads import CommStats
+from repro.graph.degree_array import VCState, fresh_state, wire_nbytes
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph, petersen
@@ -82,7 +73,7 @@ class TestWireCodecV2:
         state = fresh_state(g)
         state.deg[3] = 0  # one touched vertex: near-root frame
         frame = state.to_wire_v2(root_deg)
-        assert wire_nbytes(frame) < wire_nbytes(state.to_wire())
+        assert wire_nbytes(frame) < state.deg.nbytes  # v1's dense array
 
     def test_dense_fallback_still_roundtrips(self):
         g = gnp(50, 0.4, seed=2)
@@ -91,16 +82,6 @@ class TestWireCodecV2:
         state.deg[:] = np.arange(g.n) % 5 - 1  # every entry differs
         out = VCState.from_wire_v2(state.to_wire_v2(root_deg), root_deg)
         assert np.array_equal(out.deg, state.deg)
-
-    def test_decode_wire_dispatches_on_payload_type(self):
-        g = petersen()
-        root_deg = np.asarray(g.degrees, dtype=np.int32)
-        state = fresh_state(g)
-        assert np.array_equal(decode_wire(state.to_wire()).deg, state.deg)
-        assert np.array_equal(
-            decode_wire(state.to_wire_v2(root_deg), root_deg).deg, state.deg)
-        with pytest.raises(ValueError):
-            decode_wire(state.to_wire_v2(root_deg))  # v2 needs the base
 
     def test_version_byte_is_validated(self):
         g = petersen()
@@ -221,70 +202,12 @@ class TestFraming:
 
 
 # --------------------------------------------------------------------- #
-# busy-poll regression (satellite: blocking get, not a 20 ms spin)
-# --------------------------------------------------------------------- #
-class _IdleQueue:
-    """A work queue that is empty forever; counts the polls it sees."""
-
-    def __init__(self):
-        self.gets = []
-
-    def get(self, timeout=None):
-        import queue as queue_mod
-
-        self.gets.append(timeout)
-        raise queue_mod.Empty
-
-
-class TestIdleBackoff:
-    def test_backoff_doubles_to_heartbeat_cap(self):
-        from repro.engines.cpu_process import _BACKOFF_MIN_S, _HEARTBEAT_S
-
-        q = _IdleQueue()
-        calls = [0]
-
-        def stop():
-            calls[0] += 1
-            return calls[0] > 12
-
-        assert _next_batch(q, stop) is None
-        assert q.gets[0] == pytest.approx(_BACKOFF_MIN_S)
-        for earlier, later in zip(q.gets, q.gets[1:]):
-            assert later == pytest.approx(min(earlier * 2.0, _HEARTBEAT_S))
-        assert q.gets[-1] == pytest.approx(_HEARTBEAT_S)
-
-    def test_idle_worker_does_not_spin(self):
-        """One simulated idle second costs ~25 polls, not the old 50."""
-        q = _IdleQueue()
-        # the recorded timeouts are exactly how long the real queue.get
-        # would have slept, so their sum is the simulated idle time
-        assert _next_batch(q, lambda: sum(q.gets) >= 1.0) is None
-        assert sum(q.gets) >= 1.0
-        # doubling 1ms -> 50ms cap: ~6 ramp polls + ~19 heartbeat polls;
-        # the old fixed 20ms spin needed 50 and a 1ms spin 1000
-        assert len(q.gets) <= 40
-
-
-# --------------------------------------------------------------------- #
-# batched leases + codec selection on the process engine
+# batched leases: comms counters
 # --------------------------------------------------------------------- #
 class TestBatchedLeases:
-    def test_batch_and_codec_equivalence(self):
-        g = gnp(30, 0.25, seed=4)
-        want = solve_mvc_sequential(g).optimum
-        for lease_batch in (1, 8):
-            for codec in ("v1", "v2"):
-                res = solve_mvc_processes(g, n_workers=2,
-                                          lease_batch=lease_batch, codec=codec)
-                assert res.optimum == want, (lease_batch, codec)
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError):
-            solve_mvc_processes(petersen(), n_workers=1, codec="v9")
-
     def test_comms_counters_present(self):
         g = gnp(25, 0.3, seed=5)
-        res = solve_mvc_processes(g, n_workers=2)
+        res = solve_mvc_distributed(g, n_workers=2)
         assert res.comms is not None
         totals = res.comms["totals"]
         assert set(CommStats.FIELDS) <= set(totals)
@@ -321,28 +244,40 @@ class TestDistributed:
 
     def test_exact_wire_counters_reported(self):
         """Socket workers report exact transport bytes next to the
-        wire_nbytes() estimates.  Forked local workers inherit the graph
-        under either codec, so the gap below is the codecs' own: a v1
-        payload ships the full degree array, a v2 frame near the root
-        only the entries that differ from the root degrees.  A
-        reduction-dominated instance keeps the comparison structural
-        rather than at the mercy of lease-count scheduling noise."""
+        payload byte counts.  Forked local workers inherit the graph, so
+        what they receive is leases and broadcasts: on a
+        reduction-dominated instance that is near-root codec-v2 frames,
+        which carry the few degree entries that differ from the root."""
         from repro.graph.generators.suites import paper_suite
 
         g = next(i for i in paper_suite("small")
                  if i.name == "lastfm_asia").graph()
-        v2 = solve_mvc_distributed(g, n_workers=2, codec="v2").comms["totals"]
-        v1 = solve_mvc_distributed(g, n_workers=2, codec="v1").comms["totals"]
-        for totals in (v1, v2):
-            assert totals["wire_sent"] > 0
-            assert totals["wire_received"] > 0
-        # v1 leases carry dense n=300 degree arrays; v2 leases near the
-        # root carry a handful of changed entries.
-        assert v1["wire_received"] > 4 * v2["wire_received"]
+        totals = solve_mvc_distributed(g, n_workers=2).comms["totals"]
+        assert totals["wire_sent"] > 0
+        assert totals["wire_received"] > 0
+        # less than one dense int32 degree array per leased sub-tree
+        assert totals["wire_received"] < totals["subtrees"] * g.n * 4
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             solve_mvc_distributed(petersen(), n_workers=0, hosts=0)
+
+    @pytest.mark.parametrize("engine", ["cpu-process", "distributed"])
+    @pytest.mark.parametrize("mode", ["mvc", "pvc"])
+    def test_invalid_workers_rejected_on_edgeless_graph(self, mode, engine):
+        """A graph with no edges needs no search, but a bad worker count
+        is still an error."""
+        from repro.core.solver import solve_mvc, solve_pvc
+        from repro.graph.csr import CSRGraph
+
+        for n_workers in (0, -3):
+            with pytest.raises(ValueError):
+                if mode == "mvc":
+                    solve_mvc(CSRGraph.empty(3), engine=engine,
+                              n_workers=n_workers)
+                else:
+                    solve_pvc(CSRGraph.empty(3), 0, engine=engine,
+                              n_workers=n_workers)
 
     def test_hosts_joins_over_serve_worker(self):
         """hosts=1 spawns a cold `repro serve-worker` interpreter that

@@ -129,21 +129,26 @@ def test_forked_workers_get_no_handshake_and_no_plane(monkeypatch):
     assert not {"plane", "graph", "init"} & set(kinds)
 
 
-def test_serve_worker_v1_receives_the_graph_inline():
-    """A TCP host attaches the plane under codec v2 and is sent the CSR
-    arrays inline under v1, so v1 receives at least the CSR bytes more.
-    A reduction-dominated instance (a one-node tree) keeps lease traffic
-    out of the comparison."""
+def test_serve_worker_v1_receives_the_graph_inline(monkeypatch):
+    """A TCP host attaches the shared-memory plane when there is one and
+    is sent the CSR arrays inline when there is none, so the inline host
+    receives at least the CSR bytes more.  A reduction-dominated instance
+    (a one-node tree) keeps lease traffic out of the comparison."""
     from repro.graph.generators.suites import paper_suite
 
     g = next(i for i in paper_suite("small") if i.name == "lastfm_asia").graph()
     csr = g.indptr.nbytes + g.indices.nbytes
-    received = {}
-    for codec in ("v1", "v2"):
-        res = solve_mvc_distributed(g, n_workers=0, hosts=1, codec=codec)
-        assert res.optimum == solve_mvc_sequential(g).optimum
-        received[codec] = res.comms["totals"]["wire_received"]
-    assert received["v1"] >= received["v2"] + csr
+    want = solve_mvc_sequential(g).optimum
+
+    def received():
+        res = solve_mvc_distributed(g, n_workers=0, hosts=1)
+        assert res.optimum == want
+        return res.comms["totals"]["wire_received"]
+
+    attached = received()
+    monkeypatch.setattr(distributed, "publish_plane", lambda graph: None)
+    inline = received()
+    assert inline >= attached + csr
 
 
 def test_dropped_local_worker_exits_on_its_own(monkeypatch, tmp_path):
