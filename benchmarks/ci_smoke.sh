@@ -17,7 +17,8 @@
 # (see docs/EXPERIMENTS.md), or the distributed-engine gate fails
 # (2-worker localhost-socket runs and a serve-worker second-process run
 # must match the sequential covers, the 2-worker runs must walk their
-# sub-trees in compiled chunks, and a workers x hosts spec must
+# sub-trees in compiled chunks, a lone worker must walk its tree on one
+# lease without donating, and a workers x hosts spec must
 # resume with zero recomputed cells), or the fault-tolerance gate fails
 # (injected cpu-process worker kills — and remote serve-worker kills
 # over the socket — must still yield the optimum; a
@@ -147,6 +148,8 @@ python -m repro experiment run --smoke --store "$exp_store"
 #    (comms totals report native_search > 0).  The runs must leave no
 #    child process behind and no new /dev/shm entry (forked workers
 #    inherit the graph; only TCP peers get the shared-memory plane).
+#    A lone worker, which no peer ever needs work from, walks a tree of
+#    thousands of nodes on one lease and donates nothing.
 # 2. the second-host path: one worker joins via a cold
 #    `repro serve-worker` subprocess — the exact code path a second
 #    machine uses — and the answer is unchanged.
@@ -185,6 +188,13 @@ per_worker = got.comms["per_worker"]
 assert len(per_worker) == 2 and all(
     c["subtrees"] > 0 for c in per_worker.values()), \
     "work did not distribute across both socket workers"
+lone_graph = gnp(80, 0.2, seed=1)
+lone = solve_mvc_distributed(lone_graph, n_workers=1)
+assert lone.optimum == solve_mvc_sequential(lone_graph).optimum
+assert lone.nodes_visited > 1000, lone.nodes_visited
+lone_totals = lone.comms["totals"]
+assert lone_totals["donations"] == 0 and lone_totals["leases"] == 1, \
+    f"a lone worker donated to itself: {lone_totals}"
 assert multiprocessing.active_children() == [], \
     f"distributed solves left {multiprocessing.active_children()} running"
 shm_after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
@@ -193,6 +203,8 @@ assert not shm_after - shm_before, \
 print(f"ci_smoke: distributed engine matches sequential covers on "
       f"{len(instances)} instances, walked in compiled chunks (both "
       f"workers contributed on gnp60), no child process or shm entry left")
+print(f"ci_smoke: a lone worker walked {lone.nodes_visited} nodes on one "
+      f"lease and donated nothing")
 
 graph = gnp(60, 0.12, seed=3)
 expected = solve_mvc_sequential(graph).optimum

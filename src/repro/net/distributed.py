@@ -29,7 +29,7 @@ paper's GPU formulation.
 A worker walks its leases as node-budget chunks of one
 :class:`~repro.core.sequential.ChunkWalk` (a compiled ``Walker`` that
 keeps the stack in C when the configuration allows it) and talks to the
-coordinator only between chunks; while the coordinator's queue runs low
+coordinator only between chunks; while another worker starves for work
 it donates from the bottom of that stack.  The coordinator checks the
 shape of every frame a live worker sends, and every incumbent it
 reports, before acting on it; a frame that fails drops the peer.
@@ -43,10 +43,10 @@ worker -> coordinator  coordinator -> worker
 ``("hello", pid)``     ``("plane", name|None, n, nidx)``
 ``("attached",)`` /    ``("graph", indptr, indices)`` (on demand)
 ``("need_graph",)``    ``("init", params)``
-``("ready",)``         ``("work", [payload, ...], depth)``
-``("lease_done",)``
+``("ready",)``         ``("work", [payload, ...], need)``
+``("lease_done",)``    ``("need", need)``
 ``("donate", [payload, ...])``
-``("best", size, cover)``     ``("best", size, depth)``
+``("best", size, cover)``     ``("best", size)``
 ``("nodes", delta)``   ``("done",)``
 ``("result", nodes, leftovers, recovered, comms[, spans])``
 ====================  =============================================
@@ -58,6 +58,13 @@ dead local worker, and the slot is respawned (as a forked worker) with
 the same bounded-retry policy.  If every peer is gone with work
 outstanding, the coordinator drains the remainder inline through the
 sequential solver.
+
+``need`` is the coordinator's count of peers waiting for a lease that
+no queued batch can feed (waiting unfed peers minus queued batches,
+never below zero).  It rides on every ``work`` frame, and a ``need``
+frame carries each change of it to every lease holder; a worker that
+sees ``need > 0`` donates at its next chunk boundary (see
+:func:`_worker_loop`), so sub-trees move only toward a starving peer.
 """
 
 from __future__ import annotations
@@ -103,12 +110,13 @@ _CONNECT_GRACE_S = 10.0
 _WINDDOWN_S = 10.0
 
 #: Worker chunk lengths, in search nodes.  A worker touches its socket
-#: only between chunks: a long chunk while the coordinator's queue is
-#: well stocked, a short one (then a donation) while it runs low.  The
-#: compiled walk keeps its stack in C between chunks, so a chunk boundary
-#: costs one call, not a copy of the stack; the lengths bound how stale a
-#: worker's view of the incumbent and of the queue can get.
-_CHUNK_LONG = 1024
+#: only between chunks: a long chunk while no peer needs work, a short
+#: one (then a donation) while the coordinator's ``need`` is positive.
+#: The compiled walk keeps its stack in C between chunks, so a chunk
+#: boundary costs one call, not a copy of the stack; the long chunk
+#: bounds how long a ``need`` or an incumbent broadcast waits for a
+#: worker to read it.
+_CHUNK_LONG = 256
 _CHUNK_SHORT = 64
 
 _STOP_NONE, _STOP_BUDGET, _STOP_DEADLINE = 0, 1, 2
@@ -142,9 +150,11 @@ def _codec_fns(
            (lambda p: VCState(*decode(p, root_deg)))
 
 
-def _check_pool(n_workers: int, hosts: int) -> None:
+def _check_pool(n_workers: int, hosts: int, threshold: int) -> None:
     if n_workers < 0 or hosts < 0 or n_workers + hosts < 1:
         raise ValueError("need at least one worker (n_workers + hosts >= 1)")
+    if threshold < 1:
+        raise ValueError(f"threshold must be at least 1, got {threshold}")
 
 
 # --------------------------------------------------------------------- #
@@ -236,7 +246,8 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     The chunk is the worker's unit of contact with the coordinator:
     between two chunks it reads broadcasts, reports its node delta and
     any improved incumbent, checks the deadline and, while the
-    coordinator's queue is short, donates the bottom of its stack.
+    coordinator reports a positive ``need``, donates the bottom of its
+    stack.
     """
     # Ask for the first lease before building anything: the coordinator's
     # start-up barrier waits for every local worker's ready, and this
@@ -269,7 +280,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     comms = CommStats()
     comms.messages = 1  # the first ready
     chunks = 0
-    depth_hint = 0  # coordinator queue depth, in batches (advisory)
+    need = 0  # peers starving for work, as the coordinator last said
     nodes_sent = 0
     updates_sent = 0
     has_lease = False
@@ -288,12 +299,12 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             outbox.clear()
 
     def handle(msg) -> None:
-        nonlocal depth_hint, done, has_lease, asked
+        nonlocal need, done, has_lease, asked
         kind = msg[0]
         if kind == "work":
             # A lease can land whenever a ready is out, also before this
             # worker starts waiting for it.
-            batch, depth_hint = msg[1], msg[2]
+            batch, need = msg[1], msg[2]
             has_lease = True
             asked = False
             comms.leases += 1
@@ -301,8 +312,9 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             comms.bytes_received += sum(wire_nbytes(p) for p in batch)
             with obs_trace.span("lease"):
                 walk.push([dec(payload) for payload in reversed(batch)])
+        elif kind == "need":
+            need = msg[1]
         elif kind == "best":
-            depth_hint = msg[2]
             if best is not None and msg[1] < best.size:
                 # Only the size: the cover behind it stays with the
                 # coordinator, and updates does not move, so no stale
@@ -325,14 +337,17 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
 
     def donate_bottom() -> None:
         # The bottom of a depth-first stack holds the shallowest, largest
-        # sub-trees; the top item stays so this worker keeps walking.
-        # Donations leave with this chunk boundary's write, one lease
-        # batch per frame.
-        nonlocal depth_hint
-        give = threshold - depth_hint * LEASE_BATCH
-        if give <= 0:
+        # sub-trees: a lease batch per starving peer, capped at threshold
+        # and at half the stack.  The top item stays so this worker keeps
+        # walking; with nothing below it, need stands until the next
+        # boundary.  Donations leave with this chunk boundary's write, one
+        # lease batch per frame.
+        nonlocal need
+        states = walk.donate_bottom(
+            max(1, min(threshold, need * LEASE_BATCH, len(walk) // 2)))
+        if not states:
             return
-        states = walk.donate_bottom(give)
+        need = 0
         for i in range(0, len(states), LEASE_BATCH):
             payloads = [enc(state) for state in states[i:i + LEASE_BATCH]]
             if delay_active:
@@ -340,7 +355,6 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             post(("donate", payloads))
             comms.donations += len(payloads)
             comms.bytes_sent += sum(wire_nbytes(p) for p in payloads)
-            depth_hint += 1
 
     def post_lease_done() -> None:
         nonlocal has_lease
@@ -358,26 +372,28 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             asked = True
         idle_from = time.monotonic()
         wait = 0.001
+        # Every exit counts, the final wait for ``done`` (the tail
+        # imbalance) included.
         with obs_trace.span("idle"):
-            while True:
-                if done or formulation.stop_requested():
-                    return False
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    return False
-                if delay_active:
-                    faults.fire("queue_delay")
-                # Read the whole batch: a ``done`` right behind the lease
-                # must not be lost.
-                for msg in stream.poll(wait):
-                    handle(msg)
-                if has_lease:
-                    comms.idle_s += time.monotonic() - idle_from
-                    return True
-                wait = min(wait * 2.0, 0.05)
+            try:
+                while True:
+                    if done or formulation.stop_requested():
+                        return False
+                    if deadline_at is not None and time.monotonic() >= deadline_at:
+                        return False
+                    if delay_active:
+                        faults.fire("queue_delay")
+                    # Read the whole batch: a ``done`` right behind the
+                    # lease must not be lost.
+                    for msg in stream.poll(wait):
+                        handle(msg)
+                    if has_lease:
+                        return True
+                    wait = min(wait * 2.0, 0.05)
+            finally:
+                comms.idle_s += time.monotonic() - idle_from
 
     while True:
-        for msg in stream.poll(0.0):
-            handle(msg)
         if done or formulation.stop_requested():
             break
         if deadline_at is not None and time.monotonic() >= deadline_at:
@@ -388,8 +404,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             break
         if kill_active:
             faults.fire("worker_kill")  # may os._exit right here
-        short = depth_hint * LEASE_BATCH < threshold
-        chunk = short_chunk if short else long_chunk
+        chunk = short_chunk if need else long_chunk
         if node_cap is not None:
             # Under a node budget every chunk is short: a worker runs on
             # until a ``done`` reaches it, so the chunk bounds how far the
@@ -402,7 +417,13 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             post_best(best.size, best.cover)
         elif flag is not None and flag.found:
             post_best(flag.size, flag.cover)
-        if short:
+        # The chunk boundary: read what arrived during the chunk (after
+        # reporting this chunk's incumbent, which a ``best`` broadcast
+        # would strip of its cover), so that a fresh ``need`` is answered
+        # now, not a chunk later.
+        for msg in stream.poll(0.0):
+            handle(msg)
+        if need:
             donate_bottom()
         if node_cap is not None or plan is not None:
             # Per chunk, the node delta is worth a frame only where the
@@ -483,7 +504,7 @@ class _Peer:
     """One connected worker: forked (live at once) or TCP (handshake first)."""
 
     __slots__ = ("stream", "wid", "stage", "lease", "waiting", "joined",
-                 "finished", "result", "nodes_flushed")
+                 "finished", "result", "nodes_flushed", "told")
 
     def __init__(self, stream: MessageStream, wid: int, stage: str):
         self.stream = stream
@@ -495,6 +516,7 @@ class _Peer:
         self.finished = False
         self.result: Optional[Tuple[int, List, int, Dict[str, float]]] = None
         self.nodes_flushed = 0
+        self.told = 0  # the need this peer last heard (0 once it donates)
 
 
 class _DistRun:
@@ -794,7 +816,7 @@ def _run_distributed(
             run.best_size = size
             run.best_cover = cover
             if mode == "mvc":
-                broadcast(("best", size, len(queue)))
+                broadcast(("best", size))
             else:
                 run.found = True
                 request_done(_STOP_NONE)
@@ -877,6 +899,7 @@ def _run_distributed(
             peer.lease = None
         elif kind == "donate":
             queue.append(list(msg[1]))
+            peer.told = 0  # a donor clears its need
         elif kind == "best":
             offer_best(msg[1], msg[2])
         elif kind == "nodes":
@@ -929,25 +952,47 @@ def _run_distributed(
                 progressed = True
         return progressed
 
+    def need() -> int:
+        """Waiting peers that no queued batch can feed."""
+        starving = sum(1 for p in live_peers() if p.waiting and p.lease is None)
+        return max(0, starving - len(queue))
+
     def feed_ready_peers() -> None:
         if done_sent[0] or not queue:
             return
         # Longest-waiting peer first: a worker that donates and then asks
         # for work again does not take its own donation back from a peer
         # that has been idle all along.
+        fed = []
         for peer in sorted(live_peers(), key=lambda p: p.waiting):
             if not queue:
                 break
             if peer.waiting and peer.lease is None:
-                batch = queue.popleft()
                 # Charged at send time: a peer that dies before its
                 # lease_done gets this batch re-enqueued by drop_peer.
-                peer.lease = batch
+                peer.lease = queue.popleft()
                 peer.waiting = 0
+                fed.append(peer)
+        told = need()
+        for peer in fed:
+            peer.told = told
+            try:
+                peer.stream.send(("work", peer.lease, told))
+            except TransportClosed:
+                drop_peer(peer, died=True)
+
+    def tell_need() -> None:
+        """Send each lease holder the current ``need`` if it changed."""
+        if done_sent[0]:
+            return
+        told = need()
+        for peer in live_peers():
+            if peer.lease is not None and peer.told != told:
+                peer.told = told
                 try:
-                    peer.stream.send(("work", batch, len(queue)))
+                    peer.stream.send(("need", told))
                 except TransportClosed:
-                    drop_peer(peer, died=True)
+                    pass  # death is handled by the read path
 
     results: Dict[int, Tuple[int, List, int, Dict[str, float]]] = {}
     procs: List["mp.Process"] = []
@@ -972,6 +1017,7 @@ def _run_distributed(
                     or time.monotonic() - started > _CONNECT_GRACE_S):
                 release_pool()
             feed_ready_peers()
+            tell_need()
 
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 request_done(_STOP_DEADLINE)
@@ -1104,8 +1150,13 @@ def solve_mvc_distributed(
     initial_best: Optional[Tuple[int, np.ndarray]] = None,
     **_: object,
 ) -> CpuParallelResult:
-    """Minimum vertex cover with a coordinator + socket-worker pool."""
-    _check_pool(n_workers, hosts)
+    """Minimum vertex cover with a coordinator + socket-worker pool.
+
+    ``threshold`` (at least 1) caps the sub-trees one donation hands
+    over; a worker donates only while a peer is waiting for work, one
+    lease batch per waiting peer.
+    """
+    _check_pool(n_workers, hosts, threshold)
     greedy = greedy_cover(graph, kernels=kernels)
     best0, cover0 = greedy.size, greedy.cover
     if initial_best is not None and initial_best[0] < best0:
@@ -1154,10 +1205,13 @@ def solve_pvc_distributed(
     roots: Optional[Sequence[VCState]] = None,
     **_: object,
 ) -> CpuParallelResult:
-    """Parameterized vertex cover with a coordinator + socket-worker pool."""
+    """Parameterized vertex cover with a coordinator + socket-worker pool.
+
+    ``threshold`` caps one donation, as in :func:`solve_mvc_distributed`.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
-    _check_pool(n_workers, hosts)
+    _check_pool(n_workers, hosts, threshold)
     greedy = greedy_cover(graph, kernels=kernels)
     if graph.m == 0:
         return CpuParallelResult("distributed", "pvc", 0, np.empty(0, dtype=np.int32),

@@ -453,6 +453,100 @@ class TestCompiledWorkerWalk:
 
 
 # --------------------------------------------------------------------- #
+# demand-driven donation and idle accounting
+# --------------------------------------------------------------------- #
+class TestDemandDonation:
+    def test_lone_worker_never_donates(self):
+        """No peer ever starves, so the one worker walks the whole tree
+        on its first lease."""
+        g = gnp(80, 0.2, seed=1)
+        res = solve_mvc_distributed(g, n_workers=1)
+        assert res.optimum == solve_mvc_sequential(g).optimum
+        assert res.nodes_visited > 1000
+        totals = res.comms["totals"]
+        assert totals["donations"] == 0
+        assert totals["leases"] == 1
+
+    def test_more_workers_than_cores_conserve_subtrees(self):
+        """Four workers share two or fewer cores: every starving one is fed
+        through donations, and every leased sub-tree is the root or a
+        donation, so none is lost or handed out twice."""
+        import multiprocessing
+
+        g = gnp(80, 0.2, seed=1)
+        res = solve_mvc_distributed(g, n_workers=4)
+        assert res.optimum == solve_mvc_sequential(g).optimum
+        per_worker = res.comms["per_worker"]
+        assert len(per_worker) == 4
+        assert all(c["subtrees"] > 0 for c in per_worker.values())
+        totals = res.comms["totals"]
+        assert totals["subtrees"] == totals["donations"] + 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("engine", ["cpu-process", "distributed"])
+    @pytest.mark.parametrize("mode", ["mvc", "pvc"])
+    def test_threshold_below_one_rejected(self, mode, engine):
+        from repro.core.solver import solve_mvc, solve_pvc
+        from repro.graph.csr import CSRGraph
+
+        for g in (gnp(60, 0.12, seed=3), CSRGraph.empty(3)):
+            with pytest.raises(ValueError, match="threshold"):
+                if mode == "mvc":
+                    solve_mvc(g, engine=engine, n_workers=2, threshold=0)
+                else:
+                    solve_pvc(g, 20, engine=engine, n_workers=2, threshold=0)
+
+    def test_final_wait_for_done_counts_as_idle(self):
+        """A thread plays the coordinator: it leases the whole tree, holds
+        ``done`` back 50 ms after the worker's last ``ready``, and reads the
+        ``idle_s`` the worker reports in its result."""
+        import threading
+        import time
+
+        from repro.net.distributed import _codec_fns, _worker_loop
+
+        g = gnp(30, 0.2, seed=4)
+        root_deg = np.asarray(g.degrees, dtype=np.int32)
+        enc, _ = _codec_fns(root_deg)
+        params = {"mode": "mvc", "k": 0, "bound": "greedy", "kernels": "auto",
+                  "threshold": 32, "initial_best": g.n, "deadline_s": None}
+        ours, theirs = socket.socketpair()
+        coordinator, worker = MessageStream(ours), MessageStream(theirs)
+        got = {}
+
+        def coordinate():
+            until = time.monotonic() + 10.0
+            try:
+                readies = 0
+                while readies < 2 and time.monotonic() < until:
+                    for msg in coordinator.poll(1.0):
+                        if msg[0] == "ready":
+                            readies += 1
+                            if readies == 1:
+                                coordinator.send(("work", [enc(fresh_state(g))], 0))
+                time.sleep(0.05)
+                coordinator.send(("done",))
+                while "result" not in got and time.monotonic() < until:
+                    for msg in coordinator.poll(1.0):
+                        if msg[0] == "result":
+                            got["result"] = msg
+            finally:
+                coordinator.close()
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        try:
+            _worker_loop(worker, g, root_deg, params)
+        finally:
+            worker.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        comms = got["result"][4]
+        assert comms["leases"] == 1
+        assert comms["idle_s"] >= 0.05
+
+
+# --------------------------------------------------------------------- #
 # best-frame validation at the coordinator
 # --------------------------------------------------------------------- #
 def _edge_rows(g):
