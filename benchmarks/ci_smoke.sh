@@ -62,7 +62,8 @@ EOF
 python - <<'EOF'
 from repro.core.frontier import FRONTIERS
 from repro.core.sequential import solve_mvc_sequential
-from repro.core.solver import ENGINES, solve_mvc
+from repro.core.solver import ENGINES, POOL_ENGINES, solve_mvc, solve_pvc
+from repro.core.verify import is_vertex_cover
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph
@@ -80,21 +81,28 @@ for name, graph in instances:
         assert got == expected, (name, frontier, got, expected)
         checked += 1
     for engine in ENGINES:
-        parallel = engine.startswith("cpu-") or engine == "distributed"
-        kwargs = {"n_workers": 2} if parallel else {}
+        kwargs = {"n_workers": 2} if engine in POOL_ENGINES else {}
         got = solve_mvc(graph, engine=engine, **kwargs).optimum
         assert got == expected, (name, engine, got, expected)
-        checked += 1
+        # PVC leg: k=OPT has a witness of size <= k, k=OPT-1 is refuted
+        yes = solve_pvc(graph, expected, engine=engine, **kwargs)
+        assert yes.feasible is True, (name, engine, "k=OPT", yes.feasible)
+        assert len(yes.cover) <= expected, (name, engine, len(yes.cover))
+        assert is_vertex_cover(graph, yes.cover), (name, engine, "witness")
+        no = solve_pvc(graph, expected - 1, engine=engine, **kwargs)
+        assert no.feasible is False, (name, engine, "k=OPT-1", no.feasible)
+        checked += 3
 print(f"ci_smoke: engine x frontier matrix OK "
       f"({checked} solver runs, {len(instances)} instances, "
-      f"{len(FRONTIERS)} frontiers, {len(ENGINES)} engines)")
+      f"{len(FRONTIERS)} frontiers, {len(ENGINES)} engines, "
+      f"MVC + PVC at k=OPT and k=OPT-1)")
 EOF
 
 # --- bound x engine agreement matrix (+ bipartite tree-shrink guard) ---
 python - <<'EOF'
 from repro.core.bounds import BOUNDS
 from repro.core.sequential import solve_mvc_sequential
-from repro.core.solver import ENGINES, solve_mvc
+from repro.core.solver import ENGINES, POOL_ENGINES, solve_mvc
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp, random_bipartite
 
@@ -111,8 +119,7 @@ for name, graph in instances:
         assert got == expected, (name, bound, got, expected)
         checked += 1
     for engine in ENGINES:
-        parallel = engine.startswith("cpu-") or engine == "distributed"
-        kwargs = {"n_workers": 2} if parallel else {}
+        kwargs = {"n_workers": 2} if engine in POOL_ENGINES else {}
         got = solve_mvc(graph, engine=engine, bound="matching", **kwargs).optimum
         assert got == expected, (name, engine, got, expected)
         checked += 1

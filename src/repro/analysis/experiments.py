@@ -40,6 +40,7 @@ import numpy as np
 
 from ..core.matching import konig_cover
 from ..core.sequential import solve_mvc_sequential
+from ..core.solver import POOL_ENGINES
 from ..engines.globalonly import GlobalOnlyEngine
 from ..engines.hybrid import HybridEngine
 from ..engines.stackonly import StackOnlyEngine
@@ -561,7 +562,7 @@ def run_cell(
             f"the 'hosts' axis applies to engine='distributed' only; "
             f"engine {engine!r} has no socket transport"
         )
-    if engine.startswith("cpu-") or engine == "distributed":
+    if engine in POOL_ENGINES:
         return _run_cpu_cell(engine, graph, itype, k, cfg, bound,
                              workers=workers, hosts=hosts)
     if workers is not None:

@@ -55,6 +55,7 @@ from .analysis.experiments import (
     run_table2,
     run_table3,
 )
+from .core.solver import POOL_ENGINES
 from .graph.generators.suites import paper_suite, suite_instance
 
 __all__ = ["main", "build_parser"]
@@ -131,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-seed", type=int, default=0,
                    help="deterministic seed for the --inject firing streams")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count for the parallel engines (cpu-threads, "
-                        "cpu-process, cpu-worksteal, distributed)")
+                   help="worker count for the engines with a worker pool "
+                        f"({', '.join(POOL_ENGINES)})")
     p.add_argument("--hosts", type=int, default=None,
                    help="distributed engine only: spawn this many extra "
                         "localhost worker processes that join over the socket "
@@ -776,11 +777,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: unknown kernels {args.kernels!r}; choose from: "
                   f"{', '.join(sorted(KERNELS))}")
             return 2
-        parallel_engines = ("cpu-threads", "cpu-process", "cpu-worksteal",
-                            "distributed")
-        if args.workers is not None and engine not in parallel_engines:
+        if args.workers is not None and engine not in POOL_ENGINES:
             print(f"error: --workers applies to the parallel engines "
-                  f"({', '.join(parallel_engines)}); engine {engine!r} is "
+                  f"({', '.join(POOL_ENGINES)}); engine {engine!r} is "
                   f"single-worker")
             return 2
         if args.hosts is not None and engine != "distributed":

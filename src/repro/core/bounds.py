@@ -10,7 +10,7 @@ most ``b**2`` edges).  This module makes the bound a policy, mirroring
 and an *admissible* lower bound on the extra cover the remaining graph
 still needs, and :class:`~repro.core.nodestep.NodeStep` composes it with
 the formulation's budget — so every engine (sequential, the three
-simulated-GPU programs, the real thread/process/work-stealing teams)
+simulated-GPU programs, the real thread and process teams)
 sweeps bound strength through one registry, exactly as they sweep
 frontier policies.
 

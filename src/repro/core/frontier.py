@@ -18,15 +18,15 @@ CPU engines):
 * :class:`HybridThresholdFrontier` — Fig. 4's donation policy: feed a
   (FIFO) shared pool while it is hungry, otherwise go depth-first;
 * :class:`StealingDequeFrontier` — per-lane deques with oldest-first
-  stealing, the classic CPU work-stealing discipline
-  (:mod:`repro.engines.cpu_worksteal` drives its lane API under a lock);
+  stealing, the classic CPU work-stealing discipline, explored
+  sequentially;
 * :class:`BestFirstFrontier` — **new scenario**: a priority queue ordered
   by the greedy bound ``|S| + ceil(|E'| / Δ')``, expanding the most
   promising subproblem first.
 
 Concurrency note: frontiers are plain data structures with no internal
-locking.  The sequential solver owns one outright; the thread/process
-engines guard theirs with their own condition variables or locks (the
+locking.  The sequential solver owns one outright; the thread engine
+guards its shared pool with its own condition variable (the
 coordination protocol — waiting, idle consensus, termination — is engine
 logic, not ordering policy, and stays in the engines).  The simulated-GPU
 engines realise the same policies in cycle-charged form: the bounded
@@ -195,11 +195,12 @@ class StealingDequeFrontier(Frontier):
     (worker) pushes and pops at its own deque's young end and, when empty,
     steals the *oldest* entry from a random victim — oldest being closest
     to the victim's sub-tree root, i.e. the biggest stolen sub-tree (the
-    standard heuristic).  :mod:`repro.engines.cpu_worksteal` drives the
-    lane API (:meth:`push_lane` / :meth:`pop_own` / :meth:`steal`) under
-    its own lock; the single-owner :meth:`push`/:meth:`pop` interface
-    round-robins pushes across lanes, which makes the same schedule
-    explorable sequentially (``repro solve --frontier stealing``).
+    standard heuristic).  The lane API (:meth:`push_lane` /
+    :meth:`pop_own` / :meth:`steal`) is the per-worker view; the
+    single-owner :meth:`push`/:meth:`pop` interface round-robins pushes
+    across lanes, which makes the schedule explorable sequentially
+    (``repro solve --frontier stealing``).  No parallel engine runs it:
+    the paper balances load through one shared worklist.
     """
 
     __slots__ = ("lanes", "steals", "_rng", "_push_cursor")
@@ -213,7 +214,7 @@ class StealingDequeFrontier(Frontier):
         self._push_cursor = 0
 
     # ------------------------------------------------------------------ #
-    # lane API (cpu_worksteal drives these under its shared lock)
+    # lane API: one deque per worker, no locking of its own
     # ------------------------------------------------------------------ #
     def push_lane(self, lane: int, item: Any) -> None:
         self.lanes[lane].append(item)

@@ -1,6 +1,6 @@
 """Public solve facade: one entry point over every engine.
 
-``solve_mvc`` / ``solve_pvc`` dispatch to:
+``solve_mvc`` / ``solve_pvc`` dispatch through :data:`ENGINE_TABLE`:
 
 * ``"sequential"`` — the Fig. 1 CPU baseline (default);
 * ``"stackonly"`` — prior work's fixed-depth sub-tree GPU scheme, on the
@@ -12,24 +12,65 @@
 * ``"distributed"`` — the supervised lease protocol over a socket
   transport: a coordinator plus local and remote worker processes
   (``repro serve-worker`` joins extra hosts into the pool);
-* ``"cpu-process"`` — an alias of ``"distributed"`` with ``hosts=0``:
-  forked local workers only.
+* ``"cpu-process"`` — ``"distributed"`` with ``hosts=0``: forked local
+  workers only.
+
+Engine modules are imported on first dispatch, not with the facade, so
+``import repro`` does not pay for the thread, socket and simulated
+engines.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from .. import obs
 from ..graph.csr import CSRGraph
-from .sequential import SearchOutcome, solve_mvc_sequential, solve_pvc_sequential
 
-__all__ = ["ENGINES", "solve_mvc", "solve_pvc", "publish_result"]
+__all__ = ["ENGINES", "ENGINE_TABLE", "POOL_ENGINES", "solve_mvc", "solve_pvc",
+           "publish_result"]
 
-ENGINES = ("sequential", "stackonly", "hybrid", "globalonly",
-           "cpu-threads", "cpu-process", "cpu-worksteal", "distributed")
+
+class EngineRow(NamedTuple):
+    """Where one engine lives and how the facade calls it."""
+
+    #: module holding the entry points, relative to the ``repro`` package
+    module: str
+    #: the MVC entry point, or the simulated-engine class when ``pvc`` is None
+    mvc: str
+    #: the PVC entry point; ``None`` when ``mvc`` names an engine class
+    pvc: Optional[str] = None
+    #: options the engine name pins, over whatever the caller passed
+    fixed: Tuple[Tuple[str, Any], ...] = ()
+    #: takes a worker pool (``n_workers``) and runs in wall-clock mode
+    pool: bool = False
+
+
+ENGINE_TABLE: Dict[str, EngineRow] = {
+    "sequential": EngineRow(".core.sequential", "solve_mvc_sequential",
+                            "solve_pvc_sequential"),
+    "stackonly": EngineRow(".engines.stackonly", "StackOnlyEngine"),
+    "hybrid": EngineRow(".engines.hybrid", "HybridEngine"),
+    "globalonly": EngineRow(".engines.globalonly", "GlobalOnlyEngine"),
+    "cpu-threads": EngineRow(".engines.cpu_threads", "solve_mvc_threads",
+                             "solve_pvc_threads", pool=True),
+    "cpu-process": EngineRow(".net.distributed", "solve_mvc_distributed",
+                             "solve_pvc_distributed", fixed=(("hosts", 0),),
+                             pool=True),
+    "distributed": EngineRow(".net.distributed", "solve_mvc_distributed",
+                             "solve_pvc_distributed", pool=True),
+}
+
+ENGINES = tuple(ENGINE_TABLE)
+
+#: The engines with a worker pool: they take ``n_workers`` and run in
+#: wall-clock mode.
+POOL_ENGINES = tuple(name for name, row in ENGINE_TABLE.items() if row.pool)
+
+_PACKAGE = __package__.rpartition(".")[0]
 
 
 def publish_result(engine: str, result: Any,
@@ -73,14 +114,6 @@ def _solve_enveloped(engine: str, thunk):
         result = thunk()
     publish_result(engine, result, wall_seconds=time.perf_counter() - t0)
     return result
-
-
-def _sim_engine(name: str):
-    from ..engines import globalonly, hybrid, stackonly
-
-    return {"stackonly": stackonly.StackOnlyEngine,
-            "hybrid": hybrid.HybridEngine,
-            "globalonly": globalonly.GlobalOnlyEngine}[name]
 
 
 #: ``REPRO_CACHE`` as a key of the environment mapping's backing dict.
@@ -145,38 +178,8 @@ def solve_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any):
                 cache, graph, engine=engine, options=options,
                 dispatch=_dispatch_mvc))
     if not obs.armed():  # the disarmed facade adds no frame to the dispatch
-        return _dispatch_mvc(graph, engine=engine, **options)
-    return _solve_enveloped(
-        engine, lambda: _dispatch_mvc(graph, engine=engine, **options))
-
-
-def _dispatch_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any):
-    if engine == "sequential":
-        opts = _split_engine_opts(options)  # device/cost-model knobs do not apply
-        _forward_bound_opt(opts, options)
-        return solve_mvc_sequential(graph, **options)
-    _reject_frontier_opt(engine, options)
-    if engine in ("stackonly", "hybrid", "globalonly"):
-        eng = _sim_engine(engine)(**_split_engine_opts(options))
-        return eng.solve_mvc(graph, **options)
-    if engine == "cpu-threads":
-        from ..engines.cpu_threads import solve_mvc_threads
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_mvc_threads(graph, **options)
-    if engine == "cpu-worksteal":
-        from ..engines.cpu_worksteal import solve_mvc_worksteal
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_mvc_worksteal(graph, **options)
-    if engine in ("distributed", "cpu-process"):
-        from ..net.distributed import solve_mvc_distributed
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        if engine == "cpu-process":  # forked local workers, no extra hosts
-            options["hosts"] = 0
-        return solve_mvc_distributed(graph, **options)
-    raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+        return _dispatch(graph, None, engine, options)
+    return _solve_enveloped(engine, lambda: _dispatch(graph, None, engine, options))
 
 
 def solve_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential", **options: Any):
@@ -195,77 +198,60 @@ def solve_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential", **options:
                 cache, graph, k, engine=engine, options=options,
                 dispatch=_dispatch_pvc))
     if not obs.armed():
-        return _dispatch_pvc(graph, k, engine=engine, **options)
-    return _solve_enveloped(
-        engine, lambda: _dispatch_pvc(graph, k, engine=engine, **options))
+        return _dispatch(graph, k, engine, options)
+    return _solve_enveloped(engine, lambda: _dispatch(graph, k, engine, options))
+
+
+#: Options the simulated engines take at construction.  ``bound`` and
+#: ``kernels`` go back to the per-solve engines, which take them per call;
+#: the rest do not apply to those engines and are dropped.
+_ENGINE_CTOR_KEYS = ("device", "cost_model", "start_depth", "worklist_capacity",
+                     "worklist_threshold_fraction", "block_size_override", "bound",
+                     "kernels")
+
+
+def _dispatch(graph: CSRGraph, k: Optional[int], engine: str,
+              options: Dict[str, Any]):
+    """Run one solve on ``engine``: MVC when ``k`` is None, else PVC."""
+    row = ENGINE_TABLE.get(engine)
+    if row is None:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if engine != "sequential":
+        _reject_frontier_opt(engine, options)
+    ctor = {key: options.pop(key) for key in _ENGINE_CTOR_KEYS if key in options}
+    module = importlib.import_module(row.module, _PACKAGE)
+    if row.pvc is None:  # a simulated engine, configured at construction
+        solver = getattr(module, row.mvc)(**ctor)
+        run = solver.solve_mvc if k is None else solver.solve_pvc
+    else:
+        options.update((key, ctor[key]) for key in ("bound", "kernels")
+                       if key in ctor)
+        run = getattr(module, row.mvc if k is None else row.pvc)
+    options.update(row.fixed)
+    return run(graph, **options) if k is None else run(graph, k, **options)
+
+
+def _dispatch_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any):
+    """:func:`_dispatch` in the call shape the cache layer's ``dispatch=`` uses."""
+    return _dispatch(graph, None, engine, options)
 
 
 def _dispatch_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential",
                   **options: Any):
-    if engine == "sequential":
-        opts = _split_engine_opts(options)  # device/cost-model knobs do not apply
-        _forward_bound_opt(opts, options)
-        return solve_pvc_sequential(graph, k, **options)
-    _reject_frontier_opt(engine, options)
-    if engine in ("stackonly", "hybrid", "globalonly"):
-        eng = _sim_engine(engine)(**_split_engine_opts(options))
-        return eng.solve_pvc(graph, k, **options)
-    if engine == "cpu-threads":
-        from ..engines.cpu_threads import solve_pvc_threads
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_pvc_threads(graph, k, **options)
-    if engine == "cpu-worksteal":
-        from ..engines.cpu_worksteal import solve_pvc_worksteal
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        return solve_pvc_worksteal(graph, k, **options)
-    if engine in ("distributed", "cpu-process"):
-        from ..net.distributed import solve_pvc_distributed
-
-        _forward_bound_opt(_split_engine_opts(options), options)
-        if engine == "cpu-process":  # forked local workers, no extra hosts
-            options["hosts"] = 0
-        return solve_pvc_distributed(graph, k, **options)
-    raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-
-
-_ENGINE_CTOR_KEYS = ("device", "cost_model", "start_depth", "worklist_capacity",
-                     "worklist_threshold_fraction", "block_size_override", "bound",
-                     "kernels")
+    """:func:`_dispatch` in the call shape the cache layer's ``dispatch=`` uses."""
+    return _dispatch(graph, k, engine, options)
 
 
 def _reject_frontier_opt(engine: str, options: Dict[str, Any]) -> None:
     """Frontier policies are a sequential-traversal knob.
 
     The parallel engines' disciplines are fixed by what they model
-    (per-block stacks, the broker worklist, stealing deques); silently
-    dropping a requested policy would misreport the scenario that ran.
+    (per-block stacks, the broker worklist, the thread team's shared
+    pool, the coordinator's lease queue); silently dropping a requested
+    policy would misreport the scenario that ran.
     """
     if options.pop("frontier", None) is not None:
         raise ValueError(
             f"the 'frontier' option applies to engine='sequential' only; "
             f"engine {engine!r} has a fixed worklist discipline"
         )
-
-
-def _split_engine_opts(options: Dict[str, Any]) -> Dict[str, Any]:
-    """Pop constructor-level options out of the per-solve option dict."""
-    ctor: Dict[str, Any] = {}
-    for key in _ENGINE_CTOR_KEYS:
-        if key in options:
-            ctor[key] = options.pop(key)
-    return ctor
-
-
-def _forward_bound_opt(ctor: Dict[str, Any], options: Dict[str, Any]) -> None:
-    """Hand ``bound`` and ``kernels`` back to a per-solve engine.
-
-    Both sit in :data:`_ENGINE_CTOR_KEYS` because the simulated engines
-    take them at construction; the sequential and ``cpu-*`` engines take
-    them per solve call, so the split puts them back for them.
-    """
-    if "bound" in ctor:
-        options["bound"] = ctor["bound"]
-    if "kernels" in ctor:
-        options["kernels"] = ctor["kernels"]

@@ -21,7 +21,7 @@ simulated engines' ``reduce`` is the Section IV-D charged cascade, which
 deliberately consumes the hint *unhonoured* — its per-sweep full scans
 are the paper's work meter, so makespans and Table I cycles stay
 bit-identical to the pre-hint trees.  Only the wall-clock CPU paths
-(sequential solver, cpu-threads/worksteal, the socket engine's workers)
+(sequential solver, cpu-threads, the socket engine's workers)
 seed their cascades from it.
 """
 

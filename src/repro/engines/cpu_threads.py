@@ -2,16 +2,17 @@
 
 The paper compares its GPU kernels against a *sequential* CPU baseline and
 explicitly notes that a fair CPU comparison would need a parallel CPU
-implementation — this engine (and its process-based sibling) provides one,
-mirroring the hybrid protocol: per-worker local stacks, a bounded global
-deque with a donation threshold, a shared incumbent bound, and the
-all-workers-waiting termination test.
+implementation — this engine (and the socket engine in
+:mod:`repro.net.distributed`) provides one, mirroring the hybrid protocol:
+per-worker local stacks, a bounded global deque with a donation
+threshold, a shared incumbent bound, and the all-workers-waiting
+termination test.
 
 Under CPython the GIL serialises bytecode, so wall-clock speedups are
 modest (NumPy kernels release the GIL); the engine's value is that the
-*coordination protocol* — donation, stealing, termination, bound
-propagation — runs under genuine concurrency and is exercised by the test
-suite for races the DES cannot produce.
+*coordination protocol* — donation, termination, bound propagation —
+runs under genuine concurrency and is exercised by the test suite for
+races the DES cannot produce.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,8 +107,8 @@ class CpuParallelResult:
     workers_lost: int = 0
     #: communication counters, all parallel engines —
     #: ``{"per_worker": {wid: {...}}, "totals": {...}}`` (messages, bytes,
-    #: leases, donations/steals, idle time; thread engines report the
-    #: shared-memory subset: donations/subtrees/steals + idle seconds).
+    #: leases, donations, idle time; the thread engine reports the
+    #: shared-memory subset: donations/subtrees + idle seconds).
     comms: Optional[Dict[str, object]] = None
     #: fault-supervision outcomes (PR 6), surfaced instead of buried in
     #: ``RuntimeWarning``s: ``recovered`` / ``workers_lost`` plus, for
@@ -321,8 +322,19 @@ def _run_threads(
     return shared, node_counts, time.perf_counter() - start
 
 
-def solve_mvc_threads(
+def solve_mvc_threads(graph: CSRGraph, **options: Any) -> CpuParallelResult:
+    """Minimum vertex cover with a thread team running the hybrid protocol."""
+    return _solve_threads(graph, None, **options)
+
+
+def solve_pvc_threads(graph: CSRGraph, k: int, **options: Any) -> CpuParallelResult:
+    """Parameterized vertex cover with a thread team."""
+    return _solve_threads(graph, k, **options)
+
+
+def _solve_threads(
     graph: CSRGraph,
+    k: Optional[int],
     *,
     n_workers: int = 4,
     threshold: int = 32,
@@ -334,78 +346,48 @@ def solve_mvc_threads(
     initial_best: Optional[Tuple[int, np.ndarray]] = None,
     **_: object,
 ) -> CpuParallelResult:
-    """Minimum vertex cover with a thread team running the hybrid protocol."""
+    """MVC (``k`` None) or PVC (size at most ``k``) on one thread team.
+
+    ``initial_best`` seeds the MVC incumbent (a resumed anytime leg).
+    """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    greedy = greedy_cover(graph, kernels=kernels)
-    best = BestBound(size=greedy.size, cover=greedy.cover)
-    if initial_best is not None and initial_best[0] < best.size:
-        best = BestBound(size=int(initial_best[0]),
-                         cover=np.asarray(initial_best[1], dtype=np.int32))
-    if graph.m == 0:
-        return CpuParallelResult("cpu-threads", "mvc", 0, np.empty(0, dtype=np.int32),
-                                 None, False, 0, n_workers, 0.0, greedy.size)
-    formulation = MVCFormulation(best)
-    shared, node_counts, wall = _run_threads(
-        graph, formulation, n_workers=n_workers, threshold=threshold,
-        node_budget=node_budget, bound=bound, kernels=kernels,
-        deadline=deadline, roots=roots
-    )
-    return CpuParallelResult(
-        engine="cpu-threads",
-        formulation="mvc",
-        optimum=best.size,
-        cover=best.cover,
-        feasible=None,
-        timed_out=shared.timed_out,
-        nodes_visited=shared.nodes,
-        n_workers=n_workers,
-        wall_seconds=wall,
-        greedy_size=greedy.size,
-        per_worker_nodes=node_counts,
-        pending_states=shared.leftovers if shared.timed_out else [],
-        deadline_tripped=shared.deadline_tripped,
-        faults_recovered=shared.recovered,
-        workers_lost=shared.lost,
-        comms={"per_worker": dict(shared.comm_rows),
-               "totals": CommStats.totals(shared.comm_rows)},
-    )
-
-
-def solve_pvc_threads(
-    graph: CSRGraph,
-    k: int,
-    *,
-    n_workers: int = 4,
-    threshold: int = 32,
-    node_budget: Optional[int] = None,
-    bound: str = "greedy",
-    kernels=None,
-    deadline: Optional[float] = None,
-    roots: Optional[Sequence[VCState]] = None,
-    **_: object,
-) -> CpuParallelResult:
-    """Parameterized vertex cover with a thread team."""
-    if k < 0:
+    if threshold < 1:
+        raise ValueError(f"threshold must be at least 1, got {threshold}")
+    if k is not None and k < 0:
         raise ValueError("k must be non-negative")
     greedy = greedy_cover(graph, kernels=kernels)
-    flag = FoundFlag()
+    if k is None:
+        best = BestBound(size=greedy.size, cover=greedy.cover)
+        if initial_best is not None and initial_best[0] < best.size:
+            best = BestBound(size=int(initial_best[0]),
+                             cover=np.asarray(initial_best[1], dtype=np.int32))
+        formulation: Formulation = MVCFormulation(best)
+    else:
+        flag = FoundFlag()
+        formulation = PVCFormulation(k=k, flag=flag)
+    name = "mvc" if k is None else "pvc"
     if graph.m == 0:
-        return CpuParallelResult("cpu-threads", "pvc", 0, np.empty(0, dtype=np.int32),
-                                 True, False, 0, n_workers, 0.0, greedy.size)
-    formulation = PVCFormulation(k=k, flag=flag)
+        return CpuParallelResult("cpu-threads", name, 0, np.empty(0, dtype=np.int32),
+                                 None if k is None else True, False, 0, n_workers,
+                                 0.0, greedy.size)
     shared, node_counts, wall = _run_threads(
         graph, formulation, n_workers=n_workers, threshold=threshold,
         node_budget=node_budget, bound=bound, kernels=kernels,
         deadline=deadline, roots=roots
     )
     timed_out = shared.timed_out
+    if k is None:
+        optimum, cover, feasible = best.size, best.cover, None
+    else:
+        optimum, cover = flag.size, flag.cover
+        feasible = None if (timed_out and not flag.found) else flag.found
     return CpuParallelResult(
         engine="cpu-threads",
-        formulation="pvc",
-        optimum=flag.size,
-        cover=flag.cover,
-        feasible=None if (timed_out and not flag.found) else flag.found,
+        formulation=name,
+        optimum=optimum,
+        cover=cover,
+        feasible=feasible,
         timed_out=timed_out,
         nodes_visited=shared.nodes,
         n_workers=n_workers,

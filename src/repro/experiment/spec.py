@@ -40,6 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.solver import ENGINES, POOL_ENGINES
+
 __all__ = [
     "SPEC_SCHEMA_VERSION",
     "EXPERIMENT_ENGINES",
@@ -58,14 +60,14 @@ __all__ = [
 SPEC_SCHEMA_VERSION = 1
 
 #: Engines the experiment layer can price in virtual seconds — the
-#: sequential baseline plus the simulated-GPU engines.
-EXPERIMENT_ENGINES: Tuple[str, ...] = ("sequential", "stackonly", "hybrid", "globalonly")
+#: sequential baseline plus the simulated-GPU engines (the engine table's
+#: rows without a worker pool).
+EXPERIMENT_ENGINES: Tuple[str, ...] = tuple(e for e in ENGINES if e not in POOL_ENGINES)
 
-#: The real CPU teams, runnable in wall-clock mode: their cells carry
-#: ``wall_seconds`` only (virtual ``seconds``/``cycles`` stay null) and
-#: they never join the Table I virtual-seconds columns.
-WALL_CLOCK_ENGINES: Tuple[str, ...] = ("cpu-threads", "cpu-process",
-                                       "cpu-worksteal", "distributed")
+#: The engines with a worker pool, runnable in wall-clock mode: their
+#: cells carry ``wall_seconds`` only (virtual ``seconds``/``cycles`` stay
+#: null) and they never join the Table I virtual-seconds columns.
+WALL_CLOCK_ENGINES: Tuple[str, ...] = POOL_ENGINES
 
 #: Simulated devices selectable from a spec.
 SPEC_DEVICES: Tuple[str, ...] = ("SmallSim", "TinySim")

@@ -46,8 +46,7 @@ __all__ = [
 #: The measured (wall) attribution kinds.  ``reduce``/``bound``/``branch``
 #: are carved out of each node step by the instrumented closure; the rest
 #: are engine-level work-distribution sites.
-WALL_KINDS = ("reduce", "bound", "branch",
-              "lease", "idle", "steal", "donate", "frame")
+WALL_KINDS = ("reduce", "bound", "branch", "lease", "idle", "frame")
 
 GROUP_TITLES = ("Work distribution and load balancing", "Reducing",
                 "Branching", "Bounding")
@@ -85,7 +84,7 @@ def __getattr__(name: str):
 #: Wall kind → group, for the measured side.
 WALL_GROUPS: Dict[str, tuple] = {
     "Work distribution and load balancing":
-        ("lease", "idle", "steal", "donate", "frame"),
+        ("lease", "idle", "frame"),
     "Reducing": ("reduce",),
     "Branching": ("branch",),
     "Bounding": ("bound",),

@@ -57,11 +57,11 @@ __all__ = [
 
 #: The span taxonomy.  ``node_step`` wraps one search-tree node;
 #: ``cascade`` (reduction fixpoint) and ``bound`` (prune evaluation) nest
-#: inside it; ``lease`` / ``idle`` / ``steal`` / ``donate`` are frontier
-#: and supervision work; ``frame`` is socket codec+transport time;
-#: ``solve`` is the whole-run envelope.
+#: inside it; ``lease`` / ``idle`` are frontier and supervision work;
+#: ``frame`` is socket codec+transport time; ``solve`` is the whole-run
+#: envelope.
 SPAN_KINDS = ("solve", "node_step", "cascade", "bound",
-              "lease", "idle", "steal", "donate", "frame")
+              "lease", "idle", "frame")
 
 
 class WallSpan:
@@ -308,7 +308,7 @@ def load_chrome(path: str) -> List[WallSpan]:
 #: Dominant-glyph grouping for the ASCII Gantt, mirroring the sim
 #: renderer's work/reduce/branch/limbo families.
 _GROUP_GLYPHS = (
-    ("w", ("lease", "idle", "steal", "donate", "frame")),
+    ("w", ("lease", "idle", "frame")),
     ("r", ("cascade",)),
     ("l", ("bound",)),
     ("b", ("node_step", "solve")),

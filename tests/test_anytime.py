@@ -18,6 +18,7 @@ from repro.core.outcome import (
 )
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.solver import ENGINES
+from repro.core.verify import assert_valid_cover
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph, petersen
 
@@ -25,7 +26,6 @@ from repro.graph.generators.structured import grid_graph, petersen
 ENGINE_KW = {
     "cpu-threads": {"n_workers": 2},
     "cpu-process": {"n_workers": 2, "threshold": 4},
-    "cpu-worksteal": {"n_workers": 2},
 }
 
 
@@ -63,10 +63,12 @@ class TestCleanSolves:
         out = solve_anytime(empty)
         assert out.status == "optimal" and out.optimum == 0
 
-    def test_pvc_feasible_and_infeasible(self, graph, reference):
-        yes = solve_anytime(graph, reference, engine="sequential")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_pvc_feasible_and_infeasible(self, graph, reference, engine):
+        yes = solve_anytime(graph, reference, engine=engine, **kw(engine))
         assert yes.status == "optimal" and yes.optimum <= reference
-        no = solve_anytime(graph, reference - 1, engine="sequential")
+        assert_valid_cover(graph, yes.cover, yes.optimum)
+        no = solve_anytime(graph, reference - 1, engine=engine, **kw(engine))
         assert no.status == "optimal" and no.optimum is None
         assert no.lower_bound == reference  # proven: no cover of size k
 
@@ -140,7 +142,7 @@ class TestChainedEquivalence:
             assert final.status == "optimal"
 
     @pytest.mark.parametrize("engine", ["stackonly", "hybrid", "globalonly",
-                                        "cpu-threads", "cpu-worksteal"])
+                                        "cpu-threads"])
     def test_engine_budget_chains(self, engine, reference, graph):
         final = solve_to_completion(graph, engine=engine, node_budget=6,
                                     **kw(engine))

@@ -235,7 +235,7 @@ SIM_ENGINES = [
                                           bound=bound)),
 ]
 
-CPU_ENGINES = ("cpu-threads", "cpu-worksteal")
+CPU_ENGINES = ("cpu-threads",)
 
 
 class TestBoundEngineFrontierAgreement:

@@ -172,7 +172,7 @@ class TestFacade:
     def test_engine_names_stable(self):
         assert set(ENGINES) == {
             "sequential", "stackonly", "hybrid", "globalonly",
-            "cpu-threads", "cpu-process", "cpu-worksteal", "distributed",
+            "cpu-threads", "cpu-process", "distributed",
         }
 
     def test_unknown_engine_rejected(self):
@@ -180,6 +180,23 @@ class TestFacade:
             solve_mvc(path_graph(3), engine="quantum")
         with pytest.raises(ValueError, match="unknown engine"):
             solve_pvc(path_graph(3), 1, engine="quantum")
+
+    def test_retired_worksteal_engine_rejected(self, capsys):
+        """``cpu-worksteal`` is gone with no alias: the facade, the
+        experiment spec and the CLI reject it like any unknown name."""
+        from repro.cli import main
+        from repro.experiment.spec import load_spec
+
+        with pytest.raises(ValueError, match="unknown engine"):
+            solve_mvc(path_graph(3), engine="cpu-worksteal")
+        with pytest.raises(ValueError, match="unknown engine"):
+            solve_pvc(path_graph(3), 1, engine="cpu-worksteal")
+        with pytest.raises(ValueError, match="unknown engine 'cpu-worksteal'"):
+            load_spec({"name": "x", "scale": "tiny", "instances": ["p_hat_300_1"],
+                       "engines": ["cpu-worksteal"]})
+        assert main(["solve", "--graph", "p_hat_300_1", "--scale", "tiny",
+                     "--engine", "cpu-worksteal"]) == 2
+        assert "unknown engine 'cpu-worksteal'" in capsys.readouterr().out
 
     def test_facade_dispatch_sequential(self):
         out = solve_mvc(petersen())

@@ -58,6 +58,14 @@ class TestThreads:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             solve_mvc_threads(petersen(), n_workers=0)
+        # Through the facade, for both formulations: a zero-worker team
+        # would prove a false "no cover exists", and threshold=0 leaves
+        # every worker but the root's idle.
+        for bad in ({"n_workers": 0}, {"threshold": 0}):
+            with pytest.raises(ValueError):
+                solve_mvc(petersen(), engine="cpu-threads", **bad)
+            with pytest.raises(ValueError):
+                solve_pvc(petersen(), 6, engine="cpu-threads", **bad)
 
     def test_per_worker_accounting(self):
         g = gnp(20, 0.4, seed=6)

@@ -163,50 +163,3 @@ class TestTreeShape:
         shape = measure_tree_shape(g, node_budget=50)
         assert shape.total_nodes <= 50
 
-
-class TestWorkStealEngine:
-    def test_matches_brute_force(self, random_graph_family):
-        from repro.engines.cpu_worksteal import solve_mvc_worksteal
-
-        for g in random_graph_family[:4]:
-            res = solve_mvc_worksteal(g, n_workers=3)
-            opt, _ = brute_force_mvc(g)
-            assert res.optimum == opt
-            assert_valid_cover(g, res.cover, res.optimum)
-
-    def test_single_worker(self):
-        from repro.engines.cpu_worksteal import solve_mvc_worksteal
-
-        res = solve_mvc_worksteal(petersen(), n_workers=1)
-        assert res.optimum == 6
-
-    def test_pvc_boundary(self):
-        from repro.engines.cpu_worksteal import solve_pvc_worksteal
-
-        assert solve_pvc_worksteal(petersen(), 6, n_workers=3).feasible is True
-        assert solve_pvc_worksteal(petersen(), 5, n_workers=3).feasible is False
-
-    def test_facade_dispatch(self):
-        from repro.core.solver import solve_mvc
-
-        g = gnp(25, 0.3, seed=3)
-        res = solve_mvc(g, engine="cpu-worksteal", n_workers=2)
-        assert res.optimum == solve_mvc_sequential(g).optimum
-
-    def test_empty_graph(self):
-        from repro.engines.cpu_worksteal import solve_mvc_worksteal
-
-        assert solve_mvc_worksteal(CSRGraph.empty(3), n_workers=2).optimum == 0
-
-    def test_invalid_workers(self):
-        from repro.engines.cpu_worksteal import solve_mvc_worksteal
-
-        with pytest.raises(ValueError):
-            solve_mvc_worksteal(petersen(), n_workers=0)
-
-    def test_node_budget(self):
-        from repro.engines.cpu_worksteal import solve_mvc_worksteal
-
-        g = gnp(35, 0.3, seed=8)
-        res = solve_mvc_worksteal(g, n_workers=2, node_budget=3)
-        assert res.timed_out

@@ -468,7 +468,7 @@ class TestWallClockEngines:
         assert "cpu-threads" in spec.engines
 
     def test_unknown_engine_error_names_cpu_engines(self):
-        with pytest.raises(ValueError, match="cpu-worksteal"):
+        with pytest.raises(ValueError, match="cpu-threads"):
             tiny_spec(engines=["gpu"])
 
     def test_wall_clock_cells_store_wall_seconds_only(self, tmp_path):
@@ -487,12 +487,12 @@ class TestWallClockEngines:
         assert verify_run_against_live(store, outcome.run.run_id) == 1
 
     def test_wall_clock_cells_render_outside_table1(self, tmp_path):
-        spec = tiny_spec(engines=["sequential", "cpu-worksteal"],
+        spec = tiny_spec(engines=["sequential", "cpu-threads"],
                          frontiers=["lifo"], cpu_workers=2)
         store = RunStore(tmp_path / "store")
         outcome = run_experiment(spec, store)
         text = write_report(store, outcome.run.run_id)
-        assert "cpu-worksteal" in text
+        assert "cpu-threads" in text
 
 
 class TestRunDiff:

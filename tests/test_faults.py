@@ -130,7 +130,7 @@ class TestStepFaultRecovery:
         assert out.optimum == expected
         assert out.stats.extra.get("faults_recovered", 0) > 0
 
-    @pytest.mark.parametrize("engine", ["cpu-threads", "cpu-worksteal"])
+    @pytest.mark.parametrize("engine", ["cpu-threads"])
     def test_thread_engines_recover(self, engine):
         graph = gnp(26, 0.3, seed=2)
         expected = _expected(graph)

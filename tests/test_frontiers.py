@@ -169,7 +169,7 @@ SIM_ENGINES = [
     ("globalonly", lambda: GlobalOnlyEngine(device=TINY_SIM)),
 ]
 
-CPU_ENGINES = ["cpu-threads", "cpu-worksteal", "cpu-process"]
+CPU_ENGINES = ["cpu-threads", "cpu-process"]
 
 
 def _suite_graphs():
