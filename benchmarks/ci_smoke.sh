@@ -153,8 +153,9 @@ python -m repro experiment run --smoke --store "$exp_store"
 #    socket workers actually contributing sub-trees on the larger one,
 #    and the workers must walk their sub-trees in compiled chunks
 #    (comms totals report native_search > 0).  The runs must leave no
-#    child process behind and no new /dev/shm entry (forked workers
-#    inherit the graph; only TCP peers get the shared-memory plane).
+#    worker thread, no child process and no new /dev/shm entry behind
+#    (local workers are threads sharing the graph; only TCP peers get
+#    the shared-memory plane).
 #    A lone worker, which no peer ever needs work from, walks a tree of
 #    thousands of nodes on one lease and donates nothing.
 # 2. the second-host path: one worker joins via a cold
@@ -166,6 +167,7 @@ python - <<'EOF'
 import multiprocessing
 import os
 import tempfile
+import threading
 
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.verify import assert_valid_cover
@@ -204,12 +206,15 @@ assert lone_totals["donations"] == 0 and lone_totals["leases"] == 1, \
     f"a lone worker donated to itself: {lone_totals}"
 assert multiprocessing.active_children() == [], \
     f"distributed solves left {multiprocessing.active_children()} running"
+left = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+assert not left, f"distributed solves left threads {left} running"
 shm_after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 assert not shm_after - shm_before, \
     f"distributed solves left /dev/shm entries {sorted(shm_after - shm_before)}"
 print(f"ci_smoke: distributed engine matches sequential covers on "
       f"{len(instances)} instances, walked in compiled chunks (both "
-      f"workers contributed on gnp60), no child process or shm entry left")
+      f"workers contributed on gnp60), no thread, child process or shm "
+      f"entry left")
 print(f"ci_smoke: a lone worker walked {lone.nodes_visited} nodes on one "
       f"lease and donated nothing")
 
@@ -237,9 +242,10 @@ EOF
 
 # --- fault-tolerance gate (see docs/ARCHITECTURE.md, fault tolerance) ---
 # 1. kill cpu-process workers mid-solve (through the facade: the socket
-#    coordinator with forked local workers): the supervisor must
-#    re-enqueue the dead workers' leased sub-trees and still return the
-#    optimum.
+#    coordinator with local worker threads, so these are thread kills: the
+#    worker aborts its socket without a result frame): the supervisor
+#    must re-enqueue the dead workers' leased sub-trees, respawn, and
+#    still return the optimum.
 # 2. trip a wall-clock deadline at t=0: the anytime solve must surface a
 #    checkpoint whose resume reaches the clean-run optimum exactly.
 python - <<'EOF'
@@ -264,8 +270,9 @@ print(f"ci_smoke: cpu-process survived {out.workers_lost} worker kills, "
       f"cover still optimal ({out.optimum})")
 
 # same chaos over the socket transport: kill a *remote* serve-worker
-# mid-lease — the coordinator must re-enqueue its lease exactly like a
-# dead local worker's and still reach the optimum.
+# mid-lease — still a process kill (os._exit) — the coordinator must
+# re-enqueue its lease exactly like a dead local worker's and still
+# reach the optimum.
 from repro.net.distributed import solve_mvc_distributed
 
 with faults.injected("worker_kill:0.9:4", seed=2):
@@ -417,8 +424,10 @@ print("ci_smoke: CALIBRATION v2 schema OK, v1 artifact refused loudly")
 EOF
 
 # --- observability gate (see docs/OBSERVABILITY.md) ---
-# 1. a traced two-worker distributed solve through the CLI must write a
-#    Chrome trace whose events are well-formed and span >= 2 processes,
+# 1. a traced distributed solve through the CLI, one local worker thread
+#    plus one serve-worker host, must write a Chrome trace whose events
+#    are well-formed, span >= 2 processes and >= 2 worker lanes (the
+#    thread's lane in the coordinator's process, the host's in its own),
 #    plus a metrics snapshot whose Prometheus exposition parses line by
 #    line; `repro obs view` must render the same trace.
 # 2. the disarmed hot path must stay telemetry-free: with every span /
@@ -429,7 +438,7 @@ obs_trace="$(mktemp /tmp/bench_smoke_trace.XXXXXX.json)"
 obs_metrics="$(mktemp /tmp/bench_smoke_metrics.XXXXXX.json)"
 trap 'rm -f "$out" "$obs_trace" "$obs_metrics"; rm -rf "$exp_store"' EXIT
 python -m repro solve --graph p_hat_300_1 --scale tiny \
-    --engine distributed --workers 2 --stats \
+    --engine distributed --workers 1 --hosts 1 --stats \
     --trace "$obs_trace" --metrics-out "$obs_metrics" > /dev/null
 python -m repro obs view "$obs_trace" > /dev/null
 python - "$obs_trace" "$obs_metrics" <<'EOF'
@@ -446,6 +455,10 @@ for ev in events:
     assert ev["args"]["span_id"], ev
 pids = {ev["pid"] for ev in events}
 assert len(pids) >= 2, f"spans from only {len(pids)} process(es)"
+lanes = {(ev["pid"], ev["tid"]) for ev in events}
+coordinator = {(ev["pid"], ev["tid"]) for ev in events if ev["name"] == "solve"}
+worker_lanes = lanes - coordinator
+assert len(worker_lanes) >= 2, f"spans from only {len(worker_lanes)} worker lane(s)"
 assert trace_doc["otherData"]["trace_id"], "trace id missing"
 
 from repro.obs.metrics import prometheus_from_snapshot
@@ -466,7 +479,8 @@ names = {m["name"] for m in snap["metrics"]}
 assert "repro_nodes_visited_total" in names, sorted(names)
 assert "repro_comms_obs_reduce_s_total" in names, sorted(names)
 print(f"ci_smoke: traced distributed solve OK ({len(events)} spans from "
-      f"{len(pids)} pids, {samples} Prometheus samples)")
+      f"{len(pids)} pids on {len(worker_lanes)} worker lanes, {samples} "
+      f"Prometheus samples)")
 
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.solver import solve_mvc

@@ -328,10 +328,12 @@ def _wall_obs(out, wall_before: Dict[str, float]) -> Optional[Dict[str, object]]
 
     Two sources merge: the parent-process registry delta (in-process
     engines attribute reduce/bound/branch/idle there directly) and the
-    ``obs_<kind>_s`` keys the process/distributed workers ship home in
-    their comms totals.  The two never overlap — forked workers cannot
-    reach the parent registry, and in-process comm rows carry plain
-    ``idle_s`` keys that :func:`wall_from_obs_keys` ignores.
+    ``obs_<kind>_s`` keys the distributed workers ship home in their
+    comms totals.  The two never overlap — ``serve-worker`` hosts cannot
+    reach the parent registry, distributed worker threads attribute to a
+    private sink (``breakdown.local_attribution``), and ``cpu-threads``
+    comm rows carry plain ``idle_s`` keys that :func:`wall_from_obs_keys`
+    ignores.
     """
     from ..obs import breakdown as obs_breakdown
 

@@ -30,14 +30,25 @@
  * builds it validated); on a malformed CSR these kernels may read or
  * write out of bounds.  Only the dirty hint is treated as untrusted.
  *
- * Every entry point holds the GIL for the whole call, so the
- * module-static scratch space below needs no lock.  The only Python code
- * that can run mid-call is reduce()'s budget callback, search()'s signal
- * check (a Ctrl-C handler, every 4096 nodes) and, in principle, a garbage
- * collection triggered by an allocation; a thread switch there could
- * re-enter this module, so scratch is taken with a busy flag and a
- * re-entrant call gets a private heap copy instead.  A Walker computes
- * its budget in C and keeps its stack in memory private to the object.
+ * The GIL.  Walker.run (and so search()) releases it for the whole walk:
+ * the walk touches only the Walker's own stack, the graph buffers it
+ * holds for its life and a scratch block, so threads walking their own
+ * Walkers run in parallel.  Nothing inside the walk calls the C API: an
+ * allocation failure or an inconsistent degree array comes back as a
+ * code, and MemoryError / ValueError is raised only after the GIL is
+ * back; the signal check (a Ctrl-C handler, every 4096 nodes) takes the
+ * GIL just around PyErr_CheckSignals.  A Walker whose run is in flight
+ * rejects every other call with RuntimeError.  Every other entry point
+ * holds the GIL for the whole call.
+ *
+ * Scratch space is module-static and taken with a busy flag, which is
+ * read and written only while the GIL is held: a run acquires its
+ * scratch before it releases the GIL and returns it after taking the
+ * GIL back.  A call that finds the block busy -- a concurrent run on
+ * another thread, or a re-entrant call from reduce()'s budget callback
+ * or a garbage collection -- gets a private heap copy instead.  The
+ * allocation counters behind the test hooks (``_search_blocks``,
+ * ``_fail_search_alloc``) are updated with atomic operations.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1102,20 +1113,36 @@ native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* Every buffer a Walker owns goes through these two, which count the
  * blocks outstanding (``_search_blocks()``) and can be told to fail the
  * k-th next allocation (``_fail_search_alloc(k)``) -- the test hooks that
- * prove an allocation failure raises MemoryError and leaks nothing. */
+ * prove an allocation failure raises MemoryError and leaks nothing.
+ * Walks on several threads allocate without the GIL, so both counters
+ * are only touched atomically.  Neither sets a Python error. */
 static Py_ssize_t g_search_blocks;
 static long long g_fail_alloc = -1;
+
+/* Whether this allocation is the one ``_fail_search_alloc`` asked for. */
+static int
+fail_this_alloc(void)
+{
+    long long k = __atomic_load_n(&g_fail_alloc, __ATOMIC_RELAXED);
+    while (k >= 0) {
+        if (__atomic_compare_exchange_n(&g_fail_alloc, &k, k - 1, 0,
+                                        __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
+            return k == 0;
+        }
+    }
+    return 0;
+}
 
 static void *
 search_realloc(void *p, size_t bytes)
 {
     void *q;
-    if (g_fail_alloc >= 0 && g_fail_alloc-- == 0) {
+    if (fail_this_alloc()) {
         return NULL;
     }
     q = realloc(p, bytes ? bytes : 1);
     if (q != NULL && p == NULL) {
-        g_search_blocks++;
+        __atomic_fetch_add(&g_search_blocks, 1, __ATOMIC_RELAXED);
     }
     return q;
 }
@@ -1124,7 +1151,7 @@ static void
 search_free(void *p)
 {
     if (p != NULL) {
-        g_search_blocks--;
+        __atomic_fetch_sub(&g_search_blocks, 1, __ATOMIC_RELAXED);
         free(p);
     }
 }
@@ -1166,13 +1193,15 @@ stack_free(Stack *st)
     st->top = st->cap = 0;
 }
 
+/* The stack helpers below run inside the GIL-free walk too: on an
+ * allocation failure they return -1 / NULL with no Python error set, and
+ * a caller holding the GIL raises MemoryError itself. */
 static int
 node_reserve(Node *nd, Py_ssize_t n, Py_ssize_t hint_len)
 {
     if (nd->deg == NULL) {
         nd->deg = search_realloc(NULL, (size_t)n * sizeof(int32_t));
         if (nd->deg == NULL) {
-            PyErr_NoMemory();
             return -1;
         }
     }
@@ -1180,7 +1209,6 @@ node_reserve(Node *nd, Py_ssize_t n, Py_ssize_t hint_len)
         Py_ssize_t cap = hint_len > 2 * nd->hcap ? hint_len : 2 * nd->hcap;
         int32_t *h = search_realloc(nd->hint, (size_t)cap * sizeof(int32_t));
         if (h == NULL) {
-            PyErr_NoMemory();
             return -1;
         }
         nd->hint = h;
@@ -1197,7 +1225,6 @@ stack_grow(Stack *st)
         Py_ssize_t cap = st->cap ? 2 * st->cap : 16;
         Node *slot = search_realloc(st->slot, (size_t)cap * sizeof(Node));
         if (slot == NULL) {
-            PyErr_NoMemory();
             return -1;
         }
         memset(slot + st->cap, 0, (size_t)(cap - st->cap) * sizeof(Node));
@@ -1230,6 +1257,7 @@ hint_append(void *ctx, int32_t v)
 {
     Node *nd = (Node *)ctx;  /* its degree array is already allocated */
     if (node_reserve(nd, 0, nd->nhint + 1) < 0) {
+        PyErr_NoMemory();
         return -1;
     }
     nd->hint[nd->nhint++] = v;
@@ -1257,6 +1285,7 @@ stack_push_item(Stack *st, PyObject *item)
     nd = stack_next(st);
     if (nd == NULL) {
         PyBuffer_Release(&view);
+        PyErr_NoMemory();
         return -1;
     }
     memcpy(nd->deg, view.buf, (size_t)st->n * sizeof(int32_t));
@@ -1354,10 +1383,16 @@ stack_drop_bottom(Stack *st, Py_ssize_t count)
 
 enum { SEARCH_EXHAUSTED = 0, SEARCH_FOUND = 1, SEARCH_BUDGET = 2 };
 
+/* How walk() ended: normally, or with the error its caller raises once
+ * the GIL is back (WALK_SIGNALLED: the signal handler already set it). */
+enum { WALK_OK = 0, WALK_INCONSISTENT = -1, WALK_NO_MEMORY = -2,
+       WALK_SIGNALLED = -3 };
+
 typedef struct {
     PyObject_HEAD
     Views v;             /* the CSR graph, held for the walker's life */
     int have_graph, pvc, broken;
+    int running;         /* a run() is in flight without the GIL */
     Stack st;
     Node cur;            /* the in-flight node's buffers, kept for reuse */
     int32_t *best_deg;   /* the last accepted leaf of the current run */
@@ -1374,10 +1409,12 @@ typedef struct {
 
 /* The loop: pop, reduce, greedy prune test, leaf, pivot, branch.  Stops
  * on an empty stack, a PVC cover, or ``node_budget`` (< 0: none) nodes,
- * the in-flight node then back on top.  Returns 0, -1 on an inconsistent
- * degree array, -2 with a Python error set. */
+ * the in-flight node then back on top.  Runs without the GIL (``*ts`` is
+ * the released thread state, swapped around the signal check) and
+ * returns a WALK_* code.  ``b->call`` is NULL: the budget is pure C. */
 static int
-walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
+walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r,
+     PyThreadState **ts)
 {
     Stack *st = &w->st;
     Node *cur = &w->cur;
@@ -1392,7 +1429,7 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
         int rc;
         if (!have_cur) {
             if (st->top == 0) {
-                return 0;  /* exhausted */
+                return WALK_OK;  /* exhausted */
             }
             node_swap(cur, &st->slot[--st->top]);
             have_cur = 1;
@@ -1400,14 +1437,20 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
         if (node_budget >= 0 && r->nodes >= node_budget) {
             /* keep the stack checkpoint-complete: in-flight node on top */
             if (stack_grow(st) < 0) {
-                return -2;
+                return WALK_NO_MEMORY;
             }
             node_swap(cur, &st->slot[st->top++]);
             r->status = SEARCH_BUDGET;
-            return 0;
+            return WALK_OK;
         }
-        if ((++r->nodes & 4095) == 0 && PyErr_CheckSignals() < 0) {
-            return -2;
+        if ((++r->nodes & 4095) == 0) {
+            int sig;
+            PyEval_RestoreThread(*ts);
+            sig = PyErr_CheckSignals();
+            *ts = PyEval_SaveThread();
+            if (sig < 0) {
+                return WALK_SIGNALLED;
+            }
         }
         /* reduce, consuming the node's hint */
         k->deg = cur->deg;
@@ -1425,7 +1468,7 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
         }
         rc = reduce_fixpoint(k, b, &cur->cover, &cur->edges, &cur->max_deg, &r->c);
         if (rc < 0) {
-            return rc;
+            return WALK_INCONSISTENT;  /* -2 needs a budget callback */
         }
         /* the greedy bound's prune test */
         budget = b->base - cur->cover;
@@ -1442,8 +1485,7 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
             if (w->best_deg == NULL) {
                 w->best_deg = search_realloc(NULL, (size_t)n * sizeof(int32_t));
                 if (w->best_deg == NULL) {
-                    PyErr_NoMemory();
-                    return -2;
+                    return WALK_NO_MEMORY;
                 }
             }
             memcpy(w->best_deg, cur->deg, (size_t)n * sizeof(int32_t));
@@ -1451,7 +1493,7 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
             r->updates++;
             if (w->pvc) {
                 r->status = SEARCH_FOUND;
-                return 0;
+                return WALK_OK;
             }
             b->base = r->best - 1;
             continue;
@@ -1460,16 +1502,16 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
          * continued child (this node, mutated) is processed next */
         vmax = argmax_degree(k);
         if (cur->deg[vmax] <= 0) {
-            return -1;  /* edges left but no alive vertex carries one */
+            return WALK_INCONSISTENT;  /* edges left but no alive vertex carries one */
         }
         nl = live_neighbours(k, vmax);
         def = stack_next(st);
         if (def == NULL) {
-            return -2;
+            return WALK_NO_MEMORY;
         }
         def->edges = cur->edges - expand_deferred(k, nl, def->deg, &nhint);
         if (node_reserve(def, n, nhint) < 0) {
-            return -2;
+            return WALK_NO_MEMORY;
         }
         memcpy(def->hint, s->tgt, (size_t)nhint * sizeof(int32_t));
         def->nhint = nhint;
@@ -1477,7 +1519,7 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r)
         def->max_deg = cur->max_deg;
         nhint = expand_continued(k, nl, vmax);
         if (node_reserve(cur, n, nhint) < 0) {
-            return -2;
+            return WALK_NO_MEMORY;
         }
         memcpy(cur->hint, s->tgt, (size_t)nhint * sizeof(int32_t));
         cur->nhint = nhint;
@@ -1501,6 +1543,11 @@ walker_usable(Walker *w)
 {
     if (!w->have_graph) {
         PyErr_SetString(PyExc_RuntimeError, "Walker is not initialised");
+        return -1;
+    }
+    if (w->running) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "Walker is busy: run() is in flight on another thread");
         return -1;
     }
     if (w->broken) {
@@ -1591,13 +1638,16 @@ walker_push(Walker *w, PyObject *items)
     return 0;
 }
 
-/* One run(bound, node_budget), results in ``r``. */
+/* One run(bound, node_budget), results in ``r``.  The walk runs without
+ * the GIL; scratch is taken before it is released and returned after it
+ * is back, and so is the ``running`` flag that locks out other calls. */
 static int
 walker_run(Walker *w, PyObject *bound_obj, PyObject *budget_obj, Run *r)
 {
     K k;
     Budget b = {NULL, 0};
     Scratch *s;
+    PyThreadState *ts;
     long long bound, node_budget = -1;
     int rc;
     if (walker_usable(w) < 0 || arg_ll(bound_obj, "bound", &bound) < 0) {
@@ -1623,10 +1673,17 @@ walker_run(Walker *w, PyObject *bound_obj, PyObject *budget_obj, Run *r)
     k.indices = w->v.indices;
     k.n = w->v.n;
     k.s = s;
-    rc = walk(w, &k, &b, node_budget, r);
+    w->running = 1;
+    ts = PyEval_SaveThread();
+    rc = walk(w, &k, &b, node_budget, r, &ts);
+    PyEval_RestoreThread(ts);
+    w->running = 0;
     scratch_release(s);
-    if (rc == -1) {
+    if (rc == WALK_INCONSISTENT) {
         inconsistent();
+    }
+    else if (rc == WALK_NO_MEMORY) {
+        PyErr_NoMemory();
     }
     if (rc < 0) {
         w->broken = 1;  /* the in-flight node may be half expanded */
@@ -1697,7 +1754,9 @@ PyDoc_STRVAR(walker_run_doc,
 "high_degree, sweeps)``: status 0 exhausted, 1 a PVC cover found, 2 the\n"
 "node budget tripped; ``incumbent`` is the degree array of the last\n"
 "leaf accepted in this call, or None.  A call that raises leaves the\n"
-"walker unusable (RuntimeError) but safe to free.");
+"walker unusable (RuntimeError) but safe to free.  The walk runs without\n"
+"the GIL; until it returns, every other call on this walker raises\n"
+"RuntimeError.");
 
 static PyObject *
 Walker_run(Walker *w, PyObject *const *args, Py_ssize_t nargs)
@@ -1750,6 +1809,9 @@ Walker_drain(Walker *w, PyObject *unused)
 static Py_ssize_t
 Walker_len(Walker *w)
 {
+    if (w->running) {
+        return walker_usable(w);  /* -1 with RuntimeError set */
+    }
     return w->st.top;
 }
 

@@ -184,7 +184,7 @@ class KernelBackend:
         """Whether this backend walks cached adjacency tuples on ``graph``.
 
         The CPU engines' prewarm consults this to decide which graph
-        caches to build before forking workers.
+        caches to build before starting workers.
         """
         raise NotImplementedError
 

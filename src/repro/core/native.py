@@ -207,8 +207,8 @@ def load() -> Optional[ModuleType]:
     """The compiled extension module, or ``None`` when it cannot be had.
 
     Tried once per process; the outcome (module or failure) is cached.
-    Engine parents call this before forking, so workers inherit the
-    loaded module instead of probing again.
+    Engine parents call this before starting workers, so workers share
+    the loaded module instead of probing again.
     """
     global _module, _error
     if _module is _UNSET:

@@ -10,10 +10,10 @@
 * ``"cpu-threads"`` — a real shared-memory parallel engine mirroring
   the hybrid protocol;
 * ``"distributed"`` — the supervised lease protocol over a socket
-  transport: a coordinator plus local and remote worker processes
-  (``repro serve-worker`` joins extra hosts into the pool);
-* ``"cpu-process"`` — ``"distributed"`` with ``hosts=0``: forked local
-  workers only.
+  transport: a coordinator plus local worker threads and remote worker
+  processes (``repro serve-worker`` joins extra hosts into the pool);
+* ``"cpu-process"`` — ``"distributed"`` with ``hosts=0``: local worker
+  threads only (the name predates them).
 
 Engine modules are imported on first dispatch, not with the facade, so
 ``import repro`` does not pay for the thread, socket and simulated

@@ -13,10 +13,13 @@ Sites
 -----
 
 ``worker_kill``
-    ``os._exit`` the calling process (``distributed``/``cpu-process``
-    workers consult it before each chunk, and an armed plan makes every
-    node a chunk).  The coordinator must detect the death, re-enqueue
-    the dead worker's lease, and respawn.
+    Raise :class:`WorkerKilled` (``distributed``/``cpu-process`` workers
+    consult it before each chunk, and an armed plan makes every node a
+    chunk).  A local worker is a thread of the coordinator's process: it
+    dies by aborting its socket without a ``result`` frame.  A
+    ``serve-worker`` host is a process: it dies by
+    ``os._exit(KILL_EXIT_CODE)``.  Either way the coordinator must see
+    the dead peer, re-enqueue its lease, and respawn.
 ``reduce_raise`` / ``branch_raise``
     Raise :class:`FaultInjected` at the reduction-cascade entry / the
     branch boundary of :class:`~repro.core.nodestep.NodeStep`.  Engines
@@ -31,17 +34,19 @@ Configuration
 
 A spec is ``site:prob[:max_fires]`` items joined by commas, e.g.
 ``REPRO_FAULT="worker_kill:0.05:1,reduce_raise:0.02"``.  The environment
-variable is read at import (so forked/spawned workers inherit the plan);
+variable is read at import (so spawned ``serve-worker`` hosts get the plan);
 ``repro solve --inject SPEC`` and :func:`injected` install one
 programmatically.  Firing is deterministic given the plan seed
-(``REPRO_FAULT_SEED``) and each consumer's :func:`reseed` salt, so chaos
-tests replay exactly.
+(``REPRO_FAULT_SEED``) and each consumer's salt -- :func:`reseed` for a
+whole process, :func:`worker_stream` for one thread -- so chaos tests
+replay exactly.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Set
@@ -49,6 +54,7 @@ from typing import Dict, Iterator, List, Optional, Set
 __all__ = [
     "FAULT_SITES",
     "FaultInjected",
+    "WorkerKilled",
     "FaultRule",
     "FaultPlan",
     "parse_fault_spec",
@@ -59,6 +65,7 @@ __all__ = [
     "current_plan",
     "step_guard_active",
     "reseed",
+    "worker_stream",
     "fire",
     "injected",
 ]
@@ -78,6 +85,14 @@ KILL_EXIT_CODE = 86
 
 class FaultInjected(RuntimeError):
     """An injected failure (never raised unless a plan is installed)."""
+
+
+class WorkerKilled(BaseException):
+    """A ``worker_kill`` firing: the calling worker dies here.
+
+    A ``BaseException``, so no ``except Exception`` on the way up turns
+    the kill into a recovery.
+    """
 
 
 class FaultRule:
@@ -187,6 +202,9 @@ def plan_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[FaultPla
 # --------------------------------------------------------------------- #
 _PLAN: Optional[FaultPlan] = plan_from_env()
 
+#: Per-thread fault streams (see :func:`worker_stream`).
+_LOCAL = threading.local()
+
 
 def install(plan: Optional[FaultPlan]) -> None:
     """Install ``plan`` process-wide (``None`` clears)."""
@@ -219,23 +237,46 @@ def step_guard_active() -> bool:
 def reseed(salt: int) -> None:
     """Re-derive the firing streams for one consumer (e.g. a worker id).
 
-    Gives each forked worker an independent deterministic stream so a
-    respawned worker does not deterministically die at the same node.
+    Gives each ``serve-worker`` process an independent deterministic
+    stream so a respawned worker does not deterministically die at the
+    same node.  Threads sharing a process use :func:`worker_stream`.
     """
     if _PLAN is not None:
         _PLAN.reseed(salt)
 
 
+@contextmanager
+def worker_stream(salt: int) -> Iterator[None]:
+    """Scoped per-thread stream: inside, :func:`fire` on this thread draws
+    from a private copy of the installed plan reseeded with ``salt``.
+
+    The installed plan and every other thread's draws are untouched, so
+    worker threads of one process (and a respawned worker with a fresh
+    salt) never replay or perturb each other's streams.  Without an
+    installed plan it changes nothing.
+    """
+    plan = _PLAN
+    if plan is None:
+        yield
+        return
+    _LOCAL.plan = parse_fault_spec(plan.spec(), seed=plan.seed)
+    _LOCAL.plan.reseed(salt)
+    try:
+        yield
+    finally:
+        _LOCAL.plan = None
+
+
 def fire(site: str) -> None:
     """Consult ``site``; act if its rule fires.  No-op without a plan."""
-    plan = _PLAN
+    plan = getattr(_LOCAL, "plan", None) or _PLAN
     if plan is None:
         return
     rule = plan.rules.get(site)
     if rule is None or not rule.should_fire():
         return
     if site == "worker_kill":
-        os._exit(KILL_EXIT_CODE)
+        raise WorkerKilled(site)
     if site == "queue_delay":
         time.sleep(QUEUE_DELAY_S)
         return

@@ -1,22 +1,29 @@
-"""The supervised lease protocol over sockets: the process engines.
+"""The supervised lease protocol over sockets: the distributed engine.
 
 A coordinator runs the supervision state machine — single work ledger,
 leases charged until ``lease_done``, dead peers re-enqueued — over
 :class:`~repro.net.transport.MessageStream` connections.  It backs two
 facade engine names: ``distributed``, and ``cpu-process``, which is the
-same solve with ``hosts=0`` (a team of forked local workers, kept as a
-name for committed specs and checkpoints).  The engine forks
-``n_workers`` local workers, each joined to the coordinator by a
-``socketpair`` (so every run, including CI, exercises the real socket
-path), spawns ``hosts``
-additional ``repro serve-worker`` *subprocesses* (cold Python
+same solve with ``hosts=0`` (local workers only; the name is kept for
+committed specs and checkpoints, and no longer means a process per
+worker).  The engine starts ``n_workers`` local workers as threads of
+its own process, each joined to the coordinator by a ``socketpair`` (so
+every run, including CI, exercises the real socket path), spawns
+``hosts`` additional ``repro serve-worker`` *subprocesses* (cold Python
 interpreters simulating extra hosts on localhost) that connect to the
 coordinator's loopback port, and accepts any externally launched
 ``repro serve-worker --connect HOST:PORT`` into the same pool.
 
-A forked worker inherits the graph, its root degrees and its ``init``
-parameters from the coordinator's memory, so it starts live: no TCP
-connect, no handshake.  A TCP peer (a ``hosts`` subprocess or an
+As in the paper, every local worker walks its own sub-tree on a private
+stack in one address space and meets the others only at the global
+worklist: the compiled ``Walker`` releases the GIL for each chunk, so
+worker threads walk in parallel.  Without it (no compiler,
+``kernels="scalar"``, armed step telemetry or step faults) they run the
+interpreted loop: correct, but serialized by the GIL.
+
+A worker thread shares the graph, its root degrees and its ``init``
+parameters with the coordinator, so it starts live: no TCP connect, no
+handshake.  A TCP peer (a ``hosts`` subprocess or an
 external ``serve-worker``) gets them through the handshake: the
 coordinator publishes the shared-memory graph plane
 (:mod:`repro.graph.plane`) when the first one says ``hello`` and offers
@@ -35,7 +42,7 @@ shape of every frame a live worker sends, and every incumbent it
 reports, before acting on it; a frame that fails drops the peer.
 
 Protocol (all messages are pickled tuples; see ``net/transport.py``).
-The first three rows are the TCP handshake; forked workers skip them:
+The first three rows are the TCP handshake; worker threads skip them:
 
 ====================  =============================================
 worker -> coordinator  coordinator -> worker
@@ -54,7 +61,7 @@ worker -> coordinator  coordinator -> worker
 A lease is charged to a connection the moment the ``work`` frame is
 written; a connection that dies — EOF, reset, torn or malformed frame —
 before its ``lease_done`` gets its batch re-enqueued, exactly like a
-dead local worker, and the slot is respawned (as a forked worker) with
+dead local worker, and the slot is respawned (as a worker thread) with
 the same bounded-retry policy.  If every peer is gone with work
 outstanding, the coordinator drains the remainder inline through the
 sequential solver.
@@ -75,6 +82,7 @@ import select
 import socket
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -121,7 +129,7 @@ _CHUNK_SHORT = 64
 
 _STOP_NONE, _STOP_BUDGET, _STOP_DEADLINE = 0, 1, 2
 
-#: Respawn policy: a dead peer's slot is refilled by a fresh fork until
+#: Respawn policy: a dead peer's slot is refilled by a fresh thread until
 #: ``MAX_RESPAWNS * n_workers`` respawns are spent; then the pool
 #: degrades to fewer workers (loud warning).
 MAX_RESPAWNS = 2
@@ -173,6 +181,8 @@ def run_worker_client(host: str, port: int, *, salt: int = 0,
     stream = MessageStream(sock)
     try:
         _worker_session(stream, salt)
+    except faults.WorkerKilled:
+        os._exit(faults.KILL_EXIT_CODE)  # a host dies as a process
     finally:
         stream.close()
 
@@ -215,15 +225,17 @@ def _worker_session(stream: MessageStream, salt: int) -> None:
 
 
 def _arm_worker(params: Dict[str, object], salt: int, received_at: float) -> None:
-    """Seed the fault plan and arm telemetry as ``params`` say.
+    """Seed a TCP worker process's fault plan and arm its telemetry as
+    ``params`` say.
 
-    Telemetry arming travels in the ``init`` parameters, so every worker
-    — forked or a cold remote interpreter — joins the coordinator's
-    trace.  The epoch is recovered from the coordinator's elapsed-seconds
-    stamp (``now_rel``) taken at ``received_at``: exact on the same host
+    Telemetry arming travels in the ``init`` parameters, so a cold
+    ``serve-worker`` interpreter joins the coordinator's trace.  The
+    epoch is recovered from the coordinator's elapsed-seconds stamp
+    (``now_rel``) taken at ``received_at``: exact on the same host
     (CLOCK_MONOTONIC is system-wide), one network hop of skew on a real
-    remote.  Forked workers drop any inherited tracer here too, so every
-    lane is armed the same one way.
+    remote.  This arms, disarms and resets process-global state, so the
+    coordinator's own worker threads never call it (see
+    :func:`_local_worker_main`).
     """
     faults.reseed(params.get("salt", salt))
     tele = params.get("telemetry")
@@ -403,7 +415,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         if not walk and not get_work():
             break
         if kill_active:
-            faults.fire("worker_kill")  # may os._exit right here
+            faults.fire("worker_kill")  # may raise WorkerKilled right here
         chunk = short_chunk if need else long_chunk
         if node_cap is not None:
             # Under a node budget every chunk is short: a worker runs on
@@ -452,6 +464,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     # exists to avoid; wire_sent excludes only the final result frame (its
     # size would have to contain itself).
     obs_breakdown.add_wall("idle", comms.idle_s)
+    own_attribution = obs_breakdown.local_sink()
     comms_dict = comms.as_dict()
     comms_dict["wire_sent"] = stream.bytes_sent
     comms_dict["wire_received"] = stream.decoder.bytes_fed
@@ -465,34 +478,42 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
         comms_dict["walker_items_out"] = walker.items_out
     # Telemetry rides the existing result frame: wall-time attribution as
     # extra ``obs_<kind>_s`` comms keys (CommStats.totals sums every key it
-    # sees) and the drained span rows appended as a sixth element.
-    comms_dict.update(obs_breakdown.wall_obs_keys())
-    tracer = obs_trace.get()
-    spans = tracer.drain() if tracer is not None else []
+    # sees) and, from a worker process, its drained span rows appended as
+    # a sixth element.  A worker thread reports only its own attribution;
+    # its spans are already in the coordinator's tracer.
+    spans: List[list] = []
+    if own_attribution is None:
+        comms_dict.update(obs_breakdown.wall_obs_keys())
+        tracer = obs_trace.get()
+        spans = tracer.drain() if tracer is not None else []
+    else:
+        comms_dict.update(obs_breakdown.wall_obs_keys(own_attribution))
     stream.send(("result", stats.nodes_visited, leftovers,
                  int(stats.extra.get("faults_recovered", 0)), comms_dict, spans))
 
 
-def _local_worker_main(sock: socket.socket, graph: CSRGraph, root_deg: np.ndarray,
-                       params: Dict[str, object], received_at: float,
-                       inherited: Sequence[socket.socket]) -> None:
-    """Entry point of the engine's own forked workers.
+def _local_worker_main(sock: socket.socket, wid: int, graph: CSRGraph,
+                       root_deg: np.ndarray, params: Dict[str, object]) -> None:
+    """Entry point of the engine's own worker threads.
 
     Everything the handshake would send — the graph, its root degrees,
     the ``init`` parameters — is already in this process's memory.  The
-    fork's copies of the coordinator's sockets (the listener, every
-    peer's coordinator end, this worker's own) are closed first, so that
-    a peer the coordinator drops sees EOF, and a listener closed there
-    refuses new connections.
+    coordinator's tracer, metrics switch and fault plan are too, so the
+    thread arms nothing: it tags its trace lane with its worker id,
+    attributes wall time to a private sink and fires faults from its own
+    stream, salted per worker so a respawn does not replay its
+    predecessor's.  An injected ``worker_kill`` aborts the socket with no
+    ``result`` frame: the coordinator sees a dead peer.
     """
-    for other in inherited:
-        other.close()
     stream = MessageStream(sock)
+    obs_trace.set_worker(wid)
     try:
-        _arm_worker(params, 0, received_at)
-        _worker_loop(stream, graph, root_deg, params)
-    except (TransportClosed, ConnectionError, EOFError, TimeoutError):
-        pass  # coordinator gone: nothing useful left to do
+        with faults.worker_stream(int(params["salt"])), \
+                obs_breakdown.local_attribution():
+            _worker_loop(stream, graph, root_deg, params)
+    except (faults.WorkerKilled, TransportClosed, ConnectionError, EOFError,
+            TimeoutError):
+        pass  # killed, or the coordinator is gone: nothing left to do
     finally:
         stream.close()
 
@@ -501,7 +522,7 @@ def _local_worker_main(sock: socket.socket, graph: CSRGraph, root_deg: np.ndarra
 # coordinator side
 # --------------------------------------------------------------------- #
 class _Peer:
-    """One connected worker: forked (live at once) or TCP (handshake first)."""
+    """One connected worker: a thread (live at once) or TCP (handshake first)."""
 
     __slots__ = ("stream", "wid", "stage", "lease", "waiting", "joined",
                  "finished", "result", "nodes_flushed", "told")
@@ -509,7 +530,7 @@ class _Peer:
     def __init__(self, stream: MessageStream, wid: int, stage: str):
         self.stream = stream
         self.wid = wid
-        self.stage = stage  # hello -> plane -> live, or live from the fork
+        self.stage = stage  # hello -> plane -> live, or live from the start
         self.lease: Optional[List[object]] = None
         self.waiting = 0  # order of its pending ready, 0 once fed
         self.joined = False  # has asked for its first lease
@@ -549,7 +570,7 @@ def _spawn_host_process(port: int) -> "subprocess.Popen":
         os.path.abspath(__file__))))
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    # Local fork workers inherit a faults.injected() plan via the fork;
+    # Worker threads share a faults.injected() plan with the coordinator;
     # a cold interpreter only reads REPRO_FAULT, so export the live plan
     # there too — otherwise "kill a *remote* worker" tests can't arm it.
     plan = faults.current_plan()
@@ -689,7 +710,6 @@ def _run_distributed(
     roots: Optional[Sequence[VCState]] = None,
     listen_host: str = "127.0.0.1",
 ) -> _DistRun:
-    import multiprocessing as mp
     from collections import deque
 
     backend = resolve_kernels(kernels)
@@ -697,8 +717,8 @@ def _run_distributed(
     graph.prewarm(adjacency=backend.uses_adjacency(graph))
     root_deg = np.asarray(graph.degrees, dtype=np.int32)
     enc, dec = _codec_fns(root_deg)
-    # Published when the first TCP peer says hello: forked workers
-    # inherit the graph, so a solve without one never touches shm.
+    # Published when the first TCP peer says hello: worker threads share
+    # the graph, so a solve without a TCP peer never touches shm.
     plane: Optional[GraphPlane] = None
 
     run = _DistRun()
@@ -726,13 +746,12 @@ def _run_distributed(
     lsock.setblocking(False)
     port = lsock.getsockname()[1]
 
-    ctx = mp.get_context("fork")
     salt_seq = [0]
     peers: Dict[int, _Peer] = {}
     wid_seq = [0]
     joined = [0]          # peers that asked for their first lease
     ready_seq = [0]       # ready frames received, numbering waiting peers
-    exited = [0]          # local worker processes reaped
+    exited = [0]          # local worker threads joined
     stop_reason = [_STOP_NONE]
     done_sent = [False]
     respawns_used = [0]
@@ -740,7 +759,8 @@ def _run_distributed(
     inline_drains = [0]   # wind-down paths that fell back to _drain_inline
     nodes_total = [0]
     # An armed coordinator ships its trace identity in the init parameters
-    # so every worker, forked or remote, places its spans on its timeline.
+    # so every TCP worker places its spans on its timeline (worker threads
+    # record into the coordinator's tracer directly).
     parent_tracer = obs_trace.get()
     started = time.monotonic()
     deadline_at = None if deadline is None else started + deadline
@@ -773,24 +793,23 @@ def _run_distributed(
         if done_sent[0]:
             peer.stream.send(("done",))
 
-    def spawn_local() -> "mp.Process":
-        """Fork one worker on a socketpair; it is live from the start."""
+    def spawn_local() -> threading.Thread:
+        """Start one worker thread on a socketpair; it is live from the start."""
         ours, theirs = socket.socketpair()
-        inherited = [lsock, ours] + [p.stream.sock for p in peers.values()]
-        params = worker_params()
-        p = ctx.Process(target=_local_worker_main,
-                        args=(theirs, graph, root_deg, params, time.monotonic(),
-                              inherited),
-                        daemon=True)
+        peer = add_peer(MessageStream(ours), "live")
+        thread = threading.Thread(
+            target=_local_worker_main,
+            args=(theirs, peer.wid, graph, root_deg, worker_params()),
+            name=f"repro-worker-{peer.wid}", daemon=True)
         try:
-            p.start()
+            thread.start()
         except BaseException:
+            peers.pop(peer.wid)
             ours.close()
-            raise
-        finally:
             theirs.close()
-        go_live(add_peer(MessageStream(ours), "live"))
-        return p
+            raise
+        go_live(peer)
+        return thread
 
     def live_peers() -> List[_Peer]:
         return [p for p in peers.values() if p.stage == "live" and not p.finished]
@@ -830,7 +849,7 @@ def _run_distributed(
 
     lost_nodes = [0]  # flushed deltas of peers that died without a result
 
-    reap_due = [False]    # a peer dropped: its process may have exited
+    reap_due = [False]    # a peer dropped: its worker may have exited
     accepted = [0]        # TCP connections accepted
 
     def hosts_joining() -> bool:
@@ -858,7 +877,7 @@ def _run_distributed(
         if died and not done_sent[0]:
             if respawns_used[0] < MAX_RESPAWNS * max(1, n_workers):
                 respawns_used[0] += 1
-                procs.append(spawn_local())
+                workers.append(spawn_local())
             else:
                 retired_slots[0] += 1
                 warnings.warn(
@@ -995,11 +1014,11 @@ def _run_distributed(
                     pass  # death is handled by the read path
 
     results: Dict[int, Tuple[int, List, int, Dict[str, float]]] = {}
-    procs: List["mp.Process"] = []
+    workers: List[threading.Thread] = []
     host_procs: List["subprocess.Popen"] = []
     try:
         for _ in range(n_workers):
-            procs.append(spawn_local())
+            workers.append(spawn_local())
         host_procs.extend(_spawn_host_process(port) for _ in range(hosts))
         # ------------------------- supervisor loop ------------------------ #
         while True:
@@ -1029,14 +1048,14 @@ def _run_distributed(
                     and any(p.stage == "live" for p in peers.values())):
                 request_done(_STOP_NONE)
 
-            # Reap exited local processes (their conn death re-enqueues)
+            # Join exited worker threads (their conn death re-enqueues)
             # after a drop, or while nothing else is happening.
             if reap_due[0] or not progressed:
                 reap_due[0] = False
-                for p in list(procs):
-                    if not p.is_alive():
-                        p.join()
-                        procs.remove(p)
+                for thread in list(workers):
+                    if not thread.is_alive():
+                        thread.join()
+                        workers.remove(thread)
                         exited[0] += 1
 
             alive_conns = [p for p in peers.values() if not p.finished]
@@ -1045,9 +1064,9 @@ def _run_distributed(
             if done_sent[0]:
                 continue
 
-            if not peers and not procs and not any(
+            if not peers and not workers and not any(
                     h.poll() is None for h in host_procs):
-                # every process is gone and nobody is connected
+                # every worker is gone and nobody is connected
                 break
             if not peers and time.monotonic() - started > _CONNECT_GRACE_S:
                 inline_drains[0] += 1
@@ -1119,11 +1138,13 @@ def _run_distributed(
             lsock.close()
         except OSError:  # pragma: no cover
             pass
-        for p in procs:
-            p.join(timeout=1.0)
-            if p.is_alive():  # pragma: no cover - defensive
-                p.terminate()
-                p.join(timeout=1.0)
+        # Every coordinator end is closed, so a worker thread stops at its
+        # next socket touch, at most one chunk away.
+        for thread in workers:
+            thread.join(timeout=_WINDDOWN_S)
+            if thread.is_alive():  # pragma: no cover - defensive
+                warnings.warn(f"distributed: worker thread {thread.name} "
+                              "did not stop", RuntimeWarning)
         for h in host_procs:
             if h.poll() is None:
                 try:

@@ -9,7 +9,7 @@ allocations, and branch counts as before this package existed.
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
   histograms, JSON snapshot + Prometheus exposition;
 * :mod:`repro.obs.trace` — wall-clock spans with trace/span ids that
-  survive the fork and socket hops, Chrome trace JSON + ASCII Gantt;
+  survive the socket hop, Chrome trace JSON + ASCII Gantt;
 * :mod:`repro.obs.breakdown` — per-kind wall attribution mirrored onto
   the sim cost model's activity groups (predicted vs measured).
 

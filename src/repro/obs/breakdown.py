@@ -14,7 +14,9 @@ Measured attribution sources, in preference order:
    :class:`~repro.core.nodestep.NodeStep` closure into
    ``repro_wall_seconds_total{kind=}`` counters (workers fold theirs
    into the comms dict as ``obs_<kind>_s``, which
-   ``CommStats.totals()`` sums home for free);
+   ``CommStats.totals()`` sums home for free; a worker *thread* opens
+   :func:`local_attribution`, so its share stays out of the registry its
+   coordinator also reads);
 2. spans — self-time attribution over a drained trace
    (:func:`wall_by_kind_from_spans`), used by ``repro obs view`` on a
    trace file where no registry snapshot exists.
@@ -22,7 +24,9 @@ Measured attribution sources, in preference order:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from . import metrics as _metrics
 from .trace import WallSpan
@@ -34,6 +38,8 @@ __all__ = [
     "sim_groups",
     "WALL_GROUPS",
     "step_attribution",
+    "local_attribution",
+    "local_sink",
     "add_wall",
     "wall_by_kind",
     "wall_obs_keys",
@@ -92,10 +98,45 @@ WALL_GROUPS: Dict[str, tuple] = {
 
 _WALL_METRIC = "repro_wall_seconds_total"
 
+#: Per-thread attribution sinks (see :func:`local_attribution`).
+_LOCAL = threading.local()
+
+
+@contextmanager
+def local_attribution() -> Iterator[Dict[str, float]]:
+    """Scoped per-thread sink: inside, this thread's attribution
+    (:func:`step_attribution`, :func:`add_wall`) accumulates in the
+    yielded ``{kind: seconds}`` dict instead of the process registry.
+
+    An in-process distributed worker reports its own share this way, as
+    ``obs_<kind>_s`` comms keys, while its coordinator reads the registry
+    for everything else: no second is counted twice.
+    """
+    sink: Dict[str, float] = {}
+    _LOCAL.sink = sink
+    try:
+        yield sink
+    finally:
+        _LOCAL.sink = None
+
+
+def local_sink() -> Optional[Dict[str, float]]:
+    """The calling thread's open :func:`local_attribution` sink, if any."""
+    return getattr(_LOCAL, "sink", None)
+
+
+def _sink_inc(sink: Dict[str, float], kind: str) -> Callable[[float], None]:
+    def inc(seconds: float) -> None:
+        sink[kind] = sink.get(kind, 0.0) + seconds
+    return inc
+
 
 def step_attribution() -> Dict[str, object]:
     """Bound ``inc`` methods for the three per-step kinds, prefetched so
     the armed step wrapper pays zero registry lookups per node."""
+    sink = local_sink()
+    if sink is not None:
+        return {kind: _sink_inc(sink, kind) for kind in ("reduce", "bound", "branch")}
     return {
         kind: _metrics.counter(_WALL_METRIC,
                                "wall seconds attributed per activity kind",
@@ -105,7 +146,13 @@ def step_attribution() -> Dict[str, object]:
 
 
 def add_wall(kind: str, seconds: float) -> None:
-    """Attribute ``seconds`` to an engine-level kind (lease/idle/...)."""
+    """Attribute ``seconds`` to an engine-level kind (lease/idle/...);
+    a no-op while metrics are disarmed."""
+    sink = local_sink()
+    if sink is not None:
+        if _metrics.armed():
+            _sink_inc(sink, kind)(seconds)
+        return
     _metrics.counter(_WALL_METRIC,
                      "wall seconds attributed per activity kind",
                      kind=kind).inc(seconds)
@@ -118,11 +165,15 @@ def wall_by_kind() -> Dict[str, float]:
     return {k: v for k, v in vals.items() if v > 0.0}
 
 
-def wall_obs_keys() -> Dict[str, float]:
-    """This process's attribution as ``obs_<kind>_s`` keys — the shape a
-    worker folds into its comms dict so ``CommStats.totals()`` sums the
-    attributions home without any new wire fields."""
-    return {f"obs_{k}_s": v for k, v in wall_by_kind().items()}
+def wall_obs_keys(by_kind: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
+    """An attribution as ``obs_<kind>_s`` keys — the shape a worker folds
+    into its comms dict so ``CommStats.totals()`` sums the attributions
+    home without any new wire fields.  ``by_kind`` defaults to this
+    process's registry (:func:`wall_by_kind`); kinds at zero are left
+    out."""
+    if by_kind is None:
+        by_kind = wall_by_kind()
+    return {f"obs_{k}_s": v for k, v in by_kind.items() if v > 0.0}
 
 
 def wall_from_obs_keys(totals: Mapping[str, float]) -> Dict[str, float]:

@@ -1,12 +1,13 @@
-"""Wall-clock span tracing that survives fork and socket hops.
+"""Wall-clock span tracing across worker threads and socket hops.
 
 The sim recorder (:mod:`repro.sim.trace`) attributes *virtual cycles* to
 simulated blocks; this module does the same for *wall time* across real
 workers.  A :class:`WallTracer` is armed process-wide (:func:`arm`),
-records :class:`WallSpan` intervals on a shared monotonic epoch, and the
-coordinator merges spans drained home from forked and remote workers
-(on their ``result`` frames over the ``net/`` sockets) into one timeline
-keyed by real ``(pid, tid)`` lanes.
+records :class:`WallSpan` intervals on a shared monotonic epoch — worker
+threads straight into it, each on its own lane — and the coordinator
+merges spans drained home from remote workers (on their ``result``
+frames over the ``net/`` sockets) into one timeline keyed by real
+``(pid, tid)`` lanes.
 
 Identity model:
 
@@ -21,7 +22,7 @@ Identity model:
 
 Clock model: spans are seconds relative to the tracer ``epoch``
 (``time.monotonic()`` at arm time).  ``CLOCK_MONOTONIC`` is system-wide
-on Linux, so forked and local-socket workers inherit a directly
+on Linux, so ``serve-worker`` processes on the same host get a directly
 comparable clock; a *remote* host arms with the coordinator's elapsed
 offset from the ``init`` frame, which is accurate to one network hop
 (documented in ``docs/OBSERVABILITY.md``).
@@ -187,7 +188,7 @@ class WallTracer:
 
 # ---------------------------------------------------------------------------
 # Module-level switchboard (mirrors repro.faults): one tracer per process,
-# armed explicitly, inherited by fork.
+# armed explicitly, shared by its threads.
 # ---------------------------------------------------------------------------
 
 _TRACER: Optional[WallTracer] = None

@@ -408,11 +408,13 @@ class TestDisarmedPath:
         seed-equivalent path), B = the shipping facade with the cache
         disarmed.  The only delta is one dict pop and one env probe per
         solve — the guard asserts it stays within 2% (best-of samples,
-        with retries to absorb scheduler noise)."""
+        with retries to absorb scheduler noise).  The instance is a
+        ~7k-node tree, a solve of 10 ms or more, so timer noise stays
+        well inside the bound."""
         from repro.core import solver
 
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        graph = phat_complement(50, 2, seed=77)
+        graph = phat_complement(90, 3, seed=7)
         expected = solver._dispatch_mvc(graph).optimum
 
         def timed(fn, repeats=3, inner=2):

@@ -1,7 +1,7 @@
 """Tests for the real-parallel CPU engines (threads and processes).
 
-``cpu-process`` is the facade's name for the socket engine with forked
-local workers only, so its tests go through ``solve_mvc``/``solve_pvc``.
+``cpu-process`` is the facade's name for the socket engine with local
+worker threads only, so its tests go through ``solve_mvc``/``solve_pvc``.
 """
 
 import pytest

@@ -4,8 +4,8 @@ The recovery claims under test:
 
 * engines that arm the step guard re-enqueue a pristine pre-step copy on
   an injected reduce/branch raise and still return the clean optimum;
-* the ``cpu-process`` supervisor (the socket coordinator with forked
-  local workers) survives ``worker_kill`` (re-enqueueing leased
+* the ``cpu-process`` supervisor (the socket coordinator with local
+  worker threads) survives ``worker_kill`` (re-enqueueing leased
   sub-trees, respawning, degrading to an inline drain when every slot
   dies) and still returns the clean optimum;
 * ``queue_delay`` only widens races, never changes answers.

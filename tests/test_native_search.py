@@ -11,8 +11,13 @@ trip must leave the same frontier, item by item, as the interpreted
 loop; every excluded configuration must take the interpreted loop; and
 the C boundary must reject malformed input with a typed error, leak
 nothing on an allocation failure and never write to an item array.
+``Walker.run`` walks without the GIL: Walkers on two threads at once
+must reproduce the counters each gets alone, and a Walker mid-run must
+reject every call from another thread.
 """
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -725,6 +730,83 @@ class TestWalker:
             ext._fail_search_alloc(-1)
         assert failures >= 3
         assert ext._search_blocks() == 0
+
+
+class TestWalkerThreads:
+    """run() walks without the GIL: concurrent Walkers stay exact, and a
+    Walker mid-run locks every other caller out."""
+
+    def test_concurrent_walkers_reproduce_the_sequential_counters(self):
+        """More threads than cores walk their own Walkers at once, in
+        chunks (each chunk takes and returns scratch while the others
+        walk), with a short switch interval; every walk's result equals
+        the one walked alone."""
+        names = ("phat60", "phat70", "gnp60")
+        plan = [int(b) for b in np.random.default_rng(3).integers(1, 300, 5000)]
+        graphs = {name: SUITE[name]() for name in names}
+        bounds = {name: greedy_cover(g, kernels="scalar").size
+                  for name, g in graphs.items()}
+        alone = {name: _chunked(g, "mvc", bounds[name], plan, reorder=False)
+                 for name, g in graphs.items()}
+        barrier = threading.Barrier(len(names))
+        got, errors = {}, []
+
+        def walk(name):
+            try:
+                barrier.wait(timeout=30)
+                got[name] = _chunked(graphs[name], "mvc", bounds[name], plan,
+                                     reorder=False)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                got.clear()
+                threads = [threading.Thread(target=walk, args=(name,))
+                           for name in names]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors, errors
+                assert got == alone
+        finally:
+            sys.setswitchinterval(interval)
+        assert _ext()._search_blocks() == 0
+
+    def test_walker_mid_run_rejects_other_threads(self):
+        ext = _ext()
+        graph = phat_complement(150, 3, seed=1)  # ~270k nodes, ~0.5 s
+        walker = ext.Walker(graph.indptr, graph.indices, "mvc")
+        walker.push([_root_item(graph)])
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(walker.run(graph.n + 1, None)))
+        runner.start()
+        calls = {
+            "len": lambda: len(walker),
+            "push": lambda: walker.push([_root_item(graph)]),
+            "run": lambda: walker.run(graph.n + 1, 10),
+            "donate_bottom": lambda: walker.donate_bottom(1),
+            "drain": walker.drain,
+        }
+        started = False
+        while runner.is_alive() and not started:
+            try:
+                len(walker)  # succeeds until the run is in flight
+            except RuntimeError:
+                started = True
+        assert started, "the run ended before it was seen in flight"
+        for name, call in calls.items():
+            with pytest.raises(RuntimeError, match="in flight"):
+                call()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        (result,) = out
+        assert result[0] == 0 and walker.runs == 1 and len(walker) == 0
 
 
 @pytest.mark.parametrize("kernels", ("native", "scalar"))

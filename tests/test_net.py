@@ -244,7 +244,7 @@ class TestDistributed:
 
     def test_exact_wire_counters_reported(self):
         """Socket workers report exact transport bytes next to the
-        payload byte counts.  Forked local workers inherit the graph, so
+        payload byte counts.  Local worker threads share the graph, so
         what they receive is leases and broadcasts: on a
         reduction-dominated instance that is near-root codec-v2 frames,
         which carry the few degree entries that differ from the root."""

@@ -1,20 +1,23 @@
-"""The distributed engine's process and frame boundaries.
+"""The distributed engine's worker and frame boundaries.
 
-Forked workers inherit the graph and their ``init`` parameters, so a
-solve without TCP peers publishes no shared-memory plane and sends no
-handshake frame; a ``serve-worker`` host still gets the full handshake.
-Every frame a live worker sends is checked for kind, arity and field
-types: a malformed one drops the peer (its lease re-enqueued) instead of
-crashing the solve, and a dropped forked worker sees EOF and exits on
-its own.  In a plain solve each worker walks all its chunks on one
-compiled ``Walker``, and stack items cross into Python only as
-donations and leftovers.
+Worker threads share the graph and their ``init`` parameters with the
+coordinator, so a solve without TCP peers publishes no shared-memory
+plane and sends no handshake frame; a ``serve-worker`` host still gets
+the full handshake.  Every frame a live worker sends is checked for
+kind, arity and field types: a malformed one drops the peer (its lease
+re-enqueued) instead of crashing the solve, and a dropped worker thread
+sees EOF and exits on its own.  In a plain solve each worker walks all
+its chunks on one compiled ``Walker``, and stack items cross into Python
+only as donations and leftovers.  A SIGINT mid-solve leaves no worker
+thread, child process or shared-memory segment behind.
 """
 
 import multiprocessing
 import os
+import signal
 import socket
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -152,16 +155,17 @@ def test_serve_worker_v1_receives_the_graph_inline(monkeypatch):
 
 
 def test_dropped_local_worker_exits_on_its_own(monkeypatch, tmp_path):
-    """Every forked worker sends a bad frame and waits for EOF.  Each must
+    """Every worker thread sends a bad frame and waits for EOF.  Each must
     see it (the coordinator's end is not held open by a sibling), write
-    its marker and exit, leaving no child; the solve drains inline."""
+    its marker and exit, leaving no thread and no child; the solve drains
+    inline."""
 
     def bad_loop(stream, graph, root_deg, params):
         stream.send(("nodes", "x"))
         try:
             stream.recv(timeout=30.0)
         except TransportClosed:
-            (tmp_path / str(os.getpid())).write_text("eof")
+            (tmp_path / threading.current_thread().name).write_text("eof")
 
     monkeypatch.setattr(distributed, "_worker_loop", bad_loop)
     g = gnp(40, 0.2, seed=7)
@@ -170,6 +174,7 @@ def test_dropped_local_worker_exits_on_its_own(monkeypatch, tmp_path):
         res = solve_mvc_distributed(g, n_workers=2)
     assert res.optimum == solve_mvc_sequential(g).optimum
     assert res.supervision["inline_drains"] >= 1
+    assert _worker_threads() == []
     assert multiprocessing.active_children() == []
     spawned = res.workers_lost
     assert spawned >= 2
@@ -290,3 +295,68 @@ def test_lease_landing_during_worker_setup_is_walked(kernels, monkeypatch):
     assert res.optimum == solve_mvc_sequential(g).optimum
     assert res.workers_lost == 0
     assert res.comms["totals"]["leases"] >= 2
+
+
+# --------------------------------------------------------------------- #
+# SIGINT mid-solve
+# --------------------------------------------------------------------- #
+def _children():
+    """Pids of this process's live children (every thread's)."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as fh:
+            pids.update(int(p) for p in fh.read().split())
+    return pids
+
+
+def _shm():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-worker-")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("n_workers,hosts", [(2, 0), (1, 1)],
+                         ids=["2-threads", "1-thread+1-host"])
+def test_sigint_mid_solve_leaves_nothing_behind(n_workers, hosts):
+    """Ctrl-C while the workers walk a tree of about a million nodes:
+    the solve raises KeyboardInterrupt within a few seconds and leaves no
+    worker thread, no child process and no new /dev/shm entry.  The
+    signal goes out once every local worker is walking and, with a host,
+    once the host has made the coordinator publish the graph plane."""
+    from multiprocessing import resource_tracker
+
+    from repro.graph.generators.phat import phat_complement
+
+    g = phat_complement(200, 3, seed=1)
+    # Publishing the plane starts the interpreter's one shared-memory
+    # resource tracker, which outlives every solve by design: start it
+    # first so it is not counted as left behind.
+    resource_tracker.ensure_running()
+    shm_before = _shm()
+    children_before = _children()
+    sent = []
+
+    def interrupt():
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            walking = len(_worker_threads()) >= n_workers
+            if walking and (not hosts or _shm() - shm_before):
+                break
+            time.sleep(0.01)
+        time.sleep(0.2)
+        sent.append(time.monotonic())
+        os.kill(os.getpid(), signal.SIGINT)
+
+    watcher = threading.Thread(target=interrupt, daemon=True)
+    watcher.start()
+    with pytest.raises(KeyboardInterrupt):
+        solve_mvc_distributed(g, n_workers=n_workers, hosts=hosts)
+    raised = time.monotonic()
+    watcher.join()
+    assert sent and raised - sent[0] < 5.0
+    assert _worker_threads() == []
+    assert _children() <= children_before
+    assert _shm() <= shm_before

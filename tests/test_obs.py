@@ -2,8 +2,9 @@
 
 Covers the arming contract (disarmed mutators are no-ops and the node
 step binds bare closures), span-tree structural properties (nesting,
-per-lane non-overlap, ids surviving the fork and socket hops), the
-exposition formats, and the experiment layer's per-cell capture.
+per-lane non-overlap, worker-thread lanes, ids surviving the socket
+hop), the exposition formats, and the experiment layer's per-cell
+capture.
 """
 
 from __future__ import annotations
@@ -404,23 +405,35 @@ class TestSolveEnvelope:
         assert metrics.REGISTRY.value("repro_comms_donations_total",
                                       engine="cpu-threads") is not None
 
-    def test_spans_survive_fork_hop(self):
-        """cpu-process workers inherit the trace id over fork and drain
-        spans home through the result event."""
+    def test_worker_thread_spans_land_on_distinct_lanes(self):
+        """cpu-process workers are threads of the solving process: they
+        record straight into its tracer, each on its own (pid, worker id)
+        lane, every span exactly once, and report their own attribution
+        as obs keys without adding it to the process registry too."""
+        import os
+
+        expected = solve_mvc_sequential(GRAPH).optimum
         tracer = obs.arm()
         out = solve_mvc(GRAPH, engine="cpu-process", n_workers=2)
-        assert out.optimum == solve_mvc_sequential(GRAPH).optimum
-        pids = {s.pid for s in tracer.spans}
-        assert len(pids) >= 2, "no worker spans made it home over the fork"
+        assert out.optimum == expected
+        assert {s.pid for s in tracer.spans} == {os.getpid()}
+        # Lane 0 is the coordinator's; every worker thread has its own.
+        worker_lanes = {s.tid for s in tracer.spans if s.tid != 0}
+        assert len(worker_lanes) >= 2, worker_lanes
+        assert all(s.tid != 0 for s in tracer.spans if s.kind == "node_step")
+        ids = [s.span_id for s in tracer.spans]
+        assert len(ids) == len(set(ids)), "a span was recorded twice"
         _assert_well_nested(tracer.spans)
         totals = out.comms["totals"]
-        assert any(k.startswith("obs_") for k in totals)
+        assert totals.get("obs_reduce_s", 0) > 0
+        assert breakdown.wall_by_kind().get("reduce", 0) == 0
 
     def test_spans_survive_socket_hop(self):
-        """distributed workers arm from the init frame and ship spans
-        back inside the socket result frame."""
+        """A serve-worker host arms from the init frame and ships its
+        spans back, from another process, inside the socket result
+        frame."""
         tracer = obs.arm()
-        out = solve_mvc(GRAPH, engine="distributed", n_workers=2)
+        out = solve_mvc(GRAPH, engine="distributed", n_workers=1, hosts=1)
         assert out.optimum == solve_mvc_sequential(GRAPH).optimum
         pids = {s.pid for s in tracer.spans}
         assert len(pids) >= 2, "no worker spans made it home over the socket"
