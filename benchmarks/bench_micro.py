@@ -24,6 +24,7 @@ from repro.graph.degree_array import (
 )
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
+from repro.graph.generators.suites import suite_instance
 from repro.sim.broker import BrokerWorklist
 from repro.sim.launch import select_launch_config
 from repro.sim.device import SMALL_SIM
@@ -35,6 +36,15 @@ SPARSE = gnp(400, 0.01, seed=78)
 def bench_csr_construction(benchmark):
     edges = list(GRAPH.edges())
     benchmark(lambda: CSRGraph.from_edges(GRAPH.n, edges, validate=False))
+
+
+def bench_csr_from_edges_validated(benchmark):
+    # The facade caller's path: a relabelled edge array, validate=True.
+    base = suite_instance("p_hat_500_3").graph()
+    perm = np.random.default_rng(500).permutation(base.n)
+    edges = perm[base.edge_array().astype(np.int64)]
+    graph = benchmark(lambda: CSRGraph.from_edges(base.n, edges))
+    assert graph.m == base.m
 
 
 def bench_fresh_state(benchmark):

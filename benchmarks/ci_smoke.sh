@@ -31,7 +31,11 @@
 # produce schema-valid Chrome trace JSON with spans from >= 2 pids and a
 # metrics snapshot whose Prometheus exposition parses, and a disarmed
 # solve must never touch a telemetry mutator — spied with raising
-# monkeypatches on the span/counter entry points).
+# monkeypatches on the span/counter entry points), or the solve-cache
+# gate fails (miss, exact and isomorphic hits with verified covers, an
+# escalated anytime repeat, an unusable root that warns and solves
+# uncached, no index.sqlite handle left open, a disarmed path that
+# never reaches cache code).
 set -eu
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -504,11 +508,16 @@ print("ci_smoke: disarmed solve never touched a telemetry mutator")
 EOF
 
 # --- solve-cache gate (see docs/CACHING.md) ---
-# 1. a second identical solve must be a zero-node hit with the
-#    bit-identical cover; 2. a relabeled copy of the instance must hit
-#    isomorphically; 3. a budget-bumped anytime repeat must resume the
-#    cached checkpoint to the optimum instead of restarting; 4. a
-#    disarmed solve must never reach any cache entry point.
+# 1. a cold solve misses and stores a valid cover; a second identical
+#    solve must be a zero-node exact hit with the bit-identical cover;
+#    2. a relabeled copy of the instance must hit isomorphically with
+#    zero nodes and a re-verified cover; 3. a budget-bumped anytime
+#    repeat must resume the cached checkpoint to the optimum instead of
+#    restarting; 4. a cache root under a regular file must give one
+#    CacheUnavailableWarning and then the uncached optimum; 5. after the
+#    solves no file descriptor of this process may point at any store's
+#    index.sqlite (every connection is closed); 6. a disarmed solve must
+#    never reach any cache entry point.
 cache_store="$(mktemp -d /tmp/bench_smoke_cache.XXXXXX)"
 trap 'rm -f "$out" "$obs_trace" "$obs_metrics"; rm -rf "$exp_store" "$cache_store"' EXIT
 python - "$cache_store" <<'EOF'
@@ -526,9 +535,12 @@ store = sys.argv[1]
 graph = phat_complement(60, 2, seed=4)
 
 cold = solve_mvc(graph, cache=store)
+assert cold.stats.nodes_visited > 0, "cold solve did not search"
+assert_valid_cover(graph, cold.cover, expected_size=cold.optimum)
 warm = solve_mvc(graph, cache=store)
 assert warm.nodes_visited == 0, "repeat solve searched nodes"
 assert warm.optimum == cold.optimum
+assert_valid_cover(graph, warm.cover, expected_size=cold.optimum)
 np.testing.assert_array_equal(np.sort(np.asarray(cold.cover)),
                               np.asarray(warm.cover))
 print(f"ci_smoke: cache repeat solve hit with 0 nodes "
@@ -553,6 +565,36 @@ assert bumped.status == "optimal" and bumped.optimum == ref.optimum
 assert bumped.extra.get("cache_escalated") == 1.0, "repeat did not resume"
 print(f"ci_smoke: budget-bumped anytime resumed cached checkpoint to "
       f"optimum {bumped.optimum}")
+
+import os
+import pathlib
+import warnings
+
+from repro.cache import CacheUnavailableWarning
+
+blocker = pathlib.Path(store) / "a-regular-file"
+blocker.write_text("not a directory")
+bad_root = str(blocker / "cache")
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    uncached = solve_mvc(graph, cache=bad_root)
+unusable = [w for w in caught if issubclass(w.category, CacheUnavailableWarning)]
+assert len(unusable) == 1 and bad_root in str(unusable[0].message), \
+    [str(w.message) for w in caught]
+assert uncached.optimum == cold.optimum
+assert_valid_cover(graph, uncached.cover, expected_size=cold.optimum)
+print("ci_smoke: unusable cache root warned once and solved uncached")
+
+open_index = []
+for fd in os.listdir("/proc/self/fd"):
+    try:
+        target = os.readlink(f"/proc/self/fd/{fd}")
+    except OSError:
+        continue
+    if target.endswith("index.sqlite"):
+        open_index.append(target)
+assert not open_index, f"cache index handles left open: {open_index}"
+print("ci_smoke: no open handle to index.sqlite after the cache solves")
 
 import repro.cache as cache_mod
 

@@ -56,7 +56,7 @@ CALIBRATION_V1_KIND = "repro-vc-scalar-calibration"
 
 #: Seeds used by the benchmark graphs; recorded in the artifact.
 BENCH_SEEDS = {"sparse_gnp": 78, "phat_solver": 5, "phat_graph": 77,
-               "greedy_gnp": 21}
+               "greedy_gnp": 21, "ingest_relabel": 500}
 
 #: Seed for the calibration ladder graphs.
 CALIBRATION_SEED = 1234
@@ -102,6 +102,7 @@ def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
     )
     from ..graph.generators.phat import phat_complement
     from ..graph.generators.random_graphs import gnp
+    from ..graph.generators.suites import suite_instance
 
     backend = resolve_kernels(kernels)
     sparse = gnp(400, 0.01, seed=BENCH_SEEDS["sparse_gnp"])
@@ -113,6 +114,9 @@ def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
     ws_dense = Workspace.for_graph(dense)
     ws_greedy = Workspace.for_graph(greedy_graph)
     edges = list(dense.edges())
+    ingest = suite_instance("p_hat_500_3").graph()
+    ingest_edges = np.random.default_rng(BENCH_SEEDS["ingest_relabel"]).permutation(
+        ingest.n)[ingest.edge_array().astype(np.int64)]
     batch = np.arange(0, 40, 2)
 
     def form(graph):
@@ -138,6 +142,9 @@ def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
 
     def csr_from_edges():
         return CSRGraph.from_edges(dense.n, edges, validate=False)
+
+    def csr_from_edges_validated():
+        return CSRGraph.from_edges(ingest.n, ingest_edges)
 
     def batch_removal():
         state = fresh_state(dense)
@@ -168,6 +175,8 @@ def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
                   backend=backend.resolved_name(solver_graph.n, solver_graph.m)),
         BenchCase("csr_from_edges", csr_from_edges,
                   "vectorized CSR construction of phat_complement(100, 2)"),
+        BenchCase("csr_from_edges_validated", csr_from_edges_validated,
+                  "validated CSR ingest of a relabelled p_hat_500_3 edge array"),
         BenchCase("batch_removal", batch_removal,
                   "20-vertex batch removal into the cover"),
         BenchCase("remove_neighbors", remove_neighbors_hub,

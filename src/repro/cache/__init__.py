@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -51,6 +52,7 @@ from ..graph.csr import CSRGraph
 from .store import CacheEntry, CacheStore
 
 __all__ = [
+    "CacheUnavailableWarning",
     "SolveCache",
     "CachedSolveResult",
     "resolve_cache",
@@ -67,6 +69,10 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 CACHE_ENV = "REPRO_CACHE"
 
 _OFF_VALUES = ("", "0", "off", "false", "no")
+
+
+class CacheUnavailableWarning(RuntimeWarning):
+    """The cache root cannot be used; the solve runs without the cache."""
 
 
 def config_hash(formulation: str, k: Optional[int] = None) -> str:
@@ -340,18 +346,23 @@ def resolve_cache(cache: Union[None, bool, str, Path, SolveCache]) -> Optional[S
 
     ``None``/``False`` and the off-spellings (``""``, ``"0"``, ``"off"``,
     ``"false"``, ``"no"``) disarm; ``True`` uses ``$REPRO_CACHE`` or the
-    default root; a string or path names the store root directly.
+    default root; a string or path names the store root directly.  A
+    root that cannot be created warns :class:`CacheUnavailableWarning`
+    and disarms.
     """
     if cache is None or cache is False:
         return None
     if isinstance(cache, SolveCache):
         return cache
-    if cache is True:
-        return SolveCache(os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR)
-    text = str(cache)
-    if text.lower() in _OFF_VALUES:
+    root = (os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR) if cache is True else str(cache)
+    if cache is not True and root.lower() in _OFF_VALUES:
         return None
-    return SolveCache(text)
+    try:
+        return SolveCache(root)
+    except OSError as exc:
+        warnings.warn(f"cache root {root!r} is unusable ({exc}); solving "
+                      "without the cache", CacheUnavailableWarning)
+        return None
 
 
 # ---------------------------------------------------------------------- #

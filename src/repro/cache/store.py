@@ -31,9 +31,10 @@ import pickle
 import sqlite3
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -121,6 +122,37 @@ _COLUMNS = (
 )
 
 
+#: The index schema; each handle runs it on its first connection only.
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS entries ("
+    "  uid TEXT PRIMARY KEY,"
+    "  canonical_key TEXT NOT NULL,"
+    "  config_hash TEXT NOT NULL,"
+    "  graph_fp TEXT NOT NULL,"
+    "  formulation TEXT NOT NULL,"
+    "  k INTEGER,"
+    "  n INTEGER NOT NULL,"
+    "  m INTEGER NOT NULL,"
+    "  individualized INTEGER NOT NULL,"
+    "  structure_hash TEXT,"
+    "  status TEXT NOT NULL,"
+    "  optimum INTEGER,"
+    "  feasible INTEGER,"
+    "  lower_bound INTEGER,"
+    "  nodes_visited INTEGER NOT NULL DEFAULT 0,"
+    "  wall_seconds REAL NOT NULL DEFAULT 0,"
+    "  nbytes INTEGER NOT NULL DEFAULT 0,"
+    "  created_at REAL NOT NULL,"
+    "  last_hit_at REAL,"
+    "  hits INTEGER NOT NULL DEFAULT 0,"
+    "  UNIQUE (graph_fp, config_hash)"
+    ");"
+    "CREATE INDEX IF NOT EXISTS idx_entries_key "
+    "ON entries (canonical_key, config_hash);"
+    "CREATE INDEX IF NOT EXISTS idx_entries_fp ON entries (graph_fp);"
+)
+
+
 class CacheStore:
     """SQLite-indexed, artifact-backed store of solve certificates."""
 
@@ -130,45 +162,23 @@ class CacheStore:
         self.entries_dir = self.root / "entries"
         self.entries_dir.mkdir(exist_ok=True)
         self.index_path = self.root / "index.sqlite"
+        self._schema_ready = False
 
     # ------------------------------------------------------------------ #
     # schema
     # ------------------------------------------------------------------ #
-    def connect(self) -> sqlite3.Connection:
+    @contextmanager
+    def connect(self) -> Iterator[sqlite3.Connection]:
+        """One transaction: commit or roll back, then close (DDL runs once)."""
         conn = sqlite3.connect(self.index_path)
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS entries ("
-            "  uid TEXT PRIMARY KEY,"
-            "  canonical_key TEXT NOT NULL,"
-            "  config_hash TEXT NOT NULL,"
-            "  graph_fp TEXT NOT NULL,"
-            "  formulation TEXT NOT NULL,"
-            "  k INTEGER,"
-            "  n INTEGER NOT NULL,"
-            "  m INTEGER NOT NULL,"
-            "  individualized INTEGER NOT NULL,"
-            "  structure_hash TEXT,"
-            "  status TEXT NOT NULL,"
-            "  optimum INTEGER,"
-            "  feasible INTEGER,"
-            "  lower_bound INTEGER,"
-            "  nodes_visited INTEGER NOT NULL DEFAULT 0,"
-            "  wall_seconds REAL NOT NULL DEFAULT 0,"
-            "  nbytes INTEGER NOT NULL DEFAULT 0,"
-            "  created_at REAL NOT NULL,"
-            "  last_hit_at REAL,"
-            "  hits INTEGER NOT NULL DEFAULT 0,"
-            "  UNIQUE (graph_fp, config_hash)"
-            ")"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_entries_key "
-            "ON entries (canonical_key, config_hash)"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_entries_fp ON entries (graph_fp)"
-        )
-        return conn
+        try:
+            with conn:
+                if not self._schema_ready:
+                    conn.executescript(_SCHEMA)
+                    self._schema_ready = True
+                yield conn
+        finally:
+            conn.close()
 
     # ------------------------------------------------------------------ #
     # write path

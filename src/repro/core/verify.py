@@ -28,21 +28,17 @@ def is_vertex_cover(graph: CSRGraph, cover: Iterable[int]) -> bool:
         if idx.min() < 0 or idx.max() >= graph.n:
             raise ValueError("cover vertex out of range")
         mask[idx] = True
-    for u in range(graph.n):
-        if mask[u]:
-            continue
-        nbrs = graph.neighbors(u)
-        if nbrs.size and not mask[nbrs].all():
-            return False
-    return True
+    src = np.repeat(np.arange(graph.n), graph.degrees)
+    return bool(np.all(mask[src] | mask[graph.indices]))
 
 
 def uncovered_edges(graph: CSRGraph, cover: Iterable[int]) -> list[tuple[int, int]]:
     """All edges missed by ``cover`` (diagnostic helper)."""
     mask = np.zeros(graph.n, dtype=bool)
-    for v in cover:
-        mask[int(v)] = True
-    return [(u, v) for u, v in graph.edges() if not mask[u] and not mask[v]]
+    mask[np.fromiter((int(v) for v in cover), dtype=np.int64)] = True
+    edges = graph.edge_array()
+    missed = edges[~(mask[edges[:, 0]] | mask[edges[:, 1]])]
+    return list(zip(*missed.T.tolist()))
 
 
 def is_independent_set(graph: CSRGraph, vertices: Iterable[int]) -> bool:

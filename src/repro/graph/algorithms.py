@@ -29,23 +29,26 @@ __all__ = [
 
 
 def connected_components(graph: CSRGraph) -> np.ndarray:
-    """Component label per vertex (labels are 0..c-1 in discovery order)."""
-    labels = -np.ones(graph.n, dtype=np.int64)
+    """Component label per vertex (labels are 0..c-1 in discovery order).
+
+    BFS over plain-Python lists: no NumPy scalar is boxed per neighbour.
+    """
+    ptr = graph.indptr.tolist()
+    adj = graph.indices.tolist()
+    labels = [-1] * graph.n
     current = 0
     for start in range(graph.n):
         if labels[start] != -1:
             continue
         labels[start] = current
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                v = int(v)
+        queue = [start]
+        for u in queue:  # the queue grows while it is walked
+            for v in adj[ptr[u]:ptr[u + 1]]:
                 if labels[v] == -1:
                     labels[v] = current
                     queue.append(v)
         current += 1
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def component_subgraphs(graph: CSRGraph) -> List[Tuple[CSRGraph, np.ndarray]]:

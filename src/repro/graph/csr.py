@@ -92,20 +92,19 @@ class CSRGraph:
     def _from_pairs(cls, n: int, pairs: np.ndarray, *, validate: bool = False) -> "CSRGraph":
         """Build from a canonical ``(m, 2)`` int64 edge array (``u < v`` rows).
 
-        Fully vectorized: both half-edge orientations are materialised and
-        lexsorted by ``(src, dst)``, which yields the flat ``indices`` array
-        directly with every row already sorted ascending.
+        Fully vectorized: both half-edge orientations are keyed
+        ``src * n + dst`` and sorted, which yields the flat ``indices``
+        array directly with every row already sorted ascending.
         """
         if pairs.size == 0:
             return cls(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32),
                        validate=validate)
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        indices = dst[order].astype(np.int32)
+        u, v = pairs[:, 0], pairs[:, 1]
+        keys = np.concatenate([u * n + v, v * n + u])
+        keys.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, indices, validate=validate)
+        np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
+        return cls(indptr, (keys % n).astype(np.int32), validate=validate)
 
     @classmethod
     def empty(cls, n: int) -> "CSRGraph":
@@ -233,10 +232,7 @@ class CSRGraph:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate each undirected edge exactly once as ``(u, v)`` with ``u < v``."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, int(v))
+        return zip(*self.edge_array().T.tolist())
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array with ``u < v`` per row."""
@@ -316,17 +312,16 @@ class CSRGraph:
             raise ValueError("indptr must be non-decreasing")
         if ind.size and (ind.min() < 0 or ind.max() >= self.n):
             raise ValueError("neighbour id out of range")
-        for v in range(self.n):
-            row = ind[ptr[v] : ptr[v + 1]]
-            if row.size == 0:
-                continue
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"adjacency row of vertex {v} not strictly sorted")
-            pos = int(np.searchsorted(row, v))
-            if pos < row.size and row[pos] == v:
-                raise ValueError(f"self loop at vertex {v}")
-        # symmetry: each (u, v) must have its mirror (v, u)
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(ptr))
+        # the smallest bad vertex wins; an unsorted row before a self loop
+        unsorted = src[1:][(src[1:] == src[:-1]) & (np.diff(ind) <= 0)]
+        loops = src[ind == src]
+        if unsorted.size or loops.size:
+            v = int(min(unsorted.min(initial=self.n), loops.min(initial=self.n)))
+            if unsorted.size and unsorted[0] == v:
+                raise ValueError(f"adjacency row of vertex {v} not strictly sorted")
+            raise ValueError(f"self loop at vertex {v}")
+        # symmetry: each (u, v) must have its mirror (v, u)
         fwd = src * self.n + ind
         bwd = ind.astype(np.int64) * self.n + src
         if not np.array_equal(np.sort(fwd), np.sort(bwd)):
@@ -334,22 +329,27 @@ class CSRGraph:
 
 
 def _canonical_edge_array(n: int, edges: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """Normalise edges to ``u < v`` rows, rejecting loops/dupes/range errors."""
-    rows = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self loop ({u},{v}) not allowed in a simple graph")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        rows.append((u, v) if u < v else (v, u))
-    if not rows:
+    """Normalise edges to sorted ``u < v`` rows, rejecting loops/dupes/range errors.
+
+    Reports the first bad edge in input order (a loop first), else the smallest duplicate.
+    """
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                     dtype=np.int64)
+    if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(rows, dtype=np.int64)
-    keys = arr[:, 0] * n + arr[:, 1]
-    uniq, counts = np.unique(keys, return_counts=True)
-    if np.any(counts > 1):
-        dup = uniq[counts > 1][0]
-        raise ValueError(f"duplicate edge ({dup // n},{dup % n})")
-    order = np.argsort(keys, kind="stable")
-    return arr[order]
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    u, v = arr[:, 0], arr[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        bu, bv = int(u[i]), int(v[i])
+        if bu == bv:
+            raise ValueError(f"self loop ({bu},{bv}) not allowed in a simple graph")
+        raise ValueError(f"edge ({bu},{bv}) out of range for n={n}")
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    dup = keys[1:][keys[1:] == keys[:-1]]
+    if dup.size:
+        raise ValueError(f"duplicate edge ({dup[0] // n},{dup[0] % n})")
+    return np.stack(np.divmod(keys, n), axis=1)

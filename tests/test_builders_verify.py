@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.verify import (
     assert_valid_cover,
@@ -110,3 +112,48 @@ class TestVerify:
         g = path_graph(3)
         assert minimal_cover_certificate(g, [0, 1]) == [0]
         assert minimal_cover_certificate(g, [1]) == []
+
+
+# Frozen per-vertex / per-edge loop versions of the vectorized checks.
+def _edges_reference(graph):
+    for u in range(graph.n):
+        for v in graph.neighbors(u):
+            if u < v:
+                yield (u, int(v))
+
+
+def _is_vertex_cover_reference(graph, cover):
+    mask = np.zeros(graph.n, dtype=bool)
+    idx = np.fromiter((int(v) for v in cover), dtype=np.int64)
+    if idx.size:
+        if idx.min() < 0 or idx.max() >= graph.n:
+            raise ValueError("cover vertex out of range")
+        mask[idx] = True
+    for u in range(graph.n):
+        if mask[u]:
+            continue
+        nbrs = graph.neighbors(u)
+        if nbrs.size and not mask[nbrs].all():
+            return False
+    return True
+
+
+def _uncovered_edges_reference(graph, cover):
+    mask = np.zeros(graph.n, dtype=bool)
+    for v in cover:
+        mask[int(v)] = True
+    return [(u, v) for u, v in _edges_reference(graph) if not mask[u] and not mask[v]]
+
+
+class TestVectorizedChecksMatchLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 25), p=st.floats(0, 0.6), seed=st.integers(0, 500),
+           data=st.data())
+    def test_edges_and_cover_checks(self, n, p, seed, data):
+        g = gnp(n, p, seed=seed)
+        edges = list(g.edges())
+        assert edges == list(_edges_reference(g))
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+        cover = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+        assert is_vertex_cover(g, cover) == _is_vertex_cover_reference(g, cover)
+        assert uncovered_edges(g, cover) == _uncovered_edges_reference(g, cover)

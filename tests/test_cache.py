@@ -20,16 +20,19 @@ Covers the four hit tiers and the guarantees the subsystem sells:
   surfaces them.
 """
 
+import os
+import sqlite3
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (CachedSolveResult, SolveCache, cached_solve_anytime,
-                         cached_solve_mvc, cached_solve_pvc, config_hash,
-                         resolve_cache)
+from repro.cache import (CachedSolveResult, CacheUnavailableWarning,
+                         SolveCache, cached_solve_anytime, cached_solve_mvc,
+                         cached_solve_pvc, config_hash, resolve_cache)
 from repro.cache.store import CacheEntry, CacheStore
 from repro.core.anytime import solve_anytime
 from repro.core.solver import solve_mvc, solve_pvc
@@ -191,6 +194,104 @@ class TestCacheStore:
         assert store.stats() == {"entries": 0, "bytes": 0, "hits": 0,
                                  "by_status": {}, "root": str(store.root)}
         assert list((store.root / "entries").iterdir()) == []
+
+    def test_every_connection_is_closed(self, tmp_path):
+        store = CacheStore(tmp_path / "c")
+        entry = store.put(self._entry())
+        store.lookup_exact("fp0", config_hash("mvc"))
+        store.lookup_key("k" * 64, config_hash("mvc"))
+        store.entries_for_graph("fp0")
+        store.touch(entry.uid)
+        store.ls()
+        store.stats()
+        store.gc(max_age_s=1e9)
+        store.clear()
+        assert _open_handles(store.index_path) == []
+
+    def test_failed_transaction_rolls_back_and_closes(self, tmp_path):
+        store = CacheStore(tmp_path / "c")
+        store.put(self._entry())
+        with pytest.raises(RuntimeError):
+            with store.connect() as conn:
+                conn.execute("DELETE FROM entries")
+                raise RuntimeError("abort mid-transaction")
+        assert store.stats()["entries"] == 1
+        assert _open_handles(store.index_path) == []
+
+    def test_schema_ddl_runs_once_per_handle(self, tmp_path, monkeypatch):
+        import repro.cache.store as store_mod
+
+        store = CacheStore(tmp_path / "c")
+        entry = store.put(self._entry())
+        # From here on any DDL run would fail: the handle must not re-run it.
+        monkeypatch.setattr(store_mod, "_SCHEMA", "NOT VALID SQL;")
+        store.touch(entry.uid)
+        assert store.lookup_exact("fp0", config_hash("mvc")).hits == 1
+        assert store.stats()["entries"] == 1
+        with pytest.raises(sqlite3.OperationalError):
+            CacheStore(tmp_path / "c").stats()  # a fresh handle runs it
+
+
+def _open_handles(path) -> list:
+    """Entries of ``/proc/self/fd`` that point at ``path``."""
+    target = os.path.realpath(path)
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip("needs /proc/self/fd")
+    out = []
+    for fd in os.listdir(fds):
+        try:
+            if os.readlink(os.path.join(fds, fd)) == target:
+                out.append(fd)
+        except OSError:
+            pass
+    return out
+
+
+class TestUnusableRoot:
+    """A cache root that cannot be created warns once and solves uncached.
+
+    The root sits under a regular file, which fails for every user (a
+    read-only directory would not stop root).
+    """
+
+    @pytest.fixture
+    def bad_root(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file")
+        return str(blocker / "cache")
+
+    def _solve_warns(self, bad_root, solve):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve()
+        hits = [w for w in caught if issubclass(w.category, CacheUnavailableWarning)]
+        assert len(hits) == 1, [str(w.message) for w in caught]
+        text = str(hits[0].message)
+        assert bad_root in text and "Not a directory" in text
+        return result
+
+    def test_facades_warn_and_solve_uncached(self, bad_root):
+        g = phat_complement(30, 2, seed=3)
+        expected = solve_mvc(g, cache=False).optimum
+        mvc = self._solve_warns(bad_root, lambda: solve_mvc(g, cache=bad_root))
+        assert not isinstance(mvc, CachedSolveResult)
+        assert mvc.optimum == expected and mvc.stats.nodes_visited > 0
+        assert_valid_cover(g, mvc.cover, expected_size=expected)
+        pvc = self._solve_warns(bad_root, lambda: solve_pvc(g, expected, cache=bad_root))
+        assert pvc.feasible is True and len(pvc.cover) <= expected
+        anytime = self._solve_warns(bad_root, lambda: solve_anytime(g, cache=bad_root))
+        assert anytime.status == "optimal" and anytime.optimum == expected
+
+    def test_env_root_warns_and_solves_uncached(self, bad_root, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", bad_root)
+        g = gnp(14, 0.3, seed=6)
+        result = self._solve_warns(bad_root, lambda: solve_mvc(g))
+        assert result.optimum == solve_mvc(g, cache=False).optimum
+
+    def test_resolve_cache_returns_none(self, bad_root):
+        with pytest.warns(CacheUnavailableWarning, match="unusable"):
+            assert resolve_cache(bad_root) is None
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators.random_graphs import gnp
@@ -224,3 +226,217 @@ class TestVectorizedConstruction:
     def test_complement_passes_full_validation(self):
         comp = gnp(9, 0.4, seed=29).complement()
         CSRGraph(comp.indptr, comp.indices)  # validate=True re-checks invariants
+
+
+# --------------------------------------------------------------------- #
+# Frozen per-edge / per-row loop versions of ingest and validation: the
+# vectorized code must match them array for array and message for message.
+# --------------------------------------------------------------------- #
+def _canonical_edge_array_reference(n, edges):
+    rows = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self loop ({u},{v}) not allowed in a simple graph")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        rows.append((u, v) if u < v else (v, u))
+    if not rows:
+        return np.empty((0, 2), dtype=np.int64)
+    arr = np.asarray(rows, dtype=np.int64)
+    keys = arr[:, 0] * n + arr[:, 1]
+    uniq, counts = np.unique(keys, return_counts=True)
+    if np.any(counts > 1):
+        dup = uniq[counts > 1][0]
+        raise ValueError(f"duplicate edge ({dup // n},{dup % n})")
+    order = np.argsort(keys, kind="stable")
+    return arr[order]
+
+
+def _validate_reference(n, ptr, ind):
+    if np.any(np.diff(ptr) < 0):
+        raise ValueError("indptr must be non-decreasing")
+    if ind.size and (ind.min() < 0 or ind.max() >= n):
+        raise ValueError("neighbour id out of range")
+    for v in range(n):
+        row = ind[ptr[v] : ptr[v + 1]]
+        if row.size == 0:
+            continue
+        if np.any(np.diff(row) <= 0):
+            raise ValueError(f"adjacency row of vertex {v} not strictly sorted")
+        pos = int(np.searchsorted(row, v))
+        if pos < row.size and row[pos] == v:
+            raise ValueError(f"self loop at vertex {v}")
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))
+    fwd = src * n + ind
+    bwd = ind.astype(np.int64) * n + src
+    if not np.array_equal(np.sort(fwd), np.sort(bwd)):
+        raise ValueError("adjacency is not symmetric")
+
+
+def _outcome(fn):
+    """``("ok", value)`` or ``(exception type, message)``."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - compared verbatim
+        return type(exc), str(exc)
+
+
+def _reference_build(n, edges):
+    """The frozen loop canonicalization, then the lexsort CSR build."""
+    pairs = _canonical_edge_array_reference(n, edges)
+    if pairs.size == 0:
+        return CSRGraph(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32))
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, dst[order].astype(np.int32), validate=False)
+
+
+_INPUT_FORMS = {
+    "list": lambda pairs: list(pairs),
+    "zip": lambda pairs: zip([u for u, _ in pairs], [v for _, v in pairs]),
+    "generator": lambda pairs: (pair for pair in pairs),
+    "int32": lambda pairs: np.array(pairs, dtype=np.int32).reshape(-1, 2),
+    "int64": lambda pairs: np.array(pairs, dtype=np.int64).reshape(-1, 2),
+}
+
+
+@st.composite
+def _edge_lists(draw):
+    """A simple edge list in random orientation, plus injected faults."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    for fault in draw(st.lists(st.sampled_from(
+            ["loop", "range", "dup", "dup_flipped"]), max_size=3)):
+        if fault == "loop":
+            w = draw(st.integers(-1, n))  # out-of-range loops too
+            bad = (w, w)
+        elif fault == "range":
+            inside = draw(st.integers(0, max(n - 1, 0)))
+            outside = draw(st.sampled_from([-2, -1, n, n + 3]))
+            bad = (inside, outside) if draw(st.booleans()) else (outside, inside)
+        elif edges:
+            u, v = draw(st.sampled_from(edges))
+            bad = (v, u) if fault == "dup_flipped" else (u, v)
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+class TestIngestMatchesLoopReference:
+    """Vectorized ``from_edges``/``_validate`` against the frozen loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_edge_lists(), form=st.sampled_from(sorted(_INPUT_FORMS)))
+    def test_from_edges_equivalent(self, case, form):
+        n, pairs = case
+        make = _INPUT_FORMS[form]
+        got = _outcome(lambda: CSRGraph.from_edges(n, make(pairs)))
+        want = _outcome(lambda: _reference_build(n, make(pairs)))
+        if want[0] != "ok":
+            assert got == want
+            return
+        assert got[0] == "ok", got
+        np.testing.assert_array_equal(got[1].indptr, want[1].indptr)
+        np.testing.assert_array_equal(got[1].indices, want[1].indices)
+        assert got[1].indptr.dtype == want[1].indptr.dtype
+        assert got[1].indices.dtype == want[1].indices.dtype
+
+    @pytest.mark.parametrize("form", sorted(_INPUT_FORMS))
+    def test_empty_input(self, form):
+        g = CSRGraph.from_edges(4, _INPUT_FORMS[form]([]))
+        assert g == _reference_build(4, _INPUT_FORMS[form]([]))
+        assert g.m == 0 and g.indptr.tolist() == [0] * 5
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 9), (3, 3)], "edge (2,9) out of range for n=4"),
+        ([(0, 1), (5, 5), (2, 9)], "self loop (5,5) not allowed in a simple graph"),
+        ([(2, 3), (1, 0), (3, 2), (0, 1)], "duplicate edge (0,1)"),
+    ])
+    def test_first_offender_is_reported(self, edges, message):
+        for make in _INPUT_FORMS.values():
+            with pytest.raises(ValueError) as exc:
+                CSRGraph.from_edges(4, make(edges))
+            assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_edge_lists(), data=st.data())
+    def test_validate_equivalent_on_malformed_csr(self, case, data):
+        n, pairs = case
+        try:
+            good = _reference_build(n, pairs)
+        except ValueError:
+            return  # faulty edge lists are covered above
+        ptr, ind = good.indptr.copy(), good.indices.astype(np.int64)
+        faults = data.draw(st.lists(st.sampled_from(
+            ["self_loop", "out_of_range", "unsorted", "asymmetric",
+             "indptr_decreasing"]), min_size=1, max_size=2, unique=True))
+        # a decreasing indptr goes last: the others walk the rows
+        for fault in sorted(faults, key=lambda f: f == "indptr_decreasing"):
+            ptr, ind = _break_csr(data, n, ptr, ind, fault)
+        def reference():
+            unchecked = CSRGraph(ptr, ind, validate=False)
+            _validate_reference(n, unchecked.indptr, unchecked.indices)
+
+        got = _outcome(lambda: CSRGraph(ptr, ind))
+        want = _outcome(reference)
+        if want[0] == "ok":
+            assert got[0] == "ok", got
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("ptr, ind, message", [
+        ([0, 2, 4, 5, 6], [2, 1, 1, 2, 0, 0], "adjacency row of vertex 0 not strictly sorted"),
+        ([0, 1, 3, 4], [1, 0, 1, 1], "self loop at vertex 1"),
+        ([0, 3, 2, 4], [1, 2, 0, 0], "indptr must be non-decreasing"),
+        ([0, 1, 2], [1, 2], "neighbour id out of range"),
+        ([0, 1, 2, 2], [1, 2], "adjacency is not symmetric"),
+    ])
+    def test_validation_messages(self, ptr, ind, message):
+        with pytest.raises(ValueError) as exc:
+            CSRGraph(np.array(ptr), np.array(ind))
+        assert str(exc.value) == message
+
+
+def _break_csr(data, n, ptr, ind, fault):
+    """Apply one structural fault to a CSR copy (rows stay even-length)."""
+    ptr, ind = ptr.copy(), ind.copy()
+    if fault == "indptr_decreasing":
+        if n >= 2:
+            i = data.draw(st.integers(1, n - 1))
+            ptr[i] = ptr[-1] + 1 if ptr[i] == ptr[i - 1] else ptr[i - 1] - 1
+        return ptr, ind
+    degrees = np.diff(ptr)
+    src = np.repeat(np.arange(n), degrees)
+    if fault == "self_loop" and n:
+        # a loop at two vertices keeps the half-edge count even
+        for v in sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                           max_size=2))):
+            row = ind[ptr[v]:ptr[v + 1]]
+            at = ptr[v] + int(np.searchsorted(row, v))
+            ind = np.insert(ind, at, v)
+            ptr[v + 1:] += 1
+        return ptr, ind
+    if not ind.size:
+        return ptr, ind
+    j = data.draw(st.integers(0, ind.size - 1))
+    if fault == "out_of_range":
+        ind[j] = data.draw(st.sampled_from([-1, n, n + 5]))
+    elif fault == "unsorted":
+        if degrees[src[j]] >= 2:
+            k = j + 1 if j + 1 < ptr[src[j] + 1] else j - 1
+            ind[[j, k]] = ind[[k, j]]
+    elif fault == "asymmetric":
+        v = src[j]
+        row = set(ind[ptr[v]:ptr[v + 1]].tolist()) | {v}
+        free = [w for w in range(n) if w not in row]
+        if free:
+            ind[j] = data.draw(st.sampled_from(free))
+            ind[ptr[v]:ptr[v + 1]].sort()
+    return ptr, ind

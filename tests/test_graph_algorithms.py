@@ -1,5 +1,8 @@
 """Tests for connected components, k-cores and BFS utilities."""
 
+import time
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,76 @@ class TestComponents:
         for sub, ids in component_subgraphs(g):
             for u, v in sub.edges():
                 assert g.has_edge(int(ids[u]), int(ids[v]))
+
+
+def _components_reference(graph):
+    """The frozen NumPy-row BFS that ``connected_components`` replaced."""
+    labels = -np.ones(graph.n, dtype=np.int64)
+    current = 0
+    for start in range(graph.n):
+        if labels[start] != -1:
+            continue
+        labels[start] = current
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in graph.neighbors(u):
+                v = int(v)
+                if labels[v] == -1:
+                    labels[v] = current
+                    queue.append(v)
+        current += 1
+    return labels
+
+
+@st.composite
+def _sparse_graphs(draw):
+    """Few edges on up to 40 vertices: many components, isolated vertices."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return CSRGraph.empty(n)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=n))
+    return CSRGraph.from_edges(n, {(min(e), max(e)) for e in pairs})
+
+
+class TestComponentsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_sparse_graphs())
+    def test_equals_frozen_bfs(self, graph):
+        got = connected_components(graph)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _components_reference(graph))
+
+    def test_zero_vertices(self):
+        got = connected_components(CSRGraph.empty(0))
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_long_path_and_forest_worst_case(self):
+        """A randomly labelled 2e5-vertex path plus a 1000-tree forest.
+
+        The path's diameter is what breaks label-propagation schemes whose
+        round count grows with it; a linear-time BFS finishes in well
+        under a second.
+        """
+        rng = np.random.default_rng(2024)
+        path_n, trees, tree_n = 200_000, 1000, 20
+        n = path_n + trees * tree_n
+        u = np.arange(path_n - 1)
+        edges = [np.stack([u, u + 1], axis=1)]
+        for t in range(trees):
+            base = path_n + t * tree_n
+            child = np.arange(1, tree_n)
+            parent = rng.integers(0, child)  # a random recursive tree
+            edges.append(np.stack([base + parent, base + child], axis=1))
+        perm = rng.permutation(n)
+        graph = CSRGraph.from_edges(n, perm[np.concatenate(edges)])
+        start = time.perf_counter()
+        got = connected_components(graph)
+        # ~0.2 s linear; a diameter-bound scheme takes minutes here
+        assert time.perf_counter() - start < 10.0
+        assert int(got.max()) + 1 == 1 + trees
+        np.testing.assert_array_equal(got, _components_reference(graph))
 
 
 class TestCoreNumbers:
