@@ -23,7 +23,10 @@
 # (injected cpu-process worker kills — and remote serve-worker kills
 # over the socket — must still yield the optimum; a
 # deadline-tripped anytime solve must checkpoint and resume to it), or
-# the kernel-backend gate fails (every KERNELS backend must agree bit
+# the node-budget gate fails (every worker-pool engine, 2 workers on
+# p_hat_500_3 at node_budget=1000, must trip the budget without walking
+# past it and resume from its checkpoint to the optimum), or the
+# kernel-backend gate fails (every KERNELS backend must agree bit
 # for bit on the smoke suite, a sequential solve must take the compiled
 # search loop with the scalar run's counters, and a freshly calibrated
 # CALIBRATION artifact must satisfy the documented v2 schema), or the
@@ -304,6 +307,32 @@ assert chained.optimum == expected
 print(f"ci_smoke: deadline-tripped anytime solve checkpointed "
       f"{len(tripped.checkpoint.items)} frontier states and resumed to "
       f"the optimum ({final.optimum})")
+EOF
+
+# --- node-budget gate (see docs/ARCHITECTURE.md, node grants) ---
+# Every worker-pool engine (POOL_ENGINES) solves p_hat_500_3 (about
+# 14.8k sequential nodes) with 2 workers and node_budget=1000: the solve
+# must trip the budget without walking past it, and its checkpoint must
+# resume to the sequential optimum.
+python - <<'EOF'
+from repro.core.anytime import resume_from, solve_anytime
+from repro.core.sequential import solve_mvc_sequential
+from repro.core.solver import POOL_ENGINES
+from repro.graph.generators.suites import suite_instance
+
+graph = suite_instance("p_hat_500_3", "small").graph()
+expected = solve_mvc_sequential(graph).optimum
+assert expected == 84, expected
+budget = 1000
+for engine in POOL_ENGINES:
+    leg = solve_anytime(graph, engine=engine, node_budget=budget, n_workers=2)
+    assert leg.status == "budget_exhausted", (engine, leg.status)
+    assert leg.nodes <= budget, (engine, leg.nodes)
+    final = resume_from(leg.checkpoint, graph, engine=engine, n_workers=2)
+    assert final.complete and final.optimum == expected, \
+        (engine, final.status, final.optimum)
+    print(f"ci_smoke: {engine} stopped at {leg.nodes} of {budget} budgeted "
+          f"nodes and resumed to the optimum ({final.optimum})")
 EOF
 
 # --- kernel-backend gate (see docs/ARCHITECTURE.md, KERNELS registry) ---

@@ -330,10 +330,8 @@ def _wall_obs(out, wall_before: Dict[str, float]) -> Optional[Dict[str, object]]
     engines attribute reduce/bound/branch/idle there directly) and the
     ``obs_<kind>_s`` keys the distributed workers ship home in their
     comms totals.  The two never overlap — ``serve-worker`` hosts cannot
-    reach the parent registry, distributed worker threads attribute to a
-    private sink (``breakdown.local_attribution``), and ``cpu-threads``
-    comm rows carry plain ``idle_s`` keys that :func:`wall_from_obs_keys`
-    ignores.
+    reach the parent registry, and worker threads attribute to a private
+    sink (``breakdown.local_attribution``).
     """
     from ..obs import breakdown as obs_breakdown
 

@@ -25,10 +25,10 @@ CPU engines):
   promising subproblem first.
 
 Concurrency note: frontiers are plain data structures with no internal
-locking.  The sequential solver owns one outright; the thread engine
-guards its shared pool with its own condition variable (the
-coordination protocol — waiting, idle consensus, termination — is engine
-logic, not ordering policy, and stays in the engines).  The simulated-GPU
+locking.  The sequential solver owns one outright; each distributed
+worker walks its own stack, and the coordinator's lease queue is engine
+logic (the coordination protocol — waiting, donation, termination — is
+not ordering policy, and stays in the engines).  The simulated-GPU
 engines realise the same policies in cycle-charged form: the bounded
 :class:`repro.sim.local_stack.LocalStack` *is* a ``LifoFrontier`` with a
 depth bound, the :class:`repro.sim.broker.BrokerWorklist` plays the

@@ -7,17 +7,16 @@
   simulated device;
 * ``"hybrid"`` — the paper's contribution, on the simulated device;
 * ``"globalonly"`` — the Section IV-A pure-worklist ablation;
-* ``"cpu-threads"`` — a real shared-memory parallel engine mirroring
-  the hybrid protocol;
-* ``"distributed"`` — the supervised lease protocol over a socket
-  transport: a coordinator plus local worker threads and remote worker
-  processes (``repro serve-worker`` joins extra hosts into the pool);
-* ``"cpu-process"`` — ``"distributed"`` with ``hosts=0``: local worker
-  threads only (the name predates them).
+* ``"distributed"`` — the paper's hybrid protocol on real threads:
+  the supervised lease protocol over a socket transport, a coordinator
+  plus local worker threads and remote worker processes
+  (``repro serve-worker`` joins extra hosts into the pool);
+* ``"cpu-threads"`` and ``"cpu-process"`` — ``"distributed"`` with
+  ``hosts=0``: local worker threads only (both names predate the
+  thread team and are kept for committed specs and checkpoints).
 
 Engine modules are imported on first dispatch, not with the facade, so
-``import repro`` does not pay for the thread, socket and simulated
-engines.
+``import repro`` does not pay for the socket and simulated engines.
 """
 
 from __future__ import annotations
@@ -55,8 +54,9 @@ ENGINE_TABLE: Dict[str, EngineRow] = {
     "stackonly": EngineRow(".engines.stackonly", "StackOnlyEngine"),
     "hybrid": EngineRow(".engines.hybrid", "HybridEngine"),
     "globalonly": EngineRow(".engines.globalonly", "GlobalOnlyEngine"),
-    "cpu-threads": EngineRow(".engines.cpu_threads", "solve_mvc_threads",
-                             "solve_pvc_threads", pool=True),
+    "cpu-threads": EngineRow(".net.distributed", "solve_mvc_distributed",
+                             "solve_pvc_distributed", fixed=(("hosts", 0),),
+                             pool=True),
     "cpu-process": EngineRow(".net.distributed", "solve_mvc_distributed",
                              "solve_pvc_distributed", fixed=(("hosts", 0),),
                              pool=True),
@@ -156,9 +156,10 @@ def solve_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any):
     """Find a minimum vertex cover of ``graph`` with the chosen engine.
 
     Returns a :class:`~repro.core.sequential.SearchOutcome` for the
-    sequential engine and an :class:`~repro.engines.base.EngineResult` for
-    the parallel ones (both expose ``optimum``, ``cover`` and
-    ``timed_out``).
+    sequential engine, an :class:`~repro.engines.base.EngineResult` for
+    the simulated ones and a
+    :class:`~repro.net.distributed.CpuParallelResult` for the worker-pool
+    ones (all expose ``optimum``, ``cover`` and ``timed_out``).
 
     ``cache=`` (a store path, ``True``, or a
     :class:`~repro.cache.SolveCache`; default: the ``REPRO_CACHE`` env
@@ -246,8 +247,8 @@ def _reject_frontier_opt(engine: str, options: Dict[str, Any]) -> None:
     """Frontier policies are a sequential-traversal knob.
 
     The parallel engines' disciplines are fixed by what they model
-    (per-block stacks, the broker worklist, the thread team's shared
-    pool, the coordinator's lease queue); silently dropping a requested
+    (per-block stacks, the broker worklist, the coordinator's lease
+    queue); silently dropping a requested
     policy would misreport the scenario that ran.
     """
     if options.pop("frontier", None) is not None:

@@ -1,8 +1,9 @@
-"""Traversal engines: simulated-GPU (StackOnly / Hybrid / GlobalOnly) and
-the real thread team (:mod:`repro.engines.cpu_threads`).
+"""Simulated-GPU traversal engines: StackOnly, Hybrid and GlobalOnly.
 
-The process engine lives in :mod:`repro.net.distributed`; the solve
-facade's :data:`repro.core.solver.ENGINE_TABLE` lists every engine."""
+The wall-clock worker-pool engine (``distributed``, with its
+``cpu-threads`` and ``cpu-process`` names) lives in
+:mod:`repro.net.distributed`; the solve facade's
+:data:`repro.core.solver.ENGINE_TABLE` lists every engine."""
 
 from .base import EngineResult, SimEngineBase
 from .globalonly import GlobalOnlyEngine

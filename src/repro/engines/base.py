@@ -21,8 +21,8 @@ simulated engines' ``reduce`` is the Section IV-D charged cascade, which
 deliberately consumes the hint *unhonoured* — its per-sweep full scans
 are the paper's work meter, so makespans and Table I cycles stay
 bit-identical to the pre-hint trees.  Only the wall-clock CPU paths
-(sequential solver, cpu-threads, the socket engine's workers)
-seed their cascades from it.
+(the sequential solver and the socket engine's workers) seed their
+cascades from it.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 A coordinator runs the supervision state machine — single work ledger,
 leases charged until ``lease_done``, dead peers re-enqueued — over
-:class:`~repro.net.transport.MessageStream` connections.  It backs two
-facade engine names: ``distributed``, and ``cpu-process``, which is the
-same solve with ``hosts=0`` (local workers only; the name is kept for
-committed specs and checkpoints, and no longer means a process per
-worker).  The engine starts ``n_workers`` local workers as threads of
-its own process, each joined to the coordinator by a ``socketpair`` (so
-every run, including CI, exercises the real socket path), spawns
+:class:`~repro.net.transport.MessageStream` connections.  It backs three
+facade engine names: ``distributed``, and ``cpu-threads`` and
+``cpu-process``, which are the same solve with ``hosts=0`` (local
+workers only; the names are kept for committed specs, checkpoints and
+metric labels, and no longer mean a second thread engine or a process
+per worker).  The engine starts ``n_workers`` local workers as threads
+of its own process, each joined to the coordinator by a ``socketpair``
+(so every run, including CI, exercises the real socket path), spawns
 ``hosts`` additional ``repro serve-worker`` *subprocesses* (cold Python
 interpreters simulating extra hosts on localhost) that connect to the
 coordinator's loopback port, and accepts any externally launched
@@ -19,7 +20,10 @@ stack in one address space and meets the others only at the global
 worklist: the compiled ``Walker`` releases the GIL for each chunk, so
 worker threads walk in parallel.  Without it (no compiler,
 ``kernels="scalar"``, armed step telemetry or step faults) they run the
-interpreted loop: correct, but serialized by the GIL.
+interpreted loop: correct, but serialized by the GIL.  Either way the
+coordination protocol — donation, termination, incumbent propagation,
+node grants — runs under genuine concurrency, and the test suite
+exercises it for races the discrete-event simulator cannot produce.
 
 A worker thread shares the graph, its root degrees and its ``init``
 parameters with the coordinator, so it starts live: no TCP connect, no
@@ -50,9 +54,10 @@ worker -> coordinator  coordinator -> worker
 ``("hello", pid)``     ``("plane", name|None, n, nidx)``
 ``("attached",)`` /    ``("graph", indptr, indices)`` (on demand)
 ``("need_graph",)``    ``("init", params)``
-``("ready",)``         ``("work", [payload, ...], need)``
-``("lease_done",)``    ``("need", need)``
+``("ready",)``         ``("grant", cap)`` (under a node budget)
+``("lease_done",)``    ``("work", [payload, ...], need)``
 ``("donate", [payload, ...])``
+                       ``("need", need)``
 ``("best", size, cover)``     ``("best", size)``
 ``("nodes", delta)``   ``("done",)``
 ``("result", nodes, leftovers, recovered, comms[, spans])``
@@ -72,6 +77,21 @@ never below zero).  It rides on every ``work`` frame, and a ``need``
 frame carries each change of it to every lease holder; a worker that
 sees ``need > 0`` donates at its next chunk boundary (see
 :func:`_worker_loop`), so sub-trees move only toward a starving peer.
+
+Under a ``node_budget`` the coordinator hands the budget out in node
+grants and keeps one invariant: the nodes reported in ``nodes`` frames
+plus the grants not yet spent never exceed the budget.  A ``grant``
+frame precedes every ``work`` frame and carries that peer's share of
+the budget not yet handed out (split evenly over the live peers that
+hold none), as a cap on the worker's own node count.  A worker walks no
+chunk past its cap; when it reaches the cap with work in hand it
+reports its node delta and waits for a top-up (another ``grant``) or
+``done``.  A peer that asks for work (``ready``: it has reported every
+node it walked) or dies hands its unspent grant back, so it can be
+granted to a peer that still has work.  Once nothing is left to grant
+and every grant is spent, the reported nodes equal the budget and the
+coordinator sends ``done``.  Without a budget no ``grant`` frame is
+sent and workers walk uncapped.
 """
 
 from __future__ import annotations
@@ -85,6 +105,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,7 +118,6 @@ from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
 from ..core.sequential import ChunkWalk, branch_and_reduce
 from ..core.stats import SearchStats
-from ..engines.cpu_threads import CommStats, CpuParallelResult
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, fresh_state, wire_nbytes
 from ..graph.plane import GraphPlane, publish_plane
@@ -106,7 +126,8 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .transport import MessageStream, ProtocolError, TransportClosed
 
-__all__ = ["solve_mvc_distributed", "solve_pvc_distributed", "run_worker_client"]
+__all__ = ["CommStats", "CpuParallelResult", "solve_mvc_distributed",
+           "solve_pvc_distributed", "run_worker_client"]
 
 #: How long the coordinator waits for the first worker to join before
 #: concluding nobody is coming and draining inline, the longest the
@@ -137,6 +158,86 @@ MAX_RESPAWNS = 2
 #: Sub-trees handed out per ``work`` frame (and shipped per ``donate``
 #: frame).
 LEASE_BATCH = 8
+
+
+class CommStats:
+    """Per-worker communication counters (messages, bytes, lease traffic).
+
+    Accumulated inside each worker, shipped home with its ``result``
+    frame, and aggregated onto :attr:`CpuParallelResult.comms` — so the
+    GlobalOnly-vs-Hybrid question is answerable in traffic terms, not
+    just node counts.  ``repro solve --stats`` prints the totals, and
+    :func:`repro.obs.metrics.publish_comms` folds them into the metrics
+    registry when the telemetry plane is armed.
+    """
+
+    __slots__ = ("messages", "bytes_sent", "bytes_received", "leases",
+                 "subtrees", "donations", "idle_s")
+
+    FIELDS = ("messages", "bytes_sent", "bytes_received", "leases",
+              "subtrees", "donations", "idle_s")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self.leases = 0
+        self.subtrees = 0
+        self.donations = 0
+        self.idle_s = 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    @staticmethod
+    def totals(per_worker: Dict[int, Dict[str, float]]) -> Dict[str, float]:
+        # Sum every reported key, not just FIELDS: the exact socket byte
+        # counts (wire_sent/wire_received), the walk counters and the
+        # telemetry plane's obs_<kind>_s wall attributions extend the
+        # dict, and those extras must survive aggregation.
+        out: Dict[str, float] = {name: 0 for name in CommStats.FIELDS}
+        for counters in per_worker.values():
+            for name, value in counters.items():
+                out[name] = out.get(name, 0) + value
+        return out
+
+
+@dataclass
+class CpuParallelResult:
+    """Outcome of a worker-pool run."""
+
+    engine: str
+    formulation: str
+    optimum: Optional[int]
+    cover: Optional[np.ndarray]
+    feasible: Optional[bool]
+    timed_out: bool
+    nodes_visited: int
+    n_workers: int
+    wall_seconds: float
+    greedy_size: int
+    per_worker_nodes: List[int] = field(default_factory=list)
+    #: tree nodes still pending when an interrupted run wound down —
+    #: worker leftovers plus the queued batches (anytime checkpoints).
+    pending_states: List[VCState] = field(default_factory=list)
+    #: the wall-clock ``deadline`` (not the node budget) tripped.
+    deadline_tripped: bool = False
+    #: injected step faults recovered by re-enqueueing the pre-step state.
+    faults_recovered: int = 0
+    #: workers that died mid-run (their in-flight work was preserved).
+    workers_lost: int = 0
+    #: communication counters — ``{"per_worker": {wid: {...}},
+    #: "totals": {...}}`` (messages, bytes, leases, donations, idle time).
+    comms: Optional[Dict[str, object]] = None
+    #: fault-supervision outcomes, surfaced instead of buried in
+    #: ``RuntimeWarning``s: ``recovered`` / ``workers_lost`` /
+    #: ``respawns`` / ``retired_slots`` / ``inline_drains`` /
+    #: ``lost_nodes``.
+    supervision: Optional[Dict[str, float]] = None
+
+    @property
+    def stats(self):  # harness parity
+        return self
 
 
 def _codec_fns(
@@ -256,10 +357,11 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     """Walk leased sub-trees in node-budget chunks of one ``ChunkWalk``.
 
     The chunk is the worker's unit of contact with the coordinator:
-    between two chunks it reads broadcasts, reports its node delta and
-    any improved incumbent, checks the deadline and, while the
-    coordinator reports a positive ``need``, donates the bottom of its
-    stack.
+    between two chunks it reads broadcasts, reports any improved
+    incumbent, checks the deadline and, while the coordinator reports a
+    positive ``need``, donates the bottom of its stack.  Under a node
+    budget no chunk runs past the worker's granted cap, and a worker at
+    its cap reports its node delta and waits for a top-up.
     """
     # Ask for the first lease before building anything: the coordinator's
     # start-up barrier waits for every local worker's ready, and this
@@ -279,7 +381,6 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     threshold = int(params["threshold"])
     deadline_s = params.get("deadline_s")
     deadline_at = None if deadline_s is None else time.monotonic() + float(deadline_s)
-    node_cap = params.get("node_budget")
     plan = faults.current_plan()
     kill_active = plan is not None and "worker_kill" in plan.sites()
     delay_active = plan is not None and "queue_delay" in plan.sites()
@@ -297,6 +398,9 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     updates_sent = 0
     has_lease = False
     done = False
+    # Under a node budget: the node count this worker may walk up to, as
+    # the coordinator's last ``grant`` frame set it (None: no budget).
+    cap: Optional[int] = None
     # Frames posted between two chunks leave in one write, so the
     # coordinator wakes once per chunk boundary, not once per frame.
     outbox: List[Tuple] = []
@@ -311,9 +415,11 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             outbox.clear()
 
     def handle(msg) -> None:
-        nonlocal need, done, has_lease, asked
+        nonlocal need, done, has_lease, asked, cap
         kind = msg[0]
-        if kind == "work":
+        if kind == "grant":
+            cap = msg[1]
+        elif kind == "work":
             # A lease can land whenever a ready is out, also before this
             # worker starts waiting for it.
             batch, need = msg[1], msg[2]
@@ -375,13 +481,9 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             post(("lease_done",))
             has_lease = False
 
-    def get_work() -> bool:
-        nonlocal asked
-        if not asked:
-            post_lease_done()
-            post(("ready",))
-            flush()
-            asked = True
+    def idle_until(ready: Callable[[], bool]) -> bool:
+        """Read the coordinator's frames until ``ready()``; False once
+        the solve is done, stopped or past its deadline."""
         idle_from = time.monotonic()
         wait = 0.001
         # Every exit counts, the final wait for ``done`` (the tail
@@ -399,29 +501,36 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
                     # lease must not be lost.
                     for msg in stream.poll(wait):
                         handle(msg)
-                    if has_lease:
+                    if ready():
                         return True
                     wait = min(wait * 2.0, 0.05)
             finally:
                 comms.idle_s += time.monotonic() - idle_from
+
+    def get_work() -> bool:
+        nonlocal asked
+        if not asked:
+            post_lease_done()
+            post(("ready",))
+            flush()
+            asked = True
+        return idle_until(lambda: has_lease)
 
     while True:
         if done or formulation.stop_requested():
             break
         if deadline_at is not None and time.monotonic() >= deadline_at:
             break
-        if node_cap is not None and stats.nodes_visited >= node_cap:
-            break  # this worker alone has spent the solve's node budget
         if not walk and not get_work():
             break
+        if cap is not None and stats.nodes_visited >= cap and \
+                not idle_until(lambda: stats.nodes_visited < cap):
+            break  # no top-up came before ``done``
         if kill_active:
             faults.fire("worker_kill")  # may raise WorkerKilled right here
         chunk = short_chunk if need else long_chunk
-        if node_cap is not None:
-            # Under a node budget every chunk is short: a worker runs on
-            # until a ``done`` reaches it, so the chunk bounds how far the
-            # solve overshoots the budget.
-            chunk = min(short_chunk, node_cap - stats.nodes_visited)
+        if cap is not None:
+            chunk = min(chunk, cap - stats.nodes_visited)
         walk.run(chunk)
         chunks += 1
         if best is not None and best.updates != updates_sent:
@@ -437,19 +546,15 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             handle(msg)
         if need:
             donate_bottom()
-        if node_cap is not None or plan is not None:
-            # Per chunk, the node delta is worth a frame only where the
-            # coordinator counts against a node budget, or under chaos,
-            # where it prices a lost peer; otherwise it goes with each
-            # lease_done.
+        if plan is not None or (cap is not None and stats.nodes_visited >= cap):
+            # The node delta is worth a frame of its own under chaos, where
+            # it prices a lost peer, and at the grant's end, where the
+            # coordinator needs it to top the grant up or end the solve;
+            # otherwise it goes with each lease_done.
             post_nodes()
         if outbox:
             with obs_trace.span("frame"):
                 flush()
-        if node_cap is not None:
-            # Let the coordinator run on a busy host: it sums the deltas
-            # and answers a spent budget with ``done``.
-            os.sched_yield()
 
     # Wind-down: everything still in hand goes home with the result.
     leftovers = [enc(state) for state in walk.drain()]
@@ -525,7 +630,7 @@ class _Peer:
     """One connected worker: a thread (live at once) or TCP (handshake first)."""
 
     __slots__ = ("stream", "wid", "stage", "lease", "waiting", "joined",
-                 "finished", "result", "nodes_flushed", "told")
+                 "finished", "result", "nodes_flushed", "told", "grant")
 
     def __init__(self, stream: MessageStream, wid: int, stage: str):
         self.stream = stream
@@ -538,6 +643,7 @@ class _Peer:
         self.result: Optional[Tuple[int, List, int, Dict[str, float]]] = None
         self.nodes_flushed = 0
         self.told = 0  # the need this peer last heard (0 once it donates)
+        self.grant = 0  # granted nodes it has not reported yet
 
 
 class _DistRun:
@@ -758,6 +864,9 @@ def _run_distributed(
     retired_slots = [0]   # peers lost after the respawn budget ran dry
     inline_drains = [0]   # wind-down paths that fell back to _drain_inline
     nodes_total = [0]
+    # The part of the node budget no peer holds as a grant: nodes_total,
+    # the peers' unspent grants and this always sum to the budget.
+    ungranted = [node_budget]
     # An armed coordinator ships its trace identity in the init parameters
     # so every TCP worker places its spans on its timeline (worker threads
     # record into the coordinator's tracer directly).
@@ -767,12 +876,10 @@ def _run_distributed(
     start = time.perf_counter()
 
     def worker_params() -> Dict[str, object]:
-        """The ``init`` parameters as of now: budget and deadline left."""
+        """The ``init`` parameters as of now: the deadline left."""
         salt_seq[0] += 1
         params = dict(init_params)
         params["salt"] = salt_seq[0]
-        if node_budget is not None:
-            params["node_budget"] = max(0, node_budget - nodes_total[0])
         if deadline_at is not None:
             params["deadline_s"] = max(0.0, deadline_at - time.monotonic())
         if parent_tracer is not None or obs_metrics.armed():
@@ -813,6 +920,19 @@ def _run_distributed(
 
     def live_peers() -> List[_Peer]:
         return [p for p in peers.values() if p.stage == "live" and not p.finished]
+
+    def grant_frame(peer: _Peer) -> Tuple[str, int]:
+        """Give a peer that holds no grant its share of the ungranted
+        budget (possibly none), as a cap on its own node count."""
+        grantless = sum(1 for p in live_peers() if not p.grant)
+        share = -(-ungranted[0] // max(1, grantless))
+        ungranted[0] -= share
+        peer.grant = share
+        return ("grant", peer.nodes_flushed + share)
+
+    def reclaim_grant(peer: _Peer) -> None:
+        ungranted[0] += peer.grant
+        peer.grant = 0
 
     def broadcast(msg: Tuple) -> None:
         for peer in live_peers():
@@ -869,6 +989,8 @@ def _run_distributed(
             # expanded locally: re-enqueueing them loses nothing.
             queue.append(peer.lease)
             peer.lease = None
+        if peer.grant:
+            reclaim_grant(peer)
         if peer.finished:
             return
         if died:
@@ -911,6 +1033,8 @@ def _run_distributed(
         if kind == "ready":
             ready_seq[0] += 1
             peer.waiting = ready_seq[0]
+            if peer.grant:
+                reclaim_grant(peer)  # an idle peer has reported every node
             if not peer.joined:
                 peer.joined = True
                 joined[0] += 1
@@ -922,10 +1046,13 @@ def _run_distributed(
         elif kind == "best":
             offer_best(msg[1], msg[2])
         elif kind == "nodes":
+            if node_budget is not None:
+                if msg[1] > peer.grant:
+                    raise ProtocolError(f"nodes frame: {msg[1]} nodes past "
+                                        f"the peer's grant of {peer.grant}")
+                peer.grant -= msg[1]
             peer.nodes_flushed += msg[1]
             nodes_total[0] += msg[1]
-            if node_budget is not None and nodes_total[0] >= node_budget:
-                request_done(_STOP_BUDGET)
         elif kind == "result":
             peer.result = (msg[1], msg[2], msg[3], msg[4])
             results[peer.wid] = peer.result
@@ -995,10 +1122,27 @@ def _run_distributed(
         told = need()
         for peer in fed:
             peer.told = told
+            work = ("work", peer.lease, told)
             try:
-                peer.stream.send(("work", peer.lease, told))
+                if node_budget is None:
+                    peer.stream.send(work)
+                else:
+                    peer.stream.send_all((grant_frame(peer), work))
             except TransportClosed:
                 drop_peer(peer, died=True)
+
+    def top_up_grants() -> None:
+        """Grant more nodes to every lease holder that has spent its grant."""
+        if done_sent[0]:
+            return
+        for peer in live_peers():
+            if not ungranted[0]:
+                return
+            if peer.lease is not None and not peer.grant:
+                try:
+                    peer.stream.send(grant_frame(peer))
+                except TransportClosed:
+                    pass  # death is handled by the read path
 
     def tell_need() -> None:
         """Send each lease holder the current ``need`` if it changed."""
@@ -1037,6 +1181,11 @@ def _run_distributed(
                 release_pool()
             feed_ready_peers()
             tell_need()
+            if node_budget is not None:
+                if nodes_total[0] >= node_budget:
+                    # nothing left to grant and every grant spent
+                    request_done(_STOP_BUDGET)
+                top_up_grants()
 
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 request_done(_STOP_DEADLINE)

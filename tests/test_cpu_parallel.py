@@ -1,7 +1,8 @@
 """Tests for the real-parallel CPU engines (threads and processes).
 
-``cpu-process`` is the facade's name for the socket engine with local
-worker threads only, so its tests go through ``solve_mvc``/``solve_pvc``.
+``cpu-threads`` and ``cpu-process`` are the facade's names for the
+socket engine with local worker threads only, so their tests go through
+``solve_mvc``/``solve_pvc``.
 """
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from repro.core.brute import brute_force_mvc
 from repro.core.solver import solve_mvc, solve_pvc
 from repro.core.verify import assert_valid_cover
-from repro.engines.cpu_threads import solve_mvc_threads, solve_pvc_threads
 from repro.graph.csr import CSRGraph
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import cycle_graph, petersen
@@ -18,47 +18,45 @@ from repro.graph.generators.structured import cycle_graph, petersen
 class TestThreads:
     def test_matches_brute_force(self, random_graph_family):
         for g in random_graph_family[:4]:
-            res = solve_mvc_threads(g, n_workers=3)
+            res = solve_mvc(g, engine="cpu-threads", n_workers=3)
             opt, _ = brute_force_mvc(g)
             assert res.optimum == opt
             assert_valid_cover(g, res.cover, res.optimum)
 
     def test_single_worker(self):
         g = petersen()
-        res = solve_mvc_threads(g, n_workers=1)
+        res = solve_mvc(g, engine="cpu-threads", n_workers=1)
         assert res.optimum == 6
 
     def test_many_workers_small_graph(self):
         # more workers than work: termination must still fire
         g = cycle_graph(5)
-        res = solve_mvc_threads(g, n_workers=8)
+        res = solve_mvc(g, engine="cpu-threads", n_workers=8)
         assert res.optimum == 3
 
     def test_pvc_boundary(self):
         g = petersen()
-        assert solve_pvc_threads(g, 6, n_workers=3).feasible is True
-        assert solve_pvc_threads(g, 5, n_workers=3).feasible is False
+        assert solve_pvc(g, 6, engine="cpu-threads", n_workers=3).feasible is True
+        assert solve_pvc(g, 5, engine="cpu-threads", n_workers=3).feasible is False
 
     def test_pvc_cover_valid(self):
         g = gnp(22, 0.3, seed=4)
         opt = brute_force_mvc(g)[0]
-        res = solve_pvc_threads(g, opt, n_workers=2)
+        res = solve_pvc(g, opt, engine="cpu-threads", n_workers=2)
         assert res.feasible and res.optimum <= opt
         assert_valid_cover(g, res.cover, res.optimum)
 
     def test_node_budget(self):
         g = gnp(30, 0.3, seed=5)
-        res = solve_mvc_threads(g, n_workers=2, node_budget=3)
+        res = solve_mvc(g, engine="cpu-threads", n_workers=2, node_budget=3)
         assert res.timed_out
 
     def test_empty_graph(self):
-        res = solve_mvc_threads(CSRGraph.empty(3), n_workers=2)
+        res = solve_mvc(CSRGraph.empty(3), engine="cpu-threads", n_workers=2)
         assert res.optimum == 0
 
     def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            solve_mvc_threads(petersen(), n_workers=0)
-        # Through the facade, for both formulations: a zero-worker team
+        # For both formulations: a zero-worker team
         # would prove a false "no cover exists", and threshold=0 leaves
         # every worker but the root's idle.
         for bad in ({"n_workers": 0}, {"threshold": 0}):
@@ -69,13 +67,14 @@ class TestThreads:
 
     def test_per_worker_accounting(self):
         g = gnp(20, 0.4, seed=6)
-        res = solve_mvc_threads(g, n_workers=3)
+        res = solve_mvc(g, engine="cpu-threads", n_workers=3)
         assert sum(res.per_worker_nodes) == res.nodes_visited
 
     def test_repeated_runs_same_optimum(self):
         # scheduling is nondeterministic; the optimum must not be
         g = gnp(18, 0.35, seed=7)
-        opts = {solve_mvc_threads(g, n_workers=4).optimum for _ in range(3)}
+        opts = {solve_mvc(g, engine="cpu-threads", n_workers=4).optimum
+                for _ in range(3)}
         assert len(opts) == 1
 
 

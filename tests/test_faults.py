@@ -137,6 +137,7 @@ class TestStepFaultRecovery:
         with faults.injected("branch_raise:0.3:6", seed=1):
             out = solve_mvc(graph, engine=engine, n_workers=2)
         assert out.optimum == expected
+        assert out.faults_recovered > 0
 
     def test_clean_run_reports_no_recoveries(self):
         out = solve_mvc_sequential(gnp(20, 0.3, seed=1))

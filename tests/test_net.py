@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
-from repro.engines.cpu_threads import CommStats
+from repro.core.solver import POOL_ENGINES
 from repro.graph.degree_array import VCState, fresh_state, wire_nbytes
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph, petersen
 from repro.graph.plane import GraphPlane
-from repro.net.distributed import solve_mvc_distributed, solve_pvc_distributed
+from repro.net.distributed import (
+    CommStats,
+    solve_mvc_distributed,
+    solve_pvc_distributed,
+)
 from repro.net.transport import (
     FrameDecoder,
     MessageStream,
@@ -439,17 +443,99 @@ class TestCompiledWorkerWalk:
         assert out.optimum == want
 
     def test_node_budget_overshoot_stays_small(self):
-        """Under a node budget every worker chunk is short, so the solve
-        stops a few short chunks per worker past the budget, on a tree
-        several times larger than it (about 6.5k sequential nodes)."""
-        from repro.net.distributed import _CHUNK_SHORT
+        """The coordinator hands the budget out in node grants, so the
+        solve stops exactly at the budget, on a tree several times larger
+        than it (about 6.5k sequential nodes), in compiled chunks of at
+        most the long chunk."""
+        from repro.net.distributed import _CHUNK_LONG
 
         g = gnp(80, 0.2, seed=1)
         budget = 1000
         res = solve_mvc_distributed(g, n_workers=2, node_budget=budget)
         assert res.timed_out
-        assert budget <= res.nodes_visited <= budget + 2 * 8 * _CHUNK_SHORT
-        assert _native_chunks(res) * _CHUNK_SHORT >= res.nodes_visited
+        assert res.nodes_visited == budget
+        assert res.workers_lost == 0  # no nodes frame ran past its grant
+        assert _native_chunks(res) * _CHUNK_LONG >= res.nodes_visited
+
+    def test_node_budget_is_exact_with_more_workers_than_cores(self):
+        """Eight worker threads on a short switch interval split small and
+        large budgets through grants and top-ups, and none walks past
+        its grant."""
+        import sys
+
+        g = gnp(80, 0.2, seed=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for budget in (7, 1000):
+                res = solve_mvc_distributed(g, n_workers=8, node_budget=budget)
+                assert res.timed_out
+                assert res.nodes_visited == sum(res.per_worker_nodes) == budget
+                assert res.workers_lost == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("budget", [1000, 4097])
+    @pytest.mark.parametrize("engine", POOL_ENGINES)
+    def test_node_budget_is_exact_on_every_pool_engine(self, engine, budget,
+                                                       phat_500_3):
+        from repro.core.anytime import resume_from, solve_anytime
+
+        g, want = phat_500_3
+        out = solve_anytime(g, engine=engine, node_budget=budget, n_workers=2)
+        assert out.status == "budget_exhausted"
+        assert out.nodes == budget
+        final = resume_from(out.checkpoint, g, engine=engine, n_workers=2)
+        assert final.complete and final.optimum == want
+
+    def test_node_budget_survives_worker_kills(self):
+        """A killed peer's unspent grant goes back to the coordinator and
+        on to the peers left: the budgeted solve still ends, within its
+        budget, and its checkpoint resumes to the optimum."""
+        from repro.core.anytime import resume_from, solve_anytime
+
+        g = gnp(80, 0.2, seed=1)
+        want = solve_mvc_sequential(g).optimum
+        budget = 1000
+        # A kill about every 200 nodes per worker: peers die mid-grant,
+        # and the respawns (not the inline drain) finish the leg.
+        with faults.injected("worker_kill:0.005:2", seed=11):
+            out = solve_anytime(g, engine="distributed", node_budget=budget,
+                                n_workers=2)
+        assert out.extra.get("workers_lost", 0) > 0, "no kills fired; test is vacuous"
+        assert out.status == "budget_exhausted"
+        assert out.nodes <= budget
+        final = resume_from(out.checkpoint, g, engine="distributed", n_workers=2)
+        assert final.complete and final.optimum == want
+
+
+@pytest.fixture(scope="module")
+def phat_500_3():
+    """The small-scale p_hat_500_3 graph (about 14.8k sequential nodes)
+    and its sequential optimum."""
+    from repro.graph.generators.suites import suite_instance
+
+    g = suite_instance("p_hat_500_3", "small").graph()
+    return g, solve_mvc_sequential(g).optimum
+
+
+def test_import_leaves_simulated_engines_unloaded():
+    """The socket engine needs nothing from the simulated-GPU engines:
+    importing it loads neither ``repro.engines`` nor ``repro.sim``."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    code = ("import sys, repro.net.distributed; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['repro', 'engines'], ['repro', 'sim'])))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------- #
