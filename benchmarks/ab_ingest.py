@@ -79,7 +79,7 @@ def side(seed: int) -> None:
                 elapsed = time.perf_counter() - t0
                 assert out.optimum == want, out.optimum
                 if req:
-                    assert out.stats.nodes_visited == 0, "hit searched nodes"
+                    assert out.nodes_visited == 0, "hit searched nodes"
                     if rnd:
                         times["cache_hit"].append(elapsed)
     print(json.dumps({case: statistics.median(ts) for case, ts in times.items()}))

@@ -43,9 +43,9 @@ def bench_descent_mode_tradeoff(benchmark, quick_cfg, depth):
     benchmark.extra_info["root nodes"] = root.nodes_visited
     benchmark.extra_info["grid nodes"] = grid.nodes_visited
     benchmark.extra_info["grid expansion cycles"] = \
-        f"{grid.params['grid_expansion']['expansion_cycles']:.3g}"
+        f"{grid.stats.params['grid_expansion']['expansion_cycles']:.3g}"
     benchmark.extra_info["grid frontier bytes"] = \
-        int(grid.params["grid_expansion"]["frontier_bytes"])
+        int(grid.stats.params["grid_expansion"]["frontier_bytes"])
 
     # the paper's Section III-A: root descent re-processes prefix nodes
     if not root.timed_out and not grid.timed_out:

@@ -39,8 +39,8 @@ def bench_sweep_block_size_robustness(benchmark, quick_cfg):
             s = StackOnlyEngine(device=quick_cfg.device, cost_model=quick_cfg.cost_model,
                                 start_depth=6, block_size_override=bs) \
                 .solve_mvc(graph, node_budget=quick_cfg.engine_node_guard)
-            out["hybrid"].append(h.makespan_cycles)
-            out["stackonly"].append(s.makespan_cycles)
+            out["hybrid"].append(h.stats.makespan_cycles)
+            out["stackonly"].append(s.stats.makespan_cycles)
         return out
 
     cycles = once(benchmark, sweep)
@@ -70,7 +70,7 @@ def bench_sweep_worklist_threshold(benchmark, quick_cfg):
                 res = HybridEngine(device=quick_cfg.device, cost_model=quick_cfg.cost_model,
                                    worklist_capacity=cap, worklist_threshold_fraction=frac) \
                     .solve_mvc(graph, node_budget=quick_cfg.engine_node_guard)
-                out.append(res.makespan_cycles)
+                out.append(res.stats.makespan_cycles)
         return out
 
     cycles = once(benchmark, sweep)

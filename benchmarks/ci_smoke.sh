@@ -22,10 +22,12 @@
 # resume with zero recomputed cells), or the fault-tolerance gate fails
 # (injected cpu-process worker kills — and remote serve-worker kills
 # over the socket — must still yield the optimum; a
-# deadline-tripped anytime solve must checkpoint and resume to it), or
+# deadline-tripped solve must checkpoint and resume to it), or
 # the node-budget gate fails (every worker-pool engine, 2 workers on
 # p_hat_500_3 at node_budget=1000, must trip the budget without walking
-# past it and resume from its checkpoint to the optimum), or the
+# past it and resume from its checkpoint to the optimum, and a budgeted
+# solve whose workers all die must drain inline within the budget and
+# resume to the optimum), or the
 # kernel-backend gate fails (every KERNELS backend must agree bit
 # for bit on the smoke suite, a sequential solve must take the compiled
 # search loop with the scalar run's counters, and a freshly calibrated
@@ -36,9 +38,15 @@
 # solve must never touch a telemetry mutator — spied with raising
 # monkeypatches on the span/counter entry points), or the solve-cache
 # gate fails (miss, exact and isomorphic hits with verified covers, an
-# escalated anytime repeat, an unusable root that warns and solves
+# escalated repeat, an unusable root that warns and solves
 # uncached, no index.sqlite handle left open, a disarmed path that
 # never reaches cache code).
+#
+# Every interrupted solve and resume below runs through the one solve
+# facade (``solve_mvc``/``solve_pvc`` with ``node_budget``/``deadline``,
+# then ``resume_from``); every result is a ``SolveOutcome``, so worker
+# losses read ``supervision["workers_lost"]`` and a cache escalation
+# reads the cache's ``escalations`` counter.
 set -eu
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -253,13 +261,13 @@ EOF
 #    worker aborts its socket without a result frame): the supervisor
 #    must re-enqueue the dead workers' leased sub-trees, respawn, and
 #    still return the optimum.
-# 2. trip a wall-clock deadline at t=0: the anytime solve must surface a
+# 2. trip a wall-clock deadline at t=0: the solve must surface a
 #    checkpoint whose resume reaches the clean-run optimum exactly.
 python - <<'EOF'
 import warnings
 
 from repro import faults
-from repro.core.anytime import resume_from, solve_anytime, solve_to_completion
+from repro.core.anytime import resume_from, solve_to_completion
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.solver import solve_mvc
 from repro.graph.generators.random_graphs import gnp
@@ -272,8 +280,9 @@ with faults.injected("worker_kill:0.5:3", seed=11):
         warnings.simplefilter("ignore", RuntimeWarning)
         out = solve_mvc(graph, engine="cpu-process", n_workers=2, threshold=4)
 assert out.optimum == expected, (out.optimum, expected)
-assert out.workers_lost > 0, "fault plan fired no kills; gate is vacuous"
-print(f"ci_smoke: cpu-process survived {out.workers_lost} worker kills, "
+lost = out.supervision["workers_lost"]
+assert lost > 0, "fault plan fired no kills; gate is vacuous"
+print(f"ci_smoke: cpu-process survived {lost:g} worker kills, "
       f"cover still optimal ({out.optimum})")
 
 # same chaos over the socket transport: kill a *remote* serve-worker
@@ -287,12 +296,13 @@ with faults.injected("worker_kill:0.9:4", seed=2):
         warnings.simplefilter("ignore", RuntimeWarning)
         dist = solve_mvc_distributed(graph, n_workers=0, hosts=2)
 assert dist.optimum == expected, (dist.optimum, expected)
-assert dist.workers_lost > 0, "no remote worker died; gate is vacuous"
-print(f"ci_smoke: distributed survived {dist.workers_lost} remote "
+lost = dist.supervision["workers_lost"]
+assert lost > 0, "no remote worker died; gate is vacuous"
+print(f"ci_smoke: distributed survived {lost:g} remote "
       f"worker kills, cover still optimal ({dist.optimum})")
 
-tripped = solve_anytime(graph, engine="cpu-process", deadline=0.0,
-                        n_workers=2, threshold=4)
+tripped = solve_mvc(graph, engine="cpu-process", deadline=0.0,
+                    n_workers=2, threshold=4)
 assert tripped.status in ("feasible", "bound_only"), tripped.status
 assert tripped.checkpoint is not None
 blob = tripped.checkpoint.to_bytes()
@@ -304,7 +314,7 @@ assert final.optimum == expected, (final.optimum, expected)
 assert final.lower_bound == expected
 chained = solve_to_completion(graph, engine="sequential", node_budget=5)
 assert chained.optimum == expected
-print(f"ci_smoke: deadline-tripped anytime solve checkpointed "
+print(f"ci_smoke: deadline-tripped solve checkpointed "
       f"{len(tripped.checkpoint.items)} frontier states and resumed to "
       f"the optimum ({final.optimum})")
 EOF
@@ -314,10 +324,18 @@ EOF
 # 14.8k sequential nodes) with 2 workers and node_budget=1000: the solve
 # must trip the budget without walking past it, and its checkpoint must
 # resume to the sequential optimum.
+# Inline-drain leg: on gnp(80, 0.2, seed=1) every worker dies early under
+# worker_kill:0.5:3 (seed 11), the respawn budget runs out and the
+# coordinator drains the rest inline: the drain must stay within
+# node_budget=1000 and leave a checkpoint that resumes to the optimum (62).
 python - <<'EOF'
-from repro.core.anytime import resume_from, solve_anytime
+import warnings
+
+from repro import faults
+from repro.core.anytime import resume_from
 from repro.core.sequential import solve_mvc_sequential
-from repro.core.solver import POOL_ENGINES
+from repro.core.solver import POOL_ENGINES, solve_mvc
+from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.suites import suite_instance
 
 graph = suite_instance("p_hat_500_3", "small").graph()
@@ -325,14 +343,31 @@ expected = solve_mvc_sequential(graph).optimum
 assert expected == 84, expected
 budget = 1000
 for engine in POOL_ENGINES:
-    leg = solve_anytime(graph, engine=engine, node_budget=budget, n_workers=2)
+    leg = solve_mvc(graph, engine=engine, node_budget=budget, n_workers=2)
     assert leg.status == "budget_exhausted", (engine, leg.status)
-    assert leg.nodes <= budget, (engine, leg.nodes)
+    assert leg.nodes_visited <= budget, (engine, leg.nodes_visited)
     final = resume_from(leg.checkpoint, graph, engine=engine, n_workers=2)
     assert final.complete and final.optimum == expected, \
         (engine, final.status, final.optimum)
-    print(f"ci_smoke: {engine} stopped at {leg.nodes} of {budget} budgeted "
-          f"nodes and resumed to the optimum ({final.optimum})")
+    print(f"ci_smoke: {engine} stopped at {leg.nodes_visited} of {budget} "
+          f"budgeted nodes and resumed to the optimum ({final.optimum})")
+
+drain_graph = gnp(80, 0.2, seed=1)
+drain_expected = solve_mvc_sequential(drain_graph).optimum
+assert drain_expected == 62, drain_expected
+with faults.injected("worker_kill:0.5:3", seed=11):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        drained = solve_mvc(drain_graph, engine="distributed",
+                            node_budget=budget, n_workers=2)
+assert drained.supervision["inline_drains"] >= 1, "no inline drain; leg is vacuous"
+assert drained.nodes_visited <= budget, drained.nodes_visited
+assert drained.status == "budget_exhausted", drained.status
+final = resume_from(drained.checkpoint, drain_graph)
+assert final.complete and final.optimum == drain_expected, \
+    (final.status, final.optimum)
+print(f"ci_smoke: inline drain stopped at {drained.nodes_visited} of {budget} "
+      f"budgeted nodes and resumed to the optimum ({final.optimum})")
 EOF
 
 # --- kernel-backend gate (see docs/ARCHITECTURE.md, KERNELS registry) ---
@@ -540,7 +575,7 @@ EOF
 # 1. a cold solve misses and stores a valid cover; a second identical
 #    solve must be a zero-node exact hit with the bit-identical cover;
 #    2. a relabeled copy of the instance must hit isomorphically with
-#    zero nodes and a re-verified cover; 3. a budget-bumped anytime
+#    zero nodes and a re-verified cover; 3. a budget-bumped
 #    repeat must resume the cached checkpoint to the optimum instead of
 #    restarting; 4. a cache root under a regular file must give one
 #    CacheUnavailableWarning and then the uncached optimum; 5. after the
@@ -554,7 +589,7 @@ import sys
 
 import numpy as np
 
-from repro.core.anytime import solve_anytime
+from repro.cache import SolveCache
 from repro.core.solver import solve_mvc
 from repro.core.verify import assert_valid_cover
 from repro.graph.csr import CSRGraph
@@ -586,13 +621,14 @@ assert_valid_cover(relabeled, iso.cover, expected_size=cold.optimum)
 print("ci_smoke: relabeled instance hit isomorphically, cover re-verified")
 
 fresh = phat_complement(60, 2, seed=9)
-ref = solve_anytime(fresh)
-first = solve_anytime(fresh, node_budget=5, cache=store)
+ref = solve_mvc(fresh)
+escalating = SolveCache(store)
+first = solve_mvc(fresh, node_budget=5, cache=escalating)
 assert first.status == "budget_exhausted", first.status
-bumped = solve_anytime(fresh, cache=store)
+bumped = solve_mvc(fresh, cache=escalating)
 assert bumped.status == "optimal" and bumped.optimum == ref.optimum
-assert bumped.extra.get("cache_escalated") == 1.0, "repeat did not resume"
-print(f"ci_smoke: budget-bumped anytime resumed cached checkpoint to "
+assert escalating.session["escalations"] == 1, "repeat did not resume"
+print(f"ci_smoke: budget-bumped repeat resumed cached checkpoint to "
       f"optimum {bumped.optimum}")
 
 import os
@@ -632,13 +668,12 @@ def boom(*a, **k):
     raise AssertionError("cache entry point reached on the disarmed path")
 
 
-for name in ("resolve_cache", "cached_solve_mvc", "cached_solve_pvc",
-             "cached_solve_anytime"):
+for name in ("resolve_cache", "solve_cached"):
     setattr(cache_mod, name, boom)
 import os
 
 os.environ.pop("REPRO_CACHE", None)
 assert solve_mvc(graph).optimum == cold.optimum
-assert solve_anytime(graph).optimum == cold.optimum
+assert solve_mvc(graph, deadline=600.0).optimum == cold.optimum
 print("ci_smoke: disarmed solve never touched the cache")
 EOF

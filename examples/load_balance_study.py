@@ -39,11 +39,11 @@ def main() -> None:
          HybridEngine(device=SMALL_SIM)),
     ):
         res = engine.solve_mvc(graph)
-        summary = load_summary_from_metrics(res.metrics)
+        summary = load_summary_from_metrics(res.stats.metrics)
         print(f"{name}")
         print(f"  optimum {res.optimum}, {res.nodes_visited} tree nodes, "
-              f"virtual time {res.sim_seconds * 1e3:.2f} ms")
-        print(bars(res.metrics.normalized_load()))
+              f"virtual time {res.stats.sim_seconds * 1e3:.2f} ms")
+        print(bars(res.stats.metrics.normalized_load()))
         print(f"  spread: min {summary.min:.2f}x / max {summary.max:.2f}x of mean, "
               f"imbalance (max/mean) {summary.imbalance:.2f}\n")
 

@@ -33,11 +33,11 @@ def main() -> None:
     for engine in ("sequential", "stackonly", "hybrid"):
         out = solve_mvc(graph, engine=engine, device=TINY_SIM)
         extra = ""
-        if hasattr(out, "sim_seconds"):
-            extra = f" [virtual GPU time {out.sim_seconds * 1e3:.2f} ms, " \
-                    f"{out.launch.num_blocks} blocks x {out.launch.block_size} threads]"
-        nodes = out.nodes_visited if hasattr(out, "nodes_visited") else out.stats.nodes_visited
-        print(f"  {engine:10s}: optimum {out.optimum}, {nodes} tree nodes{extra}")
+        if engine != "sequential":  # a simulated launch: its report rides in stats
+            launch = out.stats.launch
+            extra = f" [virtual GPU time {out.stats.sim_seconds * 1e3:.2f} ms, " \
+                    f"{launch.num_blocks} blocks x {launch.block_size} threads]"
+        print(f"  {engine:10s}: optimum {out.optimum}, {out.nodes_visited} tree nodes{extra}")
         assert_valid_cover(graph, out.cover, out.optimum)
 
     # --- PVC: the parameterized formulation ------------------------------

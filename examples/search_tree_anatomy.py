@@ -39,7 +39,7 @@ def main() -> None:
 
     # -- 2. the static split inherits the imbalance ------------------------
     res = StackOnlyEngine(device=SMALL_SIM, start_depth=6).solve_mvc(graph)
-    loads = res.metrics.normalized_load()
+    loads = res.stats.metrics.normalized_load()
     print(f"\nStackOnly per-SM load (nodes/mean): "
           f"min {loads.min():.2f}x, max {loads.max():.2f}x "
           f"— the measured tree imbalance, realised as hardware idleness.")

@@ -43,7 +43,7 @@ def main() -> None:
     assert_valid_cover(graph, exact.cover, exact.optimum)
     print(f"exact minimum:   {exact.optimum} "
           f"(visited {exact.nodes_visited} search-tree nodes, "
-          f"virtual GPU time {exact.sim_seconds * 1e3:.3f} ms)")
+          f"virtual GPU time {exact.stats.sim_seconds * 1e3:.3f} ms)")
     saved = greedy.size - exact.optimum
     print(f"  -> exact search saves {saved} monitor{'s' if saved != 1 else ''} over greedy")
 

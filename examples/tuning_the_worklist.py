@@ -35,14 +35,14 @@ def main() -> None:
                 worklist_threshold_fraction=fraction,
             )
             res = engine.solve_mvc(graph)
-            sleeps = sum(b.wl_sleeps for b in res.metrics.blocks)
+            sleeps = sum(b.wl_sleeps for b in res.stats.metrics.blocks)
             results.append((capacity, fraction, res))
             print(f"{capacity:9d} {int(capacity * fraction):10d} "
-                  f"{res.sim_seconds * 1e3:11.3f} "
-                  f"{res.worklist_stats.adds:8d} "
-                  f"{res.worklist_stats.peak_population:8d} {sleeps:7d}")
+                  f"{res.stats.sim_seconds * 1e3:11.3f} "
+                  f"{res.stats.worklist_stats.adds:8d} "
+                  f"{res.stats.worklist_stats.peak_population:8d} {sleeps:7d}")
 
-    times = [res.makespan_cycles for _, _, res in results]
+    times = [res.stats.makespan_cycles for _, _, res in results]
     best = min(times)
     slowdowns = [t / best for t in times]
     print(f"\ngeomean slowdown vs best configuration: "

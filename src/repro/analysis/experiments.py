@@ -340,9 +340,8 @@ def _wall_obs(out, wall_before: Dict[str, float]) -> Optional[Dict[str, object]]
         delta = secs - wall_before.get(kind, 0.0)
         if delta > 0:
             by_kind[kind] = delta
-    comms = getattr(out, "comms", None)
-    if isinstance(comms, dict) and isinstance(comms.get("totals"), dict):
-        for kind, secs in obs_breakdown.wall_from_obs_keys(comms["totals"]).items():
+    if out.comms is not None:
+        for kind, secs in obs_breakdown.wall_from_obs_keys(out.comms["totals"]).items():
             by_kind[kind] = by_kind.get(kind, 0.0) + secs
     if not by_kind:
         return None
@@ -439,7 +438,7 @@ def _run_engine_cell(engine_name: str, graph, itype: str, k: Optional[int],
             assert k is not None
             res = eng.solve_pvc(graph, k, node_budget=cfg.engine_node_guard,
                                 cycle_budget=cfg.gpu_cycle_budget)
-        if best is None or (not res.timed_out and (best.timed_out or res.sim_seconds < best.sim_seconds)):
+        if best is None or (not res.timed_out and (best.timed_out or res.stats.sim_seconds < best.stats.sim_seconds)):
             best = res
             best_detail = detail
     assert best is not None
@@ -447,17 +446,17 @@ def _run_engine_cell(engine_name: str, graph, itype: str, k: Optional[int],
     return CellResult(
         engine=engine_name,
         instance_type=itype,
-        seconds=None if best.timed_out else best.sim_seconds,
+        seconds=None if best.timed_out else best.stats.sim_seconds,
         timed_out=best.timed_out,
         nodes=best.nodes_visited,
         optimum=best.optimum,
         feasible=best.feasible,
         wall_seconds=time.perf_counter() - start,
         detail=best_detail,
-        metrics=best.metrics,
-        cycles=best.makespan_cycles,
-        obs=(_sim_obs(best.metrics.cycles_by_kind())
-             if cfg.telemetry and best.metrics is not None else None),
+        metrics=best.stats.metrics,
+        cycles=best.stats.makespan_cycles,
+        obs=(_sim_obs(best.stats.metrics.cycles_by_kind())
+             if cfg.telemetry and best.stats.metrics is not None else None),
     )
 
 
@@ -950,8 +949,8 @@ def run_sweeps(
                                    cycle_budget=cfg.gpu_cycle_budget)
             rows.append({
                 "engine": engine_name, "block_size": bs,
-                "seconds": tables.format_seconds(res.sim_seconds, res.timed_out),
-                "cycles": f"{res.makespan_cycles:.3g}",
+                "seconds": tables.format_seconds(res.stats.sim_seconds, res.timed_out),
+                "cycles": f"{res.stats.makespan_cycles:.3g}",
             })
     results.append(SweepResult(f"Block-size sweep on {instance}", rows))
 
@@ -962,9 +961,9 @@ def run_sweeps(
             .solve_mvc(graph, node_budget=cfg.engine_node_guard, cycle_budget=cfg.gpu_cycle_budget)
         rows.append({
             "start_depth": depth,
-            "seconds": tables.format_seconds(res.sim_seconds, res.timed_out),
+            "seconds": tables.format_seconds(res.stats.sim_seconds, res.timed_out),
             "nodes": res.nodes_visited,
-            "max/mean load": f"{load_summary_from_metrics(res.metrics).imbalance:.2f}",
+            "max/mean load": f"{load_summary_from_metrics(res.stats.metrics).imbalance:.2f}",
         })
     results.append(SweepResult(f"StackOnly start-depth sweep on {instance}", rows))
 
@@ -977,8 +976,8 @@ def run_sweeps(
                 .solve_mvc(graph, node_budget=cfg.engine_node_guard, cycle_budget=cfg.gpu_cycle_budget)
             rows.append({
                 "capacity": cap, "threshold": int(cap * frac),
-                "seconds": tables.format_seconds(res.sim_seconds, res.timed_out),
-                "wl peak": res.worklist_stats.peak_population,
+                "seconds": tables.format_seconds(res.stats.sim_seconds, res.timed_out),
+                "wl peak": res.stats.worklist_stats.peak_population,
             })
     results.append(SweepResult(f"Hybrid worklist sweep on {instance}", rows))
     return results
@@ -1001,11 +1000,11 @@ def run_ablation(
         ):
             res = eng.solve_mvc(graph, node_budget=cfg.engine_node_guard,
                                 cycle_budget=cfg.gpu_cycle_budget)
-            wl = res.worklist_stats
+            wl = res.stats.worklist_stats
             rows.append({
                 "graph": name,
                 "engine": engine_name,
-                "seconds": tables.format_seconds(res.sim_seconds, res.timed_out),
+                "seconds": tables.format_seconds(res.stats.sim_seconds, res.timed_out),
                 "wl peak": wl.peak_population,
                 "wl adds": wl.adds,
                 "rejected adds": wl.rejected_adds,

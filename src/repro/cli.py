@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "$REPRO_CACHE, else .repro-cache): repeated or "
                         "isomorphic-by-relabeling instances return their "
                         "stored verified cover with zero search nodes, and "
-                        "interrupted anytime solves escalate from the cached "
+                        "interrupted solves escalate from the cached "
                         "checkpoint instead of restarting")
     p.add_argument("--stats", action="store_true",
                    help="print per-worker comms counters (messages, bytes, "
@@ -356,14 +356,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _print_supervision(result) -> None:
-    """Render fault-supervision events for --stats (all engines expose
-    at least recovered/lost; supervised engines add respawn accounting)."""
-    events = getattr(result, "supervision", None)
-    if events is None:
-        events = {
-            "recovered": getattr(result, "faults_recovered", 0) or 0,
-            "workers_lost": getattr(result, "workers_lost", 0) or 0,
-        }
+    """Render fault-supervision events for --stats (the pool reports
+    respawn accounting too; the simulated engines report none)."""
+    events = result.supervision or {}
     shown = [(k, v) for k, v in sorted(events.items()) if v]
     if shown:
         print("supervision: " + "  ".join(f"{k}={v:g}" for k, v in shown))
@@ -831,81 +826,70 @@ def main(argv: Optional[List[str]] = None) -> int:
 
                 cache_obj = resolve_cache(args.cache)
 
-            anytime = (args.deadline is not None or args.checkpoint is not None
-                       or args.resume_from is not None)
-            if anytime:
-                from .core.anytime import resume_from, solve_anytime
+            options = {} if args.frontier is None else {"frontier": args.frontier}
+            if args.bound is not None:
+                options["bound"] = args.bound
+            if args.kernels is not None:
+                options["kernels"] = args.kernels
+            if cache_obj is not None:
+                options["cache"] = cache_obj
+            options.update(par_opt)
+            if args.resume_from is not None:
+                from .core.anytime import resume_from
                 from .core.outcome import Checkpoint
 
-                kernels_opt = ({} if args.kernels is None
-                               else {"kernels": args.kernels})
-                kernels_opt.update(par_opt)
-                if args.resume_from is not None:
-                    try:
-                        checkpoint = Checkpoint.load(args.resume_from)
-                        out = resume_from(checkpoint, graph, engine=engine,
-                                          node_budget=args.node_budget,
-                                          deadline=args.deadline, **kernels_opt)
-                    except (ValueError, OSError) as exc:
-                        print(f"error: {exc}")
-                        return 2
-                else:
-                    out = solve_anytime(
-                        graph, args.k, engine=engine,
-                        frontier=args.frontier, bound=args.bound or "greedy",
-                        node_budget=args.node_budget, deadline=args.deadline,
-                        cache=cache_obj, **kernels_opt)
+                options.pop("frontier", None)
+                options.pop("bound", None)
+                try:
+                    out = resume_from(Checkpoint.load(args.resume_from), graph,
+                                      engine=engine, node_budget=args.node_budget,
+                                      deadline=args.deadline, **options)
+                except (ValueError, OSError) as exc:
+                    print(f"error: {exc}")
+                    return 2
+            elif args.k is None:
+                out = solve_mvc(graph, engine=engine, node_budget=args.node_budget,
+                                deadline=args.deadline, **options)
+            else:
+                out = solve_pvc(graph, args.k, engine=engine,
+                                node_budget=args.node_budget,
+                                deadline=args.deadline, **options)
+            if (args.deadline is not None or args.checkpoint is not None
+                    or args.resume_from is not None):
                 best = ("none" if out.optimum is None
                         else f"{out.optimum} cover" if out.formulation == "mvc"
                         else f"{out.optimum} cover (k={out.k})")
                 print(f"{args.graph}: status={out.status} engine={out.engine} "
                       f"best={best} lower_bound={out.lower_bound} "
-                      f"nodes={out.nodes}")
+                      f"nodes={out.nodes_visited}")
                 if out.checkpoint is not None and args.checkpoint is not None:
                     out.checkpoint.save(args.checkpoint)
                     print(f"checkpoint: {len(out.checkpoint.items)} frontier "
                           f"states -> {args.checkpoint}\n"
                           f"resume: python -m repro solve --graph {args.graph}"
                           f" --scale {args.scale} --resume-from {args.checkpoint}")
-                recovered = out.extra.get("faults_recovered", 0)
-                lost = out.extra.get("workers_lost", 0)
+                supervision = out.supervision or {}
+                recovered = int(supervision.get("recovered", 0))
+                lost = int(supervision.get("workers_lost", 0))
                 if recovered or lost:
                     print(f"faults: recovered {recovered} injected step "
                           f"failures, lost {lost} workers")
                 if args.stats:
-                    comms_keys = sorted(key for key in out.extra
-                                        if key.startswith("comms_"))
-                    if comms_keys:
-                        print("comms totals: " + "  ".join(
-                            f"{key[len('comms_'):]}={out.extra[key]:g}"
-                            for key in comms_keys))
-                    else:
-                        print("comms: not reported by this engine")
+                    _print_comms(out.comms)
                     if cache_obj is not None:
                         _print_cache_stats(cache_obj)
                 finish_obs()
                 print(f"[{time.perf_counter() - start:.1f}s wall]")
                 return 0 if out.complete else 3
 
-            extra = {} if args.frontier is None else {"frontier": args.frontier}
-            if args.bound is not None:
-                extra["bound"] = args.bound
-            if args.kernels is not None:
-                extra["kernels"] = args.kernels
-            if cache_obj is not None:
-                extra["cache"] = cache_obj
-            extra.update(par_opt)
             if args.k is None:
-                out = solve_mvc(graph, engine=engine, node_budget=args.node_budget, **extra)
                 print(f"{args.graph}: minimum vertex cover size = {out.optimum}"
                       f"{' (budget exceeded, best found)' if out.timed_out else ''}")
             else:
-                out = solve_pvc(graph, args.k, engine=engine,
-                                node_budget=args.node_budget, **extra)
                 print(f"{args.graph}: cover of size <= {args.k} "
                       f"{'EXISTS (found ' + str(out.optimum) + ')' if out.feasible else 'does not exist' if out.feasible is False else 'undetermined (budget)'}")
             if args.stats:
-                _print_comms(getattr(out, "comms", None))
+                _print_comms(out.comms)
                 _print_supervision(out)
                 if cache_obj is not None:
                     _print_cache_stats(cache_obj)

@@ -1,6 +1,6 @@
 """Core branch-and-reduce machinery for MVC and PVC."""
 
-from .anytime import resume_from, solve_anytime, solve_to_completion
+from .anytime import resume_from, solve_to_completion
 from .bounds import (
     BOUNDS,
     DEFAULT_BOUND,
@@ -25,24 +25,25 @@ from .frontier import (
 )
 from .greedy import GreedyResult, greedy_cover
 from .nodestep import LEAF, PRUNED, Children, NodeStep, StepOutcome
-from .outcome import Checkpoint, SolveOutcome, classify_status, frontier_lower_bound
-from .sequential import (
-    SearchOutcome,
-    branch_and_reduce,
-    solve_mvc_sequential,
-    solve_pvc_sequential,
+from .outcome import (
+    Checkpoint,
+    SolveOutcome,
+    classify_status,
+    finish_outcome,
+    frontier_lower_bound,
 )
+from .sequential import branch_and_reduce, solve_mvc_sequential, solve_pvc_sequential
 from .solver import ENGINES, solve_mvc, solve_pvc
 from .stats import ReductionCounters, SearchStats
-from .verify import assert_valid_cover, is_independent_set, is_vertex_cover
+from .verify import CertificateError, assert_valid_cover, is_independent_set, is_vertex_cover
 
 __all__ = [
-    "solve_anytime",
     "resume_from",
     "solve_to_completion",
     "SolveOutcome",
     "Checkpoint",
     "classify_status",
+    "finish_outcome",
     "frontier_lower_bound",
     "BOUNDS",
     "DEFAULT_BOUND",
@@ -72,7 +73,6 @@ __all__ = [
     "LEAF",
     "GreedyResult",
     "greedy_cover",
-    "SearchOutcome",
     "branch_and_reduce",
     "solve_mvc_sequential",
     "solve_pvc_sequential",
@@ -81,6 +81,7 @@ __all__ = [
     "solve_pvc",
     "ReductionCounters",
     "SearchStats",
+    "CertificateError",
     "assert_valid_cover",
     "is_independent_set",
     "is_vertex_cover",

@@ -4,7 +4,8 @@ Two user-facing strategies built on the core engines:
 
 * :func:`solve_mvc_by_components` — split a disconnected instance into
   components, solve each separately, and stitch the covers back
-  together.  The optimum of a disjoint union is the sum of the
+  together (:func:`stitch_components`, which the cache's per-component
+  memoization shares).  The optimum of a disjoint union is the sum of the
   components' optima, and separate searches are dramatically cheaper
   than one joint search (the joint tree is the *product* of the
   component trees).
@@ -15,29 +16,54 @@ Two user-facing strategies built on the core engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from ..graph.algorithms import component_subgraphs
 from ..graph.csr import CSRGraph
-from .anytime import solve_anytime
-from .solver import solve_pvc
+from .outcome import SolveOutcome, classify_status, finish_outcome
+from .solver import solve_mvc, solve_pvc
 
-__all__ = ["ComponentwiseResult", "solve_mvc_by_components", "optimum_via_pvc"]
+__all__ = ["stitch_components", "solve_mvc_by_components", "optimum_via_pvc"]
 
 
-@dataclass
-class ComponentwiseResult:
-    """Stitched result of a per-component MVC solve."""
+def stitch_components(graph: CSRGraph, solve_piece: Callable[[CSRGraph], SolveOutcome],
+                      *, engine: str) -> SolveOutcome:
+    """MVC of ``graph`` from one solve per connected component.
 
-    optimum: int
-    cover: np.ndarray
-    n_components: int
-    component_optima: List[int] = field(default_factory=list)
-    nodes_visited: int = 0
-    timed_out: bool = False
+    ``solve_piece`` answers each component with an edge (an edgeless one
+    needs no search); the covers are mapped back to original vertex ids
+    and concatenated.  ``stats`` lists the per-component outcomes in
+    component order.  The optimum, node count and lower bound are sums
+    over the components; an interrupted component leaves the whole
+    outcome interrupted, with no checkpoint of its own (each component's
+    outcome carries one).
+    """
+    parts: List[SolveOutcome] = []
+    covers: List[np.ndarray] = []
+    for sub, ids in component_subgraphs(graph):
+        out = (solve_piece(sub) if sub.m else
+               finish_outcome(sub, None, engine=engine, cover=np.empty(0, dtype=np.int64),
+                              checked=True))
+        parts.append(out)
+        covers.append(ids[np.asarray(out.cover, dtype=np.int64)])
+    cover = np.sort(np.concatenate(covers)) if covers else np.empty(0, dtype=np.int64)
+    optimum = sum(int(p.optimum) for p in parts)
+    lower = sum(int(p.lower_bound) for p in parts)
+    interrupted = any(p.timed_out for p in parts)
+    deadline_tripped = any(p.deadline_tripped for p in parts)
+    status = classify_status(
+        interrupted=interrupted, trigger="deadline" if deadline_tripped else "node_budget",
+        formulation="mvc", has_cover=True, optimum=optimum, lower_bound=lower)
+    # The parts' covers were checked in their own coordinates; relabelled
+    # and joined they cover the disjoint union.
+    return SolveOutcome(
+        status=status, formulation="mvc", engine=engine, optimum=optimum,
+        cover=cover, lower_bound=lower,
+        nodes_visited=sum(p.nodes_visited for p in parts), timed_out=interrupted,
+        deadline_tripped=deadline_tripped,
+        wall_seconds=sum(p.wall_seconds for p in parts), stats=parts)
 
 
 def solve_mvc_by_components(
@@ -46,45 +72,18 @@ def solve_mvc_by_components(
     engine: str = "sequential",
     node_budget: Optional[int] = None,
     **options: Any,
-) -> ComponentwiseResult:
+) -> SolveOutcome:
     """Solve MVC one connected component at a time.
 
-    The per-component results are mapped back to original vertex ids and
-    concatenated; a per-component ``node_budget`` (if given) applies to
-    each component independently, and any component timing out marks the
-    whole result as budgeted.
-
-    Every component rides through :func:`repro.core.anytime.solve_anytime`,
-    so each piece comes back as a uniform
-    :class:`~repro.core.outcome.SolveOutcome` regardless of engine — and
-    a ``cache=`` option (or ``REPRO_CACHE``) memoizes the pieces
-    independently, including checkpoint escalation per component.
+    A per-component ``node_budget`` (if given) applies to each component
+    independently.  Every component rides through
+    :func:`repro.core.solver.solve_mvc`, so a ``cache=`` option (or
+    ``REPRO_CACHE``) memoizes the pieces independently, including
+    checkpoint escalation per component.
     """
-    pieces = component_subgraphs(graph)
-    total = 0
-    covers: List[np.ndarray] = []
-    optima: List[int] = []
-    nodes = 0
-    timed_out = False
-    for sub, ids in pieces:
-        if sub.m == 0:
-            optima.append(0)
-            continue
-        out = solve_anytime(sub, engine=engine, node_budget=node_budget, **options)
-        total += int(out.optimum)
-        optima.append(int(out.optimum))
-        covers.append(ids[np.asarray(out.cover, dtype=np.int64)])
-        nodes += out.nodes
-        timed_out |= not out.complete
-    cover = np.sort(np.concatenate(covers)) if covers else np.empty(0, dtype=np.int64)
-    return ComponentwiseResult(
-        optimum=total,
-        cover=cover.astype(np.int64),
-        n_components=len(pieces),
-        component_optima=optima,
-        nodes_visited=nodes,
-        timed_out=timed_out,
-    )
+    return stitch_components(
+        graph, lambda sub: solve_mvc(sub, engine=engine, node_budget=node_budget,
+                                     **options), engine=engine)
 
 
 def optimum_via_pvc(

@@ -94,8 +94,8 @@ class Frontier:
     def drain(self) -> List[Any]:
         """Pop everything, in the policy's own order (for checkpointing).
 
-        The anytime layer (:mod:`repro.core.outcome`) serializes an
-        interrupted traversal's frontier with this; afterwards the
+        The outcome finisher (:mod:`repro.core.outcome`) serializes an
+        interrupted traversal's frontier from this; afterwards the
         frontier is empty.
         """
         items: List[Any] = []

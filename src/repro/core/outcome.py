@@ -1,13 +1,14 @@
-"""Anytime solve outcomes: structured results and resumable checkpoints.
+"""Solve outcomes: the one result type, its finisher, and checkpoints.
 
-ROADMAP item 2 (the solve service) needs interrupted solves to return
-something useful: the best cover so far, an admissible lower bound on
-the optimum, and a serialized frontier from which the search resumes to
-the exact optimum.  This module defines the two artifacts:
+Every engine behind the solve facade (:mod:`repro.core.solver`) returns
+a :class:`SolveOutcome`, built by :func:`finish_outcome` from the
+engine's raw facts.  The finisher checks the returned cover at this
+boundary and, only when a budget or deadline interrupted the run,
+derives an admissible lower bound and a resumable frontier.  This
+module defines the two artifacts:
 
-* :class:`SolveOutcome` — the structured result every anytime entry
-  point returns (``repro.core.anytime``).  ``status`` encodes the claim
-  strength:
+* :class:`SolveOutcome` — the structured result.  ``status`` encodes the
+  claim strength:
 
   - ``optimal`` — the answer is proven: the traversal completed, or the
     lower bound closed the gap on an interrupted MVC solve, or an
@@ -48,18 +49,20 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, WirePayload
 from .bounds import BoundPolicy, make_bound
+from .verify import assert_valid_cover
 
 __all__ = [
     "STATUSES",
     "Checkpoint",
     "SolveOutcome",
+    "finish_outcome",
     "frontier_lower_bound",
     "classify_status",
 ]
@@ -78,9 +81,10 @@ class Checkpoint:
     ``items`` are ``(wire_payload, depth)`` pairs — each pending tree
     node through the :class:`VCState` codec, carrying every cross-node
     field (degree array, ``|S|``, ``|E|``, dirty hint, max-degree hint).
-    ``depth`` is the node's ancestry depth where the interrupted engine
-    tracked it (the sequential solver does; the parallel engines record
-    0 — depth only feeds traversal statistics, never correctness).
+    ``depth`` is the node's ancestry depth below the leg's roots where
+    the interrupted engine tracked it (the sequential solver does; the
+    parallel engines record 0 — depth only feeds traversal statistics,
+    never correctness).
     """
 
     formulation: str                      # "mvc" | "pvc"
@@ -175,19 +179,37 @@ class Checkpoint:
 
 @dataclass
 class SolveOutcome:
-    """The structured result of an anytime solve (see module docstring)."""
+    """The one result every engine and the facade return (module docstring).
+
+    ``optimum`` is the cover size found (for PVC, the witness size, or
+    ``None`` when no ``<= k`` cover was found); ``cover`` certifies it.
+    ``feasible`` is ``None`` for MVC and, for PVC, ``True`` (witness
+    found), ``False`` (refuted) or ``None`` (undetermined).  ``timed_out``
+    says the node budget or the deadline interrupted the run, and
+    ``deadline_tripped`` that it was the deadline.  ``comms`` and
+    ``supervision`` are the worker pool's counters (``None`` elsewhere);
+    ``stats`` is the engine's own detail: the sequential
+    :class:`~repro.core.stats.SearchStats`, a simulated engine's
+    :class:`~repro.engines.base.LaunchReport`, or the per-component
+    outcomes of a component-wise MVC solve.
+    """
 
     status: str
     formulation: str
     engine: str
     optimum: Optional[int]
     cover: Optional[np.ndarray]
-    lower_bound: Optional[int]
-    nodes: int
-    checkpoint: Optional[Checkpoint] = None
+    feasible: Optional[bool] = None
+    lower_bound: Optional[int] = None
+    nodes_visited: int = 0
+    timed_out: bool = False
+    deadline_tripped: bool = False
     wall_seconds: float = 0.0
+    checkpoint: Optional[Checkpoint] = None
     k: Optional[int] = None
-    extra: Dict[str, float] = field(default_factory=dict)
+    comms: Optional[Dict[str, object]] = None
+    supervision: Optional[Dict[str, float]] = None
+    stats: Any = None
 
     @property
     def complete(self) -> bool:
@@ -196,6 +218,77 @@ class SolveOutcome:
     @property
     def resumable(self) -> bool:
         return self.checkpoint is not None and bool(self.checkpoint.items)
+
+
+def finish_outcome(
+    graph: CSRGraph,
+    k: Optional[int],
+    *,
+    engine: str,
+    cover: Optional[np.ndarray],
+    size: Optional[int] = None,
+    interrupted: bool = False,
+    deadline_tripped: bool = False,
+    nodes: int = 0,
+    pending: Sequence[Tuple[VCState, int]] = (),
+    bound: Union[BoundPolicy, str] = "greedy",
+    frontier: Optional[str] = None,
+    wall_seconds: float = 0.0,
+    stats: Any = None,
+    comms: Optional[Dict[str, object]] = None,
+    supervision: Optional[Dict[str, float]] = None,
+    checked: bool = False,
+) -> SolveOutcome:
+    """Build the outcome of one solve from an engine's raw facts.
+
+    ``k`` is ``None`` for MVC.  ``cover`` is the incumbent (MVC) or the
+    witness (PVC; ``None`` when none was found) and ``size`` the size the
+    engine claims for it (default: its length).  The cover is checked at
+    this boundary (:func:`~repro.core.verify.assert_valid_cover`: exact
+    size, distinct in-range vertices, every edge covered, at most ``k``)
+    unless ``checked`` says the caller already did; a bad one raises
+    :class:`~repro.core.verify.CertificateError`.
+
+    An interrupted run's ``pending`` ``(state, depth)`` items become the
+    admissible lower bound (under ``bound``) and the :class:`Checkpoint`.
+    A complete run needs neither, so it calls no bound policy and no
+    codec; nor does an interrupted one with nothing pending, whose tree
+    is exhausted (a PVC search without a witness is then refuted).
+    """
+    formulation = "mvc" if k is None else "pvc"
+    if cover is not None:
+        size = len(cover) if size is None else int(size)
+        if not checked:
+            assert_valid_cover(graph, cover, expected_size=size, k=k)
+    found = cover is not None
+    checkpoint = None
+    if not interrupted or not pending:  # nothing left unexplored: complete
+        lower = size if formulation == "mvc" else (None if found else k + 1)
+        status = "optimal"
+    else:
+        policy = make_bound(bound, graph) if isinstance(bound, str) else bound
+        lower = frontier_lower_bound(graph, [state for state, _ in pending], policy,
+                                     size if formulation == "mvc" else None)
+        status = classify_status(
+            interrupted=True, trigger="deadline" if deadline_tripped else "node_budget",
+            formulation=formulation, has_cover=found, optimum=size,
+            lower_bound=lower, k=k)
+        checkpoint = Checkpoint(
+            formulation=formulation, engine=engine, bound=policy.name,
+            frontier=frontier, k=k, n=graph.n, m=graph.m, best_size=size,
+            best_cover=cover, nodes_visited=nodes,
+            items=[(state.to_wire(), depth) for state, depth in pending])
+    feasible = None  # MVC; PVC: found, refuted, or (interrupted) undetermined
+    if formulation == "pvc":
+        feasible = True if found else (False if status == "optimal" else None)
+    return SolveOutcome(
+        status=status, formulation=formulation, engine=engine,
+        optimum=size if found else None, cover=cover,
+        feasible=feasible,
+        lower_bound=lower, nodes_visited=int(nodes), timed_out=interrupted,
+        deadline_tripped=deadline_tripped, wall_seconds=wall_seconds,
+        checkpoint=checkpoint, k=k, comms=comms, supervision=supervision,
+        stats=stats)
 
 
 def frontier_lower_bound(

@@ -19,8 +19,7 @@ enforce this).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,23 +33,11 @@ from .frontier import Frontier, LifoFrontier, make_frontier
 from .greedy import greedy_cover
 from .kernel_backends import resolve_kernels
 from .nodestep import LEAF, PRUNED, NodeStep, Reducer
+from .outcome import SolveOutcome, finish_outcome
 from .stats import ChargeFn, SearchStats, null_charge
 
-__all__ = ["ChunkWalk", "SearchOutcome", "branch_and_reduce", "compiled_kind",
+__all__ = ["ChunkWalk", "branch_and_reduce", "compiled_kind",
            "solve_mvc_sequential", "solve_pvc_sequential"]
-
-
-@dataclass
-class SearchOutcome:
-    """Result of a single-worker traversal."""
-
-    formulation: str
-    optimum: Optional[int]
-    cover: Optional[np.ndarray]
-    feasible: Optional[bool]
-    timed_out: bool
-    stats: SearchStats = field(default_factory=SearchStats)
-    greedy_size: Optional[int] = None
 
 
 def branch_and_reduce(
@@ -111,7 +98,7 @@ def branch_and_reduce(
     before the first node).  When the deadline or the node budget trips,
     the in-flight node is pushed *back* onto the frontier before the
     loop exits, so the frontier afterwards holds exactly the unexplored
-    remainder of the tree — the anytime layer serializes it as a
+    remainder of the tree — the outcome finisher serializes it as a
     checkpoint (:mod:`repro.core.outcome`).  ``stats.extra`` records
     ``timed_out`` for either trip and ``deadline_tripped`` for the
     wall-clock one.
@@ -434,36 +421,26 @@ def solve_mvc_sequential(
     graph: CSRGraph,
     *,
     node_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+    roots: Optional[Sequence[VCState]] = None,
+    initial_best: Optional[Tuple[int, np.ndarray]] = None,
     pivot: PivotFn = max_degree_pivot,
     rng: Optional[np.random.Generator] = None,
     frontier: Union[Frontier, str, None] = None,
     bound: Union[BoundPolicy, str, None] = None,
     kernels=None,
-) -> SearchOutcome:
+) -> SolveOutcome:
     """Solve MINIMUM VERTEX COVER with the Fig. 1 algorithm.
 
     ``best`` is initialised from the greedy heuristic, exactly as the paper
-    does before launching the traversal.
+    does before launching the traversal, or from ``initial_best``
+    ``(size, cover)`` when that is smaller.  ``roots`` replaces the fresh
+    root with sub-tree roots (a checkpoint's pending states); ``deadline``
+    is a wall-clock budget in seconds (see :func:`branch_and_reduce`).
     """
-    ws = Workspace.for_graph(graph)
-    greedy = greedy_cover(graph, ws, kernels=kernels)
-    best = BestBound(size=greedy.size, cover=greedy.cover)
-    formulation = MVCFormulation(best)
-    if graph.m == 0:
-        return SearchOutcome("mvc", 0, np.empty(0, dtype=np.int32), None, False, greedy_size=0)
-    stats = branch_and_reduce(graph, formulation, ws=ws, node_budget=node_budget,
-                              pivot=pivot, rng=rng, frontier=frontier, bound=bound,
-                              kernels=kernels)
-    timed_out = bool(stats.extra.get("timed_out"))
-    return SearchOutcome(
-        formulation="mvc",
-        optimum=best.size,
-        cover=best.cover,
-        feasible=None,
-        timed_out=timed_out,
-        stats=stats,
-        greedy_size=greedy.size,
-    )
+    return _solve(graph, None, node_budget=node_budget, deadline=deadline,
+                  roots=roots, initial_best=initial_best, pivot=pivot, rng=rng,
+                  frontier=frontier, bound=bound, kernels=kernels)
 
 
 def solve_pvc_sequential(
@@ -471,37 +448,70 @@ def solve_pvc_sequential(
     k: int,
     *,
     node_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+    roots: Optional[Sequence[VCState]] = None,
     pivot: PivotFn = max_degree_pivot,
     rng: Optional[np.random.Generator] = None,
     frontier: Union[Frontier, str, None] = None,
     bound: Union[BoundPolicy, str, None] = None,
     kernels=None,
-) -> SearchOutcome:
-    """Solve PARAMETERIZED VERTEX COVER: find a cover of size at most ``k``."""
+) -> SolveOutcome:
+    """Solve PARAMETERIZED VERTEX COVER: find a cover of size at most ``k``.
+
+    The search stops at its first accepted cover; the greedy bound plays
+    no part (Section IV-E bounds the stack depth by ``k`` instead).
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
-    ws = Workspace.for_graph(graph)
-    flag = FoundFlag()
-    formulation = PVCFormulation(k=k, flag=flag)
-    greedy = greedy_cover(graph, ws, kernels=kernels)
+    return _solve(graph, k, node_budget=node_budget, deadline=deadline,
+                  roots=roots, initial_best=None, pivot=pivot, rng=rng,
+                  frontier=frontier, bound=bound, kernels=kernels)
+
+
+def _solve(graph: CSRGraph, k: Optional[int], *, node_budget, deadline, roots,
+           initial_best, pivot, rng, frontier, bound, kernels) -> SolveOutcome:
+    """The one sequential driver: MVC when ``k`` is None, else PVC."""
+    start = time.perf_counter()
     stats = SearchStats()
     if graph.m == 0:
-        flag.set(fresh_state(graph))
+        return finish_outcome(graph, k, engine="sequential",
+                              cover=np.empty(0, dtype=np.int32), stats=stats)
+    ws = Workspace.for_graph(graph)
+    formulation: Formulation
+    if k is None:
+        greedy = greedy_cover(graph, ws, kernels=kernels)
+        best = BestBound(size=greedy.size, cover=greedy.cover)
+        if initial_best is not None and initial_best[0] < best.size:
+            best = BestBound(size=int(initial_best[0]),
+                             cover=np.asarray(initial_best[1], dtype=np.int32))
+        formulation = MVCFormulation(best)
     else:
-        # Note: the greedy result only bounds the stack depth in the
-        # parameterized formulation (Section IV-E uses k instead); the PVC
-        # search itself always runs and stops at its first accepted cover.
-        stats = branch_and_reduce(
-            graph, formulation, ws=ws, node_budget=node_budget, pivot=pivot,
-            rng=rng, frontier=frontier, bound=bound, kernels=kernels
-        )
-    timed_out = bool(stats.extra.get("timed_out"))
-    return SearchOutcome(
-        formulation="pvc",
-        optimum=flag.size,
-        cover=flag.cover,
-        feasible=None if timed_out and not flag.found else flag.found,
-        timed_out=timed_out,
-        stats=stats,
-        greedy_size=greedy.size,
-    )
+        flag = FoundFlag()
+        formulation = PVCFormulation(k=k, flag=flag)
+    policy = (bound if isinstance(bound, BoundPolicy)
+              else make_bound(bound or "greedy", graph, ws))
+    worklist = (LifoFrontier() if frontier is None
+                else make_frontier(frontier, bound=policy) if isinstance(frontier, str)
+                else frontier)
+    root = None
+    if roots is not None:
+        root = roots[0]
+        for state in roots[1:]:
+            worklist.push((state, 0))
+    branch_and_reduce(graph, formulation, ws=ws, node_budget=node_budget,
+                      deadline=deadline, pivot=pivot, rng=rng, root=root,
+                      stats=stats, frontier=worklist, bound=policy, kernels=kernels)
+    interrupted = bool(stats.extra.get("timed_out"))
+    if k is None:
+        cover, size = best.cover, best.size
+    else:
+        cover, size = flag.cover, flag.size
+    return finish_outcome(
+        graph, k, engine="sequential", cover=cover, size=size,
+        interrupted=interrupted,
+        deadline_tripped=bool(stats.extra.get("deadline_tripped")),
+        nodes=stats.nodes_visited, pending=worklist.drain() if interrupted else (),
+        bound=policy, frontier=frontier if isinstance(frontier, str) else None,
+        wall_seconds=time.perf_counter() - start, stats=stats,
+        supervision={"recovered": stats.extra.get("faults_recovered", 0.0),
+                     "workers_lost": 0.0})

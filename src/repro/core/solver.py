@@ -28,6 +28,7 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from .. import obs
 from ..graph.csr import CSRGraph
+from .outcome import SolveOutcome
 
 __all__ = ["ENGINES", "ENGINE_TABLE", "POOL_ENGINES", "solve_mvc", "solve_pvc",
            "publish_result"]
@@ -73,7 +74,7 @@ POOL_ENGINES = tuple(name for name, row in ENGINE_TABLE.items() if row.pool)
 _PACKAGE = __package__.rpartition(".")[0]
 
 
-def publish_result(engine: str, result: Any,
+def publish_result(engine: str, result: SolveOutcome,
                    wall_seconds: Optional[float] = None) -> None:
     """Publish one solve's surfaces into the armed metrics registry.
 
@@ -86,34 +87,13 @@ def publish_result(engine: str, result: Any,
 
     if not obs_metrics.armed():
         return
-    nodes = getattr(result, "nodes_visited", None)
-    if nodes is None:
-        nodes = getattr(getattr(result, "stats", None), "nodes_visited", 0)
-    obs_metrics.publish_search(engine, int(nodes or 0),
-                               optimum=getattr(result, "optimum", None),
+    obs_metrics.publish_search(engine, result.nodes_visited, optimum=result.optimum,
                                wall_seconds=wall_seconds)
-    comms = getattr(result, "comms", None)
-    if isinstance(comms, dict) and isinstance(comms.get("totals"), dict):
-        obs_metrics.publish_comms(engine, comms["totals"])
-    supervision = getattr(result, "supervision", None)
-    if supervision is None:
-        # Engines without a supervisor still count recoveries and losses.
-        supervision = {
-            "recovered": float(getattr(result, "faults_recovered", 0) or 0),
-            "workers_lost": float(getattr(result, "workers_lost", 0) or 0),
-        }
-    obs_metrics.publish_supervision(engine, supervision)
-
-
-def _solve_enveloped(engine: str, thunk):
-    """Run one dispatch under a ``solve`` span and publish its surfaces."""
-    if not obs.armed():
-        return thunk()
-    t0 = time.perf_counter()
-    with obs.trace.span("solve"):
-        result = thunk()
-    publish_result(engine, result, wall_seconds=time.perf_counter() - t0)
-    return result
+    if result.comms is not None:
+        obs_metrics.publish_comms(engine, result.comms["totals"])
+    # Engines without a supervisor still count recoveries and losses.
+    obs_metrics.publish_supervision(
+        engine, result.supervision or {"recovered": 0.0, "workers_lost": 0.0})
 
 
 #: ``REPRO_CACHE`` as a key of the environment mapping's backing dict.
@@ -152,55 +132,58 @@ def _armed_cache(options: Dict[str, Any]):
     return resolve_cache(cache)
 
 
-def solve_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any):
+def solve_mvc(graph: CSRGraph, *, engine: str = "sequential",
+              **options: Any) -> SolveOutcome:
     """Find a minimum vertex cover of ``graph`` with the chosen engine.
 
-    Returns a :class:`~repro.core.sequential.SearchOutcome` for the
-    sequential engine, an :class:`~repro.engines.base.EngineResult` for
-    the simulated ones and a
-    :class:`~repro.net.distributed.CpuParallelResult` for the worker-pool
-    ones (all expose ``optimum``, ``cover`` and ``timed_out``).
+    Every engine returns a :class:`~repro.core.outcome.SolveOutcome`
+    whose cover was checked at the boundary.  ``node_budget`` and
+    ``deadline`` (seconds) interrupt the search; an interrupted outcome
+    carries the best cover so far, an admissible lower bound and a
+    :class:`~repro.core.outcome.Checkpoint` that
+    :func:`~repro.core.anytime.resume_from` continues on any engine.
 
     ``cache=`` (a store path, ``True``, or a
     :class:`~repro.cache.SolveCache`; default: the ``REPRO_CACHE`` env
     var, else off) routes the solve through the content-addressed
-    certificate cache: repeated or isomorphic-by-relabeling instances
-    return their stored, verified cover with zero search nodes, and
-    disconnected instances are memoized one component at a time (a
-    :class:`~repro.cache.CachedSolveResult`).  Pass ``cache=False`` to
-    force the cache off regardless of the environment.
+    certificate cache (:func:`repro.cache.solve_cached`): repeated or
+    isomorphic-by-relabeling instances return their stored, verified
+    cover with zero search nodes, interrupted solves leave a checkpoint
+    that a repeat request resumes, and disconnected instances are
+    memoized one component at a time.  Pass ``cache=False`` to force the
+    cache off regardless of the environment.
     """
-    cache = _armed_cache(options)
-    if cache is not None:
-        from ..cache import cached_solve_mvc
-
-        return _solve_enveloped(
-            engine, lambda: cached_solve_mvc(
-                cache, graph, engine=engine, options=options,
-                dispatch=_dispatch_mvc))
-    if not obs.armed():  # the disarmed facade adds no frame to the dispatch
-        return _dispatch(graph, None, engine, options)
-    return _solve_enveloped(engine, lambda: _dispatch(graph, None, engine, options))
+    return _solve(graph, None, engine, options)
 
 
-def solve_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential", **options: Any):
+def solve_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential",
+              **options: Any) -> SolveOutcome:
     """Find a vertex cover of size at most ``k``, or prove none exists.
 
-    Takes the same ``cache=`` option as :func:`solve_mvc`; a stored
-    optimal MVC certificate on the same instance also answers the PVC
-    query directly (feasible iff the optimum is at most ``k``).
+    Takes the same options as :func:`solve_mvc`; a stored optimal MVC
+    certificate on the same instance also answers the PVC query directly
+    (feasible iff the optimum is at most ``k``).
     """
-    cache = _armed_cache(options)
-    if cache is not None:
-        from ..cache import cached_solve_pvc
+    return _solve(graph, k, engine, options)
 
-        return _solve_enveloped(
-            engine, lambda: cached_solve_pvc(
-                cache, graph, k, engine=engine, options=options,
-                dispatch=_dispatch_pvc))
-    if not obs.armed():
+
+def _solve(graph: CSRGraph, k: Optional[int], engine: str,
+           options: Dict[str, Any]) -> SolveOutcome:
+    """The one solve path: the cache (when armed) around the dispatch,
+    under a ``solve`` span when telemetry is armed."""
+    cache = _armed_cache(options)
+    if cache is None and not obs.armed():  # the disarmed facade adds no frame
         return _dispatch(graph, k, engine, options)
-    return _solve_enveloped(engine, lambda: _dispatch(graph, k, engine, options))
+    t0 = time.perf_counter()
+    with obs.trace.span("solve"):
+        if cache is None:
+            out = _dispatch(graph, k, engine, options)
+        else:
+            from ..cache import solve_cached
+
+            out = solve_cached(cache, graph, k, engine, options, _dispatch)
+    publish_result(engine, out, wall_seconds=time.perf_counter() - t0)
+    return out
 
 
 #: Options the simulated engines take at construction.  ``bound`` and
@@ -212,7 +195,7 @@ _ENGINE_CTOR_KEYS = ("device", "cost_model", "start_depth", "worklist_capacity",
 
 
 def _dispatch(graph: CSRGraph, k: Optional[int], engine: str,
-              options: Dict[str, Any]):
+              options: Dict[str, Any]) -> SolveOutcome:
     """Run one solve on ``engine``: MVC when ``k`` is None, else PVC."""
     row = ENGINE_TABLE.get(engine)
     if row is None:
@@ -229,18 +212,12 @@ def _dispatch(graph: CSRGraph, k: Optional[int], engine: str,
                        if key in ctor)
         run = getattr(module, row.mvc if k is None else row.pvc)
     options.update(row.fixed)
-    return run(graph, **options) if k is None else run(graph, k, **options)
-
-
-def _dispatch_mvc(graph: CSRGraph, *, engine: str = "sequential", **options: Any):
-    """:func:`_dispatch` in the call shape the cache layer's ``dispatch=`` uses."""
-    return _dispatch(graph, None, engine, options)
-
-
-def _dispatch_pvc(graph: CSRGraph, k: int, *, engine: str = "sequential",
-                  **options: Any):
-    """:func:`_dispatch` in the call shape the cache layer's ``dispatch=`` uses."""
-    return _dispatch(graph, k, engine, options)
+    out = run(graph, **options) if k is None else run(graph, k, **options)
+    if out.engine != engine:  # an alias row: report the name it was called by
+        out.engine = engine
+        if out.checkpoint is not None:
+            out.checkpoint.engine = engine
+    return out
 
 
 def _reject_frontier_opt(engine: str, options: Dict[str, Any]) -> None:

@@ -5,13 +5,13 @@ The wall-clock worker-pool engine (``distributed``, with its
 :mod:`repro.net.distributed`; the solve facade's
 :data:`repro.core.solver.ENGINE_TABLE` lists every engine."""
 
-from .base import EngineResult, SimEngineBase
+from .base import LaunchReport, SimEngineBase
 from .globalonly import GlobalOnlyEngine
 from .hybrid import HybridEngine
 from .stackonly import StackOnlyEngine
 
 __all__ = [
-    "EngineResult",
+    "LaunchReport",
     "SimEngineBase",
     "GlobalOnlyEngine",
     "HybridEngine",

@@ -42,6 +42,7 @@ from ..core.formulation import (
     PVCFormulation,
 )
 from ..core.greedy import greedy_cover
+from ..core.outcome import SolveOutcome, finish_outcome
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, fresh_state
 from ..sim.broker import BrokerWorklist
@@ -52,7 +53,7 @@ from ..sim.launch import LaunchConfig, select_launch_config
 from ..sim.metrics import LaunchMetrics
 from ..sim.scheduler import Simulator
 
-__all__ = ["EngineResult", "SimEngineBase", "PRUNED", "SOLUTION"]
+__all__ = ["LaunchReport", "SimEngineBase", "PRUNED", "SOLUTION"]
 
 #: Sentinels returned by the node-processing step.
 PRUNED = "pruned"
@@ -60,33 +61,16 @@ SOLUTION = "solution"
 
 
 @dataclass
-class EngineResult:
-    """Outcome of one simulated kernel launch."""
+class LaunchReport:
+    """What one simulated kernel launch measured; rides in
+    :attr:`SolveOutcome.stats <repro.core.outcome.SolveOutcome>`."""
 
-    engine: str
-    formulation: str
-    optimum: Optional[int]
-    cover: Optional[np.ndarray]
-    feasible: Optional[bool]
-    timed_out: bool
     makespan_cycles: float
     sim_seconds: float
-    nodes_visited: int
-    greedy_size: int
     launch: LaunchConfig
     metrics: LaunchMetrics
     worklist_stats: Optional[Any] = None
     params: Dict[str, Any] = field(default_factory=dict)
-    #: tree nodes still pending when an interrupted launch wound down —
-    #: block stacks + in-flight states + the worklist + unstarted sub-trees.
-    #: Empty unless ``timed_out``; the anytime layer checkpoints these.
-    pending_states: List[VCState] = field(default_factory=list)
-    #: the wall-clock ``deadline`` (not the node/cycle budget) tripped.
-    deadline_tripped: bool = False
-
-    @property
-    def stats(self):  # parity with SearchOutcome for harness code
-        return self
 
 
 class SimEngineBase:
@@ -141,28 +125,22 @@ class SimEngineBase:
         roots: Optional[Sequence[VCState]] = None,
         initial_best: Optional[Tuple[int, np.ndarray]] = None,
         **_: Any,
-    ) -> EngineResult:
+    ) -> SolveOutcome:
         """Minimum vertex cover on the simulated device.
 
         ``deadline`` is a wall-clock budget in seconds; ``roots`` seeds the
         launch from a checkpoint's pending states instead of the fresh
         root; ``initial_best`` ``(size, cover)`` pre-loads an incumbent
-        stronger than the greedy one (both used by the anytime layer).
+        stronger than the greedy one.
         """
         greedy = greedy_cover(graph, kernels=self.kernels)
         best = BestBound(size=greedy.size, cover=greedy.cover)
         if initial_best is not None and initial_best[0] < best.size:
             best = BestBound(size=int(initial_best[0]),
                              cover=np.asarray(initial_best[1], dtype=np.int32))
-        formulation = MVCFormulation(best)
-        depth_bound = max(greedy.size + 1, 2)
-        if graph.m == 0:
-            return self._empty_result("mvc", graph, greedy.size)
-        result = self._run(graph, formulation, depth_bound, node_budget, greedy.size,
-                           cycle_budget=cycle_budget, deadline=deadline, roots=roots)
-        result.optimum = best.size
-        result.cover = best.cover
-        return result
+        return self._run(graph, MVCFormulation(best), max(greedy.size + 1, 2),
+                         node_budget, cycle_budget=cycle_budget, deadline=deadline,
+                         roots=roots)
 
     def solve_pvc(
         self,
@@ -174,24 +152,13 @@ class SimEngineBase:
         deadline: Optional[float] = None,
         roots: Optional[Sequence[VCState]] = None,
         **_: Any,
-    ) -> EngineResult:
+    ) -> SolveOutcome:
         """Parameterized vertex cover on the simulated device."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        greedy = greedy_cover(graph, kernels=self.kernels)
-        flag = FoundFlag()
-        formulation = PVCFormulation(k=k, flag=flag)
-        depth_bound = max(k + 1, 2)
-        if graph.m == 0:
-            res = self._empty_result("pvc", graph, greedy.size)
-            res.optimum, res.feasible, res.cover = 0, True, np.empty(0, dtype=np.int32)
-            return res
-        result = self._run(graph, formulation, depth_bound, node_budget, greedy.size,
-                           cycle_budget=cycle_budget, deadline=deadline, roots=roots)
-        result.optimum = flag.size
-        result.cover = flag.cover
-        result.feasible = None if (result.timed_out and not flag.found) else flag.found
-        return result
+        return self._run(graph, PVCFormulation(k=k, flag=FoundFlag()), max(k + 1, 2),
+                         node_budget, cycle_budget=cycle_budget, deadline=deadline,
+                         roots=roots)
 
     # ------------------------------------------------------------------ #
     # launch machinery
@@ -202,11 +169,19 @@ class SimEngineBase:
         formulation: Formulation,
         depth_bound: int,
         node_budget: Optional[int],
-        greedy_size: int,
         cycle_budget: Optional[float] = None,
         deadline: Optional[float] = None,
         roots: Optional[Sequence[VCState]] = None,
-    ) -> EngineResult:
+    ) -> SolveOutcome:
+        start = time.perf_counter()
+        k = formulation.k if isinstance(formulation, PVCFormulation) else None
+        if graph.m == 0:
+            launch = select_launch_config(self.device, max(graph.n, 1), 1)
+            report = LaunchReport(0.0, 0.0, launch,
+                                  LaunchMetrics(blocks=[], num_sms=self.device.num_sms),
+                                  params=self._params())
+            return finish_outcome(graph, k, engine=self.name,
+                                  cover=np.empty(0, dtype=np.int32), stats=report)
         launch = select_launch_config(
             self.device, graph.n, depth_bound, block_size_override=self.block_size_override
         )
@@ -251,8 +226,8 @@ class SimEngineBase:
             ctx.metrics.finish_time = ctx.now
         # Interrupted launches leave their unexplored remainder spread over
         # block stacks, in-flight deposits, the worklist, and (StackOnly)
-        # the undispensed sub-trees — gather all of it so the anytime layer
-        # can checkpoint a frontier that dominates the untraversed tree.
+        # the undispensed sub-trees — gather all of it so the checkpoint
+        # holds a frontier that dominates the untraversed tree.
         pending: List[VCState] = []
         if shared.timed_out:
             for ctx in contexts:
@@ -262,42 +237,23 @@ class SimEngineBase:
                 pending.extend(worklist.entries)
                 worklist.entries.clear()
             pending.extend(self._unstarted_roots(shared))
-        return EngineResult(
-            engine=self.name,
-            formulation=formulation.name,
-            optimum=None,
-            cover=None,
-            feasible=None,
-            timed_out=shared.timed_out,
-            makespan_cycles=makespan,
-            sim_seconds=self.device.cycles_to_seconds(makespan),
-            nodes_visited=shared.nodes_visited,
-            greedy_size=greedy_size,
-            launch=launch,
-            metrics=metrics,
-            worklist_stats=worklist.stats,
-            params=self._params(),
-            pending_states=pending,
-            deadline_tripped=shared.deadline_tripped,
-        )
-
-    def _empty_result(self, formulation_name: str, graph: CSRGraph, greedy_size: int) -> EngineResult:
-        launch = select_launch_config(self.device, max(graph.n, 1), 1)
-        return EngineResult(
-            engine=self.name,
-            formulation=formulation_name,
-            optimum=0,
-            cover=np.empty(0, dtype=np.int32),
-            feasible=None,
-            timed_out=False,
-            makespan_cycles=0.0,
-            sim_seconds=0.0,
-            nodes_visited=0,
-            greedy_size=greedy_size,
-            launch=launch,
-            metrics=LaunchMetrics(blocks=[], num_sms=self.device.num_sms),
-            params=self._params(),
-        )
+        if k is None:
+            cover, size = formulation.best.cover, formulation.best.size
+        else:
+            cover, size = formulation.flag.cover, formulation.flag.size
+        return finish_outcome(
+            graph, k, engine=self.name, cover=cover, size=size,
+            interrupted=shared.timed_out, deadline_tripped=shared.deadline_tripped,
+            nodes=shared.nodes_visited, pending=[(state, 0) for state in pending],
+            bound=self.bound, wall_seconds=time.perf_counter() - start,
+            stats=LaunchReport(
+                makespan_cycles=makespan,
+                sim_seconds=self.device.cycles_to_seconds(makespan),
+                launch=launch,
+                metrics=metrics,
+                worklist_stats=worklist.stats,
+                params=self._params(),
+            ))
 
     # ------------------------------------------------------------------ #
     # hooks

@@ -62,6 +62,8 @@ class GlobalOnlyEngine(SimEngineBase):
                     current = yield from self.wl_wait_remove(ctx)
                     if current is None:
                         break
+                if shared.timed_out:  # a budget tripped while this block waited
+                    break
             outcome = self.process_node(ctx, current)
             if outcome is PRUNED or outcome is SOLUTION:
                 yield ctx.take_pending()

@@ -48,7 +48,8 @@ class CSRGraph:
     paper's kernels never modify) raises immediately.
     """
 
-    __slots__ = ("indptr", "indices", "n", "m", "_degrees", "_edge_keys", "_adj_tuples")
+    __slots__ = ("indptr", "indices", "n", "m", "_degrees", "_rows", "_edge_keys",
+                 "_adj_tuples")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, *, validate: bool = True):
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -66,6 +67,7 @@ class CSRGraph:
             raise ValueError("indices length must be even for an undirected graph")
         self.m = int(indices.size // 2)
         self._degrees = np.diff(indptr).astype(np.int32)
+        self._rows = None  # lazy source vertex of every CSR entry
         self._edge_keys = None  # lazy sorted (u * n + v) keys for has_edges
         self._adj_tuples = None  # lazy tuple-of-tuples adjacency for scalar kernels
         if validate:
@@ -163,6 +165,15 @@ class CSRGraph:
         pos = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets[:-1], counts)
         return self.indices[pos], counts, offsets
 
+    def row_ids(self) -> np.ndarray:
+        """The source vertex of every CSR entry (lazily cached, read-only):
+        ``row_ids()[i]`` and ``indices[i]`` are the two ends of a half-edge."""
+        if self._rows is None:
+            rows = np.repeat(np.arange(self.n, dtype=np.int32), self._degrees)
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
+
     def _sorted_edge_keys(self) -> np.ndarray:
         """Lazily built, globally sorted ``u * n + v`` key per half-edge.
 
@@ -170,8 +181,7 @@ class CSRGraph:
         is globally ascending without any extra sort.
         """
         if self._edge_keys is None:
-            src = np.repeat(np.arange(self.n, dtype=np.int64), self._degrees)
-            keys = src * self.n + self.indices
+            keys = self.row_ids().astype(np.int64) * self.n + self.indices
             keys.setflags(write=False)
             self._edge_keys = keys
         return self._edge_keys
@@ -203,6 +213,7 @@ class CSRGraph:
         plain-Python adjacency used by the scalar kernels — skip it for
         large graphs, which never take the scalar path.
         """
+        self.row_ids()
         self._sorted_edge_keys()
         if adjacency:
             self.adjacency_tuples()
@@ -238,7 +249,7 @@ class CSRGraph:
         """All edges as an ``(m, 2)`` array with ``u < v`` per row."""
         if self.m == 0:
             return np.empty((0, 2), dtype=np.int32)
-        src = np.repeat(np.arange(self.n, dtype=np.int32), self._degrees)
+        src = self.row_ids()
         mask = src < self.indices
         return np.stack([src[mask], self.indices[mask]], axis=1)
 
@@ -264,8 +275,7 @@ class CSRGraph:
         if n == 0:
             return CSRGraph.empty(0)
         present = np.zeros((n, n), dtype=bool)
-        src = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
-        present[src, self.indices] = True
+        present[self.row_ids(), self.indices] = True
         np.fill_diagonal(present, True)
         rows, cols = np.nonzero(~present)
         indptr = np.zeros(n + 1, dtype=np.int64)

@@ -69,7 +69,8 @@ before its ``lease_done`` gets its batch re-enqueued, exactly like a
 dead local worker, and the slot is respawned (as a worker thread) with
 the same bounded-retry policy.  If every peer is gone with work
 outstanding, the coordinator drains the remainder inline through the
-sequential solver.
+sequential solver, within what is left of the node budget and the
+deadline.
 
 ``need`` is the coordinator's count of peers waiting for a lease that
 no queued batch can feed (waiting unfed peers minus queued batches,
@@ -105,7 +106,6 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,11 +113,12 @@ import numpy as np
 from .. import faults
 from ..core import native
 from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
-from ..core.frontier import LifoFrontier
 from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
-from ..core.sequential import ChunkWalk, branch_and_reduce
+from ..core.outcome import SolveOutcome, finish_outcome
+from ..core.sequential import ChunkWalk, solve_mvc_sequential, solve_pvc_sequential
 from ..core.stats import SearchStats
+from ..core.verify import cover_defect
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, fresh_state, wire_nbytes
 from ..graph.plane import GraphPlane, publish_plane
@@ -126,7 +127,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .transport import MessageStream, ProtocolError, TransportClosed
 
-__all__ = ["CommStats", "CpuParallelResult", "solve_mvc_distributed",
+__all__ = ["CommStats", "solve_mvc_distributed",
            "solve_pvc_distributed", "run_worker_client"]
 
 #: How long the coordinator waits for the first worker to join before
@@ -164,7 +165,7 @@ class CommStats:
     """Per-worker communication counters (messages, bytes, lease traffic).
 
     Accumulated inside each worker, shipped home with its ``result``
-    frame, and aggregated onto :attr:`CpuParallelResult.comms` — so the
+    frame, and aggregated onto :attr:`SolveOutcome.comms` — so the
     GlobalOnly-vs-Hybrid question is answerable in traffic terms, not
     just node counts.  ``repro solve --stats`` prints the totals, and
     :func:`repro.obs.metrics.publish_comms` folds them into the metrics
@@ -200,44 +201,6 @@ class CommStats:
             for name, value in counters.items():
                 out[name] = out.get(name, 0) + value
         return out
-
-
-@dataclass
-class CpuParallelResult:
-    """Outcome of a worker-pool run."""
-
-    engine: str
-    formulation: str
-    optimum: Optional[int]
-    cover: Optional[np.ndarray]
-    feasible: Optional[bool]
-    timed_out: bool
-    nodes_visited: int
-    n_workers: int
-    wall_seconds: float
-    greedy_size: int
-    per_worker_nodes: List[int] = field(default_factory=list)
-    #: tree nodes still pending when an interrupted run wound down —
-    #: worker leftovers plus the queued batches (anytime checkpoints).
-    pending_states: List[VCState] = field(default_factory=list)
-    #: the wall-clock ``deadline`` (not the node budget) tripped.
-    deadline_tripped: bool = False
-    #: injected step faults recovered by re-enqueueing the pre-step state.
-    faults_recovered: int = 0
-    #: workers that died mid-run (their in-flight work was preserved).
-    workers_lost: int = 0
-    #: communication counters — ``{"per_worker": {wid: {...}},
-    #: "totals": {...}}`` (messages, bytes, leases, donations, idle time).
-    comms: Optional[Dict[str, object]] = None
-    #: fault-supervision outcomes, surfaced instead of buried in
-    #: ``RuntimeWarning``s: ``recovered`` / ``workers_lost`` /
-    #: ``respawns`` / ``retired_slots`` / ``inline_drains`` /
-    #: ``lost_nodes``.
-    supervision: Optional[Dict[str, float]] = None
-
-    @property
-    def stats(self):  # harness parity
-        return self
 
 
 def _codec_fns(
@@ -690,14 +653,13 @@ def _spawn_host_process(port: int) -> "subprocess.Popen":
     )
 
 
-def _checked_cover(graph: CSRGraph, rows: np.ndarray, size: int,
-                   k: Optional[int], payload: object) -> np.ndarray:
+def _checked_cover(graph: CSRGraph, size: int, k: Optional[int],
+                   payload: object) -> np.ndarray:
     """Decode a worker's ``best`` cover, or raise ``ProtocolError``.
 
-    The size must be an int (at most ``k`` for PVC), and the cover must
-    have exactly that many vertices, distinct and in ``[0, n)``, and
-    cover every edge; ``rows`` is the row index of each CSR entry, so
-    the edge test is one vectorized pass over ``indices``.
+    The size must be an int, and the cover must have exactly that many
+    vertices and certify it (:func:`~repro.core.verify.cover_defect`:
+    distinct, in ``[0, n)``, at most ``k`` for PVC, every edge covered).
     """
     if type(size) is not int:
         raise ProtocolError(f"best frame: size {size!r} is not an int")
@@ -708,16 +670,9 @@ def _checked_cover(graph: CSRGraph, rows: np.ndarray, size: int,
     if cover.size != size:
         raise ProtocolError(f"best frame claims size {size} but carries "
                             f"{cover.size} vertices")
-    if k is not None and size > k:
-        raise ProtocolError(f"best frame: cover of size {size} exceeds k={k}")
-    if cover.size and (int(cover.min()) < 0 or int(cover.max()) >= graph.n):
-        raise ProtocolError("best frame: cover vertex out of range")
-    member = np.zeros(graph.n, dtype=bool)
-    member[cover] = True
-    if int(np.count_nonzero(member)) != size:
-        raise ProtocolError("best frame: repeated cover vertices")
-    if not np.all(member[rows] | member[graph.indices]):
-        raise ProtocolError("best frame: cover leaves an edge uncovered")
+    defect = cover_defect(graph, cover, k=k)
+    if defect is not None:
+        raise ProtocolError(f"best frame: {defect}")
     return cover.copy()
 
 
@@ -765,38 +720,33 @@ def _check_live_frame(msg: object) -> str:
     return kind
 
 
-def _drain_inline(
-    graph: CSRGraph,
-    mode: str,
-    k: int,
-    states: List[VCState],
-    initial_best: int,
-    initial_cover: Optional[np.ndarray],
-    bound: str,
-    kernels: Optional[str] = None,
-) -> Tuple[Optional[int], Optional[np.ndarray]]:
-    """Last-resort fallback: every peer is gone — the coordinator finishes.
+def _drain_inline(graph: CSRGraph, mode: str, k: int, run: _DistRun,
+                  states: List[VCState], *, node_budget: Optional[int],
+                  deadline_at: Optional[float], bound: str, kernels: str) -> None:
+    """Last resort: every peer is gone, so the coordinator finishes.
 
-    Solves the remaining sub-trees sequentially against the best incumbent
-    the coordinator holds; returns the (possibly improved) incumbent.
+    The remaining sub-trees go to the sequential solver, seeded with the
+    coordinator's incumbent and held to what is left of the node budget
+    and the deadline.  Its nodes count towards ``run.nodes``; what it
+    leaves unfinished becomes ``run.pending`` of an interrupted run.
     """
-    formulation: Formulation
+    budget = None if node_budget is None else max(0, node_budget - run.nodes)
+    deadline = None if deadline_at is None else max(0.0, deadline_at - time.monotonic())
     if mode == "mvc":
-        best = BestBound(size=initial_best, cover=initial_cover)
-        formulation = MVCFormulation(best)
+        out = solve_mvc_sequential(graph, roots=states, node_budget=budget,
+                                   deadline=deadline, bound=bound, kernels=kernels,
+                                   initial_best=(run.best_size, run.best_cover))
     else:
-        flag = FoundFlag()
-        formulation = PVCFormulation(k=k, flag=flag)
-    frontier = LifoFrontier()
-    for state in states[1:]:
-        frontier.push((state, 0))
-    branch_and_reduce(graph, formulation, root=states[0], frontier=frontier,
-                      bound=bound, kernels=kernels)
-    if mode == "mvc":
-        return best.size, best.cover
-    if flag.found:
-        return flag.size, flag.cover
-    return None, None
+        out = solve_pvc_sequential(graph, k, roots=states, node_budget=budget,
+                                   deadline=deadline, bound=bound, kernels=kernels)
+    run.nodes += out.nodes_visited
+    if out.cover is not None and (run.best_size is None or out.optimum <= run.best_size):
+        run.best_size, run.best_cover = out.optimum, out.cover
+        run.found = mode == "pvc"
+    if out.timed_out and not run.found:
+        run.timed_out = True
+        run.deadline_tripped = out.deadline_tripped
+        run.pending = [state for state, _ in out.checkpoint.states()]
 
 
 def _run_distributed(
@@ -837,7 +787,6 @@ def _run_distributed(
     # over every expected worker.
     pool = [enc(state) for state in ([fresh_state(graph)] if roots is None else roots)]
     released = [False]
-    edge_rows = np.repeat(np.arange(graph.n, dtype=np.int32), np.diff(graph.indptr))
 
     init_params = {
         "mode": mode, "k": k, "bound": bound, "kernels": kernels_name,
@@ -949,8 +898,7 @@ def _run_distributed(
             broadcast(("done",))
 
     def offer_best(size: int, payload) -> None:
-        cover = _checked_cover(graph, edge_rows, size,
-                               k if mode == "pvc" else None, payload)
+        cover = _checked_cover(graph, size, k if mode == "pvc" else None, payload)
         if run.best_size is None or size < run.best_size:
             run.best_size = size
             run.best_cover = cover
@@ -1262,16 +1210,9 @@ def _run_distributed(
                 f"distributed: draining {len(remaining)} sub-trees inline",
                 RuntimeWarning,
             )
-            size, cover = _drain_inline(
-                graph, mode, k, [dec(w) for w in remaining],
-                run.best_size if mode == "mvc" and run.best_size is not None
-                else (initial_best if mode == "mvc" else k),
-                run.best_cover, bound, kernels_name,
-            )
-            if size is not None and (run.best_size is None or size <= run.best_size):
-                run.best_size, run.best_cover = size, cover
-                if mode == "pvc":
-                    run.found = True
+            _drain_inline(graph, mode, k, run, [dec(w) for w in remaining],
+                          node_budget=node_budget, deadline_at=deadline_at,
+                          bound=bound, kernels=kernels_name)
         run.supervision = {
             "recovered": float(run.recovered),
             "workers_lost": float(run.lost),
@@ -1319,7 +1260,7 @@ def solve_mvc_distributed(
     roots: Optional[Sequence[VCState]] = None,
     initial_best: Optional[Tuple[int, np.ndarray]] = None,
     **_: object,
-) -> CpuParallelResult:
+) -> SolveOutcome:
     """Minimum vertex cover with a coordinator + socket-worker pool.
 
     ``threshold`` (at least 1) caps the sub-trees one donation hands
@@ -1327,38 +1268,20 @@ def solve_mvc_distributed(
     lease batch per waiting peer.
     """
     _check_pool(n_workers, hosts, threshold)
+    if graph.m == 0:
+        return finish_outcome(graph, None, engine="distributed",
+                              cover=np.empty(0, dtype=np.int32))
     greedy = greedy_cover(graph, kernels=kernels)
     best0, cover0 = greedy.size, greedy.cover
     if initial_best is not None and initial_best[0] < best0:
         best0 = int(initial_best[0])
         cover0 = np.asarray(initial_best[1], dtype=np.int32)
-    if graph.m == 0:
-        return CpuParallelResult("distributed", "mvc", 0, np.empty(0, dtype=np.int32),
-                                 None, False, 0, n_workers + hosts, 0.0, greedy.size)
     run = _run_distributed(
         graph, "mvc", 0, n_workers=n_workers, hosts=hosts, threshold=threshold,
         node_budget=node_budget, initial_best=best0, initial_cover=cover0,
         bound=bound, kernels=kernels, deadline=deadline, roots=roots,
     )
-    return CpuParallelResult(
-        engine="distributed",
-        formulation="mvc",
-        optimum=run.best_size,
-        cover=run.best_cover,
-        feasible=None,
-        timed_out=run.timed_out,
-        nodes_visited=run.nodes,
-        n_workers=n_workers + hosts,
-        wall_seconds=run.wall,
-        greedy_size=greedy.size,
-        per_worker_nodes=run.per_worker,
-        pending_states=run.pending,
-        deadline_tripped=run.deadline_tripped,
-        faults_recovered=run.recovered,
-        workers_lost=run.lost,
-        comms=run.comms,
-        supervision=run.supervision,
-    )
+    return _finish(graph, None, run, bound)
 
 
 def solve_pvc_distributed(
@@ -1374,7 +1297,7 @@ def solve_pvc_distributed(
     deadline: Optional[float] = None,
     roots: Optional[Sequence[VCState]] = None,
     **_: object,
-) -> CpuParallelResult:
+) -> SolveOutcome:
     """Parameterized vertex cover with a coordinator + socket-worker pool.
 
     ``threshold`` caps one donation, as in :func:`solve_mvc_distributed`.
@@ -1382,38 +1305,24 @@ def solve_pvc_distributed(
     if k < 0:
         raise ValueError("k must be non-negative")
     _check_pool(n_workers, hosts, threshold)
-    greedy = greedy_cover(graph, kernels=kernels)
     if graph.m == 0:
-        return CpuParallelResult("distributed", "pvc", 0, np.empty(0, dtype=np.int32),
-                                 True, False, 0, n_workers + hosts, 0.0, greedy.size)
+        return finish_outcome(graph, k, engine="distributed",
+                              cover=np.empty(0, dtype=np.int32))
     run = _run_distributed(
         graph, "pvc", k, n_workers=n_workers, hosts=hosts, threshold=threshold,
         node_budget=node_budget, initial_best=graph.n + 1, initial_cover=None,
         bound=bound, kernels=kernels, deadline=deadline, roots=roots,
     )
-    feasible: Optional[bool]
-    if run.found and run.best_cover is not None:
-        feasible = True
-    elif run.timed_out:
-        feasible = None
-    else:
-        feasible = False
-    return CpuParallelResult(
-        engine="distributed",
-        formulation="pvc",
-        optimum=run.best_size if feasible else None,
-        cover=run.best_cover if feasible else None,
-        feasible=feasible,
-        timed_out=run.timed_out,
-        nodes_visited=run.nodes,
-        n_workers=n_workers + hosts,
-        wall_seconds=run.wall,
-        greedy_size=greedy.size,
-        per_worker_nodes=run.per_worker,
-        pending_states=run.pending,
-        deadline_tripped=run.deadline_tripped,
-        faults_recovered=run.recovered,
-        workers_lost=run.lost,
-        comms=run.comms,
-        supervision=run.supervision,
-    )
+    return _finish(graph, k, run, bound)
+
+
+def _finish(graph: CSRGraph, k: Optional[int], run: _DistRun, bound: str) -> SolveOutcome:
+    """The outcome of one run; ``stats`` is the per-worker node counts."""
+    return finish_outcome(
+        graph, k, engine="distributed",
+        cover=run.best_cover if k is None or run.found else None,
+        size=run.best_size, interrupted=run.timed_out,
+        deadline_tripped=run.deadline_tripped, nodes=run.nodes,
+        pending=[(state, 0) for state in run.pending], bound=bound,
+        wall_seconds=run.wall, stats=run.per_worker, comms=run.comms,
+        supervision=run.supervision)

@@ -48,8 +48,9 @@ class SharedState:
     cycle_budget: Optional[float] = None
     #: bound-policy name every block's NodeStep prunes with (BOUNDS registry).
     bound: str = DEFAULT_BOUND
-    #: wall-clock deadline (absolute ``time.monotonic`` value) — the anytime
-    #: layer's real-time breaker, distinct from the *virtual* cycle budget.
+    #: wall-clock deadline (absolute ``time.monotonic`` value) — the
+    #: ``deadline`` option's real-time breaker, distinct from the *virtual*
+    #: cycle budget.
     deadline_at: Optional[float] = None
     nodes_visited: int = 0
     timed_out: bool = False
@@ -117,7 +118,7 @@ class BlockContext:
         self.tracer = None       # optional repro.sim.trace.TraceRecorder
         #: states this block still held when the launch was interrupted —
         #: the engine programs deposit their in-flight node here on exit,
-        #: and the base engine folds it into ``EngineResult.pending_states``.
+        #: and the base engine folds it into the outcome's checkpoint.
         self.leftover: List = []
 
     # ------------------------------------------------------------------ #

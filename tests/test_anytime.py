@@ -1,4 +1,4 @@
-"""Anytime solves: SolveOutcome, checkpoints, and resume ≡ clean-run.
+"""Interrupted solves: SolveOutcome, checkpoints, and resume ≡ clean-run.
 
 The contract under test: interrupting a solve (node budget or wall-clock
 deadline) on *any* engine yields a structured outcome whose checkpoint,
@@ -10,15 +10,15 @@ leg.
 import numpy as np
 import pytest
 
-from repro.core.anytime import resume_from, solve_anytime, solve_to_completion
+from repro.core.anytime import resume_from, solve_to_completion
 from repro.core.outcome import (
     CHECKPOINT_VERSION,
     Checkpoint,
     classify_status,
+    finish_outcome,
 )
 from repro.core.sequential import solve_mvc_sequential
-from repro.core.solver import ENGINES
-from repro.core.verify import assert_valid_cover
+from repro.core.solver import ENGINES, solve_mvc, solve_pvc
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph, petersen
 
@@ -49,7 +49,7 @@ def reference(graph):
 class TestCleanSolves:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_mvc_optimal(self, graph, reference, engine):
-        out = solve_anytime(graph, engine=engine, **kw(engine))
+        out = solve_mvc(graph, engine=engine, **kw(engine))
         assert out.status == "optimal" and out.complete
         assert out.optimum == reference
         assert out.lower_bound == reference
@@ -60,27 +60,18 @@ class TestCleanSolves:
         from repro.graph.csr import CSRGraph
 
         empty = CSRGraph.from_edges(4, [])
-        out = solve_anytime(empty)
+        out = solve_mvc(empty)
         assert out.status == "optimal" and out.optimum == 0
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_pvc_feasible_and_infeasible(self, graph, reference, engine):
-        yes = solve_anytime(graph, reference, engine=engine, **kw(engine))
-        assert yes.status == "optimal" and yes.optimum <= reference
-        assert_valid_cover(graph, yes.cover, yes.optimum)
-        no = solve_anytime(graph, reference - 1, engine=engine, **kw(engine))
-        assert no.status == "optimal" and no.optimum is None
-        assert no.lower_bound == reference  # proven: no cover of size k
 
     def test_unknown_engine_rejected(self, graph):
         with pytest.raises(ValueError, match="engine"):
-            solve_anytime(graph, engine="warp-drive")
+            solve_mvc(graph, engine="warp-drive")
 
 
 class TestDeadlineAndResume:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_deadline_zero_resumes_to_optimum(self, graph, reference, engine):
-        out = solve_anytime(graph, engine=engine, deadline=0.0, **kw(engine))
+        out = solve_mvc(graph, engine=engine, deadline=0.0, **kw(engine))
         assert out.status in ("feasible", "bound_only")
         assert not out.complete and out.resumable
         assert out.checkpoint is not None
@@ -95,19 +86,19 @@ class TestDeadlineAndResume:
         assert sorted(final.cover) == sorted(set(final.cover))
 
     def test_node_budget_trips_with_budget_status(self, graph):
-        out = solve_anytime(graph, engine="sequential", node_budget=1)
+        out = solve_mvc(graph, engine="sequential", node_budget=1)
         assert out.status == "budget_exhausted"
-        assert out.resumable and out.nodes <= 1
+        assert out.resumable and out.nodes_visited <= 1
 
     def test_nodes_accumulate_across_legs(self, graph, reference):
-        clean = solve_anytime(graph, engine="sequential")
+        clean = solve_mvc(graph, engine="sequential")
         final = solve_to_completion(graph, engine="sequential", node_budget=3)
         assert final.optimum == reference
         # resumed legs may re-expand re-enqueued roots, never fewer nodes
-        assert final.nodes >= clean.nodes
+        assert final.nodes_visited >= clean.nodes_visited
 
     def test_cross_engine_resume(self, graph, reference):
-        out = solve_anytime(graph, engine="sequential", deadline=0.0)
+        out = solve_mvc(graph, engine="sequential", deadline=0.0)
         assert out.checkpoint is not None
         final = resume_from(out.checkpoint, graph, engine="cpu-threads",
                             n_workers=2)
@@ -116,15 +107,15 @@ class TestDeadlineAndResume:
         assert final.optimum == reference
 
     def test_pvc_deadline_then_resume(self, graph, reference):
-        out = solve_anytime(graph, reference, engine="sequential", deadline=0.0)
+        out = solve_pvc(graph, reference, engine="sequential", deadline=0.0)
         final = out
         while not final.complete:
             final = resume_from(final.checkpoint, graph)
         assert final.optimum is not None and final.optimum <= reference
 
     def test_deadline_zero_is_deterministic_interrupt(self, graph):
-        out = solve_anytime(graph, engine="sequential", deadline=0.0)
-        assert out.nodes == 0 and out.resumable
+        out = solve_mvc(graph, engine="sequential", deadline=0.0)
+        assert out.nodes_visited == 0 and out.resumable
 
 
 class TestChainedEquivalence:
@@ -161,7 +152,7 @@ class TestChainedEquivalence:
 
 class TestCheckpointCodec:
     def test_roundtrip_bytes_and_disk(self, graph, tmp_path):
-        out = solve_anytime(graph, engine="sequential", deadline=0.0)
+        out = solve_mvc(graph, engine="sequential", deadline=0.0)
         cp = out.checkpoint
         again = Checkpoint.from_bytes(cp.to_bytes())
         assert again.engine == cp.engine and again.bound == cp.bound
@@ -182,7 +173,7 @@ class TestCheckpointCodec:
         assert final.optimum == solve_mvc_sequential(graph).optimum
 
     def test_graph_shape_validated(self, graph):
-        out = solve_anytime(graph, engine="sequential", deadline=0.0)
+        out = solve_mvc(graph, engine="sequential", deadline=0.0)
         wrong = gnp(12, 0.3, seed=9)
         with pytest.raises(ValueError, match="graph"):
             resume_from(out.checkpoint, wrong)
@@ -224,6 +215,14 @@ class TestStatusLadder:
         assert classify_status(interrupted=True, trigger="deadline",
                                formulation="pvc", has_cover=True,
                                optimum=4, lower_bound=2, k=5) == "optimal"
+
+    def test_interrupted_with_nothing_pending_is_complete(self):
+        """A budget that trips as the last sub-tree finishes leaves an
+        exhausted tree: a PVC search without a witness is refuted."""
+        out = finish_outcome(petersen(), 5, engine="sequential", cover=None,
+                             interrupted=True, pending=())
+        assert out.status == "optimal" and out.feasible is False
+        assert out.lower_bound == 6 and out.checkpoint is None and out.timed_out
 
     def test_pvc_bound_proves_infeasible(self):
         assert classify_status(interrupted=True, trigger="deadline",

@@ -449,7 +449,7 @@ class TestDefaultBoundBitIdentity:
                                         worklist_capacity=64).solve_mvc(g)
             else:
                 baseline = StackOnlyEngine(device=TINY_SIM, start_depth=3).solve_mvc(g)
-            assert default.makespan_cycles == baseline.makespan_cycles, ename
+            assert default.stats.makespan_cycles == baseline.stats.makespan_cycles, ename
             assert default.nodes_visited == baseline.nodes_visited, ename
             assert default.optimum == baseline.optimum, ename
 
@@ -469,7 +469,7 @@ class TestDefaultBoundBitIdentity:
                            bound="matching").solve_mvc(g)
         charged = sum(
             block.cycles_by_kind.get("lower_bound", 0.0)
-            for block in res.metrics.blocks
+            for block in res.stats.metrics.blocks
         )
         assert charged > 0.0
-        assert res.params["bound"] == "matching"
+        assert res.stats.params["bound"] == "matching"

@@ -30,11 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (CachedSolveResult, CacheUnavailableWarning,
-                         SolveCache, cached_solve_anytime, cached_solve_mvc,
-                         cached_solve_pvc, config_hash, resolve_cache)
+from repro.cache import (CacheUnavailableWarning, SolveCache, config_hash,
+                         resolve_cache)
 from repro.cache.store import CacheEntry, CacheStore
-from repro.core.anytime import solve_anytime
+from repro.core.outcome import SolveOutcome
 from repro.core.solver import solve_mvc, solve_pvc
 from repro.core.verify import assert_valid_cover, is_vertex_cover
 from repro.graph.canonical import canonical_form, canonical_key, wl_colors
@@ -275,12 +274,13 @@ class TestUnusableRoot:
         g = phat_complement(30, 2, seed=3)
         expected = solve_mvc(g, cache=False).optimum
         mvc = self._solve_warns(bad_root, lambda: solve_mvc(g, cache=bad_root))
-        assert not isinstance(mvc, CachedSolveResult)
+        assert mvc.engine != "cache"
         assert mvc.optimum == expected and mvc.stats.nodes_visited > 0
         assert_valid_cover(g, mvc.cover, expected_size=expected)
         pvc = self._solve_warns(bad_root, lambda: solve_pvc(g, expected, cache=bad_root))
         assert pvc.feasible is True and len(pvc.cover) <= expected
-        anytime = self._solve_warns(bad_root, lambda: solve_anytime(g, cache=bad_root))
+        anytime = self._solve_warns(bad_root, lambda: solve_mvc(g, cache=bad_root,
+                                                                deadline=60.0))
         assert anytime.status == "optimal" and anytime.optimum == expected
 
     def test_env_root_warns_and_solves_uncached(self, bad_root, monkeypatch):
@@ -396,9 +396,9 @@ class TestComponentMemoization:
         out_a = solve_mvc(a, cache=cache)
         union = disjoint_union(a, b)
         out = solve_mvc(union, cache=cache)
-        assert isinstance(out, CachedSolveResult)
-        assert out.n_components == 2
-        assert out.cache_events == {"hit": 1, "miss": 1}
+        assert isinstance(out, SolveOutcome)
+        assert len(out.stats) == 2  # one outcome per component
+        assert sorted(part.engine == "cache" for part in out.stats) == [False, True]
         assert out.optimum == out_a.optimum + out_b_cold.optimum
         # only the never-seen piece was searched; the cached one cost 0
         assert out.nodes_visited == out_b_cold.stats.nodes_visited
@@ -410,7 +410,9 @@ class TestComponentMemoization:
         cache = SolveCache(tmp_path / "c")
         cold = solve_mvc(union, cache=cache)
         warm = solve_mvc(union, cache=cache)
-        assert warm.cache_events == {"hit": 2}
+        # both pieces with an edge hit; the cold solve was the only miss
+        assert cache.session["hits_exact"] == 2
+        assert cache.session["misses"] == 2
         assert warm.nodes_visited == 0
         assert warm.optimum == cold.optimum
         np.testing.assert_array_equal(warm.cover, cold.cover)
@@ -422,29 +424,29 @@ class TestComponentMemoization:
 class TestEscalation:
     def test_budget_bump_resumes_cached_checkpoint(self, tmp_path):
         g = phat_complement(60, 2, seed=4)
-        ref = solve_anytime(g)
+        ref = solve_mvc(g)
         assert ref.status == "optimal"
-        cache_dir = tmp_path / "c"
-        first = solve_anytime(g, node_budget=5, cache=cache_dir)
+        cache = resolve_cache(tmp_path / "c")
+        first = solve_mvc(g, node_budget=5, cache=cache)
         assert first.status == "budget_exhausted"
-        second = solve_anytime(g, cache=cache_dir)
+        second = solve_mvc(g, cache=cache)
         assert second.status == "optimal"
         assert second.optimum == ref.optimum
-        assert second.extra.get("cache_escalated") == 1.0
+        assert cache.session["escalations"] == 1
         # the resumed leg did not redo the first leg's nodes from scratch
-        assert second.nodes <= ref.nodes
-        third = solve_anytime(g, cache=cache_dir)
-        assert third.status == "optimal" and third.nodes == 0
+        assert second.nodes_visited <= ref.nodes_visited
+        third = solve_mvc(g, cache=cache)
+        assert third.status == "optimal" and third.nodes_visited == 0
         assert third.engine == "cache"
-        assert third.extra.get("cache_hit") == 1.0
+        assert cache.session["hits_exact"] == 1
         np.testing.assert_array_equal(np.sort(np.asarray(second.cover)),
                                       np.asarray(third.cover))
 
     def test_interrupted_leg_upserts_advanced_checkpoint(self, tmp_path):
         g = phat_complement(60, 2, seed=4)
         cache = resolve_cache(tmp_path / "c")
-        solve_anytime(g, node_budget=5, cache=cache)
-        out2 = solve_anytime(g, node_budget=5, cache=cache)
+        solve_mvc(g, node_budget=5, cache=cache)
+        out2 = solve_mvc(g, node_budget=5, cache=cache)
         assert out2.status == "budget_exhausted"
         assert cache.session["escalations"] == 1
         from repro.cache import _graph_fp
@@ -454,13 +456,28 @@ class TestEscalation:
         assert entry.status == "budget_exhausted"
         assert entry.checkpoint_blob is not None
 
+    def test_budgeted_chain_on_a_union_resumes_every_component(self, tmp_path):
+        """A disconnected MVC is cached per component, so an interrupted
+        leg has no whole-graph checkpoint; the chain repeats the request
+        and the cache resumes each component from its own."""
+        from repro.core.anytime import solve_to_completion
+
+        union = disjoint_union(gnp(30, 0.3, seed=5), gnp(30, 0.3, seed=6))
+        cache = resolve_cache(tmp_path / "c")
+        first = solve_mvc(union, node_budget=5, cache=cache)
+        assert first.status == "budget_exhausted" and not first.resumable
+        final = solve_to_completion(union, node_budget=5, cache=cache)
+        assert final.status == "optimal"
+        assert final.optimum == solve_mvc(union, cache=False).optimum
+        assert cache.session["escalations"] >= 2
+
     def test_pvc_witness_warm_starts_mvc(self, tmp_path):
         g = phat_complement(50, 2, seed=7)
-        ref = solve_anytime(g)
+        ref = solve_mvc(g)
         cache = resolve_cache(tmp_path / "c")
-        feas = solve_anytime(g, k=ref.optimum + 2, cache=cache)
+        feas = solve_pvc(g, ref.optimum + 2, cache=cache)
         assert feas.status == "optimal" and feas.cover is not None
-        out = solve_anytime(g, cache=cache)
+        out = solve_mvc(g, cache=cache)
         assert out.status == "optimal" and out.optimum == ref.optimum
         assert cache.session["warm_starts"] == 1
 
@@ -475,26 +492,24 @@ class TestDisarmedPath:
         import repro.cache as cache_mod
 
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        for name in ("resolve_cache", "cached_solve_mvc", "cached_solve_pvc",
-                     "cached_solve_anytime"):
+        for name in ("resolve_cache", "solve_cached"):
             monkeypatch.setattr(cache_mod, name, _raise_spy(name))
         g = gnp(16, 0.3, seed=2)
         out = solve_mvc(g)
         assert is_vertex_cover(g, out.cover)
         assert solve_pvc(g, out.optimum).feasible is True
-        assert solve_anytime(g).status == "optimal"
+        assert solve_mvc(g, deadline=60.0).status == "optimal"
 
     def test_cache_false_overrides_env(self, monkeypatch, tmp_path):
         import repro.cache as cache_mod
 
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c"))
-        for name in ("cached_solve_mvc", "cached_solve_pvc",
-                     "cached_solve_anytime"):
+        for name in ("solve_cached",):
             monkeypatch.setattr(cache_mod, name, _raise_spy(name))
         g = gnp(12, 0.3, seed=2)
         assert solve_mvc(g, cache=False).optimum >= 0
         assert solve_pvc(g, g.n, cache=False).feasible is True
-        assert solve_anytime(g, cache=False).status == "optimal"
+        assert solve_mvc(g, cache=False, deadline=60.0).status == "optimal"
 
     def test_env_arms_the_facade(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c"))
@@ -516,7 +531,10 @@ class TestDisarmedPath:
 
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         graph = phat_complement(90, 3, seed=7)
-        expected = solver._dispatch_mvc(graph).optimum
+        def dispatch(graph):
+            return solver._dispatch(graph, None, "sequential", {})
+
+        expected = dispatch(graph).optimum
 
         def timed(fn, repeats=3, inner=2):
             best = float("inf")
@@ -530,7 +548,7 @@ class TestDisarmedPath:
         for attempt in range(3):
             a = b = float("inf")
             for _ in range(4):  # interleave A/B to share machine state
-                a = min(a, timed(solver._dispatch_mvc))
+                a = min(a, timed(dispatch))
                 b = min(b, timed(solver.solve_mvc))
             if b <= a * 1.02:
                 return
@@ -575,8 +593,8 @@ class TestCacheTelemetry:
         try:
             g = phat_complement(60, 2, seed=4)
             cache_dir = str(tmp_path / "c")
-            solve_anytime(g, node_budget=5, cache=cache_dir)
-            solve_anytime(g, cache=cache_dir)
+            solve_mvc(g, node_budget=5, cache=cache_dir)
+            solve_mvc(g, cache=cache_dir)
             snap = {m["name"]: m["value"]
                     for m in metrics.snapshot()["metrics"]
                     if m["name"] == "repro_cache_escalations_total"}

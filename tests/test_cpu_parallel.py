@@ -68,7 +68,7 @@ class TestThreads:
     def test_per_worker_accounting(self):
         g = gnp(20, 0.4, seed=6)
         res = solve_mvc(g, engine="cpu-threads", n_workers=3)
-        assert sum(res.per_worker_nodes) == res.nodes_visited
+        assert sum(res.stats) == res.nodes_visited
 
     def test_repeated_runs_same_optimum(self):
         # scheduling is nondeterministic; the optimum must not be

@@ -87,8 +87,8 @@ def test_hybrid_engine_idempotent_across_runs(n, p, seed):
     a = HybridEngine(device=TINY_SIM).solve_mvc(g)
     b = HybridEngine(device=TINY_SIM).solve_mvc(g)
     assert a.optimum == b.optimum
-    assert a.makespan_cycles == b.makespan_cycles
-    assert a.metrics.cycles_by_kind() == b.metrics.cycles_by_kind()
+    assert a.stats.makespan_cycles == b.stats.makespan_cycles
+    assert a.stats.metrics.cycles_by_kind() == b.stats.metrics.cycles_by_kind()
 
 
 @settings(max_examples=10, deadline=None)

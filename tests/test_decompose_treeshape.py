@@ -28,8 +28,8 @@ class TestComponentwiseSolving:
         g = disjoint_union(petersen(), cycle_graph(5), complete_graph(4))
         res = solve_mvc_by_components(g)
         assert res.optimum == 6 + 3 + 3
-        assert res.n_components == 3
-        assert sorted(res.component_optima) == [3, 3, 6]
+        assert len(res.stats) == 3  # one outcome per component
+        assert sorted(part.optimum for part in res.stats) == [3, 3, 6]
         assert_valid_cover(g, res.cover, res.optimum)
 
     def test_matches_joint_solve(self):
@@ -50,7 +50,7 @@ class TestComponentwiseSolving:
         g = disjoint_union(path_graph(3), CSRGraph.empty(4))
         res = solve_mvc_by_components(g)
         assert res.optimum == 1
-        assert res.n_components == 5  # path + 4 isolated vertices
+        assert len(res.stats) == 5  # path + 4 isolated vertices
 
     def test_engine_passthrough(self):
         from repro.sim.device import TINY_SIM

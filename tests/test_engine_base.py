@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.formulation import BestBound, FoundFlag, MVCFormulation, PVCFormulation
+from repro.core.greedy import greedy_cover
 from repro.engines.base import PRUNED, SOLUTION, SimEngineBase
 from repro.engines.hybrid import HybridEngine
 from repro.graph.csr import CSRGraph
@@ -140,22 +141,22 @@ class TestEngineBookkeeping:
         res = HybridEngine(device=TINY_SIM).solve_mvc(CSRGraph.empty(6))
         assert res.optimum == 0
         assert res.nodes_visited == 0
-        assert res.makespan_cycles == 0.0
-        assert res.metrics.blocks == []
+        assert res.stats.makespan_cycles == 0.0
+        assert res.stats.metrics.blocks == []
 
     def test_params_recorded(self):
         res = HybridEngine(device=TINY_SIM, worklist_capacity=128,
                            worklist_threshold_fraction=0.5).solve_mvc(petersen())
-        assert res.params["worklist_capacity"] == 128
-        assert res.params["worklist_threshold"] == 64
-        assert res.params["device"] == "TinySim"
+        assert res.stats.params["worklist_capacity"] == 128
+        assert res.stats.params["worklist_threshold"] == 64
+        assert res.stats.params["device"] == "TinySim"
 
     def test_launch_attached(self):
         res = HybridEngine(device=TINY_SIM).solve_mvc(petersen())
-        assert res.launch.num_blocks == len(res.metrics.blocks)
-        assert res.launch.stack_depth_bound >= res.greedy_size
+        assert res.stats.launch.num_blocks == len(res.stats.metrics.blocks)
+        assert res.stats.launch.stack_depth_bound >= greedy_cover(petersen()).size
 
     def test_finish_times_bounded_by_makespan(self):
         res = HybridEngine(device=TINY_SIM).solve_mvc(petersen())
-        for block in res.metrics.blocks:
-            assert block.finish_time <= res.makespan_cycles + 1e-9
+        for block in res.stats.metrics.blocks:
+            assert block.finish_time <= res.stats.makespan_cycles + 1e-9

@@ -219,7 +219,7 @@ class TestGridDescent:
     def test_grid_mode_records_expansion(self):
         g = phat_complement(50, 3, seed=8)
         res = StackOnlyEngine(device=TINY_SIM, start_depth=4, descent_mode="grid").solve_mvc(g)
-        exp = res.params["grid_expansion"]
+        exp = res.stats.params["grid_expansion"]
         assert exp["expansion_cycles"] > 0
         assert exp["peak_frontier"] >= 1
 

@@ -303,7 +303,7 @@ class TestChargeStreamFidelity:
         for _, factory in SIM_ENGINES:
             first = factory().solve_mvc(g)
             second = factory().solve_mvc(g)
-            assert first.makespan_cycles == second.makespan_cycles
+            assert first.stats.makespan_cycles == second.stats.makespan_cycles
             assert first.nodes_visited == second.nodes_visited
 
 

@@ -469,10 +469,11 @@ class TestNativeBoundary:
             _ext().greedy_cover(indptr, indices, deg[:5].copy(), g.m)
 
     def test_corrupted_checkpoint_hint_is_a_typed_error(self):
-        from repro.core.anytime import resume_from, solve_anytime
+        from repro.core.anytime import resume_from
+        from repro.core.solver import solve_mvc
 
         g = phat_complement(44, 3, seed=9)
-        outcome = solve_anytime(g, node_budget=20, kernels="native")
+        outcome = solve_mvc(g, node_budget=20, kernels="native")
         cp = outcome.checkpoint
         assert cp is not None and cp.items
         for bad in (g.n, -5):

@@ -1,6 +1,7 @@
 """Distributed engine, socket transport, and wire-codec-v2 tests."""
 
 import socket
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
-from repro.core.solver import POOL_ENGINES
+from repro.core.solver import POOL_ENGINES, solve_mvc
 from repro.graph.degree_array import VCState, fresh_state, wire_nbytes
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
@@ -271,7 +272,7 @@ class TestDistributed:
     def test_invalid_workers_rejected_on_edgeless_graph(self, mode, engine):
         """A graph with no edges needs no search, but a bad worker count
         is still an error."""
-        from repro.core.solver import solve_mvc, solve_pvc
+        from repro.core.solver import solve_pvc
         from repro.graph.csr import CSRGraph
 
         for n_workers in (0, -3):
@@ -289,7 +290,7 @@ class TestDistributed:
         g = gnp(100, 0.1, seed=5)
         res = solve_mvc_distributed(g, n_workers=1, hosts=1)
         assert res.optimum == solve_mvc_sequential(g).optimum
-        assert res.n_workers == 2
+        assert len(res.comms["per_worker"]) == 2  # both workers reported
 
     def test_dead_local_worker_recovers(self):
         g = gnp(40, 0.2, seed=7)
@@ -297,7 +298,7 @@ class TestDistributed:
         with faults.injected("worker_kill:0.5:3", seed=11):
             res = solve_mvc_distributed(g, n_workers=2)
         assert res.optimum == want
-        assert res.workers_lost > 0
+        assert res.supervision["workers_lost"] > 0
 
     def test_dead_remote_worker_recovers(self):
         """Killing a serve-worker host mid-lease re-enqueues exactly like
@@ -307,20 +308,20 @@ class TestDistributed:
         with faults.injected("worker_kill:0.9:4", seed=2):
             res = solve_mvc_distributed(g, n_workers=0, hosts=2)
         assert res.optimum == want
-        assert res.workers_lost > 0
+        assert res.supervision["workers_lost"] > 0
 
     def test_node_budget_interrupts_with_pending(self):
         g = gnp(60, 0.2, seed=9)
         res = solve_mvc_distributed(g, n_workers=2, node_budget=40)
         assert res.timed_out
-        assert res.pending_states  # resumable frontier survives
+        assert res.checkpoint.items  # resumable frontier survives
 
     def test_anytime_resume_reaches_optimum(self):
-        from repro.core.anytime import resume_from, solve_anytime
+        from repro.core.anytime import resume_from
 
         g = gnp(50, 0.2, seed=10)
         want = solve_mvc_sequential(g).optimum
-        out = solve_anytime(g, engine="distributed", node_budget=60, n_workers=2)
+        out = solve_mvc(g, engine="distributed", node_budget=60, n_workers=2)
         legs = 1
         while not out.complete and out.resumable:
             out = resume_from(out.checkpoint, g, engine="distributed", n_workers=2)
@@ -329,12 +330,10 @@ class TestDistributed:
         assert out.complete and out.optimum == want
 
     def test_comms_surface_on_outcome_extra(self):
-        from repro.core.anytime import solve_anytime
-
         g = gnp(30, 0.25, seed=11)
-        out = solve_anytime(g, engine="distributed", n_workers=2)
-        assert out.extra.get("comms_messages", 0) > 0
-        assert out.extra.get("comms_bytes_sent", 0) > 0
+        out = solve_mvc(g, engine="distributed", n_workers=2)
+        assert out.comms["totals"]["messages"] > 0
+        assert out.comms["totals"]["bytes_sent"] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -364,7 +363,7 @@ def _check_engine_against_sequential(g) -> None:
     res = solve_mvc_distributed(g, n_workers=2)
     assert res.optimum == opt
     assert_valid_cover(g, res.cover, opt)
-    assert res.workers_lost == 0  # no worker sent a frame that failed checks
+    assert res.supervision["workers_lost"] == 0  # no worker sent a frame that failed checks
     assert _native_chunks(res) > 0
     for k, feasible in ((opt, True), (opt - 1, False)):
         if k < 0:
@@ -403,7 +402,7 @@ class TestCompiledWorkerWalk:
             res = solve_mvc_distributed(g, n_workers=2)
         assert res.optimum == want
         assert _native_chunks(res) == 0
-        assert res.faults_recovered > 0
+        assert res.supervision["recovered"] > 0
 
     def test_armed_telemetry_stays_interpreted(self):
         from repro import obs
@@ -428,11 +427,11 @@ class TestCompiledWorkerWalk:
         assert out.optimum == want
 
     def test_deadline_zero_resumes_to_optimum(self):
-        from repro.core.anytime import resume_from, solve_anytime
+        from repro.core.anytime import resume_from
 
         g = gnp(60, 0.2, seed=9)
         want = solve_mvc_sequential(g).optimum
-        out = solve_anytime(g, engine="distributed", deadline=0.0, n_workers=2)
+        out = solve_mvc(g, engine="distributed", deadline=0.0, n_workers=2)
         assert not out.complete and out.resumable
         legs = 0
         while not out.complete:
@@ -454,7 +453,7 @@ class TestCompiledWorkerWalk:
         res = solve_mvc_distributed(g, n_workers=2, node_budget=budget)
         assert res.timed_out
         assert res.nodes_visited == budget
-        assert res.workers_lost == 0  # no nodes frame ran past its grant
+        assert res.supervision["workers_lost"] == 0  # no nodes frame ran past its grant
         assert _native_chunks(res) * _CHUNK_LONG >= res.nodes_visited
 
     def test_node_budget_is_exact_with_more_workers_than_cores(self):
@@ -470,8 +469,8 @@ class TestCompiledWorkerWalk:
             for budget in (7, 1000):
                 res = solve_mvc_distributed(g, n_workers=8, node_budget=budget)
                 assert res.timed_out
-                assert res.nodes_visited == sum(res.per_worker_nodes) == budget
-                assert res.workers_lost == 0
+                assert res.nodes_visited == sum(res.stats) == budget
+                assert res.supervision["workers_lost"] == 0
         finally:
             sys.setswitchinterval(interval)
 
@@ -479,12 +478,12 @@ class TestCompiledWorkerWalk:
     @pytest.mark.parametrize("engine", POOL_ENGINES)
     def test_node_budget_is_exact_on_every_pool_engine(self, engine, budget,
                                                        phat_500_3):
-        from repro.core.anytime import resume_from, solve_anytime
+        from repro.core.anytime import resume_from
 
         g, want = phat_500_3
-        out = solve_anytime(g, engine=engine, node_budget=budget, n_workers=2)
+        out = solve_mvc(g, engine=engine, node_budget=budget, n_workers=2)
         assert out.status == "budget_exhausted"
-        assert out.nodes == budget
+        assert out.nodes_visited == budget
         final = resume_from(out.checkpoint, g, engine=engine, n_workers=2)
         assert final.complete and final.optimum == want
 
@@ -492,7 +491,7 @@ class TestCompiledWorkerWalk:
         """A killed peer's unspent grant goes back to the coordinator and
         on to the peers left: the budgeted solve still ends, within its
         budget, and its checkpoint resumes to the optimum."""
-        from repro.core.anytime import resume_from, solve_anytime
+        from repro.core.anytime import resume_from
 
         g = gnp(80, 0.2, seed=1)
         want = solve_mvc_sequential(g).optimum
@@ -500,12 +499,34 @@ class TestCompiledWorkerWalk:
         # A kill about every 200 nodes per worker: peers die mid-grant,
         # and the respawns (not the inline drain) finish the leg.
         with faults.injected("worker_kill:0.005:2", seed=11):
-            out = solve_anytime(g, engine="distributed", node_budget=budget,
+            out = solve_mvc(g, engine="distributed", node_budget=budget,
                                 n_workers=2)
-        assert out.extra.get("workers_lost", 0) > 0, "no kills fired; test is vacuous"
+        assert out.supervision["workers_lost"] > 0, "no kills fired; test is vacuous"
         assert out.status == "budget_exhausted"
-        assert out.nodes <= budget
+        assert out.nodes_visited <= budget
         final = resume_from(out.checkpoint, g, engine="distributed", n_workers=2)
+        assert final.complete and final.optimum == want
+
+    def test_inline_drain_keeps_the_node_budget(self):
+        """Every peer dies early (respawn budget spent), so the coordinator
+        drains the rest inline: the drain walks only what is left of the
+        budget, its nodes count, and what it leaves is a checkpoint that
+        resumes to the sequential optimum."""
+        from repro.core.anytime import resume_from
+
+        g = gnp(80, 0.2, seed=1)
+        want = solve_mvc_sequential(g).optimum
+        assert want == 62
+        budget = 1000
+        with faults.injected("worker_kill:0.5:3", seed=11):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out = solve_mvc(g, engine="distributed", node_budget=budget,
+                                n_workers=2)
+        assert out.supervision["inline_drains"] == 1, "no inline drain; test is vacuous"
+        assert out.nodes_visited <= budget
+        assert out.status == "budget_exhausted" and out.timed_out
+        final = resume_from(out.checkpoint, g)
         assert final.complete and final.optimum == want
 
 
@@ -572,7 +593,7 @@ class TestDemandDonation:
     @pytest.mark.parametrize("engine", ["cpu-process", "distributed"])
     @pytest.mark.parametrize("mode", ["mvc", "pvc"])
     def test_threshold_below_one_rejected(self, mode, engine):
-        from repro.core.solver import solve_mvc, solve_pvc
+        from repro.core.solver import solve_pvc
         from repro.graph.csr import CSRGraph
 
         for g in (gnp(60, 0.12, seed=3), CSRGraph.empty(3)):
@@ -635,9 +656,6 @@ class TestDemandDonation:
 # --------------------------------------------------------------------- #
 # best-frame validation at the coordinator
 # --------------------------------------------------------------------- #
-def _edge_rows(g):
-    return np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.indptr))
-
 
 class TestBestFrameValidation:
     def test_checked_cover_accepts_a_true_cover(self):
@@ -645,7 +663,7 @@ class TestBestFrameValidation:
 
         g = petersen()
         cover = solve_mvc_sequential(g).cover
-        got = _checked_cover(g, _edge_rows(g), len(cover), None,
+        got = _checked_cover(g, len(cover), None,
                              np.asarray(cover, dtype=np.int32).tobytes())
         assert sorted(got.tolist()) == sorted(np.asarray(cover).tolist())
 
@@ -666,16 +684,16 @@ class TestBestFrameValidation:
             vertices = solve_mvc_sequential(g).cover
         payload = np.asarray(vertices, dtype=np.int32).tobytes()
         with pytest.raises(ProtocolError, match=why):
-            _checked_cover(g, _edge_rows(g), size, k, payload)
+            _checked_cover(g, size, k, payload)
 
     def test_checked_cover_rejects_undecodable_payload(self):
         from repro.net.distributed import _checked_cover
 
         g = petersen()
         with pytest.raises(ProtocolError, match="undecodable"):
-            _checked_cover(g, _edge_rows(g), 1, None, b"\x00\x01\x02")
+            _checked_cover(g, 1, None, b"\x00\x01\x02")
         with pytest.raises(ProtocolError, match="undecodable"):
-            _checked_cover(g, _edge_rows(g), 1, None, 12345)
+            _checked_cover(g, 1, None, 12345)
 
     def test_lying_peer_is_dropped_and_the_optimum_holds(self, monkeypatch):
         """A hand-rolled client completes the handshake, then sends a
@@ -731,7 +749,7 @@ class TestBestFrameValidation:
         assert sent, "the lying client never got to send its frame"
         assert res.optimum == want
         assert len(res.cover) == want
-        assert res.workers_lost >= 1
+        assert res.supervision["workers_lost"] >= 1
 
 
 # --------------------------------------------------------------------- #

@@ -109,7 +109,7 @@ def test_malformed_live_frame_drops_the_peer(name, monkeypatch):
     assert sent, "the client never got to send its frame"
     assert res.optimum == want
     assert len(res.cover) == want
-    assert res.workers_lost >= 1
+    assert res.supervision["workers_lost"] >= 1
 
 
 def test_forked_workers_get_no_handshake_and_no_plane(monkeypatch):
@@ -176,7 +176,7 @@ def test_dropped_local_worker_exits_on_its_own(monkeypatch, tmp_path):
     assert res.supervision["inline_drains"] >= 1
     assert _worker_threads() == []
     assert multiprocessing.active_children() == []
-    spawned = res.workers_lost
+    spawned = res.supervision["workers_lost"]
     assert spawned >= 2
     assert len(list(tmp_path.iterdir())) == spawned
 
@@ -293,7 +293,7 @@ def test_lease_landing_during_worker_setup_is_walked(kernels, monkeypatch):
     g = gnp(60, 0.12, seed=3)
     res = solve_mvc_distributed(g, n_workers=2, kernels=kernels)
     assert res.optimum == solve_mvc_sequential(g).optimum
-    assert res.workers_lost == 0
+    assert res.supervision["workers_lost"] == 0
     assert res.comms["totals"]["leases"] >= 2
 
 

@@ -29,24 +29,24 @@ class TestRecorder:
     def test_span_cycles_match_metrics(self):
         res, rec = traced_run(lambda: HybridEngine(device=TINY_SIM))
         traced = rec.busy_cycles_by_kind()
-        metered = res.metrics.cycles_by_kind()
+        metered = res.stats.metrics.cycles_by_kind()
         for kind, cycles in metered.items():
             assert traced.get(kind, 0.0) == pytest.approx(cycles, rel=1e-9), kind
 
     def test_makespan_bounded_by_launch(self):
         res, rec = traced_run(lambda: HybridEngine(device=TINY_SIM))
-        assert rec.makespan() <= res.makespan_cycles + 1e-6
+        assert rec.makespan() <= res.stats.makespan_cycles + 1e-6
 
     def test_spans_per_block_are_ordered(self):
         res, rec = traced_run(lambda: HybridEngine(device=TINY_SIM))
-        for block in range(res.launch.num_blocks):
+        for block in range(res.stats.launch.num_blocks):
             spans = rec.spans_of_block(block)
             for a, b in zip(spans, spans[1:]):
                 assert b.start >= a.start - 1e-9
 
     def test_utilisation_in_unit_interval(self):
         res, rec = traced_run(lambda: HybridEngine(device=TINY_SIM))
-        u = rec.utilisation(res.launch.num_blocks)
+        u = rec.utilisation(res.stats.launch.num_blocks)
         assert 0.0 < u <= 1.0
 
     def test_hybrid_utilisation_beats_stackonly(self):
