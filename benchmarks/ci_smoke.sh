@@ -29,9 +29,8 @@
 # solve whose workers all die must drain inline within the budget and
 # resume to the optimum), or the
 # kernel-backend gate fails (every KERNELS backend must agree bit
-# for bit on the smoke suite, a sequential solve must take the compiled
-# search loop with the scalar run's counters, and a freshly calibrated
-# CALIBRATION artifact must satisfy the documented v2 schema), or the
+# for bit on the smoke suite, and a sequential solve must take the
+# compiled search loop with the scalar run's counters), or the
 # observability gate fails (a traced two-process distributed solve must
 # produce schema-valid Chrome trace JSON with spans from >= 2 pids and a
 # metrics snapshot whose Prometheus exposition parses, and a disarmed
@@ -381,19 +380,9 @@ EOF
 #    with every traversal and reduction counter equal to the
 #    kernels="scalar" run's; a deadline-armed solve must still take the
 #    per-node interpreted loop.
-# 3. calibration artifact: a fresh quick calibration must satisfy the
-#    documented CALIBRATION v2 schema (validate_calibration), and the
-#    loader must refuse schema-v1 artifacts loudly.
 python - <<'EOF'
-import json
-import tempfile
 import warnings
 
-from repro.analysis.microbench import (
-    calibrate_kernels,
-    load_kernel_calibration,
-    validate_calibration,
-)
 from repro.core.formulation import BestBound, MVCFormulation
 from repro.core import native
 from repro.core.kernel_backends import KERNELS, make_kernels
@@ -472,23 +461,6 @@ for name, graph in instances:
 print(f"ci_smoke: compiled search OK ({len(instances)} instances: "
       f"native_search recorded, counters equal to scalar, deadline runs "
       f"interpreted)")
-
-payload = calibrate_kernels(repeats=1, n_ladder=(24, 48), m_ladder=(96,),
-                            apply=False, quick=True)
-validate_calibration(payload)
-v1 = {"kind": "repro-vc-scalar-calibration", "schema_version": 1,
-      "quick": False, "scalar_kernel_max_n": 2048,
-      "scalar_kernel_max_m": 65536}
-with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
-    json.dump(v1, fh)
-    fh.flush()
-    try:
-        load_kernel_calibration(fh.name)
-    except ValueError:
-        pass
-    else:
-        raise SystemExit("schema-v1 calibration artifact was not refused")
-print("ci_smoke: CALIBRATION v2 schema OK, v1 artifact refused loudly")
 EOF
 
 # --- observability gate (see docs/OBSERVABILITY.md) ---

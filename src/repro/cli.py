@@ -22,7 +22,6 @@ suite::
     python -m repro obs export --metrics metrics.json   # Prometheus text
     python -m repro suite            # list the evaluation suite
     python -m repro bench            # hot-path micro-bench -> BENCH_micro.json
-    python -m repro bench calibrate  # scalar/vectorized crossover -> CALIBRATION.json
     python -m repro bench --smoke    # CI mode: cheap repeats + artifact schema assert
 
 Declarative experiment orchestration (spec -> runner -> store -> report;
@@ -111,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "any engine (default: greedy, the paper's rule)")
     p.add_argument("--kernels", default=None,
                    help="reduction/branch/greedy kernel backend from the "
-                        "KERNELS registry, any engine (default: auto, the "
-                        "per-size-band dispatcher; all backends are "
+                        "KERNELS registry, any engine (default: auto, "
+                        "native when the compiled extension loads, else "
+                        "scalar or numpy by graph size; all backends are "
                         "bit-identical, only wall-clock differs)")
     p.add_argument("--deadline", type=float, default=None,
                    help="wall-clock budget in seconds: solve anytime-style, "
@@ -256,15 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp_common(ep)
 
     p = sub.add_parser("bench", help="micro-benchmark the substrate hot paths")
-    p.add_argument("action", nargs="?", default="run", choices=("run", "calibrate"),
-                   help="'run' times the hot-path cases; 'calibrate' measures every "
-                        "concrete KERNELS backend per size band plus the branch-batch "
-                        "crossover and persists the winners (set REPRO_CALIBRATION=1 "
-                        "to auto-load them at import in later runs; --quick artifacts "
-                        "are refused)")
-    p.add_argument("--out", default=None,
-                   help="artifact path (default: BENCH_micro.json, or "
-                        "benchmarks/CALIBRATION.json for calibrate; schemas in "
+    p.add_argument("action", nargs="?", default="run", choices=("run",),
+                   help="'run' (the default) times the hot-path cases")
+    p.add_argument("--out", default="BENCH_micro.json",
+                   help="artifact path (default: BENCH_micro.json; schema in "
                         "benchmarks/README.md)")
     p.add_argument("--repeats", type=int, default=5, help="timing samples per case")
     p.add_argument("--target-ms", type=float, default=50.0,
@@ -273,11 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CI mode: run the pytest-benchmark suite once under "
                         "--benchmark-disable as a correctness check, time with few "
                         "cheap repeats, and assert the artifact schema")
-    p.add_argument("--quick", action="store_true",
-                   help="calibrate only: probe a tiny ladder (smoke/CI use; the "
-                        "resulting cutoffs are not representative)")
     p.add_argument("--kernels", default=None,
-                   help="run only: force a KERNELS backend for the "
+                   help="force a KERNELS backend for the "
                         "dispatcher-driven cases (default: auto); the "
                         "resolved backend is recorded per case in the "
                         "artifact's provenance")
@@ -644,12 +636,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         from .analysis.microbench import (
-            calibrate_kernels,
-            render_calibration,
             render_microbench,
             run_microbench,
             validate_artifact,
-            validate_calibration,
             write_artifact,
         )
         from .core.kernel_backends import KERNELS
@@ -659,28 +648,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{', '.join(sorted(KERNELS))}")
             return 2
         out = args.out
-        if out is None:
-            out = "benchmarks/CALIBRATION.json" if args.action == "calibrate" else "BENCH_micro.json"
         out_dir = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(out_dir):
             print(f"error: output directory does not exist: {out_dir}")
             return 2
-
-        if args.action == "calibrate":
-            ladders = {}
-            if args.quick:
-                ladders = {"n_ladder": (64, 128), "m_ladder": (256, 512),
-                           "branch_ladder": (8, 16)}
-            payload = calibrate_kernels(repeats=args.repeats, apply=not args.quick,
-                                        quick=args.quick, **ladders)
-            if args.smoke:
-                validate_calibration(payload)
-                print("calibration artifact schema OK")
-            write_artifact(payload, out)
-            print(render_calibration(payload))
-            print(f"\nwrote {out}")
-            print(f"[{time.perf_counter() - start:.1f}s wall]")
-            return 0
 
         repeats, target_s = args.repeats, args.target_ms / 1e3
         if args.smoke:

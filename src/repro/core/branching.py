@@ -191,8 +191,7 @@ def expand_children(
     Uncharged pooled-workspace calls dispatch through the ``KERNELS``
     backend (``kernels``: name, instance, or ``None`` for the process
     default) — the path choice is the dispatcher's, read at call time, so
-    ``set_scalar_cutoffs`` or a backend switch applied after import
-    steers this step too.  Charged calls keep the vectorized removals,
+    a cutoff or backend switch applied after import steers this step too.  Charged calls keep the vectorized removals,
     whose work units are the cost meters.
     """
     if charge is null_charge and ws is not None and ws.n == state.deg.size:

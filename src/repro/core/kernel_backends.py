@@ -18,13 +18,11 @@ orthogonal registries (ENGINES × FRONTIERS × BOUNDS):
   and :meth:`KernelBackend.walker`, the whole sequential depth-first
   loop in C (run once, or resumed in chunks).  Without a compiler it degrades
   *loudly* — one structured :class:`RuntimeWarning` — to ``scalar``;
-* ``auto``   — per-size-band dispatch.  Uncalibrated it picks ``native``
-  whenever the extension loads, and otherwise reproduces the legacy
-  cutoff behaviour exactly (reading the live
-  ``kernels.SCALAR_KERNEL_MAX_N/M`` globals, so ``set_scalar_cutoffs``
-  and tests monkeypatching the globals keep working); calibrated
-  (CALIBRATION.json v2, ``repro bench calibrate``) it consults a
-  measured per-band winner table.
+* ``auto``   — a fixed rule over what the process can observe: ``native``
+  whenever the extension loads, and otherwise ``scalar`` when
+  :func:`repro.core.kernels.scalar_path_ok` holds and ``numpy`` when it
+  does not (read at call time, so tests monkeypatching the cutoff
+  globals steer it).
 
 Equivalence contract: every registered backend reaches the **bit-identical
 fixpoint** of :func:`repro.core.reductions.apply_reductions_reference` —
@@ -54,7 +52,7 @@ Adding a backend (mirroring the frontier/bound how-tos):
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -175,8 +173,8 @@ class KernelBackend:
     def bind(self, n: int, m: int) -> "KernelBackend":
         """The concrete backend that runs a size-(n, m) graph's kernels.
 
-        Identity for concrete backends; ``auto`` resolves its band pick
-        once, so a per-graph hot loop does not dispatch per call.
+        Identity for concrete backends; ``auto`` resolves its pick once,
+        so a per-graph hot loop does not dispatch per call.
         """
         return self
 
@@ -191,7 +189,7 @@ class KernelBackend:
     def resolved_name(self, n: int, m: int) -> str:
         """The backend that would actually run a size-(n, m) cascade.
 
-        Identity for concrete backends; ``auto`` reports its band pick
+        Identity for concrete backends; ``auto`` reports its pick
         (``auto:scalar``).  Recorded as per-case provenance by
         ``repro bench``.
         """
@@ -344,79 +342,22 @@ class NativeBackend(KernelBackend):
 
 
 class AutoBackend(KernelBackend):
-    """Per-size-band dispatch between the concrete backends.
+    """Size-aware dispatch between the concrete backends.
 
-    Uncalibrated, :meth:`pick` chooses ``native`` at every size whenever
-    the compiled extension loads (it beats both interpreted backends at
-    every measured size).  Otherwise it falls back, silently, to the
-    legacy cutoff rule, reading the live ``kernels.SCALAR_KERNEL_MAX_N/M``
-    globals at call time — ``set_scalar_cutoffs`` (and tests
-    monkeypatching the globals) therefore still steer every consumer,
-    now through one dispatcher.
-    A CALIBRATION.json v2 artifact installs a measured band table via
-    :meth:`install_calibration`: ascending ``(max_n, backend)`` pairs, an
-    edge cap above which the interpreter-family backends are never picked
-    (their loops walk full adjacency rows), and a default for graphs
-    beyond the last band.  A ``native`` band ignores the edge cap and, on
-    a host where the extension did not load, silently takes the legacy
-    cutoff rule instead.
+    :meth:`pick` chooses ``native`` at every size whenever the compiled
+    extension loads (it beats both interpreted backends at every measured
+    size).  Otherwise it falls back, silently, to the shipped cutoff rule
+    :func:`repro.core.kernels.scalar_path_ok`: ``scalar`` for small
+    graphs, ``numpy`` above either cutoff.
     """
 
     name = "auto"
 
-    def __init__(self) -> None:
-        self._bands: Optional[Tuple[Tuple[int, str], ...]] = None
-        self._max_m: int = 0
-        self._default: str = "numpy"
-
-    # -- calibration ---------------------------------------------------- #
-    def install_calibration(
-        self,
-        bands: Sequence[Tuple[int, str]],
-        max_m: int,
-        default: str = "numpy",
-    ) -> None:
-        """Install a measured per-band winner table (CALIBRATION v2)."""
-        for _, name in tuple(bands) + ((0, default),):
-            if name not in KERNELS:
-                raise ValueError(
-                    f"unknown kernels {name!r} in calibration bands; "
-                    f"choose from: {', '.join(sorted(KERNELS))}"
-                )
-            if name == "auto":
-                raise ValueError("calibration bands cannot nest the 'auto' backend")
-        self._bands = tuple(sorted((int(mn), str(b)) for mn, b in bands))
-        self._max_m = int(max_m)
-        self._default = str(default)
-
-    def clear_calibration(self) -> None:
-        """Back to the uncalibrated legacy cutoff rule."""
-        self._bands = None
-        self._max_m = 0
-        self._default = "numpy"
-
-    @property
-    def calibrated(self) -> bool:
-        return self._bands is not None
-
-    # -- dispatch -------------------------------------------------------- #
     def pick(self, n: int, m: int) -> str:
         """The concrete backend name for a size-(n, m) graph."""
-        have_native = native.load() is not None
-        if self._bands is None:
-            return "native" if have_native else self._legacy(n, m)
-        picked = next((b for max_n, b in self._bands if n <= max_n), self._default)
-        if picked == "native":
-            # The compiled kernels walk CSR rows, so the edge cap does not
-            # apply; a host without the extension keeps the legacy rule.
-            return "native" if have_native else self._legacy(n, m)
-        return "numpy" if m > self._max_m else picked
-
-    @staticmethod
-    def _legacy(n: int, m: int) -> str:
-        if n <= _kernels.SCALAR_KERNEL_MAX_N and m <= _kernels.SCALAR_KERNEL_MAX_M:
-            return "scalar"
-        return "numpy"
+        if native.load() is not None:
+            return "native"
+        return "scalar" if _kernels.scalar_path_ok(n, m) else "numpy"
 
     def _picked(self, n: int, m: int) -> KernelBackend:
         name = self.pick(n, m)
@@ -465,10 +406,8 @@ _default_name: str = DEFAULT_KERNELS
 def make_kernels(name: str) -> KernelBackend:
     """The (cached, process-wide) backend instance for ``name``.
 
-    Backends are stateless apart from ``auto``'s installed calibration,
-    so one instance per name is shared by every consumer — which is what
-    makes a calibration install or a ``set_scalar_cutoffs`` call visible
-    everywhere at once.
+    Backends are stateless, so one instance per name is shared by every
+    consumer.
     """
     if name not in KERNELS:
         raise ValueError(

@@ -80,8 +80,6 @@ __all__ = [
     "scalar_degree_two_exhaust",
     "scalar_high_degree_exhaust",
     "scalar_path_ok",
-    "set_scalar_cutoffs",
-    "set_branch_batch_cutoff",
 ]
 
 _Queues = Tuple[DirtyQueue, DirtyQueue]
@@ -361,72 +359,28 @@ def high_degree_kernel(
 #: whole small adjacency row.  Above either, the batched kernels take
 #: over: the edge cap matters because the scalar loops walk full rows, so
 #: a dense mid-size graph (small ``n``, huge ``m``) must stay vectorized.
-#: The shipped defaults were hand-tuned; ``repro bench calibrate``
-#: re-measures the crossover on the current machine and applies it via
-#: :func:`set_scalar_cutoffs`.
+#: The values were hand-tuned; ``auto`` consults them (through
+#: :func:`scalar_path_ok`) only when the compiled extension is missing.
 SCALAR_KERNEL_MAX_N = 2048
 SCALAR_KERNEL_MAX_M = 1 << 16
-
-#: The shipped (pre-calibration) cutoffs, kept for reset/provenance.
-DEFAULT_SCALAR_KERNEL_MAX_N = SCALAR_KERNEL_MAX_N
-DEFAULT_SCALAR_KERNEL_MAX_M = SCALAR_KERNEL_MAX_M
 
 #: Pivot-neighbourhood size above which the scalar branch step hands the
 #: deferred child's removal to the cheap batch kernel
 #: (:func:`repro.graph.degree_array.remove_neighbors_batch_cheap`).  Below
 #: it, walking the adjacency tuples in the interpreter is cheaper than the
-#: kernel's fixed NumPy call overhead.  The shipped default was measured
-#: on the dev machine; ``repro bench calibrate`` re-measures the crossover
-#: and persists it as ``branch_batch_min_live`` in CALIBRATION.json.
+#: kernel's fixed NumPy call overhead.  The value was measured on the dev
+#: machine.
 BRANCH_BATCH_MIN_LIVE = 40
-
-#: The shipped (pre-calibration) branch-batch cutoff, for reset/provenance.
-DEFAULT_BRANCH_BATCH_MIN_LIVE = BRANCH_BATCH_MIN_LIVE
-
-
-def set_branch_batch_cutoff(min_live: Optional[int] = None) -> int:
-    """Install the measured deferred-child batch crossover; return it.
-
-    ``None`` leaves the cutoff unchanged.  Installed by ``repro bench
-    calibrate`` / :func:`repro.analysis.microbench.load_scalar_calibration`
-    next to the scalar-cascade cutoffs.
-    """
-    global BRANCH_BATCH_MIN_LIVE
-    if min_live is not None:
-        if min_live < 2:
-            raise ValueError("min_live must be >= 2 (a 0/1-neighbour batch is scalar)")
-        BRANCH_BATCH_MIN_LIVE = int(min_live)
-    return BRANCH_BATCH_MIN_LIVE
 
 
 def scalar_path_ok(n: int, m: int) -> bool:
     """Whether a graph of ``n`` vertices / ``m`` edges takes the scalar path.
 
-    Reads the module globals at call time, so calibration (or a test
-    monkeypatching ``SCALAR_KERNEL_MAX_N``) affects every caller — the
-    branch step, the greedy bound and the CPU engines' prewarm all route
-    their path choice through here.
+    Reads the module globals at call time, so a test monkeypatching
+    ``SCALAR_KERNEL_MAX_N`` steers every caller: ``auto`` routes its
+    fallback choice (no compiled extension) through here.
     """
     return n <= SCALAR_KERNEL_MAX_N and m <= SCALAR_KERNEL_MAX_M
-
-
-def set_scalar_cutoffs(max_n: Optional[int] = None, max_m: Optional[int] = None) -> Tuple[int, int]:
-    """Install measured scalar/vectorized crossover cutoffs; return them.
-
-    ``None`` leaves a cutoff unchanged.  Used by ``repro bench calibrate``
-    (see :func:`repro.analysis.microbench.calibrate_scalar_cutoffs`) after
-    timing both cascade paths on the current machine.
-    """
-    global SCALAR_KERNEL_MAX_N, SCALAR_KERNEL_MAX_M
-    if max_n is not None:
-        if max_n < 0:
-            raise ValueError("max_n must be non-negative")
-        SCALAR_KERNEL_MAX_N = int(max_n)
-    if max_m is not None:
-        if max_m < 0:
-            raise ValueError("max_m must be non-negative")
-        SCALAR_KERNEL_MAX_M = int(max_m)
-    return SCALAR_KERNEL_MAX_N, SCALAR_KERNEL_MAX_M
 
 
 def scalar_seed(deg: np.ndarray) -> Tuple[list, list, int]:

@@ -159,8 +159,8 @@ class NodeStep:
     ) -> None:
         # The kernel backend (KERNELS registry: name, instance, or None
         # for the process default) is resolved once per traversal — for
-        # ``auto``, to the concrete backend its band table picks for this
-        # graph's size — and bound into both hot-path calls below, so no
+        # ``auto``, to the concrete backend it picks for this graph's
+        # size — and bound into both hot-path calls below, so no
         # node pays the dispatch.
         kernels = resolve_kernels(kernels).bind(graph.n, graph.m)
         if reducer is None:

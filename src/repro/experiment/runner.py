@@ -241,7 +241,6 @@ def plan_run(spec: ExperimentSpec) -> Tuple[List[InstanceInfo], List[PlannedCell
 # --------------------------------------------------------------------- #
 #: Per-process graph cache for pool workers (key: ref JSON × scale).
 _GRAPH_CACHE: Dict[str, CSRGraph] = {}
-_CALIBRATION_APPLIED: set = set()
 
 
 def _cached_graph(ref_json: object, scale: str) -> CSRGraph:
@@ -253,15 +252,6 @@ def _cached_graph(ref_json: object, scale: str) -> CSRGraph:
     return graph
 
 
-def _maybe_apply_calibration(path: Optional[str]) -> None:
-    if path is None or path in _CALIBRATION_APPLIED:
-        return
-    from ..analysis.microbench import load_kernel_calibration
-
-    load_kernel_calibration(path)
-    _CALIBRATION_APPLIED.add(path)
-
-
 def _execute_cell(spec_dict: Dict[str, object], cell_fields: Dict[str, object],
                   ref_json: object) -> Dict[str, object]:
     """Worker entry point: rebuild the graph, run the cell, return the record.
@@ -270,7 +260,6 @@ def _execute_cell(spec_dict: Dict[str, object], cell_fields: Dict[str, object],
     workers so the two paths cannot drift.
     """
     spec = ExperimentSpec.from_dict(spec_dict)
-    _maybe_apply_calibration(spec.calibration)
     cfg = experiment_config(spec)
     graph = _cached_graph(ref_json, spec.scale)
     result = run_cell(

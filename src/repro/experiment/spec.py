@@ -164,14 +164,10 @@ class ExperimentSpec:
     #: distributed engine only: axis of extra localhost ``serve-worker``
     #: processes joined over the socket transport (0 = none).
     hosts: Tuple[int, ...] = (0,)
-    #: optional CALIBRATION.json applied in every worker before solving —
-    #: calibration moves the scalar/vectorized dispatch, never results, so
-    #: it is excluded from cell fingerprints.
-    calibration: Optional[str] = None
     #: optional KERNELS registry name forced on the wall-clock ``cpu-*``
     #: engines (``None``: the process default dispatcher).  Backends are
-    #: bit-identical by contract, so — like ``calibration`` — this is
-    #: excluded from cell fingerprints.
+    #: bit-identical by contract, so this is excluded from cell
+    #: fingerprints.
     kernels: Optional[str] = None
     #: wall-clock guard per cell: a cell that exceeds it is terminated and
     #: (after ``cell_retries``) quarantined with an ``error`` record.
@@ -182,13 +178,13 @@ class ExperimentSpec:
     #: (sim cells: predicted cycles by activity kind; wall cells: measured
     #: wall seconds by kind) for the report's predicted-vs-measured table.
     #: Observation, not result content — excluded from fingerprints, like
-    #: ``calibration``/``kernels``, so toggling it never invalidates cells.
+    #: ``kernels``, so toggling it never invalidates cells.
     telemetry: bool = False
     #: optional solve-cache store path armed inside wall-clock cells.  A
     #: cache hit returns the stored, verified certificate — same optimum
     #: and cover as the cold solve — so this is execution policy, not
     #: result content, and is excluded from cell fingerprints like
-    #: ``calibration``/``kernels``.  Sim-priced cells ignore it: their
+    #: ``kernels``.  Sim-priced cells ignore it: their
     #: output is a predicted cycle count, which a cache would falsify.
     cache: Optional[str] = None
     #: extra attempts before a failing/timing-out cell is quarantined.
@@ -326,7 +322,10 @@ class ExperimentSpec:
             "stackonly_depths": list(self.stackonly_depths),
             "hybrid_capacities": list(self.hybrid_capacities),
             "hybrid_fractions": list(self.hybrid_fractions),
-            "calibration": self.calibration,
+            # Kernel-dispatch calibration was removed, but every spec
+            # hashed before that carried this null; keeping it keeps
+            # their spec hashes, so committed runs stay addressable.
+            "calibration": None,
         }
 
     @classmethod
@@ -349,6 +348,9 @@ class ExperimentSpec:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown spec fields: {unknown}")
+        if data.get("calibration") is not None:
+            raise ValueError("spec field 'calibration' was removed: kernel "
+                             "dispatch is fixed; drop the field or set it to null")
         if "name" not in data:
             raise ValueError("spec is missing the required 'name' field")
         if "instances" not in data:
@@ -374,7 +376,6 @@ class ExperimentSpec:
             cpu_workers=int(data.get("cpu_workers", defaults.cpu_workers)),  # type: ignore[arg-type]
             workers=tuple(int(w) for w in data.get("workers", ())),  # type: ignore[union-attr]
             hosts=tuple(int(h) for h in data.get("hosts", defaults.hosts)),  # type: ignore[union-attr]
-            calibration=data.get("calibration"),  # type: ignore[arg-type]
             kernels=data.get("kernels"),  # type: ignore[arg-type]
             cell_timeout_s=(None if data.get("cell_timeout_s") is None
                             else float(data["cell_timeout_s"])),  # type: ignore[arg-type]
@@ -429,10 +430,9 @@ class ExperimentSpec:
 
         Everything that can change a cell's *result* — budgets, device,
         parameter grids, seed — and nothing that cannot (``name``,
-        ``calibration``, ``kernels``: proven speed-only, backends are
-        bit-identical).  The device is hashed by its
-        full parameters, not its preset name, so re-tuning a preset in
-        code invalidates the cells it priced.
+        ``kernels``: proven speed-only, backends are bit-identical).  The
+        device is hashed by its full parameters, not its preset name, so
+        re-tuning a preset in code invalidates the cells it priced.
         """
         from dataclasses import asdict
 

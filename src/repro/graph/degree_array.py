@@ -565,8 +565,8 @@ def remove_neighbors_batch_cheap(
     The previous handoff of the deferred child to the general batch path
     measured *slower* than the scalar loop at n≈50 precisely because of
     those two overheads; this kernel is what makes batching win at
-    moderate pivot degrees (``repro bench calibrate`` measures the
-    remaining crossover, persisted as ``branch_batch_min_live``).
+    moderate pivot degrees (the remaining crossover is
+    ``kernels.BRANCH_BATCH_MIN_LIVE``).
     """
     nbrs = graph.neighbors(v)
     live = nbrs[deg[nbrs] >= 0]

@@ -173,85 +173,3 @@ class TestMicrobenchArtifacts:
         for bad in bad_variants:
             with pytest.raises(ValueError):
                 validate_artifact(bad)
-
-    def test_calibrate_scalar_cutoffs_tiny_ladder(self):
-        import repro.core.kernels as kernels
-        from repro.analysis.microbench import calibrate_scalar_cutoffs
-        from repro.core.kernel_backends import KERNELS
-
-        before = (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M)
-        payload = calibrate_scalar_cutoffs(
-            repeats=2, n_ladder=(32, 64), m_ladder=(128, 256), apply=False)
-        assert (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M) == before
-        assert payload["kind"] == "repro-vc-kernel-calibration"
-        assert payload["schema_version"] == 2
-        assert payload["scalar_kernel_max_n"] in (32, 64)
-        assert payload["scalar_kernel_max_m"] > 0
-        # v2: per-band backend winners for the auto dispatcher
-        assert payload["bands"] and payload["bands"][-1]["max_n"] == 64
-        concrete = set(KERNELS) - {"auto"}
-        for band in payload["bands"]:
-            assert band["backend"] in concrete
-        assert payload["default_backend"] in concrete
-        assert set(payload["backends_measured"]) >= {"scalar", "numpy"}
-        for sample in payload["samples"]["n_ladder"]:
-            assert sample["scalar_s"] > 0 and sample["vectorized_s"] > 0
-            assert sample["winner"] in payload["backends_measured"]
-        assert payload["shipped_defaults"]["scalar_kernel_max_n"] == \
-            kernels.DEFAULT_SCALAR_KERNEL_MAX_N
-
-    def test_load_scalar_calibration_applies_and_roundtrips(self, tmp_path):
-        import json
-
-        import pytest
-
-        import repro.core.kernels as kernels
-        from repro.analysis.microbench import (
-            calibrate_scalar_cutoffs,
-            load_scalar_calibration,
-            write_artifact,
-        )
-
-        from repro.core.kernel_backends import make_kernels
-
-        auto = make_kernels("auto")
-        before = (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M)
-        before_batch = kernels.BRANCH_BATCH_MIN_LIVE
-        try:
-            payload = calibrate_scalar_cutoffs(
-                repeats=2, n_ladder=(32,), m_ladder=(128,), apply=False)
-            path = tmp_path / "CALIBRATION.json"
-            write_artifact(payload, str(path))
-            loaded = load_scalar_calibration(str(path))
-            assert kernels.SCALAR_KERNEL_MAX_N == int(loaded["scalar_kernel_max_n"])
-            assert kernels.SCALAR_KERNEL_MAX_M == int(loaded["scalar_kernel_max_m"])
-            # v2 loads install the band table into the auto dispatcher too
-            assert auto.calibrated
-        finally:
-            kernels.set_scalar_cutoffs(*before)
-            kernels.set_branch_batch_cutoff(before_batch)
-            auto.clear_calibration()
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"kind": "other"}))
-        with pytest.raises(ValueError):
-            load_scalar_calibration(str(bogus))
-        quick = tmp_path / "quick.json"
-        quick_payload = dict(payload)
-        quick_payload["quick"] = True
-        quick.write_text(json.dumps(quick_payload))
-        with pytest.raises(ValueError, match="toy-ladder"):
-            load_scalar_calibration(str(quick))
-
-    def test_set_scalar_cutoffs_validates(self):
-        import pytest
-
-        import repro.core.kernels as kernels
-
-        before = (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M)
-        with pytest.raises(ValueError):
-            kernels.set_scalar_cutoffs(-1)
-        with pytest.raises(ValueError):
-            kernels.set_scalar_cutoffs(None, -5)
-        assert (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M) == before
-        assert kernels.scalar_path_ok(1, 1)
-        assert not kernels.scalar_path_ok(before[0] + 1, 1)

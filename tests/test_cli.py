@@ -70,38 +70,14 @@ class TestMain:
         assert {"git_sha", "seeds", "python", "numpy", "platform"} <= set(prov)
         assert "reduce_serial" in capsys.readouterr().out
 
-    def test_bench_calibrate_writes_artifact(self, capsys, tmp_path):
-        import repro.core.kernels as kernels
-
-        out = tmp_path / "CALIBRATION.json"
-        before = (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M)
-        try:
-            # --quick probes a tiny ladder and does NOT install the cutoffs
-            assert main(["bench", "calibrate", "--quick", "--repeats", "2",
-                         "--out", str(out)]) == 0
-        finally:
-            kernels.set_scalar_cutoffs(*before)
-        payload = json.loads(out.read_text())
-        assert payload["kind"] == "repro-vc-kernel-calibration"
-        assert payload["schema_version"] == 2
-        assert payload["quick"] is True  # toy ladder: tagged unloadable
-        assert payload["bands"] and payload["default_backend"]
-        assert payload["scalar_kernel_max_n"] > 0
-        assert payload["scalar_kernel_max_m"] > 0
-        assert payload["branch_batch_min_live"] >= 2
-        assert payload["samples"]["n_ladder"] and payload["samples"]["m_ladder"]
-        assert payload["samples"]["branch_live_ladder"]
-        for sample in payload["samples"]["branch_live_ladder"]:
-            assert sample["scalar_s"] > 0 and sample["batch_s"] > 0
-        assert "calibrated cutoffs" in capsys.readouterr().out
-
-    def test_bench_parser_accepts_action(self):
-        args = build_parser().parse_args(["bench", "calibrate"])
-        assert args.action == "calibrate"
+    def test_bench_parser_accepts_action(self, capsys):
         args = build_parser().parse_args(["bench"])
         assert args.action == "run"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "nonsense"])
+        for retired in ("calibrate", "nonsense"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["bench", retired])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_solve_frontier_flag(self, capsys):
         assert main(["solve", "--graph", "p_hat_300_3", "--scale", "tiny",
@@ -222,67 +198,3 @@ class TestExperimentCLI:
         table = lambda text: [ln for ln in text.splitlines()
                               if ln.startswith(("Table", "Graph", "p_hat", "-"))]
         assert table(first) == table(second)
-
-
-class TestCalibrationAutoload:
-    """REPRO_CALIBRATION: opt-in import-time cutoff installation."""
-
-    def _quick_artifact(self, tmp_path):
-        from repro.analysis.microbench import calibrate_scalar_cutoffs, write_artifact
-
-        payload = calibrate_scalar_cutoffs(
-            repeats=2, n_ladder=(16,), m_ladder=(64,), branch_ladder=(4,),
-            apply=False, quick=True,
-        )
-        path = tmp_path / "CALIBRATION.json"
-        write_artifact(payload, str(path))
-        return path, payload
-
-    def test_quick_artifact_is_refused(self, tmp_path):
-        from repro.analysis.microbench import maybe_autoload_calibration
-
-        path, _ = self._quick_artifact(tmp_path)
-        with pytest.raises(ValueError, match="--quick"):
-            maybe_autoload_calibration({"REPRO_CALIBRATION": str(path)})
-
-    def test_unset_and_off_are_noops(self):
-        from repro.analysis.microbench import maybe_autoload_calibration
-
-        assert maybe_autoload_calibration({}) is None
-        for off in ("", "0", "off", "no", "false", "FALSE", " Off "):
-            assert maybe_autoload_calibration({"REPRO_CALIBRATION": off}) is None, off
-
-    def test_full_artifact_installs_all_cutoffs(self, tmp_path):
-        import json as json_mod
-
-        import repro.core.kernels as kernels
-        from repro.analysis.microbench import maybe_autoload_calibration
-        from repro.core.kernel_backends import make_kernels
-
-        path, payload = self._quick_artifact(tmp_path)
-        full = dict(payload)
-        full["quick"] = False
-        full["scalar_kernel_max_n"] = 1111
-        full["scalar_kernel_max_m"] = 2222
-        full["branch_batch_min_live"] = 33
-        path.write_text(json_mod.dumps(full))
-        auto = make_kernels("auto")
-        saved = (kernels.SCALAR_KERNEL_MAX_N, kernels.SCALAR_KERNEL_MAX_M,
-                 kernels.BRANCH_BATCH_MIN_LIVE)
-        try:
-            loaded = maybe_autoload_calibration({"REPRO_CALIBRATION": str(path)})
-            assert loaded is not None
-            assert kernels.SCALAR_KERNEL_MAX_N == 1111
-            assert kernels.SCALAR_KERNEL_MAX_M == 2222
-            assert kernels.BRANCH_BATCH_MIN_LIVE == 33
-            assert auto.calibrated  # v2: the band table installs too
-        finally:
-            kernels.set_scalar_cutoffs(saved[0], saved[1])
-            kernels.set_branch_batch_cutoff(saved[2])
-            auto.clear_calibration()
-
-    def test_missing_explicit_path_raises(self):
-        from repro.analysis.microbench import maybe_autoload_calibration
-
-        with pytest.raises(OSError):
-            maybe_autoload_calibration({"REPRO_CALIBRATION": "/nonexistent/CALIB.json"})

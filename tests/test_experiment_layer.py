@@ -11,6 +11,7 @@ The two contracts the tentpole stands on:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,3 +580,27 @@ class TestPreBoundAxisCompatibility:
         # the default-bound cell (the greedy payload omits the key)
         _, planned = plan_run(spec)
         assert planned[0].fingerprint == legacy["fingerprint"]
+
+
+class TestCommittedRunsStayAddressable:
+    """The committed runs were hashed with ``"calibration": null`` in their
+    spec; the field is gone but their spec hashes must not move."""
+
+    EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+    RUNS = ("obs-breakdown-d255fcecf2", "dist-workers-hosts-4f9eb33f1d")
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_spec_hash_matches_the_manifest(self, run):
+        name = run.rsplit("-", 1)[0]
+        manifest = json.loads((self.EXPERIMENTS / run / "manifest.json").read_text())
+        assert manifest["spec"]["calibration"] is None
+        spec = ExperimentSpec.from_dict(
+            json.loads((self.EXPERIMENTS / f"{name}.spec.json").read_text()))
+        assert spec_hash(spec) == manifest["spec_hash"]
+        assert spec_hash(ExperimentSpec.from_dict(manifest["spec"])) == manifest["spec_hash"]
+
+    def test_non_null_calibration_is_refused(self):
+        data = tiny_spec().to_dict()
+        data["calibration"] = "calib.json"
+        with pytest.raises(ValueError, match="calibration' was removed"):
+            ExperimentSpec.from_dict(data)

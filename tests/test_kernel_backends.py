@@ -7,13 +7,11 @@ random / p_hat / structured suites, seeded dirty-hint cascades and
 budget-limited early exits.  Plus: the compiled ``native`` backend's
 typed boundary errors, build-on-first-use loader and fallbacks (silent
 for ``auto``, loud for an explicit ``native``), an independent networkx
-oracle, the calibrated ``auto`` band dispatch, CALIBRATION v2 artifact
-hygiene, the stale-binding regression (cutoff/backend switches after
-import must steer branching), and the one-line registry errors surfaced
-by the CLI and the experiment spec.
+oracle, ``auto``'s fixed dispatch rule, the stale-binding regression
+(cutoff/backend switches after import must steer branching), and the
+one-line registry errors surfaced by the CLI and the experiment spec.
 """
 
-import json
 import os
 import stat
 import subprocess
@@ -281,7 +279,6 @@ class TestNativeBackend:
 
     def test_uncalibrated_auto_picks_native_at_every_size(self):
         auto = _backend("auto")
-        assert not auto.calibrated
         for n, m in ((1, 0), (10, 10), (5000, 10 ** 6)):
             assert auto.pick(n, m) == "native"
         assert auto.resolved_name(10, 20) == "auto:native"
@@ -625,13 +622,12 @@ def test_native_mvc_matches_networkx_oracle(case):
 
 
 # --------------------------------------------------------------------- #
-# auto: uncalibrated legacy cutoffs, calibrated band tables
+# auto without the extension: the shipped cutoff rule
 # --------------------------------------------------------------------- #
+@pytest.mark.usefixtures("without_native")
 class TestAutoDispatch:
-    @pytest.mark.usefixtures("without_native")
     def test_uncalibrated_reads_live_globals(self, monkeypatch):
         auto = _backend("auto")
-        assert not auto.calibrated
         assert auto.pick(10, 10) == "scalar"
         saved = kernels_mod.SCALAR_KERNEL_MAX_N
         monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
@@ -640,61 +636,36 @@ class TestAutoDispatch:
         monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 5)
         assert auto.pick(10, 10) == "numpy"
 
-    def test_calibrated_band_table(self):
+    def test_shipped_cutoffs_bound_the_scalar_path(self):
         auto = _backend("auto")
-        try:
-            auto.install_calibration(
-                [(64, "scalar"), (512, "numpy")], max_m=1000, default="numpy")
-            assert auto.calibrated
-            assert auto.pick(32, 10) == "scalar"
-            assert auto.pick(128, 10) == "numpy"
-            assert auto.pick(32, 2000) == "numpy"   # m-cap overrides bands
-            assert auto.pick(9999, 10) == "numpy"   # beyond the ladder
-            assert auto.resolved_name(32, 10) == "auto:scalar"
-            # calibrated tables ignore the legacy globals entirely
-            saved = kernels_mod.SCALAR_KERNEL_MAX_N
-            try:
-                kernels_mod.set_scalar_cutoffs(0)
-                assert auto.pick(32, 10) == "scalar"
-            finally:
-                kernels_mod.set_scalar_cutoffs(saved)
-        finally:
-            auto.clear_calibration()
-        assert not auto.calibrated
+        assert auto.resolved_name(2048, 65536) == "auto:scalar"
+        assert auto.resolved_name(2049, 10) == "auto:numpy"
+        assert auto.resolved_name(10, 65537) == "auto:numpy"
+        assert kernels_mod.scalar_path_ok(1, 1)
+        assert not kernels_mod.scalar_path_ok(kernels_mod.SCALAR_KERNEL_MAX_N + 1, 1)
 
-    def test_calibrated_native_band_ignores_the_edge_cap(self):
-        auto = _backend("auto")
-        try:
-            auto.install_calibration([(64, "scalar"), (8192, "native")],
-                                     max_m=1000, default="native")
-            assert auto.pick(32, 2000) == "numpy"   # cap still binds scalar
-            assert auto.pick(128, 2000) == "native"
-            assert auto.pick(10 ** 5, 10 ** 7) == "native"
-        finally:
-            auto.clear_calibration()
-
-    @pytest.mark.usefixtures("without_native")
-    def test_calibrated_native_band_without_extension_is_silent(self):
-        """A committed artifact naming ``native`` applied on a host that
-        cannot build it keeps the legacy rule, with no warning."""
+    def test_without_extension_auto_is_silent(self):
+        """On a host that cannot build the extension ``auto`` takes the
+        cutoff rule with no warning, and its cascade is the reference's."""
         auto = AutoBackend()
-        auto.install_calibration([(8192, "native")], max_m=1000, default="native")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert auto.pick(32, 10) == "scalar"
             assert auto.pick(32, 2000) == "scalar"
             assert auto.pick(10 ** 5, 10 ** 6) == "numpy"
             g = gnp(40, 0.1, seed=1)
             assert _cascade_tuple(g, _via(auto)) == _cascade_tuple(g, _reference)
 
-    def test_install_rejects_bad_names(self):
-        auto = AutoBackend()
-        with pytest.raises(ValueError, match="unknown kernels"):
-            auto.install_calibration([(64, "cuda")], max_m=10)
-        with pytest.raises(ValueError, match="cannot nest"):
-            auto.install_calibration([(64, "auto")], max_m=10)
-        with pytest.raises(ValueError, match="unknown kernels"):
-            auto.install_calibration([(64, "scalar")], max_m=10, default="gpu")
+
+def test_bench_provenance_records_backends():
+    from repro.analysis.microbench import run_microbench
+
+    payload = run_microbench(repeats=1, target_s=1e-3, kernels="scalar")
+    prov = payload["provenance"]["kernel_backends"]
+    assert prov  # at least the cascade/solver/greedy cases are stamped
+    assert all(v == "scalar" for v in prov.values())
+    payload = run_microbench(repeats=1, target_s=1e-3)  # default: auto
+    prov = payload["provenance"]["kernel_backends"]
+    assert all(v.startswith("auto:") for v in prov.values())
 
 
 # --------------------------------------------------------------------- #
@@ -728,121 +699,34 @@ class TestStaleBindingRegression:
 
     def test_cutoff_switch_after_import_flips_the_path(self, monkeypatch):
         """The historical hazard: branching binding a cutoff at import
-        time, so set_scalar_cutoffs() after import changed nothing.  The
+        time, so changing the cutoff after import changed nothing.  The
         dispatcher reads the live globals at call time."""
         g = gnp(40, 0.15, seed=5)
         calls = self._spy_paths(monkeypatch)
-        saved = (kernels_mod.SCALAR_KERNEL_MAX_N, kernels_mod.SCALAR_KERNEL_MAX_M)
-        try:
-            kernels_mod.set_scalar_cutoffs(4096, 1 << 20)
-            self._branch_once(g)
-            assert calls[-1] == "scalar"
-            kernels_mod.set_scalar_cutoffs(0, 0)  # the switch, post-import
-            self._branch_once(g)
-            assert calls[-1] == "general"
-        finally:
-            kernels_mod.set_scalar_cutoffs(*saved)
+        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 4096)
+        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 1 << 20)
+        self._branch_once(g)
+        assert calls[-1] == "scalar"
+        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)  # the switch
+        self._branch_once(g)
+        assert calls[-1] == "general"
 
     def test_backend_switch_after_import_flips_the_path(self, monkeypatch):
-        """Installing a calibration (or forcing a backend) after import
-        must steer the very next branch step."""
+        """Forcing a backend after import must steer the very next branch
+        step."""
         g = gnp(40, 0.15, seed=5)
         calls = self._spy_paths(monkeypatch)
-        auto = _backend("auto")
-        saved = (kernels_mod.SCALAR_KERNEL_MAX_N, kernels_mod.SCALAR_KERNEL_MAX_M)
+        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 4096)
+        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 1 << 20)
+        before = kb.get_default_kernels()
         try:
-            kernels_mod.set_scalar_cutoffs(4096, 1 << 20)
             self._branch_once(g)
             assert calls[-1] == "scalar"
-            # a calibrated band table overrides the (scalar-favouring) globals
-            auto.install_calibration([(1, "scalar")], max_m=1 << 20, default="numpy")
+            set_default_kernels("numpy")  # overrides the scalar-favouring globals
             self._branch_once(g)
             assert calls[-1] == "general"
         finally:
-            auto.clear_calibration()
-            kernels_mod.set_scalar_cutoffs(*saved)
-
-
-# --------------------------------------------------------------------- #
-# CALIBRATION v2 artifact hygiene
-# --------------------------------------------------------------------- #
-class TestCalibrationV2:
-    def _payload(self):
-        from repro.analysis.microbench import calibrate_kernels
-
-        return calibrate_kernels(repeats=1, n_ladder=(24, 48),
-                                 m_ladder=(96,), apply=False)
-
-    def test_validate_calibration_accepts_real_payload(self):
-        from repro.analysis.microbench import validate_calibration
-
-        validate_calibration(self._payload())  # must not raise
-
-    def test_validate_calibration_rejects_drift(self):
-        from repro.analysis.microbench import validate_calibration
-
-        good = self._payload()
-        bad_variants = []
-        b = dict(good); b["schema_version"] = 1; bad_variants.append(b)
-        b = dict(good); b["kind"] = "nope"; bad_variants.append(b)
-        b = dict(good); b["bands"] = []; bad_variants.append(b)
-        b = dict(good); b["bands"] = [{"max_n": 64, "backend": "auto"}]; bad_variants.append(b)
-        b = dict(good)
-        b["bands"] = [{"max_n": 64, "backend": "scalar"},
-                      {"max_n": 32, "backend": "numpy"}]  # not increasing
-        bad_variants.append(b)
-        b = dict(good); b["default_backend"] = "gpu"; bad_variants.append(b)
-        b = dict(good); b["backends_measured"] = ["scalar", "gpu"]; bad_variants.append(b)
-        b = dict(good); b.pop("samples"); bad_variants.append(b)
-        for bad in bad_variants:
-            with pytest.raises(ValueError):
-                validate_calibration(bad)
-
-    def test_v1_artifact_refused_loudly(self, tmp_path):
-        from repro.analysis.microbench import load_kernel_calibration
-
-        v1 = {
-            "kind": "repro-vc-scalar-calibration",
-            "schema_version": 1,
-            "quick": False,
-            "scalar_kernel_max_n": 2048,
-            "scalar_kernel_max_m": 65536,
-        }
-        path = tmp_path / "CALIBRATION.json"
-        path.write_text(json.dumps(v1))
-        with pytest.raises(ValueError, match="schema-v1"):
-            load_kernel_calibration(str(path))
-        with pytest.raises(ValueError, match="regenerate"):
-            load_kernel_calibration(str(path))
-
-    def test_roundtrip_installs_and_clears_band_table(self, tmp_path):
-        from repro.analysis.microbench import load_kernel_calibration, write_artifact
-
-        auto = _backend("auto")
-        payload = self._payload()
-        path = tmp_path / "CALIBRATION.json"
-        write_artifact(payload, str(path))
-        saved = (kernels_mod.SCALAR_KERNEL_MAX_N, kernels_mod.SCALAR_KERNEL_MAX_M,
-                 kernels_mod.BRANCH_BATCH_MIN_LIVE)
-        try:
-            load_kernel_calibration(str(path))
-            assert auto.calibrated
-            assert auto.pick(1, 1) in CONCRETE
-        finally:
-            kernels_mod.set_scalar_cutoffs(saved[0], saved[1])
-            kernels_mod.set_branch_batch_cutoff(saved[2])
-            auto.clear_calibration()
-
-    def test_bench_provenance_records_backends(self):
-        from repro.analysis.microbench import run_microbench
-
-        payload = run_microbench(repeats=1, target_s=1e-3, kernels="scalar")
-        prov = payload["provenance"]["kernel_backends"]
-        assert prov  # at least the cascade/solver/greedy cases are stamped
-        assert all(v == "scalar" for v in prov.values())
-        payload = run_microbench(repeats=1, target_s=1e-3)  # default: auto
-        prov = payload["provenance"]["kernel_backends"]
-        assert all(v.startswith("auto:") for v in prov.values())
+            set_default_kernels(before)
 
 
 # --------------------------------------------------------------------- #

@@ -627,15 +627,3 @@ class TestBranchBatchHandoff:
         finally:
             kernels_mod.BRANCH_BATCH_MIN_LIVE = saved
         assert forced == baseline
-
-    def test_set_branch_batch_cutoff_validates(self):
-        from repro.core.kernels import set_branch_batch_cutoff
-
-        saved = kernels_mod.BRANCH_BATCH_MIN_LIVE
-        try:
-            assert set_branch_batch_cutoff(None) == saved
-            assert set_branch_batch_cutoff(17) == 17
-            with pytest.raises(ValueError):
-                set_branch_batch_cutoff(1)
-        finally:
-            kernels_mod.BRANCH_BATCH_MIN_LIVE = saved
