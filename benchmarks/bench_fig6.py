@@ -12,9 +12,9 @@ Asserted shape (paper Section V-D):
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import GROUPS
 from repro.analysis.experiments import run_fig6
 from repro.graph.generators.suites import HIGH_DEGREE, paper_suite
+from repro.obs.breakdown import GROUPS
 
 from conftest import once
 
@@ -30,8 +30,8 @@ def bench_fig6_breakdown(benchmark, quick_cfg):
     rows = {r.name: r for r in res.rows}
     mean = rows["Mean"]
     groups = mean.group_totals()
-    for group, frac in groups.items():
-        benchmark.extra_info[group] = f"{frac * 100:.1f}%"
+    for group in GROUPS:
+        benchmark.extra_info[group] = f"{groups[group] * 100:.1f}%"
     benchmark.extra_info["remove-from-worklist"] = f"{mean.fractions['wl_remove'] * 100:.1f}%"
 
     # Reducing dominates on average.

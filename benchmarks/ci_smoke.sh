@@ -35,7 +35,9 @@
 # produce schema-valid Chrome trace JSON with spans from >= 2 pids and a
 # metrics snapshot whose Prometheus exposition parses, and a disarmed
 # solve must never touch a telemetry mutator — spied with raising
-# monkeypatches on the span/counter entry points), or the solve-cache
+# monkeypatches on the span/counter entry points — and a cycles-clock
+# trace of a simulated launch must carry its clock, sum per kind to the
+# launch's cycles and render in `repro obs view`), or the solve-cache
 # gate fails (miss, exact and isomorphic hits with verified covers, an
 # escalated repeat, an unusable root that warns and solves
 # uncached, no index.sqlite handle left open, a disarmed path that
@@ -474,9 +476,14 @@ EOF
 #    counter mutator replaced by a raising spy, a plain solve must still
 #    succeed — proof the per-node code binds bare closures when nothing
 #    is armed.
+# 3. the cycles clock: a TINY_SIM hybrid launch traced into a
+#    clock="cycles" tracer and dumped as Chrome JSON must record
+#    otherData.clock == "cycles", sum per kind to the launch's
+#    cycles_by_kind, and render in `repro obs view`.
 obs_trace="$(mktemp /tmp/bench_smoke_trace.XXXXXX.json)"
 obs_metrics="$(mktemp /tmp/bench_smoke_metrics.XXXXXX.json)"
-trap 'rm -f "$out" "$obs_trace" "$obs_metrics"; rm -rf "$exp_store"' EXIT
+obs_cycles="$(mktemp /tmp/bench_smoke_cycles.XXXXXX.json)"
+trap 'rm -f "$out" "$obs_trace" "$obs_metrics" "$obs_cycles"; rm -rf "$exp_store"' EXIT
 python -m repro solve --graph p_hat_300_1 --scale tiny \
     --engine distributed --workers 1 --hosts 1 --stats \
     --trace "$obs_trace" --metrics-out "$obs_metrics" > /dev/null
@@ -542,6 +549,40 @@ expected = solve_mvc_sequential(graph).optimum
 assert solve_mvc(graph).optimum == expected
 print("ci_smoke: disarmed solve never touched a telemetry mutator")
 EOF
+python - "$obs_cycles" <<'EOF'
+import json
+import math
+import sys
+
+from repro.engines.hybrid import HybridEngine
+from repro.graph.generators.phat import phat_complement
+from repro.obs import trace
+from repro.sim.device import TINY_SIM
+
+engine = HybridEngine(device=TINY_SIM)
+engine.tracer = tracer = trace.WallTracer(clock="cycles")
+launch = engine.solve_mvc(phat_complement(40, 3, seed=9)).stats
+trace.dump_chrome(sys.argv[1], tracer)
+doc = json.load(open(sys.argv[1]))
+assert doc["otherData"]["clock"] == "cycles", doc["otherData"]
+assert doc["otherData"]["trace_id"] == tracer.trace_id
+traced = {}
+for ev in doc["traceEvents"]:
+    assert ev["cat"] == "cycles" and ev["ph"] == "X" and ev["dur"] > 0, ev
+    traced[ev["name"]] = traced.get(ev["name"], 0.0) + ev["dur"]
+metered = launch.metrics.cycles_by_kind()
+for kind, cycles in metered.items():
+    assert math.isclose(traced.get(kind, 0.0), cycles, rel_tol=1e-9), \
+        (kind, traced.get(kind), cycles)
+assert set(traced) <= set(metered), set(traced) - set(metered)
+print(f"ci_smoke: cycles-clock trace OK ({len(doc['traceEvents'])} spans, "
+      f"{len(metered)} kinds equal to the launch's cycles_by_kind)")
+EOF
+view_out="$(python -m repro obs view "$obs_cycles")"
+case "$view_out" in
+    "cycles gantt: "*) echo "ci_smoke: repro obs view rendered the cycles trace" ;;
+    *) echo "ci_smoke: repro obs view did not render a cycles Gantt" >&2; exit 1 ;;
+esac
 
 # --- solve-cache gate (see docs/CACHING.md) ---
 # 1. a cold solve misses and stores a valid cover; a second identical
@@ -555,7 +596,7 @@ EOF
 #    index.sqlite (every connection is closed); 6. a disarmed solve must
 #    never reach any cache entry point.
 cache_store="$(mktemp -d /tmp/bench_smoke_cache.XXXXXX)"
-trap 'rm -f "$out" "$obs_trace" "$obs_metrics"; rm -rf "$exp_store" "$cache_store"' EXIT
+trap 'rm -f "$out" "$obs_trace" "$obs_metrics" "$obs_cycles"; rm -rf "$exp_store" "$cache_store"' EXIT
 python - "$cache_store" <<'EOF'
 import sys
 

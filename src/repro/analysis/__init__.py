@@ -1,6 +1,5 @@
 """Evaluation harness: regenerates every table and figure of the paper."""
 
-from .breakdown import ACTIVITY_LABELS, BreakdownRow, breakdown_row, mean_breakdown
 from .experiments import (
     INSTANCE_TYPES,
     CellResult,
@@ -26,10 +25,6 @@ from .speedup import aggregate_speedups, geometric_mean, speedup
 from .tables import format_seconds, format_speedup, render_table
 
 __all__ = [
-    "ACTIVITY_LABELS",
-    "BreakdownRow",
-    "breakdown_row",
-    "mean_breakdown",
     "INSTANCE_TYPES",
     "CellResult",
     "ExperimentConfig",

@@ -45,11 +45,11 @@ from ..engines.globalonly import GlobalOnlyEngine
 from ..engines.hybrid import HybridEngine
 from ..engines.stackonly import StackOnlyEngine
 from ..graph.generators.suites import HIGH_DEGREE, LOW_DEGREE, SuiteInstance, paper_suite
+from ..obs.breakdown import ACTIVITY_LABELS, BreakdownRow, breakdown_row, mean_breakdown
 from ..sim.costmodel import CostModel
 from ..sim.device import EPYC_LIKE, SMALL_SIM, CPUSpec, DeviceSpec
 from ..sim.metrics import LaunchMetrics
 from . import tables
-from .breakdown import ACTIVITY_LABELS, BreakdownRow, breakdown_row, mean_breakdown
 from .load_balance import LoadSummary, load_summary_from_metrics
 from .sequential_sim import solve_mvc_sequential_sim, solve_pvc_sequential_sim
 from .speedup import aggregate_speedups, geometric_mean

@@ -164,10 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obs", help="inspect telemetry artifacts offline")
     osub = p.add_subparsers(dest="obs_command", required=True)
-    op = osub.add_parser("view", help="ASCII Gantt + per-kind wall "
-                                      "attribution from a trace file")
+    op = osub.add_parser("view", help="ASCII Gantt + per-kind attribution "
+                                      "from a trace file (wall or cycles)")
     op.add_argument("trace", metavar="TRACE.json",
-                    help="Chrome trace JSON written by `repro solve --trace`")
+                    help="Chrome trace JSON written by `repro solve --trace` "
+                         "or `repro.obs.trace.dump_chrome`")
     op.add_argument("--width", type=int, default=80,
                     help="Gantt width in columns")
     op = osub.add_parser("export", help="convert telemetry artifacts: "
@@ -553,20 +554,22 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.obs_command == "view":
         try:
-            spans = trace.load_chrome(args.trace)
-        except (OSError, ValueError, KeyError) as exc:
+            tracer = trace.load_chrome(args.trace)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read trace {args.trace!r}: {exc}")
             return 2
-        print(trace.render_wall_gantt(spans, width=args.width))
-        by_kind = breakdown.wall_by_kind_from_spans(spans)
+        print(trace.render_wall_gantt(tracer.spans, width=args.width,
+                                      clock=tracer.clock))
+        by_kind = breakdown.wall_by_kind_from_spans(tracer.spans)
         if by_kind:
             total = sum(by_kind.values())
-            print("\nwall attribution (span self-time):")
-            for kind, sec in sorted(by_kind.items(), key=lambda kv: -kv[1]):
-                print(f"  {kind:10s} {sec * 1e3:10.3f} ms "
-                      f"{sec / total * 100:5.1f}%")
-            fractions = breakdown.group_fractions(by_kind,
-                                                  breakdown.WALL_GROUPS)
+            scale, unit = (1e3, "ms") if tracer.clock == "wall" else (1.0, "cycles")
+            print(f"\n{tracer.clock} attribution (span self-time):")
+            width = max(10, *map(len, by_kind))
+            for kind, val in sorted(by_kind.items(), key=lambda kv: -kv[1]):
+                print(f"  {kind:{width}s} {val * scale:10.3f} {unit} "
+                      f"{val / total * 100:5.1f}%")
+            fractions = breakdown.group_fractions(by_kind)
             print("activity groups: " + "  ".join(
                 f"{title}={frac * 100:.1f}%"
                 for title, frac in fractions.items()))
@@ -586,11 +589,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 return 2
         else:
             try:
-                spans = trace.load_chrome(args.trace)
-            except (OSError, ValueError, KeyError) as exc:
+                tracer = trace.load_chrome(args.trace)
+            except (OSError, ValueError) as exc:
                 print(f"error: cannot read trace {args.trace!r}: {exc}")
                 return 2
-            text = json.dumps(trace.to_chrome(spans)) + "\n"
+            text = json.dumps(trace.to_chrome(tracer)) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -109,7 +109,8 @@ class SimEngineBase:
         #: Section IV-D parallel-semantics rules regardless — backends are
         #: bit-identical, so makespans and Table I never depend on this.
         self.kernels = kernels
-        #: optional repro.sim.trace.TraceRecorder capturing every charge
+        #: optional ``WallTracer(clock="cycles")`` (repro.obs.trace)
+        #: receiving one span per charge of every block
         self.tracer = None
 
     # ------------------------------------------------------------------ #

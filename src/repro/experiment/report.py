@@ -192,12 +192,10 @@ def breakdown_rows(run: Run) -> List[Dict[str, object]]:
                                     "engine": engine}
         cycles = obs.get("cycles_by_kind")  # type: ignore[union-attr]
         if cycles:
-            entry["predicted"] = obs_breakdown.group_fractions(
-                cycles, obs_breakdown.sim_groups())
+            entry["predicted"] = obs_breakdown.group_fractions(cycles)
         wall = obs.get("wall_by_kind")  # type: ignore[union-attr]
         if wall:
-            entry["measured"] = obs_breakdown.group_fractions(
-                wall, obs_breakdown.WALL_GROUPS)
+            entry["measured"] = obs_breakdown.group_fractions(wall)
         if "predicted" in entry or "measured" in entry:
             entries.append(entry)
     return entries

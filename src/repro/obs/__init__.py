@@ -8,10 +8,11 @@ allocations, and branch counts as before this package existed.
 
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
   histograms, JSON snapshot + Prometheus exposition;
-* :mod:`repro.obs.trace` — wall-clock spans with trace/span ids that
-  survive the socket hop, Chrome trace JSON + ASCII Gantt;
-* :mod:`repro.obs.breakdown` — per-kind wall attribution mirrored onto
-  the sim cost model's activity groups (predicted vs measured).
+* :mod:`repro.obs.trace` — one span model on two clocks: wall-clock
+  spans with trace/span ids that survive the socket hop, and the
+  simulator's cycle charges; Chrome trace JSON + ASCII Gantt for both;
+* :mod:`repro.obs.breakdown` — the activity kinds, the one kind → group
+  table of Fig. 6, and per-kind wall attribution (predicted vs measured).
 
 :func:`step_telemetry` is the single integration point the node-step
 core uses: it returns ``None`` when the plane is disarmed (so

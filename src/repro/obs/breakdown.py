@@ -1,12 +1,13 @@
-"""Predicted-vs-measured activity breakdowns.
+"""Activity kinds, the Fig. 6 group table, and predicted-vs-measured breakdowns.
 
-The sim engines price every charge into the Fig. 6 activity kinds
-(:mod:`repro.sim.costmodel`); the wall engines, instrumented through the
-telemetry plane, attribute real seconds to a coarser taxonomy (reduce /
-bound / branch / work-distribution).  This module maps both onto the
-paper's four activity *groups* so a store report can lay the simulator's
-prediction next to a measured wall-clock breakdown for the same
-instance — the reproduction artifact ISSUE 9 is after.
+The sim engines price every charge into the Fig. 6 activity kinds (the
+cost model in :mod:`repro.sim.costmodel` imports them from here); the
+wall engines, instrumented through the telemetry plane, attribute real
+seconds to a coarser taxonomy (reduce / bound / branch /
+work-distribution).  One table, :data:`GROUPS`, maps both vocabularies
+onto the paper's four activity *groups*, so the Fig. 6 bars, the Gantt
+glyphs and a store report laying the simulator's prediction next to a
+measured wall-clock breakdown all read the same mapping.
 
 Measured attribution sources, in preference order:
 
@@ -26,17 +27,28 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence)
 
 from . import metrics as _metrics
-from .trace import WallSpan
+
+if TYPE_CHECKING:
+    from .trace import WallSpan
 
 __all__ = [
+    "WORK_DISTRIBUTION_KINDS",
+    "REDUCE_KINDS",
+    "BRANCH_KINDS",
+    "BOUND_KINDS",
     "WALL_KINDS",
+    "ACTIVITY_LABELS",
+    "GROUPS",
     "GROUP_TITLES",
-    "SIM_GROUPS",
-    "sim_groups",
-    "WALL_GROUPS",
+    "SPAN_ATTRIBUTION",
+    "BreakdownRow",
+    "breakdown_row",
+    "mean_breakdown",
     "step_attribution",
     "local_attribution",
     "local_sink",
@@ -49,52 +61,84 @@ __all__ = [
     "render_breakdown_table",
 ]
 
+#: The predicted (simulated-cycles) kinds: the paper's eleven Fig. 6
+#: activities plus ``lower_bound``, which the cost model charges only for
+#: non-default bound policies (see :mod:`repro.sim.costmodel`).
+WORK_DISTRIBUTION_KINDS = ("wl_add", "wl_remove", "stack_push", "stack_pop", "terminate")
+REDUCE_KINDS = ("degree_one", "degree_two_triangle", "high_degree")
+BRANCH_KINDS = ("find_max", "remove_vmax", "remove_neighbors")
+BOUND_KINDS = ("lower_bound",)
+
 #: The measured (wall) attribution kinds.  ``reduce``/``bound``/``branch``
 #: are carved out of each node step by the instrumented closure; the rest
 #: are engine-level work-distribution sites.
 WALL_KINDS = ("reduce", "bound", "branch", "lease", "idle", "frame")
 
-GROUP_TITLES = ("Work distribution and load balancing", "Reducing",
-                "Branching", "Bounding")
-
-#: Fig. 6 kind → group for the predicted (simulated-cycles) side, built
-#: lazily from :mod:`repro.sim.costmodel` — ``repro.obs`` is imported by
-#: ``core.nodestep``, which ``repro.sim`` builds on, so an eager import
-#: here would close a cycle.  ``state_copy`` is folded into work
-#: distribution: copying the degree array is part of moving a tree node
-#: between frontier slots.  Access as ``breakdown.SIM_GROUPS`` (module
-#: ``__getattr__``) or :func:`sim_groups`.
-_SIM_GROUPS_CACHE: Optional[Dict[str, tuple]] = None
-
-
-def sim_groups() -> Dict[str, tuple]:
-    global _SIM_GROUPS_CACHE
-    if _SIM_GROUPS_CACHE is None:
-        from ..sim.costmodel import (BOUND_KINDS, BRANCH_KINDS, REDUCE_KINDS,
-                                     WORK_DISTRIBUTION_KINDS)
-        _SIM_GROUPS_CACHE = {
-            "Work distribution and load balancing":
-                WORK_DISTRIBUTION_KINDS + ("state_copy",),
-            "Reducing": REDUCE_KINDS,
-            "Branching": BRANCH_KINDS,
-            "Bounding": BOUND_KINDS,
-        }
-    return _SIM_GROUPS_CACHE
-
-
-def __getattr__(name: str):
-    if name == "SIM_GROUPS":
-        return sim_groups()
-    raise AttributeError(name)
-
-#: Wall kind → group, for the measured side.
-WALL_GROUPS: Dict[str, tuple] = {
-    "Work distribution and load balancing":
-        ("lease", "idle", "frame"),
-    "Reducing": ("reduce",),
-    "Branching": ("branch",),
-    "Bounding": ("bound",),
+#: Display names for the Fig. 6 activities, in the figure's order.
+ACTIVITY_LABELS: Dict[str, str] = {
+    "wl_add": "Add to worklist",
+    "wl_remove": "Remove from worklist",
+    "stack_push": "Push to stack",
+    "stack_pop": "Pop from stack",
+    "terminate": "Terminate",
+    "degree_one": "Degree-one rule",
+    "degree_two_triangle": "Degree-two-triangle rule",
+    "high_degree": "High-degree rule",
+    "find_max": "Find max degree vertex",
+    "remove_vmax": "Remove max-degree vertex",
+    "remove_neighbors": "Remove neighbors of max-degree vertex",
+    "lower_bound": "Lower-bound policy evaluation",
 }
+
+#: The one kind → group table, for both vocabularies (sim and wall kind
+#: names never collide).  ``state_copy`` is work distribution: copying
+#: the degree array is part of moving a tree node between frontier slots.
+GROUPS: Dict[str, tuple] = {
+    "Work distribution and load balancing":
+        WORK_DISTRIBUTION_KINDS + ("state_copy", "lease", "idle", "frame"),
+    "Reducing": REDUCE_KINDS + ("reduce",),
+    "Branching": BRANCH_KINDS + ("branch",),
+    "Bounding": BOUND_KINDS + ("bound",),
+}
+GROUP_TITLES = tuple(GROUPS)
+
+#: Wall span kinds → the attribution kind their self-time counts as
+#: (``solve`` envelopes carry none of their own).
+SPAN_ATTRIBUTION = {"cascade": "reduce", "node_step": "branch", "solve": "branch"}
+
+
+@dataclass
+class BreakdownRow:
+    """One graph's Fig. 6 bar: fraction of block time per activity."""
+
+    name: str
+    fractions: Dict[str, float]
+
+    def group_totals(self) -> Dict[str, float]:
+        return _group_sums(self.fractions)
+
+
+def _group_sums(by_kind: Mapping[str, float]) -> Dict[str, float]:
+    return {title: sum(by_kind.get(kind, 0.0) for kind in kinds)
+            for title, kinds in GROUPS.items()}
+
+
+def breakdown_row(name: str, metrics) -> BreakdownRow:
+    """One instance's breakdown from its :class:`~repro.sim.metrics.LaunchMetrics`."""
+    fractions = metrics.breakdown_fractions()
+    fractions.pop("state_copy", None)  # folded into stack/worklist moves
+    return BreakdownRow(name=name, fractions=fractions)
+
+
+def mean_breakdown(rows: List[BreakdownRow]) -> BreakdownRow:
+    """The Fig. 6 "Mean" bar: unweighted mean of per-graph fractions."""
+    if not rows:
+        return BreakdownRow("Mean", {k: 0.0 for k in ACTIVITY_LABELS})
+    fractions: Dict[str, float] = {}
+    for kind in ACTIVITY_LABELS:
+        fractions[kind] = sum(r.fractions.get(kind, 0.0) for r in rows) / len(rows)
+    return BreakdownRow("Mean", fractions)
+
 
 _WALL_METRIC = "repro_wall_seconds_total"
 
@@ -187,13 +231,14 @@ def wall_from_obs_keys(totals: Mapping[str, float]) -> Dict[str, float]:
     return out
 
 
-def wall_by_kind_from_spans(spans: Iterable[WallSpan]) -> Dict[str, float]:
+def wall_by_kind_from_spans(spans: Iterable["WallSpan"]) -> Dict[str, float]:
     """Self-time attribution over a span tree.
 
     Each span's duration minus its children's gives self-time;
     ``node_step`` self-time is the branching remainder (find-max, pivot,
     expansion), ``cascade`` → reduce, the rest map by name.  ``solve``
-    envelopes carry no attribution of their own.
+    envelopes carry no attribution of their own.  Cycles-clock spans have
+    no parents, so there this is the per-kind sum of charged cycles.
     """
     spans = list(spans)
     child_time: Dict[str, float] = {}
@@ -206,21 +251,18 @@ def wall_by_kind_from_spans(spans: Iterable[WallSpan]) -> Dict[str, float]:
         self_time = max(0.0, s.duration - child_time.get(s.span_id, 0.0))
         if s.kind == "solve":
             continue
-        kind = {"cascade": "reduce", "node_step": "branch"}.get(s.kind, s.kind)
+        kind = SPAN_ATTRIBUTION.get(s.kind, s.kind)
         out[kind] = out.get(kind, 0.0) + self_time
     return {k: v for k, v in out.items() if v > 0.0}
 
 
-def group_fractions(by_kind: Mapping[str, float],
-                    groups: Mapping[str, tuple]) -> Dict[str, float]:
-    """Fold kind totals onto the four paper groups, normalized to 1."""
-    totals = {
-        title: sum(by_kind.get(kind, 0.0) for kind in kinds)
-        for title, kinds in groups.items()
-    }
+def group_fractions(by_kind: Mapping[str, float]) -> Dict[str, float]:
+    """Fold kind totals (sim or wall kinds) onto the four paper groups,
+    normalized to 1."""
+    totals = _group_sums(by_kind)
     grand = sum(totals.values())
     if grand <= 0:
-        return {title: 0.0 for title in groups}
+        return {title: 0.0 for title in GROUPS}
     return {title: v / grand for title, v in totals.items()}
 
 

@@ -1,13 +1,19 @@
-"""Wall-clock span tracing across worker threads and socket hops.
+"""Span tracing on two clocks: wall time across workers, cycles on the
+simulated GPU.
 
-The sim recorder (:mod:`repro.sim.trace`) attributes *virtual cycles* to
-simulated blocks; this module does the same for *wall time* across real
-workers.  A :class:`WallTracer` is armed process-wide (:func:`arm`),
-records :class:`WallSpan` intervals on a shared monotonic epoch — worker
-threads straight into it, each on its own lane — and the coordinator
-merges spans drained home from remote workers (on their ``result``
-frames over the ``net/`` sockets) into one timeline keyed by real
-``(pid, tid)`` lanes.
+One span model serves predicted and measured time.  A :class:`WallTracer`
+carries a ``clock``:
+
+* ``"wall"`` — armed process-wide (:func:`arm`), it records
+  :class:`WallSpan` intervals in seconds on a shared monotonic epoch —
+  worker threads straight into it, each on its own lane — and the
+  coordinator merges spans drained home from remote workers (on their
+  ``result`` frames over the ``net/`` sockets) into one timeline keyed by
+  real ``(pid, tid)`` lanes.
+* ``"cycles"`` — assigned to a simulated engine's ``tracer`` attribute,
+  it receives one span per cycle charge from the block contexts
+  (:mod:`repro.sim.context`), in virtual cycles, with ``pid`` the SM and
+  ``tid`` the block.
 
 Identity model:
 
@@ -27,10 +33,9 @@ comparable clock; a *remote* host arms with the coordinator's elapsed
 offset from the ``init`` frame, which is accurate to one network hop
 (documented in ``docs/OBSERVABILITY.md``).
 
-Exports: Chrome trace-event JSON (:func:`to_chrome`, loadable in
-Perfetto / ``chrome://tracing``) and an ASCII Gantt
-(:func:`render_wall_gantt`) generalized from the sim recorder's
-renderer.
+Exports, for both clocks: Chrome trace-event JSON (:func:`to_chrome`,
+loadable in Perfetto / ``chrome://tracing``, read back by
+:func:`load_chrome`) and an ASCII Gantt (:func:`render_wall_gantt`).
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ import time
 import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .breakdown import GROUP_TITLES, GROUPS, SPAN_ATTRIBUTION
+
 __all__ = [
     "WallSpan",
     "WallTracer",
@@ -52,8 +59,11 @@ __all__ = [
     "set_worker",
     "span",
     "to_chrome",
+    "dump_chrome",
+    "load_chrome",
     "render_wall_gantt",
     "SPAN_KINDS",
+    "CLOCKS",
 ]
 
 #: The span taxonomy.  ``node_step`` wraps one search-tree node;
@@ -64,9 +74,14 @@ __all__ = [
 SPAN_KINDS = ("solve", "node_step", "cascade", "bound",
               "lease", "idle", "frame")
 
+#: Span clocks → Chrome ``ts``/``dur`` ticks per span time unit: wall
+#: seconds are written in µs, simulated cycles as they are.
+CLOCKS = {"wall": 1e6, "cycles": 1.0}
+
 
 class WallSpan:
-    """One closed interval: ``[t0, t1]`` seconds relative to the epoch."""
+    """One closed interval ``[t0, t1]``: seconds relative to the epoch on
+    the wall clock, virtual cycles from launch start on the cycles clock."""
 
     __slots__ = ("kind", "t0", "t1", "pid", "tid", "span_id", "parent_id")
 
@@ -111,15 +126,21 @@ class WallTracer:
 
     ``begin``/``end`` are the hot-path pair: ``begin`` pushes onto a
     per-thread stack (establishing parentage), ``end`` pops and appends
-    a :class:`WallSpan`.  Spans beyond ``max_spans`` are counted in
-    ``dropped`` instead of stored, bounding memory on huge trees.
+    a :class:`WallSpan`.  A ``clock="cycles"`` tracer is fed by
+    :meth:`add` instead, one span per simulated charge.  Spans beyond
+    ``max_spans`` are counted in ``dropped`` instead of stored, bounding
+    memory on huge trees.
     """
 
     DEFAULT_MAX_SPANS = 2_000_000
 
     def __init__(self, trace_id: Optional[str] = None,
                  epoch: Optional[float] = None,
-                 max_spans: int = DEFAULT_MAX_SPANS) -> None:
+                 max_spans: int = DEFAULT_MAX_SPANS,
+                 clock: str = "wall") -> None:
+        if clock not in CLOCKS:
+            raise ValueError(f"unknown trace clock {clock!r}; choose from {tuple(CLOCKS)}")
+        self.clock = clock
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         self.epoch = time.monotonic() if epoch is None else float(epoch)
         self.max_spans = int(max_spans)
@@ -168,6 +189,14 @@ class WallTracer:
         self.spans.append(WallSpan(kind, t0, time.monotonic() - self.epoch,
                                    self._pid, 0 if tid is None else tid,
                                    span_id, parent_id))
+
+    def add(self, kind: str, t0: float, t1: float, pid: int, tid: int) -> None:
+        """Store one span measured by the caller (the simulator's charge
+        hook); it has no id and no parent."""
+        if len(self.spans) >= self.max_spans:
+            self.dropped += 1
+            return
+        self.spans.append(WallSpan(kind, t0, t1, pid, tid, "", None))
 
     # -- merge / drain -----------------------------------------------------
 
@@ -253,22 +282,27 @@ class span:
 # ---------------------------------------------------------------------------
 
 
-def to_chrome(spans: Iterable[WallSpan], trace_id: str = "",
-              dropped: int = 0) -> Dict[str, object]:
+def to_chrome(tracer: WallTracer) -> Dict[str, object]:
     """Chrome trace-event JSON (the ``{"traceEvents": [...]}`` wrapper).
 
-    Complete events (``ph: "X"``) with microsecond timestamps relative
-    to the trace epoch; ``pid`` is the real OS pid, ``tid`` the worker
-    lane.  Loadable in Perfetto or ``chrome://tracing``.
+    Complete events (``ph: "X"``, ``cat`` the clock) with timestamps in
+    µs relative to the trace epoch (wall) or in cycles (cycles); ``pid``
+    is the OS pid or SM, ``tid`` the worker lane or block.  Loadable in
+    Perfetto or ``chrome://tracing``.
     """
+    clock = tracer.clock
+    ticks = CLOCKS[clock]
     events: List[Dict[str, object]] = []
-    for s in spans:
+    for s in tracer.spans:
+        ts, dur = s.t0 * ticks, max(0.0, s.duration) * ticks
+        if clock == "wall":
+            ts, dur = round(ts, 3), round(dur, 3)
         events.append({
             "name": s.kind,
-            "cat": "wall",
+            "cat": clock,
             "ph": "X",
-            "ts": round(s.t0 * 1e6, 3),
-            "dur": round(max(0.0, s.duration) * 1e6, 3),
+            "ts": ts,
+            "dur": dur,
             "pid": s.pid,
             "tid": s.tid,
             "args": {"span_id": s.span_id, "parent_id": s.parent_id or ""},
@@ -276,52 +310,60 @@ def to_chrome(spans: Iterable[WallSpan], trace_id: str = "",
     return {
         "displayTimeUnit": "ms",
         "traceEvents": events,
-        "otherData": {"trace_id": trace_id, "dropped_spans": dropped,
+        "otherData": {"trace_id": tracer.trace_id,
+                      "dropped_spans": tracer.dropped, "clock": clock,
                       "producer": "repro.obs.trace"},
     }
 
 
 def dump_chrome(path: str, tracer: WallTracer) -> None:
     with open(path, "w") as fh:
-        json.dump(to_chrome(tracer.spans, tracer.trace_id, tracer.dropped),
-                  fh)
+        json.dump(to_chrome(tracer), fh)
         fh.write("\n")
 
 
-def load_chrome(path: str) -> List[WallSpan]:
-    """Inverse of :func:`dump_chrome` (for ``repro obs view``)."""
+def load_chrome(path: str) -> WallTracer:
+    """Inverse of :func:`dump_chrome`: a detached tracer holding the
+    file's spans, clock, ``trace_id`` and dropped count.  A file that is
+    not a Chrome trace raises ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
-    spans: List[WallSpan] = []
-    for ev in doc.get("traceEvents", []):
-        if ev.get("ph") != "X":
-            continue
-        args = ev.get("args", {})
-        t0 = float(ev["ts"]) / 1e6
-        spans.append(WallSpan(str(ev.get("name", "?")), t0,
-                              t0 + float(ev.get("dur", 0.0)) / 1e6,
-                              int(ev.get("pid", 0)), int(ev.get("tid", 0)),
-                              str(args.get("span_id", "")),
-                              str(args.get("parent_id", "")) or None))
-    return spans
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents", []), list):
+        raise ValueError("not a Chrome trace: want an object with a traceEvents list")
+    try:
+        other = doc.get("otherData", {})
+        tracer = WallTracer(clock=str(other.get("clock", "wall")))
+        tracer.trace_id = str(other.get("trace_id", ""))
+        tracer.dropped = int(other.get("dropped_spans", 0))
+        ticks = CLOCKS[tracer.clock]
+        for ev in doc.get("traceEvents", []):
+            if ev.get("ph") != "X":
+                continue
+            args = ev.get("args", {})
+            t0 = float(ev["ts"]) / ticks
+            tracer.spans.append(WallSpan(
+                str(ev.get("name", "?")), t0,
+                t0 + float(ev.get("dur", 0.0)) / ticks,
+                int(ev.get("pid", 0)), int(ev.get("tid", 0)),
+                str(args.get("span_id", "")),
+                str(args.get("parent_id", "")) or None))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace ({type(exc).__name__}: {exc})") from exc
+    return tracer
 
 
-#: Dominant-glyph grouping for the ASCII Gantt, mirroring the sim
-#: renderer's work/reduce/branch/limbo families.
-_GROUP_GLYPHS = (
-    ("w", ("lease", "idle", "frame")),
-    ("r", ("cascade",)),
-    ("l", ("bound",)),
-    ("b", ("node_step", "solve")),
-)
-_KIND_GLYPH = {k: g for g, kinds in _GROUP_GLYPHS for k in kinds}
+#: Dominant-glyph family per kind, read off the one group table; wall
+#: span kinds go through the attribution kind they stand for.
+_GROUP_GLYPH = dict(zip(GROUP_TITLES, "wrbl"))
+_KIND_GLYPH = {kind: _GROUP_GLYPH[title]
+               for title, kinds in GROUPS.items() for kind in kinds}
 
 
 def render_wall_gantt(spans: Sequence[WallSpan], *, width: int = 80,
-                      legend: bool = True) -> str:
-    """ASCII Gantt over wall time: one lane per ``(pid, tid)``, the
-    dominant activity glyph per time bucket (generalized from
-    ``repro.sim.trace.render_gantt``)."""
+                      legend: bool = True, clock: str = "wall") -> str:
+    """ASCII Gantt on either clock: one lane per ``(pid, tid)`` — worker
+    lanes on the wall clock, (SM, block) on the cycles clock — and the
+    dominant activity-group glyph per time bucket."""
     if not spans:
         return "(no spans)"
     lanes = sorted({(s.pid, s.tid) for s in spans})
@@ -330,10 +372,10 @@ def render_wall_gantt(spans: Sequence[WallSpan], *, width: int = 80,
     t_hi = max(s.t1 for s in spans)
     extent = max(t_hi - t_lo, 1e-9)
     bucket = extent / width
-    # weight[lane][col][glyph] -> seconds of that family in the bucket
+    # weight[lane][col][glyph] -> time of that family in the bucket
     weights = [[{} for _ in range(width)] for _ in lanes]
     for s in spans:
-        glyph = _KIND_GLYPH.get(s.kind, "b")
+        glyph = _KIND_GLYPH.get(SPAN_ATTRIBUTION.get(s.kind, s.kind), "b")
         if s.kind in ("node_step", "solve"):
             # container spans would shadow their nested children; weight
             # them lightly so self-time (branching) shows only where no
@@ -354,7 +396,8 @@ def render_wall_gantt(spans: Sequence[WallSpan], *, width: int = 80,
             cell[glyph] = cell.get(glyph, 0.0) + overlap * weight
     label_w = max(len(f"{p}/{t}") for p, t in lanes)
     out: List[str] = []
-    out.append(f"wall gantt: {len(spans)} spans over {extent * 1e3:.2f} ms "
+    span_of = f"{extent * 1e3:.2f} ms" if clock == "wall" else f"{extent:.0f} cycles"
+    out.append(f"{clock} gantt: {len(spans)} spans over {span_of} "
                f"({len(lanes)} lanes)")
     for lane in lanes:
         row = weights[lane_index[lane]]

@@ -9,7 +9,6 @@ from .launch import LaunchConfig, select_launch_config, stack_entry_bytes
 from .local_stack import LocalStack, StackOverflowError
 from .metrics import BlockMetrics, LaunchMetrics
 from .scheduler import SimulationError, Simulator
-from .trace import Span, TraceRecorder, attach_recorder, render_gantt
 
 __all__ = [
     "BrokerWorklist",
@@ -37,8 +36,4 @@ __all__ = [
     "LaunchMetrics",
     "SimulationError",
     "Simulator",
-    "Span",
-    "TraceRecorder",
-    "attach_recorder",
-    "render_gantt",
 ]

@@ -115,7 +115,7 @@ class BlockContext:
         self.metrics = BlockMetrics(block_id=block_id, sm_id=sm_id)
         self.now = 0.0           # written by the scheduler before each resume
         self._pending = 0.0      # cycles charged since the last yield
-        self.tracer = None       # optional repro.sim.trace.TraceRecorder
+        self.tracer = None       # optional clock="cycles" repro.obs.trace.WallTracer
         #: states this block still held when the launch was interrupted —
         #: the engine programs deposit their in-flight node here on exit,
         #: and the base engine folds it into the outcome's checkpoint.
@@ -134,21 +134,22 @@ class BlockContext:
         """
         if kind == "state_copy":
             return
-        cycles = self.shared.cost.op_cycles(
+        self.charge_cycles(kind, self.shared.cost.op_cycles(
             kind, units, self.shared.launch.block_size,
             use_shared=self.shared.launch.use_shared_mem,
-        )
-        self.metrics.charge(kind, cycles)
-        self._pending += cycles
-        if self.tracer is not None:
-            self.tracer.record(self, kind, cycles)
+        ))
 
     def charge_cycles(self, kind: str, cycles: float) -> None:
-        """Charge pre-computed cycles (worklist ops report their own cost)."""
+        """Charge pre-computed cycles (worklist ops report their own cost).
+
+        A traced launch gets one span per positive charge; it begins
+        after the work already pending since the last yield completes.
+        """
         self.metrics.charge(kind, cycles)
         self._pending += cycles
-        if self.tracer is not None:
-            self.tracer.record(self, kind, cycles)
+        if self.tracer is not None and cycles > 0:
+            start = self.now + self._pending - cycles
+            self.tracer.add(kind, start, start + cycles, self.sm_id, self.block_id)
 
     def state_move_cycles(self) -> float:
         """Cycles to copy one degree array between memory spaces."""

@@ -6,7 +6,8 @@ model turns a ``(kind, units)`` charge into cycles for a block of a given
 width, reflecting that a wider block divides data-parallel work across more
 threads while paying a fixed launch/convergence overhead per operation.
 
-The eleven activity kinds match Fig. 6's breakdown exactly::
+The eleven activity kinds match Fig. 6's breakdown exactly (their
+tuples and the kind → group table live in :mod:`repro.obs.breakdown`)::
 
     work distribution : wl_add, wl_remove, stack_push, stack_pop, terminate
     reducing          : degree_one, degree_two_triangle, high_degree
@@ -40,14 +41,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..obs.breakdown import BOUND_KINDS, BRANCH_KINDS, REDUCE_KINDS, WORK_DISTRIBUTION_KINDS
+
 __all__ = ["CostModel", "KINDS", "WORK_DISTRIBUTION_KINDS", "REDUCE_KINDS",
            "BRANCH_KINDS", "BOUND_KINDS"]
 
-WORK_DISTRIBUTION_KINDS = ("wl_add", "wl_remove", "stack_push", "stack_pop", "terminate")
-REDUCE_KINDS = ("degree_one", "degree_two_triangle", "high_degree")
-BRANCH_KINDS = ("find_max", "remove_vmax", "remove_neighbors")
-#: Non-default bound-policy evaluations (see the charge rule above).
-BOUND_KINDS = ("lower_bound",)
 KINDS = WORK_DISTRIBUTION_KINDS + REDUCE_KINDS + BRANCH_KINDS + BOUND_KINDS + ("state_copy",)
 
 _DEFAULT_BASE: Dict[str, float] = {

@@ -4,7 +4,6 @@ and the CPU-priced sequential baseline."""
 import numpy as np
 import pytest
 
-from repro.analysis.breakdown import ACTIVITY_LABELS, BreakdownRow, breakdown_row, mean_breakdown
 from repro.analysis.load_balance import summarize_load
 from repro.analysis.sequential_sim import solve_mvc_sequential_sim, solve_pvc_sequential_sim
 from repro.analysis.speedup import aggregate_speedups, geometric_mean, speedup
@@ -12,6 +11,7 @@ from repro.analysis.tables import format_seconds, format_speedup, render_table
 from repro.core.sequential import solve_mvc_sequential
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.structured import petersen
+from repro.obs.breakdown import ACTIVITY_LABELS, BreakdownRow, breakdown_row, mean_breakdown
 
 
 class TestSpeedup:

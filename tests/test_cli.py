@@ -198,3 +198,58 @@ class TestExperimentCLI:
         table = lambda text: [ln for ln in text.splitlines()
                               if ln.startswith(("Table", "Graph", "p_hat", "-"))]
         assert table(first) == table(second)
+
+
+class TestObsCLI:
+    """``repro obs view|export`` on trace files from outside."""
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],                                # top level not an object
+        {"traceEvents": {"ph": "X"}},          # traceEvents not a list
+        {"traceEvents": [1]},                  # an event not an object
+    ], ids=["top-level", "events", "event"])
+    @pytest.mark.parametrize("cmd", ["view", "export"])
+    def test_malformed_trace_is_one_line_error(self, capsys, tmp_path, doc, cmd):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["obs", "view", str(path)] if cmd == "view" \
+            else ["obs", "export", "--trace", str(path)]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: cannot read trace") and out.count("\n") == 1
+
+    def test_export_keeps_identity_and_clock(self, capsys, tmp_path):
+        from repro.engines.hybrid import HybridEngine
+        from repro.graph.generators.phat import phat_complement
+        from repro.obs import trace
+        from repro.sim.device import TINY_SIM
+
+        eng = HybridEngine(device=TINY_SIM)
+        eng.tracer = tracer = trace.WallTracer(clock="cycles", max_spans=40)
+        eng.solve_mvc(phat_complement(40, 3, seed=9))
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        trace.dump_chrome(str(src), tracer)
+        assert main(["obs", "export", "--trace", str(src), "--out", str(dst)]) == 0
+        other = json.loads(dst.read_text())["otherData"]
+        assert other["trace_id"] == tracer.trace_id
+        assert other["dropped_spans"] == tracer.dropped > 0
+        assert other["clock"] == "cycles"
+        assert len(json.loads(dst.read_text())["traceEvents"]) == len(tracer.spans)
+
+    def test_view_renders_cycles_lanes(self, capsys, tmp_path):
+        from repro.engines.hybrid import HybridEngine
+        from repro.graph.generators.phat import phat_complement
+        from repro.obs import trace
+        from repro.sim.device import TINY_SIM
+
+        eng = HybridEngine(device=TINY_SIM)
+        eng.tracer = tracer = trace.WallTracer(clock="cycles")
+        eng.solve_mvc(phat_complement(40, 3, seed=9))
+        path = tmp_path / "cycles.json"
+        trace.dump_chrome(str(path), tracer)
+        assert main(["obs", "view", str(path), "--width", "30"]) == 0
+        out = capsys.readouterr().out
+        lanes = {(s.pid, s.tid) for s in tracer.spans}
+        assert out.startswith(f"cycles gantt: {len(tracer.spans)} spans")
+        assert sum("|" in line for line in out.splitlines()) == len(lanes)
+        assert "cycles attribution" in out and " cycles " in out and " ms " not in out

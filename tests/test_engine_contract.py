@@ -4,17 +4,23 @@ Whatever the engine — sequential, simulated GPU or worker pool — the
 facade returns a :class:`SolveOutcome` whose cover certifies the claim,
 PVC answers both sides of the optimum, a node budget stops exactly at
 the budget, and an interrupted solve resumes to the clean optimum.  The
-cache may answer instead of the engine, but never differently.
+cache may answer instead of the engine, but never differently.  On random
+small graphs every engine agrees with an oracle this repo did not write
+(networkx's maximum clique of the complement).
 """
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache import SolveCache
 from repro.core.anytime import resume_from
 from repro.core.outcome import SolveOutcome
 from repro.core.solver import ENGINES, POOL_ENGINES, solve_mvc, solve_pvc
 from repro.core.verify import assert_valid_cover
+from repro.graph.csr import CSRGraph
 from repro.graph.generators.phat import phat_complement
 
 #: 133 sequential nodes: large enough for a 30-node budget to interrupt,
@@ -101,3 +107,28 @@ def test_cache_armed_equals_cold(engine, tmp_path):
     np.testing.assert_array_equal(np.sort(np.asarray(miss.cover)), hit.cover)
     assert refuted.feasible is False
     assert cache.session["hits_exact"] == 1 and cache.session["hits_derived"] == 1
+
+
+#: Graphs of up to 40 vertices and 150 edges (self-loops and repeats
+#: dropped), as (n, edges).
+small_graphs = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=150)))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=small_graphs)
+def test_mvc_matches_networkx_oracle(engine, case):
+    """An oracle this repo did not write: MVC = n - omega(complement)."""
+    n, pairs = case
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    g = CSRGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(edges)
+    _, omega = nx.algorithms.clique.max_weight_clique(nx.complement(nxg), weight=None)
+    out = solve_mvc(g, engine=engine, cache=False, **kw(engine))
+    assert out.status == "optimal" and out.optimum == n - omega
+    assert_valid_cover(g, out.cover, n - omega)

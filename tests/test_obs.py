@@ -298,8 +298,9 @@ class TestTrace:
         for ev in doc["traceEvents"]:
             assert ev["ph"] == "X" and ev["dur"] >= 0
         back = trace.load_chrome(str(path))
-        assert {s.kind for s in back} == {"solve", "node_step"}
-        assert {s.span_id for s in back} \
+        assert (back.clock, back.trace_id) == ("wall", "tid123")
+        assert {s.kind for s in back.spans} == {"solve", "node_step"}
+        assert {s.span_id for s in back.spans} \
             == {s.span_id for s in tracer.spans}
 
     def test_gantt_renders_lanes(self):
@@ -317,12 +318,11 @@ class TestTrace:
 class TestBreakdown:
     def test_group_fractions_normalize(self):
         fr = breakdown.group_fractions(
-            {"reduce": 3.0, "bound": 1.0, "idle": 4.0, "branch": 2.0},
-            breakdown.WALL_GROUPS)
+            {"reduce": 3.0, "bound": 1.0, "idle": 4.0, "branch": 2.0})
         assert sum(fr.values()) == pytest.approx(1.0)
         assert fr["Reducing"] == pytest.approx(0.3)
         assert fr["Work distribution and load balancing"] == pytest.approx(0.4)
-        empty = breakdown.group_fractions({}, breakdown.WALL_GROUPS)
+        empty = breakdown.group_fractions({})
         assert set(empty.values()) == {0.0}
 
     def test_obs_keys_roundtrip(self):
@@ -346,13 +346,14 @@ class TestBreakdown:
         assert by_kind["bound"] == pytest.approx(1.0)
         assert "solve" not in by_kind
 
-    def test_sim_groups_cover_cost_model_kinds(self):
+    def test_groups_cover_cost_model_kinds(self):
         from repro.sim.costmodel import CostModel
 
-        covered = {k for kinds in breakdown.sim_groups().values()
-                   for k in kinds}
-        assert set(CostModel().base_cycles) <= covered
-        assert breakdown.SIM_GROUPS == breakdown.sim_groups()
+        listed = [k for kinds in breakdown.GROUPS.values() for k in kinds]
+        assert len(listed) == len(set(listed))  # one group per kind
+        assert set(CostModel().base_cycles) | set(breakdown.WALL_KINDS) \
+            == set(listed)
+        assert "state_copy" in breakdown.GROUPS[breakdown.GROUP_TITLES[0]]
 
     def test_render_table(self):
         entries = [{"instance": "g1/mvc", "engine": "hybrid",
