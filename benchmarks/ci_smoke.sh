@@ -40,8 +40,9 @@
 # launch's cycles and render in `repro obs view`), or the solve-cache
 # gate fails (miss, exact and isomorphic hits with verified covers, an
 # escalated repeat, an unusable root that warns and solves
-# uncached, no index.sqlite handle left open, a disarmed path that
-# never reaches cache code).
+# uncached, a read-only repeat hit, a truncated artifact that re-solves,
+# no index.sqlite handle left open, a disarmed path that never reaches
+# cache code, no experiment import on the cache path).
 #
 # Every interrupted solve and resume below runs through the one solve
 # facade (``solve_mvc``/``solve_pvc`` with ``node_budget``/``deadline``,
@@ -591,10 +592,15 @@ esac
 #    zero nodes and a re-verified cover; 3. a budget-bumped
 #    repeat must resume the cached checkpoint to the optimum instead of
 #    restarting; 4. a cache root under a regular file must give one
-#    CacheUnavailableWarning and then the uncached optimum; 5. after the
-#    solves no file descriptor of this process may point at any store's
-#    index.sqlite (every connection is closed); 6. a disarmed solve must
-#    never reach any cache entry point.
+#    CacheUnavailableWarning and then the uncached optimum; 5. a repeat
+#    hit must leave index.sqlite's size and sha256 unchanged (a hit only
+#    appends to the hit journal) and `repro cache ls` must then show
+#    hits = 1; 6. a truncated artifact must still yield the optimum (the
+#    entry is dropped and re-recorded); 7. after the solves no file
+#    descriptor of this process may point at any store's index.sqlite
+#    (every connection is closed); 8. a disarmed solve must never reach
+#    any cache entry point; 9. a cached solve in a fresh interpreter
+#    must import no repro.experiment* or repro.analysis* module.
 cache_store="$(mktemp -d /tmp/bench_smoke_cache.XXXXXX)"
 trap 'rm -f "$out" "$obs_trace" "$obs_metrics" "$obs_cycles"; rm -rf "$exp_store" "$cache_store"' EXIT
 python - "$cache_store" <<'EOF'
@@ -663,6 +669,32 @@ assert uncached.optimum == cold.optimum
 assert_valid_cover(graph, uncached.cover, expected_size=cold.optimum)
 print("ci_smoke: unusable cache root warned once and solved uncached")
 
+import hashlib
+import subprocess
+
+hit_root = pathlib.Path(store) / "read-only-hit"
+solve_mvc(graph, cache=str(hit_root))
+index = hit_root / "index.sqlite"
+before = (index.stat().st_size, hashlib.sha256(index.read_bytes()).hexdigest())
+assert solve_mvc(graph, cache=str(hit_root)).nodes_visited == 0
+after = (index.stat().st_size, hashlib.sha256(index.read_bytes()).hexdigest())
+assert after == before, f"a cache hit rewrote the index: {before} -> {after}"
+ls = subprocess.run([sys.executable, "-m", "repro", "cache", "ls", "--store",
+                     str(hit_root)], capture_output=True, text=True, check=True)
+header, row = ls.stdout.splitlines()
+hits = row.split()[header.split().index("hits")]
+assert hits == "1", ls.stdout
+print("ci_smoke: repeat hit left index.sqlite unchanged; cache ls shows 1 hit")
+
+damaged_root = pathlib.Path(store) / "damaged"
+solve_mvc(graph, cache=str(damaged_root))
+[artifact] = (damaged_root / "entries").iterdir()
+artifact.write_bytes(artifact.read_bytes()[:20])
+repaired = solve_mvc(graph, cache=str(damaged_root))
+assert repaired.optimum == cold.optimum and repaired.engine != "cache"
+assert_valid_cover(graph, repaired.cover, expected_size=cold.optimum)
+print("ci_smoke: truncated cache artifact was a miss that re-solved to the optimum")
+
 open_index = []
 for fd in os.listdir("/proc/self/fd"):
     try:
@@ -689,4 +721,16 @@ os.environ.pop("REPRO_CACHE", None)
 assert solve_mvc(graph).optimum == cold.optimum
 assert solve_mvc(graph, deadline=600.0).optimum == cold.optimum
 print("ci_smoke: disarmed solve never touched the cache")
+EOF
+python - "$cache_store/fresh" <<'EOF'
+import sys
+
+from repro import solve_mvc
+from repro.graph.generators.phat import phat_complement
+
+solve_mvc(phat_complement(60, 2, seed=4), cache=sys.argv[1])
+loaded = [m for m in sys.modules
+          if m.startswith(("repro.experiment", "repro.analysis"))]
+assert not loaded, f"a cached solve imported {loaded}"
+print("ci_smoke: a cached solve imported no experiment or analysis module")
 EOF

@@ -5,7 +5,7 @@ hashes — a *graph* key and a *config* hash — and the cache answers a
 request at the strongest tier that identity supports:
 
 1. **Exact hit** — the request's CSR fingerprint
-   (:func:`repro.experiment.spec.graph_fingerprint`) matches a stored
+   (:func:`repro.graph.fingerprint.graph_fingerprint`) matches a stored
    ``optimal`` entry: the verified certificate comes back bit-identical,
    with zero search nodes.
 2. **Isomorphic hit** — the relabel-invariant canonical key
@@ -27,8 +27,10 @@ request at the strongest tier that identity supports:
    hash differs (e.g. a PVC witness seeding an MVC solve).
 
 :func:`solve_cached` is the one envelope the solve facade runs when the
-cache is armed; it tries those tiers in that order before a cold solve
-and records whatever comes out.
+cache is armed; it reads every candidate row for the request in one
+index read, tries those tiers in that order before a cold solve and
+records whatever comes out.  A hit writes nothing to the index (see
+:mod:`repro.cache.store`).
 
 The config hash deliberately covers ``{formulation, k}`` only: engines,
 bounds, frontiers and budgets never change *what* the answer is, so a
@@ -45,7 +47,7 @@ import hashlib
 import os
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +58,9 @@ from ..core.verify import cover_defect
 from ..graph.algorithms import connected_components
 from ..graph.canonical import CanonicalForm, canonical_form
 from ..graph.csr import CSRGraph
-from .store import CacheEntry, CacheStore
+from ..graph.fingerprint import canonical_json, graph_fingerprint
+from ..obs import trace as obs_trace
+from .store import CacheEntry, CacheStore, DamagedArtifact
 
 __all__ = [
     "CacheUnavailableWarning",
@@ -86,16 +90,8 @@ def config_hash(formulation: str, k: Optional[int] = None) -> str:
     on purpose: they change how fast an answer arrives, never what it
     is, and excluding them is what makes cross-engine hits legal.
     """
-    from ..experiment.spec import canonical_json
-
     body = canonical_json({"cache": 1, "formulation": formulation, "k": k})
     return hashlib.sha256(body.encode()).hexdigest()
-
-
-def _graph_fp(graph: CSRGraph) -> str:
-    from ..experiment.spec import graph_fingerprint
-
-    return graph_fingerprint(graph)
 
 
 class SolveCache:
@@ -141,15 +137,30 @@ class SolveCache:
         self._count("bytes_read", entry.nbytes)
         self.store.touch(entry.uid)
 
+    def _load(self, entry: Optional[CacheEntry],
+              rows: List[CacheEntry]) -> Optional[CacheEntry]:
+        """``entry`` with its artifact loaded, or ``None`` when there is
+        no entry or its artifact is damaged.  A damaged entry is deleted
+        from the store and from ``rows``, so the request falls through
+        to the next tier or a cold solve that records it afresh."""
+        if entry is None:
+            return None
+        try:
+            return self.store.load_artifact(entry)
+        except DamagedArtifact:
+            self.store.delete(entry.uid)
+            rows.remove(entry)
+            return None
+
     # -- lookup tiers -------------------------------------------------- #
     def lookup_certificate(
-        self, graph: CSRGraph, k: Optional[int], *, fp: str, form: CanonicalForm,
-        exact: Optional[CacheEntry],
+        self, graph: CSRGraph, k: Optional[int], rows: List[CacheEntry], *,
+        fp: str, form: CanonicalForm,
     ) -> Optional[SolveOutcome]:
         """Tiers 1–3: a finished certificate as an ``engine="cache"``
         outcome with zero search nodes, or ``None``; ``k`` is ``None``
-        for MVC, and ``exact`` is the stored entry for this instance and
-        question, if any.
+        for MVC, and ``rows`` is the request's one index read
+        (:meth:`CacheStore.lookup`).
 
         A ``None`` is *not* counted as a miss here (the caller may still
         escalate or warm-start).  A stored cover was checked when it was
@@ -160,40 +171,47 @@ class SolveCache:
         cfg = config_hash(formulation, k)
 
         # Tier 1: exact instance, exact question.
-        if exact is not None and exact.status == "optimal":
+        exact = self._load(_optimal_exact(rows, fp, cfg), rows)
+        if exact is not None:
             self._hit("exact", exact)
             return _answer(graph, k, exact.cover, exact.optimum)
 
         # Tier 3 (exact instance, MVC answers PVC) before any iso work:
         # same-fingerprint evidence is strictly stronger.
         if formulation == "pvc":
-            mvc = self.store.lookup_exact(fp, config_hash("mvc", None))
-            if mvc is not None and mvc.status == "optimal":
+            mvc = self._load(_optimal_exact(rows, fp, config_hash("mvc", None)),
+                             rows)
+            if mvc is not None:
                 self._hit("derived", mvc)
                 return _derived_pvc(graph, k, mvc, mvc.cover)
 
         # Tier 2: isomorphic donor (proof-carrying only).
         if form.individualized:
-            hit = self._iso_candidate(form, cfg, fp)
+            hit = self._iso_candidate(form, cfg, fp, rows)
             mapped = self._transport_cover(graph, form, hit)
             if mapped is not None:
                 self._hit("iso", hit)
                 return _answer(graph, k, mapped, hit.optimum)
             if formulation == "pvc":
-                mvc_hit = self._iso_candidate(form, config_hash("mvc", None), fp)
+                mvc_hit = self._iso_candidate(form, config_hash("mvc", None),
+                                              fp, rows)
                 mapped = self._transport_cover(graph, form, mvc_hit)
                 if mapped is not None:
                     self._hit("derived", mvc_hit)
                     return _derived_pvc(graph, k, mvc_hit, mapped)
         return None
 
-    def _iso_candidate(self, form: CanonicalForm, cfg: str,
-                       fp: str) -> Optional[CacheEntry]:
-        for cand in self.store.lookup_key(form.key, cfg):
-            if (cand.graph_fp != fp and cand.status == "optimal"
-                    and cand.individualized
-                    and cand.structure_hash == form.structure_hash):
-                return self.store.load_artifact(cand)
+    def _iso_candidate(self, form: CanonicalForm, cfg: str, fp: str,
+                       rows: List[CacheEntry]) -> Optional[CacheEntry]:
+        donors = [cand for cand in rows
+                  if cand.canonical_key == form.key and cand.config_hash == cfg
+                  and cand.graph_fp != fp and cand.status == "optimal"
+                  and cand.individualized
+                  and cand.structure_hash == form.structure_hash]
+        for cand in donors:
+            loaded = self._load(cand, rows)
+            if loaded is not None:
+                return loaded
         return None
 
     @staticmethod
@@ -253,6 +271,13 @@ class SolveCache:
         return entry
 
 
+def _optimal_exact(rows: List[CacheEntry], fp: str,
+                   cfg: str) -> Optional[CacheEntry]:
+    """The ``optimal`` entry for this exact instance and question, if any."""
+    return next((e for e in rows if e.graph_fp == fp and e.config_hash == cfg
+                 and e.status == "optimal"), None)
+
+
 def _answer(graph: CSRGraph, k: Optional[int], cover: Optional[np.ndarray],
             optimum: Optional[int]) -> SolveOutcome:
     """A stored claim as an outcome (its cover is already checked)."""
@@ -310,6 +335,11 @@ def solve_cached(cache: SolveCache, graph: CSRGraph, k: Optional[int], engine: s
     (``dispatch(graph, k, engine, options)``).  Whatever the solve
     produces is recorded back: a proven claim replaces a partial entry,
     a still-interrupted leg upserts its further-advanced checkpoint.
+    The choice reads the index once (:meth:`CacheStore.lookup`) and
+    loads only the artifacts it uses; an entry whose artifact is
+    missing or damaged is deleted and treated as absent.  Under an
+    armed tracer the lookup and the record are ``cache_lookup`` and
+    ``cache_record`` spans.
 
     MVC on a disconnected graph runs this envelope once per component
     (component memoization: a disjoint union that shares a component
@@ -321,43 +351,53 @@ def solve_cached(cache: SolveCache, graph: CSRGraph, k: Optional[int], engine: s
         return stitch_components(
             graph, lambda sub: solve_cached(cache, sub, None, engine, options, dispatch),
             engine=engine)
-    fp = _graph_fp(graph)
-    form = canonical_form(graph)
-    entry = cache.store.lookup_exact(fp, config_hash("mvc" if k is None else "pvc", k))
-    hit = cache.lookup_certificate(graph, k, fp=fp, form=form, exact=entry)
-    if hit is not None:
-        return hit
-    if entry is not None and entry.checkpoint_blob:
-        cache._count("escalations")
-        cache._count("bytes_read", entry.nbytes)
-        cache.store.touch(entry.uid)
-        out = resume_from(Checkpoint.from_bytes(entry.checkpoint_blob), graph,
-                          engine=engine, **options)
+    cfg = config_hash("mvc" if k is None else "pvc", k)
+    with obs_trace.span("cache_lookup"):
+        fp = graph_fingerprint(graph)
+        form = canonical_form(graph)
+        rows = cache.store.lookup(fp, form.key)
+        hit = cache.lookup_certificate(graph, k, rows, fp=fp, form=form)
+        if hit is not None:
+            return hit
+        # Any entry left for this instance and question is a partial one:
+        # an optimal one would have answered above.
+        partial = cache._load(next((e for e in rows if e.graph_fp == fp
+                                    and e.config_hash == cfg), None), rows)
+        if partial is not None and partial.checkpoint_blob:
+            cache._count("escalations")
+            cache._count("bytes_read", partial.nbytes)
+            cache.store.touch(partial.uid)
+            checkpoint = Checkpoint.from_bytes(partial.checkpoint_blob)
+        else:
+            checkpoint = None
+            cache._count("misses")
+            options = dict(options)
+            if k is None:
+                best = _best_incumbent(cache, graph, fp, rows)
+                if best is not None:
+                    cache._count("warm_starts")
+                    options["initial_best"] = best
+    if checkpoint is not None:
+        out = resume_from(checkpoint, graph, engine=engine, **options)
     else:
-        cache._count("misses")
-        options = dict(options)
-        if k is None:
-            best = _best_incumbent(cache, graph, fp)
-            if best is not None:
-                cache._count("warm_starts")
-                options["initial_best"] = best
         out = dispatch(graph, k, engine, options)
-    cache.record(graph, out, fp=fp, form=form)
+    with obs_trace.span("cache_record"):
+        cache.record(graph, out, fp=fp, form=form)
     return out
 
 
-def _best_incumbent(cache: SolveCache, graph: CSRGraph,
-                    fp: str) -> Optional[Tuple[int, np.ndarray]]:
+def _best_incumbent(cache: SolveCache, graph: CSRGraph, fp: str,
+                    rows: List[CacheEntry]) -> Optional[Tuple[int, np.ndarray]]:
     """Smallest valid cover stored for this exact instance, any config."""
     best: Optional[Tuple[int, np.ndarray]] = None
-    for entry in cache.store.entries_for_graph(fp):
+    for entry in [e for e in rows if e.graph_fp == fp]:
         if entry.optimum is None:
             continue
         if best is not None and entry.optimum >= best[0]:
             continue
-        loaded = cache.store.load_artifact(entry)
-        if loaded.cover is None or cover_defect(graph, loaded.cover,
-                                                size=entry.optimum) is not None:
+        loaded = cache._load(entry, rows)
+        if loaded is None or loaded.cover is None or cover_defect(
+                graph, loaded.cover, size=entry.optimum) is not None:
             continue
         cache._count("bytes_read", entry.nbytes)
         best = (int(entry.optimum),

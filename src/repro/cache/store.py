@@ -5,6 +5,7 @@ artifacts, everything rebuildable)::
 
     <cache root>/
         index.sqlite          # one row per entry: identity, claim, stats
+        hits.log              # hit journal: "<uid> <unix time>" per hit
         entries/
             <entry_uid>.pkl   # artifact: cover, canonical order, checkpoint
 
@@ -13,7 +14,15 @@ config hash, status, optimum — and is everything a lookup needs to
 decide whether an entry can answer a request.  The artifact carries the
 bulky payload (the cover array, the canonical-order permutation for
 isomorphic transfers, and the serialized :class:`~repro.core.outcome.Checkpoint`
-for escalations) and is only read on a hit.
+for escalations) and is only read for the entry that answers.
+
+A hit writes nothing to the index: :meth:`CacheStore.touch` appends one
+line to the hit journal, and the next index write transaction
+(:meth:`~CacheStore.put`, :meth:`~CacheStore.delete`,
+:meth:`~CacheStore.clear`, :meth:`~CacheStore.gc`) and every
+:meth:`~CacheStore.ls`/:meth:`~CacheStore.stats` fold the journal into
+the ``hits``/``last_hit_at`` columns.  Claim rows are written at
+SQLite's durable defaults; a crash can lose a hit count, never a claim.
 
 Identity is two-level, matching the two hit tiers of
 :mod:`repro.graph.canonical`:
@@ -27,6 +36,8 @@ Identity is two-level, matching the two hit tiers of
 
 from __future__ import annotations
 
+import math
+import os
 import pickle
 import sqlite3
 import time
@@ -38,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-__all__ = ["CacheEntry", "CacheStore", "CACHE_SCHEMA_VERSION"]
+__all__ = ["CacheEntry", "CacheStore", "DamagedArtifact", "CACHE_SCHEMA_VERSION"]
 
 #: Bump when the index schema or artifact payload layout changes.
 CACHE_SCHEMA_VERSION = 1
@@ -46,8 +57,16 @@ CACHE_SCHEMA_VERSION = 1
 _ARTIFACT_KIND = "repro-vc-cache-artifact"
 
 
+#: The hit journal's file name under the cache root.
+HITS_JOURNAL = "hits.log"
+
+
+class DamagedArtifact(ValueError):
+    """An index row's artifact is missing, truncated or cannot be decoded."""
+
+
 def _fail(msg: str) -> None:
-    raise ValueError(f"cache artifact schema violation: {msg}")
+    raise DamagedArtifact(f"cache artifact schema violation: {msg}")
 
 
 @dataclass
@@ -122,8 +141,10 @@ _COLUMNS = (
 )
 
 
-#: The index schema; each handle runs it on its first connection only.
+#: The index schema, one transaction (one commit on a fresh index); each
+#: handle runs it on its first connection only.
 _SCHEMA = (
+    "BEGIN;"
     "CREATE TABLE IF NOT EXISTS entries ("
     "  uid TEXT PRIMARY KEY,"
     "  canonical_key TEXT NOT NULL,"
@@ -150,6 +171,7 @@ _SCHEMA = (
     "CREATE INDEX IF NOT EXISTS idx_entries_key "
     "ON entries (canonical_key, config_hash);"
     "CREATE INDEX IF NOT EXISTS idx_entries_fp ON entries (graph_fp);"
+    "COMMIT;"
 )
 
 
@@ -162,23 +184,71 @@ class CacheStore:
         self.entries_dir = self.root / "entries"
         self.entries_dir.mkdir(exist_ok=True)
         self.index_path = self.root / "index.sqlite"
+        self.hits_path = self.root / HITS_JOURNAL
         self._schema_ready = False
 
     # ------------------------------------------------------------------ #
     # schema
     # ------------------------------------------------------------------ #
     @contextmanager
-    def connect(self) -> Iterator[sqlite3.Connection]:
-        """One transaction: commit or roll back, then close (DDL runs once)."""
+    def connect(self, *, fold_hits: bool = False) -> Iterator[sqlite3.Connection]:
+        """One transaction: commit or roll back, then close (DDL runs once).
+
+        ``fold_hits`` first folds the hit journal into the transaction;
+        the taken journal is removed once the connection is closed, so a
+        rolled-back fold loses those hit counts and nothing else.
+        """
         conn = sqlite3.connect(self.index_path)
+        taken = None
         try:
             with conn:
                 if not self._schema_ready:
                     conn.executescript(_SCHEMA)
                     self._schema_ready = True
+                if fold_hits:
+                    taken = self._fold_hits(conn)
                 yield conn
         finally:
             conn.close()
+            if taken is not None:
+                taken.unlink(missing_ok=True)
+
+    def _fold_hits(self, conn: sqlite3.Connection) -> Optional[Path]:
+        """Apply the hit journal to ``hits``/``last_hit_at`` in ``conn``'s
+        transaction; returns the journal, taken to a private name, or
+        ``None`` when there is none.
+
+        The journal is taken with one atomic rename, so a concurrent
+        :meth:`touch` either lands in this fold or starts a new journal;
+        one whose descriptor was opened before the rename and written
+        after the read is lost (one hit count).  Torn or garbage lines
+        are skipped.
+        """
+        taken = self.root / f"{HITS_JOURNAL}.{uuid.uuid4().hex}"
+        try:
+            os.replace(self.hits_path, taken)
+        except FileNotFoundError:
+            return None
+        folded: Dict[str, List[float]] = {}  # uid -> [hits, last hit]
+        # The final element follows the last newline: empty, or torn.
+        for line in taken.read_bytes().split(b"\n")[:-1]:
+            fields = line.split()
+            if len(fields) != 2:
+                continue
+            try:
+                uid, at = fields[0].decode("ascii"), float(fields[1])
+            except (UnicodeDecodeError, ValueError):
+                continue
+            if not math.isfinite(at):
+                continue
+            slot = folded.setdefault(uid, [0, at])
+            slot[0] += 1
+            slot[1] = max(slot[1], at)
+        conn.executemany(
+            "UPDATE entries SET hits = hits + ?, "
+            "last_hit_at = MAX(COALESCE(last_hit_at, 0), ?) WHERE uid = ?",
+            [(count, last, uid) for uid, (count, last) in folded.items()])
+        return taken
 
     # ------------------------------------------------------------------ #
     # write path
@@ -196,7 +266,7 @@ class CacheStore:
         path = self.entries_dir / f"{entry.uid}.pkl"
         path.write_bytes(blob)
         entry.nbytes = len(blob)
-        with self.connect() as conn:
+        with self.connect(fold_hits=True) as conn:
             old = conn.execute(
                 "SELECT uid FROM entries WHERE graph_fp = ? AND config_hash = ?",
                 (entry.graph_fp, entry.config_hash)).fetchone()
@@ -214,23 +284,34 @@ class CacheStore:
                  entry.nbytes, entry.created_at, entry.last_hit_at, entry.hits),
             )
         if old is not None:
-            stale = self.entries_dir / f"{old[0]}.pkl"
-            if stale.exists():
-                stale.unlink()
+            self._unlink_artifact(old[0])
         return entry
 
     def touch(self, uid: str) -> None:
-        """Record a hit against an entry (LRU input for ``gc``)."""
-        with self.connect() as conn:
-            conn.execute(
-                "UPDATE entries SET hits = hits + 1, last_hit_at = ? "
-                "WHERE uid = ?", (time.time(), uid))
+        """Record a hit against an entry (LRU input for ``gc``).
+
+        One append to the hit journal: no index transaction, no fsync.
+        A failed append loses the hit count and never fails the caller.
+        """
+        line = f"{uid} {time.time()!r}\n".encode()
+        try:
+            fd = os.open(self.hits_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                         0o644)
+        except OSError:
+            return
+        try:
+            os.write(fd, line)
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
 
     # ------------------------------------------------------------------ #
     # read path
     # ------------------------------------------------------------------ #
-    def _from_row(self, row, *, load: bool) -> CacheEntry:
-        entry = CacheEntry(
+    @staticmethod
+    def _from_row(row) -> CacheEntry:
+        return CacheEntry(
             canonical_key=row[1], config_hash=row[2], graph_fp=row[3],
             formulation=row[4], k=row[5], n=row[6], m=row[7],
             individualized=bool(row[8]), structure_hash=row[9], status=row[10],
@@ -240,10 +321,6 @@ class CacheStore:
             uid=row[0], nbytes=row[16], created_at=row[17], last_hit_at=row[18],
             hits=row[19],
         )
-        if load:
-            path = self.entries_dir / f"{entry.uid}.pkl"
-            entry.load_artifact_payload(pickle.loads(path.read_bytes()))
-        return entry
 
     _SELECT = (
         "SELECT uid, canonical_key, config_hash, graph_fp, formulation, k, "
@@ -252,46 +329,40 @@ class CacheStore:
         "last_hit_at, hits FROM entries"
     )
 
-    def lookup_exact(self, graph_fp: str, config_hash: str,
-                     *, load: bool = True) -> Optional[CacheEntry]:
-        with self.connect() as conn:
-            row = conn.execute(
-                f"{self._SELECT} WHERE graph_fp = ? AND config_hash = ?",
-                (graph_fp, config_hash)).fetchone()
-        return None if row is None else self._from_row(row, load=load)
-
-    def lookup_key(self, canonical_key: str, config_hash: str,
-                   *, load: bool = False) -> List[CacheEntry]:
-        """All entries in the relabel-invariant bucket (iso-hit candidates)."""
+    def lookup(self, graph_fp: str, canonical_key: str) -> List[CacheEntry]:
+        """Every entry on this exact instance or in its relabel-invariant
+        bucket, under any config hash, oldest first — everything one
+        request's tiers, escalation and warm start choose from, in one
+        read.  Artifacts are not loaded (see :meth:`load_artifact`)."""
         with self.connect() as conn:
             rows = conn.execute(
-                f"{self._SELECT} WHERE canonical_key = ? AND config_hash = ? "
-                "ORDER BY created_at", (canonical_key, config_hash)).fetchall()
-        return [self._from_row(row, load=load) for row in rows]
-
-    def entries_for_graph(self, graph_fp: str, *, load: bool = False) -> List[CacheEntry]:
-        """Every entry on the exact instance, any config (warm-start donors)."""
-        with self.connect() as conn:
-            rows = conn.execute(
-                f"{self._SELECT} WHERE graph_fp = ? ORDER BY created_at",
-                (graph_fp,)).fetchall()
-        return [self._from_row(row, load=load) for row in rows]
+                f"{self._SELECT} WHERE graph_fp = ? OR canonical_key = ? "
+                "ORDER BY created_at", (graph_fp, canonical_key)).fetchall()
+        return [self._from_row(row) for row in rows]
 
     def load_artifact(self, entry: CacheEntry) -> CacheEntry:
+        """Fill ``entry``'s cover, order and checkpoint from its artifact;
+        raises :class:`DamagedArtifact` when the file is missing,
+        truncated or not a cache artifact."""
         path = self.entries_dir / f"{entry.uid}.pkl"
-        entry.load_artifact_payload(pickle.loads(path.read_bytes()))
+        try:
+            payload = pickle.loads(path.read_bytes())
+        except (FileNotFoundError, EOFError, pickle.UnpicklingError,
+                ValueError) as exc:
+            raise DamagedArtifact(f"cache artifact {path.name}: {exc}") from exc
+        entry.load_artifact_payload(payload)
         return entry
 
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
     def ls(self) -> List[Dict[str, object]]:
-        with self.connect() as conn:
+        with self.connect(fold_hits=True) as conn:
             rows = conn.execute(
                 f"{self._SELECT} ORDER BY created_at").fetchall()
         out = []
         for row in rows:
-            entry = self._from_row(row, load=False)
+            entry = self._from_row(row)
             out.append({
                 "uid": entry.uid,
                 "key": entry.canonical_key[:12],
@@ -309,7 +380,7 @@ class CacheStore:
         return out
 
     def stats(self) -> Dict[str, object]:
-        with self.connect() as conn:
+        with self.connect(fold_hits=True) as conn:
             total, nbytes, hits = conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(nbytes), 0), "
                 "COALESCE(SUM(hits), 0) FROM entries").fetchone()
@@ -328,37 +399,41 @@ class CacheStore:
         in LRU order until the store fits.  Returns the eviction count.
         """
         now = time.time()
-        with self.connect() as conn:
+        with self.connect(fold_hits=True) as conn:
             rows = conn.execute(
                 "SELECT uid, nbytes, COALESCE(last_hit_at, created_at) "
                 "FROM entries ORDER BY COALESCE(last_hit_at, created_at)"
             ).fetchall()
-        victims: List[str] = []
-        if max_age_s is not None:
-            victims.extend(uid for uid, _, seen in rows if now - seen > max_age_s)
-        if max_bytes is not None:
-            doomed = set(victims)
-            live = [(uid, nb) for uid, nb, _ in rows if uid not in doomed]
-            excess = sum(nb for _, nb in live) - max_bytes
-            for uid, nb in live:
-                if excess <= 0:
-                    break
-                victims.append(uid)
-                excess -= nb
+            victims: List[str] = []
+            if max_age_s is not None:
+                victims.extend(uid for uid, _, seen in rows
+                               if now - seen > max_age_s)
+            if max_bytes is not None:
+                doomed = set(victims)
+                live = [(uid, nb) for uid, nb, _ in rows if uid not in doomed]
+                excess = sum(nb for _, nb in live) - max_bytes
+                for uid, nb in live:
+                    if excess <= 0:
+                        break
+                    victims.append(uid)
+                    excess -= nb
+            conn.executemany("DELETE FROM entries WHERE uid = ?",
+                             [(uid,) for uid in victims])
         for uid in victims:
-            self.delete(uid)
+            self._unlink_artifact(uid)
         return len(victims)
 
     def delete(self, uid: str) -> None:
-        with self.connect() as conn:
+        with self.connect(fold_hits=True) as conn:
             conn.execute("DELETE FROM entries WHERE uid = ?", (uid,))
-        path = self.entries_dir / f"{uid}.pkl"
-        if path.exists():
-            path.unlink()
+        self._unlink_artifact(uid)
+
+    def _unlink_artifact(self, uid: str) -> None:
+        (self.entries_dir / f"{uid}.pkl").unlink(missing_ok=True)
 
     def clear(self) -> int:
         """Drop every entry; returns how many were removed."""
-        with self.connect() as conn:
+        with self.connect(fold_hits=True) as conn:
             (count,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
             conn.execute("DELETE FROM entries")
         for path in self.entries_dir.glob("*.pkl"):

@@ -24,7 +24,9 @@ Identity is content-addressed at two levels:
   ``repro experiment run`` on an unchanged spec a *resume*.
 * :func:`cell_fingerprint` — SHA-256 over one cell's payload (instance,
   engine, frontier, type, k, repeat, config) combined with
-  :func:`graph_fingerprint` (SHA-256 over the instance's CSR arrays).
+  :func:`graph_fingerprint` (SHA-256 over the instance's CSR arrays;
+  it and :func:`canonical_json` live in :mod:`repro.graph.fingerprint`
+  and are re-exported here).
   A completed cell is skipped on re-run iff its fingerprint matches,
   so editing the spec — or the graph generator — invalidates exactly
   the cells whose results could change.
@@ -38,9 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.solver import ENGINES, POOL_ENGINES
+from ..graph.fingerprint import canonical_json, graph_fingerprint
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
@@ -467,29 +468,10 @@ def load_spec(source: Union[str, Path, Dict[str, object]]) -> ExperimentSpec:
 # --------------------------------------------------------------------- #
 # content-addressed identity
 # --------------------------------------------------------------------- #
-def canonical_json(obj: object) -> str:
-    """Stable JSON text: sorted keys, no whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def spec_hash(spec: Union[ExperimentSpec, Dict[str, object]]) -> str:
     """SHA-256 of a spec's canonical JSON (hex)."""
     data = spec.to_dict() if isinstance(spec, ExperimentSpec) else spec
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()
-
-
-def graph_fingerprint(graph) -> str:
-    """SHA-256 over a CSR graph's defining arrays (hex).
-
-    Hashes ``n``, ``m`` and the ``indptr``/``indices`` arrays in a
-    dtype-normalized (int64, little-endian) form, so the fingerprint is
-    a property of the graph, not of how it was constructed.
-    """
-    h = hashlib.sha256()
-    h.update(f"csr:{graph.n}:{graph.m}:".encode())
-    h.update(np.ascontiguousarray(graph.indptr, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(graph.indices, dtype="<i8").tobytes())
-    return h.hexdigest()
 
 
 def cell_fingerprint(graph_fp: str, payload: Dict[str, object]) -> str:

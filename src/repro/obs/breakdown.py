@@ -41,6 +41,7 @@ __all__ = [
     "REDUCE_KINDS",
     "BRANCH_KINDS",
     "BOUND_KINDS",
+    "CACHE_KINDS",
     "WALL_KINDS",
     "ACTIVITY_LABELS",
     "GROUPS",
@@ -69,10 +70,15 @@ REDUCE_KINDS = ("degree_one", "degree_two_triangle", "high_degree")
 BRANCH_KINDS = ("find_max", "remove_vmax", "remove_neighbors")
 BOUND_KINDS = ("lower_bound",)
 
+#: The solve cache's spans around a facade solve (:mod:`repro.cache`):
+#: the lookup before any search and the record after it.
+CACHE_KINDS = ("cache_lookup", "cache_record")
+
 #: The measured (wall) attribution kinds.  ``reduce``/``bound``/``branch``
-#: are carved out of each node step by the instrumented closure; the rest
-#: are engine-level work-distribution sites.
-WALL_KINDS = ("reduce", "bound", "branch", "lease", "idle", "frame")
+#: are carved out of each node step by the instrumented closure;
+#: ``lease``/``idle``/``frame`` are engine-level work-distribution sites;
+#: the cache kinds wrap the solve.
+WALL_KINDS = ("reduce", "bound", "branch", "lease", "idle", "frame") + CACHE_KINDS
 
 #: Display names for the Fig. 6 activities, in the figure's order.
 ACTIVITY_LABELS: Dict[str, str] = {
@@ -91,14 +97,17 @@ ACTIVITY_LABELS: Dict[str, str] = {
 }
 
 #: The one kind → group table, for both vocabularies (sim and wall kind
-#: names never collide).  ``state_copy`` is work distribution: copying
-#: the degree array is part of moving a tree node between frontier slots.
+#: names never collide): the paper's four activity groups, then the
+#: cache, which only wall-clock solves have.  ``state_copy`` is work
+#: distribution: copying the degree array is part of moving a tree node
+#: between frontier slots.
 GROUPS: Dict[str, tuple] = {
     "Work distribution and load balancing":
         WORK_DISTRIBUTION_KINDS + ("state_copy", "lease", "idle", "frame"),
     "Reducing": REDUCE_KINDS + ("reduce",),
     "Branching": BRANCH_KINDS + ("branch",),
     "Bounding": BOUND_KINDS + ("bound",),
+    "Cache": CACHE_KINDS,
 }
 GROUP_TITLES = tuple(GROUPS)
 
@@ -282,6 +291,7 @@ def render_breakdown_table(
         "Reducing": "reduce",
         "Branching": "branch",
         "Bounding": "bound",
+        "Cache": "cache",
     }
     header = (["instance", "engine", "side"]
               + [short[t] for t in GROUP_TITLES])

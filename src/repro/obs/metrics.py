@@ -388,13 +388,22 @@ def reset() -> None:
 def prometheus_from_snapshot(snap: Mapping[str, object]) -> str:
     """Render a persisted :meth:`MetricsRegistry.snapshot` dict as
     Prometheus text exposition — ``repro obs export`` converts stored
-    per-cell snapshots without reconstructing a live registry."""
+    per-cell snapshots without reconstructing a live registry.  A
+    snapshot or a label set that is not a JSON object raises
+    ``ValueError``."""
+    if not isinstance(snap, Mapping):
+        raise ValueError(f"a metrics snapshot must be a JSON object, "
+                         f"not {type(snap).__name__}")
     lines: List[str] = []
     seen_header: set = set()
-    for entry in snap.get("metrics", []):  # type: ignore[union-attr]
+    for entry in snap.get("metrics", []):
         name = str(entry["name"])
         kind = str(entry.get("type", "counter"))
-        items = _label_items(entry.get("labels", {}))
+        labels = entry.get("labels", {})
+        if not isinstance(labels, Mapping):
+            raise ValueError(f"labels of {name!r} must be a JSON object, "
+                             f"not {type(labels).__name__}")
+        items = _label_items(labels)
         if name not in seen_header:
             seen_header.add(name)
             if entry.get("help"):

@@ -70,9 +70,10 @@ __all__ = [
 #: ``cascade`` (reduction fixpoint) and ``bound`` (prune evaluation) nest
 #: inside it; ``lease`` / ``idle`` are frontier and supervision work;
 #: ``frame`` is socket codec+transport time; ``solve`` is the whole-run
-#: envelope.
+#: envelope; ``cache_lookup`` / ``cache_record`` are the solve cache's
+#: work before and after the search.
 SPAN_KINDS = ("solve", "node_step", "cascade", "bound",
-              "lease", "idle", "frame")
+              "lease", "idle", "frame", "cache_lookup", "cache_record")
 
 #: Span clocks → Chrome ``ts``/``dur`` ticks per span time unit: wall
 #: seconds are written in µs, simulated cycles as they are.
@@ -354,7 +355,7 @@ def load_chrome(path: str) -> WallTracer:
 
 #: Dominant-glyph family per kind, read off the one group table; wall
 #: span kinds go through the attribution kind they stand for.
-_GROUP_GLYPH = dict(zip(GROUP_TITLES, "wrbl"))
+_GROUP_GLYPH = dict(zip(GROUP_TITLES, "wrblc"))
 _KIND_GLYPH = {kind: _GROUP_GLYPH[title]
                for title, kinds in GROUPS.items() for kind in kinds}
 
@@ -411,5 +412,5 @@ def render_wall_gantt(spans: Sequence[WallSpan], *, width: int = 80,
                    + "".join(cells) + "|")
     if legend:
         out.append(" " * label_w
-                   + "  b=branch/step r=reduce l=bound w=work-dist .=gap")
+                   + "  b=branch/step r=reduce l=bound w=work-dist c=cache .=gap")
     return "\n".join(out)

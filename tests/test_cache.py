@@ -14,7 +14,9 @@ Covers the four hit tiers and the guarantees the subsystem sells:
   frontier instead of restarting, and incumbent covers warm-start
   ``initial_best`` across config hashes;
 * the disarmed path never touches cache code (raising spy) and costs
-  at most 2% (interleaved A/B guard);
+  at most 2% (alternating A/B pairs in process CPU time);
+* a hit is read-only against the index (one connection, a hit journal
+  folded at the next write), and a damaged artifact is a miss;
 * counters land in the metrics registry and the Prometheus rendering;
 * the store's SQLite index supports ls/stats/gc/clear and the CLI
   surfaces them.
@@ -22,6 +24,10 @@ Covers the four hit tiers and the guarantees the subsystem sells:
 
 import os
 import sqlite3
+import statistics
+import subprocess
+import sys
+import threading
 import time
 import warnings
 
@@ -38,6 +44,7 @@ from repro.core.solver import solve_mvc, solve_pvc
 from repro.core.verify import assert_valid_cover, is_vertex_cover
 from repro.graph.canonical import canonical_form, canonical_key, wl_colors
 from repro.graph.csr import CSRGraph
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.obs import metrics
@@ -148,7 +155,7 @@ class TestCacheStore:
     def test_put_lookup_roundtrip(self, tmp_path):
         store = CacheStore(tmp_path / "c")
         store.put(self._entry())
-        got = store.lookup_exact("fp0", config_hash("mvc"))
+        got = _exact(store, "fp0", config_hash("mvc"))
         assert got is not None and got.optimum == 2
         np.testing.assert_array_equal(got.cover, [0, 1])
         np.testing.assert_array_equal(got.order, np.arange(4))
@@ -159,7 +166,7 @@ class TestCacheStore:
         store.put(self._entry(status="budget_exhausted", optimum=3))
         store.put(self._entry())
         assert store.stats()["entries"] == 1
-        assert store.lookup_exact("fp0", config_hash("mvc")).status == "optimal"
+        assert _exact(store, "fp0", config_hash("mvc")).status == "optimal"
 
     def test_touch_bumps_hits(self, tmp_path):
         store = CacheStore(tmp_path / "c")
@@ -176,8 +183,8 @@ class TestCacheStore:
         per_entry = store.stats()["bytes"] // 2
         evicted = store.gc(max_bytes=per_entry)
         assert evicted == 1
-        assert store.lookup_exact("fp-old", config_hash("mvc")) is None
-        assert store.lookup_exact("fp-new", config_hash("mvc")) is not None
+        assert _exact(store, "fp-old", config_hash("mvc")) is None
+        assert _exact(store, "fp-new", config_hash("mvc")) is not None
 
     def test_gc_by_age(self, tmp_path):
         store = CacheStore(tmp_path / "c")
@@ -197,9 +204,7 @@ class TestCacheStore:
     def test_every_connection_is_closed(self, tmp_path):
         store = CacheStore(tmp_path / "c")
         entry = store.put(self._entry())
-        store.lookup_exact("fp0", config_hash("mvc"))
-        store.lookup_key("k" * 64, config_hash("mvc"))
-        store.entries_for_graph("fp0")
+        store.load_artifact(store.lookup("fp0", "k" * 64)[0])
         store.touch(entry.uid)
         store.ls()
         store.stats()
@@ -225,10 +230,18 @@ class TestCacheStore:
         # From here on any DDL run would fail: the handle must not re-run it.
         monkeypatch.setattr(store_mod, "_SCHEMA", "NOT VALID SQL;")
         store.touch(entry.uid)
-        assert store.lookup_exact("fp0", config_hash("mvc")).hits == 1
+        assert store.ls()[0]["hits"] == 1
         assert store.stats()["entries"] == 1
         with pytest.raises(sqlite3.OperationalError):
             CacheStore(tmp_path / "c").stats()  # a fresh handle runs it
+
+
+def _exact(store, graph_fp, cfg, key="k" * 64):
+    """The loaded entry for ``(graph_fp, cfg)`` out of one
+    :meth:`CacheStore.lookup` read, or ``None``."""
+    entry = next((e for e in store.lookup(graph_fp, key)
+                  if e.graph_fp == graph_fp and e.config_hash == cfg), None)
+    return None if entry is None else store.load_artifact(entry)
 
 
 def _open_handles(path) -> list:
@@ -245,6 +258,199 @@ def _open_handles(path) -> list:
         except OSError:
             pass
     return out
+
+
+def _index_state(path):
+    """The index file's bytes and modification time."""
+    return path.read_bytes(), os.stat(path).st_mtime_ns
+
+
+def _raw_hits(store):
+    """``(uid, hits, last_hit_at)`` straight from the index, no fold."""
+    conn = sqlite3.connect(store.index_path)
+    try:
+        return conn.execute(
+            "SELECT uid, hits, last_hit_at FROM entries ORDER BY created_at"
+        ).fetchall()
+    finally:
+        conn.close()
+
+
+class TestHitJournal:
+    """A hit appends to ``hits.log``; index writes fold it in."""
+
+    _entry = TestCacheStore._entry
+
+    def test_hit_leaves_the_index_untouched(self, tmp_path):
+        g = phat_complement(30, 2, seed=3)
+        root = tmp_path / "c"
+        solve_mvc(g, cache=str(root))
+        before = _index_state(root / "index.sqlite")
+        time.sleep(0.01)  # a write would move st_mtime_ns
+        hit = solve_mvc(g, cache=str(root))
+        assert hit.engine == "cache" and hit.nodes_visited == 0
+        assert _index_state(root / "index.sqlite") == before
+        assert (root / "hits.log").exists()
+        assert [row["hits"] for row in CacheStore(root).ls()] == [1]
+        assert not (root / "hits.log").exists()
+
+    def test_one_connection_per_hit_two_per_miss(self, tmp_path, monkeypatch):
+        opened = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect",
+                            lambda *a, **kw: opened.append(a) or connect(*a, **kw))
+        g = phat_complement(30, 2, seed=3)
+        root = str(tmp_path / "c")
+        solve_mvc(g, cache=root)
+        assert len(opened) == 2  # one read, one write
+        opened.clear()
+        solve_mvc(g, cache=root)
+        assert len(opened) == 1
+        opened.clear()
+        solve_pvc(g, g.n, cache=root)  # derived from the MVC certificate
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("fold", ["put", "delete", "gc", "ls", "stats"])
+    def test_index_writes_and_reads_fold_the_journal(self, tmp_path, fold):
+        store = CacheStore(tmp_path / "c")
+        entry = store.put(self._entry())
+        other = store.put(self._entry(graph_fp="fp1"))
+        store.touch(entry.uid)
+        store.touch(entry.uid)
+        assert [hits for _, hits, _ in _raw_hits(store)] == [0, 0]
+        {"put": lambda: store.put(self._entry(graph_fp="fp2")),
+         "delete": lambda: store.delete(other.uid),
+         "gc": lambda: store.gc(max_age_s=1e9),
+         "ls": store.ls, "stats": store.stats}[fold]()
+        assert not store.hits_path.exists()
+        uid, hits, last = _raw_hits(store)[0]
+        assert (uid, hits) == (entry.uid, 2) and last is not None
+        assert [p.name for p in store.root.iterdir()
+                if p.name.startswith("hits")] == []
+
+    def test_clear_consumes_the_journal(self, tmp_path):
+        store = CacheStore(tmp_path / "c")
+        store.touch(store.put(self._entry()).uid)
+        assert store.clear() == 1
+        assert not store.hits_path.exists()
+        assert store.stats()["hits"] == 0
+
+    def test_torn_and_garbage_lines_are_skipped(self, tmp_path):
+        store = CacheStore(tmp_path / "c")
+        entry = store.put(self._entry())
+        store.hits_path.write_bytes(
+            f"{entry.uid} 1000.5\n".encode()
+            + b"\xff\xfe garbage\n"                 # not ascii
+            + f"{entry.uid}\n".encode()               # one field
+            + f"{entry.uid} nan\n".encode()           # not a time
+            + f"{entry.uid} 1 2\n".encode()           # three fields
+            + b"0123456789abcdef 99.0\n"              # no such entry
+            + f"{entry.uid} 2000.25".encode())        # torn: no newline
+        assert store.ls()[0]["hits"] == 1
+        assert _raw_hits(store)[0][2] == 1000.5
+
+    def test_failed_append_is_silent(self, tmp_path):
+        g = phat_complement(30, 2, seed=3)
+        cache = SolveCache(tmp_path / "c")
+        solve_mvc(g, cache=cache)
+        cache.store.hits_path = tmp_path / "missing-dir" / "hits.log"
+        hit = solve_mvc(g, cache=cache)
+        assert hit.engine == "cache" and cache.session["hits_exact"] == 1
+
+    def test_concurrent_hits_lose_counts_never_entries(self, tmp_path):
+        """Appenders race folding writers: a fold may drop a hit whose
+        descriptor was open across its rename, never an entry."""
+        store = CacheStore(tmp_path / "c")
+        hot = store.put(self._entry())
+        touches, appenders, puts = 300, 4, 20
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(
+                target=lambda: [store.touch(hot.uid) for _ in range(touches)])
+                for _ in range(appenders)]
+            for w in workers:
+                w.start()
+            for i in range(puts):
+                store.put(self._entry(graph_fp=f"fp-{i}"))
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(previous)
+        rows = store.ls()  # one more fold
+        assert len(rows) == puts + 1
+        for entry in store.lookup("fp0", "k" * 64):
+            np.testing.assert_array_equal(store.load_artifact(entry).cover,
+                                          [0, 1])
+        hits = rows[0]["hits"]
+        assert touches * appenders - appenders * (puts + 1) <= hits \
+            <= touches * appenders
+
+
+class TestDamagedArtifact:
+    """An index row whose artifact is missing, truncated or undecodable
+    is deleted and the request solves cold and records afresh."""
+
+    DAMAGE = {
+        "missing": lambda path: path.unlink(),
+        "truncated": lambda path: path.write_bytes(path.read_bytes()[:20]),
+        "unpicklable": lambda path: path.write_bytes(b"not a pickle at all"),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(DAMAGE))
+    def test_damaged_artifact_is_a_miss(self, tmp_path, mode):
+        from repro.graph.generators.suites import suite_instance
+
+        g = suite_instance("p_hat_300_1", "tiny").graph()
+        root = tmp_path / "c"
+        cold = solve_mvc(g, cache=str(root))
+        [old] = CacheStore(root).ls()
+        self.DAMAGE[mode](root / "entries" / f"{old['uid']}.pkl")
+        cache = SolveCache(root)
+        out = solve_mvc(g, cache=cache)
+        assert out.optimum == cold.optimum == 26 and out.engine != "cache"
+        assert_valid_cover(g, out.cover, expected_size=26)
+        assert cache.session["misses"] == 1
+        [new] = cache.store.ls()
+        assert new["uid"] != old["uid"] and new["status"] == "optimal"
+        assert sorted(p.name for p in (root / "entries").iterdir()) \
+            == [f"{new['uid']}.pkl"]
+        again = solve_mvc(g, cache=cache)
+        assert again.engine == "cache" and again.optimum == 26
+
+
+class TestIdentity:
+    """Hashes stay byte-identical, so existing stores keep hitting."""
+
+    def test_fingerprint_and_config_hash_literals(self):
+        assert graph_fingerprint(gnp(8, 0.4, seed=1)) == (
+            "ffb003172162f37010f4ee57c48b69de11fb05ea4c450777f561e971d6010186")
+        assert config_hash("mvc") == (
+            "dccae77dd732a0856dec672f08cbadc34055d6f5589f4ea5f3e37253608f3586")
+        assert config_hash("pvc", 7) == (
+            "76aa53d95e360a6262fde8d126148d552e00e7997ccb07697cc384df618431d7")
+
+    def test_spec_reexports_the_leaf_functions(self):
+        from repro.experiment import spec
+        from repro.graph import fingerprint
+
+        assert spec.graph_fingerprint is fingerprint.graph_fingerprint
+        assert spec.canonical_json is fingerprint.canonical_json
+
+    def test_cached_solve_imports_no_experiment_layer(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from repro import solve_mvc\n"
+            "from repro.graph.generators.phat import phat_complement\n"
+            f"solve_mvc(phat_complement(30, 2, seed=3), cache={str(tmp_path)!r})\n"
+            "print([m for m in sys.modules\n"
+            "       if m.startswith(('repro.experiment', 'repro.analysis'))])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestUnusableRoot:
@@ -449,10 +655,9 @@ class TestEscalation:
         out2 = solve_mvc(g, node_budget=5, cache=cache)
         assert out2.status == "budget_exhausted"
         assert cache.session["escalations"] == 1
-        from repro.cache import _graph_fp
-
         # the re-stored entry carries the further-advanced frontier
-        entry = cache.store.lookup_exact(_graph_fp(g), config_hash("mvc"))
+        entry = _exact(cache.store, graph_fingerprint(g), config_hash("mvc"),
+                       key=canonical_form(g).key)
         assert entry.status == "budget_exhausted"
         assert entry.checkpoint_blob is not None
 
@@ -520,11 +725,13 @@ class TestDisarmedPath:
         assert warm.nodes_visited == 0
 
     def test_disarmed_overhead_at_most_two_percent(self, monkeypatch):
-        """Interleaved A/B: A = the dispatcher called directly (the
+        """A/B pairs: A = the dispatcher called directly (the
         seed-equivalent path), B = the shipping facade with the cache
         disarmed.  The only delta is one dict pop and one env probe per
-        solve — the guard asserts it stays within 2% (best-of samples,
-        with retries to absorb scheduler noise).  The instance is a
+        solve — the guard asserts it stays within 2%.  Each side is
+        timed in process CPU time, so time another process takes on
+        shared cores is not counted; the order alternates pair by pair
+        and the median per-pair ratio is compared.  The instance is a
         ~7k-node tree, a solve of 10 ms or more, so timer noise stays
         well inside the bound."""
         from repro.core import solver
@@ -535,25 +742,25 @@ class TestDisarmedPath:
             return solver._dispatch(graph, None, "sequential", {})
 
         expected = dispatch(graph).optimum
+        assert solver.solve_mvc(graph).optimum == expected
 
-        def timed(fn, repeats=3, inner=2):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    assert fn(graph).optimum == expected
-                best = min(best, (time.perf_counter() - t0) / inner)
-            return best
+        def timed(fn):
+            t0 = time.process_time()
+            assert fn(graph).optimum == expected
+            return time.process_time() - t0
 
-        for attempt in range(3):
-            a = b = float("inf")
-            for _ in range(4):  # interleave A/B to share machine state
-                a = min(a, timed(dispatch))
-                b = min(b, timed(solver.solve_mvc))
-            if b <= a * 1.02:
-                return
-        pytest.fail(f"disarmed cache overhead {b / a - 1:.2%} > 2% "
-                    f"(baseline {a * 1e3:.3f} ms, disarmed {b * 1e3:.3f} ms)")
+        ratios = []
+        for pair in range(40):
+            if pair % 2:
+                b = timed(solver.solve_mvc)
+                a = timed(dispatch)
+            else:
+                a = timed(dispatch)
+                b = timed(solver.solve_mvc)
+            ratios.append(b / a)
+        ratio = statistics.median(ratios)
+        assert ratio <= 1.02, (f"disarmed cache overhead {ratio - 1:.2%} > 2% "
+                               f"(pair ratios {[round(r, 3) for r in ratios]})")
 
 
 def _raise_spy(name):
@@ -587,6 +794,27 @@ class TestCacheTelemetry:
             assert "repro_cache_misses_total 1.0" in text
         finally:
             metrics.reset()
+
+    def test_lookup_and_record_spans_fall_in_the_cache_group(self, tmp_path):
+        from repro import obs
+        from repro.obs import breakdown
+
+        g = gnp(20, 0.25, seed=13)
+        tracer = obs.arm()
+        try:
+            solve_mvc(g, cache=str(tmp_path / "c"))  # miss: lookup + record
+            solve_mvc(g, cache=str(tmp_path / "c"))  # hit: lookup only
+        finally:
+            obs.disarm()
+            metrics.reset()
+        kinds = [s.kind for s in tracer.spans]
+        assert kinds.count("cache_lookup") == 2
+        assert kinds.count("cache_record") == 1
+        solves = {s.span_id for s in tracer.spans if s.kind == "solve"}
+        assert all(s.parent_id in solves for s in tracer.spans
+                   if s.kind.startswith("cache_"))
+        by_kind = breakdown.wall_by_kind_from_spans(tracer.spans)
+        assert breakdown.group_fractions(by_kind)["Cache"] > 0
 
     def test_escalation_counter(self, tmp_path):
         metrics.reset()

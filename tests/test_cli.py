@@ -218,6 +218,17 @@ class TestObsCLI:
         out = capsys.readouterr().out
         assert out.startswith("error: cannot read trace") and out.count("\n") == 1
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],                                # top level not an object
+        {"metrics": [{"name": "x", "labels": [1]}]},  # labels not an object
+    ], ids=["top-level", "labels"])
+    def test_malformed_metrics_is_one_line_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["obs", "export", "--metrics", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: cannot convert") and out.count("\n") == 1
+
     def test_export_keeps_identity_and_clock(self, capsys, tmp_path):
         from repro.engines.hybrid import HybridEngine
         from repro.graph.generators.phat import phat_complement
