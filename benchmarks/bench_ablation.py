@@ -7,21 +7,22 @@ worklist: (a) far more traffic through the serialised broker, and
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_ablation
+from repro.analysis.experiments import ABLATION_GRAPHS
+from repro.experiment.presets import preset_spec
 
-from conftest import once
+from conftest import once, run_grid
 
 
-def bench_globalonly_ablation(benchmark, quick_cfg):
-    res = once(benchmark, run_ablation, quick_cfg,
-               instances=("p_hat_300_3", "sister_cities"))
-    by_key = {(r["graph"], r["engine"]): r for r in res.rows}
-    for key, row in sorted(by_key.items()):
-        benchmark.extra_info["|".join(key)] = (
-            f"{row['seconds']} adds={row['wl adds']} peak={row['wl peak']}"
+def bench_globalonly_ablation(benchmark):
+    view = once(benchmark, run_grid, preset_spec("ablation", "small", quick=True))
+    by_key = {(name, engine): cell for (name, engine, _), cell in view.cells.items()}
+    for (name, engine), cell in sorted(by_key.items()):
+        wl = cell["launch"]["worklist"]
+        benchmark.extra_info[f"{name}|{engine}"] = (
+            f"{cell['seconds']} adds={wl['adds']} peak={wl['peak']}"
         )
-    for graph in ("p_hat_300_3", "sister_cities"):
-        hyb = by_key[(graph, "hybrid")]
-        glob = by_key[(graph, "globalonly")]
-        assert glob["wl adds"] > hyb["wl adds"], graph
-        assert glob["wl peak"] >= hyb["wl peak"], graph
+    for graph in ABLATION_GRAPHS:
+        hyb = by_key[(graph, "hybrid")]["launch"]["worklist"]
+        glob = by_key[(graph, "globalonly")]["launch"]["worklist"]
+        assert glob["adds"] > hyb["adds"], graph
+        assert glob["peak"] >= hyb["peak"], graph

@@ -18,22 +18,23 @@ import pytest
 from repro.core.sequential import solve_mvc_sequential
 from repro.engines.stackonly import StackOnlyEngine
 from repro.graph.generators.suites import suite_instance
+from repro.sim.costmodel import CostModel
 from repro.sim.device import SMALL_SIM
 
 from conftest import once
 
 
 @pytest.mark.parametrize("depth", [4, 8])
-def bench_descent_mode_tradeoff(benchmark, quick_cfg, depth):
-    graph = suite_instance("p_hat_300_3", quick_cfg.scale).graph()
+def bench_descent_mode_tradeoff(benchmark, quick_spec, depth):
+    graph = suite_instance("p_hat_300_3", quick_spec.scale).graph()
     expected = solve_mvc_sequential(graph).optimum
 
     def run():
         results = {}
         for mode in ("root", "grid"):
-            eng = StackOnlyEngine(device=SMALL_SIM, cost_model=quick_cfg.cost_model,
+            eng = StackOnlyEngine(device=SMALL_SIM, cost_model=CostModel(),
                                   start_depth=depth, descent_mode=mode)
-            results[mode] = eng.solve_mvc(graph, node_budget=quick_cfg.engine_node_guard)
+            results[mode] = eng.solve_mvc(graph, node_budget=quick_spec.engine_node_guard)
         return results
 
     results = once(benchmark, run)

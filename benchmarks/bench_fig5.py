@@ -13,35 +13,32 @@ The paper's observations, asserted on the reproduction:
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_fig5
-from repro.graph.generators.suites import paper_suite
+from repro.analysis.experiments import FIG5_GRAPHS
+from repro.experiment.presets import preset_spec
 
-from conftest import once
-
-
-def _extremes(cfg):
-    # hardest high-degree instance vs the sparsest graph (see run_fig5)
-    return "p_hat_500_3", "us_power_grid"
+from conftest import once, run_grid
 
 
-def bench_fig5_load_distribution(benchmark, quick_cfg):
-    high_name, low_name = _extremes(quick_cfg)
-    res = once(benchmark, run_fig5, quick_cfg, graphs=(high_name, low_name))
+def bench_fig5_load_distribution(benchmark):
+    # hardest high-degree instance vs the sparsest graph (see FIG5_GRAPHS)
+    high_name, low_name = FIG5_GRAPHS
+    view = once(benchmark, run_grid, preset_spec("fig5", "small", quick=True))
 
     summaries = {
-        (e.graph_name, e.engine, e.instance_type): e.summary for e in res.entries
+        (name, engine, itype): cell["launch"]["load"]
+        for (name, engine, itype), cell in view.cells.items()
     }
     for key, s in sorted(summaries.items()):
-        benchmark.extra_info["|".join(key)] = f"min={s.min:.2f} max={s.max:.2f}"
+        benchmark.extra_info["|".join(key)] = f"min={s['min']:.2f} max={s['max']:.2f}"
 
     # (1) StackOnly imbalance: high-degree graph worse than low-degree graph.
     stack_high = summaries.get((high_name, "stackonly", "mvc"))
     stack_low = summaries.get((low_name, "stackonly", "mvc"))
     assert stack_high is not None and stack_low is not None
-    assert stack_high.imbalance >= stack_low.imbalance * 0.8
+    assert stack_high["imbalance"] >= stack_low["imbalance"] * 0.8
 
     # (3) Hybrid balances far better than StackOnly on the hard instance.
     hyb_high = summaries.get((high_name, "hybrid", "mvc"))
     assert hyb_high is not None
-    assert hyb_high.imbalance < stack_high.imbalance
-    assert hyb_high.max - hyb_high.min < stack_high.max - stack_high.min
+    assert hyb_high["imbalance"] < stack_high["imbalance"]
+    assert hyb_high["max"] - hyb_high["min"] < stack_high["max"] - stack_high["min"]

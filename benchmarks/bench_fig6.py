@@ -12,11 +12,11 @@ Asserted shape (paper Section V-D):
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_fig6
+from repro.experiment.presets import preset_spec
 from repro.graph.generators.suites import HIGH_DEGREE, paper_suite
-from repro.obs.breakdown import GROUPS
+from repro.obs.breakdown import GROUPS, BreakdownRow, mean_breakdown
 
-from conftest import once
+from conftest import once, run_grid
 
 #: Hard+easy members of both categories (full 18-graph run is the CLI's job).
 SUBSET = (
@@ -25,10 +25,12 @@ SUBSET = (
 )
 
 
-def bench_fig6_breakdown(benchmark, quick_cfg):
-    res = once(benchmark, run_fig6, quick_cfg, instances=SUBSET)
-    rows = {r.name: r for r in res.rows}
-    mean = rows["Mean"]
+def bench_fig6_breakdown(benchmark):
+    view = once(benchmark, run_grid, preset_spec("fig6", "small", quick=True),
+                instances=SUBSET)
+    rows = {name: BreakdownRow(name, cell["launch"]["breakdown"])
+            for (name, _, _), cell in view.cells.items()}
+    mean = mean_breakdown(list(rows.values()))
     groups = mean.group_totals()
     for group in GROUPS:
         benchmark.extra_info[group] = f"{groups[group] * 100:.1f}%"
@@ -45,7 +47,7 @@ def bench_fig6_breakdown(benchmark, quick_cfg):
     )
 
     # remove-neighbours is relatively heavier on high-degree graphs.
-    suite = {i.name: i for i in paper_suite(quick_cfg.scale)}
+    suite = {i.name: i for i in paper_suite("small")}
     high = [rows[n].fractions["remove_neighbors"] for n in SUBSET
             if suite[n].category == HIGH_DEGREE and n in rows]
     low = [rows[n].fractions["remove_neighbors"] for n in SUBSET

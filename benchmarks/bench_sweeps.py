@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 
+from repro import solve_mvc
 from repro.analysis.experiments import run_sweeps
-from repro.engines.hybrid import HybridEngine
-from repro.engines.stackonly import StackOnlyEngine
 from repro.graph.generators.suites import suite_instance
 
 from conftest import once
@@ -27,18 +26,19 @@ def _slowdown(cycles: list) -> float:
     return math.exp(sum(math.log(c / best) for c in cycles) / len(cycles))
 
 
-def bench_sweep_block_size_robustness(benchmark, quick_cfg):
-    graph = suite_instance("p_hat_300_3", quick_cfg.scale).graph()
+def _solve(spec, graph, engine, **params):
+    return solve_mvc(graph, engine=engine, device=spec.device_spec, cache=False,
+                     node_budget=spec.engine_node_guard, **params)
+
+
+def bench_sweep_block_size_robustness(benchmark, quick_spec):
+    graph = suite_instance("p_hat_300_3", quick_spec.scale).graph()
 
     def sweep():
         out = {"hybrid": [], "stackonly": []}
         for bs in (32, 64):
-            h = HybridEngine(device=quick_cfg.device, cost_model=quick_cfg.cost_model,
-                             block_size_override=bs) \
-                .solve_mvc(graph, node_budget=quick_cfg.engine_node_guard)
-            s = StackOnlyEngine(device=quick_cfg.device, cost_model=quick_cfg.cost_model,
-                                start_depth=6, block_size_override=bs) \
-                .solve_mvc(graph, node_budget=quick_cfg.engine_node_guard)
+            h = _solve(quick_spec, graph, "hybrid", block_size_override=bs)
+            s = _solve(quick_spec, graph, "stackonly", start_depth=6, block_size_override=bs)
             out["hybrid"].append(h.stats.makespan_cycles)
             out["stackonly"].append(s.stats.makespan_cycles)
         return out
@@ -52,24 +52,23 @@ def bench_sweep_block_size_robustness(benchmark, quick_cfg):
     assert hyb_slow < 3.0 and stk_slow < 5.0
 
 
-def bench_sweep_harness(benchmark, tiny_cfg):
-    sweeps = once(benchmark, run_sweeps, tiny_cfg, instance="p_hat_300_3")
+def bench_sweep_harness(benchmark, tiny_spec):
+    sweeps = once(benchmark, run_sweeps, tiny_spec, instance="p_hat_300_3")
     assert len(sweeps) == 3
     for sweep in sweeps:
         benchmark.extra_info[sweep.name] = f"{len(sweep.rows)} rows"
         assert sweep.rows
 
 
-def bench_sweep_worklist_threshold(benchmark, quick_cfg):
-    graph = suite_instance("p_hat_300_3", quick_cfg.scale).graph()
+def bench_sweep_worklist_threshold(benchmark, quick_spec):
+    graph = suite_instance("p_hat_300_3", quick_spec.scale).graph()
 
     def sweep():
         out = []
         for cap in (256, 1024):
             for frac in (0.25, 1.0):
-                res = HybridEngine(device=quick_cfg.device, cost_model=quick_cfg.cost_model,
-                                   worklist_capacity=cap, worklist_threshold_fraction=frac) \
-                    .solve_mvc(graph, node_budget=quick_cfg.engine_node_guard)
+                res = _solve(quick_spec, graph, "hybrid", worklist_capacity=cap,
+                             worklist_threshold_fraction=frac)
                 out.append(res.stats.makespan_cycles)
         return out
 

@@ -11,13 +11,11 @@ The paper's qualitative claims asserted here:
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.experiments import run_table1, run_table2
 from repro.analysis.tables import format_speedup
+from repro.experiment.report import table2_speedups
 from repro.graph.generators.suites import HIGH_DEGREE, LOW_DEGREE
 
-from conftest import once
+from conftest import once, run_grid
 
 # A representative sub-suite: the hard + easy extremes of both categories.
 SUBSET = (
@@ -27,23 +25,19 @@ SUBSET = (
 )
 
 
-def bench_table2_speedups(benchmark, quick_cfg):
-    def pipeline():
-        table1 = run_table1(quick_cfg, instances=SUBSET)
-        return run_table2(table1)
-
-    t2 = once(benchmark, pipeline)
-    for (cat, baseline, itype), val in sorted(t2.speedups.items()):
+def bench_table2_speedups(benchmark, quick_spec):
+    speedups = table2_speedups(once(benchmark, run_grid, quick_spec, instances=SUBSET))
+    for (cat, baseline, itype), val in sorted(speedups.items()):
         benchmark.extra_info[f"{cat}|hybrid/{baseline}|{itype}"] = format_speedup(val)
 
     # Shape: Hybrid wins the hard instances against StackOnly overall.
-    mvc = t2.speedups.get(("overall", "stackonly", "mvc"))
+    mvc = speedups.get(("overall", "stackonly", "mvc"))
     assert mvc is not None and mvc > 1.0, f"hybrid should beat stackonly on MVC, got {mvc}"
-    km1 = t2.speedups.get(("overall", "stackonly", "pvc_km1"))
+    km1 = speedups.get(("overall", "stackonly", "pvc_km1"))
     assert km1 is not None and km1 > 1.0
 
     # Shape: the high-degree advantage exceeds the low-degree advantage.
-    high = t2.speedups.get((HIGH_DEGREE, "stackonly", "mvc"))
-    low = t2.speedups.get((LOW_DEGREE, "stackonly", "mvc"))
+    high = speedups.get((HIGH_DEGREE, "stackonly", "mvc"))
+    low = speedups.get((LOW_DEGREE, "stackonly", "mvc"))
     if high is not None and low is not None:
         assert high > low, f"high-degree speedup {high} should exceed low-degree {low}"

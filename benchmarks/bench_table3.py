@@ -9,27 +9,28 @@ the sub-suite, matching the paper's "highly competitive" claim.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import PRIOR_WORK_TABLE3_SECONDS, run_table3
+from repro.analysis.experiments import PRIOR_WORK_TABLE3_SECONDS
 from repro.analysis.speedup import geometric_mean
 from repro.analysis.tables import format_seconds
+from repro.experiment.presets import preset_spec
 
-from conftest import once
+from conftest import once, run_grid
 
 
-def bench_table3(benchmark, quick_cfg):
-    t3 = once(benchmark, run_table3, quick_cfg)
-    assert len(t3.rows) == len(PRIOR_WORK_TABLE3_SECONDS)
+def bench_table3(benchmark):
+    view = once(benchmark, run_grid, preset_spec("table3", "small", quick=True))
+    assert len(view.instances) == len(PRIOR_WORK_TABLE3_SECONDS)
 
     ratios = []
-    for row in t3.rows:
-        benchmark.extra_info[row["name"]] = (
-            f"seq={format_seconds(row['sequential'], row['sequential'] is None)} "
-            f"stack={format_seconds(row['stackonly'], row['stackonly'] is None)} "
-            f"hybrid={format_seconds(row['hybrid'], row['hybrid'] is None)} "
-            f"prior={row['prior']}"
-        )
-        if row["stackonly"] is not None and row["hybrid"] is not None:
-            ratios.append(row["stackonly"] / row["hybrid"])
+    for info in view.instances:
+        name = info["label"]
+        secs = {engine: view.seconds(name, engine, "pvc_k")
+                for engine in ("sequential", "stackonly", "hybrid")}
+        benchmark.extra_info[name] = " ".join(
+            f"{engine}={format_seconds(s, s is None)}" for engine, s in secs.items()
+        ) + f" prior={PRIOR_WORK_TABLE3_SECONDS[name]}"
+        if secs["stackonly"] is not None and secs["hybrid"] is not None:
+            ratios.append(secs["stackonly"] / secs["hybrid"])
 
     # Hybrid is at least competitive with the prior-work scheme on k=min
     # (the paper reports a 4.2x geomean advantage on this instance type).

@@ -14,7 +14,10 @@
 # shrink a bipartite search tree — (the bounds-layer guard), or the
 # experiment layer's smoke grid (which sweeps the bound axis) fails its
 # schema / zero-recompute resume / bit-identical verification gate
-# (see docs/EXPERIMENTS.md), or the distributed-engine gate fails
+# (see docs/EXPERIMENTS.md), or a sample of the committed paper run's
+# cells no longer re-executes bit-identically (or the report touches
+# the checkout), or a paper preset leaves its temporary store behind,
+# or the distributed-engine gate fails
 # (2-worker localhost-socket runs and a serve-worker second-process run
 # must match the sequential covers, the 2-worker runs must walk their
 # sub-trees in compiled chunks, a lone worker must walk its tree on one
@@ -163,6 +166,28 @@ EOF
 exp_store="$(mktemp -d /tmp/bench_smoke_exp.XXXXXX)"
 trap 'rm -f "$out"; rm -rf "$exp_store"' EXIT
 python -m repro experiment run --smoke --store "$exp_store"
+
+# --- the committed paper run: stored cells still match the engines ---
+# Copy experiments/paper-small-*/ into a scratch store, regenerate its
+# report there and re-execute a sample of its cells live: virtual
+# cycles/seconds, node counts and the launch figures must be
+# bit-identical to the committed records, and the checkout must be left
+# byte-for-byte untouched.
+paper_run="$(basename experiments/paper-small-*)"
+paper_sum="$(cat experiments/"$paper_run"/* | sha256sum)"
+cp -r "experiments/$paper_run" "$exp_store/"
+paper_out="$(python -m repro experiment report "$paper_run" --store "$exp_store" \
+    --verify --max-cells 12)"
+printf '%s\n' "$paper_out" | grep -q "^verified: 12 cells bit-identical"
+test "$(cat experiments/"$paper_run"/* | sha256sum)" = "$paper_sum"
+echo "ci_smoke: committed paper run verified (12 cells bit-identical, checkout untouched)"
+
+# --- a paper preset prints its section and leaves no store behind ---
+preset_tmp="$(mktemp -d "$exp_store/preset.XXXXXX")"
+table2_out="$(TMPDIR="$preset_tmp" python -m repro table2 --scale tiny --quick)"
+printf '%s\n' "$table2_out" | grep -q "^Table II — aggregate speedup"
+test -z "$(ls -A "$preset_tmp")"
+echo "ci_smoke: table2 preset printed Table II and left no store behind"
 
 # --- distributed-engine gate (see docs/ARCHITECTURE.md, net/) ---
 # 1. two-worker localhost-socket runs must match the sequential engine's

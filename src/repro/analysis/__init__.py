@@ -1,18 +1,11 @@
-"""Evaluation harness: regenerates every table and figure of the paper."""
+"""Evaluation harness: experiment cells, the paper's statistics and tables.
 
-from .experiments import (
-    INSTANCE_TYPES,
-    CellResult,
-    ExperimentConfig,
-    Table1Result,
-    run_ablation,
-    run_fig5,
-    run_fig6,
-    run_sweeps,
-    run_table1,
-    run_table2,
-    run_table3,
-)
+The tables and figures themselves are report sections over stored cells
+(:mod:`repro.experiment.report`), run by the ``repro table1 … ablation``
+presets (:mod:`repro.experiment.presets`).
+"""
+
+from .experiments import INSTANCE_TYPES, CellResult, run_cell, run_sweeps
 from .load_balance import LoadSummary, load_summary_from_metrics, summarize_load
 from .memory import MemoryReport, memory_report, render_memory_table
 from .tree_shape import TreeShape, measure_tree_shape, render_tree_shape
@@ -27,15 +20,8 @@ from .tables import format_seconds, format_speedup, render_table
 __all__ = [
     "INSTANCE_TYPES",
     "CellResult",
-    "ExperimentConfig",
-    "Table1Result",
-    "run_ablation",
-    "run_fig5",
-    "run_fig6",
+    "run_cell",
     "run_sweeps",
-    "run_table1",
-    "run_table2",
-    "run_table3",
     "LoadSummary",
     "load_summary_from_metrics",
     "summarize_load",

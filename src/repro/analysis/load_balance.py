@@ -9,7 +9,6 @@ imbalance scalars commonly used in the load-balancing literature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -31,13 +30,6 @@ class LoadSummary:
     imbalance: float          # max / mean  (1.0 = perfectly balanced)
     num_sms: int
     total_nodes: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "min": self.min, "p25": self.p25, "median": self.median,
-            "p75": self.p75, "max": self.max, "cv": self.cv,
-            "imbalance": self.imbalance,
-        }
 
 
 def summarize_load(normalized: np.ndarray, total_nodes: int = 0) -> LoadSummary:

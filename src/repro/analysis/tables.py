@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 __all__ = ["render_table", "render_markdown_table", "format_seconds",
-           "format_speedup", "format_ratio"]
+           "format_speedup"]
 
 
 def format_seconds(seconds: Optional[float], timed_out: bool = False, budget_label: str = ">budget") -> str:
@@ -25,12 +25,6 @@ def format_speedup(value: Optional[float]) -> str:
     if value is None:
         return "--"
     return f"{value:.1f}x"
-
-
-def format_ratio(value: Optional[float]) -> str:
-    if value is None:
-        return "--"
-    return f"{value:.2f}"
 
 
 def render_table(

@@ -1,9 +1,10 @@
 """Command-line interface: ``python -m repro <experiment>``.
 
 Subcommands regenerate the paper's evaluation artefacts on the synthetic
-suite::
+suite; each paper command is a preset spec run through the experiment
+runner, printing one report section (see docs/EXPERIMENTS.md)::
 
-    python -m repro table1 [--scale small] [--quick]
+    python -m repro table1 [--scale small] [--quick] [--store DIR]
     python -m repro table2
     python -m repro table3
     python -m repro fig5
@@ -43,21 +44,13 @@ import sys
 import time
 from typing import List, Optional
 
-from .analysis.experiments import (
-    PRIOR_WORK_TABLE3_SECONDS,
-    ExperimentConfig,
-    run_ablation,
-    run_fig5,
-    run_fig6,
-    run_sweeps,
-    run_table1,
-    run_table2,
-    run_table3,
-)
 from .core.solver import POOL_ENGINES
 from .graph.generators.suites import paper_suite, suite_instance
 
 __all__ = ["main", "build_parser"]
+
+#: The paper commands: presets of the experiment runner.
+_PRESETS = ("table1", "table2", "table3", "fig5", "fig6", "ablation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,14 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="virtual-time budget per cell in seconds (the paper's 2-hour analog)")
         p.add_argument("--verbose", action="store_true")
 
-    for name in ("table1", "table2", "table3", "fig5", "fig6", "ablation"):
+    for name in _PRESETS:
         p = sub.add_parser(name, help=f"regenerate {name}")
         common(p)
         if name in ("table1", "table2", "table3"):
             p.add_argument("--store", default=None, metavar="DIR",
-                           help="experiment store directory: load fingerprint-"
-                                "matched cells instead of re-solving, append "
-                                "fresh ones (resumable; see docs/EXPERIMENTS.md)")
+                           help="experiment store directory: keep the run there "
+                                "(resumable: fingerprint-matched cells are not "
+                                "re-solved; see docs/EXPERIMENTS.md) instead of "
+                                "a temporary store removed afterwards")
     common(sub.add_parser("memory", help="Section III-C memory budget per suite graph"))
     p = sub.add_parser("tree", help="Section III search-tree shape statistics")
     common(p)
@@ -359,15 +353,6 @@ def _print_supervision(result) -> None:
         print("supervision: clean run (no faults, respawns, or drains)")
 
 
-def _config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(scale=args.scale)
-    if args.quick:
-        cfg = cfg.quick()
-    if args.budget is not None:
-        cfg.virtual_budget_s = args.budget
-    return cfg
-
-
 #: The built-in ``experiment run --smoke`` grid: 2 engines x 2 frontiers
 #: x 2 bounds x 1 suite instance at tiny scale — small enough for CI,
 #: wide enough to exercise the frontier axis, the bound axis, the engine
@@ -483,8 +468,8 @@ def _cmd_experiment(args: argparse.Namespace, start: float) -> int:
             return 2
         except ValueError:
             print(f"error: run {args.run_id!r} was not created by 'repro "
-                  f"experiment run'; re-run the command that created it "
-                  f"(e.g. 'repro table1 --store' runs resume there)")
+                  f"experiment run'; regenerate it with the preset, e.g. "
+                  f"'repro table1 --store DIR'")
             return 2
         try:
             outcome = run_experiment(spec, store, n_workers=args.workers,
@@ -544,6 +529,24 @@ def _cmd_experiment(args: argparse.Namespace, start: float) -> int:
         return 0
 
     raise AssertionError(f"unhandled experiment command {cmd!r}")  # pragma: no cover
+
+
+def _cmd_preset(args: argparse.Namespace, start: float) -> int:
+    """``repro table1 … ablation``: run the preset's spec, print its section."""
+    from .experiment.presets import preset_spec, run_preset
+    from .experiment.store import RunStore
+
+    spec = preset_spec(args.command, args.scale, quick=args.quick, budget=args.budget)
+    store_root = getattr(args, "store", None)
+    store = None if store_root is None else RunStore(store_root)
+    text, outcome = run_preset(args.command, spec, store=store,
+                               echo=print if args.verbose else None)
+    print(text)
+    if store is not None:
+        print(f"\nrun {outcome.run.run_id}: {outcome.executed} executed, "
+              f"{outcome.skipped} skipped -> {outcome.run.directory}")
+    print(f"\n[{time.perf_counter() - start:.1f}s wall]")
+    return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -610,8 +613,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
 
-    if args.command == "experiment":
-        return _cmd_experiment(args, start)
+    if args.command in ("experiment", *_PRESETS):
+        from .experiment.store import StoreUnavailable
+
+        try:
+            if args.command == "experiment":
+                return _cmd_experiment(args, start)
+            return _cmd_preset(args, start)
+        except StoreUnavailable as exc:
+            print(f"error: {exc}")
+            return 2
 
     if args.command == "obs":
         return _cmd_obs(args)
@@ -685,8 +696,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\nwrote {out}")
         print(f"[{time.perf_counter() - start:.1f}s wall]")
         return 0
-
-    cfg = _config(args)
 
     if args.command == "memory":
         from .analysis.memory import memory_report, render_memory_table
@@ -871,30 +880,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[{time.perf_counter() - start:.1f}s wall]")
         return 0
 
-    store = None
-    if getattr(args, "store", None) is not None:
-        from .experiment.store import RunStore
+    if args.command == "sweeps":
+        from .analysis.experiments import run_sweeps
+        from .experiment.presets import preset_spec
 
-        store = RunStore(args.store)
-
-    if args.command == "table1":
-        print(run_table1(cfg, verbose=args.verbose, store=store).render())
-    elif args.command == "table2":
-        print(run_table2(table1=run_table1(cfg, store=store)).render())
-    elif args.command == "table3":
-        print(run_table3(cfg, table1=run_table1(
-            cfg, instances=list(PRIOR_WORK_TABLE3_SECONDS),
-            instance_types=("pvc_k",), store=store)).render())
-    elif args.command == "fig5":
-        print(run_fig5(cfg).render())
-    elif args.command == "fig6":
-        print(run_fig6(cfg).render())
-    elif args.command == "sweeps":
-        for sweep in run_sweeps(cfg, instance=args.instance):
+        spec = preset_spec("table1", args.scale, quick=args.quick, budget=args.budget)
+        for sweep in run_sweeps(spec, instance=args.instance):
             print(sweep.render())
             print()
-    elif args.command == "ablation":
-        print(run_ablation(cfg).render())
     print(f"\n[{time.perf_counter() - start:.1f}s wall]")
     return 0
 

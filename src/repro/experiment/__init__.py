@@ -10,10 +10,13 @@ The layer the paper's evaluation grids run through (see
                cells, fans the rest over a process pool
     store.py   per-run artifacts (manifest.json / results.jsonl /
                report.md) plus the cross-run SQLite index
-    report.py  regenerates the paper tables from the store and asserts
-               stored charge streams bit-identical to live engine runs
+    report.py  the paper's tables and figures as sections over stored
+               cells; asserts stored charge streams bit-identical to live
+               engine runs
+    presets.py ``repro table1 … ablation``: one spec each, run through
+               the runner, one section printed
 
-CLI: ``repro experiment run|resume|report|index|list``.
+CLI: ``repro experiment run|resume|report|index|list`` and the presets.
 """
 
 from .report import (
@@ -22,8 +25,7 @@ from .report import (
     diff_runs,
     render_diff,
     render_report,
-    speedups_from_run,
-    table1_from_run,
+    run_cells,
     verify_run_against_live,
     write_report,
 )
@@ -60,9 +62,8 @@ __all__ = [
     "plan_run",
     "render_report",
     "run_experiment",
-    "speedups_from_run",
     "spec_hash",
-    "table1_from_run",
+    "run_cells",
     "validate_cell_record",
     "validate_manifest",
     "verify_run_against_live",

@@ -1,39 +1,45 @@
-"""Reports from the store: paper tables without re-solving anything.
+"""Reports from the store: the paper's tables and figures over stored cells.
 
-Once a run's cells are persisted, every paper artifact they feed can be
-regenerated offline — Table I (virtual seconds), the Table II-style
-geometric-mean speedups, and the Fig. 4-adjacent search-tree shape
-summary — by reading ``results.jsonl`` instead of re-running engines.
+Once a run's cells are persisted, every paper artifact they feed is a
+*section* computed from ``results.jsonl`` without re-running an engine:
+Table I (virtual seconds), Table II (geometric-mean speedups), Table III
+(PVC k = min against prior work), Fig. 5 (per-SM load), Fig. 6 (Hybrid
+activity breakdown) and the Section IV-A GlobalOnly ablation.  ``repro
+experiment report`` prints every section whose cells exist; the ``repro
+table1 … ablation`` presets (:mod:`repro.experiment.presets`) print one.
 
 The one thing a store must never do is drift from the engines it claims
 to describe, so :func:`verify_run_against_live` re-executes stored cells
 through the very same :func:`~repro.analysis.experiments.run_cell` path
 and asserts the persisted charge-stream integrals (virtual cycles,
-virtual seconds), node counts and optima **bit-identical** — JSON
-round-trips doubles exactly, so equality here is ``==``, not "approx".
+virtual seconds), node counts, optima and launch figures **bit-identical**
+— JSON round-trips doubles exactly, so equality here is ``==``, not
+"approx".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis import tables
 from ..analysis.experiments import (
+    FIG5_GRAPHS,
     INSTANCE_TYPES,
-    CellResult,
-    Table1Result,
-    Table1Row,
-    Table2Result,
-    run_table2,
+    PRIOR_WORK_TABLE3_SECONDS,
+    TABLE1_ENGINES,
 )
-from .runner import _execute_cell, experiment_config
+from ..analysis.speedup import aggregate_speedups
+from ..graph.generators.suites import HIGH_DEGREE, LOW_DEGREE
+from .runner import _execute_cell
 from .spec import ExperimentSpec
 from .store import Run, RunStore
 
 __all__ = [
-    "table1_from_run",
-    "speedups_from_run",
+    "RunCells",
+    "run_cells",
+    "SECTIONS",
+    "table2_speedups",
     "tree_shape_rows",
     "breakdown_rows",
     "render_report",
@@ -49,94 +55,259 @@ __all__ = [
 def _spec_of(run: Run) -> ExperimentSpec:
     """The run's spec — refusing cleanly when the run is not spec-shaped.
 
-    The store also hosts runs created by ``repro table1|2|3 --store``
-    (manifest spec kind ``table1``); those resume through the table
-    commands, not through ``repro experiment``.
+    Stores written before the paper commands became presets also hold
+    runs of spec kind ``table1``; their cells were keyed by another
+    identity, so they are refused with a pointer to the preset.
     """
     spec = dict(run.manifest["spec"])  # type: ignore[arg-type]
     if spec.get("kind") != "repro-vc-experiment-spec":
         raise ValueError(
             f"run {run.run_id!r} was not created by 'repro experiment run' "
-            f"(spec kind {spec.get('kind', 'unknown')!r}); re-run the command "
-            "that created it — e.g. 'repro table1 --store' runs resume there"
+            f"(spec kind {spec.get('kind', 'unknown')!r}); regenerate it with "
+            "the preset, e.g. 'repro table1 --store DIR'"
         )
     return ExperimentSpec.from_dict(spec)
-
-
-def _suite_instance_for(info: Dict[str, object], scale: str):
-    """A row's SuiteInstance: the live suite member, or a file stand-in."""
-    from ..graph.generators.suites import SuiteInstance, suite_instance
-
-    ref = info["ref"]
-    if isinstance(ref, str):
-        return suite_instance(ref, scale)
-    return SuiteInstance(
-        name=str(info["label"]),
-        category="file",
-        paper_graph=str(ref["path"]),  # type: ignore[index]
-        builder=lambda: (_ for _ in ()).throw(
-            RuntimeError("file instances render from stored metadata only")),
-    )
 
 
 def _select_cell(
     records: List[Dict[str, object]],
 ) -> Optional[Dict[str, object]]:
-    """The Table I representative among a cell group's records.
+    """The representative among a cell group's records.
 
-    Groups hold one record per (frontier, bound, repeat); Table I shows
-    the default discipline's first repeat — the same cell a plain
-    ``run_table1`` computes — preferring ``lifo``/``None`` frontier, the
-    default ``greedy`` bound and ``repeat == 0``, falling back
-    deterministically.
+    Groups hold one record per (frontier, bound, repeat); the paper
+    sections show the default discipline's first repeat, preferring
+    ``lifo``/``None`` frontier, the default ``greedy`` bound and
+    ``repeat == 0``, falling back deterministically.  Among records that
+    still tie, the last stored wins: after a retune re-keys a run's
+    cells, the re-executed ones shadow the stale ones.
     """
     if not records:
         return None
 
-    def rank(rec: Dict[str, object]) -> Tuple[int, int, int, str, str]:
+    def rank(item: Tuple[int, Dict[str, object]]) -> Tuple[int, int, int, str, str, int]:
+        index, rec = item
         frontier = rec["frontier"]
         bound = rec.get("bound", "greedy")
         return (0 if frontier in (None, "lifo") else 1,
                 0 if bound == "greedy" else 1,
                 int(rec["repeat"]),  # type: ignore[arg-type]
-                str(frontier), str(bound))
+                str(frontier), str(bound), -index)
 
-    return sorted(records, key=rank)[0]
+    return min(enumerate(records), key=rank)[1]
 
 
-def table1_from_run(store: RunStore, run_id: str) -> Table1Result:
-    """Rebuild the Table I layout purely from a run's stored cells."""
-    run = store.get_run(run_id)
-    spec = _spec_of(run)
-    cfg = experiment_config(spec)
+# --------------------------------------------------------------------- #
+# the paper sections
+# --------------------------------------------------------------------- #
+@dataclass
+class RunCells:
+    """A run's stored cells as the paper sections read them."""
+
+    #: the manifest's instance rows in spec order, each with a
+    #: ``category`` (the suite category; ``file`` for graph files)
+    instances: List[Dict[str, object]]
+    #: (instance, engine, instance type) -> the representative result
+    cells: Dict[Tuple[str, str, str], Dict[str, object]]
+
+    def get(self, instance: str, engine: str, itype: str) -> Optional[Dict[str, object]]:
+        return self.cells.get((instance, engine, itype))
+
+    def seconds(self, instance: str, engine: str, itype: str) -> Optional[float]:
+        """A cell's virtual seconds; ``None`` when missing or censored."""
+        cell = self.get(instance, engine, itype)
+        if cell is None or cell["timed_out"]:
+            return None
+        return cell["seconds"]  # type: ignore[return-value]
+
+    def labels(self, names) -> List[str]:
+        """The run's instances among ``names``, in spec order."""
+        return [str(info["label"]) for info in self.instances if info["label"] in names]
+
+
+def run_cells(run: Run) -> RunCells:
+    """Read a run's completed cells into a :class:`RunCells`."""
+    from ..graph.generators.suites import suite_instance
+
+    scale = _spec_of(run).scale
     grouped: Dict[Tuple[str, str, str], List[Dict[str, object]]] = {}
     for record in run.completed().values():
         key = (str(record["instance"]), str(record["engine"]),
                str(record["instance_type"]))
         grouped.setdefault(key, []).append(record)
-
-    rows: List[Table1Row] = []
+    instances = []
     for info in run.manifest.get("instances", []):  # type: ignore[union-attr]
-        row = Table1Row(
-            instance=_suite_instance_for(info, spec.scale),
-            n=int(info["n"]), m=int(info["m"]),
-            avg_degree=float(info["avg_degree"]),
-            minimum=info["minimum"], min_source=str(info["min_source"]),
-        )
+        ref = info["ref"]
+        category = suite_instance(ref, scale).category if isinstance(ref, str) else "file"
+        instances.append({**info, "category": category})
+    return RunCells(
+        instances=instances,
+        cells={key: _select_cell(recs)["result"]  # type: ignore[index]
+               for key, recs in grouped.items()},
+    )
+
+
+_ITYPE_LABELS = {"mvc": "MVC", "pvc_km1": "PVC k-1", "pvc_k": "PVC k", "pvc_kp1": "PVC k+1"}
+
+
+def table1_section(view: RunCells) -> Optional[str]:
+    """Table I: virtual seconds per instance × problem instance × engine."""
+    if not any(engine in TABLE1_ENGINES for _, engine, _ in view.cells):
+        return None
+    headers = ["Graph", "|V|", "|E|", "d"] + [
+        f"{_ITYPE_LABELS[itype]}/{short}" for itype in INSTANCE_TYPES
+        for short in ("seq", "stack", "hybrid")]
+    body = []
+    for info in view.instances:
+        row: List[object] = [info["label"], info["n"], info["m"],
+                             f"{info['avg_degree']:.1f}"]
         for itype in INSTANCE_TYPES:
-            for engine in spec.engines:
-                record = _select_cell(grouped.get(
-                    (str(info["label"]), engine, itype), []))
-                if record is not None:
-                    row.cells[(engine, itype)] = CellResult.from_record(
-                        record["result"])  # type: ignore[arg-type]
-        rows.append(row)
-    return Table1Result(rows=rows, config=cfg)
+            for engine in TABLE1_ENGINES:
+                cell = view.get(str(info["label"]), engine, itype)
+                row.append("--" if cell is None else tables.format_seconds(
+                    cell["seconds"], cell["timed_out"]))  # type: ignore[arg-type]
+        body.append(row)
+    return tables.render_table(headers, body, title="Table I — execution time (virtual seconds)")
 
 
-def speedups_from_run(store: RunStore, run_id: str) -> Table2Result:
-    """Table II-style geometric-mean speedups computed from stored cells."""
-    return run_table2(table1=table1_from_run(store, run_id))
+def table2_speedups(view: RunCells) -> Dict[Tuple[str, str, str], float]:
+    """Table II: hybrid's geometric-mean speedups, keyed (category,
+    baseline, instance type); only cells where both engines finished count."""
+    speedups: Dict[Tuple[str, str, str], float] = {}
+    for baseline in ("stackonly", "sequential"):
+        for itype in INSTANCE_TYPES:
+            rows = [{"category": info["category"],
+                     "base": view.seconds(str(info["label"]), baseline, itype),
+                     "subject": view.seconds(str(info["label"]), "hybrid", itype)}
+                    for info in view.instances]
+            agg = aggregate_speedups(rows, baseline_key="base", subject_key="subject")
+            for cat, val in agg.items():
+                speedups[(cat, baseline, itype)] = val
+    return speedups
+
+
+def table2_section(view: RunCells) -> Optional[str]:
+    engines = {engine for _, engine, _ in view.cells}
+    if "hybrid" not in engines or not engines & {"stackonly", "sequential"}:
+        return None
+    speedups = table2_speedups(view)
+    headers = ["Category", "Baseline"] + [_ITYPE_LABELS[t] for t in INSTANCE_TYPES]
+    body = []
+    for cat in (HIGH_DEGREE, LOW_DEGREE, "overall"):
+        for baseline in ("stackonly", "sequential"):
+            body.append([cat, f"hybrid vs {baseline}"] + [
+                tables.format_speedup(speedups.get((cat, baseline, itype)))
+                for itype in INSTANCE_TYPES])
+    return tables.render_table(headers, body, title="Table II — aggregate speedup (geometric mean)")
+
+
+def table3_section(view: RunCells) -> Optional[str]:
+    """Table III: PVC k = min on the p_hat instances, beside prior work."""
+    names = view.labels(PRIOR_WORK_TABLE3_SECONDS)
+    if not any(view.get(name, engine, "pvc_k") for name in names for engine in TABLE1_ENGINES):
+        return None
+    headers = ["Graph", "Sequential", "StackOnly", "Hybrid", "AbuKhzam'18 (paper, other HW)"]
+    body = []
+    for name in names:
+        row: List[object] = [name]
+        for engine in TABLE1_ENGINES:
+            seconds = view.seconds(name, engine, "pvc_k")
+            row.append(tables.format_seconds(seconds, seconds is None))
+        body.append(row + [f"{PRIOR_WORK_TABLE3_SECONDS[name]:.1f}"])
+    return tables.render_table(
+        headers, body,
+        title="Table III — PVC (k = min) execution time (virtual seconds); prior-work column "
+              "replicates the paper's reported numbers for context",
+    )
+
+
+def _launch(view: RunCells, instance: str, engine: str, itype: str) -> Dict[str, object]:
+    """A simulated cell's ``launch`` figures (empty when not stored)."""
+    cell = view.get(instance, engine, itype)
+    return (cell or {}).get("launch") or {}  # type: ignore[return-value]
+
+
+def fig5_section(view: RunCells) -> Optional[str]:
+    """Fig. 5: the per-SM load distribution on its two instances."""
+    body = []
+    for name in view.labels(FIG5_GRAPHS):
+        for itype in INSTANCE_TYPES:
+            for engine in ("stackonly", "hybrid"):
+                load = _launch(view, name, engine, itype).get("load")
+                if load is not None:
+                    body.append([name, itype, engine] + [
+                        f"{load[key]:.2f}" for key in  # type: ignore[index]
+                        ("min", "p25", "median", "p75", "max", "imbalance")])
+    if not body:
+        return None
+    headers = ["Graph", "Instance", "Engine", "min", "p25", "median", "p75", "max", "max/mean"]
+    return tables.render_table(
+        headers, body, title="Fig. 5 — distribution of per-SM load (tree nodes / mean)")
+
+
+def _short_labels(labels: Dict[str, str]) -> Dict[str, str]:
+    """Each label's shortest word prefix that no other label starts with."""
+    words = {kind: label.split() for kind, label in labels.items()}
+    short = {}
+    for kind, ws in words.items():
+        n = 1
+        while n < len(ws) and any(other != kind and ow[:n] == ws[:n]
+                                  for other, ow in words.items()):
+            n += 1
+        short[kind] = " ".join(ws[:n]) + "…"
+    return short
+
+
+def fig6_section(view: RunCells) -> Optional[str]:
+    """Fig. 6: the Hybrid MVC kernel's activity breakdown, plus the mean."""
+    from ..obs.breakdown import ACTIVITY_LABELS, BreakdownRow, mean_breakdown
+
+    rows = []
+    for info in view.instances:
+        breakdown = _launch(view, str(info["label"]), "hybrid", "mvc").get("breakdown")
+        if breakdown is not None:
+            rows.append(BreakdownRow(str(info["label"]), breakdown))
+    if not rows:
+        return None
+    rows.append(mean_breakdown(rows))
+    short = _short_labels(ACTIVITY_LABELS)
+    headers = ["Graph"] + [short[kind] for kind in ACTIVITY_LABELS]
+    body = [[row.name] + [f"{row.fractions.get(kind, 0.0) * 100:.1f}%" for kind in ACTIVITY_LABELS]
+            for row in rows]
+    legend = "\n".join(f"  {short[kind]:<12s} = {label}" for kind, label in ACTIVITY_LABELS.items())
+    return (tables.render_table(headers, body, title="Fig. 6 — breakdown of Hybrid MVC execution time")
+            + "\n\nLegend:\n" + legend)
+
+
+def ablation_section(view: RunCells) -> Optional[str]:
+    """Section IV-A: Hybrid vs the pure global worklist."""
+    body = []
+    for info in view.instances:
+        name = str(info["label"])
+        if "worklist" not in _launch(view, name, "globalonly", "mvc"):
+            continue
+        for engine in ("hybrid", "globalonly"):
+            cell = view.get(name, engine, "mvc")
+            wl = _launch(view, name, engine, "mvc").get("worklist")
+            if cell is not None and wl is not None:
+                body.append([name, engine,
+                             tables.format_seconds(cell["seconds"], cell["timed_out"]),  # type: ignore[arg-type]
+                             wl["peak"], wl["adds"], wl["rejected"], cell["nodes"]])  # type: ignore[index]
+    if not body:
+        return None
+    headers = ["graph", "engine", "seconds", "wl peak", "wl adds", "rejected adds", "nodes"]
+    return tables.render_table(headers, body, title="GlobalOnly ablation (Section IV-A)")
+
+
+#: Every paper section, in report order: the preset that prints it alone,
+#: its report heading and its renderer (``None`` when its cells are absent).
+SECTIONS: Dict[str, Tuple[str, Callable[[RunCells], Optional[str]]]] = {
+    "table1": ("Table I — execution time (virtual seconds)", table1_section),
+    "table2": ("Table II — aggregate speedups (geometric mean)", table2_section),
+    "table3": ("Table III — PVC k = min against prior work", table3_section),
+    "fig5": ("Fig. 5 — per-SM load distribution", fig5_section),
+    "fig6": ("Fig. 6 — Hybrid MVC activity breakdown", fig6_section),
+    "ablation": ("GlobalOnly ablation (Section IV-A)", ablation_section),
+}
 
 
 def tree_shape_rows(run: Run) -> List[Dict[str, object]]:
@@ -202,11 +373,11 @@ def breakdown_rows(run: Run) -> List[Dict[str, object]]:
 
 
 def render_report(store: RunStore, run_id: str) -> str:
-    """The run's ``report.md``: paper tables + reproduction footer."""
+    """The run's ``report.md``: every paper section whose cells exist,
+    the tree shape and activity breakdown, and the reproduction footer."""
     run = store.get_run(run_id)
     manifest = run.manifest
-    table1 = table1_from_run(store, run_id)
-    speedups = speedups_from_run(store, run_id)
+    view = run_cells(run)
     shape = tree_shape_rows(run)
 
     parts = [
@@ -215,22 +386,12 @@ def render_report(store: RunStore, run_id: str) -> str:
         f"{len(run.completed())} stored cells over "
         f"{len(manifest.get('instances', []))} instances "  # type: ignore[arg-type]
         f"(status: {manifest['status']}).",
-        "",
-        "## Table I — execution time (virtual seconds)",
-        "",
-        "```",
-        table1.render(),
-        "```",
-        "",
-        "## Aggregate speedups (geometric mean)",
-        "",
-        "```",
-        speedups.render(),
-        "```",
-        "",
-        "## Search-tree shape (sequential cells)",
-        "",
     ]
+    for heading, section in SECTIONS.values():
+        text = section(view)
+        if text is not None:
+            parts += ["", f"## {heading}", "", "```", text, "```"]
+    parts += ["", "## Search-tree shape (sequential cells)", ""]
     if shape:
         headers = list(shape[0])
         parts.append(tables.render_markdown_table(
@@ -252,12 +413,17 @@ def render_report(store: RunStore, run_id: str) -> str:
         ]
 
     # Table I's layout fixes its engine columns (sequential / stackonly /
-    # hybrid); any other stored engine — e.g. the globalonly ablation —
-    # still gets its cells reported rather than silently dropped.
-    table1_engines = {"sequential", "stackonly", "hybrid"}
+    # hybrid) and the ablation section shows the globalonly MVC cells
+    # that carry a worklist record; any other stored cell — e.g. of the
+    # wall-clock pool engines — still gets reported rather than dropped.
+    def in_a_section(rec: Dict[str, object]) -> bool:
+        launch = rec["result"].get("launch") or {}  # type: ignore[union-attr]
+        return rec["engine"] in TABLE1_ENGINES or (
+            rec["engine"] == "globalonly" and rec["instance_type"] == "mvc"
+            and "worklist" in launch)
+
     extra = sorted(
-        (rec for rec in run.completed().values()
-         if rec["engine"] not in table1_engines),
+        (rec for rec in run.completed().values() if not in_a_section(rec)),
         key=lambda rec: (rec["instance"], rec["instance_type"],
                          rec["engine"], rec["repeat"]),
     )
@@ -292,7 +458,8 @@ def render_report(store: RunStore, run_id: str) -> str:
         "",
         "---",
         f"run `{run.run_id}` · spec `{str(manifest['spec_hash'])[:12]}` · "
-        f"git `{str(prov['git_sha'])[:12]}` · "  # type: ignore[index]
+        f"git `{str(prov['git_sha'])[:12]}`"  # type: ignore[index]
+        f"{' (uncommitted changes)' if prov.get('git_dirty') else ''} · "  # type: ignore[union-attr]
         f"python {prov['python']} · numpy {prov['numpy']}",  # type: ignore[index]
         "",
     ]
@@ -334,7 +501,9 @@ def _verifiable_fields(record: Dict[str, object],
     from .spec import WALL_CLOCK_ENGINES
 
     if record["engine"] not in WALL_CLOCK_ENGINES:
-        return _EXACT_FIELDS
+        # ``launch`` joined the record later: cells stored without it
+        # (older runs) still verify on every field they carry
+        return _EXACT_FIELDS + (("launch",) if "launch" in record["result"] else ())  # type: ignore[operator]
     if record["result"].get("timed_out") or live.get("timed_out"):  # type: ignore[union-attr]
         return ()
     if record["instance_type"] == "mvc":
@@ -351,8 +520,8 @@ def verify_run_against_live(
     """Re-run stored cells live; assert charge streams bit-identical.
 
     Every compared field — virtual ``seconds`` and ``cycles`` (the charge
-    stream's integral), ``nodes``, ``optimum``, feasibility, tree shape —
-    must match with ``==``.  Raises :class:`VerificationError` naming
+    stream's integral), ``nodes``, ``optimum``, feasibility, tree shape,
+    the stored ``launch`` figures — must match with ``==``.  Raises :class:`VerificationError` naming
     every mismatching cell and field; returns the number of verified
     cells on success.
     """
@@ -369,7 +538,7 @@ def verify_run_against_live(
     for record in records:
         identity = {key: record[key] for key in (
             "fingerprint", "instance", "engine", "frontier",
-            "instance_type", "k", "repeat")}
+            "instance_type", "k", "repeat", "workers", "hosts") if key in record}
         identity["bound"] = record.get("bound", "greedy")
         ref = next(
             info["ref"] for info in run.manifest["instances"]  # type: ignore[union-attr]

@@ -9,9 +9,10 @@ over a ``ProcessPoolExecutor``.
 
 Every cell goes through :func:`repro.analysis.experiments.run_cell`,
 i.e. the exact NodeStep × frontier × engine composition a direct
-``repro solve`` / ``run_table1`` invocation uses — which is what lets
+``repro solve`` invocation uses — which is what lets
 :mod:`repro.experiment.report` assert stored charge streams bit-identical
-against live re-execution.
+against live re-execution.  The paper's tables and figures are presets of
+this one driver (:mod:`repro.experiment.presets`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.experiments import ExperimentConfig, run_cell
+from ..analysis.experiments import k_for, run_cell
 from ..graph.csr import CSRGraph
 from .spec import ExperimentSpec, InstanceRef, cell_fingerprint, graph_fingerprint
 from .store import Run, RunStore
@@ -33,7 +34,6 @@ __all__ = [
     "PlannedCell",
     "RunOutcome",
     "load_instance_graph",
-    "experiment_config",
     "plan_run",
     "run_experiment",
 ]
@@ -66,13 +66,16 @@ def load_instance_graph(ref: InstanceRef, scale: str) -> CSRGraph:
     return read_edgelist(path)[0]
 
 
-def _resolve_minimum(ref: InstanceRef, graph: CSRGraph, scale: str) -> Tuple[Optional[int], str]:
-    """Exact minimum cover size of an instance, and how we know it."""
-    if ref.suite is not None:
-        from ..analysis.experiments import resolve_minimum
-        from ..graph.generators.suites import suite_instance
+def _resolve_minimum(graph: CSRGraph) -> Tuple[Optional[int], str]:
+    """Exact minimum cover size of an instance, and how we know it.
 
-        return resolve_minimum(suite_instance(ref.suite, scale), scale)
+    Bipartite instances use König's theorem (polynomial time) — this is
+    how the ``k = min`` columns stay runnable on instances whose MVC
+    search is over budget, mirroring the paper's use of externally known
+    optima for the PACE graphs.  Other instances are solved once with the
+    sequential engine under a node guard; past it the minimum is unknown
+    and the instance's PVC cells are not planned.
+    """
     from ..core.matching import konig_cover
     from ..core.sequential import solve_mvc_sequential
 
@@ -152,26 +155,6 @@ class RunOutcome:
     quarantined: int = 0
 
 
-def experiment_config(spec: ExperimentSpec) -> ExperimentConfig:
-    """The :class:`ExperimentConfig` every cell of this spec runs under."""
-    from .spec import resolve_spec_device
-
-    return ExperimentConfig(
-        scale=spec.scale,
-        device=resolve_spec_device(spec.device),
-        virtual_budget_s=spec.virtual_budget_s,
-        seq_node_guard=spec.seq_node_guard,
-        engine_node_guard=spec.engine_node_guard,
-        stackonly_depths=spec.stackonly_depths,
-        hybrid_capacities=spec.hybrid_capacities,
-        hybrid_fractions=spec.hybrid_fractions,
-        cpu_workers=spec.cpu_workers,
-        kernels=spec.kernels,
-        telemetry=spec.telemetry,
-        cache=spec.cache,
-    )
-
-
 # --------------------------------------------------------------------- #
 # planning
 # --------------------------------------------------------------------- #
@@ -180,14 +163,15 @@ def plan_run(spec: ExperimentSpec) -> Tuple[List[InstanceInfo], List[PlannedCell
 
     PVC cells whose ``k`` cannot be resolved (minimum unknown within the
     guard) or would be negative are dropped here — deterministically, so
-    a resume plans the identical cell list.
+    a resume plans the identical cell list.  A spec of MVC cells only
+    needs no minimum and resolves none.
     """
-    from ..analysis.experiments import _k_for
-
+    needs_minimum = any(itype != "mvc" for itype in spec.instance_types)
     infos: Dict[InstanceRef, InstanceInfo] = {}
     for ref in spec.instances:
         graph = load_instance_graph(ref, spec.scale)
-        minimum, min_source = _resolve_minimum(ref, graph, spec.scale)
+        minimum, min_source = (_resolve_minimum(graph) if needs_minimum
+                               else (None, "not needed"))
         infos[ref] = InstanceInfo(
             label=ref.label, ref=ref.to_json(), n=graph.n, m=graph.m,
             avg_degree=graph.average_degree(),
@@ -204,7 +188,7 @@ def plan_run(spec: ExperimentSpec) -> Tuple[List[InstanceInfo], List[PlannedCell
         else:
             if info.minimum is None:
                 continue  # the paper could not run these either
-            k = _k_for(cell.instance_type, info.minimum)
+            k = k_for(cell.instance_type, info.minimum)
             if k < 0:
                 continue
         payload = {
@@ -260,14 +244,13 @@ def _execute_cell(spec_dict: Dict[str, object], cell_fields: Dict[str, object],
     workers so the two paths cannot drift.
     """
     spec = ExperimentSpec.from_dict(spec_dict)
-    cfg = experiment_config(spec)
     graph = _cached_graph(ref_json, spec.scale)
     result = run_cell(
         cell_fields["engine"],  # type: ignore[arg-type]
         graph,
         cell_fields["instance_type"],  # type: ignore[arg-type]
         cell_fields["k"],  # type: ignore[arg-type]
-        cfg,
+        spec,
         frontier=cell_fields["frontier"],  # type: ignore[arg-type]
         bound=cell_fields.get("bound", "greedy"),  # type: ignore[arg-type]
         workers=cell_fields.get("workers"),  # type: ignore[arg-type]

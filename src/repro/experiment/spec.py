@@ -81,6 +81,14 @@ def resolve_spec_device(name: str):
     return {"SmallSim": SMALL_SIM, "TinySim": TINY_SIM}[name]
 
 
+#: SHA-256 of the pricing every stored cell so far was made with: the
+#: parameters of ``CostModel()`` and of the sequential cells' CPU
+#: ``EPYC_LIKE``.  While the code's pricing hashes to it, cells leave it
+#: out of their fingerprints (the committed runs keep their keys); a
+#: retune of either changes the digest and every cell fingerprint with it.
+KEYED_PRICING = "cfba19ce5c11a0d0ef902f63e4e26c82d69e25b6c8523bfcb5c4cfc18365c197"
+
+
 def _one_line_choice_error(kind: str, got: object, choices: Sequence[str]) -> ValueError:
     return ValueError(f"unknown {kind} {got!r}; choose from: {', '.join(choices)}")
 
@@ -426,6 +434,23 @@ class ExperimentSpec:
                                         ))
         return cells
 
+    @property
+    def device_spec(self):
+        """The simulated :class:`~repro.sim.device.DeviceSpec` of ``device``."""
+        return resolve_spec_device(self.device)
+
+    @property
+    def seq_cycle_budget(self) -> float:
+        """``virtual_budget_s`` in cycles of the sequential cells' CPU."""
+        from ..sim.device import EPYC_LIKE
+
+        return self.virtual_budget_s * EPYC_LIKE.clock_mhz * 1e6
+
+    @property
+    def gpu_cycle_budget(self) -> float:
+        """``virtual_budget_s`` in cycles of the simulated device."""
+        return self.virtual_budget_s * self.device_spec.clock_mhz * 1e6
+
     def cell_config(self) -> Dict[str, object]:
         """The config sub-dict hashed into every cell fingerprint.
 
@@ -433,10 +458,16 @@ class ExperimentSpec:
         parameter grids, seed — and nothing that cannot (``name``,
         ``kernels``: proven speed-only, backends are bit-identical).  The
         device is hashed by its full parameters, not its preset name, so
-        re-tuning a preset in code invalidates the cells it priced.
+        re-tuning a preset in code invalidates the cells it priced; so
+        does a retune of the cost model or CPU (:data:`KEYED_PRICING`).
         """
         from dataclasses import asdict
 
+        from ..sim.costmodel import CostModel
+        from ..sim.device import EPYC_LIKE
+
+        pricing = {"cost_model": asdict(CostModel()), "cpu": asdict(EPYC_LIKE)}
+        retuned = hashlib.sha256(canonical_json(pricing).encode()).hexdigest() != KEYED_PRICING
         return {
             "scale": self.scale,
             "device": asdict(resolve_spec_device(self.device)),
@@ -449,6 +480,7 @@ class ExperimentSpec:
             # non-default only: a spec not using the wall-clock engines
             # fingerprints exactly as before the knob existed
             **({"cpu_workers": self.cpu_workers} if self.cpu_workers != 2 else {}),
+            **({"pricing": pricing} if retuned else {}),
             "seed": self.seed,
         }
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import subprocess
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -34,6 +36,7 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "Run",
     "RunStore",
+    "StoreUnavailable",
     "validate_manifest",
     "validate_cell_record",
 ]
@@ -131,6 +134,19 @@ def validate_cell_record(record: Dict[str, object]) -> None:
         _fail("cell result obs is not an object")
 
 
+def _git_dirty() -> bool:
+    """Whether tracked files differ from ``HEAD``: a run made from
+    uncommitted code cannot be regenerated from the commit it names."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return out.returncode == 0 and bool(out.stdout.strip())
+
+
 def _provenance() -> Dict[str, object]:
     import platform
     import sys
@@ -141,6 +157,7 @@ def _provenance() -> Dict[str, object]:
 
     return {
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
@@ -246,12 +263,26 @@ class Run:
         return self.report_path
 
 
+class StoreUnavailable(OSError):
+    """The store root or a run directory cannot be created or written."""
+
+
+@contextmanager
+def _store_io(root: Path):
+    try:
+        yield
+    except OSError as exc:
+        raise StoreUnavailable(
+            f"cannot use experiment store {str(root)!r}: {exc}") from None
+
+
 class RunStore:
     """A directory of runs plus the cross-run SQLite index."""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        with _store_io(self.root):
+            self.root.mkdir(parents=True, exist_ok=True)
         self.index_path = self.root / "index.sqlite"
 
     # ------------------------------------------------------------------ #
@@ -286,18 +317,19 @@ class RunStore:
                 )
             run.update_manifest(status="running")
             return run
-        run.directory.mkdir(parents=True, exist_ok=True)
-        run._write_manifest({
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "kind": MANIFEST_KIND,
-            "run_id": run_id,
-            "name": name,
-            "spec": spec,
-            "spec_hash": digest,
-            "status": "running",
-            "created_unix": time.time(),
-            "provenance": _provenance(),
-        })
+        with _store_io(self.root):
+            run.directory.mkdir(parents=True, exist_ok=True)
+            run._write_manifest({
+                "schema_version": MANIFEST_SCHEMA_VERSION,
+                "kind": MANIFEST_KIND,
+                "run_id": run_id,
+                "name": name,
+                "spec": spec,
+                "spec_hash": digest,
+                "status": "running",
+                "created_unix": time.time(),
+                "provenance": _provenance(),
+            })
         return run
 
     def get_run(self, run_id: str) -> Run:

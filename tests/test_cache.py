@@ -885,15 +885,17 @@ class TestExperimentKnob:
         assert roundtrip.cache == str(tmp_path / "c")
 
     def test_run_cell_threads_cache_into_wall_clock_cells(self, tmp_path):
-        from repro.analysis.experiments import ExperimentConfig, run_cell
+        from repro.analysis.experiments import run_cell
+        from repro.experiment.spec import ExperimentSpec, InstanceRef
 
-        cfg = ExperimentConfig(cache=str(tmp_path / "c"))
+        spec = ExperimentSpec(name="x", instances=[InstanceRef(suite="p_hat_300_1")],
+                              engines=("cpu-threads",), engine_node_guard=20_000,
+                              cache=str(tmp_path / "c"))
         g = gnp(24, 0.15, seed=41)
-        cold = run_cell("cpu-threads", g, "mvc", None, cfg)
-        warm = run_cell("cpu-threads", g, "mvc", None, cfg)
+        cold = run_cell("cpu-threads", g, "mvc", None, spec)
+        warm = run_cell("cpu-threads", g, "mvc", None, spec)
         assert warm.optimum == cold.optimum
         assert warm.nodes == 0
-        assert cfg.quick().cache == cfg.cache
 
 
 def test_facade_reads_the_cache_env_through_any_mapping(monkeypatch, tmp_path):

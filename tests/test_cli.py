@@ -200,6 +200,32 @@ class TestExperimentCLI:
         assert table(first) == table(second)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "run", "--smoke"],
+        ["table1", "--scale", "tiny", "--quick"],
+    ], ids=["experiment-smoke", "table1"])
+    def test_store_under_a_file_is_one_line_error(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        store = str(blocker / "store")
+        assert main(argv + ["--store", store]) == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1, out
+        assert out[0].startswith(f"error: cannot use experiment store {store!r}")
+
+    def test_preset_prints_one_section_and_leaves_no_store(self, capsys, tmp_path,
+                                                           monkeypatch):
+        import tempfile
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["table2", "--scale", "tiny", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Table II — aggregate speedup (geometric mean)")
+        assert "Table I " not in out and "overall" in out
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestObsCLI:
     """``repro obs view|export`` on trace files from outside."""
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import ExperimentConfig, run_table1
 from repro.experiment import (
     ExperimentSpec,
     InstanceRef,
@@ -24,17 +23,17 @@ from repro.experiment import (
     cell_fingerprint,
     graph_fingerprint,
     load_spec,
+    run_cells,
     run_experiment,
     spec_hash,
-    table1_from_run,
     validate_cell_record,
     validate_manifest,
     verify_run_against_live,
     write_report,
 )
-from repro.experiment.report import VerificationError, tree_shape_rows
+from repro.experiment.report import VerificationError, table1_section, tree_shape_rows
+from repro.experiment.runner import plan_run
 from repro.graph.generators.random_graphs import gnp
-from repro.sim.device import TINY_SIM
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -147,6 +146,7 @@ class TestRunnerAndStore:
         for record in records.values():
             validate_cell_record(record)
         assert run.manifest["status"] == "complete"
+        assert isinstance(run.manifest["provenance"]["git_dirty"], bool)
         assert run.manifest["n_cells"] == 3
         assert run.manifest["instances"][0]["label"] == "p_hat_300_1"
 
@@ -240,6 +240,17 @@ class TestRunnerAndStore:
         assert by_type["pvc_k"]["k"] == info["minimum"]
         assert by_type["pvc_k"]["result"]["feasible"] is True
 
+    def test_mvc_only_plan_resolves_no_minimum(self, monkeypatch):
+        import repro.experiment.runner as runner_mod
+
+        def boom(graph):
+            raise AssertionError("an MVC-only plan resolved a minimum")
+
+        monkeypatch.setattr(runner_mod, "_resolve_minimum", boom)
+        infos, planned = plan_run(tiny_spec())
+        assert len(planned) == 3
+        assert [(info.minimum, info.min_source) for info in infos] == [(None, "not needed")]
+
     def test_conflicting_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path)
         run = store.open_run(name="x", spec={"a": 1})
@@ -264,25 +275,24 @@ class TestReport:
         outcome = run_experiment(spec, store)
         return store, outcome
 
-    def test_table1_from_store_matches_live_harness(self, stored_run):
-        """Store-regenerated Table I == a direct run_table1 invocation."""
+    def test_table1_from_store_matches_live_harness(self, stored_run, tmp_path):
+        """The Table I section from stored cells == the section of a fresh
+        run of the same spec, and every stored cell == a live run_cell."""
+        from repro.analysis.experiments import run_cell
+        from repro.graph.generators.suites import suite_instance
+
         store, outcome = stored_run
-        stored = table1_from_run(store, outcome.run.run_id)
-        cfg = ExperimentConfig(
-            scale="tiny", device=TINY_SIM, virtual_budget_s=0.01,
-            seq_node_guard=4000, engine_node_guard=2500,
-            stackonly_depths=(4,), hybrid_capacities=(256,),
-            hybrid_fractions=(0.25,),
-        )
-        live = run_table1(cfg, instances=("p_hat_300_1", "sister_cities"),
-                          instance_types=("mvc", "pvc_k"))
-        assert stored.render() == live.render()
-        for row_s, row_l in zip(stored.rows, live.rows):
-            for key, cell_l in row_l.cells.items():
-                cell_s = row_s.cells[key]
-                assert cell_s.seconds == cell_l.seconds, key
-                assert cell_s.cycles == cell_l.cycles, key
-                assert cell_s.nodes == cell_l.nodes, key
+        stored = run_cells(outcome.run)
+        spec = load_spec(outcome.run.manifest["spec"])
+        again = run_cells(run_experiment(spec, RunStore(tmp_path)).run)
+        assert table1_section(stored) == table1_section(again)
+        for record in outcome.run.completed().values():
+            live = run_cell(record["engine"],
+                            suite_instance(record["instance"], "tiny").graph(),
+                            record["instance_type"], record["k"], spec,
+                            frontier=record["frontier"]).to_record()
+            for key in ("seconds", "cycles", "nodes", "launch"):
+                assert record["result"].get(key) == live.get(key), key
 
     def test_verify_against_live_passes(self, stored_run):
         store, outcome = stored_run
@@ -314,32 +324,29 @@ class TestReport:
         assert {r["instance"] for r in rows} == {"p_hat_300_1", "sister_cities"}
 
     def test_engines_outside_table1_columns_still_reported(self, tmp_path):
-        """globalonly has no Table I column but its cells must not vanish."""
+        """Engines without a Table I column keep their cells, each shown
+        once: globalonly's MVC cells in the ablation section, a pool
+        engine's in the table of the remaining engines."""
         store = RunStore(tmp_path)
         outcome = run_experiment(
-            tiny_spec(name="ablate", engines=["sequential", "globalonly"],
+            tiny_spec(name="ablate", engines=["sequential", "globalonly", "cpu-threads"],
                       frontiers=["lifo"]), store)
         text = write_report(store, outcome.run.run_id)
-        assert "Engines outside the Table I columns" in text
-        assert "globalonly" in text
+        ablation = text.index("## GlobalOnly ablation")
+        extra = text.index("## Engines outside the Table I columns")
+        assert "globalonly" in text[ablation:extra]
+        assert "cpu-threads" in text[extra:] and "globalonly" not in text[extra:]
 
     def test_non_experiment_runs_refused_cleanly(self, tmp_path):
-        """Runs created by `repro table1 --store` are not spec-shaped; the
-        report layer must refuse with a clear message, not a traceback."""
-        cfg = ExperimentConfig(
-            scale="tiny", device=TINY_SIM, virtual_budget_s=0.01,
-            seq_node_guard=4000, engine_node_guard=2500,
-            stackonly_depths=(4,), hybrid_capacities=(256,),
-            hybrid_fractions=(0.25,),
-        )
+        """Runs of the retired store-backed Table I path (spec kind
+        ``table1``) are not spec-shaped; the report layer must refuse with
+        a pointer to the preset, not a traceback."""
         store = RunStore(tmp_path)
-        run_table1(cfg, instances=("p_hat_300_1",), instance_types=("mvc",),
-                   store=store)
-        run_id = store.runs()[0].run_id
-        with pytest.raises(ValueError, match="not created by 'repro experiment run'"):
-            write_report(store, run_id)
-        with pytest.raises(ValueError, match="not created by 'repro experiment run'"):
-            verify_run_against_live(store, run_id)
+        run = store.open_run(name="table1", spec={"kind": "table1", "scale": "tiny"})
+        for call in (write_report, verify_run_against_live):
+            with pytest.raises(ValueError, match="not created by 'repro experiment run'") as err:
+                call(store, run.run_id)
+            assert "repro table1 --store" in str(err.value)
 
 
 # --------------------------------------------------------------------- #
@@ -365,55 +372,53 @@ class TestIndex:
 
 
 # --------------------------------------------------------------------- #
-# store-backed run_table1 (analysis layer rebased on the store)
+# the paper presets run through the one driver
 # --------------------------------------------------------------------- #
 class TestStoreBackedTable1:
     def test_second_invocation_loads_from_store(self, tmp_path, monkeypatch):
-        import repro.analysis.experiments as exp_mod
+        """A preset run twice on one store executes 0 cells the second time."""
+        import dataclasses
 
-        cfg = ExperimentConfig(
-            scale="tiny", device=TINY_SIM, virtual_budget_s=0.01,
-            seq_node_guard=4000, engine_node_guard=2500,
-            stackonly_depths=(4,), hybrid_capacities=(256,),
-            hybrid_fractions=(0.25,),
-        )
+        import repro.experiment.runner as runner_mod
+        from repro.experiment.presets import preset_spec, run_preset
+
+        spec = dataclasses.replace(
+            preset_spec("table1", "tiny", quick=True),
+            instances=[InstanceRef(suite="p_hat_300_1")], instance_types=("mvc",))
         store = RunStore(tmp_path)
-        live = run_table1(cfg, instances=("p_hat_300_1",), instance_types=("mvc",))
-        first = run_table1(cfg, instances=("p_hat_300_1",),
-                           instance_types=("mvc",), store=store)
-        assert first.render() == live.render()
+        first_text, first = run_preset("table1", spec, store=store)
+        assert first.executed == first.planned == 3
+        assert first.run.report_path.exists()
 
         def boom(*args, **kwargs):
-            raise AssertionError("store-backed table1 re-solved a stored cell")
+            raise AssertionError("the preset re-solved a stored cell")
 
-        monkeypatch.setattr(exp_mod, "run_cell", boom)
-        second = run_table1(cfg, instances=("p_hat_300_1",),
-                            instance_types=("mvc",), store=store)
-        assert second.render() == live.render()
-        cell_live = live.rows[0].cells[("sequential", "mvc")]
-        cell_stored = second.rows[0].cells[("sequential", "mvc")]
-        assert cell_stored.seconds == cell_live.seconds
-        assert cell_stored.cycles == cell_live.cycles
+        monkeypatch.setattr(runner_mod, "run_cell", boom)
+        second_text, second = run_preset("table1", spec, store=store)
+        assert second.executed == 0 and second.skipped == 3
+        assert second_text == first_text
+        assert second.run.run_id == first.run.run_id
 
-    def test_cost_model_changes_invalidate_the_run(self, tmp_path):
-        """A different CostModel must map to a different run — stale cells
-        priced under other cycle costs can never be fingerprint matches."""
-        from repro.sim.costmodel import CostModel
+    def test_cost_model_changes_invalidate_the_run(self, tmp_path, monkeypatch):
+        """A retune of the default CostModel re-keys every cell — stale
+        cells priced under other cycle costs can never be fingerprint
+        matches — while the current pricing leaves the keys as stored."""
+        import dataclasses
 
-        base = dict(scale="tiny", device=TINY_SIM, virtual_budget_s=0.01,
-                    seq_node_guard=4000, engine_node_guard=2500,
-                    stackonly_depths=(4,), hybrid_capacities=(256,),
-                    hybrid_fractions=(0.25,))
+        import repro.sim.costmodel as costmodel
+        from repro.experiment.presets import preset_spec, run_preset
+
+        spec = dataclasses.replace(
+            preset_spec("table1", "tiny", quick=True),
+            instances=[InstanceRef(suite="p_hat_300_1")], instance_types=("mvc",))
+        assert "pricing" not in spec.cell_config()
         store = RunStore(tmp_path)
-        run_table1(ExperimentConfig(**base), instances=("p_hat_300_1",),
-                   instance_types=("mvc",), store=store)
-        defaults = CostModel()
-        tuned = CostModel(per_unit_cycles=dict(defaults.per_unit_cycles,
-                                               degree_one=999.0))
-        run_table1(ExperimentConfig(cost_model=tuned, **base),
-                   instances=("p_hat_300_1",), instance_types=("mvc",),
-                   store=store)
-        assert len(store.runs()) == 2  # distinct run ids, no stale reuse
+        first_text, first = run_preset("table1", spec, store=store)
+        monkeypatch.setitem(costmodel._DEFAULT_PER_UNIT, "degree_one", 999.0)
+        assert spec.cell_config()["pricing"]["cost_model"]["per_unit_cycles"]["degree_one"] == 999.0
+        second_text, second = run_preset("table1", spec, store=store)
+        assert second.executed == second.planned == first.executed == 3
+        assert second_text != first_text
 
 
 # --------------------------------------------------------------------- #
@@ -486,6 +491,20 @@ class TestWallClockEngines:
         assert "wall-clock" in result["detail"]
         # verification compares only the deterministic fields
         assert verify_run_against_live(store, outcome.run.run_id) == 1
+
+    def test_verify_re_executes_each_cell_on_its_stored_team(self, tmp_path, monkeypatch):
+        import repro.experiment.report as report_mod
+
+        spec = tiny_spec(engines=["cpu-threads"], frontiers=["lifo"], workers=[1, 2])
+        store = RunStore(tmp_path / "store")
+        outcome = run_experiment(spec, store)
+        seen = []
+        real = report_mod._execute_cell
+        monkeypatch.setattr(report_mod, "_execute_cell",
+                            lambda s, cell, ref: seen.append(cell.get("workers"))
+                            or real(s, cell, ref))
+        assert verify_run_against_live(store, outcome.run.run_id) == 2
+        assert sorted(seen) == [1, 2]
 
     def test_wall_clock_cells_render_outside_table1(self, tmp_path):
         spec = tiny_spec(engines=["sequential", "cpu-threads"],
@@ -568,8 +587,6 @@ class TestPreBoundAxisCompatibility:
 
     def test_default_bound_cells_keep_their_pre_axis_fingerprints(self, tmp_path):
         """A run stored with no bound axis resumes with zero recompute."""
-        from repro.experiment.runner import plan_run
-
         spec = tiny_spec(engines=["sequential"], frontiers=["lifo"])
         store = RunStore(tmp_path / "store")
         outcome = run_experiment(spec, store)
@@ -587,7 +604,8 @@ class TestCommittedRunsStayAddressable:
     spec; the field is gone but their spec hashes must not move."""
 
     EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
-    RUNS = ("obs-breakdown-d255fcecf2", "dist-workers-hosts-4f9eb33f1d")
+    RUNS = ("obs-breakdown-d255fcecf2", "dist-workers-hosts-4f9eb33f1d",
+            "paper-small-2045988359")
 
     @pytest.mark.parametrize("run", RUNS)
     def test_spec_hash_matches_the_manifest(self, run):
@@ -598,6 +616,31 @@ class TestCommittedRunsStayAddressable:
             json.loads((self.EXPERIMENTS / f"{name}.spec.json").read_text()))
         assert spec_hash(spec) == manifest["spec_hash"]
         assert spec_hash(ExperimentSpec.from_dict(manifest["spec"])) == manifest["spec_hash"]
+
+    def test_paper_run_is_the_table1_preset(self):
+        from repro.experiment.presets import preset_spec
+
+        manifest = json.loads(
+            (self.EXPERIMENTS / "paper-small-2045988359" / "manifest.json").read_text())
+        assert spec_hash(preset_spec("table1", "small", quick=True)) == manifest["spec_hash"]
+
+    def test_paper_run_names_its_uncommitted_tree(self):
+        """Its cells came from uncommitted code on top of the commit its
+        manifest names; the report footer must say so."""
+        from repro.experiment.report import render_report
+
+        text = render_report(RunStore(self.EXPERIMENTS), "paper-small-2045988359")
+        assert "(uncommitted changes)" in text.splitlines()[-1]
+
+    def test_paper_run_hybrid_beats_stackonly_on_mvc(self):
+        """The direction of the paper's Table II claim, read from the
+        committed cells only: hybrid >= stackonly in the overall MVC
+        geometric mean (the paper reports 72.9x)."""
+        from repro.experiment.report import table2_speedups
+
+        view = run_cells(RunStore(self.EXPERIMENTS).get_run("paper-small-2045988359"))
+        assert len(view.cells) == 216
+        assert table2_speedups(view)[("overall", "stackonly", "mvc")] >= 1.0
 
     def test_non_null_calibration_is_refused(self):
         data = tiny_spec().to_dict()

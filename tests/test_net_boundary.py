@@ -29,7 +29,7 @@ from repro.core.sequential import solve_mvc_sequential
 from repro.graph.generators.random_graphs import gnp
 from repro.net import distributed
 from repro.net.distributed import solve_mvc_distributed
-from repro.net.transport import MessageStream, TransportClosed
+from repro.net.transport import MessageStream, ProtocolError, TransportClosed
 
 
 class _FakeHost:
@@ -110,6 +110,32 @@ def test_malformed_live_frame_drops_the_peer(name, monkeypatch):
     assert res.optimum == want
     assert len(res.cover) == want
     assert res.supervision["workers_lost"] >= 1
+
+
+#: Frames ``_check_live_frame`` must refuse, one per rule it enforces.
+BAD_LIVE_FRAMES = {
+    "unknown kind": ("steal", 1),
+    "wrong arity": ("ready", 1),
+    "result wrong arity": ("result", 1, [], 0),
+    "nodes delta a float": ("nodes", 2.5),
+    "nodes delta a bool": ("nodes", True),
+    "result nodes not a count": ("result", -1, [], 0, {}),
+    "result recovered not a count": ("result", 1, [], "0", {}),
+    "result comms not a dict": ("result", 1, [], 0, [("messages", 1)]),
+    "result comms not numeric": ("result", 1, [], 0, {"messages": "many"}),
+    "result comms key not a str": ("result", 1, [], 0, {1: 1.0}),
+    "result spans not a list": ("result", 1, [], 0, {}, ("span",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LIVE_FRAMES))
+def test_check_live_frame_raises_protocol_error(name):
+    with pytest.raises(ProtocolError):
+        distributed._check_live_frame(BAD_LIVE_FRAMES[name])
+    # the well-formed neighbours of these frames pass
+    assert distributed._check_live_frame(("nodes", 3)) == "nodes"
+    assert distributed._check_live_frame(
+        ("result", 1, [], 0, {"messages": 2, "idle_s": 0.5}, [])) == "result"
 
 
 def test_forked_workers_get_no_handshake_and_no_plane(monkeypatch):
