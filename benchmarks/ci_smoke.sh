@@ -30,7 +30,10 @@
 # p_hat_500_3 at node_budget=1000, must trip the budget without walking
 # past it and resume from its checkpoint to the optimum, and a budgeted
 # solve whose workers all die must drain inline within the budget and
-# resume to the optimum), or the
+# resume to the optimum), or the CLI checkpoint gate fails (a
+# `repro solve --node-budget --checkpoint` file must resume in a fresh
+# interpreter through `--resume-from` to the optimum, and a garbage
+# checkpoint file must exit 2 with one error line), or the
 # kernel-backend gate fails (every KERNELS backend must agree bit
 # for bit on the smoke suite, and a sequential solve must take the
 # compiled search loop with the scalar run's counters), or the
@@ -58,7 +61,9 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 
 out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-trap 'rm -f "$out"' EXIT
+ckpt="$(mktemp /tmp/ckpt_smoke.XXXXXX)"
+log="$(mktemp /tmp/ckpt_smoke.XXXXXX.log)"
+trap 'rm -f "$out" "$ckpt" "$log"' EXIT
 
 python -m repro bench --smoke --out "$out"
 
@@ -396,6 +401,32 @@ assert final.complete and final.optimum == drain_expected, \
 print(f"ci_smoke: inline drain stopped at {drained.nodes_visited} of {budget} "
       f"budgeted nodes and resumed to the optimum ({final.optimum})")
 EOF
+
+# --- CLI checkpoint gate (see docs/ARCHITECTURE.md, checkpoints) ---
+# A sequential solve of p_hat_500_3 stopped at node_budget=1000 exits 3
+# and writes its checkpoint (codec-v2 frames); a fresh interpreter
+# resumes the file to the optimum (84) and exits 0; a garbage checkpoint
+# file exits 2 with exactly one `error:` line.
+solve="python -m repro solve --graph p_hat_500_3 --scale small"
+rc=0
+$solve --engine sequential --node-budget 1000 --checkpoint "$ckpt" > "$log" || rc=$?
+if [ "$rc" -ne 3 ] || ! grep -q "status=budget_exhausted" "$log"; then
+    cat "$log"; echo "ci_smoke: budgeted solve exited $rc, want 3"; exit 1
+fi
+rc=0
+$solve --resume-from "$ckpt" > "$log" || rc=$?
+if [ "$rc" -ne 0 ] || ! grep -q "status=optimal .* best=84 cover" "$log"; then
+    cat "$log"; echo "ci_smoke: resumed solve exited $rc or missed the optimum"; exit 1
+fi
+printf 'not a checkpoint' > "$ckpt"
+rc=0
+$solve --resume-from "$ckpt" > "$log" 2>&1 || rc=$?
+if [ "$rc" -ne 2 ] || [ "$(wc -l < "$log")" -ne 1 ] || ! grep -q "^error: " "$log"; then
+    cat "$log"; echo "ci_smoke: garbage checkpoint exited $rc, want 2 and one error line"
+    exit 1
+fi
+echo "ci_smoke: CLI checkpoint resumed in a fresh interpreter to the optimum (84);" \
+     "a garbage checkpoint is one error line, exit 2"
 
 # --- kernel-backend gate (see docs/ARCHITECTURE.md, KERNELS registry) ---
 # 1. backend agreement: every registered KERNELS backend must reach the

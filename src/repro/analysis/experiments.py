@@ -214,13 +214,8 @@ def _run_sequential_cell(graph, itype: str, k: Optional[int], spec,
                    node_budget=spec.seq_node_guard,
                    cycle_budget=spec.seq_cycle_budget,
                    frontier=frontier, bound=bound)
-    if itype == "mvc":
-        out = solve_mvc_sequential_sim(graph, **budgets)
-        feasible = None
-    else:
-        assert k is not None
-        out = solve_pvc_sequential_sim(graph, k, **budgets)
-        feasible = out.feasible
+    out = (solve_mvc_sequential_sim(graph, **budgets) if itype == "mvc"
+           else solve_pvc_sequential_sim(graph, k, **budgets))
     stats = out.stats
     return CellResult(
         engine="sequential",
@@ -229,7 +224,7 @@ def _run_sequential_cell(graph, itype: str, k: Optional[int], spec,
         timed_out=out.timed_out,
         nodes=out.nodes_visited,
         optimum=out.optimum,
-        feasible=feasible,
+        feasible=out.feasible,
         wall_seconds=time.perf_counter() - start,
         detail=_cell_detail(frontier, bound),
         cycles=out.cycles,

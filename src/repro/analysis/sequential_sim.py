@@ -98,34 +98,8 @@ def solve_mvc_sequential_sim(
     are outside the work meter, as frontier ordering always has been
     (the built-in greedy key is likewise unmetered).
     """
-    meter = CpuCostMeter(cpu, cost_model)
-    ws = Workspace.for_graph(graph)
-    greedy = greedy_cover(graph, ws)
-    best = BestBound(size=greedy.size, cover=greedy.cover)
-    formulation = MVCFormulation(best)
-    stats = SearchStats()
-    if graph.m > 0:
-        should_stop = None
-        if cycle_budget is not None:
-            should_stop = lambda: meter.cycles > cycle_budget
-        stats = branch_and_reduce(
-            graph, formulation, ws=ws, node_budget=node_budget,
-            charge=meter.charge, should_stop=should_stop, frontier=frontier,
-            bound=bound,
-        )
-    return SequentialSimResult(
-        formulation="mvc",
-        optimum=best.size,
-        cover=best.cover,
-        feasible=None,
-        timed_out=bool(stats.extra.get("timed_out")),
-        nodes_visited=stats.nodes_visited,
-        cycles=meter.cycles,
-        sim_seconds=meter.seconds(),
-        greedy_size=greedy.size,
-        stats=stats,
-        cycles_by_kind=dict(meter.cycles_by_kind),
-    )
+    return _solve_sim(graph, None, cpu, cost_model, node_budget, cycle_budget,
+                      frontier, bound)
 
 
 def solve_pvc_sequential_sim(
@@ -142,11 +116,25 @@ def solve_pvc_sequential_sim(
     """PVC with the Fig. 1 baseline, metered in virtual CPU time."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    return _solve_sim(graph, k, cpu, cost_model, node_budget, cycle_budget,
+                      frontier, bound)
+
+
+def _solve_sim(graph: CSRGraph, k: Optional[int], cpu: CPUSpec,
+               cost_model: Optional[CostModel], node_budget: Optional[int],
+               cycle_budget: Optional[float], frontier: Union[Frontier, str, None],
+               bound: Union[BoundPolicy, str, None]) -> SequentialSimResult:
+    """One metered Fig. 1 traversal; ``k`` is ``None`` for MVC."""
     meter = CpuCostMeter(cpu, cost_model)
     ws = Workspace.for_graph(graph)
     greedy = greedy_cover(graph, ws)
-    flag = FoundFlag()
-    formulation = PVCFormulation(k=k, flag=flag)
+    holder: Union[BestBound, FoundFlag]
+    if k is None:
+        holder = BestBound(size=greedy.size, cover=greedy.cover)
+        formulation = MVCFormulation(holder)
+    else:
+        holder = FoundFlag()
+        formulation = PVCFormulation(k=k, flag=holder)
     stats = SearchStats()
     if graph.m > 0:
         should_stop = None
@@ -157,14 +145,14 @@ def solve_pvc_sequential_sim(
             charge=meter.charge, should_stop=should_stop, frontier=frontier,
             bound=bound,
         )
-    else:
-        flag.found, flag.size, flag.cover = True, 0, np.empty(0, dtype=np.int32)
+    elif k is not None:
+        holder.found, holder.size, holder.cover = True, 0, np.empty(0, dtype=np.int32)
     timed_out = bool(stats.extra.get("timed_out"))
     return SequentialSimResult(
-        formulation="pvc",
-        optimum=flag.size,
-        cover=flag.cover,
-        feasible=None if (timed_out and not flag.found) else flag.found,
+        formulation="mvc" if k is None else "pvc",
+        optimum=holder.size,
+        cover=holder.cover,
+        feasible=None if k is None or (timed_out and not holder.found) else holder.found,
         timed_out=timed_out,
         nodes_visited=stats.nodes_visited,
         cycles=meter.cycles,

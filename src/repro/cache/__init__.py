@@ -363,13 +363,18 @@ def solve_cached(cache: SolveCache, graph: CSRGraph, k: Optional[int], engine: s
         # an optimal one would have answered above.
         partial = cache._load(next((e for e in rows if e.graph_fp == fp
                                     and e.config_hash == cfg), None), rows)
+        checkpoint = None
         if partial is not None and partial.checkpoint_blob:
+            try:
+                checkpoint = Checkpoint.from_bytes(partial.checkpoint_blob)
+            except ValueError:  # no longer decodes: a damaged artifact
+                cache.store.delete(partial.uid)
+                rows.remove(partial)
+        if checkpoint is not None:
             cache._count("escalations")
             cache._count("bytes_read", partial.nbytes)
             cache.store.touch(partial.uid)
-            checkpoint = Checkpoint.from_bytes(partial.checkpoint_blob)
         else:
-            checkpoint = None
             cache._count("misses")
             options = dict(options)
             if k is None:

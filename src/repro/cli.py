@@ -40,6 +40,7 @@ see docs/EXPERIMENTS.md)::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -299,8 +300,6 @@ def _print_cache_stats(cache) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    import os
-
     from .cache.store import CacheStore
 
     root = args.store or os.environ.get("REPRO_CACHE") or ".repro-cache"
@@ -609,9 +608,35 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         f"unhandled obs command {args.obs_command!r}")  # pragma: no cover
 
 
+def _known(what: str, name: Optional[str], legal: List[str]) -> bool:
+    """Whether ``name`` (None: not given) is legal; if not, say so in one line."""
+    if name is None or name in legal:
+        return True
+    print(f"error: unknown {what} {name!r}; choose from: {', '.join(legal)}")
+    return False
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed early (``| head``): exit quietly, with stdout
+        # pointed at /dev/null so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[List[str]]) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    if args.command in ("solve", "tree"):
+        try:
+            inst = suite_instance(args.graph, args.scale)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}")
+            return 2
 
     if args.command in ("experiment", *_PRESETS):
         from .experiment.store import StoreUnavailable
@@ -647,8 +672,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "bench":
-        import os
-
         from .analysis.microbench import (
             render_microbench,
             run_microbench,
@@ -657,9 +680,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         from .core.kernel_backends import KERNELS
 
-        if args.kernels is not None and args.kernels not in KERNELS:
-            print(f"error: unknown kernels {args.kernels!r}; choose from: "
-                  f"{', '.join(sorted(KERNELS))}")
+        if not _known("kernels", args.kernels, sorted(KERNELS)):
             return 2
         out = args.out
         out_dir = os.path.dirname(os.path.abspath(out))
@@ -709,7 +730,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "tree":
         from .analysis.tree_shape import measure_tree_shape, render_tree_shape
 
-        inst = suite_instance(args.graph, args.scale)
         shape = measure_tree_shape(inst.graph(), node_budget=args.node_budget)
         print(render_tree_shape(shape, args.graph))
         print(f"\n[{time.perf_counter() - start:.1f}s wall]")
@@ -733,27 +753,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .core.solver import ENGINES, solve_mvc, solve_pvc
 
         engine = args.engine or ("hybrid" if args.resume_from is None else None)
-        # Validate names against the live registries so a typo dies with
-        # one line naming the legal values, not a traceback.
-        if engine is not None and engine not in ENGINES:
-            print(f"error: unknown engine {engine!r}; choose from: "
-                  f"{', '.join(ENGINES)}")
-            return 2
-        if args.frontier is not None and args.frontier not in FRONTIERS:
-            print(f"error: unknown frontier {args.frontier!r}; choose from: "
-                  f"{', '.join(sorted(FRONTIERS))}")
+        if not (_known("engine", engine, list(ENGINES))
+                and _known("frontier", args.frontier, sorted(FRONTIERS))
+                and _known("bound", args.bound, sorted(BOUNDS))
+                and _known("kernels", args.kernels, sorted(KERNELS))):
             return 2
         if args.frontier is not None and engine != "sequential":
             print(f"error: --frontier applies to --engine sequential only "
                   f"(engine {engine!r} has a fixed worklist discipline)")
-            return 2
-        if args.bound is not None and args.bound not in BOUNDS:
-            print(f"error: unknown bound {args.bound!r}; choose from: "
-                  f"{', '.join(sorted(BOUNDS))}")
-            return 2
-        if args.kernels is not None and args.kernels not in KERNELS:
-            print(f"error: unknown kernels {args.kernels!r}; choose from: "
-                  f"{', '.join(sorted(KERNELS))}")
             return 2
         if args.workers is not None and engine not in POOL_ENGINES:
             print(f"error: --workers applies to the parallel engines "
@@ -769,7 +776,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             par_opt["n_workers"] = args.workers
         if args.hosts is not None:
             par_opt["hosts"] = args.hosts
-        inst = suite_instance(args.graph, args.scale)
         graph = inst.graph()
 
         if args.trace is not None or args.metrics_out is not None:

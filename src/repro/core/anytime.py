@@ -8,8 +8,8 @@ Every engine can be interrupted — by a wall-clock ``deadline`` or a
 * the best cover found so far (MVC always has one: the greedy incumbent),
 * an admissible lower bound on the uninterrupted optimum, computed from
   the surviving frontier by the active bound policy,
-* a :class:`~repro.core.outcome.Checkpoint` — the pending tree nodes
-  through the :class:`~repro.graph.degree_array.VCState` wire codec —
+* a :class:`~repro.core.outcome.Checkpoint` — the pending tree nodes as
+  codec-v2 frames against the graph's root degrees —
   from which :func:`resume_from` provably reaches the same optimum as the
   uninterrupted run (the explored region was only ever pruned against
   incumbents the checkpoint carries, so incumbent + pending sub-trees
@@ -54,7 +54,7 @@ def resume_from(
     engine = checkpoint.engine if engine is None else engine
     options.update(bound=checkpoint.bound, cache=False)
     if checkpoint.items:
-        options["roots"] = [state for state, _ in checkpoint.states()]
+        options["roots"] = [state for state, _ in checkpoint.states(graph)]
     if engine == "sequential" and checkpoint.frontier is not None:
         options["frontier"] = checkpoint.frontier
     if checkpoint.formulation == "mvc":

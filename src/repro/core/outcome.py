@@ -26,10 +26,11 @@ module defines the two artifacts:
     service can tell "out of time" from "hit the per-request node cap".
 
 * :class:`Checkpoint` — the serialized frontier: every pending tree node
-  through the :class:`~repro.graph.degree_array.VCState` wire codec (the
-  one cross-boundary representation, Section IV-B), plus the incumbent
-  and enough identity (``n``, ``m``, formulation, ``k``) to refuse a
-  resume against the wrong graph.  ``resume_from(checkpoint)`` on any
+  as a codec-v2 frame against the graph's root degrees (the one state
+  codec, :func:`~repro.graph.degree_array.state_codec`), plus the
+  incumbent and the graph's fingerprint, which refuses a resume against
+  any other graph: a delta frame decoded against another graph's degrees
+  describes a state of neither.  ``resume_from(checkpoint)`` on any
   engine provably reaches the uninterrupted optimum: the explored region
   was pruned only against incumbents the checkpoint carries, so the
   pending subtrees plus the incumbent dominate the whole tree.
@@ -54,8 +55,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import VCState, WirePayload
+from ..graph.degree_array import VCState, state_codec
+from ..graph.fingerprint import graph_fingerprint
 from .bounds import BoundPolicy, make_bound
+from .strict_pickle import strict_loads
 from .verify import assert_valid_cover
 
 __all__ = [
@@ -71,20 +74,29 @@ __all__ = [
 STATUSES = ("optimal", "feasible", "bound_only", "budget_exhausted")
 
 #: Serialization format tag (bump on layout change).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: Payload fields and the types :meth:`Checkpoint.from_payload` accepts
+#: (``best_cover`` travels as int32 bytes).
+_OPT_INT = (int, type(None))
+_FIELDS = {
+    "formulation": str, "engine": str, "bound": str, "frontier": (str, type(None)),
+    "k": _OPT_INT, "n": int, "m": int, "graph_fp": str, "best_size": _OPT_INT,
+    "best_cover": (bytes, type(None)), "nodes_visited": int, "items": list,
+}
 
 
 @dataclass
 class Checkpoint:
     """A serialized search frontier: everything a resume needs.
 
-    ``items`` are ``(wire_payload, depth)`` pairs — each pending tree
-    node through the :class:`VCState` codec, carrying every cross-node
-    field (degree array, ``|S|``, ``|E|``, dirty hint, max-degree hint).
-    ``depth`` is the node's ancestry depth below the leg's roots where
-    the interrupted engine tracked it (the sequential solver does; the
-    parallel engines record 0 — depth only feeds traversal statistics,
-    never correctness).
+    ``items`` are ``(frame, depth)`` pairs — each pending tree node as a
+    codec-v2 frame against the root degrees of the graph ``graph_fp``
+    names, carrying every cross-node field (degree array, ``|S|``,
+    ``|E|``, dirty hint, max-degree hint).  ``depth`` is the node's
+    ancestry depth below the leg's roots where the interrupted engine
+    tracked it (the sequential solver does; the parallel engines record
+    0 — depth only feeds traversal statistics, never correctness).
     """
 
     formulation: str                      # "mvc" | "pvc"
@@ -94,78 +106,73 @@ class Checkpoint:
     k: Optional[int]
     n: int
     m: int
+    graph_fp: str
     best_size: Optional[int]
     best_cover: Optional[np.ndarray]
     nodes_visited: int
-    items: List[Tuple[WirePayload, int]] = field(default_factory=list)
+    items: List[Tuple[bytes, int]] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # content
     # ------------------------------------------------------------------ #
-    def states(self) -> List[Tuple[VCState, int]]:
-        """Materialize the pending nodes (fresh buffers)."""
-        return [(VCState.from_wire(payload), depth) for payload, depth in self.items]
+    def states(self, graph: CSRGraph) -> List[Tuple[VCState, int]]:
+        """Decode the pending nodes against ``graph``, which
+        :meth:`validate_graph` accepts (fresh buffers); a malformed frame
+        raises ``ValueError``."""
+        _, decode = state_codec(graph.degrees)
+        return [(decode(frame), depth) for frame, depth in self.items]
 
     def validate_graph(self, graph: CSRGraph) -> None:
         """Refuse to resume against a graph this frontier does not describe."""
-        if graph.n != self.n or graph.m != self.m:
+        fp = graph_fingerprint(graph)
+        if fp != self.graph_fp:
             raise ValueError(
-                f"checkpoint was taken on a graph with n={self.n}, m={self.m}; "
-                f"resume target has n={graph.n}, m={graph.m}"
+                f"checkpoint was taken on graph {self.graph_fp[:12]} (n={self.n}, "
+                f"m={self.m}); resume target is graph {fp[:12]} (n={graph.n}, "
+                f"m={graph.m})"
             )
 
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
     def to_payload(self) -> Dict[str, object]:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "formulation": self.formulation,
-            "engine": self.engine,
-            "bound": self.bound,
-            "frontier": self.frontier,
-            "k": self.k,
-            "n": self.n,
-            "m": self.m,
-            "best_size": self.best_size,
-            "best_cover": None if self.best_cover is None
-            else np.asarray(self.best_cover, dtype=np.int32).tobytes(),
-            "nodes_visited": self.nodes_visited,
-            "items": list(self.items),
-        }
+        payload = {key: getattr(self, key) for key in _FIELDS}
+        payload.update(version=CHECKPOINT_VERSION, items=list(self.items))
+        if self.best_cover is not None:
+            payload["best_cover"] = np.asarray(self.best_cover, dtype=np.int32).tobytes()
+        return payload
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "Checkpoint":
+    def from_payload(cls, payload: object) -> "Checkpoint":
+        """Rebuild a checkpoint from :meth:`to_payload`'s dict; anything
+        else — another version, a missing key, a field of the wrong type,
+        an item that is not a ``(frame, depth)`` pair — is a ``ValueError``."""
+        if not isinstance(payload, dict):
+            raise ValueError("checkpoint blob does not decode to a payload dict")
         if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {payload.get('version')!r} "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        cover_bytes = payload["best_cover"]
-        return cls(
-            formulation=str(payload["formulation"]),
-            engine=str(payload["engine"]),
-            bound=str(payload["bound"]),
-            frontier=payload["frontier"],  # type: ignore[arg-type]
-            k=payload["k"],  # type: ignore[arg-type]
-            n=int(payload["n"]),  # type: ignore[arg-type]
-            m=int(payload["m"]),  # type: ignore[arg-type]
-            best_size=payload["best_size"],  # type: ignore[arg-type]
-            best_cover=None if cover_bytes is None
-            else np.frombuffer(cover_bytes, dtype=np.int32).copy(),  # type: ignore[arg-type]
-            nodes_visited=int(payload["nodes_visited"]),  # type: ignore[arg-type]
-            items=list(payload["items"]),  # type: ignore[arg-type]
-        )
+            raise ValueError(f"unsupported checkpoint version {payload.get('version')!r} "
+                             f"(expected {CHECKPOINT_VERSION})")
+        for key, types in _FIELDS.items():
+            if not isinstance(payload.get(key, ...), types):
+                raise ValueError(f"checkpoint payload: {key!r} is missing or mistyped")
+        fields = {key: payload[key] for key in _FIELDS}
+        fields["items"] = items = list(fields["items"])
+        if any(type(item) is not tuple or len(item) != 2 or type(item[0]) is not bytes
+               or type(item[1]) is not int for item in items):
+            raise ValueError("checkpoint payload: items are not (frame, depth) pairs")
+        cover = fields["best_cover"]
+        if cover is not None:  # a ragged length is a ValueError
+            fields["best_cover"] = np.frombuffer(cover, dtype=np.int32).copy()
+        return cls(**fields)
 
     def to_bytes(self) -> bytes:
         return pickle.dumps(self.to_payload(), protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        payload = pickle.loads(blob)
-        if not isinstance(payload, dict):
-            raise ValueError("checkpoint blob does not decode to a payload dict")
-        return cls.from_payload(payload)
+        """Load :meth:`to_bytes`'s blob; any malformed input is a ``ValueError``
+        (the blob is loaded with no pickle globals)."""
+        return cls.from_payload(strict_loads(blob))
 
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
@@ -273,11 +280,13 @@ def finish_outcome(
             interrupted=True, trigger="deadline" if deadline_tripped else "node_budget",
             formulation=formulation, has_cover=found, optimum=size,
             lower_bound=lower, k=k)
+        encode, _ = state_codec(graph.degrees)
         checkpoint = Checkpoint(
             formulation=formulation, engine=engine, bound=policy.name,
-            frontier=frontier, k=k, n=graph.n, m=graph.m, best_size=size,
-            best_cover=cover, nodes_visited=nodes,
-            items=[(state.to_wire(), depth) for state, depth in pending])
+            frontier=frontier, k=None if k is None else int(k), n=graph.n,
+            m=graph.m, graph_fp=graph_fingerprint(graph), best_size=size,
+            best_cover=cover, nodes_visited=int(nodes),
+            items=[(encode(state), int(depth)) for state, depth in pending])
     feasible = None  # MVC; PVC: found, refuted, or (interrupted) undetermined
     if formulation == "pvc":
         feasible = True if found else (False if status == "optimal" else None)

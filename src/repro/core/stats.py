@@ -24,9 +24,6 @@ class ReductionCounters:
     high_degree: int = 0
     sweeps: int = 0
 
-    def total_forced(self) -> int:
-        return self.degree_one + self.degree_two_triangle + self.high_degree
-
     def merge(self, other: "ReductionCounters") -> None:
         self.degree_one += other.degree_one
         self.degree_two_triangle += other.degree_two_triangle

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +43,8 @@ __all__ = [
     "DirtyQueue",
     "Workspace",
     "VCState",
-    "WirePayload",
     "WIRE_VERSION_V2",
-    "wire_nbytes",
+    "state_codec",
     "fresh_state",
     "alive_vertices",
     "cover_vertices",
@@ -60,12 +59,6 @@ __all__ = [
 
 #: Sentinel degree value marking "removed from the graph, added to S".
 REMOVED: int = -1
-
-#: The self-contained tuple form of one :class:`VCState` that anytime
-#: checkpoints store (see :meth:`VCState.to_wire`): ``(deg bytes, |S|,
-#: |E|, dirty bytes | None, max_deg_hint)``.  States crossing a process
-#: boundary travel as codec-v2 frames instead (:meth:`VCState.to_wire_v2`).
-WirePayload = Tuple[bytes, int, int, Optional[bytes], int]
 
 #: Leading version byte of a codec-v2 frame.
 WIRE_VERSION_V2 = 2
@@ -258,34 +251,13 @@ class VCState:
         """The cover ``S`` encoded by the sentinel entries."""
         return cover_vertices(self.deg)
 
-    def to_wire(self) -> "WirePayload":
-        """Serialize into the self-contained wire tuple (Section IV-B).
-
-        ``(deg bytes, |S|, |E|, dirty-hint bytes or None, max_deg_hint)``
-        — the same self-containedness that lets the GPU implementation
-        move tree nodes between thread blocks, extended with both
-        cross-node hints so a donated child reduces on the receiving
-        worker exactly as it would have on the producer.  Anytime
-        checkpoints store this tuple; a state crossing a process boundary
-        travels as a codec-v2 frame (:meth:`to_wire_v2`).  A new
-        ``VCState`` field is added to both codecs or it does not travel.
-        """
-        dirty = self.dirty
-        dirty_bytes = (
-            None if dirty is None else np.asarray(dirty, dtype=np.int64).tobytes()
-        )
-        return self.deg.tobytes(), self.cover_size, self.edge_count, dirty_bytes, \
-            self.max_deg_hint
-
-    @classmethod
-    def from_wire(cls, payload) -> "VCState":
-        """Rebuild a state from :meth:`to_wire`'s tuple (fresh buffers)."""
-        deg = np.frombuffer(payload[0], dtype=np.int32).copy()
-        dirty = None if payload[3] is None else np.frombuffer(payload[3], dtype=np.int64)
-        return cls(deg, payload[1], payload[2], dirty, payload[4])
-
     def to_wire_v2(self, root_deg: np.ndarray) -> bytes:
         """Serialize as one delta-encoded, version-tagged frame (codec v2).
+
+        The one state codec (Section IV-B's self-contained node), on the
+        wire and in checkpoints.  It carries every cross-node field, so a
+        donated child reduces on the receiver exactly as on the producer;
+        a new ``VCState`` field is added here and in the compiled twin.
 
         ``root_deg`` is the root degree plane — the degree vector of the
         *fresh* state, which every attached worker shares (see
@@ -293,9 +265,8 @@ class VCState:
         every entry still matches it, so the frame ships sparse
         ``(idx, val)`` pairs instead of the full ``deg`` array; when the
         delta stops paying (``8·nnz >= 4·n``) the frame degrades to the
-        dense array, never worse than :meth:`to_wire` plus the fixed header.  Byte 0 is
-        the codec version, so a receiver can refuse frames it does not
-        speak instead of misdecoding them.
+        dense array plus the fixed header.  Byte 0 is the codec version,
+        so a receiver can refuse frames it does not speak.
         """
         deg = self.deg
         n = deg.shape[0]
@@ -323,28 +294,37 @@ class VCState:
 
     @classmethod
     def from_wire_v2(cls, frame: bytes, root_deg: np.ndarray) -> "VCState":
-        """Rebuild a state from a codec-v2 frame against the root plane."""
-        version, mode, cover_size, edge_count, max_deg_hint, dirty_count = \
+        """Rebuild a state from a codec-v2 frame against the root plane;
+        refuses with ``ValueError`` exactly what ``wire_decode`` refuses."""
+        n = root_deg.shape[0]
+        size = len(frame)
+        if size < _WIRE_V2_HEADER.size or frame[0] != WIRE_VERSION_V2 or frame[1] > 1:
+            raise ValueError("not a codec-v2 frame")
+        _, mode, cover_size, edge_count, max_deg_hint, dirty_count = \
             _WIRE_V2_HEADER.unpack_from(frame, 0)
-        if version != WIRE_VERSION_V2:
-            raise ValueError(f"unknown wire codec version {version}")
         off = _WIRE_V2_HEADER.size
+        if not -1 <= dirty_count <= (size - off) // 8:
+            raise ValueError("codec-v2 frame: bad dirty count")
         dirty: Optional[np.ndarray] = None
         if dirty_count >= 0:
             dirty = np.frombuffer(frame, dtype=np.int64, count=dirty_count,
                                   offset=off)
             off += dirty_count * 8
         if mode == 1:
-            (nnz,) = _WIRE_V2_COUNT.unpack_from(frame, off)
+            nnz = _WIRE_V2_COUNT.unpack_from(frame, off)[0] if size - off >= 8 else -1
+            if not 0 <= nnz <= (size - off - 8) // 8:
+                raise ValueError("codec-v2 frame: bad entry count")
             off += _WIRE_V2_COUNT.size
             idx = np.frombuffer(frame, dtype=np.int32, count=nnz, offset=off)
-            off += nnz * 4
-            val = np.frombuffer(frame, dtype=np.int32, count=nnz, offset=off)
+            val = np.frombuffer(frame, dtype=np.int32, count=nnz, offset=off + 4 * nnz)
+            if nnz and not (0 <= idx.min() and idx.max() < n):
+                raise ValueError(f"codec-v2 frame: entry out of range for n={n}")
             deg = np.array(root_deg, dtype=np.int32, copy=True)
             deg[idx] = val
         else:
-            deg = np.frombuffer(frame, dtype=np.int32,
-                                count=root_deg.shape[0], offset=off).copy()
+            if size - off < 4 * n:
+                raise ValueError("codec-v2 frame: short degree array")
+            deg = np.frombuffer(frame, dtype=np.int32, count=n, offset=off).copy()
         return cls(deg, cover_size, edge_count, dirty, max_deg_hint)
 
     def n_alive(self) -> int:
@@ -369,9 +349,23 @@ def fresh_state(graph: CSRGraph) -> VCState:
     return VCState(graph.degrees.astype(np.int32).copy(), 0, graph.m)
 
 
-def wire_nbytes(payload: bytes) -> int:
-    """On-the-wire size of one codec-v2 frame, for comms accounting."""
-    return len(payload)
+def state_codec(
+    root_deg: np.ndarray,
+) -> Tuple[Callable[[VCState], bytes], Callable[[bytes], VCState]]:
+    """The ``(encode, decode)`` pair of codec-v2 frames against ``root_deg``
+    that the wire and checkpoints call: the compiled, byte-identical
+    ``wire_encode``/``wire_decode`` when the extension loads (resolved
+    here, so importing this module loads nothing), else the Python pair."""
+    from ..core import native
+
+    ext = native.load()
+    if ext is None:
+        return (lambda s: s.to_wire_v2(root_deg)), \
+               (lambda f: VCState.from_wire_v2(f, root_deg))
+    encode, decode = ext.wire_encode, ext.wire_decode
+    return (lambda s: encode(s.deg, s.cover_size, s.edge_count, s.dirty,
+                             s.max_deg_hint, root_deg)), \
+           (lambda f: VCState(*decode(f, root_deg)))
 
 
 def alive_vertices(deg: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ thing across OS processes: :class:`GraphPlane` publishes the CSR arrays
 (``indptr``/``indices``) plus the root degree vector once into a POSIX
 shared-memory segment, and workers *attach* by name — mapping the same
 physical pages instead of re-pickling and re-validating the graph per
-spawn.  The root degree vector doubles as the delta base for the v2 wire
-codec (:meth:`repro.graph.degree_array.VCState.from_wire_v2`): every
-worker that attaches the plane can decode sparse ``(idx, val)`` frames
-against it.
+spawn.  The root degree vector doubles as the delta base of codec v2,
+the one state codec (:func:`repro.graph.degree_array.state_codec`):
+every worker that attaches the plane decodes sparse ``(idx, val)``
+frames against it, as a resume decodes a checkpoint's frames against
+the graph's own degrees.
 
 Lifecycle
 ---------

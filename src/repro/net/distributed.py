@@ -111,7 +111,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults
-from ..core import native
 from ..core.formulation import BestBound, Formulation, FoundFlag, MVCFormulation, PVCFormulation
 from ..core.greedy import greedy_cover
 from ..core.kernel_backends import resolve_kernels
@@ -120,7 +119,7 @@ from ..core.sequential import ChunkWalk, solve_mvc_sequential, solve_pvc_sequent
 from ..core.stats import SearchStats
 from ..core.verify import cover_defect
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import VCState, fresh_state, wire_nbytes
+from ..graph.degree_array import VCState, fresh_state, state_codec
 from ..graph.plane import GraphPlane, publish_plane
 from ..obs import breakdown as obs_breakdown
 from ..obs import metrics as obs_metrics
@@ -201,25 +200,6 @@ class CommStats:
             for name, value in counters.items():
                 out[name] = out.get(name, 0) + value
         return out
-
-
-def _codec_fns(
-    root_deg: np.ndarray,
-) -> Tuple[Callable[[VCState], bytes], Callable[[bytes], VCState]]:
-    """(encode, decode) pair of the codec-v2 wire frames against ``root_deg``.
-
-    Runs on the compiled twins of ``VCState.to_wire_v2`` and
-    ``from_wire_v2`` (byte-identical frames) when the native extension
-    is available.
-    """
-    ext = native.load()
-    if ext is None:
-        return (lambda s: s.to_wire_v2(root_deg)), \
-               (lambda p: VCState.from_wire_v2(p, root_deg))
-    encode, decode = ext.wire_encode, ext.wire_decode
-    return (lambda s: encode(s.deg, s.cover_size, s.edge_count, s.dirty,
-                             s.max_deg_hint, root_deg)), \
-           (lambda p: VCState(*decode(p, root_deg)))
 
 
 def _check_pool(n_workers: int, hosts: int, threshold: int) -> None:
@@ -340,7 +320,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     else:
         flag = FoundFlag()
         formulation = PVCFormulation(k=int(params["k"]), flag=flag)
-    enc, dec = _codec_fns(root_deg)
+    enc, dec = state_codec(root_deg)
     threshold = int(params["threshold"])
     deadline_s = params.get("deadline_s")
     deadline_at = None if deadline_s is None else time.monotonic() + float(deadline_s)
@@ -390,7 +370,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
             asked = False
             comms.leases += 1
             comms.subtrees += len(batch)
-            comms.bytes_received += sum(wire_nbytes(p) for p in batch)
+            comms.bytes_received += sum(map(len, batch))
             with obs_trace.span("lease"):
                 walk.push([dec(payload) for payload in reversed(batch)])
         elif kind == "need":
@@ -413,7 +393,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
 
     def post_best(size: int, cover: np.ndarray) -> None:
         payload = np.asarray(cover, dtype=np.int32).tobytes()
-        post(("best", size, payload))
+        post(("best", int(size), payload))
         comms.bytes_sent += len(payload)
 
     def donate_bottom() -> None:
@@ -435,7 +415,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
                 faults.fire("queue_delay")
             post(("donate", payloads))
             comms.donations += len(payloads)
-            comms.bytes_sent += sum(wire_nbytes(p) for p in payloads)
+            comms.bytes_sent += sum(map(len, payloads))
 
     def post_lease_done() -> None:
         nonlocal has_lease
@@ -525,7 +505,7 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     post_nodes()
     flush()
     comms.messages += 1
-    comms.bytes_sent += sum(wire_nbytes(p) for p in leftovers)
+    comms.bytes_sent += sum(map(len, leftovers))
     # Exact socket byte counts from the transport, alongside the payload
     # bytes counted above.  wire_received includes the inline graph frame
     # on the need_graph path, which is the cost the shared-memory plane
@@ -746,7 +726,7 @@ def _drain_inline(graph: CSRGraph, mode: str, k: int, run: _DistRun,
     if out.timed_out and not run.found:
         run.timed_out = True
         run.deadline_tripped = out.deadline_tripped
-        run.pending = [state for state, _ in out.checkpoint.states()]
+        run.pending = [state for state, _ in out.checkpoint.states(graph)]
 
 
 def _run_distributed(
@@ -772,7 +752,7 @@ def _run_distributed(
     kernels_name = backend.name
     graph.prewarm(adjacency=backend.uses_adjacency(graph))
     root_deg = np.asarray(graph.degrees, dtype=np.int32)
-    enc, dec = _codec_fns(root_deg)
+    enc, dec = state_codec(root_deg)
     # Published when the first TCP peer says hello: worker threads share
     # the graph, so a solve without a TCP peer never touches shm.
     plane: Optional[GraphPlane] = None
@@ -788,10 +768,12 @@ def _run_distributed(
     pool = [enc(state) for state in ([fresh_state(graph)] if roots is None else roots)]
     released = [False]
 
+    # Builtin scalars only: a peer loads frames with no pickle globals,
+    # and a numpy scalar pickles as one.
     init_params = {
-        "mode": mode, "k": k, "bound": bound, "kernels": kernels_name,
-        "threshold": threshold, "initial_best": initial_best,
-        "deadline_s": deadline,
+        "mode": mode, "k": int(k), "bound": bound, "kernels": kernels_name,
+        "threshold": int(threshold), "initial_best": int(initial_best),
+        "deadline_s": None if deadline is None else float(deadline),
     }
 
     lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -15,7 +15,10 @@ transport-agnostic.  The framing layer is deliberately split in two:
 A peer that disappears mid-frame surfaces as :class:`TransportClosed`
 (a ``ConnectionError``), which the coordinator treats exactly like a
 dead local worker: the lease is re-enqueued.  Malformed length prefixes
-raise :class:`ProtocolError` rather than silently desynchronizing.
+and undecodable payloads raise :class:`ProtocolError` rather than
+silently desynchronizing.  Payloads load through
+:func:`~repro.core.strict_pickle.strict_loads`, which calls no pickle
+global: the coordinator accepts any connection on its port.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import struct
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.strict_pickle import strict_loads
+
 __all__ = [
     "FrameDecoder",
     "MessageStream",
@@ -36,8 +41,8 @@ __all__ = [
     "encode_frame",
 ]
 
-#: Hard cap on one frame's payload: even a dense v1 state on a graph with
-#: tens of millions of vertices fits well under this.
+#: Hard cap on one frame's payload: even a dense codec-v2 state on a graph
+#: with tens of millions of vertices fits well under this.
 MAX_FRAME_BYTES = 1 << 30
 
 _LEN = struct.Struct("<I")
@@ -98,9 +103,9 @@ class FrameDecoder:
         del self._buf[:end]
         self.frames_out += 1
         try:
-            return pickle.loads(payload)
-        except Exception as exc:
-            raise ProtocolError(f"undecodable frame ({exc!r:.80})") from None
+            return strict_loads(payload)
+        except ValueError as exc:
+            raise ProtocolError(f"undecodable frame: {exc}") from None
 
     def drain(self) -> List[object]:
         """Every complete message currently buffered."""
@@ -150,19 +155,30 @@ class MessageStream:
     def poll(self, timeout: float = 0.0) -> List[object]:
         """Complete messages available within ``timeout`` (may be none)."""
         msgs = self.decoder.drain()
-        if msgs:
+        if msgs or not self._readable(timeout):
             return msgs
-        try:
-            readable, _, _ = select.select([self.sock], [], [], timeout)
-        except (OSError, ValueError) as exc:  # closed fd
-            raise TransportClosed(f"socket gone: {exc}") from exc
-        if not readable:
-            return []
         return self.read()
 
     def read(self) -> List[object]:
         """One read from a socket known to be readable (say, by a
         ``select`` over many streams); the complete messages it yields."""
+        self._fill()
+        return self.decoder.drain()
+
+    def recv(self, timeout: Optional[float] = None) -> object:
+        """Block for exactly one message (raises ``TimeoutError``)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            msg = self.decoder.next()
+            if msg is not None:
+                return msg
+            wait = 0.05 if deadline is None else min(0.05, deadline - time.monotonic())
+            if deadline is not None and wait < 0:
+                raise TimeoutError("no message before deadline")
+            if self._readable(max(wait, 0.0)):
+                self._fill()
+
+    def _fill(self) -> None:
         try:
             data = self.sock.recv(_RECV_CHUNK)
         except (ConnectionResetError, OSError) as exc:
@@ -172,26 +188,12 @@ class MessageStream:
             raise TransportClosed(
                 f"peer closed{f' mid-frame ({mid} bytes buffered)' if mid else ''}")
         self.decoder.feed(data)
-        return self.decoder.drain()
 
-    def recv(self, timeout: Optional[float] = None) -> object:
-        """Block for exactly one message (raises ``TimeoutError``)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = 0.05 if deadline is None else min(0.05, deadline - time.monotonic())
-            if deadline is not None and wait < 0:
-                raise TimeoutError("no message before deadline")
-            msgs = self.poll(max(wait, 0.0))
-            if msgs:
-                if len(msgs) > 1:
-                    self._pushback(msgs[1:])
-                return msgs[0]
-
-    def _pushback(self, msgs: List[object]) -> None:
-        """Re-buffer decoded messages (recv returns one at a time)."""
-        frames = b"".join(encode_frame(m) for m in msgs)
-        rest = bytes(self.decoder._buf)
-        self.decoder._buf = bytearray(frames + rest)
+    def _readable(self, timeout: float) -> bool:
+        try:
+            return bool(select.select([self.sock], [], [], timeout)[0])
+        except (OSError, ValueError) as exc:  # closed fd
+            raise TransportClosed(f"socket gone: {exc}") from exc
 
     def close(self) -> None:
         try:

@@ -57,13 +57,6 @@ class LaunchMetrics:
             out[b.sm_id] += b.nodes_visited
         return out
 
-    def cycles_per_sm(self) -> np.ndarray:
-        """Busy cycles accumulated by each SM's blocks."""
-        out = np.zeros(self.num_sms, dtype=np.float64)
-        for b in self.blocks:
-            out[b.sm_id] += b.total_cycles
-        return out
-
     def normalized_load(self) -> np.ndarray:
         """Per-SM node counts normalised to the mean (Fig. 5's y-axis)."""
         loads = self.nodes_per_sm().astype(np.float64)

@@ -66,3 +66,32 @@ def random_graph_family() -> list[CSRGraph]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def malformed_checkpoints():
+    """``make(checkpoint)`` → checkpoint blobs that ``Checkpoint.from_bytes``
+    must refuse with ``ValueError``, by name.  "names a global" is a good
+    payload behind a global (``collections.OrderedDict``), which a loader
+    that honours globals would call and accept."""
+    import pickle
+    from collections import OrderedDict
+
+    def make(checkpoint) -> dict:
+        blob = checkpoint.to_bytes()
+        payload = checkpoint.to_payload()
+        missing = {key: val for key, val in payload.items() if key != "graph_fp"}
+        return {
+            "garbage": b"this is not a checkpoint",
+            "empty": b"",
+            "truncated": blob[: len(blob) // 2],
+            "v1": pickle.dumps(dict(payload, version=1)),
+            "names a global": pickle.dumps(OrderedDict(payload)),
+            "missing a key": pickle.dumps(missing),
+            "not a dict": pickle.dumps([1, 2, 3]),
+            "a numpy scalar": pickle.dumps(dict(payload, n=np.int64(payload["n"]))),
+            "a field of the wrong type": pickle.dumps(dict(payload, m=str(payload["m"]))),
+            "items not pairs": pickle.dumps(dict(payload, items=[b"frame"])),
+        }
+
+    return make

@@ -158,11 +158,8 @@ class TestCheckpointCodec:
         assert again.engine == cp.engine and again.bound == cp.bound
         assert again.best_size == cp.best_size
         assert again.nodes_visited == cp.nodes_visited
-        assert len(again.items) == len(cp.items)
-        for (w1, d1), (w2, d2) in zip(again.items, cp.items):
-            assert d1 == d2
-            for a, b in zip(w1, w2):
-                np.testing.assert_array_equal(a, b)
+        assert again.graph_fp == cp.graph_fp
+        assert again.items == cp.items
         path = tmp_path / "solve.ckpt"
         cp.save(path)
         loaded = Checkpoint.load(path)
@@ -183,6 +180,41 @@ class TestCheckpointCodec:
 
         with pytest.raises(ValueError):
             Checkpoint.from_bytes(pickle.dumps([1, 2, 3]))
+
+    def test_malformed_blobs_are_value_errors(self, graph, malformed_checkpoints):
+        cp = solve_mvc(graph, engine="sequential", deadline=0.0).checkpoint
+        for name, blob in malformed_checkpoints(cp).items():
+            with pytest.raises(ValueError):
+                Checkpoint.from_bytes(blob)
+
+    def test_items_are_frames_against_the_root_degrees(self, graph):
+        from repro.graph.degree_array import VCState
+        from repro.graph.fingerprint import graph_fingerprint
+
+        out = solve_mvc(graph, engine="sequential", deadline=0.0)
+        cp = out.checkpoint
+        assert cp.graph_fp == graph_fingerprint(graph)
+        for (frame, depth), (state, depth2) in zip(cp.items, cp.states(graph)):
+            assert type(frame) is bytes and depth == depth2
+            ref = VCState.from_wire_v2(frame, graph.degrees)
+            assert np.array_equal(ref.deg, state.deg)
+            assert state.to_wire_v2(graph.degrees) == frame
+
+    @pytest.mark.parametrize("engine", ("sequential", "stackonly", "distributed"))
+    def test_relabelled_graph_with_same_shape_is_refused(self, graph, engine):
+        """Same (n, m), other labels: the delta frames would decode to
+        states of neither graph, so the resume refuses before any walk."""
+        from repro.graph.csr import CSRGraph
+
+        perm = np.random.default_rng(3).permutation(graph.n)
+        twin = CSRGraph.from_edges(graph.n, [
+            (int(perm[u]), int(perm[v])) for u in range(graph.n)
+            for v in graph.neighbors(u) if u < v])
+        assert (twin.n, twin.m) == (graph.n, graph.m)
+        out = solve_mvc(graph, engine=engine, node_budget=3, **kw(engine))
+        assert out.checkpoint is not None and out.checkpoint.items
+        with pytest.raises(ValueError, match="checkpoint was taken on graph"):
+            resume_from(out.checkpoint, twin, **kw(engine))
 
 
 class TestStatusLadder:

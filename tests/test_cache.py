@@ -628,6 +628,31 @@ class TestComponentMemoization:
 # escalation and warm starts (anytime layer)
 # --------------------------------------------------------------------- #
 class TestEscalation:
+    @pytest.mark.parametrize("blob", ("v1", "damaged"))
+    def test_undecodable_checkpoint_blob_is_a_miss(self, tmp_path, blob):
+        """A partial entry whose checkpoint no longer decodes is dropped
+        like a damaged artifact; the request solves cold."""
+        import pickle
+
+        g = phat_complement(60, 2, seed=4)
+        ref = solve_mvc(g)
+        cache = resolve_cache(tmp_path / "c")
+        assert solve_mvc(g, node_budget=5, cache=cache).status == "budget_exhausted"
+        [old] = cache.store.ls()
+        path = tmp_path / "c" / "entries" / f"{old['uid']}.pkl"
+        artifact = pickle.loads(path.read_bytes())
+        good = artifact["checkpoint"]
+        artifact["checkpoint"] = (
+            pickle.dumps(dict(pickle.loads(good), version=1)) if blob == "v1"
+            else good[: len(good) // 2])
+        path.write_bytes(pickle.dumps(artifact))
+        out = solve_mvc(g, cache=cache)
+        assert out.status == "optimal" and out.optimum == ref.optimum
+        assert out.nodes_visited == ref.nodes_visited  # a cold solve
+        assert cache.session["escalations"] == 0 and cache.session["misses"] == 2
+        [new] = cache.store.ls()
+        assert new["uid"] != old["uid"] and new["status"] == "optimal"
+
     def test_budget_bump_resumes_cached_checkpoint(self, tmp_path):
         g = phat_complement(60, 2, seed=4)
         ref = solve_mvc(g)

@@ -115,6 +115,50 @@ class TestMain:
             assert name in lines[0]
 
 
+    @pytest.mark.parametrize("cmd", ("solve", "tree"))
+    def test_unknown_graph_is_one_line_error(self, capsys, cmd):
+        assert main([cmd, "--graph", "nosuch", "--scale", "tiny"]) == 2
+        assert capsys.readouterr().out == "error: no suite instance named 'nosuch'\n"
+
+    def test_closed_reader_exits_quietly(self):
+        """``repro suite | head -1``: a reader that hangs up early gets no
+        BrokenPipeError traceback."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "suite", "--scale", "tiny"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        proc.stdout.close()  # hang up before the child writes a byte
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
+    def test_resume_from_a_malformed_checkpoint_is_one_line_error(
+            self, capsys, tmp_path, malformed_checkpoints):
+        from repro.core.outcome import Checkpoint
+
+        good = tmp_path / "good.ckpt"
+        base = ["solve", "--graph", "p_hat_300_1", "--scale", "tiny"]
+        assert main(base + ["--engine", "sequential", "--node-budget", "5",
+                            "--checkpoint", str(good)]) == 3
+        capsys.readouterr()
+        blobs = malformed_checkpoints(Checkpoint.load(good))
+        for name in ("garbage", "truncated", "v1", "names a global", "missing a key"):
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(blobs[name])
+            assert main(base + ["--resume-from", str(bad)]) == 2, name
+            out = capsys.readouterr().out
+            assert out.startswith("error: ") and out.count("\n") == 1, (name, out)
+        assert main(base + ["--resume-from", str(good)]) == 0
+        assert "status=optimal" in capsys.readouterr().out
+
+
 class TestExperimentCLI:
     """The `repro experiment` subcommand group (docs/EXPERIMENTS.md)."""
 

@@ -108,24 +108,26 @@ class TestProcesses:
 
 
 class TestWirePayload:
-    """The VCState-owned wire codec carries the cross-node hints."""
+    """The one state codec (codec-v2 frames against the root degrees)
+    carries the cross-node hints."""
 
     def test_roundtrip_with_and_without_hint(self):
         import numpy as np
 
-        from repro.graph.degree_array import VCState, fresh_state
+        from repro.graph.degree_array import VCState, fresh_state, state_codec
 
         g = gnp(20, 0.3, seed=5)
+        encode, decode = state_codec(g.degrees)
         bare = fresh_state(g)
         assert bare.dirty is None
-        out = VCState.from_wire(bare.to_wire())
+        out = decode(encode(bare))
         assert out.dirty is None
         assert np.array_equal(out.deg, bare.deg)
         assert (out.cover_size, out.edge_count) == (bare.cover_size, bare.edge_count)
 
         for hint in ([3, 7, 7, 1], np.array([2, 5, 9], dtype=np.int64)):
             state = VCState(bare.deg.copy(), 4, 11, hint)
-            out = VCState.from_wire(state.to_wire())
+            out = decode(encode(state))
             assert out.dirty is not None
             assert np.asarray(out.dirty, dtype=np.int64).tolist() == \
                 np.asarray(hint, dtype=np.int64).tolist()
@@ -136,15 +138,16 @@ class TestWirePayload:
         from repro.core.branching import expand_children, max_degree_pivot
         from repro.core.formulation import BestBound, MVCFormulation
         from repro.core.reductions import apply_reductions
-        from repro.graph.degree_array import VCState, Workspace, fresh_state
+        from repro.graph.degree_array import Workspace, fresh_state, state_codec
 
         g = gnp(30, 0.2, seed=8)
+        encode, decode = state_codec(g.degrees)
         ws = Workspace.for_graph(g)
         parent = fresh_state(g)
         form = MVCFormulation(BestBound(size=g.n + 1))
         apply_reductions(g, parent, form, ws)
         deferred, _ = expand_children(g, parent, max_degree_pivot(parent), ws)
-        wired = VCState.from_wire(deferred.to_wire())
+        wired = decode(encode(deferred))
         apply_reductions(g, deferred, form, ws)
         apply_reductions(g, wired, form, Workspace.for_graph(g))
         assert np.array_equal(deferred.deg, wired.deg)

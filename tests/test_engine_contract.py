@@ -3,10 +3,11 @@
 Whatever the engine — sequential, simulated GPU or worker pool — the
 facade returns a :class:`SolveOutcome` whose cover certifies the claim,
 PVC answers both sides of the optimum, a node budget stops exactly at
-the budget, and an interrupted solve resumes to the clean optimum.  The
-cache may answer instead of the engine, but never differently.  On random
-small graphs every engine agrees with an oracle this repo did not write
-(networkx's maximum clique of the complement).
+the budget, and an interrupted solve resumes from its serialized
+checkpoint to the clean optimum.  The cache may answer instead of the
+engine, but never differently.  On random small graphs every engine
+agrees with an oracle this repo did not write (networkx's maximum clique
+of the complement).
 """
 
 import networkx as nx
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cache import SolveCache
 from repro.core.anytime import resume_from
-from repro.core.outcome import SolveOutcome
+from repro.core.outcome import Checkpoint, SolveOutcome
 from repro.core.solver import ENGINES, POOL_ENGINES, solve_mvc, solve_pvc
 from repro.core.verify import assert_valid_cover
 from repro.graph.csr import CSRGraph
@@ -35,10 +36,12 @@ def kw(engine: str) -> dict:
 
 
 def _resume_to_end(out: SolveOutcome, engine: str) -> SolveOutcome:
+    """Resume until complete, each leg from the serialized checkpoint."""
     legs = 0
     while not out.complete:
         assert out.resumable, (engine, out.status)
-        out = resume_from(out.checkpoint, GRAPH, **kw(out.engine))
+        checkpoint = Checkpoint.from_bytes(out.checkpoint.to_bytes())
+        out = resume_from(checkpoint, GRAPH, **kw(out.engine))
         legs += 1
         assert legs <= 50, engine
     return out

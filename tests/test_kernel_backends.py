@@ -474,11 +474,11 @@ class TestNativeBoundary:
         cp = outcome.checkpoint
         assert cp is not None and cp.items
         for bad in (g.n, -5):
-            payload, depth = cp.items[0]
-            payload = list(payload)
-            payload[3] = np.array([0, bad], dtype=np.int64).tobytes()
+            frame, depth = cp.items[0]
+            state = VCState.from_wire_v2(frame, g.degrees)
+            state.dirty = np.array([0, bad], dtype=np.int64)
             corrupt = Checkpoint.from_bytes(cp.to_bytes())
-            corrupt.items = [(tuple(payload), depth)] + list(cp.items[1:])
+            corrupt.items = [(state.to_wire_v2(g.degrees), depth)] + list(cp.items[1:])
             corrupt = Checkpoint.from_bytes(corrupt.to_bytes())
             with pytest.raises(ValueError, match="dirty hint entry"):
                 resume_from(corrupt, g, kernels="native")
@@ -578,6 +578,18 @@ class TestNativeLoader:
         else:
             assert imported == []
             assert "no C compiler" in native.load_error()
+
+    def test_import_repro_loads_no_extension(self):
+        """The codec pair resolves the extension on first use, so a bare
+        ``import repro`` builds and imports nothing compiled."""
+        code = ("import sys, repro; from repro.core import native; "
+                "print(native._module is native._UNSET, "
+                "any(m.endswith('_native') for m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True False"
 
     def test_concurrent_first_builds_both_load(self, tmp_path):
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.core.sequential import solve_mvc_sequential
 from repro.core.solver import POOL_ENGINES, solve_mvc
-from repro.graph.degree_array import VCState, fresh_state, wire_nbytes
+from repro.graph.degree_array import VCState, fresh_state, state_codec
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import grid_graph, petersen
@@ -39,8 +39,9 @@ class TestWireCodecV2:
            ntouch=st.integers(0, 40), cover=st.integers(0, 1000),
            hint=st.sampled_from([None, "list", "array"]),
            data=st.data())
-    def test_v2_roundtrip_equals_v1(self, n, p, seed, ntouch, cover, hint, data):
-        """Delta frames decode to exactly what the v1 tuple decodes to."""
+    def test_v2_roundtrip_equals_state(self, n, p, seed, ntouch, cover, hint, data):
+        """Delta frames decode to exactly the state that was encoded, on
+        both halves of the codec pair."""
         g = gnp(n, p, seed=seed)
         root_deg = np.asarray(g.degrees, dtype=np.int32)
         state = fresh_state(g)
@@ -60,17 +61,17 @@ class TestWireCodecV2:
                 dtype=np.int64)
         state.max_deg_hint = data.draw(st.integers(-1, g.n))
 
-        via_v1 = VCState.from_wire(state.to_wire())
-        via_v2 = VCState.from_wire_v2(state.to_wire_v2(root_deg), root_deg)
-        assert np.array_equal(via_v1.deg, via_v2.deg)
-        assert via_v1.cover_size == via_v2.cover_size
-        assert via_v1.edge_count == via_v2.edge_count
-        assert via_v1.max_deg_hint == via_v2.max_deg_hint
-        d1 = None if via_v1.dirty is None else np.asarray(via_v1.dirty).tolist()
-        d2 = None if via_v2.dirty is None else np.asarray(via_v2.dirty).tolist()
-        assert (d1 is None) == (d2 is None)
-        if d1 is not None:
-            assert sorted(d1) == sorted(d2)
+        encode, decode = state_codec(root_deg)
+        for out in (VCState.from_wire_v2(state.to_wire_v2(root_deg), root_deg),
+                    decode(encode(state))):
+            assert np.array_equal(out.deg, state.deg)
+            assert out.cover_size == state.cover_size
+            assert out.edge_count == state.edge_count
+            assert out.max_deg_hint == state.max_deg_hint
+            assert (out.dirty is None) == (state.dirty is None)
+            if state.dirty is not None:
+                assert sorted(np.asarray(out.dirty).tolist()) == \
+                    sorted(np.asarray(state.dirty).tolist())
 
     def test_sparse_beats_v1_near_root(self):
         g = gnp(200, 0.05, seed=1)
@@ -78,7 +79,7 @@ class TestWireCodecV2:
         state = fresh_state(g)
         state.deg[3] = 0  # one touched vertex: near-root frame
         frame = state.to_wire_v2(root_deg)
-        assert wire_nbytes(frame) < state.deg.nbytes  # v1's dense array
+        assert len(frame) < state.deg.nbytes  # the dense array
 
     def test_dense_fallback_still_roundtrips(self):
         g = gnp(50, 0.4, seed=2)
@@ -610,11 +611,11 @@ class TestDemandDonation:
         import threading
         import time
 
-        from repro.net.distributed import _codec_fns, _worker_loop
+        from repro.net.distributed import _worker_loop
 
         g = gnp(30, 0.2, seed=4)
         root_deg = np.asarray(g.degrees, dtype=np.int32)
-        enc, _ = _codec_fns(root_deg)
+        enc, _ = state_codec(root_deg)
         params = {"mode": "mvc", "k": 0, "bound": "greedy", "kernels": "auto",
                   "threshold": 32, "initial_best": g.n, "deadline_s": None}
         ours, theirs = socket.socketpair()

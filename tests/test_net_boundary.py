@@ -77,7 +77,26 @@ def _handshake_then(frame, sent):
     return client
 
 
+#: Calls made by unpickling a :class:`_NamesAGlobal` (a loader that
+#: honours pickle globals would make one; the strict loader makes none).
+_GLOBAL_CALLS = []
+
+
+def _record_call(note):
+    _GLOBAL_CALLS.append(note)
+    return ("ready",)
+
+
+class _NamesAGlobal:
+    """Pickles as a call to :func:`_record_call`, which would decode to a
+    well-formed ``ready`` frame."""
+
+    def __reduce__(self):
+        return (_record_call, ("called from a wire frame",))
+
+
 MALFORMED = {
+    "names a pickle global": _NamesAGlobal(),
     "nodes not an int": ("nodes", "x"),
     "nodes without delta": ("nodes",),
     "nodes negative": ("nodes", -3),
@@ -110,6 +129,52 @@ def test_malformed_live_frame_drops_the_peer(name, monkeypatch):
     assert res.optimum == want
     assert len(res.cover) == want
     assert res.supervision["workers_lost"] >= 1
+    assert not _GLOBAL_CALLS, "decoding a frame called a pickle global"
+
+
+def test_malformed_frame_after_a_lease_re_enqueues_it(monkeypatch):
+    """The only worker is a TCP peer: it takes the whole tree as its lease,
+    then sends a malformed frame.  It is dropped, and its lease goes back
+    to the queue, where a respawned worker walks it: the solve still beats
+    the greedy incumbent it started from."""
+    from repro.core.greedy import greedy_cover
+
+    g = gnp(40, 0.2, seed=6)
+    want = solve_mvc_sequential(g).optimum
+    assert greedy_cover(g).size > want  # a lost lease would return greedy's
+    leases = []
+
+    def client(port: int) -> None:
+        stream = MessageStream(socket.create_connection(("127.0.0.1", port),
+                                                        timeout=10))
+        try:
+            stream.send(("hello", 0))
+            stream.recv(timeout=10)           # plane offer
+            stream.send(("need_graph",))
+            stream.recv(timeout=10)           # graph
+            stream.recv(timeout=10)           # init
+            stream.send(("ready",))
+            while not leases:
+                msg = stream.recv(timeout=10)
+                if msg[0] == "work":
+                    leases.append(msg[1])
+            stream.send(("nodes", "x"))
+            while True:
+                stream.recv(timeout=10)
+        except (TransportClosed, OSError, EOFError):
+            pass
+        finally:
+            stream.close()
+
+    monkeypatch.setattr(distributed, "_spawn_host_process",
+                        lambda port: _FakeHost(client, port))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = solve_mvc_distributed(g, n_workers=0, hosts=1)
+    assert leases and leases[0], "the peer never held a lease"
+    assert res.supervision["workers_lost"] == 1
+    assert res.supervision["respawns"] == 1
+    assert res.optimum == want and len(res.cover) == want
 
 
 #: Frames ``_check_live_frame`` must refuse, one per rule it enforces.
@@ -280,24 +345,66 @@ def test_compiled_wire_codec_is_byte_identical(n, seed, touched, hint, cover,
         assert got[3].tolist() == np.asarray(ref.dirty).tolist()
 
 
-def test_compiled_wire_decode_rejects_malformed_frames():
+def _malformed_frames(root):
+    """Frames both codec-v2 decoders refuse, by name, against ``root``
+    (n=10)."""
     from repro.graph.degree_array import VCState
 
-    ext = _native()
-    root = np.arange(10, dtype=np.int32)
     deg = root.copy()
     deg[3] = -1
     sparse = VCState(deg, 1, 5, [3], 2).to_wire_v2(root)
     dense = VCState(-np.ones(10, dtype=np.int32), 10, 0, None, -1).to_wire_v2(root)
-    bad = [b"", b"\x02" * 10, b"\x09" + sparse[1:], sparse[:1] + b"\x07" + sparse[2:],
-           sparse[:-1], dense[:-4], sparse[:-8] + np.array([99, 0], np.int32).tobytes()]
-    for frame in bad:
+    return {
+        "empty": b"",
+        "short header": b"\x02" * 10,
+        "version 9": b"\x09" + sparse[1:],
+        "mode 7": sparse[:1] + b"\x07" + sparse[2:],
+        "dense with mode 7": dense[:1] + b"\x07" + dense[2:],
+        "short sparse entries": sparse[:-1],
+        "short dense array": dense[:-4],
+        "sparse id 99": sparse[:-8] + np.array([99, 0], np.int32).tobytes(),
+        "negative sparse id": sparse[:-8] + np.array([-1, 0], np.int32).tobytes(),
+        "dirty count past the end": sparse[:32] + np.int64(10 ** 6).tobytes()
+        + sparse[40:],
+        "negative entry count": sparse[:48] + np.int64(-1).tobytes() + sparse[56:],
+    }
+
+
+def test_compiled_wire_decode_rejects_malformed_frames():
+    ext = _native()
+    root = np.arange(10, dtype=np.int32)
+    deg = root.copy()
+    deg[3] = -1
+    for frame in _malformed_frames(root).values():
         with pytest.raises(ValueError):
             ext.wire_decode(frame, root)
     with pytest.raises(ValueError):
         ext.wire_encode(deg, 1, 5, [10], 2, root)  # hint out of range
     with pytest.raises(ValueError):
         ext.wire_encode(deg, 1, 5, None, 2, root[:-1])
+
+
+@pytest.mark.parametrize("decoder", ("python", "compiled"))
+def test_both_decoders_refuse_the_malformed_table(decoder, monkeypatch):
+    """The Python decoder refuses what the compiled one refuses, with
+    ``ValueError`` and nothing else (no ``struct.error``, no
+    ``IndexError``, no silent write through a negative id); so does the
+    codec pair in either mode."""
+    from repro.core import native
+    from repro.graph.degree_array import VCState, state_codec
+
+    root = np.arange(10, dtype=np.int32)
+    if decoder == "compiled":
+        decode = lambda f: VCState(*_native().wire_decode(f, root))  # noqa: E731
+    else:
+        decode = lambda f: VCState.from_wire_v2(f, root)  # noqa: E731
+        monkeypatch.setattr(native, "load", lambda: None)
+    _, pair_decode = state_codec(root)
+    for name, frame in _malformed_frames(root).items():
+        for fn in (decode, pair_decode):
+            with pytest.raises(ValueError):
+                fn(frame)
+            assert root.tolist() == list(range(10)), name
 
 
 @pytest.mark.parametrize("kernels", ("native", "scalar"))
@@ -386,3 +493,19 @@ def test_sigint_mid_solve_leaves_nothing_behind(n_workers, hosts):
     assert _worker_threads() == []
     assert _children() <= children_before
     assert _shm() <= shm_before
+
+
+def test_numpy_scalar_options_reach_a_serve_worker():
+    """A serve-worker host loads frames with no pickle globals, so the
+    coordinator ships numpy-scalar options (here ``k`` and ``threshold``)
+    as builtin ints: the remote worker joins and walks."""
+    from repro.net.distributed import solve_pvc_distributed
+
+    g = gnp(40, 0.2, seed=6)
+    want = solve_mvc_sequential(g).optimum
+    res = solve_pvc_distributed(g, np.int64(want), n_workers=0, hosts=1,
+                                threshold=np.int64(4))
+    assert res.feasible is True and res.optimum <= want
+    assert res.supervision["workers_lost"] == 0
+    assert res.supervision["inline_drains"] == 0
+    assert res.comms["totals"]["leases"] >= 1
