@@ -528,7 +528,10 @@ EOF
 #    are well-formed, span >= 2 processes and >= 2 worker lanes (the
 #    thread's lane in the coordinator's process, the host's in its own),
 #    plus a metrics snapshot whose Prometheus exposition parses line by
-#    line; `repro obs view` must render the same trace.
+#    line; `repro obs view` must render the same trace.  Per-kind wall
+#    time is span self-time: the reloaded trace must attribute reduce,
+#    branch and lease, and the snapshot must carry no per-kind wall
+#    counter and no comms-shipped attribution keys.
 # 2. the disarmed hot path must stay telemetry-free: with every span /
 #    counter mutator replaced by a raising spy, a plain solve must still
 #    succeed — proof the per-node code binds bare closures when nothing
@@ -581,7 +584,15 @@ for line in text.strip().splitlines():
 assert samples > 0, "empty Prometheus exposition"
 names = {m["name"] for m in snap["metrics"]}
 assert "repro_nodes_visited_total" in names, sorted(names)
-assert "repro_comms_obs_reduce_s_total" in names, sorted(names)
+assert "repro_wall_seconds_total" not in names, sorted(names)
+assert not [n for n in names if n.startswith("repro_comms_obs_")], sorted(names)
+
+from repro.obs.breakdown import wall_by_kind_from_spans
+from repro.obs.trace import load_chrome
+
+by_kind = wall_by_kind_from_spans(load_chrome(sys.argv[1]).spans)
+for kind in ("reduce", "branch", "lease"):
+    assert by_kind.get(kind, 0) > 0, (kind, by_kind)
 print(f"ci_smoke: traced distributed solve OK ({len(events)} spans from "
       f"{len(pids)} pids on {len(worker_lanes)} worker lanes, {samples} "
       f"Prometheus samples)")

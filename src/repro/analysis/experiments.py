@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.solver import POOL_ENGINES, solve_mvc, solve_pvc
 from ..graph.generators.suites import HIGH_DEGREE, LOW_DEGREE, suite_instance
-from ..obs.breakdown import breakdown_row
+from ..obs.breakdown import breakdown_row, wall_by_kind_from_spans
 from ..sim.costmodel import CostModel
 from ..sim.device import EPYC_LIKE
 from . import tables
@@ -158,31 +158,6 @@ def _sim_obs(cycles_by_kind: Optional[Dict[str, float]]) -> Optional[Dict[str, o
     return {"cycles_by_kind": {k: float(v) for k, v in sorted(cycles_by_kind.items()) if v > 0}}
 
 
-def _wall_obs(out, wall_before: Dict[str, float]) -> Optional[Dict[str, object]]:
-    """A wall cell's measured-side obs payload.
-
-    Two sources merge: the parent-process registry delta (in-process
-    engines attribute reduce/bound/branch/idle there directly) and the
-    ``obs_<kind>_s`` keys the distributed workers ship home in their
-    comms totals.  The two never overlap — ``serve-worker`` hosts cannot
-    reach the parent registry, and worker threads attribute to a private
-    sink (``breakdown.local_attribution``).
-    """
-    from ..obs import breakdown as obs_breakdown
-
-    by_kind: Dict[str, float] = {}
-    for kind, secs in obs_breakdown.wall_by_kind().items():
-        delta = secs - wall_before.get(kind, 0.0)
-        if delta > 0:
-            by_kind[kind] = delta
-    if out.comms is not None:
-        for kind, secs in obs_breakdown.wall_from_obs_keys(out.comms["totals"]).items():
-            by_kind[kind] = by_kind.get(kind, 0.0) + secs
-    if not by_kind:
-        return None
-    return {"wall_by_kind": {k: float(v) for k, v in sorted(by_kind.items())}}
-
-
 def _launch_record(stats) -> Dict[str, object]:
     """The figure sections' slice of a simulated launch's report."""
     launch: Dict[str, object] = {
@@ -299,20 +274,21 @@ def _run_cpu_cell(engine_name: str, graph, itype: str, k: Optional[int],
     ``None`` and ``wall_seconds`` is the measurement.  Node counts are
     scheduling-dependent, so only the deterministic fields (optimum /
     feasibility) are verifiable.
-    """
-    n_workers = spec.cpu_workers if workers is None else workers
-    wall_before: Dict[str, float] = {}
-    armed_here = False
-    if spec.telemetry:
-        from ..obs import breakdown as obs_breakdown
-        from ..obs import metrics as obs_metrics
 
-        if not obs_metrics.armed():
-            obs_metrics.arm()
-            armed_here = True
-        # Delta against whatever the registry already holds, so cells
-        # isolate cleanly whether we armed or the caller did.
-        wall_before = obs_breakdown.wall_by_kind()
+    Under the spec's ``telemetry`` the cell runs traced (on the caller's
+    tracer if one is armed) and stores the span self-time of its own
+    spans as ``wall_by_kind``; a tracer that dropped spans meanwhile
+    leaves the cell with no ``obs`` rather than a partial attribution.
+    """
+    from ..obs import trace as obs_trace
+
+    n_workers = spec.cpu_workers if workers is None else workers
+    tracer = obs_trace.get() if spec.telemetry else None
+    armed_here = spec.telemetry and tracer is None
+    if armed_here:
+        tracer = obs_trace.arm()
+    if tracer is not None:
+        first, dropped = len(tracer.spans), tracer.dropped
     start = time.perf_counter()
     kwargs = dict(engine=engine_name, n_workers=n_workers,
                   node_budget=spec.engine_node_guard, bound=bound,
@@ -327,12 +303,15 @@ def _run_cpu_cell(engine_name: str, graph, itype: str, k: Optional[int],
             assert k is not None
             out = solve_pvc(graph, k, **kwargs)
             feasible = out.feasible
-        obs = _wall_obs(out, wall_before) if spec.telemetry else None
     finally:
         if armed_here:
-            from ..obs import metrics as obs_metrics
-
-            obs_metrics.disarm()
+            obs_trace.disarm()
+    obs = None
+    if tracer is not None and tracer.dropped == dropped:
+        by_kind = wall_by_kind_from_spans(tracer.spans[first:])
+        if by_kind:
+            obs = {"wall_by_kind": {kind: float(secs)
+                                    for kind, secs in sorted(by_kind.items())}}
     detail = ",".join(p for p in (
         f"wall-clock,workers={n_workers}",
         f"hosts={hosts}" if hosts else "",

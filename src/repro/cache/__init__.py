@@ -367,7 +367,11 @@ def solve_cached(cache: SolveCache, graph: CSRGraph, k: Optional[int], engine: s
         if partial is not None and partial.checkpoint_blob:
             try:
                 checkpoint = Checkpoint.from_bytes(partial.checkpoint_blob)
+                # Decode every frame now: one that fails inside the
+                # resume would raise past the cache instead of solving cold.
+                checkpoint.states(graph)
             except ValueError:  # no longer decodes: a damaged artifact
+                checkpoint = None
                 cache.store.delete(partial.uid)
                 rows.remove(partial)
         if checkpoint is not None:

@@ -14,7 +14,10 @@ config hash, status, optimum — and is everything a lookup needs to
 decide whether an entry can answer a request.  The artifact carries the
 bulky payload (the cover array, the canonical-order permutation for
 isomorphic transfers, and the serialized :class:`~repro.core.outcome.Checkpoint`
-for escalations) and is only read for the entry that answers.
+for escalations) and is only read for the entry that answers.  It is a
+pickle of builtins only (ints, strings, bytes) and loads with no pickle
+globals (:func:`~repro.core.strict_pickle.strict_loads`): a file that
+names one is a damaged artifact, never a call.
 
 A hit writes nothing to the index: :meth:`CacheStore.touch` appends one
 line to the hit journal, and the next index write transaction
@@ -43,11 +46,13 @@ import sqlite3
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
+
+from ..core.strict_pickle import strict_loads
 
 __all__ = ["CacheEntry", "CacheStore", "DamagedArtifact", "CACHE_SCHEMA_VERSION"]
 
@@ -103,9 +108,9 @@ class CacheEntry:
     created_at: float = 0.0
     last_hit_at: Optional[float] = None
     hits: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
 
     def artifact_payload(self) -> Dict[str, object]:
+        """The artifact as builtins only, so it loads with no globals."""
         return {
             "version": CACHE_SCHEMA_VERSION,
             "kind": _ARTIFACT_KIND,
@@ -113,8 +118,8 @@ class CacheEntry:
             else np.asarray(self.cover, dtype="<i8").tobytes(),
             "order": None if self.order is None
             else np.asarray(self.order, dtype="<i8").tobytes(),
-            "checkpoint": self.checkpoint_blob,
-            "extra": dict(self.extra),
+            "checkpoint": None if self.checkpoint_blob is None
+            else bytes(self.checkpoint_blob),
         }
 
     def load_artifact_payload(self, payload: Dict[str, object]) -> None:
@@ -127,10 +132,13 @@ class CacheEntry:
             _fail(f"artifact kind {payload.get('kind')!r} != {_ARTIFACT_KIND!r}")
         cover = payload.get("cover")
         order = payload.get("order")
+        checkpoint = payload.get("checkpoint")
+        if not all(blob is None or type(blob) is bytes
+                   for blob in (cover, order, checkpoint)):
+            _fail("cover, order and checkpoint must be bytes or None")
         self.cover = None if cover is None else np.frombuffer(cover, dtype="<i8").astype(np.int64)
         self.order = None if order is None else np.frombuffer(order, dtype="<i8").astype(np.int64)
-        self.checkpoint_blob = payload.get("checkpoint")
-        self.extra = dict(payload.get("extra") or {})
+        self.checkpoint_blob = checkpoint
 
 
 _COLUMNS = (
@@ -343,14 +351,12 @@ class CacheStore:
     def load_artifact(self, entry: CacheEntry) -> CacheEntry:
         """Fill ``entry``'s cover, order and checkpoint from its artifact;
         raises :class:`DamagedArtifact` when the file is missing,
-        truncated or not a cache artifact."""
+        truncated, names a pickle global or is not a cache artifact."""
         path = self.entries_dir / f"{entry.uid}.pkl"
         try:
-            payload = pickle.loads(path.read_bytes())
-        except (FileNotFoundError, EOFError, pickle.UnpicklingError,
-                ValueError) as exc:
+            entry.load_artifact_payload(strict_loads(path.read_bytes()))
+        except (FileNotFoundError, ValueError) as exc:
             raise DamagedArtifact(f"cache artifact {path.name}: {exc}") from exc
-        entry.load_artifact_payload(payload)
         return entry
 
     # ------------------------------------------------------------------ #

@@ -213,11 +213,11 @@ class NodeStep:
                 def prune(state: VCState) -> bool:
                     return bound_prune(state, budget(state.cover_size))
 
-        # Telemetry follows the same construction-time rule as the fault
-        # wrapping below: an armed plane (repro.obs) rebuilds the step
-        # around timed sections — `cascade`/`bound` spans plus wall-time
-        # attribution per activity kind — while the disarmed path binds
-        # the bare callables, paying nothing per node.
+        # Tracing follows the same construction-time rule as the fault
+        # wrapping below: an armed tracer (repro.obs) rebuilds the step
+        # around `cascade`/`bound`/`node_step` spans, whose self-time is
+        # the per-kind wall attribution, while an untraced step binds the
+        # bare callables, paying nothing per node.
         telemetry = obs.step_telemetry()
         if telemetry is not None:
             reducer = telemetry.wrap_reducer(reducer)

@@ -114,7 +114,7 @@ def branch_and_reduce(
     max-degree pivot, the greedy bound, a depth-first
     :class:`~repro.core.frontier.LifoFrontier`, an exact MVC/PVC
     formulation, no ``deadline`` or ``should_stop``, no armed fault plan
-    or step telemetry — runs the whole loop in compiled code when the
+    or tracer — runs the whole loop in compiled code when the
     kernel backend offers it (:meth:`KernelBackend.search`: ``native``),
     with the same node order, counters and frontier remainder;
     ``stats.extra['native_search']`` records that it did.
@@ -241,7 +241,8 @@ def compiled_kind(formulation: Formulation, bound: BoundPolicy) -> Optional[str]
     The one eligibility predicate of the compiled walks: an exact
     MVC/PVC formulation over exact holders (a subclass may change
     acceptance), no stop already signalled, the greedy bound, and no
-    armed fault plan or step telemetry (both wrap the per-node step).
+    armed fault plan or tracer (both wrap the per-node step; armed
+    metrics alone do not).
     ``None`` means the interpreted loop.  The kernel backend must offer
     the loop too (:meth:`KernelBackend.walker`).
     """
@@ -255,7 +256,7 @@ def compiled_kind(formulation: Formulation, bound: BoundPolicy) -> Optional[str]
         kind = "pvc"
     else:
         return None
-    if faults.step_guard_active() or obs.step_telemetry() is not None:
+    if faults.step_guard_active() or obs.trace.armed():
         return None
     return kind
 

@@ -183,9 +183,9 @@ class ExperimentSpec:
     #: ``None`` disables the guard.  Execution policy, not result content —
     #: excluded from fingerprints, so tightening it never invalidates cells.
     cell_timeout_s: Optional[float] = None
-    #: arm the telemetry plane per cell and persist an ``obs`` snapshot
-    #: (sim cells: predicted cycles by activity kind; wall cells: measured
-    #: wall seconds by kind) for the report's predicted-vs-measured table.
+    #: persist an ``obs`` snapshot per cell (sim cells: predicted cycles
+    #: by activity kind; wall cells: traced, span self-time in wall
+    #: seconds by kind) for the report's predicted-vs-measured table.
     #: Observation, not result content — excluded from fingerprints, like
     #: ``kernels``, so toggling it never invalidates cells.
     telemetry: bool = False

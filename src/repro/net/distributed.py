@@ -121,8 +121,6 @@ from ..core.verify import cover_defect
 from ..graph.csr import CSRGraph
 from ..graph.degree_array import VCState, fresh_state, state_codec
 from ..graph.plane import GraphPlane, publish_plane
-from ..obs import breakdown as obs_breakdown
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .transport import MessageStream, ProtocolError, TransportClosed
 
@@ -192,9 +190,8 @@ class CommStats:
     @staticmethod
     def totals(per_worker: Dict[int, Dict[str, float]]) -> Dict[str, float]:
         # Sum every reported key, not just FIELDS: the exact socket byte
-        # counts (wire_sent/wire_received), the walk counters and the
-        # telemetry plane's obs_<kind>_s wall attributions extend the
-        # dict, and those extras must survive aggregation.
+        # counts (wire_sent/wire_received) and the walk counters extend
+        # the dict, and those extras must survive aggregation.
         out: Dict[str, float] = {name: 0 for name in CommStats.FIELDS}
         for counters in per_worker.values():
             for name, value in counters.items():
@@ -265,20 +262,21 @@ def _worker_session(stream: MessageStream, salt: int) -> None:
         raise ProtocolError(f"expected init, got {msg[0]!r}")
     params = msg[1]
     _arm_worker(params, salt, time.monotonic())
-    _worker_loop(stream, graph, root_deg, params)
+    _worker_loop(stream, graph, root_deg, params, ship_spans=True)
 
 
 def _arm_worker(params: Dict[str, object], salt: int, received_at: float) -> None:
-    """Seed a TCP worker process's fault plan and arm its telemetry as
+    """Seed a TCP worker process's fault plan and arm its tracer as
     ``params`` say.
 
-    Telemetry arming travels in the ``init`` parameters, so a cold
-    ``serve-worker`` interpreter joins the coordinator's trace.  The
-    epoch is recovered from the coordinator's elapsed-seconds stamp
-    (``now_rel``) taken at ``received_at``: exact on the same host
-    (CLOCK_MONOTONIC is system-wide), one network hop of skew on a real
-    remote.  This arms, disarms and resets process-global state, so the
-    coordinator's own worker threads never call it (see
+    The coordinator's trace identity travels in the ``init`` parameters,
+    so a cold ``serve-worker`` interpreter joins the coordinator's trace
+    (its metrics registry stays disarmed: nothing it would count goes
+    home).  The epoch is recovered from the coordinator's
+    elapsed-seconds stamp (``now_rel``) taken at ``received_at``: exact
+    on the same host (CLOCK_MONOTONIC is system-wide), one network hop
+    of skew on a real remote.  This arms and disarms process-global
+    state, so the coordinator's own worker threads never call it (see
     :func:`_local_worker_main`).
     """
     faults.reseed(params.get("salt", salt))
@@ -288,15 +286,11 @@ def _arm_worker(params: Dict[str, object], salt: int, received_at: float) -> Non
                       received_at - float(tele.get("now_rel", 0.0)))
     else:
         obs_trace.disarm()
-    if tele and tele.get("metrics"):
-        obs_metrics.arm()
-        obs_metrics.REGISTRY.reset()
-    else:
-        obs_metrics.disarm()
 
 
 def _worker_loop(stream: MessageStream, graph: CSRGraph,
-                 root_deg: np.ndarray, params: Dict[str, object]) -> None:
+                 root_deg: np.ndarray, params: Dict[str, object], *,
+                 ship_spans: bool = False) -> None:
     """Walk leased sub-trees in node-budget chunks of one ``ChunkWalk``.
 
     The chunk is the worker's unit of contact with the coordinator:
@@ -305,6 +299,10 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     positive ``need``, donates the bottom of its stack.  Under a node
     budget no chunk runs past the worker's granted cap, and a worker at
     its cap reports its node delta and waits for a top-up.
+
+    A worker process (``ship_spans``) drains its tracer into the
+    ``result`` frame; a worker thread's spans are already in the
+    coordinator's tracer.
     """
     # Ask for the first lease before building anything: the coordinator's
     # start-up barrier waits for every local worker's ready, and this
@@ -511,8 +509,6 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     # on the need_graph path, which is the cost the shared-memory plane
     # exists to avoid; wire_sent excludes only the final result frame (its
     # size would have to contain itself).
-    obs_breakdown.add_wall("idle", comms.idle_s)
-    own_attribution = obs_breakdown.local_sink()
     comms_dict = comms.as_dict()
     comms_dict["wire_sent"] = stream.bytes_sent
     comms_dict["wire_received"] = stream.decoder.bytes_fed
@@ -524,18 +520,10 @@ def _worker_loop(stream: MessageStream, graph: CSRGraph,
     if walker is not None:
         comms_dict["walker_items_in"] = walker.items_in
         comms_dict["walker_items_out"] = walker.items_out
-    # Telemetry rides the existing result frame: wall-time attribution as
-    # extra ``obs_<kind>_s`` comms keys (CommStats.totals sums every key it
-    # sees) and, from a worker process, its drained span rows appended as
-    # a sixth element.  A worker thread reports only its own attribution;
-    # its spans are already in the coordinator's tracer.
-    spans: List[list] = []
-    if own_attribution is None:
-        comms_dict.update(obs_breakdown.wall_obs_keys())
-        tracer = obs_trace.get()
-        spans = tracer.drain() if tracer is not None else []
-    else:
-        comms_dict.update(obs_breakdown.wall_obs_keys(own_attribution))
+    # A worker process's drained span rows ride the result frame as its
+    # sixth element.
+    tracer = obs_trace.get() if ship_spans else None
+    spans: List[list] = tracer.drain() if tracer is not None else []
     stream.send(("result", stats.nodes_visited, leftovers,
                  int(stats.extra.get("faults_recovered", 0)), comms_dict, spans))
 
@@ -546,18 +534,16 @@ def _local_worker_main(sock: socket.socket, wid: int, graph: CSRGraph,
 
     Everything the handshake would send — the graph, its root degrees,
     the ``init`` parameters — is already in this process's memory.  The
-    coordinator's tracer, metrics switch and fault plan are too, so the
-    thread arms nothing: it tags its trace lane with its worker id,
-    attributes wall time to a private sink and fires faults from its own
-    stream, salted per worker so a respawn does not replay its
-    predecessor's.  An injected ``worker_kill`` aborts the socket with no
+    coordinator's tracer and fault plan are too, so the thread arms
+    nothing: it tags its trace lane with its worker id and fires faults
+    from its own stream, salted per worker so a respawn does not replay
+    its predecessor's.  An injected ``worker_kill`` aborts the socket with no
     ``result`` frame: the coordinator sees a dead peer.
     """
     stream = MessageStream(sock)
     obs_trace.set_worker(wid)
     try:
-        with faults.worker_stream(int(params["salt"])), \
-                obs_breakdown.local_attribution():
+        with faults.worker_stream(int(params["salt"])):
             _worker_loop(stream, graph, root_deg, params)
     except (faults.WorkerKilled, TransportClosed, ConnectionError, EOFError,
             TimeoutError):
@@ -813,12 +799,9 @@ def _run_distributed(
         params["salt"] = salt_seq[0]
         if deadline_at is not None:
             params["deadline_s"] = max(0.0, deadline_at - time.monotonic())
-        if parent_tracer is not None or obs_metrics.armed():
-            params["telemetry"] = {
-                "trace_id": parent_tracer.trace_id if parent_tracer else "",
-                "now_rel": parent_tracer.now() if parent_tracer else 0.0,
-                "metrics": obs_metrics.armed(),
-            }
+        if parent_tracer is not None:
+            params["telemetry"] = {"trace_id": parent_tracer.trace_id,
+                                   "now_rel": parent_tracer.now()}
         return params
 
     def add_peer(stream: MessageStream, stage: str) -> _Peer:

@@ -12,18 +12,19 @@ allocations, and branch counts as before this package existed.
   spans with trace/span ids that survive the socket hop, and the
   simulator's cycle charges; Chrome trace JSON + ASCII Gantt for both;
 * :mod:`repro.obs.breakdown` — the activity kinds, the one kind → group
-  table of Fig. 6, and per-kind wall attribution (predicted vs measured).
+  table of Fig. 6, and per-kind wall attribution from span self-time
+  (predicted vs measured).
 
 :func:`step_telemetry` is the single integration point the node-step
-core uses: it returns ``None`` when the plane is disarmed (so
-:class:`~repro.core.nodestep.NodeStep` binds its bare closure,
-untouched) and a :class:`StepTelemetry` wrapper-factory when armed.
+core uses: it returns ``None`` unless a tracer is armed (so
+:class:`~repro.core.nodestep.NodeStep` binds its bare closure, untouched,
+and armed metrics alone still run the compiled loop) and a
+:class:`StepTelemetry` wrapper-factory while one is.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from . import breakdown, metrics, trace
 
@@ -56,88 +57,44 @@ def disarm() -> Optional[trace.WallTracer]:
 
 
 class StepTelemetry:
-    """Wrapper factory for the instrumented node step.
+    """Wrapper factory for the traced node step.
 
-    Built once per :class:`NodeStep` construction when the plane is
-    armed.  ``wrap_reducer``/``wrap_prune`` time the two inner sections
-    (emitting ``cascade``/``bound`` spans when tracing); ``wrap_run``
-    times the whole step (a ``node_step`` span) and attributes the
-    remainder — find-max, pivot, child expansion — to ``branch``.
-    Section times flow through a two-slot list shared by the closures:
-    one NodeStep serves one worker thread, so no locking.
+    Built once per :class:`NodeStep` construction while a tracer is
+    armed.  ``wrap_reducer``/``wrap_prune`` emit ``cascade``/``bound``
+    spans around the two inner sections and ``wrap_run`` a ``node_step``
+    span around the whole step; per-kind wall time is their self-time
+    (:func:`repro.obs.breakdown.wall_by_kind_from_spans`).
     """
 
-    __slots__ = ("tracer", "attrib", "_cell")
+    __slots__ = ("tracer",)
 
-    def __init__(self, tracer: Optional[trace.WallTracer],
-                 attrib: Optional[Dict[str, Callable[[float], None]]]) -> None:
+    def __init__(self, tracer: trace.WallTracer) -> None:
         self.tracer = tracer
-        self.attrib = attrib
-        self._cell = [0.0, 0.0]  # [reduce_s, bound_s] of the current step
+
+    def _wrap(self, kind: str, fn: Callable) -> Callable:
+        begin, end = self.tracer.begin, self.tracer.end
+
+        def traced(*args, **kwargs):
+            token = begin(kind)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                end(token)
+
+        return traced
 
     def wrap_reducer(self, reducer: Callable) -> Callable:
-        clock = time.perf_counter
-        tracer = self.tracer
-        cell = self._cell
-
-        def timed_reducer(*args, **kwargs):
-            token = tracer.begin("cascade") if tracer is not None else None
-            t0 = clock()
-            try:
-                reducer(*args, **kwargs)
-            finally:
-                cell[0] += clock() - t0
-                if token is not None:
-                    tracer.end(token)
-
-        return timed_reducer
+        return self._wrap("cascade", reducer)
 
     def wrap_prune(self, prune: Callable) -> Callable:
-        clock = time.perf_counter
-        tracer = self.tracer
-        cell = self._cell
-
-        def timed_prune(state):
-            token = tracer.begin("bound") if tracer is not None else None
-            t0 = clock()
-            try:
-                return prune(state)
-            finally:
-                cell[1] += clock() - t0
-                if token is not None:
-                    tracer.end(token)
-
-        return timed_prune
+        return self._wrap("bound", prune)
 
     def wrap_run(self, run: Callable) -> Callable:
-        clock = time.perf_counter
-        tracer = self.tracer
-        attrib = self.attrib
-        cell = self._cell
-
-        def telemetry_run(state):
-            cell[0] = 0.0
-            cell[1] = 0.0
-            token = tracer.begin("node_step") if tracer is not None else None
-            t0 = clock()
-            try:
-                return run(state)
-            finally:
-                total = clock() - t0
-                if token is not None:
-                    tracer.end(token)
-                if attrib is not None:
-                    attrib["reduce"](cell[0])
-                    attrib["bound"](cell[1])
-                    attrib["branch"](max(0.0, total - cell[0] - cell[1]))
-
-        return telemetry_run
+        return self._wrap("node_step", run)
 
 
 def step_telemetry() -> Optional[StepTelemetry]:
-    """The armed-plane handle for node-step construction, else ``None``."""
+    """The traced-step handle for node-step construction while a tracer
+    is armed, else ``None``: armed metrics alone leave the step bare."""
     tracer = trace.get()
-    attrib = breakdown.step_attribution() if metrics.armed() else None
-    if tracer is None and attrib is None:
-        return None
-    return StepTelemetry(tracer, attrib)
+    return None if tracer is None else StepTelemetry(tracer)

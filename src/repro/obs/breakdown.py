@@ -9,29 +9,19 @@ onto the paper's four activity *groups*, so the Fig. 6 bars, the Gantt
 glyphs and a store report laying the simulator's prediction next to a
 measured wall-clock breakdown all read the same mapping.
 
-Measured attribution sources, in preference order:
-
-1. ``wall_by_kind`` — per-kind seconds accumulated by the instrumented
-   :class:`~repro.core.nodestep.NodeStep` closure into
-   ``repro_wall_seconds_total{kind=}`` counters (workers fold theirs
-   into the comms dict as ``obs_<kind>_s``, which
-   ``CommStats.totals()`` sums home for free; a worker *thread* opens
-   :func:`local_attribution`, so its share stays out of the registry its
-   coordinator also reads);
-2. spans — self-time attribution over a drained trace
-   (:func:`wall_by_kind_from_spans`), used by ``repro obs view`` on a
-   trace file where no registry snapshot exists.
+The measured side has one source: self-time over a traced run's spans
+(:func:`wall_by_kind_from_spans`).  The traced node step emits
+``node_step`` spans with ``cascade``/``bound`` children, the distributed
+engine ``lease``/``idle``/``frame`` spans, the cache its lookup and
+record, and a worker process ships its drained spans home in its result
+frame; ``repro obs view``, perfbench and the experiment cells all read
+the same attribution.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence)
-
-from . import metrics as _metrics
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .trace import WallSpan
@@ -50,13 +40,6 @@ __all__ = [
     "BreakdownRow",
     "breakdown_row",
     "mean_breakdown",
-    "step_attribution",
-    "local_attribution",
-    "local_sink",
-    "add_wall",
-    "wall_by_kind",
-    "wall_obs_keys",
-    "wall_from_obs_keys",
     "wall_by_kind_from_spans",
     "group_fractions",
     "render_breakdown_table",
@@ -75,7 +58,8 @@ BOUND_KINDS = ("lower_bound",)
 CACHE_KINDS = ("cache_lookup", "cache_record")
 
 #: The measured (wall) attribution kinds.  ``reduce``/``bound``/``branch``
-#: are carved out of each node step by the instrumented closure;
+#: are the self-time of the traced node step's spans (see
+#: :data:`SPAN_ATTRIBUTION`);
 #: ``lease``/``idle``/``frame`` are engine-level work-distribution sites;
 #: the cache kinds wrap the solve.
 WALL_KINDS = ("reduce", "bound", "branch", "lease", "idle", "frame") + CACHE_KINDS
@@ -147,97 +131,6 @@ def mean_breakdown(rows: List[BreakdownRow]) -> BreakdownRow:
     for kind in ACTIVITY_LABELS:
         fractions[kind] = sum(r.fractions.get(kind, 0.0) for r in rows) / len(rows)
     return BreakdownRow("Mean", fractions)
-
-
-_WALL_METRIC = "repro_wall_seconds_total"
-
-#: Per-thread attribution sinks (see :func:`local_attribution`).
-_LOCAL = threading.local()
-
-
-@contextmanager
-def local_attribution() -> Iterator[Dict[str, float]]:
-    """Scoped per-thread sink: inside, this thread's attribution
-    (:func:`step_attribution`, :func:`add_wall`) accumulates in the
-    yielded ``{kind: seconds}`` dict instead of the process registry.
-
-    An in-process distributed worker reports its own share this way, as
-    ``obs_<kind>_s`` comms keys, while its coordinator reads the registry
-    for everything else: no second is counted twice.
-    """
-    sink: Dict[str, float] = {}
-    _LOCAL.sink = sink
-    try:
-        yield sink
-    finally:
-        _LOCAL.sink = None
-
-
-def local_sink() -> Optional[Dict[str, float]]:
-    """The calling thread's open :func:`local_attribution` sink, if any."""
-    return getattr(_LOCAL, "sink", None)
-
-
-def _sink_inc(sink: Dict[str, float], kind: str) -> Callable[[float], None]:
-    def inc(seconds: float) -> None:
-        sink[kind] = sink.get(kind, 0.0) + seconds
-    return inc
-
-
-def step_attribution() -> Dict[str, object]:
-    """Bound ``inc`` methods for the three per-step kinds, prefetched so
-    the armed step wrapper pays zero registry lookups per node."""
-    sink = local_sink()
-    if sink is not None:
-        return {kind: _sink_inc(sink, kind) for kind in ("reduce", "bound", "branch")}
-    return {
-        kind: _metrics.counter(_WALL_METRIC,
-                               "wall seconds attributed per activity kind",
-                               kind=kind).inc
-        for kind in ("reduce", "bound", "branch")
-    }
-
-
-def add_wall(kind: str, seconds: float) -> None:
-    """Attribute ``seconds`` to an engine-level kind (lease/idle/...);
-    a no-op while metrics are disarmed."""
-    sink = local_sink()
-    if sink is not None:
-        if _metrics.armed():
-            _sink_inc(sink, kind)(seconds)
-        return
-    _metrics.counter(_WALL_METRIC,
-                     "wall seconds attributed per activity kind",
-                     kind=kind).inc(seconds)
-
-
-def wall_by_kind() -> Dict[str, float]:
-    """The registry's current per-kind wall attribution, kinds with a
-    nonzero total only."""
-    vals = _metrics.REGISTRY.values_by_label(_WALL_METRIC, "kind")
-    return {k: v for k, v in vals.items() if v > 0.0}
-
-
-def wall_obs_keys(by_kind: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
-    """An attribution as ``obs_<kind>_s`` keys — the shape a worker folds
-    into its comms dict so ``CommStats.totals()`` sums the attributions
-    home without any new wire fields.  ``by_kind`` defaults to this
-    process's registry (:func:`wall_by_kind`); kinds at zero are left
-    out."""
-    if by_kind is None:
-        by_kind = wall_by_kind()
-    return {f"obs_{k}_s": v for k, v in by_kind.items() if v > 0.0}
-
-
-def wall_from_obs_keys(totals: Mapping[str, float]) -> Dict[str, float]:
-    """Inverse of :func:`wall_obs_keys` over a comms totals dict."""
-    out: Dict[str, float] = {}
-    for key, val in totals.items():
-        if key.startswith("obs_") and key.endswith("_s"):
-            kind = key[4:-2]
-            if isinstance(val, (int, float)) and val > 0:
-                out[kind] = out.get(kind, 0.0) + float(val)
-    return out
 
 
 def wall_by_kind_from_spans(spans: Iterable["WallSpan"]) -> Dict[str, float]:

@@ -419,6 +419,59 @@ class TestDamagedArtifact:
         again = solve_mvc(g, cache=cache)
         assert again.engine == "cache" and again.optimum == 26
 
+    def test_artifact_naming_a_pickle_global_is_never_called(self, tmp_path):
+        """An artifact loads with no pickle globals: one whose
+        ``__reduce__`` names a function is refused as damage, the
+        function is never called, and the request solves cold."""
+        import pickle
+
+        g = phat_complement(60, 2, seed=4)
+        root = tmp_path / "c"
+        cold = solve_mvc(g, cache=str(root))
+        [old] = CacheStore(root).ls()
+        path = root / "entries" / f"{old['uid']}.pkl"
+        path.write_bytes(pickle.dumps(_Trap(pickle.loads(path.read_bytes()))))
+        _TRAP_CALLS.clear()
+        out = solve_mvc(g, cache=str(root))
+        assert _TRAP_CALLS == []
+        assert out.engine != "cache" and out.optimum == cold.optimum
+        assert out.nodes_visited == cold.nodes_visited  # a cold solve
+        assert_valid_cover(g, out.cover, expected_size=cold.optimum)
+        [new] = CacheStore(root).ls()
+        assert new["uid"] != old["uid"] and new["status"] == "optimal"
+
+    def test_put_writes_builtins_only(self, tmp_path):
+        from repro.core.strict_pickle import strict_loads
+
+        g = phat_complement(60, 2, seed=4)
+        root = tmp_path / "c"
+        solve_mvc(g, node_budget=5, cache=str(root))
+        [entry] = CacheStore(root).ls()
+        payload = strict_loads((root / "entries" / f"{entry['uid']}.pkl").read_bytes())
+        assert type(payload["checkpoint"]) is bytes
+        assert all(type(value) in (int, str, bytes, type(None))
+                   for value in payload.values())
+
+
+#: Calls of :func:`_record_trap`; an artifact that names it must never
+#: reach it.
+_TRAP_CALLS: list = []
+
+
+def _record_trap(payload):
+    _TRAP_CALLS.append(payload)
+    return payload
+
+
+class _Trap:
+    """Pickles as a call of :func:`_record_trap` on the real payload."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __reduce__(self):
+        return (_record_trap, (self.payload,))
+
 
 class TestIdentity:
     """Hashes stay byte-identical, so existing stores keep hitting."""
@@ -627,11 +680,23 @@ class TestComponentMemoization:
 # --------------------------------------------------------------------- #
 # escalation and warm starts (anytime layer)
 # --------------------------------------------------------------------- #
+def _set_frame_mode(blob: bytes, mode: int) -> bytes:
+    """A checkpoint blob with byte 1 (the codec-v2 mode) of every frame
+    set to ``mode``."""
+    import pickle
+
+    payload = pickle.loads(blob)
+    payload["items"] = [(frame[:1] + bytes([mode]) + frame[2:], depth)
+                        for frame, depth in payload["items"]]
+    return pickle.dumps(payload)
+
+
 class TestEscalation:
-    @pytest.mark.parametrize("blob", ("v1", "damaged"))
+    @pytest.mark.parametrize("blob", ("v1", "damaged", "bad-frames"))
     def test_undecodable_checkpoint_blob_is_a_miss(self, tmp_path, blob):
-        """A partial entry whose checkpoint no longer decodes is dropped
-        like a damaged artifact; the request solves cold."""
+        """A partial entry whose checkpoint or any of its frames no
+        longer decodes is dropped like a damaged artifact; the request
+        solves cold."""
         import pickle
 
         g = phat_complement(60, 2, seed=4)
@@ -642,9 +707,11 @@ class TestEscalation:
         path = tmp_path / "c" / "entries" / f"{old['uid']}.pkl"
         artifact = pickle.loads(path.read_bytes())
         good = artifact["checkpoint"]
-        artifact["checkpoint"] = (
-            pickle.dumps(dict(pickle.loads(good), version=1)) if blob == "v1"
-            else good[: len(good) // 2])
+        artifact["checkpoint"] = {
+            "v1": lambda: pickle.dumps(dict(pickle.loads(good), version=1)),
+            "damaged": lambda: good[: len(good) // 2],
+            "bad-frames": lambda: _set_frame_mode(good, 7),
+        }[blob]()
         path.write_bytes(pickle.dumps(artifact))
         out = solve_mvc(g, cache=cache)
         assert out.status == "optimal" and out.optimum == ref.optimum
@@ -652,6 +719,24 @@ class TestEscalation:
         assert cache.session["escalations"] == 0 and cache.session["misses"] == 2
         [new] = cache.store.ls()
         assert new["uid"] != old["uid"] and new["status"] == "optimal"
+
+    def test_resume_errors_propagate(self, tmp_path, monkeypatch):
+        """Only a checkpoint that does not decode is damage: an error the
+        resumed engine raises reaches the caller."""
+        import repro.cache
+
+        g = phat_complement(60, 2, seed=4)
+        cache = resolve_cache(tmp_path / "c")
+        solve_mvc(g, node_budget=5, cache=cache)
+
+        def failing_resume(*args, **kwargs):
+            raise ValueError("engine failure")
+
+        monkeypatch.setattr(repro.cache, "resume_from", failing_resume)
+        with pytest.raises(ValueError, match="engine failure"):
+            solve_mvc(g, cache=cache)
+        [entry] = cache.store.ls()
+        assert entry["status"] == "budget_exhausted"
 
     def test_budget_bump_resumes_cached_checkpoint(self, tmp_path):
         g = phat_complement(60, 2, seed=4)

@@ -165,14 +165,13 @@ class TestMetrics:
     def test_publish_bridges(self):
         metrics.REGISTRY.reset()
         metrics.publish_comms("cpu-process", {"donations": 3, "idle_s": 0.5,
-                                              "obs_reduce_s": 0.1, "skip": "x"})
+                                              "chunks": 4, "skip": "x"})
         metrics.publish_supervision("cpu-process",
                                     {"recovered": 2.0, "respawns": 0.0})
         metrics.publish_search("cpu-process", 17, optimum=9, wall_seconds=0.2)
         val = metrics.REGISTRY.value
         assert val("repro_comms_donations_total", engine="cpu-process") == 3.0
-        assert val("repro_comms_obs_reduce_s_total", engine="cpu-process") \
-            == pytest.approx(0.1)
+        assert val("repro_comms_chunks_total", engine="cpu-process") == 4.0
         assert val("repro_supervision_events_total", engine="cpu-process",
                    event="recovered") == 2.0
         # zero-valued events are skipped, not registered
@@ -326,16 +325,6 @@ class TestBreakdown:
         empty = breakdown.group_fractions({})
         assert set(empty.values()) == {0.0}
 
-    def test_obs_keys_roundtrip(self):
-        metrics.arm()
-        metrics.REGISTRY.reset()
-        breakdown.add_wall("idle", 0.5)
-        breakdown.add_wall("lease", 0.25)
-        keys = breakdown.wall_obs_keys()
-        assert keys == {"obs_idle_s": 0.5, "obs_lease_s": 0.25}
-        assert breakdown.wall_from_obs_keys({**keys, "donations": 7}) \
-            == {"idle": 0.5, "lease": 0.25}
-
     def test_self_time_from_spans(self):
         spans = [WallSpan("node_step", 0.0, 10.0, 1, 0, "1.1", None),
                  WallSpan("cascade", 2.0, 5.0, 1, 0, "1.2", "1.1"),
@@ -374,7 +363,8 @@ GRAPH = gnp(30, 0.15, seed=7)
 class TestSolveEnvelope:
     def test_disarmed_hot_path_never_touches_mutators(self, monkeypatch):
         """The seed contract: a disarmed solve must not call a single
-        tracer or counter mutator — the node step binds bare closures."""
+        tracer or counter mutator — the node step binds bare closures,
+        and a pool worker's wind-down records nothing either."""
         def boom(*a, **k):
             raise AssertionError("telemetry mutator hit on disarmed path")
 
@@ -382,8 +372,11 @@ class TestSolveEnvelope:
         monkeypatch.setattr(metrics.Counter, "inc", boom)
         monkeypatch.setattr(metrics.Gauge, "set", boom)
         monkeypatch.setattr(metrics.Histogram, "observe", boom)
-        out = solve_mvc(GRAPH)
-        assert out.optimum == solve_mvc_sequential(GRAPH).optimum
+        expected = solve_mvc_sequential(GRAPH).optimum
+        assert solve_mvc(GRAPH).optimum == expected
+        out = solve_mvc(GRAPH, engine="cpu-threads", n_workers=2)
+        assert out.optimum == expected
+        assert out.comms["totals"]["subtrees"] > 0  # the workers walked
 
     def test_armed_sequential_solve(self):
         tracer = obs.arm()
@@ -393,12 +386,25 @@ class TestSolveEnvelope:
         kinds = {s.kind for s in tracer.spans}
         assert {"solve", "node_step", "cascade", "bound"} <= kinds
         _assert_well_nested(tracer.spans)
-        by_kind = breakdown.wall_by_kind()
+        by_kind = breakdown.wall_by_kind_from_spans(tracer.spans)
         assert by_kind.get("reduce", 0) > 0 and by_kind.get("branch", 0) > 0
         assert metrics.REGISTRY.value("repro_nodes_visited_total",
                                       engine="sequential") > 0
         assert metrics.REGISTRY.value("repro_last_optimum",
                                       engine="sequential") == float(expected)
+
+    def test_metrics_only_solve_runs_the_compiled_loop(self):
+        """Armed metrics observe a solve without choosing its loop: only
+        a tracer wraps the per-node step."""
+        from repro.graph.generators.suites import suite_instance
+
+        g = suite_instance("p_hat_500_3", "small").graph()
+        obs.arm(with_trace=False)
+        out = solve_mvc(g)
+        assert out.stats.extra["native_search"] == 1.0
+        assert metrics.REGISTRY.value("repro_nodes_visited_total",
+                                      engine="sequential") \
+            == out.nodes_visited > 0
 
     def test_armed_cpu_threads_publishes_comms(self):
         obs.arm()
@@ -410,8 +416,8 @@ class TestSolveEnvelope:
     def test_worker_thread_spans_land_on_distinct_lanes(self):
         """cpu-process workers are threads of the solving process: they
         record straight into its tracer, each on its own (pid, worker id)
-        lane, every span exactly once, and report their own attribution
-        as obs keys without adding it to the process registry too."""
+        lane, every span exactly once; the attribution comes from those
+        spans, and no wall time travels home as comms keys."""
         import os
 
         expected = solve_mvc_sequential(GRAPH).optimum
@@ -426,9 +432,9 @@ class TestSolveEnvelope:
         ids = [s.span_id for s in tracer.spans]
         assert len(ids) == len(set(ids)), "a span was recorded twice"
         _assert_well_nested(tracer.spans)
-        totals = out.comms["totals"]
-        assert totals.get("obs_reduce_s", 0) > 0
-        assert breakdown.wall_by_kind().get("reduce", 0) == 0
+        by_kind = breakdown.wall_by_kind_from_spans(tracer.spans)
+        assert by_kind.get("reduce", 0) > 0
+        assert not [key for key in out.comms["totals"] if key.startswith("obs_")]
 
     def test_spans_survive_socket_hop(self):
         """A serve-worker host arms from the init frame and ships its
@@ -496,6 +502,20 @@ class TestExperimentTelemetry:
         # telemetry off: no obs key at all (old-store shape)
         off = run_cell("sequential", GRAPH, "mvc", None, off_spec)
         assert off.obs is None and "obs" not in off.to_record()
+
+    def test_pool_cell_measures_work_distribution(self):
+        """A telemetry wall cell's attribution is the span self-time of
+        its traced run, so the pool's lease and idle sites show up."""
+        from repro.analysis.experiments import run_cell
+        from repro.experiment.presets import preset_spec
+
+        cfg = dataclasses.replace(preset_spec("table1", "tiny", quick=True),
+                                  telemetry=True)
+        cell = run_cell("cpu-threads", GRAPH, "mvc", None, cfg)
+        wall = cell.obs["wall_by_kind"]
+        assert wall.get("lease", 0) > 0 and wall.get("idle", 0) > 0
+        assert wall.get("reduce", 0) > 0
+        assert not metrics.armed() and not trace.armed()
 
     def test_store_validates_obs_leniently(self):
         from repro.experiment.store import validate_cell_record
