@@ -434,11 +434,13 @@ echo "ci_smoke: CLI checkpoint resumed in a fresh interpreter to the optimum (84
 #    agree on whole-search optima and node counts.  The compiled
 #    ``native`` backend must actually be compiled here (gcc is part of
 #    the CI image), not degraded to scalar, and ``auto`` must pick it.
-# 2. compiled search: a sequential MVC solve of each smoke instance must
-#    record that it ran the compiled loop (stats.extra["native_search"]),
-#    with every traversal and reduction counter equal to the
-#    kernels="scalar" run's; a deadline-armed solve must still take the
-#    per-node interpreted loop.
+# 2. compiled search: a sequential MVC solve of each smoke instance, plus
+#    one sparse instance on which the Walker keeps scanning CSR rows
+#    (ceil(n / 64) > 2m / n; the four smoke instances take the bitset
+#    rows, and Walker.bitset must say so), must record that it ran the
+#    compiled loop (stats.extra["native_search"]), with every traversal
+#    and reduction counter equal to the kernels="scalar" run's; a
+#    deadline-armed solve must still take the per-node interpreted loop.
 python - <<'EOF'
 import warnings
 
@@ -505,7 +507,11 @@ def traversal(stats):
             r.high_degree, r.sweeps)
 
 
-for name, graph in instances:
+searched = [(name, graph, True) for name, graph in instances]
+searched.append(("grid4x50", grid_graph(4, 50), False))
+for name, graph, bitset in searched:
+    walker = native.load().Walker(graph.indptr, graph.indices, "mvc")
+    assert walker.bitset == bitset, (name, "Walker took the other rows")
     compiled = solve_mvc_sequential(graph)
     scalar = solve_mvc_sequential(graph, kernels="scalar")
     assert compiled.stats.extra.get("native_search") == 1.0, (name, "not compiled")
@@ -517,9 +523,9 @@ for name, graph in instances:
     timed = branch_and_reduce(graph, MVCFormulation(best), deadline=600.0)
     assert "native_search" not in timed.extra, (name, "deadline run compiled")
     assert best.size == compiled.optimum, name
-print(f"ci_smoke: compiled search OK ({len(instances)} instances: "
-      f"native_search recorded, counters equal to scalar, deadline runs "
-      f"interpreted)")
+print(f"ci_smoke: compiled search OK ({len(instances)} bitset-row and 1 "
+      f"CSR-row instances: native_search recorded, counters equal to "
+      f"scalar, deadline runs interpreted)")
 EOF
 
 # --- observability gate (see docs/OBSERVABILITY.md) ---

@@ -149,8 +149,8 @@ _COLUMNS = (
 )
 
 
-#: The index schema, one transaction (one commit on a fresh index); each
-#: handle runs it on its first connection only.
+#: The index schema, one transaction (one commit on a fresh index); a
+#: process runs it once per index file (see :func:`_index_identity`).
 _SCHEMA = (
     "BEGIN;"
     "CREATE TABLE IF NOT EXISTS entries ("
@@ -182,6 +182,26 @@ _SCHEMA = (
     "COMMIT;"
 )
 
+#: Index files whose schema this process has created, by
+#: :func:`_index_identity`.  Every cached request opens a new
+#: :class:`CacheStore`, so a per-handle flag would run the DDL per request.
+_SCHEMA_DONE: set = set()
+
+
+def _index_identity(path: Path) -> Optional[tuple]:
+    """``(absolute path, device, inode)`` of an index file, or ``None``
+    while it is empty (SQLite has just created it, maybe on a recycled
+    inode) or missing.  The path is not resolved (``realpath`` stats
+    every component on every request); a second path to one file only
+    runs the idempotent DDL once more."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if st.st_size == 0:
+        return None
+    return os.path.abspath(path), st.st_dev, st.st_ino
+
 
 class CacheStore:
     """SQLite-indexed, artifact-backed store of solve certificates."""
@@ -193,14 +213,14 @@ class CacheStore:
         self.entries_dir.mkdir(exist_ok=True)
         self.index_path = self.root / "index.sqlite"
         self.hits_path = self.root / HITS_JOURNAL
-        self._schema_ready = False
 
     # ------------------------------------------------------------------ #
     # schema
     # ------------------------------------------------------------------ #
     @contextmanager
     def connect(self, *, fold_hits: bool = False) -> Iterator[sqlite3.Connection]:
-        """One transaction: commit or roll back, then close (DDL runs once).
+        """One transaction: commit or roll back, then close.  The schema DDL
+        runs unless this process created it in this very index file.
 
         ``fold_hits`` first folds the hit journal into the transaction;
         the taken journal is removed once the connection is closed, so a
@@ -210,9 +230,11 @@ class CacheStore:
         taken = None
         try:
             with conn:
-                if not self._schema_ready:
+                if _index_identity(self.index_path) not in _SCHEMA_DONE:
                     conn.executescript(_SCHEMA)
-                    self._schema_ready = True
+                    identity = _index_identity(self.index_path)
+                    if identity is not None:
+                        _SCHEMA_DONE.add(identity)
                 if fold_hits:
                     taken = self._fold_hits(conn)
                 yield conn

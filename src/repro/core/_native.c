@@ -7,12 +7,25 @@
  *
  * Every function mirrors its pure-Python twin in repro.core.kernels /
  * branching / greedy / sequential loop for loop -- ascending-sorted
- * per-sweep drains with per-candidate revalidation, a binary-search
- * triangle test over the sorted CSR rows, snapshot-first high-degree
- * sweeps with the budget re-evaluated per sweep, the interpreted loop's
- * node order -- so fixpoints, counters and sweep counts are bit-identical
- * to the ``scalar`` backend (tests/test_kernel_backends.py,
- * tests/test_native_search.py).
+ * per-sweep drains with per-candidate revalidation, a static triangle
+ * test, snapshot-first high-degree sweeps with the budget re-evaluated
+ * per sweep, the interpreted loop's node order -- so fixpoints, counters
+ * and sweep counts are bit-identical to the ``scalar`` backend
+ * (tests/test_kernel_backends.py, tests/test_native_search.py).
+ *
+ * Two adjacency representations.  reduce(), expand_children() and
+ * greedy_cover() scan the sorted CSR rows, dead entries included, and
+ * test a triangle by binary search in a row.  A Walker on a graph with
+ * W = ceil(n / 64) <= 2m / n also builds a read-only bitset copy of the
+ * graph (n rows of W words, at most 16m bytes) and, per node, a W-word
+ * live mask (bit v set iff deg[v] >= 0): vertex removal, the degree-one
+ * and degree-two neighbour lookups, the pivot's live neighbours and the
+ * deferred child then walk ``row & live`` with count-trailing-zeros, and
+ * the triangle test is one bit test.  Set bits come out in ascending id
+ * order, the sorted CSR order, so both representations visit the same
+ * vertices in the same order and every counter, hint and node is the
+ * same; the degree array stays the only search state.  The choice
+ * depends on n and m alone (``Walker.bitset``).
  *
  * Arrays cross the boundary through the buffer protocol and are checked
  * there: ``indptr`` int64 of length n + 1, ``indices`` int32 covering
@@ -46,9 +59,11 @@
  * scratch before it releases the GIL and returns it after taking the
  * GIL back.  A call that finds the block busy -- a concurrent run on
  * another thread, or a re-entrant call from reduce()'s budget callback
- * or a garbage collection -- gets a private heap copy instead.  The
- * allocation counters behind the test hooks (``_search_blocks``,
- * ``_fail_search_alloc``) are updated with atomic operations.
+ * or a garbage collection -- gets a private heap copy instead.  A
+ * Walker's live masks are allocated per run, so concurrent walks never
+ * share them.  The allocation counters behind the test hooks
+ * (``_search_blocks``, ``_fail_search_alloc``) are updated with atomic
+ * operations.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -328,13 +343,78 @@ inconsistent(void)
 /* the rule exhausts (twins of repro.core.kernels.scalar_*)             */
 /* ------------------------------------------------------------------ */
 
+/* The graph, one degree array and the scratch the kernels work in.  With
+ * ``adj`` set (a Walker's bitset, ``words`` = W words per row), ``live``
+ * holds bit v iff deg[v] >= 0 and the kernels below keep it so; with
+ * ``adj`` NULL they scan the CSR rows and ``live`` is unused. */
 typedef struct {
     const int64_t *indptr;
     const int32_t *indices;
     int32_t *deg;
     Py_ssize_t n;
     Scratch *s;
+    const uint64_t *adj;
+    uint64_t *live, *spare;  /* spare: expand_deferred's copy of live */
+    Py_ssize_t words;
 } K;
+
+#define BIT(v) ((uint64_t)1 << ((v) & 63))
+
+/* Visit every x set in ``row & mask`` (W words), ascending: the body sees
+ * ``x``.  The mask may change inside the body; a word is read once. */
+#define FOR_EACH_SET(row, mask, W, x, body)                                 \
+    do {                                                                    \
+        Py_ssize_t wi_;                                                     \
+        for (wi_ = 0; wi_ < (W); wi_++) {                                   \
+            uint64_t bits_ = (row)[wi_] & (mask)[wi_];                      \
+            while (bits_) {                                                 \
+                int32_t x = (int32_t)(wi_ * 64 + __builtin_ctzll(bits_));   \
+                bits_ &= bits_ - 1;                                         \
+                body                                                        \
+            }                                                               \
+        }                                                                   \
+    } while (0)
+
+static inline const uint64_t *
+adj_row(const K *k, int32_t u)
+{
+    return k->adj + (size_t)u * (size_t)k->words;
+}
+
+/* The live mask of ``k->deg``: bit v set iff deg[v] >= 0. */
+static void
+live_build(K *k)
+{
+    const int32_t *deg = k->deg;
+    Py_ssize_t wi, v = 0;
+    for (wi = 0; wi < k->words; wi++) {
+        uint64_t word = 0;
+        int b;
+        for (b = 0; b < 64 && v < k->n; b++, v++) {
+            word |= (uint64_t)(deg[v] >= 0) << b;
+        }
+        k->live[wi] = word;
+    }
+}
+
+/* Decrement the alive x; enqueue it on arriving at degree 1 or 2.  An x
+ * already at 0 (an inconsistent degree array) leaves the live mask as it
+ * falls below 0, since the CSR scans then stop seeing it too. */
+static inline void
+k_decrement(K *k, int32_t x)
+{
+    Scratch *s = k->s;
+    int32_t dx = --k->deg[x];
+    if (dx == 1) {
+        s->p1[s->n1++] = x;
+    }
+    else if (dx == 2) {
+        s->p2[s->n2++] = x;
+    }
+    else if (dx < 0 && k->adj != NULL) {
+        k->live[x >> 6] &= ~BIT(x);
+    }
+}
 
 /* Remove u into the cover; enqueue neighbours arriving at degree 1 or 2.
  * Each vertex reaches either degree at most once (degrees only fall), so
@@ -342,28 +422,54 @@ typedef struct {
 static inline long long
 k_remove(K *k, int32_t u)
 {
-    const int32_t *row = k->indices + k->indptr[u];
-    const int32_t *end = k->indices + k->indptr[u + 1];
-    int32_t *deg = k->deg;
-    Scratch *s = k->s;
+    const int32_t *row, *end;
     long long deleted = 0;
-    deg[u] = REMOVED;
-    for (; row < end; row++) {
-        int32_t x = *row;
-        int32_t dx = deg[x];
-        if (dx >= 0) {
+    k->deg[u] = REMOVED;
+    if (k->adj != NULL) {
+        k->live[u >> 6] &= ~BIT(u);
+        FOR_EACH_SET(adj_row(k, u), k->live, k->words, x, {
             deleted++;
-            dx--;
-            deg[x] = dx;
-            if (dx == 1) {
-                s->p1[s->n1++] = x;
-            }
-            else if (dx == 2) {
-                s->p2[s->n2++] = x;
-            }
+            k_decrement(k, x);
+        });
+        return deleted;
+    }
+    row = k->indices + k->indptr[u];
+    end = k->indices + k->indptr[u + 1];
+    for (; row < end; row++) {
+        if (k->deg[*row] >= 0) {
+            deleted++;
+            k_decrement(k, *row);
         }
     }
     return deleted;
+}
+
+/* The first ``want`` (1 or 2) alive neighbours of v, ascending, into
+ * ``out``; returns how many there are, at most ``want``. */
+static inline int
+k_first_alive(const K *k, int32_t v, int want, int32_t *out)
+{
+    int got = 0;
+    int64_t i;
+    if (k->adj != NULL) {
+        FOR_EACH_SET(adj_row(k, v), k->live, k->words, x, {
+            out[got++] = x;
+            if (got == want) {
+                return got;
+            }
+        });
+        return got;
+    }
+    for (i = k->indptr[v]; i < k->indptr[v + 1]; i++) {
+        int32_t x = k->indices[i];
+        if (k->deg[x] >= 0) {
+            out[got++] = x;
+            if (got == want) {
+                return got;
+            }
+        }
+    }
+    return got;
 }
 
 static int
@@ -373,15 +479,32 @@ cmp_ids(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
+/* Pending lists up to this long are insertion-sorted; a sparse root can
+ * seed thousands of entries, which go to qsort. */
+#define INSERTION_SORT_MAX 32
+
 /* Move a pending list into the candidate buffer in ascending id order
  * (np.flatnonzero order, as the per-sweep rescan of the reference). */
 static Py_ssize_t
 drain_sorted(Scratch *s, int32_t *pending, Py_ssize_t *count)
 {
-    Py_ssize_t m = *count;
-    memcpy(s->cand, pending, (size_t)m * sizeof(int32_t));
+    Py_ssize_t m = *count, i;
+    int32_t *c = s->cand;
     *count = 0;
-    qsort(s->cand, (size_t)m, sizeof(int32_t), cmp_ids);
+    if (m > INSERTION_SORT_MAX) {
+        memcpy(c, pending, (size_t)m * sizeof(int32_t));
+        qsort(c, (size_t)m, sizeof(int32_t), cmp_ids);
+        return m;
+    }
+    for (i = 0; i < m; i++) {
+        int32_t x = pending[i];
+        Py_ssize_t j = i;
+        while (j > 0 && c[j - 1] > x) {
+            c[j] = c[j - 1];
+            j--;
+        }
+        c[j] = x;
+    }
     return m;
 }
 
@@ -394,18 +517,11 @@ degree_one_exhaust(K *k, long long *fires, long long *deleted)
     while (s->n1 > 0) {
         Py_ssize_t m = drain_sorted(s, s->p1, &s->n1), j;
         for (j = 0; j < m; j++) {
-            int32_t v = s->cand[j], u = -1;
-            int64_t i;
+            int32_t v = s->cand[j], u;
             if (deg[v] != 1) {
                 continue;  /* an earlier removal in this sweep changed v */
             }
-            for (i = k->indptr[v]; i < k->indptr[v + 1]; i++) {
-                if (deg[k->indices[i]] >= 0) {
-                    u = k->indices[i];
-                    break;
-                }
-            }
-            if (u < 0) {
+            if (k_first_alive(k, v, 1, &u) < 1) {
                 return -1;
             }
             *deleted += k_remove(k, u);
@@ -415,11 +531,17 @@ degree_one_exhaust(K *k, long long *fires, long long *deleted)
     return 0;
 }
 
-/* Binary search for w in u's sorted CSR row: the static triangle test. */
+/* The static triangle test: a bit of u's bitset row, or a binary search
+ * for w in u's sorted CSR row. */
 static int
 has_edge(const K *k, int32_t u, int32_t w)
 {
-    int64_t lo = k->indptr[u], hi = k->indptr[u + 1];
+    int64_t lo, hi;
+    if (k->adj != NULL) {
+        return (adj_row(k, u)[w >> 6] & BIT(w)) != 0;
+    }
+    lo = k->indptr[u];
+    hi = k->indptr[u + 1];
     while (lo < hi) {
         int64_t mid = (lo + hi) >> 1;
         int32_t x = k->indices[mid];
@@ -445,31 +567,18 @@ degree_two_exhaust(K *k, long long *fires, long long *deleted)
     while (s->n2 > 0) {
         Py_ssize_t m = drain_sorted(s, s->p2, &s->n2), j;
         for (j = 0; j < m; j++) {
-            int32_t v = s->cand[j], u = -1, w = -1;
-            int64_t i;
+            int32_t v = s->cand[j], uw[2];
             if (deg[v] != 2) {
                 continue;
             }
-            for (i = k->indptr[v]; i < k->indptr[v + 1]; i++) {
-                int32_t x = k->indices[i];
-                if (deg[x] >= 0) {
-                    if (u < 0) {
-                        u = x;
-                    }
-                    else {
-                        w = x;
-                        break;
-                    }
-                }
-            }
-            if (w < 0) {
+            if (k_first_alive(k, v, 2, uw) < 2) {
                 return -1;
             }
-            if (!has_edge(k, u, w)) {
+            if (!has_edge(k, uw[0], uw[1])) {
                 continue;  /* frozen non-triangle until v's degree changes */
             }
-            *deleted += k_remove(k, u);
-            *deleted += k_remove(k, w);
+            *deleted += k_remove(k, uw[0]);
+            *deleted += k_remove(k, uw[1]);
             (*fires)++;
         }
     }
@@ -775,7 +884,7 @@ static PyObject *
 native_reduce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Views v;
-    K k;
+    K k = {0};
     Scratch *s;
     Budget b;
     Counters c = {0, 0, 0, 0};
@@ -848,12 +957,19 @@ done:
 static Py_ssize_t
 live_neighbours(const K *k, int32_t vmax)
 {
+    int32_t *cand = k->s->cand;
     Py_ssize_t nl = 0;
     int64_t i;
+    if (k->adj != NULL) {
+        FOR_EACH_SET(adj_row(k, vmax), k->live, k->words, u, {
+            cand[nl++] = u;
+        });
+        return nl;
+    }
     for (i = k->indptr[vmax]; i < k->indptr[vmax + 1]; i++) {
         int32_t u = k->indices[i];
         if (k->deg[u] >= 0) {
-            k->s->cand[nl++] = u;
+            cand[nl++] = u;
         }
     }
     return nl;
@@ -875,6 +991,29 @@ expand_deferred(K *k, Py_ssize_t nl, int32_t *out, Py_ssize_t *nhint)
     Py_ssize_t j, td = 0;
     int64_t i;
     memcpy(out, k->deg, (size_t)k->n * sizeof(int32_t));
+    if (k->adj != NULL) {
+        /* ``spare`` becomes the child's live mask, as ``out`` its degrees */
+        uint64_t *mask = k->spare;
+        memcpy(mask, k->live, (size_t)k->words * sizeof(uint64_t));
+        for (j = 0; j < nl; j++) {
+            int32_t u = live[j];
+            out[u] = REMOVED;
+            mask[u >> 6] &= ~BIT(u);
+            FOR_EACH_SET(adj_row(k, u), mask, k->words, x, {
+                int32_t dx = --out[x];
+                deleted++;
+                if (dx <= 2 && s->stamp[x] != epoch) {
+                    s->stamp[x] = epoch;
+                    s->tgt[td++] = x;
+                }
+                if (dx < 0) {
+                    mask[x >> 6] &= ~BIT(x);  /* inconsistent: see k_decrement */
+                }
+            });
+        }
+        *nhint = td;
+        return deleted;
+    }
     for (j = 0; j < nl; j++) {
         int32_t u = live[j];
         out[u] = REMOVED;
@@ -909,9 +1048,15 @@ expand_continued(K *k, Py_ssize_t nl, int32_t vmax)
         k->deg[x] = dx;
         if (dx <= 2) {
             s->tgt[tc++] = x;
+            if (dx < 0 && k->adj != NULL) {
+                k->live[x >> 6] &= ~BIT(x);  /* inconsistent: see k_decrement */
+            }
         }
     }
     k->deg[vmax] = REMOVED;
+    if (k->adj != NULL) {
+        k->live[vmax >> 6] &= ~BIT(vmax);
+    }
     return tc;
 }
 
@@ -949,7 +1094,7 @@ native_expand_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Views v;
     Py_buffer ob;
-    K k;
+    K k = {0};
     Scratch *s;
     long long vmax, deleted;
     Py_ssize_t nl, nhint;
@@ -1041,7 +1186,7 @@ static PyObject *
 native_greedy_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Views v;
-    K k;
+    K k = {0};
     Scratch *s;
     Budget b;
     long long edges, cover = 0, picks = 0, c1 = 0, c2 = 0, ch = 0, max_deg;
@@ -1393,6 +1538,9 @@ typedef struct {
     Views v;             /* the CSR graph, held for the walker's life */
     int have_graph, pvc, broken;
     int running;         /* a run() is in flight without the GIL */
+    char bitset;         /* adj is built: the walk scans bitset rows */
+    uint64_t *adj;       /* n rows of ``words`` words, read-only, or NULL */
+    Py_ssize_t words;
     Stack st;
     Node cur;            /* the in-flight node's buffers, kept for reuse */
     int32_t *best_deg;   /* the last accepted leaf of the current run */
@@ -1433,6 +1581,10 @@ walk(Walker *w, K *k, Budget *b, long long node_budget, Run *r,
             }
             node_swap(cur, &st->slot[--st->top]);
             have_cur = 1;
+            if (k->adj != NULL) {
+                k->deg = cur->deg;
+                live_build(k);  /* a continued child keeps its parent's */
+            }
         }
         if (node_budget >= 0 && r->nodes >= node_budget) {
             /* keep the stack checkpoint-complete: in-flight node on top */
@@ -1578,6 +1730,35 @@ parse_kind(PyObject *kind, int *pvc)
     return 0;
 }
 
+/* The bitset copy of the CSR graph, built when a row costs no more words
+ * than the mean CSR row has entries (W * n <= nnz = 2m), so it takes at
+ * most 8 * nnz = 16m bytes.  Returns -1 on an allocation failure. */
+static int
+walker_build_bitset(Walker *w)
+{
+    Py_ssize_t n = w->v.n, words = (n + 63) / 64, u;
+    int64_t nnz = w->v.indptr[n];
+    if (n == 0 || (int64_t)words * n > nnz) {
+        return 0;
+    }
+    w->adj = search_realloc(NULL, (size_t)n * (size_t)words * sizeof(uint64_t));
+    if (w->adj == NULL) {
+        return -1;
+    }
+    memset(w->adj, 0, (size_t)n * (size_t)words * sizeof(uint64_t));
+    for (u = 0; u < n; u++) {
+        uint64_t *row = w->adj + (size_t)u * (size_t)words;
+        int64_t i;
+        for (i = w->v.indptr[u]; i < w->v.indptr[u + 1]; i++) {
+            int32_t x = w->v.indices[i];
+            row[x >> 6] |= BIT(x);
+        }
+    }
+    w->words = words;
+    w->bitset = 1;
+    return 0;
+}
+
 static int
 Walker_init(Walker *w, PyObject *args, PyObject *kwds)
 {
@@ -1595,6 +1776,11 @@ Walker_init(Walker *w, PyObject *args, PyObject *kwds)
     if (parse_kind(kind, &pvc) < 0 || graph_get(&w->v, indptr, indices) < 0) {
         return -1;
     }
+    if (walker_build_bitset(w) < 0) {
+        graph_release(&w->v);
+        PyErr_NoMemory();
+        return -1;
+    }
     w->have_graph = 1;
     w->pvc = pvc;
     w->st.n = w->v.n;
@@ -1608,6 +1794,8 @@ Walker_dealloc(Walker *w)
     node_free(&w->cur);
     search_free(w->best_deg);
     w->best_deg = NULL;
+    search_free(w->adj);
+    w->adj = NULL;
     if (w->have_graph) {
         graph_release(&w->v);
         w->have_graph = 0;
@@ -1639,16 +1827,18 @@ walker_push(Walker *w, PyObject *items)
 }
 
 /* One run(bound, node_budget), results in ``r``.  The walk runs without
- * the GIL; scratch is taken before it is released and returned after it
- * is back, and so is the ``running`` flag that locks out other calls. */
+ * the GIL; scratch (the live masks included) is taken before it is
+ * released and returned after it is back, and so is the ``running`` flag
+ * that locks out other calls. */
 static int
 walker_run(Walker *w, PyObject *bound_obj, PyObject *budget_obj, Run *r)
 {
-    K k;
+    K k = {0};
     Budget b = {NULL, 0};
     Scratch *s;
     PyThreadState *ts;
     long long bound, node_budget = -1;
+    uint64_t *masks = NULL;
     int rc;
     if (walker_usable(w) < 0 || arg_ll(bound_obj, "bound", &bound) < 0) {
         return -1;
@@ -1665,8 +1855,21 @@ walker_run(Walker *w, PyObject *bound_obj, PyObject *budget_obj, Run *r)
     r->status = SEARCH_EXHAUSTED;
     r->best = w->pvc ? -1 : bound;
     b.base = w->pvc ? bound : bound - 1;
+    if (w->bitset) {
+        masks = search_realloc(NULL, 2 * (size_t)w->words * sizeof(uint64_t));
+        if (masks == NULL) {
+            w->broken = 1;  /* as any failed run() leaves it */
+            PyErr_NoMemory();
+            return -1;
+        }
+        k.adj = w->adj;
+        k.words = w->words;
+        k.live = masks;
+        k.spare = masks + w->words;
+    }
     s = scratch_acquire(w->v.n);
     if (s == NULL) {
+        search_free(masks);
         return -1;
     }
     k.indptr = w->v.indptr;
@@ -1679,6 +1882,7 @@ walker_run(Walker *w, PyObject *bound_obj, PyObject *budget_obj, Run *r)
     PyEval_RestoreThread(ts);
     w->running = 0;
     scratch_release(s);
+    search_free(masks);
     if (rc == WALK_INCONSISTENT) {
         inconsistent();
     }
@@ -1830,6 +2034,8 @@ static PyMemberDef walker_members[] = {
      "items taken in by push()"},
     {"items_out", T_LONGLONG, offsetof(Walker, items_out), READONLY,
      "items handed out by donate_bottom() and drain()"},
+    {"bitset", T_BOOL, offsetof(Walker, bitset), READONLY,
+     "the walk scans bitset rows (ceil(n / 64) <= 2m / n), not CSR rows"},
     {NULL, 0, 0, 0, NULL},
 };
 

@@ -222,18 +222,43 @@ class TestCacheStore:
         assert store.stats()["entries"] == 1
         assert _open_handles(store.index_path) == []
 
-    def test_schema_ddl_runs_once_per_handle(self, tmp_path, monkeypatch):
+    def test_schema_ddl_runs_once_per_index_file(self, tmp_path, monkeypatch):
         import repro.cache.store as store_mod
 
         store = CacheStore(tmp_path / "c")
         entry = store.put(self._entry())
-        # From here on any DDL run would fail: the handle must not re-run it.
+        # From here on any DDL run would fail: neither this handle nor a
+        # fresh one on the same index file may re-run it.
         monkeypatch.setattr(store_mod, "_SCHEMA", "NOT VALID SQL;")
         store.touch(entry.uid)
         assert store.ls()[0]["hits"] == 1
-        assert store.stats()["entries"] == 1
+        assert CacheStore(tmp_path / "c").stats()["entries"] == 1
         with pytest.raises(sqlite3.OperationalError):
-            CacheStore(tmp_path / "c").stats()  # a fresh handle runs it
+            CacheStore(tmp_path / "d").stats()  # a new index file runs it
+
+    @pytest.mark.parametrize("swap", ["delete", "replace"])
+    def test_swapped_index_file_gets_the_schema_again(self, tmp_path, swap):
+        """Between two requests on one root the index file is deleted, or
+        replaced by an SQLite file without the schema: the second request
+        still solves and records."""
+        g = phat_complement(30, 2, seed=3)
+        root = tmp_path / "c"
+        first = solve_mvc(g, cache=str(root))
+        index = root / "index.sqlite"
+        if swap == "delete":
+            index.unlink()
+        else:
+            other = tmp_path / "other.sqlite"
+            conn = sqlite3.connect(other)
+            conn.execute("CREATE TABLE unrelated (x INTEGER)")
+            conn.commit()
+            conn.close()
+            os.replace(other, index)
+        second = solve_mvc(g, cache=str(root))
+        assert second.engine != "cache" and second.nodes_visited > 0
+        assert second.optimum == first.optimum
+        assert len(CacheStore(root).ls()) == 1
+        assert solve_mvc(g, cache=str(root)).engine == "cache"
 
 
 def _exact(store, graph_fp, cfg, key="k" * 64):

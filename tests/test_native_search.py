@@ -13,7 +13,9 @@ the C boundary must reject malformed input with a typed error, leak
 nothing on an allocation failure and never write to an item array.
 ``Walker.run`` walks without the GIL: Walkers on two threads at once
 must reproduce the counters each gets alone, and a Walker mid-run must
-reject every call from another thread.
+reject every call from another thread.  A Walker scans bitset rows when
+ceil(n / 64) <= 2m / n and CSR rows otherwise (``Walker.bitset``); both
+representations are held to the same comparisons.
 """
 
 import sys
@@ -59,6 +61,14 @@ SUITE = {
     "union": lambda: disjoint_union(path_graph(5), petersen(), star_graph(6)),
     "grid56": lambda: grid_graph(5, 6),
 }
+
+#: Graphs with ceil(n / 64) > 2m / n, on which the Walker scans CSR rows.
+CSR_SIDE = {
+    "grid4x50": lambda: grid_graph(4, 50),
+    "gnp240": lambda: gnp(240, 0.016, seed=0),
+}
+
+GRAPHS = {**SUITE, **CSR_SIDE}
 
 
 def _ext():
@@ -120,9 +130,19 @@ def _never():
 # --------------------------------------------------------------------- #
 # equivalence with the interpreted loop
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", sorted(SUITE))
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_walker_representation_follows_the_density_rule(name):
+    graph = GRAPHS[name]()
+    words = -(-graph.n // 64)
+    walker = _ext().Walker(graph.indptr, graph.indices, "mvc")
+    assert walker.bitset == (name in SUITE) == (words * graph.n <= 2 * graph.m)
+    with pytest.raises(AttributeError):
+        walker.bitset = not walker.bitset
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_mvc_matches_the_interpreted_loop(name):
-    graph = SUITE[name]()
+    graph = GRAPHS[name]()
     best, stats = _mvc(graph, "native")
     ref_best, ref_stats = _mvc(graph, "scalar")
     assert stats.extra.get("native_search") == 1.0
@@ -134,9 +154,9 @@ def test_mvc_matches_the_interpreted_loop(name):
 
 
 @pytest.mark.parametrize("delta", (0, 1), ids=("k=OPT", "k=OPT-1"))
-@pytest.mark.parametrize("name", sorted(SUITE))
+@pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_pvc_matches_the_interpreted_loop(name, delta):
-    graph = SUITE[name]()
+    graph = GRAPHS[name]()
     opt = _mvc(graph, "native")[0].size
     if opt - delta < 0:
         pytest.skip("no smaller k")
@@ -178,12 +198,12 @@ def test_hypothesis_graphs_match_the_interpreted_loop(case):
 # node-budget trips, remainders and pre-filled frontiers
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("budget", (1, 7, 60))
-@pytest.mark.parametrize("name", ("phat70", "gnp60", "grid56"))
+@pytest.mark.parametrize("name", ("phat70", "gnp60", "grid56", "grid4x50"))
 def test_budget_trip_leaves_the_interpreted_frontier(name, budget):
     """The remainder equals, item by item, what the per-node loop with
     the same compiled kernels leaves (``should_stop`` that never fires
     forces that loop); against ``scalar`` the hints agree as sets."""
-    graph = SUITE[name]()
+    graph = GRAPHS[name]()
     runs = {}
     for label, kernels, extra in (("search", "native", {}),
                                   ("per-node", "native", {"should_stop": _never}),
@@ -445,7 +465,13 @@ class TestSearchBoundary:
         assert np.array_equal(root.deg, before)
 
     def test_allocation_failure_raises_memory_error_and_leaks_nothing(self):
-        graph = SUITE["phat60"]()
+        self._allocation_sweep("phat60")
+
+    def test_allocation_failure_on_csr_rows_leaks_nothing(self):
+        self._allocation_sweep("grid4x50")
+
+    def _allocation_sweep(self, name):
+        graph = GRAPHS[name]()
         ext = _ext()
         frontier = LifoFrontier()
         _mvc(graph, "scalar", node_budget=20, frontier=frontier)
@@ -567,13 +593,13 @@ def _budgets(rng=None):
 
 
 @pytest.mark.parametrize("budgets", ("64/1024", "random"))
-@pytest.mark.parametrize("name", sorted(CI_SMOKE))
+@pytest.mark.parametrize("name", sorted(CI_SMOKE) + sorted(CSR_SIDE))
 def test_chunked_walker_matches_one_shot_search(name, budgets):
     """Chunked runs on one Walker equal one search() call, counter for
     counter; with donate_bottom + push between chunks (the order changes)
     the optimum and every order-free counter still agree where the bound
     cannot move: PVC at k = OPT - 1 and MVC from bound OPT."""
-    graph = CI_SMOKE[name]()
+    graph = {**CI_SMOKE, **CSR_SIDE}[name]()
     plan = _budgets(None if budgets == "64/1024" else np.random.default_rng(7))
     greedy = greedy_cover(graph, kernels="scalar").size
     opt = _one_shot(graph, "mvc", greedy)[1]
@@ -701,23 +727,33 @@ class TestWalker:
         assert ext._search_blocks() == 0
 
     def test_allocation_failure_breaks_the_walker_and_leaks_nothing(self):
+        self._allocation_sweep("phat60")
+
+    def test_allocation_failure_on_csr_rows_breaks_the_walker(self):
+        self._allocation_sweep("grid4x50")
+
+    def _allocation_sweep(self, name):
+        """Fail each allocation in turn, from the constructor's bitset
+        (the first one, where the Walker builds it) through push and run
+        (whose live masks come first)."""
         ext = _ext()
-        graph = SUITE["phat60"]()
-        failures = 0
+        graph = GRAPHS[name]()
+        failed_in = []
         try:
             for k in range(400):
-                walker = ext.Walker(graph.indptr, graph.indices, "mvc")
                 ext._fail_search_alloc(k)
-                stage = "push"
+                walker, stage = None, "init"
                 try:
+                    walker = ext.Walker(graph.indptr, graph.indices, "mvc")
+                    stage = "push"
                     walker.push([_root_item(graph)])
                     stage = "run"
                     walker.run(graph.n + 1, 150)
                 except MemoryError:
-                    failures += 1
+                    failed_in.append(stage)
                     if stage == "push":  # pushes nothing, stays usable
                         assert len(walker) == 0 and walker.items_in == 0
-                    else:
+                    elif stage == "run":
                         with pytest.raises(RuntimeError, match="unusable"):
                             walker.run(graph.n + 1, 10)
                 else:
@@ -728,7 +764,9 @@ class TestWalker:
                 assert ext._search_blocks() == 0
         finally:
             ext._fail_search_alloc(-1)
-        assert failures >= 3
+        assert failed_in[0] == ("init" if name in SUITE else "push")
+        assert failed_in.count("init") == (name in SUITE)
+        assert failed_in.count("run") >= 2
         assert ext._search_blocks() == 0
 
 
@@ -741,9 +779,9 @@ class TestWalkerThreads:
         chunks (each chunk takes and returns scratch while the others
         walk), with a short switch interval; every walk's result equals
         the one walked alone."""
-        names = ("phat60", "phat70", "gnp60")
+        names = ("phat60", "phat70", "gnp60", "grid4x50")
         plan = [int(b) for b in np.random.default_rng(3).integers(1, 300, 5000)]
-        graphs = {name: SUITE[name]() for name in names}
+        graphs = {name: GRAPHS[name]() for name in names}
         bounds = {name: greedy_cover(g, kernels="scalar").size
                   for name, g in graphs.items()}
         alone = {name: _chunked(g, "mvc", bounds[name], plan, reorder=False)
