@@ -992,7 +992,7 @@ expand_deferred(K *k, Py_ssize_t nl, int32_t *out, Py_ssize_t *nhint)
     int64_t i;
     memcpy(out, k->deg, (size_t)k->n * sizeof(int32_t));
     if (k->adj != NULL) {
-        /* ``spare`` becomes the child's live mask, as ``out`` its degrees */
+        /* ``spare`` tracks the child's live set as ``out`` its degrees */
         uint64_t *mask = k->spare;
         memcpy(mask, k->live, (size_t)k->words * sizeof(uint64_t));
         for (j = 0; j < nl; j++) {
