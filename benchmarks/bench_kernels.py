@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the vectorized kernel substrate (fast vs reference).
+"""Micro-benchmarks of the kernel substrate (scalar tier vs reference).
 
 Run with::
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.formulation import BestBound, MVCFormulation
 from repro.core.kernels import (
-    SCALAR_KERNEL_MAX_N,
     _apply_reductions_scalar,
     alive_pairs,
     apply_reductions_fast,
@@ -24,12 +23,12 @@ from repro.core.kernels import (
 from repro.core.parallel_reductions import apply_reductions_parallel
 from repro.core.reductions import apply_reductions_reference
 from repro.graph.csr import CSRGraph
-from repro.graph.degree_array import DirtyQueue, Workspace, fresh_state
+from repro.graph.degree_array import Workspace, fresh_state
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 
 SPARSE = gnp(400, 0.01, seed=78)
-BIG_SPARSE = gnp(4000, 0.001, seed=79)  # above the scalar cutoff: vectorized path
+BIG_SPARSE = gnp(4000, 0.001, seed=79)
 DENSE = phat_complement(100, 2, seed=77)
 
 
@@ -38,31 +37,18 @@ def _form(graph: CSRGraph) -> MVCFormulation:
 
 
 def bench_reduce_fast_scalar(benchmark):
-    """Dirty-worklist cascade, scalar small-graph path (n <= cutoff)."""
-    assert SPARSE.n <= SCALAR_KERNEL_MAX_N
+    """Pending-list cascade of the ``scalar`` backend."""
     form, ws = _form(SPARSE), Workspace.for_graph(SPARSE)
 
     def run():
         state = fresh_state(SPARSE)
-        apply_reductions_fast(SPARSE, state, form, ws)
-
-    benchmark(run)
-
-
-def bench_reduce_fast_vectorized(benchmark):
-    """Dirty-worklist cascade, vectorized path (forced via the big graph)."""
-    assert BIG_SPARSE.n > SCALAR_KERNEL_MAX_N
-    form, ws = _form(BIG_SPARSE), Workspace.for_graph(BIG_SPARSE)
-
-    def run():
-        state = fresh_state(BIG_SPARSE)
-        apply_reductions_fast(BIG_SPARSE, state, form, ws)
+        apply_reductions_fast(SPARSE, state, form, ws, kernels="scalar")
 
     benchmark(run)
 
 
 def bench_reduce_reference_big(benchmark):
-    """Reference serial rules on the big graph (the vectorized path's rival)."""
+    """Reference serial rules on a 4000-vertex sparse graph."""
     form, ws = _form(BIG_SPARSE), Workspace.for_graph(BIG_SPARSE)
 
     def run():
@@ -108,18 +94,6 @@ def bench_has_edges_batch(benchmark):
 def bench_row_segments(benchmark):
     verts = np.arange(0, DENSE.n, 3, dtype=np.int64)
     benchmark(DENSE.row_segments, verts)
-
-
-def bench_dirty_queue_cycle(benchmark):
-    queue = DirtyQueue(DENSE.n)
-    rows = [np.asarray(DENSE.neighbors(v)) for v in range(0, DENSE.n, 7)]
-
-    def run():
-        for row in rows:
-            queue.push(row)
-        queue.drain_sorted()
-
-    benchmark(run)
 
 
 def bench_scalar_cascade_dense(benchmark):

@@ -34,9 +34,11 @@
 # `repro solve --node-budget --checkpoint` file must resume in a fresh
 # interpreter through `--resume-from` to the optimum, and a garbage
 # checkpoint file must exit 2 with one error line), or the
-# kernel-backend gate fails (every KERNELS backend must agree bit
-# for bit on the smoke suite, and a sequential solve must take the
-# compiled search loop with the scalar run's counters), or the
+# kernel-backend gate fails (every KERNELS backend — native, scalar,
+# auto — must reach the reference cascade's fixpoint bit for bit and the
+# pure-Python scalar run's optimum and node count on the smoke suite,
+# and a sequential solve must take the compiled search loop with the
+# scalar run's counters), or the
 # observability gate fails (a traced two-process distributed solve must
 # produce schema-valid Chrome trace JSON with spans from >= 2 pids and a
 # metrics snapshot whose Prometheus exposition parses, and a disarmed
@@ -430,10 +432,12 @@ echo "ci_smoke: CLI checkpoint resumed in a fresh interpreter to the optimum (84
 
 # --- kernel-backend gate (see docs/ARCHITECTURE.md, KERNELS registry) ---
 # 1. backend agreement: every registered KERNELS backend must reach the
-#    reference cascade's bit-identical fixpoint on the smoke suite and
-#    agree on whole-search optima and node counts.  The compiled
-#    ``native`` backend must actually be compiled here (gcc is part of
-#    the CI image), not degraded to scalar, and ``auto`` must pick it.
+#    reference cascade's bit-identical fixpoint on the smoke suite, and
+#    its whole search must match the kernels="scalar" run's optimum and
+#    node count (the interpreted tier shares no code with native).  The
+#    compiled ``native`` backend must actually be compiled here (gcc is
+#    part of the CI image), not degraded to scalar, and ``auto`` must
+#    pick it.
 # 2. compiled search: a sequential MVC solve of each smoke instance, plus
 #    one sparse instance on which the Walker keeps scanning CSR rows
 #    (ceil(n / 64) > 2m / n; the four smoke instances take the bitset
@@ -484,7 +488,7 @@ for name, graph in instances:
                    apply_reductions_reference(g, s, f, w, counters=c))
     expected_best = BestBound(size=graph.n + 1)
     expected = branch_and_reduce(graph, MVCFormulation(expected_best),
-                                 kernels="numpy")
+                                 kernels="scalar")
     for bname, backend in backends.items():
         got = fixpoint(graph, lambda g, s, f, w, c:
                        backend.cascade(g, s, f, w, counters=c))

@@ -60,7 +60,7 @@ class BenchCase:
 def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
     """Build the standard case list (imports deferred: keep CLI start fast).
 
-    ``kernels`` (a ``KERNELS`` registry name, default the process default)
+    ``kernels`` (a ``KERNELS`` registry name, default ``auto``)
     forces the backend for every case that dispatches through the
     kernel-backend layer; the forced/resolved per-case backend is
     recorded on each :class:`BenchCase`.
@@ -87,7 +87,8 @@ def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
     sparse = gnp(400, 0.01, seed=BENCH_SEEDS["sparse_gnp"])
     dense = phat_complement(100, 2, seed=BENCH_SEEDS["phat_graph"])
     solver_graph = phat_complement(50, 2, seed=BENCH_SEEDS["phat_solver"])
-    # Above the scalar cutoff: exercises the worklist-driven greedy pass.
+    # The largest graph here: the greedy pick loop dominates (native when
+    # the extension loads, else the scalar exhausts over pending lists).
     greedy_graph = gnp(4096, 8.0 / 4095.0, seed=BENCH_SEEDS["greedy_gnp"])
     ws_sparse = Workspace.for_graph(sparse)
     ws_dense = Workspace.for_graph(dense)
@@ -164,8 +165,8 @@ def bench_cases(kernels: Optional[str] = None) -> List[BenchCase]:
         BenchCase("state_copy_pooled", state_copy_pooled,
                   "pooled VCState.copy via the workspace buffer pool"),
         BenchCase("greedy_bound_large", greedy_large,
-                  "greedy upper bound on gnp(4096, ~deg 8): the vectorized "
-                  "worklist-driven pick loop",
+                  "greedy upper bound on gnp(4096, ~deg 8): the backend's "
+                  "pending-list pick loop",
                   backend=backend.resolved_name(greedy_graph.n, greedy_graph.m)),
     ]
 

@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reduction/branch/greedy kernel backend from the "
                         "KERNELS registry, any engine (default: auto, "
                         "native when the compiled extension loads, else "
-                        "scalar or numpy by graph size; all backends are "
-                        "bit-identical, only wall-clock differs)")
+                        "scalar; all backends are bit-identical, only "
+                        "wall-clock differs)")
     p.add_argument("--deadline", type=float, default=None,
                    help="wall-clock budget in seconds: solve anytime-style, "
                         "reporting status, incumbent and admissible lower "

@@ -185,14 +185,15 @@ def expand_children(
     (``deg <= 2``).  The child's reduction cascade seeds its worklists
     from that set instead of rescanning all ``n`` degrees — the cross-node
     dirty propagation the kernel layer's exactness argument extends to.
-    Without a workspace the vectorized path leaves the hints ``None``
-    (full rescan), which is always a safe fallback.
+    Without a matching workspace, and on charged calls, the vectorized
+    path leaves the hints ``None`` (full rescan), which is always a safe
+    fallback.
 
     Uncharged pooled-workspace calls dispatch through the ``KERNELS``
-    backend (``kernels``: name, instance, or ``None`` for the process
-    default) — the path choice is the dispatcher's, read at call time, so
-    a cutoff or backend switch applied after import steers this step too.  Charged calls keep the vectorized removals,
-    whose work units are the cost meters.
+    backend (``kernels``: name, instance, or ``None`` for the default) —
+    the path choice is the dispatcher's, read at call time, so a backend
+    switch applied after import steers this step too.  Charged calls keep
+    the vectorized removals, whose work units are the cost meters.
     """
     if charge is null_charge and ws is not None and ws.n == state.deg.size:
         backend = kernel_backends.resolve_kernels(kernels)
@@ -207,34 +208,23 @@ def _expand_children_general(
     ws: Optional[Workspace],
     charge: ChargeFn,
 ) -> Tuple[VCState, VCState]:
-    """The vectorized expansion body (any graph size; charged-run meter)."""
+    """The vectorized expansion body (any graph size; charged-run meter).
+
+    Both children leave with no dirty hint: charged reducers discard
+    hints by contract (the work meter must not depend on state
+    provenance), so the step does not pay for collecting them.
+    """
     deferred = state.copy(ws)
     charge("state_copy", float(state.deg.size))
-    # Charged reducers discard hints by contract (the work meter must not
-    # depend on state provenance), so don't pay for collecting them.
-    bq = (ws.branch_queue()
-          if charge is null_charge and ws is not None and ws.n == state.deg.size
-          else None)
-    if bq is not None:
-        bq.clear()
-        deleted, n_removed = remove_neighbors_into_cover(
-            graph, deferred.deg, vmax, ws, dirty=(bq,)
-        )
-        deferred.dirty = bq.drain_sorted()
-    else:
-        deferred.dirty = None
-        deleted, n_removed = remove_neighbors_into_cover(graph, deferred.deg, vmax, ws)
+    deferred.dirty = None
+    deleted, n_removed = remove_neighbors_into_cover(graph, deferred.deg, vmax, ws)
     deferred.edge_count -= deleted
     deferred.cover_size += n_removed
     charge("remove_neighbors", float(deleted + n_removed))
 
     work = int(state.deg[vmax])
-    if bq is not None:
-        state.edge_count -= remove_vertex_into_cover(graph, state.deg, vmax, (bq,))
-        state.dirty = bq.drain_sorted()
-    else:
-        state.dirty = None
-        state.edge_count -= remove_vertex_into_cover(graph, state.deg, vmax)
+    state.dirty = None
+    state.edge_count -= remove_vertex_into_cover(graph, state.deg, vmax)
     state.cover_size += 1
     charge("remove_vmax", float(work))
     return deferred, state

@@ -32,9 +32,6 @@ from ..graph.degree_array import (
 from .formulation import Formulation
 from . import kernel_backends
 from .kernels import (
-    degree_one_kernel,
-    degree_two_triangle_kernel,
-    high_degree_kernel,
     scalar_degree_one_exhaust,
     scalar_degree_two_exhaust,
     scalar_high_degree_exhaust,
@@ -80,9 +77,9 @@ class _TrivialBound(Formulation):
 def _greedy_cover_scalar(graph: CSRGraph) -> GreedyResult:
     """The greedy pass in pure Python over cached adjacency tuples.
 
-    Fire-for-fire identical to the vectorized pass: the shared scalar
-    exhausts from :mod:`repro.core.kernels` run over dirty pending lists,
-    and each pick removes the lowest-id maximum-degree vertex.
+    Fire-for-fire identical to :func:`_greedy_cover_rules`: the shared
+    scalar exhausts from :mod:`repro.core.kernels` run over dirty pending
+    lists, and each pick removes the lowest-id maximum-degree vertex.
     """
     adj = graph.adjacency_tuples()
     dl = graph.degrees.tolist()
@@ -123,9 +120,9 @@ def _greedy_cover_scalar(graph: CSRGraph) -> GreedyResult:
 def _greedy_cover_rules(graph: CSRGraph, ws: Optional[Workspace] = None) -> GreedyResult:
     """The greedy pass over the reference serial rules (pre-vectorization).
 
-    Kept as the equivalence oracle for the worklist-driven pass below (and
-    as the A side of the interleaved A/B pair recorded in
-    ``BENCH_micro.json``): per pick iteration it runs one round of the
+    Kept as the equivalence oracle for the backends' passes (and as the A
+    side of the interleaved A/B pair recorded in ``BENCH_micro.json``):
+    per pick iteration it runs one round of the
     three reference rule exhausts, each a full O(n) rescan with
     interpreted per-vertex removals.
     """
@@ -153,55 +150,6 @@ def _greedy_cover_rules(graph: CSRGraph, ws: Optional[Workspace] = None) -> Gree
     )
 
 
-def _greedy_cover_vectorized(graph: CSRGraph, ws: Workspace) -> GreedyResult:
-    """The greedy inner loop on the dirty-worklist kernels (hot path).
-
-    Fire-for-fire identical to :func:`_greedy_cover_rules`: one round of
-    the three rule exhausts per max-degree pick, in the same order — but
-    the cheap rules drain the workspace's pooled dirty queues instead of
-    rescanning all ``n`` degrees, and each pick's decremented neighbours
-    re-enter the queues through ``remove_vertex_into_cover``.  The queue
-    invariant (every vertex at candidate degree is pending) survives the
-    picks for the same reason it survives removals inside the cascade:
-    the only way a vertex reaches degree 1 or 2 is a decrement, and every
-    decrement pushes.  A candidate drained without firing can never fire
-    until its degree changes (its alive pair and the static triangle test
-    are frozen while its degree is), at which point it is re-pushed.
-    """
-    state = fresh_state(graph)
-    bound = _TrivialBound(graph.n)
-    counters = ReductionCounters()
-    picks = 0
-    queues = ws.dirty_queues()
-    d1, d2 = queues
-    deg = state.deg
-    seed = np.flatnonzero((deg >= 1) & (deg <= 2))
-    d1.seed(seed)
-    d2.seed(seed)
-    try:
-        while state.edge_count > 0:
-            degree_one_kernel(graph, state, ws, counters=counters, queues=queues)
-            degree_two_triangle_kernel(graph, state, ws, counters=counters, queues=queues)
-            high_degree_kernel(graph, state, bound, ws, counters=counters, queues=queues)
-            if state.edge_count == 0:
-                break
-            vmax = max_degree_vertex(deg)
-            state.edge_count -= remove_vertex_into_cover(graph, deg, vmax, queues)
-            state.cover_size += 1
-            picks += 1
-    finally:
-        # The queues are per-workspace scratch shared with the reduction
-        # cascades; leave no pending vertex behind for the next user.
-        d1.clear()
-        d2.clear()
-    return GreedyResult(
-        size=state.cover_size,
-        cover=state.cover(),
-        max_degree_picks=picks,
-        reductions=counters,
-    )
-
-
 def greedy_cover(graph: CSRGraph, ws: Optional[Workspace] = None,
                  kernels=None) -> GreedyResult:
     """Run the paper's greedy upper-bound heuristic.
@@ -209,7 +157,7 @@ def greedy_cover(graph: CSRGraph, ws: Optional[Workspace] = None,
     Returns a valid vertex cover; its size initialises ``best`` and bounds
     the stack depth for the GPU launch configuration.  The pass is
     dispatched through the ``KERNELS`` backend registry (``kernels``:
-    name, instance, or ``None`` for the process default, which runs the
+    name, instance, or ``None`` for the default, ``auto``, which runs the
     compiled ``native`` kernels when they load) — all backends
     produce identical covers (property-tested).
     """

@@ -1,28 +1,21 @@
 """Pluggable kernel backends: the ``KERNELS`` dispatch registry.
 
 The reduction cascade, the branch-step expansion, and the greedy bound —
-the three call families ``BENCH_micro.json`` tracks — historically chose
-between a pure-Python scalar path and the vectorized dirty-worklist
-kernels through mutable module-level cutoff globals in
-:mod:`repro.core.kernels` (``scalar_path_ok`` consulted ad hoc by
-``branching.py``, ``greedy.py`` and ``reductions.py``).  This module
-lifts that choice behind one dispatch object, mirroring the other three
-orthogonal registries (ENGINES × FRONTIERS × BOUNDS):
+the three call families ``BENCH_micro.json`` tracks — sit behind one
+dispatch object, mirroring the other three orthogonal registries
+(ENGINES × FRONTIERS × BOUNDS).  There are two kernel tiers:
 
-* ``numpy``  — the vectorized dirty-worklist kernels, unconditionally;
-* ``scalar`` — the pure-Python cascade, promoted from a cutoff-gated
-  special case to a first-class backend (always scalar, any size);
-* ``native`` — the scalar kernels compiled from ``core/_native.c`` as a
+* ``native`` — the kernels compiled from ``core/_native.c`` as a
   CPython extension, built with the system C compiler on first use and
   cached (:mod:`repro.core.native`), plus :meth:`KernelBackend.search`
   and :meth:`KernelBackend.walker`, the whole sequential depth-first
   loop in C (run once, or resumed in chunks).  Without a compiler it degrades
   *loudly* — one structured :class:`RuntimeWarning` — to ``scalar``;
-* ``auto``   — a fixed rule over what the process can observe: ``native``
-  whenever the extension loads, and otherwise ``scalar`` when
-  :func:`repro.core.kernels.scalar_path_ok` holds and ``numpy`` when it
-  does not (read at call time, so tests monkeypatching the cutoff
-  globals steer it).
+* ``scalar`` — the same kernels in pure Python, loop for loop (any
+  graph size): the fallback tier, and the interpreted twin every
+  compiled counter is checked against;
+* ``auto``   — ``native`` whenever the extension loads, else ``scalar``,
+  silently and whatever the graph size.
 
 Equivalence contract: every registered backend reaches the **bit-identical
 fixpoint** of :func:`repro.core.reductions.apply_reductions_reference` —
@@ -32,10 +25,9 @@ are frozen whatever backend a run selects (property-tested in
 ``tests/test_kernel_backends.py``).
 
 Charged (cost-model) runs are backend-independent by construction: the
-shared :meth:`KernelBackend.cascade` entry routes any charged call to the
-vectorized kernels with a full rescan, exactly as before — the charge
-stream is the paper's work meter and must not depend on state provenance
-or backend choice.
+shared :meth:`KernelBackend.cascade` entry hands any charged call to the
+reference rules, whose full-rescan charge stream is the paper's work
+meter and must not depend on state provenance or backend choice.
 
 Adding a backend (mirroring the frontier/bound how-tos):
 
@@ -62,11 +54,11 @@ from .formulation import Formulation
 from .stats import ChargeFn, ReductionCounters, null_charge
 from . import kernels as _kernels
 from . import native
-from .kernels import _apply_reductions_scalar, _apply_reductions_vectorized
+from .kernels import _apply_reductions_scalar
+from .reductions import apply_reductions_reference
 
 __all__ = [
     "KernelBackend",
-    "NumpyBackend",
     "ScalarBackend",
     "NativeBackend",
     "AutoBackend",
@@ -74,8 +66,6 @@ __all__ = [
     "DEFAULT_KERNELS",
     "make_kernels",
     "resolve_kernels",
-    "get_default_kernels",
-    "set_default_kernels",
 ]
 
 
@@ -83,9 +73,10 @@ class KernelBackend:
     """One implementation of the solver's three kernel call families.
 
     The shared :meth:`cascade` entry owns the cross-backend contract —
-    dirty-hint consumption and the charged-run escape hatch — so a
-    backend only implements the uncharged hot paths: :meth:`reduce`,
-    :meth:`expand_children` and :meth:`greedy_cover`.
+    dirty-hint consumption and the hand-off of charged runs to the
+    reference rules — so a backend only implements the uncharged hot
+    paths: :meth:`reduce`, :meth:`expand_children` and
+    :meth:`greedy_cover`.
     """
 
     #: Registry name; set by subclasses.
@@ -108,20 +99,17 @@ class KernelBackend:
         The state's ``dirty`` hint (populated by ``expand_children`` with
         the branch step's touched vertices) seeds the cascade's worklists;
         it is consumed here — cleared before the cascade runs — so it can
-        never go stale on a reduced state.  Charged runs always take the
-        vectorized path with a full rescan: the work stream must not
-        depend on state provenance or on the backend a run selected.
+        never go stale on a reduced state.  Charged runs take the
+        reference rules (:func:`apply_reductions_reference`) with a full
+        rescan: the work stream must not depend on state provenance or
+        on the backend a run selected.
         """
+        if charge is not null_charge:
+            apply_reductions_reference(graph, state, formulation, ws, charge, counters)
+            return
         hint = state.dirty
         if hint is not None:
             state.dirty = None
-        if charge is not null_charge:
-            if ws is None or ws.n != state.deg.size:
-                ws = Workspace(state.deg.size)
-            _apply_reductions_vectorized(
-                graph, state, formulation, ws, charge, counters, None
-            )
-            return
         self.reduce(graph, state, formulation, ws, counters, hint)
 
     # ------------------------------------------------------------------ #
@@ -199,36 +187,8 @@ class KernelBackend:
         return f"<KernelBackend {self.name}>"
 
 
-class NumpyBackend(KernelBackend):
-    """Today's vectorized dirty-worklist kernels, unconditionally."""
-
-    name = "numpy"
-
-    def reduce(self, graph, state, formulation, ws, counters, hint):
-        if ws is None or ws.n != state.deg.size:
-            ws = Workspace(state.deg.size)
-        _apply_reductions_vectorized(
-            graph, state, formulation, ws, null_charge, counters, hint
-        )
-
-    def expand_children(self, graph, state, vmax, ws):
-        from .branching import _expand_children_general
-
-        return _expand_children_general(graph, state, vmax, ws, null_charge)
-
-    def greedy_cover(self, graph, ws=None):
-        from .greedy import _greedy_cover_vectorized
-
-        if ws is None or ws.n != graph.n:
-            ws = Workspace.for_graph(graph)
-        return _greedy_cover_vectorized(graph, ws)
-
-    def uses_adjacency(self, graph):
-        return False
-
-
 class ScalarBackend(KernelBackend):
-    """Today's pure-Python cascade, first-class (any graph size)."""
+    """The pure-Python kernels (any graph size): the fallback tier."""
 
     name = "scalar"
 
@@ -342,22 +302,20 @@ class NativeBackend(KernelBackend):
 
 
 class AutoBackend(KernelBackend):
-    """Size-aware dispatch between the concrete backends.
+    """The compiled tier when it loads, else the interpreted one.
 
     :meth:`pick` chooses ``native`` at every size whenever the compiled
-    extension loads (it beats both interpreted backends at every measured
-    size).  Otherwise it falls back, silently, to the shipped cutoff rule
-    :func:`repro.core.kernels.scalar_path_ok`: ``scalar`` for small
-    graphs, ``numpy`` above either cutoff.
+    extension loads (it beats ``scalar`` at every measured size), and
+    falls back, silently, to ``scalar`` otherwise.  The graph size plays
+    no part; ``(n, m)`` stay in the signatures for the callers that
+    bind once per graph.
     """
 
     name = "auto"
 
     def pick(self, n: int, m: int) -> str:
         """The concrete backend name for a size-(n, m) graph."""
-        if native.load() is not None:
-            return "native"
-        return "scalar" if _kernels.scalar_path_ok(n, m) else "numpy"
+        return "native" if native.load() is not None else "scalar"
 
     def _picked(self, n: int, m: int) -> KernelBackend:
         name = self.pick(n, m)
@@ -390,7 +348,6 @@ class AutoBackend(KernelBackend):
 
 #: Backend name -> zero-argument factory, mirroring BOUNDS / FRONTIERS.
 KERNELS: Dict[str, Callable[[], KernelBackend]] = {
-    "numpy": NumpyBackend,
     "scalar": ScalarBackend,
     "native": NativeBackend,
     "auto": AutoBackend,
@@ -400,7 +357,6 @@ KERNELS: Dict[str, Callable[[], KernelBackend]] = {
 DEFAULT_KERNELS = "auto"
 
 _INSTANCES: Dict[str, KernelBackend] = {}
-_default_name: str = DEFAULT_KERNELS
 
 
 def make_kernels(name: str) -> KernelBackend:
@@ -424,26 +380,7 @@ def resolve_kernels(
 ) -> KernelBackend:
     """Normalize a backend selection: instance, registry name, or None."""
     if kernels is None:
-        return make_kernels(_default_name)
+        return make_kernels(DEFAULT_KERNELS)
     if isinstance(kernels, KernelBackend):
         return kernels
     return make_kernels(kernels)
-
-
-def get_default_kernels() -> str:
-    """The registry name resolved when a caller passes ``None``."""
-    return _default_name
-
-
-def set_default_kernels(name: Optional[str]) -> str:
-    """Install the process-wide default backend name; return it.
-
-    ``None`` resets to the shipped default (``auto``).  Validated against
-    the registry with the same one-line error as every other axis.
-    """
-    global _default_name
-    if name is None:
-        name = DEFAULT_KERNELS
-    make_kernels(name)  # validates + warms the instance cache
-    _default_name = name
-    return _default_name

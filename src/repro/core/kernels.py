@@ -1,50 +1,42 @@
-"""Vectorized reduction kernels over a dirty-vertex worklist (hot path).
+"""The interpreted kernel tier: the scalar reduction cascade.
 
 The serial rules in :mod:`repro.core.reductions` are the paper's semantics
 written for clarity: every sweep rescans the whole degree array
-(``np.flatnonzero(deg == k)``) and walks each candidate's adjacency row in
-Python.  On the graphs every experiment runs through, that makes the
-reduction cascade interpreter-bound.  This module is the same cascade
-rebuilt on two ideas:
-
-* **batched candidate resolution** — each sweep gathers the adjacency rows
-  of *all* candidates at once (:meth:`CSRGraph.row_segments`), extracts
-  every degree-one vertex's forced neighbour / every degree-two vertex's
-  alive pair with one boolean mask, and answers all triangle adjacency
-  probes with a single binary search (:meth:`CSRGraph.has_edges`);
-* **a dirty-vertex worklist** — removals push every decremented neighbour
-  into per-rule :class:`~repro.graph.degree_array.DirtyQueue` instances, so
-  after the initial seed scan a sweep only re-examines vertices whose
-  degree actually changed, eliminating the O(n)-per-sweep full scans.
+(``np.flatnonzero(deg == k)``) and walks each candidate's adjacency row
+through NumPy.  This module is the same cascade rebuilt for the
+interpreter: the degree array drops to a plain list, adjacency rows come
+from the graph's cached tuples, and each rule drains a *pending list* —
+the vertices a removal decremented into its candidate range — instead of
+rescanning all ``n`` degrees per sweep.  The compiled ``native`` backend
+(``core/_native.c``) runs these very loops, line for line.
 
 ``apply_reductions_fast`` is a drop-in replacement for the reference
 cascade and reaches a **bit-identical fixpoint**: the same ``deg`` array,
 ``cover_size``, ``edge_count`` and reduction counters.  The equivalence
 argument, relied on by the property tests in ``tests/test_kernels.py``:
 
-1. Degrees only ever decrease.  If a degree-one vertex ``v`` still has
-   ``deg[v] == 1`` when its turn comes, none of its alive neighbours was
-   removed since the sweep snapshot, so the forced neighbour computed at
-   the snapshot is still *the* alive neighbour.  The same holds for a
-   degree-two vertex's alive pair, and the triangle test is a property of
-   the static CSR graph.  Snapshot-batched resolution with per-candidate
-   revalidation (``deg[v]`` unchanged) is therefore exactly the serial
-   processing order.
+1. Degrees only ever decrease, so a vertex reaches degree one (or two)
+   only through a decrement, and every decrement that lands there
+   enqueues it.  A candidate revalidated at its turn (``deg[v]``
+   unchanged) has the same alive neighbours as when it was enqueued.
 2. A serial sweep's rescan finds (a) candidates that kept their degree and
    did not fire — which can never fire later either (their neighbourhood
    is frozen while their degree is), so dropping them is invisible — and
-   (b) vertices whose degree just became 1 (or 2) — which the dirty queues
-   capture by construction.  Queue draining in ascending id order matches
-   ``np.flatnonzero``'s ordering.
+   (b) vertices whose degree just became 1 (or 2) — which the pending
+   lists capture by construction.  Sorting each sweep's candidates
+   matches ``np.flatnonzero``'s ascending order.
 
-Only the high-degree rule still scans the full array per sweep: its
+Only the high-degree rule still scans the full list per sweep: its
 eligibility depends on the shrinking budget, not on degree changes, so a
-degree-keyed worklist cannot drive it (the scan is one vectorized compare).
+degree-keyed worklist cannot drive it (a stale-high maximum degree skips
+the scan while the budget is slack).
 
-Charge accounting: the fast kernels report candidates-examined and
-removal work in the same activity kinds as the reference rules, but not
-call-for-call — the cost-model instrumented paths
-(:mod:`repro.analysis.sequential_sim`, the sim engines) keep using the
+The batched lookups :func:`first_alive_neighbors` and :func:`alive_pairs`
+serve the Section IV-D batch rules (:mod:`repro.core.parallel_reductions`).
+
+Charged (cost-model) runs never come here: the instrumented paths
+(:mod:`repro.analysis.sequential_sim`, the sim engines, a charged
+:meth:`~repro.core.kernel_backends.KernelBackend.cascade`) use the
 reference/parallel rules, which are the paper's work-unit meters.
 """
 
@@ -56,50 +48,20 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.degree_array import (
-    REMOVED,
-    DirtyQueue,
-    VCState,
-    Workspace,
-    remove_vertex_into_cover,
-    remove_vertices_into_cover,
-)
+from ..graph.degree_array import REMOVED, VCState, Workspace
 from .formulation import Formulation
 from .stats import ChargeFn, ReductionCounters, null_charge
 
 __all__ = [
     "first_alive_neighbors",
     "alive_pairs",
-    "degree_one_kernel",
-    "degree_two_triangle_kernel",
-    "high_degree_kernel",
     "apply_reductions_fast",
     "scalar_seed",
     "scalar_remove",
     "scalar_degree_one_exhaust",
     "scalar_degree_two_exhaust",
     "scalar_high_degree_exhaust",
-    "scalar_path_ok",
 ]
-
-_Queues = Tuple[DirtyQueue, DirtyQueue]
-
-
-def _drain_candidates(queue: DirtyQueue, deg: np.ndarray, target: int) -> np.ndarray:
-    """Current rule candidates: pending dirty vertices with ``deg == target``.
-
-    When the raw (duplicate-tolerant) queue outgrew a quarter of the
-    graph, deduplicating it costs more than the one vectorized compare of
-    a full scan — and the queue invariant (every vertex at ``target`` is
-    pending) makes the scan return exactly the same set.
-    """
-    if queue.count > (deg.size >> 2):
-        queue.clear()
-        return np.flatnonzero(deg == target)
-    cand = queue.drain_sorted()
-    if cand.size:
-        cand = cand[deg[cand] == target]
-    return cand
 
 
 def first_alive_neighbors(graph: CSRGraph, deg: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -132,238 +94,6 @@ def alive_pairs(graph: CSRGraph, deg: np.ndarray, twos: np.ndarray) -> Tuple[np.
     return pairs[:, 0], pairs[:, 1]
 
 
-def _fire_degree_one_sweep(
-    graph: CSRGraph,
-    state: VCState,
-    ws: Workspace,
-    cand: np.ndarray,
-    forced: np.ndarray,
-    dirty: _Queues,
-) -> int:
-    """Fire a whole degree-one sweep in batch; return the fire count.
-
-    Serial semantics: candidates process in ascending order and candidate
-    ``v_j`` fires iff no earlier fire changed its degree.  Because every
-    candidate has degree exactly one (its sole alive neighbour being its
-    forced vertex ``u_j``), an earlier fire — the removal of some ``u_i``
-    — can only affect ``v_j`` through *id equality*: ``u_i == u_j``
-    (shared forced vertex) or ``u_i == v_j`` (isolated edge).  Other
-    adjacency is irrelevant: ``u_i`` alive-adjacent to ``v_j`` would mean
-    ``u_i ∈ N_alive(v_j) = {u_j}``.
-
-    So candidates whose forced vertex is unique and not itself a candidate,
-    and who are nobody's forced vertex, always fire and never interfere —
-    they form one batch removal (equivalent to firing them one by one).
-    The rare *suspicious* remainder is replayed in order against a plain
-    id set.  The two groups provably cannot interact, and removals of a
-    fixed set commute, so the fixpoint is bit-identical to the serial rule.
-    """
-    deg = state.deg
-    f64 = forced.astype(np.int64)
-    uniq, inv, counts = np.unique(f64, return_inverse=True, return_counts=True)
-    dup = counts[inv] > 1
-    in_cand = ws.in_batch
-    in_cand[cand] = True
-    forced_is_cand = in_cand[f64]
-    in_cand[cand] = False
-    pos = np.minimum(np.searchsorted(uniq, cand), uniq.size - 1)
-    cand_is_forced = uniq[pos] == cand
-    suspicious = dup | forced_is_cand | cand_is_forced
-    if suspicious.any():
-        batch = f64[~suspicious]
-        susp_idx = np.flatnonzero(suspicious).tolist()
-    else:
-        batch = f64
-        susp_idx = ()
-    fired = int(batch.size)
-    if fired:
-        state.edge_count -= remove_vertices_into_cover(graph, deg, batch, ws, dirty=dirty)
-    if susp_idx:
-        removed: set = set()
-        cand_ids = cand.tolist()
-        forced_ids = f64.tolist()
-        for j in susp_idx:
-            v = cand_ids[j]
-            u = forced_ids[j]
-            if v in removed or u in removed:
-                continue  # an earlier suspicious fire consumed v or u
-            removed.add(u)
-            state.edge_count -= remove_vertex_into_cover(graph, deg, u, dirty)
-            fired += 1
-    state.cover_size += fired
-    return fired
-
-
-def degree_one_kernel(
-    graph: CSRGraph,
-    state: VCState,
-    ws: Workspace,
-    charge: ChargeFn = null_charge,
-    counters: Optional[ReductionCounters] = None,
-    queues: Optional[_Queues] = None,
-) -> bool:
-    """Exhaust the degree-one rule over the dirty worklist; True if changed.
-
-    Serial-equivalent: candidates drain in ascending id order, each is
-    revalidated (``deg[v] == 1``) at its turn, and its snapshot-computed
-    forced neighbour is removed exactly as the reference rule would.
-    """
-    deg = state.deg
-    dirty = queues if queues is not None else ws.dirty_queues()
-    d1 = dirty[0]
-    if queues is None:  # standalone use: seed from a full scan
-        d1.seed(np.flatnonzero(deg == 1))
-    charging = charge is not null_charge
-    changed = False
-    while True:
-        cand = _drain_candidates(d1, deg, 1)
-        if charging:
-            charge("degree_one", float(cand.size))
-        if cand.size == 0:
-            return changed
-        forced = first_alive_neighbors(graph, deg, cand)
-
-        if not charging and cand.size > 1:
-            # Resolve the whole sweep in batch (per-fire work charges need
-            # the sequential path below instead).
-            fired = _fire_degree_one_sweep(graph, state, ws, cand, forced, dirty)
-            if counters is not None:
-                counters.degree_one += fired
-            changed = True
-            continue
-
-        cand_ids = cand.tolist()
-        forced_ids = forced.tolist()
-        fired = 0
-        work = 0
-        for i in range(len(cand_ids)):
-            v = cand_ids[i]
-            if deg[v] != 1:
-                continue  # an earlier removal in this sweep changed v
-            u = forced_ids[i]
-            if charging:
-                work += int(deg[u])
-            state.edge_count -= remove_vertex_into_cover(graph, deg, u, dirty)
-            state.cover_size += 1
-            fired += 1
-        if charging:
-            charge("degree_one", float(work))
-        if counters is not None:
-            counters.degree_one += fired
-        if fired == 0:
-            return changed
-        changed = True
-
-
-def degree_two_triangle_kernel(
-    graph: CSRGraph,
-    state: VCState,
-    ws: Workspace,
-    charge: ChargeFn = null_charge,
-    counters: Optional[ReductionCounters] = None,
-    queues: Optional[_Queues] = None,
-) -> bool:
-    """Exhaust the degree-two-triangle rule over the dirty worklist.
-
-    Alive pairs and all triangle adjacency probes are resolved in batch
-    from the sweep snapshot; only statically confirmed triangles enter the
-    (revalidated, ascending-order) removal loop.  Candidates whose pair is
-    not a triangle are dropped — their pair cannot change while their
-    degree stays 2, and any degree change re-enqueues them.
-    """
-    deg = state.deg
-    dirty = queues if queues is not None else ws.dirty_queues()
-    d2 = dirty[1]
-    if queues is None:  # standalone use: seed from a full scan
-        d2.seed(np.flatnonzero(deg == 2))
-    charging = charge is not null_charge
-    changed = False
-    while True:
-        cand = _drain_candidates(d2, deg, 2)
-        if charging:
-            charge("degree_two_triangle", float(cand.size))
-        if cand.size == 0:
-            return changed
-        u, w = alive_pairs(graph, deg, cand)
-        tri = graph.has_edges(u, w)
-        if not tri.any():
-            return changed
-        cand_ids = cand[tri].tolist()
-        u_ids = u[tri].tolist()
-        w_ids = w[tri].tolist()
-        fired = 0
-        work = 0
-        for i in range(len(cand_ids)):
-            v = cand_ids[i]
-            if deg[v] != 2:
-                continue  # lost its triangle partner to an earlier removal
-            uu = u_ids[i]
-            ww = w_ids[i]
-            if charging:
-                work += int(deg[uu]) + int(deg[ww])
-            # Removing {u, w} sequentially equals the batch removal: u's
-            # removal already decrements w, so the uw edge is counted once.
-            state.edge_count -= remove_vertex_into_cover(graph, deg, uu, dirty)
-            state.edge_count -= remove_vertex_into_cover(graph, deg, ww, dirty)
-            state.cover_size += 2
-            fired += 1
-        if charging:
-            charge("degree_two_triangle", float(work))
-        if counters is not None:
-            counters.degree_two_triangle += 2 * fired
-        if fired == 0:
-            return changed
-        changed = True
-
-
-def high_degree_kernel(
-    graph: CSRGraph,
-    state: VCState,
-    formulation: Formulation,
-    ws: Workspace,
-    charge: ChargeFn = null_charge,
-    counters: Optional[ReductionCounters] = None,
-    queues: Optional[_Queues] = None,
-) -> bool:
-    """The high-degree rule, feeding the dirty queues of the cheap rules.
-
-    Identical to the reference rule (it was already one vectorized scan
-    and one batch removal per sweep); eligibility depends on the budget,
-    so the full-array compare stays.
-    """
-    deg = state.deg
-    dirty = queues if queues is not None else ws.dirty_queues()
-    charging = charge is not null_charge
-    changed = False
-    while True:
-        budget = formulation.budget(state.cover_size)
-        if budget < 0:
-            return changed
-        targets = np.flatnonzero(deg > budget)
-        if charging:
-            charge("high_degree", float(deg.size))
-        if targets.size == 0:
-            return changed
-        if charging:
-            charge("high_degree", float(deg[targets].sum()))
-        state.edge_count -= remove_vertices_into_cover(graph, deg, targets, ws, dirty=dirty)
-        state.cover_size += int(targets.size)
-        if counters is not None:
-            counters.high_degree += int(targets.size)
-        changed = True
-
-
-#: Largest graph handled by the scalar (pure-Python) reduction cascade.
-#: Below these bounds, interpreter arithmetic over cached adjacency tuples
-#: beats vectorized sweeps — every NumPy call costs more than walking a
-#: whole small adjacency row.  Above either, the batched kernels take
-#: over: the edge cap matters because the scalar loops walk full rows, so
-#: a dense mid-size graph (small ``n``, huge ``m``) must stay vectorized.
-#: The values were hand-tuned; ``auto`` consults them (through
-#: :func:`scalar_path_ok`) only when the compiled extension is missing.
-SCALAR_KERNEL_MAX_N = 2048
-SCALAR_KERNEL_MAX_M = 1 << 16
-
 #: Pivot-neighbourhood size above which the scalar branch step hands the
 #: deferred child's removal to the cheap batch kernel
 #: (:func:`repro.graph.degree_array.remove_neighbors_batch_cheap`).  Below
@@ -371,16 +101,6 @@ SCALAR_KERNEL_MAX_M = 1 << 16
 #: kernel's fixed NumPy call overhead.  The value was measured on the dev
 #: machine.
 BRANCH_BATCH_MIN_LIVE = 40
-
-
-def scalar_path_ok(n: int, m: int) -> bool:
-    """Whether a graph of ``n`` vertices / ``m`` edges takes the scalar path.
-
-    Reads the module globals at call time, so a test monkeypatching
-    ``SCALAR_KERNEL_MAX_N`` steers every caller: ``auto`` routes its
-    fallback choice (no compiled extension) through here.
-    """
-    return n <= SCALAR_KERNEL_MAX_N and m <= SCALAR_KERNEL_MAX_M
 
 
 def scalar_seed(deg: np.ndarray) -> Tuple[list, list, int]:
@@ -513,7 +233,7 @@ def _apply_reductions_scalar(
     counters: Optional[ReductionCounters] = None,
     hint=None,
 ) -> None:
-    """The reduction cascade in pure Python for small graphs.
+    """The reduction cascade in pure Python (the ``scalar`` backend).
 
     Identical sweep structure and processing order as the reference rules
     (same fixpoint, same counters), built from the shared scalar exhausts
@@ -590,51 +310,6 @@ def _apply_reductions_scalar(
         counters.sweeps += sweeps
 
 
-def _apply_reductions_vectorized(
-    graph: CSRGraph,
-    state: VCState,
-    formulation: Formulation,
-    ws: Workspace,
-    charge: ChargeFn = null_charge,
-    counters: Optional[ReductionCounters] = None,
-    hint=None,
-) -> None:
-    """The vectorized dirty-worklist cascade (large graphs / charged runs).
-
-    With a ``hint`` (the branch step's touched-vertex set) the worklists
-    are seeded from it instead of one full degree scan; exactness follows
-    the same argument as the scalar path's hint seeding.  The workspace's
-    dirty queues are per-cascade scratch: seeding resets them, and the
-    trailing assert guarantees no pending vertex survives into the next
-    tree node's cascade, whatever path the loop exits through.
-    """
-    deg = state.deg
-    queues = ws.dirty_queues()
-    d1, d2 = queues
-    if hint is None:
-        seed = np.flatnonzero((deg >= 1) & (deg <= 2))  # one scan seeds both rules
-    else:
-        seed = np.asarray(hint, dtype=np.int64)
-        if seed.size:
-            sd = deg[seed]
-            seed = seed[(sd >= 1) & (sd <= 2)]
-    d1.seed(seed)
-    d2.seed(seed)
-    while True:
-        changed = degree_one_kernel(graph, state, ws, charge, counters, queues)
-        changed |= degree_two_triangle_kernel(graph, state, ws, charge, counters, queues)
-        changed |= high_degree_kernel(graph, state, formulation, ws, charge, counters, queues)
-        if counters is not None:
-            counters.sweeps += 1
-        if not changed:
-            break
-    if d1.count or d2.count:  # pragma: no cover - structural invariant
-        raise AssertionError(
-            "dirty-queue hygiene violated: a cascade returned with pending "
-            "vertices that would leak into the next tree node's reduce"
-        )
-
-
 #: Lazily-bound resolver from :mod:`repro.core.kernel_backends`.  That
 #: module imports this one at module level, so the reverse import must
 #: happen at first call, never at import time.
@@ -656,11 +331,10 @@ def apply_reductions_fast(
     counters included) of :func:`repro.core.reductions.apply_reductions_reference`
     for **every** registered backend.  ``kernels`` selects one — a
     registry name, a :class:`~repro.core.kernel_backends.KernelBackend`
-    instance, or ``None`` for the process default (``auto``, which picks
-    the compiled ``native`` backend when it loads and the legacy
-    scalar-cutoff rule otherwise).  Charged runs always
-    take the vectorized path so work accounting stays array-shaped,
-    whatever backend was selected.
+    instance, or ``None`` for the default (``auto``: the compiled
+    ``native`` backend when it loads, else ``scalar``).  Charged runs
+    always take the reference rules, whose charge stream is the work
+    meter, whatever backend was selected.
 
     The state's ``dirty`` hint (populated by ``expand_children`` with the
     branch step's touched vertices) seeds the cascade's worklists, making

@@ -158,10 +158,9 @@ class NodeStep:
         faultable: bool = True,
     ) -> None:
         # The kernel backend (KERNELS registry: name, instance, or None
-        # for the process default) is resolved once per traversal — for
-        # ``auto``, to the concrete backend it picks for this graph's
-        # size — and bound into both hot-path calls below, so no
-        # node pays the dispatch.
+        # for the default) is resolved once per traversal — for
+        # ``auto``, to the concrete backend it picks — and bound into
+        # both hot-path calls below, so no node pays the dispatch.
         kernels = resolve_kernels(kernels).bind(graph.n, graph.m)
         if reducer is None:
             reducer = default_reducer(charge, kernels)

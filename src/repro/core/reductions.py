@@ -15,12 +15,14 @@ degree-array entries it scanned and how much neighbour-update work the
 forced removals caused, in abstract work units that
 :class:`repro.sim.costmodel.CostModel` converts into cycles.
 
-The per-vertex rules here are the **verification reference**: readable,
-charge-exact, and deliberately naive.  The production hot path is the
-vectorized, dirty-worklist cascade in :mod:`repro.core.kernels`, which
-reaches a bit-identical fixpoint; :func:`apply_reductions` now delegates
-to it, while :func:`apply_reductions_reference` keeps the original
-cascade for equivalence tests and cost-model instrumented runs.
+The per-vertex rules here are the **verification reference** and the one
+oracle: readable, charge-exact, and deliberately naive.  The hot path is
+the ``KERNELS`` registry's cascade (:mod:`repro.core.kernel_backends`:
+the compiled ``native`` tier, else the pure-Python ``scalar`` tier of
+:mod:`repro.core.kernels`), which reaches a bit-identical fixpoint;
+:func:`apply_reductions` delegates to it, while
+:func:`apply_reductions_reference` keeps the original cascade for
+equivalence tests and is the cost-model meter of every charged run.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def apply_reductions_reference(
             return
 
 
-#: The default ``reduce``: the vectorized dirty-worklist cascade, which
+#: The default ``reduce``: the ``KERNELS`` registry's cascade, which
 #: reaches the same fixpoint as :func:`apply_reductions_reference` (the
 #: property tests in ``tests/test_kernels.py`` enforce this bit-for-bit).
 apply_reductions = apply_reductions_fast

@@ -75,7 +75,7 @@ def branch_and_reduce(
 
     ``kernels`` picks the kernel backend for the uncharged hot paths: a
     :class:`~repro.core.kernel_backends.KernelBackend` instance, a
-    registered ``KERNELS`` name, or ``None`` for the process default
+    registered ``KERNELS`` name, or ``None`` for the default
     (``auto``).  Backends are bit-identical, so the optimum — and every
     charge stream — never depends on the choice.
 

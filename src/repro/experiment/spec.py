@@ -174,7 +174,7 @@ class ExperimentSpec:
     #: processes joined over the socket transport (0 = none).
     hosts: Tuple[int, ...] = (0,)
     #: optional KERNELS registry name forced on the wall-clock ``cpu-*``
-    #: engines (``None``: the process default dispatcher).  Backends are
+    #: engines (``None``: the default dispatcher, ``auto``).  Backends are
     #: bit-identical by contract, so this is excluded from cell
     #: fingerprints.
     kernels: Optional[str] = None

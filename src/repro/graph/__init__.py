@@ -3,7 +3,6 @@
 from .csr import CSRGraph
 from .degree_array import (
     REMOVED,
-    DirtyQueue,
     VCState,
     Workspace,
     fresh_state,
@@ -17,7 +16,6 @@ from .degree_array import (
 __all__ = [
     "CSRGraph",
     "REMOVED",
-    "DirtyQueue",
     "VCState",
     "Workspace",
     "fresh_state",

@@ -13,8 +13,9 @@ Batched access is first-class: :meth:`CSRGraph.row_segments` gathers the
 adjacency rows of a whole vertex batch as one flat array plus segment
 offsets, and :meth:`CSRGraph.has_edges` answers many adjacency queries with
 a single binary search over a lazily cached, globally sorted edge-key
-array.  The vectorized reduction kernels (:mod:`repro.core.kernels`) are
-built entirely from these two primitives.
+array.  The batched removals (:mod:`repro.graph.degree_array`) and the
+Section IV-D batch rules (:mod:`repro.core.parallel_reductions`) are built
+from these two primitives.
 """
 
 from __future__ import annotations
@@ -189,11 +190,11 @@ class CSRGraph:
     def adjacency_tuples(self) -> tuple:
         """Adjacency as a lazily cached tuple of sorted int tuples.
 
-        Plain-Python adjacency is what makes the scalar small-graph
-        reduction path (:mod:`repro.core.kernels`) fast: iterating a tuple
-        of ints costs nanoseconds per step where indexing a NumPy row pays
-        scalar-boxing overhead.  Only ever built for small graphs — large
-        ones take the vectorized path instead.
+        Plain-Python adjacency is what makes the ``scalar`` kernel tier
+        (:mod:`repro.core.kernels`) fast: iterating a tuple of ints costs
+        nanoseconds per step where indexing a NumPy row pays
+        scalar-boxing overhead.  Built only when the interpreted kernels
+        run (the compiled ones walk the CSR arrays).
         """
         if self._adj_tuples is None:
             flat = self.indices.tolist()

@@ -12,17 +12,10 @@ every engine uses.  All operations mutate ``deg`` in place and return the
 number of edges they deleted so that callers can maintain an incremental
 edge count (the paper keeps an analogous deleted-vertex counter).
 
-Two hot-path facilities live here as well:
-
-* :class:`DirtyQueue` — a deduplicating worklist of vertices whose degree
-  changed.  The removal helpers push every decremented neighbour into the
-  queues they are handed, which is what lets the vectorized reduction
-  kernels (:mod:`repro.core.kernels`) re-examine only *dirty* vertices
-  instead of rescanning the whole degree array every sweep.
-* a pooled degree-array buffer on :class:`Workspace`
-  (:meth:`Workspace.borrow_deg` / :meth:`Workspace.release_deg`), so the
-  branch step's state copies recycle buffers instead of allocating a fresh
-  array per tree node.
+A pooled degree-array buffer on :class:`Workspace`
+(:meth:`Workspace.borrow_deg` / :meth:`Workspace.release_deg`) lives here
+as well, so the branch step's state copies recycle buffers instead of
+allocating a fresh array per tree node.
 
 Removal validation (duplicate / already-removed batch members) is off on
 the hot path; pass ``debug=True`` to re-enable it, as the tests do.
@@ -40,7 +33,6 @@ from .csr import CSRGraph
 
 __all__ = [
     "REMOVED",
-    "DirtyQueue",
     "Workspace",
     "VCState",
     "WIRE_VERSION_V2",
@@ -75,53 +67,6 @@ _EMPTY_I64.setflags(write=False)
 _DEG_POOL_CAP = 64
 
 
-class DirtyQueue:
-    """Worklist of vertices whose degree recently changed.
-
-    ``push`` appends an id array as-is — duplicates (within a push or
-    across pushes) are fine, so removal hot paths enqueue raw adjacency
-    gathers without paying for dedup.  ``drain_sorted`` settles the debt
-    once per sweep: it hands back the pending ids deduplicated in
-    ascending order and resets the queue.  The buffer grows geometrically
-    and is bounded in practice by the degree decrements of one sweep.
-    """
-
-    __slots__ = ("buf", "count")
-
-    def __init__(self, n: int):
-        self.buf = np.empty(max(n, 16), dtype=np.int64)
-        self.count = 0
-
-    def push(self, verts: np.ndarray) -> None:
-        """Append ``verts`` (any int dtype, duplicates allowed)."""
-        k = verts.size
-        if k == 0:
-            return
-        need = self.count + k
-        if need > self.buf.size:
-            grown = np.empty(max(need, 2 * self.buf.size), dtype=np.int64)
-            grown[: self.count] = self.buf[: self.count]
-            self.buf = grown
-        self.buf[self.count : need] = verts
-        self.count = need
-
-    def drain_sorted(self) -> np.ndarray:
-        """The pending vertices, deduplicated ascending; empties the queue."""
-        if self.count == 0:
-            return _EMPTY_I64
-        out = np.unique(self.buf[: self.count])
-        self.count = 0
-        return out
-
-    def clear(self) -> None:
-        self.count = 0
-
-    def seed(self, verts: np.ndarray) -> None:
-        """Reset and fill with ``verts``."""
-        self.count = 0
-        self.push(verts)
-
-
 @dataclass
 class Workspace:
     """Reusable scratch buffers sized to one graph.
@@ -130,9 +75,8 @@ class Workspace:
     graphs; engines allocate one workspace per traversal and reuse it
     (the HPC guides' "be easy on the memory" rule).  Besides the batch
     mask this carries a two-slot pair buffer (the degree-two-triangle
-    rules' ``{u, w}`` batches), the lazily created dirty queues of the
-    vectorized kernels, and a bounded pool of recycled degree arrays for
-    the branch step's state copies.
+    rules' ``{u, w}`` batches) and a bounded pool of recycled degree
+    arrays for the branch step's state copies.
     """
 
     n: int
@@ -142,39 +86,11 @@ class Workspace:
     def __post_init__(self) -> None:
         self.in_batch = np.zeros(self.n, dtype=bool)
         self.pair_buf = np.empty(2, dtype=np.int64)
-        self._dirty: Optional[Tuple[DirtyQueue, DirtyQueue]] = None
-        self._branch_queue: Optional[DirtyQueue] = None
         self._deg_pool: List[np.ndarray] = []
 
     @classmethod
     def for_graph(cls, graph: CSRGraph) -> "Workspace":
         return cls(graph.n)
-
-    def dirty_queues(self) -> Tuple["DirtyQueue", "DirtyQueue"]:
-        """The (degree-one, degree-two) candidate queues, created on demand.
-
-        These queues are *per-cascade* scratch shared across every tree
-        node the workspace serves: each cascade must seed them (a seed
-        resets the pending count) and drain them to empty before
-        returning, so no node's pending vertices ever leak into the next
-        node's reduce (see the hygiene assert in
-        :func:`repro.core.kernels.apply_reductions_fast`).
-        """
-        if self._dirty is None:
-            self._dirty = (DirtyQueue(self.n), DirtyQueue(self.n))
-        return self._dirty
-
-    def branch_queue(self) -> "DirtyQueue":
-        """Scratch queue collecting the branch step's touched vertices.
-
-        :func:`repro.core.branching.expand_children` clears it, routes one
-        child's removals through it, and drains it into the child's
-        ``dirty`` hint — reusing one buffer for every branch instead of
-        allocating a queue per tree node.
-        """
-        if self._branch_queue is None:
-            self._branch_queue = DirtyQueue(self.n)
-        return self._branch_queue
 
     def borrow_deg(self) -> np.ndarray:
         """A degree-array buffer: recycled if available, else freshly allocated."""
@@ -214,7 +130,7 @@ class VCState:
     hint can never outlive the one reduction cascade it describes.  The
     hint is advisory: ``None`` always means "full rescan" and stays exact.
     It may be a plain list (scalar branch path) or an int64 array
-    (vectorized branch path); duplicates are allowed.
+    (compiled branch step, batch kernel); duplicates are allowed.
 
     ``max_deg_hint`` is a companion *stale-high* bound on the maximum
     alive degree (or ``-1`` for unknown): degrees only ever decrease down
@@ -397,13 +313,11 @@ def remove_vertex_into_cover(
     graph: CSRGraph,
     deg: np.ndarray,
     v: int,
-    dirty: Optional[Sequence[DirtyQueue]] = None,
 ) -> int:
     """Remove one alive vertex into the cover; return edges deleted.
 
     Mirrors the paper's single-vertex removal (Fig. 4 lines 27-28): set the
-    sentinel, then decrement every alive neighbour's degree.  Decremented
-    neighbours are pushed into every queue in ``dirty``.
+    sentinel, then decrement every alive neighbour's degree.
     """
     dv = int(deg[v])
     if dv < 0:
@@ -413,13 +327,6 @@ def remove_vertex_into_cover(
         nbrs = graph.neighbors(v)
         live = nbrs[deg[nbrs] >= 0]
         deg[live] -= 1
-        if dirty is not None:
-            # Only vertices arriving at degree <= 2 can ever become rule
-            # candidates, and any later decrement re-pushes them; filtering
-            # here keeps the queues small on dense graphs.
-            small = live[deg[live] <= 2]
-            for queue in dirty:
-                queue.push(small)
     return dv
 
 
@@ -430,7 +337,6 @@ def remove_vertices_into_cover(
     ws: Optional[Workspace] = None,
     *,
     debug: bool = False,
-    dirty: Optional[Sequence[DirtyQueue]] = None,
 ) -> int:
     """Remove a *set* of alive vertices into the cover in one batch.
 
@@ -440,15 +346,13 @@ def remove_vertices_into_cover(
     ``np.subtract.at`` since each occurrence is a distinct edge.
 
     This is hot-path code: batch sanity checks (no duplicates, no
-    already-removed members) only run under ``debug=True``, and every
-    decremented external neighbour is pushed into the queues in ``dirty``
-    so the vectorized kernels can track exactly which vertices changed.
+    already-removed members) only run under ``debug=True``.
     """
     verts = np.asarray(verts, dtype=np.int64)
     if verts.size == 0:
         return 0
     if verts.size == 1:
-        return remove_vertex_into_cover(graph, deg, int(verts[0]), dirty)
+        return remove_vertex_into_cover(graph, deg, int(verts[0]))
     if debug:
         if np.unique(verts).size != verts.size:
             raise ValueError("batch contains duplicate vertices")
@@ -477,10 +381,6 @@ def remove_vertices_into_cover(
             np.subtract.at(deg, external, 1)
     deg[verts] = REMOVED
     in_batch[verts] = False  # restore scratch
-    if dirty is not None and external.size:
-        small = external[deg[external] <= 2]  # see remove_vertex_into_cover
-        for queue in dirty:
-            queue.push(small)  # queues tolerate duplicate ids
     # Each internal edge contributed one unit to both endpoints' degrees.
     return sum_deg - internal_half_edges // 2
 
@@ -490,21 +390,15 @@ def remove_neighbors_into_cover(
     deg: np.ndarray,
     v: int,
     ws: Optional[Workspace] = None,
-    *,
-    dirty: Optional[Sequence[DirtyQueue]] = None,
 ) -> Tuple[int, int]:
     """Remove all alive neighbours of ``v`` into the cover (Fig. 4 lines 21-22).
 
     Returns ``(edges_deleted, n_removed)``.  ``v`` itself stays in the graph
-    and necessarily ends with degree zero.  Every external vertex the batch
-    decrements into candidate range is pushed into the queues in ``dirty``,
-    which is how the branch step records the touched set it hands to the
-    child's reduction cascade.
+    and necessarily ends with degree zero.
 
     Routed through :func:`remove_neighbors_batch_cheap` — one adjacency
     gather and one in-batch mask shared by the alive filter, the internal
-    edge count and the decrement, with the touched set pushed raw into the
-    queues (duplicates allowed by the queue contract).  The pre-fusion
+    edge count and the decrement.  The pre-fusion
     two-stage path (``alive_neighbors`` + the general batch removal) is
     kept as :func:`_remove_neighbors_reference`, the equivalence oracle
     and the A side of the ``remove_neighbors_fused`` pair in
@@ -512,10 +406,7 @@ def remove_neighbors_into_cover(
     """
     if ws is None:
         ws = Workspace(deg.size)
-    deleted, n_removed, touched = remove_neighbors_batch_cheap(graph, deg, v, ws)
-    if dirty is not None and touched.size:
-        for queue in dirty:
-            queue.push(touched)  # queues tolerate duplicate ids
+    deleted, n_removed, _ = remove_neighbors_batch_cheap(graph, deg, v, ws)
     return deleted, n_removed
 
 
@@ -524,8 +415,6 @@ def _remove_neighbors_reference(
     deg: np.ndarray,
     v: int,
     ws: Optional[Workspace] = None,
-    *,
-    dirty: Optional[Sequence[DirtyQueue]] = None,
 ) -> Tuple[int, int]:
     """Pre-fusion neighbourhood removal: gather ``N_alive(v)``, then batch.
 
@@ -537,7 +426,7 @@ def _remove_neighbors_reference(
     live = alive_neighbors(graph, deg, v)
     if live.size == 0:
         return 0, 0
-    deleted = remove_vertices_into_cover(graph, deg, live, ws, dirty=dirty)
+    deleted = remove_vertices_into_cover(graph, deg, live, ws)
     return deleted, int(live.size)
 
 
@@ -549,10 +438,10 @@ def remove_neighbors_batch_cheap(
 ) -> Tuple[int, int, np.ndarray]:
     """Neighbourhood removal stripped to the branch step's needs.
 
-    Semantically :func:`remove_neighbors_into_cover`, minus everything the
-    branch step does not need: no :class:`DirtyQueue` round-trip and no
-    ``np.unique`` — the touched set is returned raw (duplicates possible,
-    unordered), which the dirty-hint contract explicitly permits.  Returns
+    Semantically :func:`remove_neighbors_into_cover`, plus the touched set
+    the branch step hands to the child's cascade — returned raw
+    (duplicates possible, unordered, no ``np.unique``), which the
+    dirty-hint contract explicitly permits.  Returns
     ``(edges_deleted, n_removed, touched)`` where ``touched`` holds the
     external vertices left in candidate range (``deg <= 2``).
 

@@ -21,9 +21,8 @@ from repro.graph.generators.structured import (
 @pytest.fixture
 def without_native():
     """Run as on a host whose compiled kernel extension did not load:
-    ``auto`` falls back to the legacy scalar/numpy cutoff rule, which
-    tests of the interpreted kernels steer through the cutoff globals.
-    A private patcher, so a test's own ``monkeypatch.undo()`` keeps it."""
+    ``auto`` falls back to the ``scalar`` kernels.  A private patcher,
+    so a test's own ``monkeypatch.undo()`` keeps it."""
     from repro.core import native
 
     with pytest.MonkeyPatch.context() as patch:

@@ -182,8 +182,10 @@ class TestFusedNeighborhoodRemoval:
     ``remove_neighbors_into_cover`` now runs the single-gather batch
     kernel; ``_remove_neighbors_reference`` keeps the PR 1-4 two-step
     composition (``alive_neighbors`` + general batch removal) as the
-    oracle.  Same degree array, same return pair, same drained dirty
-    set — on roots and on partially-removed intermediate states.
+    oracle.  Same degree array and return pair, and the batch kernel's
+    touched set is exactly the vertices whose degree changed into
+    candidate range — on roots and on partially-removed intermediate
+    states.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -191,8 +193,8 @@ class TestFusedNeighborhoodRemoval:
            seed=st.integers(0, 500), kill_seed=st.integers(0, 500))
     def test_fused_matches_reference(self, n, p, seed, kill_seed):
         from repro.graph.degree_array import (
-            DirtyQueue,
             _remove_neighbors_reference,
+            remove_neighbors_batch_cheap,
             remove_neighbors_into_cover,
             remove_vertex_into_cover,
         )
@@ -209,13 +211,15 @@ class TestFusedNeighborhoodRemoval:
         pivot = int(rng.integers(n))
         if state.deg[pivot] < 0:
             return
-        d_ref, d_new = state.deg.copy(), state.deg.copy()
-        q_ref, q_new = (DirtyQueue(n),), (DirtyQueue(n),)
-        out_ref = _remove_neighbors_reference(graph, d_ref, pivot, ws,
-                                              dirty=q_ref)
-        out_new = remove_neighbors_into_cover(graph, d_new, pivot, ws,
-                                              dirty=q_new)
+        before = state.deg.copy()
+        d_ref, d_new, d_cheap = before.copy(), before.copy(), before.copy()
+        out_ref = _remove_neighbors_reference(graph, d_ref, pivot, ws)
+        out_new = remove_neighbors_into_cover(graph, d_new, pivot, ws)
         assert out_ref == out_new
         assert np.array_equal(d_ref, d_new)
-        assert np.array_equal(q_ref[0].drain_sorted(),
-                              q_new[0].drain_sorted())
+        deleted, n_removed, touched = remove_neighbors_batch_cheap(
+            graph, d_cheap, pivot, ws)
+        assert (deleted, n_removed) == out_ref
+        assert np.array_equal(d_cheap, d_ref)
+        changed = (d_cheap != before) & (d_cheap >= 0) & (d_cheap <= 2)
+        assert set(touched.tolist()) == set(np.flatnonzero(changed).tolist())

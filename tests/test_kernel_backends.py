@@ -4,11 +4,12 @@ Admission gate for kernel backends: every registered backend must reach
 the **bit-identical fixpoint** of ``apply_reductions_reference`` — same
 degree array, cover size, edge count and reduction counters — across the
 random / p_hat / structured suites, seeded dirty-hint cascades and
-budget-limited early exits.  Plus: the compiled ``native`` backend's
-typed boundary errors, build-on-first-use loader and fallbacks (silent
-for ``auto``, loud for an explicit ``native``), an independent networkx
-oracle, ``auto``'s fixed dispatch rule, the stale-binding regression
-(cutoff/backend switches after import must steer branching), and the
+budget-limited early exits, and the greedy pass of
+``_greedy_cover_rules`` fire for fire.  Plus: the compiled ``native``
+backend's typed boundary errors, build-on-first-use loader and fallbacks
+(silent for ``auto``, loud for an explicit ``native``), an independent
+networkx oracle, ``auto``'s fixed dispatch rule, the stale-binding
+regression (a backend switch after import must steer branching), and the
 one-line registry errors surfaced by the CLI and the experiment spec.
 """
 
@@ -30,7 +31,7 @@ import repro.core.kernels as kernels_mod
 from repro.core import branching
 from repro.core.branching import expand_children, max_degree_pivot
 from repro.core.formulation import BestBound, FoundFlag, MVCFormulation, PVCFormulation
-from repro.core.greedy import greedy_cover
+from repro.core.greedy import _greedy_cover_rules, greedy_cover
 from repro.core import native
 from repro.core.kernel_backends import (
     KERNELS,
@@ -38,7 +39,6 @@ from repro.core.kernel_backends import (
     NativeBackend,
     make_kernels,
     resolve_kernels,
-    set_default_kernels,
 )
 from repro.core.reductions import apply_reductions_reference
 from repro.core.outcome import Checkpoint
@@ -59,7 +59,7 @@ from repro.graph.generators.structured import (
 #: Concrete backends every equivalence test must admit.  On a host
 #: without a C compiler ``native`` degrades to the scalar kernels, and the
 #: degraded path must satisfy the same contract.
-CONCRETE = ("numpy", "scalar", "native")
+CONCRETE = ("scalar", "native")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -120,14 +120,20 @@ def _via(backend):
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_unknown_name_one_liner(self):
-        with pytest.raises(ValueError) as exc:
-            make_kernels("cuda")
-        msg = str(exc.value)
-        assert msg == (
-            "unknown kernels 'cuda'; choose from: "
-            + ", ".join(sorted(KERNELS))
-        )
-        assert "\n" not in msg
+        assert sorted(KERNELS) == ["auto", "native", "scalar"]
+        for name in ("cuda", "numpy"):  # numpy: the retired third tier
+            with pytest.raises(ValueError) as exc:
+                make_kernels(name)
+            msg = str(exc.value)
+            assert msg == (
+                f"unknown kernels {name!r}; choose from: "
+                + ", ".join(sorted(KERNELS))
+            )
+            assert "\n" not in msg
+        from repro import solve_mvc
+
+        with pytest.raises(ValueError, match="unknown kernels 'numpy'"):
+            solve_mvc(gnp(10, 0.3, seed=1), kernels="numpy", cache=False)
 
     def test_instances_are_cached_singletons(self):
         for name in KERNELS:
@@ -137,19 +143,11 @@ class TestRegistry:
         scalar = _backend("scalar")
         assert resolve_kernels("scalar") is scalar
         assert resolve_kernels(scalar) is scalar
-        assert resolve_kernels(None) is _backend(kb.get_default_kernels())
+        assert resolve_kernels(None) is _backend(kb.DEFAULT_KERNELS)
 
-    def test_default_is_auto_and_settable(self):
+    def test_default_is_auto(self):
         assert kb.DEFAULT_KERNELS == "auto"
-        before = kb.get_default_kernels()
-        try:
-            assert set_default_kernels("scalar") == "scalar"
-            assert resolve_kernels(None) is _backend("scalar")
-            with pytest.raises(ValueError, match="unknown kernels"):
-                set_default_kernels("gpu")
-            assert set_default_kernels(None) == "auto"
-        finally:
-            set_default_kernels(before)
+        assert resolve_kernels(None) is _backend("auto")
 
     def test_resolved_name_identity_for_concrete(self):
         for name in CONCRETE:
@@ -205,11 +203,15 @@ class TestEquivalenceMatrix:
 
     @pytest.mark.parametrize("name", CONCRETE + ("auto",))
     def test_greedy_cover_identical(self, name):
+        """Fire for fire the reference-rules pass: cover, picks, counters."""
         for g in _suite():
-            ref = greedy_cover(g, kernels="numpy")
+            ref = _greedy_cover_rules(g)
             got = greedy_cover(g, kernels=_backend(name))
             assert got.size == ref.size
             assert got.cover.tolist() == ref.cover.tolist()
+            assert got.max_degree_picks == ref.max_degree_picks
+            for field in ("degree_one", "degree_two_triangle", "high_degree"):
+                assert getattr(got.reductions, field) == getattr(ref.reductions, field)
 
     @pytest.mark.parametrize("name", CONCRETE + ("auto",))
     def test_whole_search_identical(self, name):
@@ -217,7 +219,8 @@ class TestEquivalenceMatrix:
         backend = _backend(name)
         for g in (phat_complement(40, 2, seed=11), gnp(40, 0.15, seed=5)):
             ref_best = BestBound(size=g.n + 1)
-            ref = branch_and_reduce(g, MVCFormulation(ref_best), kernels="numpy")
+            ref = branch_and_reduce(g, MVCFormulation(ref_best),
+                                    reducer=apply_reductions_reference)
             got_best = BestBound(size=g.n + 1)
             got = branch_and_reduce(g, MVCFormulation(got_best), kernels=backend)
             assert got_best.size == ref_best.size
@@ -230,8 +233,8 @@ class TestEquivalenceMatrix:
         fires at the same point)."""
         g = phat_complement(44, 3, seed=9)
         ref_best = BestBound(size=g.n + 1)
-        ref = branch_and_reduce(g, MVCFormulation(ref_best),
-                                node_budget=50, kernels="numpy")
+        ref = branch_and_reduce(g, MVCFormulation(ref_best), node_budget=50,
+                                reducer=apply_reductions_reference)
         assert ref.extra.get("timed_out")
         got_best = BestBound(size=g.n + 1)
         got = branch_and_reduce(g, MVCFormulation(got_best),
@@ -490,7 +493,7 @@ class TestNativeLoader:
             warnings.simplefilter("error")
             auto = make_kernels("auto")
             assert auto.pick(10, 10) == "scalar"
-            assert auto.pick(10 ** 5, 10 ** 6) == "numpy"
+            assert auto.pick(10 ** 5, 10 ** 6) == "scalar"
             g = gnp(40, 0.1, seed=1)
             assert _cascade_tuple(g, _via(auto)) == _cascade_tuple(g, _reference)
         assert native.load() is None
@@ -634,36 +637,20 @@ def test_native_mvc_matches_networkx_oracle(case):
 
 
 # --------------------------------------------------------------------- #
-# auto without the extension: the shipped cutoff rule
+# auto without the extension: scalar at every size
 # --------------------------------------------------------------------- #
 @pytest.mark.usefixtures("without_native")
 class TestAutoDispatch:
-    def test_uncalibrated_reads_live_globals(self, monkeypatch):
-        auto = _backend("auto")
-        assert auto.pick(10, 10) == "scalar"
-        saved = kernels_mod.SCALAR_KERNEL_MAX_N
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-        assert auto.pick(10, 10) == "numpy"
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", saved)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 5)
-        assert auto.pick(10, 10) == "numpy"
-
-    def test_shipped_cutoffs_bound_the_scalar_path(self):
-        auto = _backend("auto")
-        assert auto.resolved_name(2048, 65536) == "auto:scalar"
-        assert auto.resolved_name(2049, 10) == "auto:numpy"
-        assert auto.resolved_name(10, 65537) == "auto:numpy"
-        assert kernels_mod.scalar_path_ok(1, 1)
-        assert not kernels_mod.scalar_path_ok(kernels_mod.SCALAR_KERNEL_MAX_N + 1, 1)
-
     def test_without_extension_auto_is_silent(self):
-        """On a host that cannot build the extension ``auto`` takes the
-        cutoff rule with no warning, and its cascade is the reference's."""
+        """On a host that cannot build the extension ``auto`` takes
+        ``scalar`` at every size with no warning, and its cascade is the
+        reference's."""
         auto = AutoBackend()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert auto.pick(32, 2000) == "scalar"
-            assert auto.pick(10 ** 5, 10 ** 6) == "numpy"
+            assert auto.pick(10 ** 5, 10 ** 6) == "scalar"
+            assert auto.resolved_name(10 ** 5, 10 ** 6) == "auto:scalar"
             g = gnp(40, 0.1, seed=1)
             assert _cascade_tuple(g, _via(auto)) == _cascade_tuple(g, _reference)
 
@@ -683,7 +670,6 @@ def test_bench_provenance_records_backends():
 # --------------------------------------------------------------------- #
 # stale-binding regression: switches after import steer branching
 # --------------------------------------------------------------------- #
-@pytest.mark.usefixtures("without_native")
 class TestStaleBindingRegression:
     def _spy_paths(self, monkeypatch):
         calls = []
@@ -702,43 +688,25 @@ class TestStaleBindingRegression:
         monkeypatch.setattr(branching, "_expand_children_general", spy_general)
         return calls
 
-    def _branch_once(self, g):
+    def _branch_once(self, g, **kw):
         ws = Workspace.for_graph(g)
         parent = fresh_state(g)
         form = MVCFormulation(BestBound(size=g.n + 1))
-        make_kernels("numpy").cascade(g, parent, form, ws)
-        expand_children(g, parent.copy(), max_degree_pivot(parent), ws)
-
-    def test_cutoff_switch_after_import_flips_the_path(self, monkeypatch):
-        """The historical hazard: branching binding a cutoff at import
-        time, so changing the cutoff after import changed nothing.  The
-        dispatcher reads the live globals at call time."""
-        g = gnp(40, 0.15, seed=5)
-        calls = self._spy_paths(monkeypatch)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 4096)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 1 << 20)
-        self._branch_once(g)
-        assert calls[-1] == "scalar"
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)  # the switch
-        self._branch_once(g)
-        assert calls[-1] == "general"
+        make_kernels("scalar").cascade(g, parent, form, ws)
+        expand_children(g, parent.copy(), max_degree_pivot(parent), ws, **kw)
 
     def test_backend_switch_after_import_flips_the_path(self, monkeypatch):
-        """Forcing a backend after import must steer the very next branch
-        step."""
+        """The path is the dispatcher's choice, read at call time: the
+        very next branch step follows a switch of ``kernels=``, and a
+        charged call takes the metered vectorized step."""
         g = gnp(40, 0.15, seed=5)
         calls = self._spy_paths(monkeypatch)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 4096)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_M", 1 << 20)
-        before = kb.get_default_kernels()
-        try:
-            self._branch_once(g)
-            assert calls[-1] == "scalar"
-            set_default_kernels("numpy")  # overrides the scalar-favouring globals
-            self._branch_once(g)
-            assert calls[-1] == "general"
-        finally:
-            set_default_kernels(before)
+        self._branch_once(g, kernels="scalar")
+        assert calls[-1] == "scalar"
+        self._branch_once(g, kernels="scalar", charge=lambda kind, units: None)
+        assert calls[-1] == "general"
+        self._branch_once(g, kernels="scalar")
+        assert calls[-1] == "scalar"
 
 
 # --------------------------------------------------------------------- #
@@ -748,24 +716,27 @@ class TestUserSurfaces:
     def test_solve_rejects_unknown_kernels_one_liner(self, capsys):
         from repro.cli import main
 
-        rc = main(["solve", "--graph", "p_hat_300_1", "--scale", "tiny",
-                   "--kernels", "cuda"])
-        assert rc == 2
-        out = capsys.readouterr()
-        msg = (out.err or out.out).strip()
-        assert "unknown kernels 'cuda'" in msg
-        assert "choose from:" in msg
-        assert "\n" not in msg
+        for name in ("cuda", "numpy"):  # numpy: the retired third tier
+            rc = main(["solve", "--graph", "p_hat_300_1", "--scale", "tiny",
+                       "--kernels", name])
+            assert rc == 2
+            out = capsys.readouterr()
+            msg = (out.err or out.out).strip()
+            assert msg.startswith("error:")
+            assert f"unknown kernels {name!r}" in msg
+            assert "choose from:" in msg
+            assert "\n" not in msg
 
     def test_bench_rejects_unknown_kernels_one_liner(self, capsys, tmp_path):
         from repro.cli import main
 
-        rc = main(["bench", "--repeats", "1", "--out",
-                   str(tmp_path / "b.json"), "--kernels", "cuda"])
-        assert rc == 2
-        out = capsys.readouterr()
-        msg = (out.err or out.out).strip()
-        assert "unknown kernels 'cuda'" in msg and "choose from:" in msg
+        for name in ("cuda", "numpy"):
+            rc = main(["bench", "--repeats", "1", "--out",
+                       str(tmp_path / "b.json"), "--kernels", name])
+            assert rc == 2
+            out = capsys.readouterr()
+            msg = (out.err or out.out).strip()
+            assert f"unknown kernels {name!r}" in msg and "choose from:" in msg
 
     def test_solve_accepts_explicit_backend(self, capsys):
         from repro.cli import main
@@ -783,8 +754,9 @@ class TestUserSurfaces:
                                   engines=("sequential",), **kw)
 
         spec(kernels="scalar").validate()
-        with pytest.raises(ValueError, match="unknown kernels 'cuda'"):
-            spec(kernels="cuda").validate()
+        for name in ("cuda", "numpy"):
+            with pytest.raises(ValueError, match=f"unknown kernels '{name}'"):
+                spec(kernels=name).validate()
 
     def test_spec_kernels_roundtrips_and_stays_fingerprint_neutral(self):
         from repro.experiment.spec import ExperimentSpec, InstanceRef

@@ -1,10 +1,10 @@
-"""Property tests: the vectorized/scalar kernels ≡ the reference rules.
+"""Property tests: the kernel tiers ≡ the reference rules.
 
 The contract (relied on by every solver and engine): the fast cascade
 reaches a **bit-identical fixpoint** — same degree array, cover size,
 edge count and reduction counters — as the reference serial rules, on
-both of its internal paths (scalar small-graph and vectorized
-dirty-worklist).
+both kernel tiers (the pure-Python ``scalar`` cascade and the compiled
+``native`` one).
 """
 
 import numpy as np
@@ -15,20 +15,17 @@ from hypothesis import strategies as st
 import repro.core.kernels as kernels_mod
 from repro.core.branching import expand_children
 from repro.core.formulation import BestBound, FoundFlag, MVCFormulation, PVCFormulation
-from repro.core.greedy import _greedy_cover_scalar, greedy_cover
+from repro.core.greedy import _greedy_cover_rules, greedy_cover
 from repro.core.kernels import (
-    SCALAR_KERNEL_MAX_N,
     alive_pairs,
     apply_reductions_fast,
-    degree_one_kernel,
-    degree_two_triangle_kernel,
     first_alive_neighbors,
 )
 from repro.core.reductions import apply_reductions, apply_reductions_reference
 from repro.core.sequential import branch_and_reduce
-from repro.core.stats import ReductionCounters
+from repro.core.stats import ReductionCounters, null_charge
 from repro.graph.csr import CSRGraph
-from repro.graph.degree_array import DirtyQueue, Workspace, fresh_state
+from repro.graph.degree_array import Workspace, fresh_state
 from repro.graph.generators.phat import phat_complement
 from repro.graph.generators.random_graphs import gnp
 from repro.graph.generators.structured import (
@@ -40,10 +37,18 @@ from repro.graph.generators.structured import (
 )
 from repro.graph.generators.suites import paper_suite
 
-#: These tests pin the two interpreted paths (scalar and vectorized),
-#: steered through the cutoff globals; the compiled ``native`` backend
-#: has its own matrix in tests/test_kernel_backends.py.
-pytestmark = pytest.mark.usefixtures("without_native")
+#: The two kernel tiers every cascade here runs on, by registry name;
+#: tests/test_kernel_backends.py holds the registry-level matrix.
+TIERS = ("scalar", "native")
+
+
+def fast(kernels):
+    """``apply_reductions_fast`` pinned to one kernel tier."""
+    def run(graph, state, form, ws=None, charge=null_charge, counters=None):
+        apply_reductions_fast(graph, state, form, ws, charge, counters,
+                              kernels=kernels)
+
+    return run
 
 
 def hint_candidates(state):
@@ -73,52 +78,47 @@ def fixpoint(graph, reducer, best=None, k=None, ws=None):
     )
 
 
-def assert_equivalent(graph, best=None, k=None, monkeypatch=None):
+def assert_equivalent(graph, best=None, k=None):
     ref = fixpoint(graph, apply_reductions_reference, best=best, k=k)
-    fast = fixpoint(graph, apply_reductions_fast, best=best, k=k)
-    assert fast == ref, "fast cascade diverged from the reference rules"
-    if monkeypatch is not None:
-        # force the vectorized path even below the scalar cutoff
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-        vec = fixpoint(graph, apply_reductions_fast, best=best, k=k)
-        monkeypatch.undo()
-        assert vec == ref, "vectorized path diverged from the reference rules"
+    for kernels in TIERS:
+        got = fixpoint(graph, fast(kernels), best=best, k=k)
+        assert got == ref, f"{kernels} cascade diverged from the reference rules"
 
 
 # --------------------------------------------------------------------- #
 # adversarial structures for the batch tie-break logic
 # --------------------------------------------------------------------- #
 class TestStructuredEquivalence:
-    def test_isolated_edges(self, monkeypatch):
+    def test_isolated_edges(self):
         g = disjoint_union(*[path_graph(2) for _ in range(6)])
-        assert_equivalent(g, monkeypatch=monkeypatch)
+        assert_equivalent(g)
 
-    def test_shared_forced_hubs(self, monkeypatch):
+    def test_shared_forced_hubs(self):
         # stars: all leaves are degree-one and share the forced centre
         g = disjoint_union(*[star_graph(4) for _ in range(3)])
-        assert_equivalent(g, monkeypatch=monkeypatch)
+        assert_equivalent(g)
 
-    def test_mixed_components(self, monkeypatch):
+    def test_mixed_components(self):
         g = disjoint_union(path_graph(5), petersen(), star_graph(3), path_graph(2),
                            CSRGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-        assert_equivalent(g, monkeypatch=monkeypatch)
+        assert_equivalent(g)
 
-    def test_grid_and_tight_budget(self, monkeypatch):
-        assert_equivalent(grid_graph(5, 6), best=8, monkeypatch=monkeypatch)
+    def test_grid_and_tight_budget(self):
+        assert_equivalent(grid_graph(5, 6), best=8)
 
-    def test_pvc_budget(self, monkeypatch):
-        assert_equivalent(star_graph(7), k=2, monkeypatch=monkeypatch)
-        assert_equivalent(gnp(40, 0.2, seed=11), k=10, monkeypatch=monkeypatch)
+    def test_pvc_budget(self):
+        assert_equivalent(star_graph(7), k=2)
+        assert_equivalent(gnp(40, 0.2, seed=11), k=10)
 
 
 # --------------------------------------------------------------------- #
 # the three generator suites (random / phat / structured stand-ins)
 # --------------------------------------------------------------------- #
-def test_equivalence_across_paper_suite(monkeypatch):
+def test_equivalence_across_paper_suite():
     for inst in paper_suite("tiny"):
         g = inst.graph()
         for best in (g.n + 1, max(3, g.n // 3)):
-            assert_equivalent(g, best=best, monkeypatch=monkeypatch)
+            assert_equivalent(g, best=best)
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,29 +127,19 @@ def test_equivalence_across_paper_suite(monkeypatch):
 def test_equivalence_random(n, p, seed, tighten):
     g = gnp(n, p, seed=seed)
     best = g.n + 1 if tighten == 0 else max(2, g.n // (2 * tighten))
-    assert fixpoint(g, apply_reductions_fast, best=best) == \
-        fixpoint(g, apply_reductions_reference, best=best)
+    ref = fixpoint(g, apply_reductions_reference, best=best)
+    for kernels in TIERS:
+        assert fixpoint(g, fast(kernels), best=best) == ref, kernels
 
 
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(20, 60), tier=st.integers(1, 3), seed=st.integers(0, 500))
 def test_equivalence_phat(n, tier, seed):
     g = phat_complement(n, tier, seed=seed)
-    assert fixpoint(g, apply_reductions_fast) == \
-        fixpoint(g, apply_reductions_reference)
-    assert fixpoint(g, apply_reductions_fast, best=max(3, n // 3)) == \
-        fixpoint(g, apply_reductions_reference, best=max(3, n // 3))
-
-
-def test_vectorized_path_equivalence_random(monkeypatch):
-    """The numpy dirty-worklist path, forced on graphs below the cutoff."""
-    monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-    for n, p, seed in [(30, 0.1, 1), (80, 0.05, 2), (200, 0.02, 3), (50, 0.4, 4)]:
-        g = gnp(n, p, seed=seed)
-        fast = fixpoint(g, apply_reductions_fast)
-        monkeypatch.undo()
-        assert fast == fixpoint(g, apply_reductions_reference)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+    for best in (None, max(3, n // 3)):
+        ref = fixpoint(g, apply_reductions_reference, best=best)
+        for kernels in TIERS:
+            assert fixpoint(g, fast(kernels), best=best) == ref, kernels
 
 
 def test_apply_reductions_alias_is_fast():
@@ -160,7 +150,7 @@ def test_search_identical_under_both_reducers():
     """The whole traversal (not just one reduce) is trajectory-identical."""
     for g in (phat_complement(30, 2, seed=4), gnp(40, 0.15, seed=6)):
         outs = []
-        for reducer in (apply_reductions_reference, apply_reductions_fast):
+        for reducer in (apply_reductions_reference, fast("scalar")):
             best = BestBound(size=g.n + 1)
             stats = branch_and_reduce(g, MVCFormulation(best), reducer=reducer)
             outs.append((best.size, stats.nodes_visited, stats.branches, stats.prunes,
@@ -177,13 +167,13 @@ def counters_tuple(c):
     return (c.degree_one, c.degree_two_triangle, c.high_degree, c.sweeps)
 
 
-def walk_seeded_vs_rescan(g, best=None, k=None, node_cap=80):
-    """Replay branch-and-reduce; at every node run three cascades on the
-    same input state — hint-seeded, hint-stripped (full rescan), and the
-    reference rules — and assert a bit-identical fixpoint (degree array,
-    cover size, edge count, all reduction counters).  ``node_cap`` both
-    bounds runtime and forces a depth-limited early exit mid-tree, after
-    which the shared workspace must hold no pending dirty vertices."""
+def walk_seeded_vs_rescan(g, best=None, k=None, node_cap=80, kernels="scalar"):
+    """Replay branch-and-reduce on one kernel tier; at every node run
+    three cascades on the same input state — hint-seeded, hint-stripped
+    (full rescan), and the reference rules — and assert a bit-identical
+    fixpoint (degree array, cover size, edge count, all reduction
+    counters).  ``node_cap`` both bounds runtime and forces a
+    depth-limited early exit mid-tree."""
     from repro.core.branching import max_degree_pivot
     from repro.graph.degree_array import VCState
 
@@ -202,8 +192,9 @@ def walk_seeded_vs_rescan(g, best=None, k=None, node_cap=80):
         ref = VCState(state.deg.copy(), state.cover_size, state.edge_count)
         assert rescan.dirty is None and rescan.max_deg_hint == -1
         cs, cr, cf = ReductionCounters(), ReductionCounters(), ReductionCounters()
-        apply_reductions_fast(g, state, form, ws, counters=cs)
-        apply_reductions_fast(g, rescan, form, ws_rescan, counters=cr)
+        apply_reductions_fast(g, state, form, ws, counters=cs, kernels=kernels)
+        apply_reductions_fast(g, rescan, form, ws_rescan, counters=cr,
+                              kernels=kernels)
         apply_reductions_reference(g, ref, form, counters=cf)
         for other, cnt in ((rescan, cr), (ref, cf)):
             assert state.deg.tobytes() == other.deg.tobytes()
@@ -214,13 +205,11 @@ def walk_seeded_vs_rescan(g, best=None, k=None, node_cap=80):
         if form.prune(state) or state.edge_count == 0:
             continue
         vmax = max_degree_pivot(state)
-        deferred, cont = expand_children(g, state, vmax, ws)
+        deferred, cont = expand_children(g, state, vmax, ws, kernels=kernels)
         assert deferred.dirty is not None and cont.dirty is not None
         branches += 1
         stack.append(deferred)
         stack.append(cont)
-    d1, d2 = ws.dirty_queues()
-    assert d1.count == 0 and d2.count == 0
     return branches
 
 
@@ -232,20 +221,18 @@ class TestSeededCascadeEquivalence:
             assert walk_seeded_vs_rescan(gnp(n, p, seed=seed)) > 0
             walk_seeded_vs_rescan(gnp(n, p, seed=seed), best=max(3, n // 3))
 
-    def test_random_suite_vectorized_path(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
+    def test_random_suite_native_path(self):
         for n, p, seed in self.RANDOM:
-            assert walk_seeded_vs_rescan(gnp(n, p, seed=seed), node_cap=40) > 0
+            assert walk_seeded_vs_rescan(gnp(n, p, seed=seed), node_cap=40,
+                                         kernels="native") > 0
 
-    def test_phat_suite_both_paths(self, monkeypatch):
+    def test_phat_suite_both_paths(self):
         for n, tier, seed in [(30, 2, 4), (40, 1, 5), (25, 3, 6)]:
             g = phat_complement(n, tier, seed=seed)
             assert walk_seeded_vs_rescan(g) > 0
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-            walk_seeded_vs_rescan(g, node_cap=40)
-            monkeypatch.undo()
+            walk_seeded_vs_rescan(g, node_cap=40, kernels="native")
 
-    def test_structured_suite(self, monkeypatch):
+    def test_structured_suite(self):
         graphs = [
             grid_graph(4, 5),
             petersen(),
@@ -253,28 +240,24 @@ class TestSeededCascadeEquivalence:
             disjoint_union(*[path_graph(2) for _ in range(5)]),
         ]
         for g in graphs:
-            walk_seeded_vs_rescan(g)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-            walk_seeded_vs_rescan(g)
-            monkeypatch.undo()
+            for kernels in TIERS:
+                walk_seeded_vs_rescan(g, kernels=kernels)
 
     def test_paper_suite_tiny(self):
         for inst in paper_suite("tiny"):
             walk_seeded_vs_rescan(inst.graph(), node_cap=30)
 
-    def test_pvc_budgets(self, monkeypatch):
+    def test_pvc_budgets(self):
         walk_seeded_vs_rescan(gnp(40, 0.2, seed=11), k=10)
         walk_seeded_vs_rescan(star_graph(7), k=2)
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-        walk_seeded_vs_rescan(gnp(40, 0.2, seed=11), k=10)
+        walk_seeded_vs_rescan(gnp(40, 0.2, seed=11), k=10, kernels="native")
 
-    def test_depth_limited_early_exit(self, monkeypatch):
-        # Stop after very few nodes — mid-branch — on both kernel paths.
+    def test_depth_limited_early_exit(self):
+        # Stop after very few nodes — mid-branch — on both kernel tiers.
         for cap in (1, 3, 7):
-            walk_seeded_vs_rescan(phat_complement(30, 2, seed=4), node_cap=cap)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-            walk_seeded_vs_rescan(phat_complement(30, 2, seed=4), node_cap=cap)
-            monkeypatch.undo()
+            for kernels in TIERS:
+                walk_seeded_vs_rescan(phat_complement(30, 2, seed=4),
+                                      node_cap=cap, kernels=kernels)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(6, 50), p=st.floats(0.05, 0.6), seed=st.integers(0, 2_000),
@@ -319,49 +302,6 @@ def test_charged_reducers_immune_to_hints():
 
 
 # --------------------------------------------------------------------- #
-# workspace dirty-queue hygiene across tree nodes
-# --------------------------------------------------------------------- #
-class TestWorklistHygiene:
-    def test_poisoned_queues_cannot_corrupt_a_cascade(self, monkeypatch):
-        """Stale pending vertices (as a buggy early exit would leave) are
-        flushed by the seed reset, never acted upon."""
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-        g = gnp(60, 0.08, seed=13)
-        ws = Workspace.for_graph(g)
-        d1, d2 = ws.dirty_queues()
-        d1.push(np.array([0, 1, 2, 3]))
-        d2.push(np.array([5, 6, 7]))
-        fast = fixpoint(g, apply_reductions_fast, ws=ws)
-        monkeypatch.undo()
-        assert fast == fixpoint(g, apply_reductions_reference)
-        assert d1.count == 0 and d2.count == 0
-
-    def test_budget_early_exit_leaves_queues_clean(self, monkeypatch):
-        """A cascade cut short by a doomed budget (high-degree rule bails
-        with budget < 0) must leave nothing pending for the next node."""
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-        g = gnp(50, 0.3, seed=3)
-        ws = Workspace.for_graph(g)
-        a = fixpoint(g, apply_reductions_fast, k=1, ws=ws)
-        d1, d2 = ws.dirty_queues()
-        assert d1.count == 0 and d2.count == 0
-        b = fixpoint(g, apply_reductions_fast, best=g.n + 1, ws=ws)  # reuse the workspace
-        monkeypatch.undo()
-        assert a == fixpoint(g, apply_reductions_reference, k=1)
-        assert b == fixpoint(g, apply_reductions_reference, best=g.n + 1)
-
-    def test_full_search_leaves_queues_clean(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-        g = phat_complement(40, 2, seed=11)
-        ws = Workspace.for_graph(g)
-        best = BestBound(size=g.n + 1)
-        branch_and_reduce(g, MVCFormulation(best), ws=ws)
-        monkeypatch.undo()
-        d1, d2 = ws.dirty_queues()
-        assert d1.count == 0 and d2.count == 0
-
-
-# --------------------------------------------------------------------- #
 # batched helpers
 # --------------------------------------------------------------------- #
 class TestBatchHelpers:
@@ -395,54 +335,6 @@ class TestBatchHelpers:
         with pytest.raises(ValueError):
             alive_pairs(g, state.deg, np.array([0]))  # degree 1
 
-    def test_standalone_kernels_match_rules(self):
-        from repro.core.reductions import degree_one_rule, degree_two_triangle_rule
-
-        for g in (gnp(50, 0.06, seed=9), disjoint_union(path_graph(2), star_graph(3))):
-            a, b = fresh_state(g), fresh_state(g)
-            ws_a, ws_b = Workspace.for_graph(g), Workspace.for_graph(g)
-            ca, cb = ReductionCounters(), ReductionCounters()
-            changed_a = degree_one_rule(g, a, ws_a, counters=ca)
-            changed_b = degree_one_kernel(g, b, ws_b, counters=cb)
-            assert changed_a == changed_b
-            assert np.array_equal(a.deg, b.deg)
-            assert ca.degree_one == cb.degree_one
-            changed_a = degree_two_triangle_rule(g, a, ws_a, counters=ca)
-            changed_b = degree_two_triangle_kernel(g, b, ws_b, counters=cb)
-            assert changed_a == changed_b
-            assert np.array_equal(a.deg, b.deg)
-            assert ca.degree_two_triangle == cb.degree_two_triangle
-
-
-# --------------------------------------------------------------------- #
-# dirty queue
-# --------------------------------------------------------------------- #
-class TestDirtyQueue:
-    def test_drain_dedupes_and_sorts(self):
-        q = DirtyQueue(10)
-        q.push(np.array([5, 2, 5, 9]))
-        q.push(np.array([2, 0]))
-        assert q.drain_sorted().tolist() == [0, 2, 5, 9]
-        assert q.drain_sorted().size == 0
-
-    def test_grows_past_initial_capacity(self):
-        q = DirtyQueue(4)
-        for _ in range(20):
-            q.push(np.array([0, 1, 2, 3]))
-        assert q.drain_sorted().tolist() == [0, 1, 2, 3]
-
-    def test_seed_resets(self):
-        q = DirtyQueue(8)
-        q.push(np.array([1, 2]))
-        q.seed(np.array([7]))
-        assert q.drain_sorted().tolist() == [7]
-
-    def test_clear(self):
-        q = DirtyQueue(8)
-        q.push(np.array([3]))
-        q.clear()
-        assert q.drain_sorted().size == 0
-
 
 # --------------------------------------------------------------------- #
 # pooled buffers and scalar branch/greedy fast paths
@@ -469,43 +361,38 @@ class TestPoolAndScalarPaths:
         ws.release_deg(np.zeros(8, dtype=np.int64))   # wrong dtype
         assert ws.borrow_deg().size == 8  # fresh allocation, not a foreign buffer
 
-    def test_expand_children_scalar_matches_vectorized(self, monkeypatch):
+    def test_expand_children_scalar_matches_vectorized(self):
+        """The scalar step, the compiled one and the vectorized (charged
+        meter, no workspace) step build the same two children."""
         for g in (phat_complement(40, 2, seed=8), gnp(60, 0.08, seed=12)):
             state = fresh_state(g)
             vmax = int(np.argmax(state.deg))
             ws = Workspace.for_graph(g)
-            d_scalar, c_scalar = expand_children(g, state.copy(), vmax, ws)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-            d_vec, c_vec = expand_children(g, state.copy(), vmax, ws)
-            monkeypatch.undo()
-            for a, b in ((d_scalar, d_vec), (c_scalar, c_vec)):
-                assert np.array_equal(a.deg, b.deg)
-                assert a.cover_size == b.cover_size
-                assert a.edge_count == b.edge_count
+            d_scalar, c_scalar = expand_children(g, state.copy(), vmax, ws,
+                                                 kernels="scalar")
+            d_nat, c_nat = expand_children(g, state.copy(), vmax, ws,
+                                           kernels="native")
+            d_vec, c_vec = expand_children(g, state.copy(), vmax)
+            for a, b, c in ((d_scalar, d_nat, d_vec), (c_scalar, c_nat, c_vec)):
+                for other in (b, c):
+                    assert np.array_equal(a.deg, other.deg)
+                    assert a.cover_size == other.cover_size
+                    assert a.edge_count == other.edge_count
                 # The dirty hints may differ in raw form (the scalar path
-                # records intermediate arrivals, the vectorized path final
-                # degrees), but the candidate set they seed is identical.
+                # records intermediate arrivals, the compiled one final
+                # degrees), but the candidate set they seed is identical;
+                # the vectorized step leaves no hint (full rescan).
                 assert hint_candidates(a) == hint_candidates(b)
-
-    def test_greedy_scalar_matches_vectorized(self, monkeypatch):
-        for g in (phat_complement(40, 2, seed=3), gnp(80, 0.05, seed=4), grid_graph(5, 5)):
-            scalar = _greedy_cover_scalar(g)
-            monkeypatch.setattr(kernels_mod, "SCALAR_KERNEL_MAX_N", 0)
-            vec = greedy_cover(g)
-            monkeypatch.undo()
-            assert scalar.size == vec.size
-            assert np.array_equal(scalar.cover, vec.cover)
-            assert scalar.max_degree_picks == vec.max_degree_picks
+                assert c.dirty is None
 
     def test_greedy_worklist_pass_matches_reference_rules(self):
-        """The vectorized pick loop ≡ the reference-rules pass, fire for fire.
+        """Each tier's pending-list pick loop ≡ the reference-rules pass,
+        fire for fire.
 
         Covers, pick counts AND reduction counters must match: the
         worklist-driven pass claims the exact same sequence of rule
         fires and max-degree picks as one reference-rule round per pick.
         """
-        from repro.core.greedy import _greedy_cover_rules, _greedy_cover_vectorized
-
         graphs = (
             phat_complement(40, 2, seed=3),
             phat_complement(120, 3, seed=7),
@@ -516,31 +403,14 @@ class TestPoolAndScalarPaths:
         )
         for g in graphs:
             rules = _greedy_cover_rules(g)
-            vec = _greedy_cover_vectorized(g, Workspace.for_graph(g))
-            assert rules.size == vec.size
-            assert np.array_equal(rules.cover, vec.cover)
-            assert rules.max_degree_picks == vec.max_degree_picks
-            for field in ("degree_one", "degree_two_triangle", "high_degree"):
-                assert getattr(rules.reductions, field) == getattr(vec.reductions, field)
-
-    def test_greedy_worklist_pass_leaves_queues_clean(self):
-        """Shared-workspace hygiene: no pending vertex may survive greedy."""
-        from repro.core.greedy import _greedy_cover_vectorized
-
-        g = gnp(120, 0.05, seed=13)
-        ws = Workspace.for_graph(g)
-        _greedy_cover_vectorized(g, ws)
-        d1, d2 = ws.dirty_queues()
-        assert d1.count == 0 and d2.count == 0
-        # and the same workspace still serves an exact vectorized cascade
-        state = fresh_state(g)
-        kernels_mod._apply_reductions_vectorized(
-            g, state, MVCFormulation(BestBound(size=g.n + 1)), ws)
-        ref = fresh_state(g)
-        apply_reductions_reference(g, ref, MVCFormulation(BestBound(size=g.n + 1)),
-                                   Workspace.for_graph(g))
-        assert np.array_equal(state.deg, ref.deg)
-
+            for kernels in TIERS:
+                got = greedy_cover(g, kernels=kernels)
+                assert rules.size == got.size
+                assert np.array_equal(rules.cover, got.cover)
+                assert rules.max_degree_picks == got.max_degree_picks
+                for field in ("degree_one", "degree_two_triangle", "high_degree"):
+                    assert getattr(rules.reductions, field) == \
+                        getattr(got.reductions, field), (kernels, field)
 
 # --------------------------------------------------------------------- #
 # parallel-semantics rules: charge instrumentation must not change results
@@ -584,7 +454,8 @@ class TestBranchBatchHandoff:
                 kernels_mod.BRANCH_BATCH_MIN_LIVE = cutoff
                 state = parent.copy(ws)
                 state.dirty = None
-                deferred, continued = expand_children(g, state, vmax, ws)
+                deferred, continued = expand_children(g, state, vmax, ws,
+                                                      kernels="scalar")
                 out.append((deferred, continued))
         finally:
             kernels_mod.BRANCH_BATCH_MIN_LIVE = saved
@@ -614,7 +485,7 @@ class TestBranchBatchHandoff:
 
         def run():
             best = BestBound(size=g.n + 1)
-            stats = branch_and_reduce(g, MVCFormulation(best))
+            stats = branch_and_reduce(g, MVCFormulation(best), kernels="scalar")
             return (best.size, stats.nodes_visited, stats.branches, stats.prunes,
                     stats.reductions.degree_one, stats.reductions.degree_two_triangle,
                     stats.reductions.high_degree)

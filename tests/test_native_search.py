@@ -299,7 +299,6 @@ class _Best(BestBound):
 
 FALLBACKS = {
     "scalar backend": dict(kernels="scalar"),
-    "numpy backend": dict(kernels="numpy"),
     "explicit reducer": dict(reducer=lambda g, s, f, w, charge=None, counters=None:
                              apply_reductions_reference(g, s, f, w, counters=counters)),
     "charged run": dict(charge=lambda kind, units: None),
@@ -522,7 +521,6 @@ def test_degraded_native_has_no_compiled_loop(monkeypatch):
     assert "native_search" not in stats.extra
     assert best.size == _mvc(graph, "scalar")[0].size
     assert make_kernels("scalar").search(graph, [], "mvc", 1, None) is None
-    assert make_kernels("numpy").search(graph, [], "mvc", 1, None) is None
 
 
 def test_bound_policy_instance_of_greedy_is_eligible():
